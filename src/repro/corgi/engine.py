@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import events as _obs
 from ..obs import flight as _flight
 from ..ops5.wme import WME, WMEChange
+from ..rete.kernel import alpha_pass
 from ..rete.network import ReteNetwork
 from ..rete.nodes import CSDelta
 from ..rete.stats import MatchStats
@@ -142,14 +143,11 @@ class CorgiMatcher:
     def process_change(self, change: WMEChange) -> List[CSDelta]:
         """Filter one WM change through the plans; returns CS deltas."""
         stats = self.stats
-        stats.wme_changes += 1
         obs_on = _obs.ENABLED
         if obs_on:
             change_t0 = _obs.now()
 
-        hits, n_tests = self.network.alpha_dispatch(change.wme)
-        stats.constant_tests += n_tests
-        stats.alpha_passes += len(hits)
+        hits, _n_tests = alpha_pass(self.network, stats, change.wme)
 
         # Group the touched slots by production, preserving dispatch
         # order (deterministic for a given compiled network).

@@ -91,11 +91,20 @@ class SLObjective:
 DEFAULT_OBJECTIVES = (SLObjective("txn_p99", target_ms=250.0, goal=0.99),)
 
 
-def _nearest_rank(sorted_vals: Sequence[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    rank = max(1, int(-(-q * len(sorted_vals) // 1)))  # ceil without math
-    return sorted_vals[min(rank, len(sorted_vals)) - 1]
+def nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile over an already-sorted sequence.
+
+    ``p`` must lie in [0, 100]; p=0 returns the minimum (rank clamps to
+    1) and p=100 the maximum.  The one percentile in the tree: meter
+    accounts, the serve :class:`~repro.serve.metrics.LatencyWindow` and
+    the loadgen report all call it, so they never disagree.
+    """
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not ordered:
+        raise ValueError("percentile of an empty sequence")
+    rank = max(1, -(-len(ordered) * p // 100))  # ceil without math
+    return ordered[int(rank) - 1]
 
 
 class Histogram:
@@ -184,11 +193,12 @@ class MeterAccount:
             self._sample_i = (self._sample_i + 1) % SAMPLE_CAPACITY
 
     def percentiles(self) -> Dict[str, float]:
+        """Nearest-rank p50/p95/p99 over the sample window (0.0 each
+        while no transaction has been observed)."""
         vals = sorted(self._samples)
         return {
-            "p50_ms": _nearest_rank(vals, 0.50),
-            "p95_ms": _nearest_rank(vals, 0.95),
-            "p99_ms": _nearest_rank(vals, 0.99),
+            f"p{p}_ms": nearest_rank(vals, p) if vals else 0.0
+            for p in (50, 95, 99)
         }
 
     def slo_report(self, objectives: Sequence[SLObjective]) -> List[Dict[str, Any]]:

@@ -39,12 +39,11 @@ from ..obs import flight as _flight
 from ..obs import meter as _meter
 from ..obs.watchdog import ProbeSample, StallWatchdog
 from ..ops5.wme import WMEChange
-from ..rete.matcher import SequentialMatcher
+from ..rete import kernel
 from ..rete.memories import HashMemorySystem
 from ..rete.network import ReteNetwork
-from ..rete.nodes import Activation, CSDelta, JoinNode, MatchContext, NotNode
+from ..rete.nodes import Activation, CSDelta, MatchContext
 from ..rete.stats import MatchStats
-from ..rete.token import Token
 from .conjugate import ConjugateMemory
 from .hooks import thread_exit, yield_point
 from .locks import LockStats, make_line_locks, set_holder_tracking
@@ -152,12 +151,6 @@ class ParallelMatcher:
             t_push = _obs.now() if meter_on else 0
             if ids is not None or t_push:
                 meta = (ids, t_push)
-        # Per-activation probes (ctx.last_*) are only maintained under
-        # `tracing`; flip it with the obs flag so worker node hot-spots
-        # carry examined-token counts.  Benign cross-thread write: the
-        # flag only gates instrumentation granularity.
-        for ctx in self._ctxs:
-            ctx.tracing = obs_on
         for change in changes:
             self.taskcount.increment()
             # Root WM changes have no hash line yet (alpha dispatch
@@ -287,25 +280,7 @@ class ParallelMatcher:
     def stats(self) -> MatchStats:
         merged = MatchStats()
         for ctx in self._ctxs:
-            s = ctx.stats
-            merged.wme_changes += s.wme_changes
-            merged.node_activations += s.node_activations
-            merged.constant_tests += s.constant_tests
-            merged.alpha_passes += s.alpha_passes
-            merged.tokens_emitted += s.tokens_emitted
-            merged.cs_changes += s.cs_changes
-            merged.opp_examined_left += s.opp_examined_left
-            merged.opp_count_left += s.opp_count_left
-            merged.opp_examined_right += s.opp_examined_right
-            merged.opp_count_right += s.opp_count_right
-            merged.same_del_examined_left += s.same_del_examined_left
-            merged.same_del_count_left += s.same_del_count_left
-            merged.same_del_examined_right += s.same_del_examined_right
-            merged.same_del_count_right += s.same_del_count_right
-            for kind, n in s.activations_by_kind.items():
-                merged.activations_by_kind[kind] = (
-                    merged.activations_by_kind.get(kind, 0) + n
-                )
+            merged.merge(ctx.stats)
         return merged
 
     def queue_lock_stats(self) -> LockStats:
@@ -317,7 +292,16 @@ class ParallelMatcher:
     # -- match-process side -----------------------------------------------------
 
     def _worker(self, wid: int) -> None:
+        """Pop → run the kernel → push, until poisoned.  All match work
+        is the kernel's; this loop is the transport around it."""
         ctx = self._ctxs[wid]
+        task = None
+
+        def route(children: List[Activation]) -> None:
+            # The kernel's seam.  Reads `task` when called: children
+            # inherit the meta of the task the loop below is running.
+            self._push_children(wid, children, task[-1])
+
         try:
             while True:
                 task = self.queues.pop(home=wid, steal=self._steals)
@@ -330,24 +314,30 @@ class ParallelMatcher:
                 if task[0] == "poison":
                     return
                 meta = task[-1]
-                if meta is not None and meta[1] and _meter.ENABLED:
-                    ids = meta[0]
-                    if ids is not None:
-                        # Queue-wait attribution: push-to-pop latency,
-                        # charged to the request that caused the task.
-                        # Requeued tasks accrue each trip (see
-                        # _push_children's re-stamp).
-                        _meter.add(
-                            ids["session"], "queue_wait_s",
-                            (_obs.now() - meta[1]) * 1e-9,
-                            tenant=ids["tenant"],
-                        )
-                if _obs.ENABLED:
-                    self._run_task_obs(ctx, wid, task)
-                elif task[0] == "change":
-                    self._do_change(ctx, wid, task)
-                else:
-                    self._do_activation(ctx, wid, task)
+                ids = meta[0] if meta is not None else None
+                if ids is not None and meta[1] and _meter.ENABLED:
+                    # Queue-wait attribution: push-to-pop latency,
+                    # charged to the request that caused the task.
+                    # Requeued tasks accrue each trip (see
+                    # _push_children's re-stamp).
+                    _meter.add(
+                        ids["session"], "queue_wait_s",
+                        (_obs.now() - meta[1]) * 1e-9,
+                        tenant=ids["tenant"],
+                    )
+                if task[0] == "change":
+                    kernel.change_task(
+                        self.network, ctx.stats, task[1], task[2], route, ids
+                    )
+                elif not kernel.execute(ctx, task[1], self.line_locks, route, ids):
+                    # MRSW refused the line: put the task back on a
+                    # queue and move on.
+                    self.taskcount.increment()
+                    self._dispatch(
+                        task,
+                        self._line_of(task[1]) if self.policy.needs_line else None,
+                        wid,
+                    )
                 self.taskcount.decrement()
                 self.tasks_done += 1
         except BaseException as exc:  # noqa: BLE001 - reported to control
@@ -355,110 +345,25 @@ class ParallelMatcher:
         finally:
             thread_exit()
 
-    def _run_task_obs(self, ctx: MatchContext, wid: int, task) -> None:
-        """Instrumented twin of the worker dispatch: one span per task
-        (the Chrome-trace worker timeline) plus per-node hot-spots."""
-        t0 = _obs.now()
-        ids = task[-1][0] if task[-1] is not None else None
-        if task[0] == "change":
-            self._do_change(ctx, wid, task)
-            _obs.span("task", "wm_change", t0, _obs.now(),
-                      args=_context.tag_ids(None, ids))
-            return
-        act: Activation = task[1]
-        n_children = self._do_activation(ctx, wid, task)
-        t1 = _obs.now()
+    def _line_of(self, act: Activation) -> Optional[int]:
+        """The hash line ``act`` will touch (None for terminals).  Line-
+        affinity routing pays this one extra key hash per push; the
+        kernel recomputes it under the line lock anyway."""
         node = act.node
-        if n_children is None:
-            # MRSW told us to requeue; the task was not processed.
-            _obs.count("task.requeued")
-            _obs.span("task", "requeue", t0, t1,
-                      args=_context.tag_ids({"node": node.node_id}, ids))
-            return
-        _obs.node_hit(
-            node.node_id,
-            node.kind,
-            t1 - t0,
-            ctx.last_opp_examined + ctx.last_same_examined,
-            n_children,
+        if not node.uses_line():
+            return None
+        return self.memory.line_of(
+            node.node_id, node.key_for(act.side, act.token)
         )
-        _obs.span("task", node.kind, t0, t1,
-                  args=_context.tag_ids({"node": node.node_id}, ids))
 
-    def _push_children(
-        self, wid: int, children: List[Activation], meta=None
-    ) -> None:
+    def _push_children(self, wid: int, children: List[Activation], meta) -> None:
         if meta is not None and meta[1]:
             # Re-stamp the push time so child queue-wait measures this
             # push, not the ancestor's (one tuple per sibling group).
             meta = (meta[0], _obs.now())
         need_line = self.policy.needs_line
         for child in children:
-            line = None
-            if need_line:
-                node = child.node
-                if node.uses_line():
-                    # Line-affinity routing pays one extra key hash per
-                    # push; the processing side recomputes it under the
-                    # line lock anyway.
-                    line = self.memory.line_of(
-                        node.node_id, node.key_for(child.side, child.token)
-                    )
             self.taskcount.increment()
-            self._dispatch(("act", child, meta), line, wid)
-
-    def _do_change(self, ctx: MatchContext, wid: int, task) -> None:
-        _kind, sign, wme, meta = task
-        ctx.stats.wme_changes += 1
-        hits, n_tests = self.network.alpha_dispatch(wme)
-        ctx.stats.constant_tests += n_tests
-        ctx.stats.alpha_passes += len(hits)
-        token = Token.single(wme)
-        children = [
-            Activation(node, side, sign, token)
-            for terminal in hits
-            for node, side in terminal.successors
-        ]
-        self._push_children(wid, children, meta)
-
-    def _do_activation(self, ctx: MatchContext, wid: int, task) -> Optional[int]:
-        """Process one activation task; returns the number of child
-        tasks pushed, or None when MRSW line locking requeued the task
-        unprocessed (the observability layer tells these apart)."""
-        act: Activation = task[1]
-        meta = task[2]
-        node = act.node
-        if not node.uses_line():
-            children = node.activate(ctx, act)
-            self._push_children(wid, children, meta)
-            return len(children)
-
-        key = node.key_for(act.side, act.token)
-        line = self.memory.line_of(node.node_id, key)
-        if not self.line_locks.enter(line, act.side):
-            # MRSW: tokens from the other side are being processed on
-            # this line — put the task back on a queue and move on.
-            self.taskcount.increment()
-            self._dispatch(task, line if self.policy.needs_line else None, wid)
-            return None
-        try:
-            if isinstance(node, JoinNode):
-                self.line_locks.enter_modify(line)
-                try:
-                    proceed = node.update_memory(ctx, act, key)
-                finally:
-                    self.line_locks.exit_modify(line)
-                children = node.search_opposite(ctx, act, key) if proceed else []
-            else:
-                # Negated nodes mutate left-entry counts during the
-                # search, so the whole activation holds the
-                # modification lock.
-                self.line_locks.enter_modify(line)
-                try:
-                    children = node.activate(ctx, act)
-                finally:
-                    self.line_locks.exit_modify(line)
-        finally:
-            self.line_locks.exit(line, act.side)
-        self._push_children(wid, children, meta)
-        return len(children)
+            self._dispatch(
+                ("act", child, meta), self._line_of(child) if need_line else None, wid
+            )

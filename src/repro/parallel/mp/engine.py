@@ -230,8 +230,7 @@ class ProcessMatcher:
     def _format_error(msg) -> str:
         """Traceback text plus the dead worker's flight-recorder tail
         (its last recorded moments survive the process)."""
-        detail = msg[2]
-        tail = msg[3] if len(msg) > 3 else None
+        _kind, _wid, detail, tail = msg
         if tail:
             lines = [
                 f"  {event['engine']}.{event['event']} {event['detail'] or {}}"
@@ -370,25 +369,8 @@ class ProcessMatcher:
     def stats(self) -> MatchStats:
         """Merged match statistics across workers, as of the last flush."""
         merged = MatchStats()
-        for s in self._worker_stats.values():
-            merged.wme_changes += s.wme_changes
-            merged.node_activations += s.node_activations
-            merged.constant_tests += s.constant_tests
-            merged.alpha_passes += s.alpha_passes
-            merged.tokens_emitted += s.tokens_emitted
-            merged.cs_changes += s.cs_changes
-            merged.opp_examined_left += s.opp_examined_left
-            merged.opp_count_left += s.opp_count_left
-            merged.opp_examined_right += s.opp_examined_right
-            merged.opp_count_right += s.opp_count_right
-            merged.same_del_examined_left += s.same_del_examined_left
-            merged.same_del_count_left += s.same_del_count_left
-            merged.same_del_examined_right += s.same_del_examined_right
-            merged.same_del_count_right += s.same_del_count_right
-            for kind, n in s.activations_by_kind.items():
-                merged.activations_by_kind[kind] = (
-                    merged.activations_by_kind.get(kind, 0) + n
-                )
+        for stats in self._worker_stats.values():
+            merged.merge(stats)
         return merged
 
     @property

@@ -17,8 +17,7 @@ Message protocol (inbound, one queue per worker):
     ``{"req", "session", "tenant"}`` from :mod:`repro.obs.context`) is
     the serve request that caused the batch; workers stamp it into
     their batch spans so stitched traces stay request-scoped across the
-    process boundary.  Engines older than the field send 3-tuples; the
-    dispatcher tolerates both.
+    process boundary.
 
 ``("act", node_id, side, sign, wmes)``
     A forwarded activation for a line this worker owns, produced by a
@@ -60,6 +59,7 @@ from typing import Dict, List
 from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
+from ...rete import kernel
 from ...rete.memories import HashMemorySystem
 from ...rete.nodes import Activation, MatchContext
 from ...rete.stats import MatchStats
@@ -107,7 +107,7 @@ class _WorkerState:
         }
         self._forward_queues = None  # set by run_worker
         #: Shared cumulative drained-task counter (watchdog progress
-        #: signal); None on engines built before the watchdog existed.
+        #: signal).
         self.tasks_done = None  # set by run_worker
 
     # -- TaskCount ----------------------------------------------------------
@@ -144,6 +144,26 @@ class _WorkerState:
                 ("act", node.node_id, act.side, act.sign, act.token.wmes)
             )
 
+    def route_children(self, children: List[Activation]) -> None:
+        """The kernel's seam: each child stays on the local stack or
+        goes down its owning shard's pipe."""
+        for child in children:
+            self.route_child(child)
+
+    def keep_roots(self, roots: List[Activation], mine: bool) -> None:
+        """The kernel's seam for a broadcast change: every worker
+        derives every root, so instead of forwarding, keep exactly the
+        ones whose line this shard owns.  Non-line roots (single-CE
+        terminals) belong to the change's designated worker."""
+        for act in roots:
+            node = act.node
+            if node.uses_line():
+                key = node.key_for(act.side, act.token)
+                if self.shard.route(node.node_id, key) == self.wid:
+                    self.local.append(act)
+            elif mine:
+                self.local.append(act)
+
     def rebuild(self, msg) -> Activation:
         _kind, node_id, side, sign, wmes = msg
         return Activation(self.nodes[node_id], side, sign, Token.of(tuple(wmes)))
@@ -151,33 +171,23 @@ class _WorkerState:
     # -- the drain loop -----------------------------------------------------
 
     def drain(self) -> None:
-        """Process the local stack to empty, absorbing forwarded tasks."""
+        """Process the local stack to empty, absorbing forwarded tasks.
+
+        The kernel runs the activations, ``POLL_EVERY`` at a stretch;
+        the inbox poll in between is this transport's business.  (The
+        obs flag the kernel reads per stretch is stable for the whole
+        drain: the "obs" control message only arrives between batches.)
+        """
         processed = 0
-        ctx = self.ctx
-        # Stable for the whole drain: the "obs" control message only
-        # arrives between batches, never mid-drain.
-        obs_on = _obs.ENABLED
         while self.local:
-            act = self.local.pop()
-            if obs_on:
-                t0 = _obs.now()
-                children = act.node.activate(ctx, act)
-                _obs.node_hit(
-                    act.node.node_id,
-                    act.node.kind,
-                    _obs.now() - t0,
-                    ctx.last_opp_examined + ctx.last_same_examined,
-                    len(children),
-                )
-            else:
-                children = act.node.activate(ctx, act)
-            self.counters["tasks_local"] += 1
-            for child in children:
-                self.route_child(child)
-            processed += 1
-            if processed % POLL_EVERY == 0:
+            ran = kernel.drain(
+                self.ctx, self.local, self.route_children, limit=POLL_EVERY
+            )
+            processed += ran
+            if ran == POLL_EVERY:
                 self.absorb_inbox()
-        if self.tasks_done is not None and processed:
+        self.counters["tasks_local"] += processed
+        if processed:
             with self.tasks_done.get_lock():
                 self.tasks_done.value += processed
 
@@ -209,7 +219,7 @@ class _WorkerState:
 
     # -- message handlers ---------------------------------------------------
 
-    def on_changes(self, seq: int, payload, ctx_ids=None) -> None:
+    def on_changes(self, seq: int, payload, ctx_ids) -> None:
         obs_on = _obs.ENABLED
         if obs_on:
             t0 = _obs.now()
@@ -220,24 +230,14 @@ class _WorkerState:
         stats = self.ctx.stats
         n_workers = self.shard.n_workers
         for i, (sign, wme) in enumerate(payload):
+            # Alpha work is replicated on every worker; only the
+            # change's designated worker counts it, so merged stats
+            # match the sequential matcher's.
             mine = i % n_workers == self.wid
-            hits, n_tests = self.network.alpha_dispatch(wme)
-            if mine:
-                # Alpha work is replicated on every worker; only the
-                # change's designated worker counts it, so merged stats
-                # match the sequential matcher's.
-                stats.wme_changes += 1
-                stats.constant_tests += n_tests
-                stats.alpha_passes += len(hits)
-            token = Token.single(wme)
-            for terminal in hits:
-                for node, side in terminal.successors:
-                    if node.uses_line():
-                        key = node.key_for(side, token)
-                        if self.shard.route(node.node_id, key) == self.wid:
-                            self.local.append(Activation(node, side, sign, token))
-                    elif mine:
-                        self.local.append(Activation(node, side, sign, token))
+            kernel.enter_change(
+                self.network, stats, sign, wme,
+                lambda roots: self.keep_roots(roots, mine), count=mine,
+            )
         self.drain()
         self.finish_units(1)
         if obs_on:
@@ -280,17 +280,13 @@ class _WorkerState:
         if want:
             _obs.reset()
             _obs.enable(max_events)
-            # Per-activation probes (ctx.last_*) only populate under
-            # `tracing`; node hot-spots need the examined counts.
-            self.ctx.tracing = True
         else:
             _obs.disable()
             _obs.reset()
-            self.ctx.tracing = False
 
 
 def run_worker(wid, network, shard, inboxes, outbox, taskcount,
-               tasks_done=None) -> None:
+               tasks_done) -> None:
     """Process entry point: loop until ``("stop",)`` or failure.
 
     Failures are reported on the results queue as
@@ -316,8 +312,7 @@ def run_worker(wid, network, shard, inboxes, outbox, taskcount,
                 msg = state.inbox.get()
             kind = msg[0]
             if kind == "changes":
-                state.on_changes(msg[1], msg[2],
-                                 msg[3] if len(msg) > 3 else None)
+                state.on_changes(msg[1], msg[2], msg[3])
             elif kind == "act":
                 state.on_act(msg)
             elif kind == "flush":

@@ -1,7 +1,8 @@
 """The sequential Rete matcher — the paper's uniprocessor vs1/vs2 engines.
 
-Processes working-memory changes one at a time, driving node
-activations from an explicit LIFO stack (the sequential twin of the
+Processes working-memory changes one at a time; each runs to
+quiescence on the kernel's inline LIFO stack
+(:func:`repro.rete.kernel.match_change`, the sequential twin of the
 parallel task queue).  Configurable along the two axes the paper
 evaluates:
 
@@ -18,14 +19,13 @@ from __future__ import annotations
 from time import perf_counter
 from typing import List, Optional
 
-from ..obs import events as _obs
 from ..obs import flight as _flight
 from ..ops5.wme import WMEChange
+from . import kernel
 from .memories import make_memory
 from .network import ReteNetwork
-from .nodes import Activation, CSDelta, MatchContext, TerminalNode
+from .nodes import CSDelta, MatchContext
 from .stats import MatchStats
-from .token import Token
 from .trace import TraceRecorder
 
 
@@ -44,94 +44,21 @@ class SequentialMatcher:
         self.stats = MatchStats()
         _flight.note_engine("sequential", 1)
         self.recorder = recorder
-        self.ctx = MatchContext(
-            self.memory, self.stats, strict=True, tracing=recorder is not None
-        )
+        self.ctx = MatchContext(self.memory, self.stats, strict=True)
         #: Wall-clock seconds spent inside match (the paper times match
         #: alone, excluding conflict resolution and RHS evaluation).
         self.match_seconds = 0.0
 
-    def process_change(self, change: WMEChange) -> List[CSDelta]:
-        """Filter one WM change through the network; returns CS deltas."""
-        ctx = self.ctx
-        ctx.cs_deltas = []
-        stats = self.stats
-        stats.wme_changes += 1
-
-        # Observability: read the flag once per change; the disabled
-        # path adds one local-bool test per activation and nothing else.
-        obs_on = _obs.ENABLED
-        if obs_on:
-            change_t0 = _obs.now()
-            # Nodes populate ctx.last_* probes only under `tracing`.
-            ctx.tracing = True
-        elif self.recorder is None:
-            ctx.tracing = False
-
-        hits, n_tests = self.network.alpha_dispatch(change.wme)
-        stats.constant_tests += n_tests
-        stats.alpha_passes += len(hits)
-
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.begin_change(n_const_tests=n_tests, n_alpha_hits=len(hits))
-
-        token = Token.single(change.wme)
-        sign = change.sign
-        # Each stack entry: (activation, parent task id).
-        stack: List[tuple] = []
-        for terminal in hits:
-            for node, side in terminal.successors:
-                stack.append((Activation(node, side, sign, token), -1))
-
-        while stack:
-            act, parent = stack.pop()
-            if obs_on:
-                act_t0 = _obs.now()
-                children = act.node.activate(ctx, act)
-                _obs.node_hit(
-                    act.node.node_id,
-                    act.node.kind,
-                    _obs.now() - act_t0,
-                    ctx.last_opp_examined + ctx.last_same_examined,
-                    len(children),
-                )
-            else:
-                children = act.node.activate(ctx, act)
-            if recorder is not None:
-                tid = recorder.add_task(
-                    parent=parent,
-                    kind=act.node.kind,
-                    node_id=act.node.node_id,
-                    side=act.side,
-                    sign=act.sign,
-                    line=ctx.last_line if act.node.uses_line() else -1,
-                    opp_examined=ctx.last_opp_examined,
-                    same_examined=ctx.last_same_examined,
-                    n_children=len(children),
-                )
-                parent_for_children = tid
-            else:
-                parent_for_children = -1
-            for child in children:
-                stack.append((child, parent_for_children))
-
-        if obs_on:
-            _obs.span(
-                "match",
-                "wm_change",
-                change_t0,
-                _obs.now(),
-                args={"sign": sign, "alpha_hits": len(hits)},
-            )
-        return ctx.cs_deltas
-
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Process a batch of changes in order (one RHS's output)."""
+        """Process a batch of changes in order (one RHS's output); each
+        runs to quiescence on the kernel's stack before the next."""
         start = perf_counter()
         _flight.record("sequential", "batch", {"changes": len(changes)})
+        ctx = self.ctx
         deltas: List[CSDelta] = []
         for change in changes:
-            deltas.extend(self.process_change(change))
+            ctx.cs_deltas = []
+            kernel.match_change(self.network, ctx, change.sign, change.wme, self.recorder)
+            deltas.extend(ctx.cs_deltas)
         self.match_seconds += perf_counter() - start
         return deltas

@@ -17,9 +17,8 @@ in separate memory-node objects:
 
 ``activate`` methods contain the pure match logic.  They read and write
 memories through the context object and *return* the resulting child
-activations instead of recursing, so the sequential matcher, the
-threaded parallel engine and the trace recorder can each drive
-scheduling their own way.
+activations instead of recursing; :mod:`repro.rete.kernel` is their
+only caller and hands the children to whichever engine is scheduling.
 """
 
 from __future__ import annotations
@@ -45,6 +44,11 @@ class Activation:
     side: str
     sign: int
     token: Token
+
+    #: tid of the task whose output spawned this one.  A plain class
+    #: default, not a field: the kernel assigns it per instance only
+    #: while a :class:`~repro.rete.trace.TraceRecorder` is attached.
+    parent = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = "+" if self.sign == ADD else "-"
@@ -87,7 +91,9 @@ class MatchContext:
         self.strict = strict
         self.tracing = tracing
         self.cs_deltas: List[CSDelta] = []
-        # Per-activation probes consumed by the trace recorder.
+        # Per-activation probes, maintained only under `tracing`: the
+        # kernel zeroes the examined counts before each activation, the
+        # node fills them (and its line) in, the kernel reads them.
         self.last_line = -1
         self.last_opp_examined = 0
         self.last_same_examined = 0
@@ -150,16 +156,14 @@ class BetaNode:
         return False
 
 
-class JoinNode(BetaNode):
-    """Coalesced memory + two-input node for a positive CE.
+class TwoInputNode(BetaNode):
+    """Coalesced memory + two-input node: what join and not nodes share.
 
     ``tests`` holds the full descriptor list; ``eq_descs`` the subset of
     plain equality tests that form the hash key.  ``tests_fn`` evaluates
     the *residual* tests when hash memories pre-filter on the key, and
     ``all_tests_fn`` evaluates everything for linear memories.
     """
-
-    kind = "join"
 
     def __init__(
         self,
@@ -192,6 +196,29 @@ class JoinNode(BetaNode):
         # bucket key; linear memories must re-check everything.
         return self.tests_fn if memory.kind == "hash" else self.all_tests_fn
 
+    def _remove(self, ctx: MatchContext, side: str, key: tuple, token: Token):
+        """Delete ``token``'s stored twin from this node's ``side``
+        memory.  Returns the stored item, or None when the activation
+        must stop: no ``+`` twin was there, and the conjugate memory
+        wrapper parked the early delete on its extra-deletes list (a
+        strict context raises instead)."""
+        found, examined = ctx.memory.remove(self.node_id, side, key, token.key)
+        if examined:
+            ctx.stats.record_same_delete(side, examined)
+        if ctx.tracing:
+            ctx.last_same_examined = examined
+        if found is None and ctx.strict:
+            raise RuntimeError(
+                f"delete of unknown token {token} at {self.kind} node {self.node_id}"
+            )
+        return found
+
+
+class JoinNode(TwoInputNode):
+    """Coalesced memory + two-input node for a positive CE."""
+
+    kind = "join"
+
     def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
         key = self.key_for(act.side, act.token)
         proceed = self.update_memory(ctx, act, key)
@@ -211,28 +238,15 @@ class JoinNode(BetaNode):
         stats.record_activation("join")
         if ctx.tracing:
             ctx.last_line = memory.line_of(self.node_id, key)
-            ctx.last_opp_examined = 0
-            ctx.last_same_examined = 0
 
         if act.sign == ADD:
             live = memory.insert(self.node_id, side, key, token)
             if live is False:
                 # Annihilated by a parked early delete (conjugate pair).
                 return False
-        else:
-            found, examined = memory.remove(self.node_id, side, key, token.key)
-            if examined:
-                stats.record_same_delete(side, examined)
-            if ctx.tracing:
-                ctx.last_same_examined = examined
-            if found is None:
-                if ctx.strict:
-                    raise RuntimeError(
-                        f"delete of unknown token {token} at join node {self.node_id}"
-                    )
-                # Parked on the extra-deletes list by the conjugate
-                # memory wrapper; do not join.
-                return False
+        elif self._remove(ctx, side, key, token) is None:
+            # Parked early delete; do not join.
+            return False
         return True
 
     def search_opposite(self, ctx: MatchContext, act: Activation, key: tuple) -> List[Activation]:
@@ -259,7 +273,7 @@ class JoinNode(BetaNode):
                 w = item.wmes[0]
                 if passes(wmes, w):
                     out.extend(
-                        Activation(child, _input_side(child, self), act.sign, token.extend(w))
+                        Activation(child, LEFT, act.sign, token.extend(w))
                         for child in self.children
                     )
         else:
@@ -267,14 +281,14 @@ class JoinNode(BetaNode):
             for item in list(opposite):
                 if passes(item.wmes, w):
                     out.extend(
-                        Activation(child, _input_side(child, self), act.sign, item.extend(w))
+                        Activation(child, LEFT, act.sign, item.extend(w))
                         for child in self.children
                     )
         stats.tokens_emitted += len(out)
         return out
 
 
-class NotNode(BetaNode):
+class NotNode(TwoInputNode):
     """Coalesced memory + two-input node for a negated CE.
 
     Left tokens are stored wrapped in :class:`NotEntry` carrying the
@@ -284,38 +298,9 @@ class NotNode(BetaNode):
 
     kind = "not"
 
-    def __init__(
-        self,
-        node_id: int,
-        tests: Sequence[tuple],
-        eq_descs: Sequence[tuple],
-        tests_fn: Callable,
-        all_tests_fn: Callable,
-        left_key_fn: Callable,
-        right_key_fn: Callable,
-    ) -> None:
-        super().__init__(node_id)
-        self.tests = tuple(tests)
-        self.eq_descs = tuple(eq_descs)
-        self.tests_fn = tests_fn
-        self.all_tests_fn = all_tests_fn
-        self.left_key_fn = left_key_fn
-        self.right_key_fn = right_key_fn
-
-    def uses_line(self) -> bool:
-        return True
-
-    def key_for(self, side: str, token: Token) -> tuple:
-        if side == LEFT:
-            return self.left_key_fn(token.wmes)
-        return self.right_key_fn(token.wmes[-1])
-
-    def _filter_fn(self, memory) -> Callable:
-        return self.tests_fn if memory.kind == "hash" else self.all_tests_fn
-
     def _emit(self, sign: int, token: Token) -> List[Activation]:
         return [
-            Activation(child, _input_side(child, self), sign, token)
+            Activation(child, LEFT, sign, token)
             for child in self.children
         ]
 
@@ -328,8 +313,6 @@ class NotNode(BetaNode):
         stats.record_activation("not")
         if ctx.tracing:
             ctx.last_line = memory.line_of(self.node_id, key)
-            ctx.last_opp_examined = 0
-            ctx.last_same_examined = 0
         passes = self._filter_fn(memory)
         out: List[Activation] = []
 
@@ -348,16 +331,8 @@ class NotNode(BetaNode):
                 if count == 0:
                     out = self._emit(ADD, token)
             else:
-                entry, examined = memory.remove(self.node_id, side, key, token.key)
-                if examined:
-                    stats.record_same_delete(side, examined)
-                if ctx.tracing:
-                    ctx.last_same_examined = examined
+                entry = self._remove(ctx, side, key, token)
                 if entry is None:
-                    if ctx.strict:
-                        raise RuntimeError(
-                            f"delete of unknown token {token} at not node {self.node_id}"
-                        )
                     return []
                 if entry.count == 0:
                     out = self._emit(DELETE, token)
@@ -367,18 +342,8 @@ class NotNode(BetaNode):
                 live = memory.insert(self.node_id, side, key, token)
                 if live is False:
                     return []
-            else:
-                found, examined = memory.remove(self.node_id, side, key, token.key)
-                if examined:
-                    stats.record_same_delete(side, examined)
-                if ctx.tracing:
-                    ctx.last_same_examined = examined
-                if found is None:
-                    if ctx.strict:
-                        raise RuntimeError(
-                            f"delete of unknown token {token} at not node {self.node_id}"
-                        )
-                    return []
+            elif self._remove(ctx, side, key, token) is None:
+                return []
             lefts, examined = memory.lookup_opposite(self.node_id, side, key)
             if ctx.tracing:
                 ctx.last_opp_examined = examined
@@ -410,14 +375,6 @@ class TerminalNode(BetaNode):
     def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
         ctx.stats.record_activation("term")
         ctx.stats.cs_changes += 1
-        if ctx.tracing:
-            ctx.last_line = -1
-            ctx.last_opp_examined = 0
-            ctx.last_same_examined = 0
         ctx.cs_deltas.append(CSDelta(self.production, act.token, act.sign))
         return []
 
-
-def _input_side(child: BetaNode, parent: BetaNode) -> str:
-    """Beta-to-beta edges always feed the child's *left* input."""
-    return LEFT

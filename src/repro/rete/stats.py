@@ -15,7 +15,7 @@ keeping them cheap matters; derived means are computed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -48,6 +48,19 @@ class MatchStats:
 
     # Conflict-set insertions/deletions.
     cs_changes: int = 0
+
+    def merge(self, other: "MatchStats") -> "MatchStats":
+        """Add ``other``'s counters into this block (the parallel
+        engines' per-worker roll-up).  Walks the dataclass fields, so a
+        counter added above is merged without being listed here."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(theirs, dict):
+                for key, n in theirs.items():
+                    mine[key] = mine.get(key, 0) + n
+            else:
+                setattr(self, f.name, mine + theirs)
+        return self
 
     def record_activation(self, kind: str) -> None:
         self.node_activations += 1

@@ -10,22 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-
-def nearest_rank(ordered: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile over an already-sorted sequence.
-
-    ``p`` must lie in [0, 100]; p=0 returns the minimum (rank clamps to
-    1) and p=100 the maximum.  Shared by :class:`LatencyWindow` and the
-    loadgen report so the two never disagree.
-    """
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if not ordered:
-        raise ValueError("percentile of an empty sequence")
-    rank = max(1, -(-len(ordered) * p // 100))  # ceil without math
-    return ordered[int(rank) - 1]
+from ..obs.meter import nearest_rank
 
 
 class LatencyWindow:

@@ -1,0 +1,171 @@
+"""The activation kernel is the only match loop — checked, not asserted.
+
+Two guards:
+
+* **Structure.**  An ``ast`` scan of ``src/repro`` proves that node
+  activations, the alpha dispatch and the ``node_hit`` probe are called
+  from :mod:`repro.rete.kernel` alone (``JoinNode.activate`` composing
+  its own two phases, and corgi's separate engine, are the named
+  exceptions).  A fourth hand-rolled loop in some engine fails here.
+* **Instrumented once.**  With the bus on, the threaded and mp
+  engines' per-node profiles equal their own ``MatchStats`` in total
+  and per kind, and cover the node set the sequential matcher
+  activates — the probe sits in the kernel, so no engine can under- or
+  double-report.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.engines import mp_supported
+from repro.obs import events
+from repro.obs.fabric import merged_snapshot
+from repro.ops5.interpreter import Interpreter
+from repro.programs import blocks, tourney
+
+SRC = Path(repro.__file__).parent
+
+KERNEL = "rete/kernel.py"
+NODES = "rete/nodes.py"
+
+#: method name -> files (relative to src/repro; a trailing "/" means a
+#: package) allowed to call it.
+ALLOWED = {
+    "activate": {KERNEL},
+    "update_memory": {KERNEL, NODES},
+    "search_opposite": {KERNEL, NODES},
+    "alpha_dispatch": {KERNEL, "corgi/"},
+    "node_hit": {KERNEL, "corgi/"},
+}
+
+
+def _calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node
+
+
+def _is_guarded(call: ast.Call) -> bool:
+    name = call.func.attr
+    if name not in ALLOWED:
+        return False
+    if name == "activate":
+        # `node.activate(ctx, act)` — not the unrelated zero/one-arg
+        # activate() methods of the obs context and the schedck harness.
+        return len(call.args) == 2
+    return True
+
+
+def _permitted(rel: str, name: str) -> bool:
+    return any(
+        rel.startswith(where) if where.endswith("/") else rel == where
+        for where in ALLOWED[name]
+    )
+
+
+class TestOneKernel:
+    def test_match_primitives_are_called_only_from_the_kernel(self):
+        offenders = []
+        seen = set()
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            for call in _calls(ast.parse(path.read_text())):
+                if not _is_guarded(call):
+                    continue
+                name = call.func.attr
+                seen.add((rel, name))
+                if not _permitted(rel, name):
+                    offenders.append(f"{rel}:{call.lineno} calls .{name}(")
+        assert offenders == []
+        # Non-vacuity: the scan does see the kernel's own call sites.
+        assert {(KERNEL, name) for name in ALLOWED} <= seen
+
+    def test_join_activate_is_the_only_phase_caller_in_nodes(self):
+        """``nodes.py`` may compose ``update_memory``/``search_opposite``
+        in exactly one place: ``JoinNode.activate``."""
+        tree = ast.parse((SRC / NODES).read_text())
+        callers = set()
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                for call in _calls(fn):
+                    if call.func.attr in ("update_memory", "search_opposite"):
+                        callers.add(f"{cls.name}.{fn.name}")
+        assert callers == {"JoinNode.activate"}
+
+
+PROGRAMS = {
+    "blocks": blocks.source(),
+    "tourney": tourney.source(n_teams=4, n_rounds=3),
+}
+
+ENGINES = [
+    pytest.param("threaded", {"n_workers": 3}, id="threaded"),
+    pytest.param(
+        "mp", {"n_workers": 2}, id="mp",
+        marks=pytest.mark.skipif(
+            not mp_supported(), reason="mp engine needs the 'fork' start method"
+        ),
+    ),
+]
+
+
+def run_traced(source, engine, **opts):
+    """(node profile, the engine's MatchStats, node id -> network kind)
+    of one bus-on run."""
+    events.reset()
+    events.enable()
+    try:
+        interp = Interpreter(source, engine=engine, engine_opts=opts)
+        try:
+            interp.run(max_cycles=2000)
+            snap = events.snapshot()
+            if engine == "mp":
+                snap = merged_snapshot(snap, interp.matcher.fabric)
+            kinds = {n.node_id: n.kind for n in interp.network.beta_nodes}
+            return snap.nodes, interp.matcher.stats, kinds
+        finally:
+            interp.close()
+    finally:
+        events.disable()
+        events.reset()
+
+
+class TestInstrumentedOnce:
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    @pytest.mark.parametrize("engine, opts", ENGINES)
+    def test_profile_is_exactly_what_the_engine_counted(
+        self, engine, opts, program
+    ):
+        """Every activation the engine's own MatchStats counted shows up
+        in the node profile once, under the right node kind — in total
+        and per kind."""
+        nodes, stats, kinds = run_traced(PROGRAMS[program], engine, **opts)
+        assert stats.node_activations > 0
+        assert sum(agg[1] for agg in nodes.values()) == stats.node_activations
+        by_kind = {}
+        for node_id, agg in nodes.items():
+            assert agg[0] == kinds[node_id]
+            by_kind[agg[0]] = by_kind.get(agg[0], 0) + agg[1]
+        assert by_kind == stats.activations_by_kind
+
+    def test_threaded_profile_covers_the_sequential_node_set(self):
+        """The threaded twin of the mp check in ``tests/obs/test_fabric.py``:
+        on tourney a parallel run activates exactly the nodes the
+        sequential matcher does, each at least as often (conjugate
+        pairs only add work).  Blocks is left out on purpose: its RHS
+        batches mix removes and makes, and the parallel engines'
+        intra-batch reordering legitimately changes which transient
+        tokens exist — and so which nodes they reach."""
+        source = PROGRAMS["tourney"]
+        seq_nodes, seq_stats, _kinds = run_traced(source, "sequential")
+        assert sum(agg[1] for agg in seq_nodes.values()) == (
+            seq_stats.node_activations
+        )
+        nodes, _stats, _kinds = run_traced(source, "threaded", n_workers=3)
+        assert set(nodes) == set(seq_nodes)
+        for node_id, agg in nodes.items():
+            assert agg[0] == seq_nodes[node_id][0]
+            assert agg[1] >= seq_nodes[node_id][1]

@@ -72,6 +72,30 @@ class TestMatchStats:
         assert s.mean_same_del_right == 10.0
         assert s.mean_same_del_left == 0.0
 
+    def test_merge_is_the_fieldwise_sum(self):
+        """Every dataclass field takes part, so a counter added later
+        cannot be dropped from the parallel engines' roll-up."""
+        from dataclasses import fields
+
+        def block(base):
+            stats = MatchStats()
+            for i, f in enumerate(fields(MatchStats)):
+                if f.name != "activations_by_kind":
+                    setattr(stats, f.name, base + i)
+            return stats
+
+        a, b = block(100), block(1000)
+        a.activations_by_kind = {"join": 3, "term": 1}
+        b.activations_by_kind = {"join": 4, "not": 2}
+        merged = MatchStats().merge(a).merge(b)
+        for i, f in enumerate(fields(MatchStats)):
+            if f.name != "activations_by_kind":
+                assert getattr(merged, f.name) == 1100 + 2 * i, f.name
+        assert merged.activations_by_kind == {"join": 7, "term": 1, "not": 2}
+        # The operands are left alone.
+        assert a.activations_by_kind == {"join": 3, "term": 1}
+        assert b.wme_changes == 1000
+
     def test_summary_keys(self):
         s = MatchStats()
         summary = s.summary()

@@ -1,9 +1,11 @@
 """LatencyWindow percentile boundaries and the shared nearest-rank
 helper (the issue's satellite: p=0, p=100, single sample, window
-wrap-around, and out-of-range validation)."""
+wrap-around, and out-of-range validation).  The meter's accounts go
+through the same helper and are pinned to it here."""
 
 import pytest
 
+from repro.obs import meter
 from repro.serve.metrics import LatencyWindow, nearest_rank
 
 
@@ -33,6 +35,31 @@ class TestNearestRank:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             nearest_rank([], 50)
+
+
+class TestMeterPath:
+    def test_there_is_one_nearest_rank(self):
+        assert meter.nearest_rank is nearest_rank
+
+    def test_empty_account_reports_zero(self):
+        assert meter.MeterAccount().percentiles() == {
+            "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
+        }
+
+    def test_single_sample_every_percentile(self):
+        acct = meter.MeterAccount()
+        acct.observe_txn(0.25)
+        assert set(acct.percentiles().values()) == {250.0}
+
+    def test_agrees_with_the_latency_window(self):
+        acct, win = meter.MeterAccount(), LatencyWindow()
+        for ms in (30, 10, 40, 20):
+            acct.observe_txn(ms / 1e3)
+            win.record(ms / 1e3)
+        for p in (50, 95, 99):
+            assert acct.percentiles()[f"p{p}_ms"] == pytest.approx(
+                win.percentile(p) * 1e3
+            )
 
 
 class TestLatencyWindow:
