@@ -17,27 +17,18 @@ Commands
 ``tables [IDS...]``
     Regenerate the paper's tables (all of them by default).
 
-``schedck``
-    Deterministic schedule exploration for the threaded parallel
-    engine: replay one seeded schedule (``--seed N``) with its full
-    invariant report, or fuzz a seed range across the engine
-    configuration grid (``--sweep N``).  Same seed, same report —
-    byte for byte — so a failing CI seed can be replayed locally.
-
-``corgick``
-    Differential fuzzing of the corgi bounded-cost engine against the
-    sequential Rete oracle: replay one seeded case (``--seed N``) or
-    fuzz a seed range (``--sweep N``) over the generator profile
-    rotation.  Byte-stable reports, paste-ready replay lines — the
-    corgi twin of ``schedck``.
-
-``policyck``
-    Differential policy-conformance battery: every registered
-    dispatch/placement policy (``repro.parallel.policy``) runs the
-    conformance programs on the threaded and mp engines and must
-    match the sequential reference byte for byte.  ``--policies``,
-    ``--engines``, ``--programs`` select a sub-matrix; failures print
-    paste-ready replay lines.
+``check BATTERY``
+    The differential proof batteries (:mod:`repro.check`): each holds
+    one engine to the sequential oracle and prints a byte-stable report
+    whose failures carry paste-ready ``replay:`` commands.  ``schedck``
+    explores seeded thread schedules of the threaded engine (``--seed
+    N`` replays one with its full invariant report, ``--sweep N``
+    fuzzes a range across the engine-configuration grid); ``corgick``
+    fuzzes the corgi bounded-cost engine over the generator profile
+    rotation (``--seed N`` / ``--sweep N``); ``policyck`` runs every
+    dispatch/placement policy over the conformance programs on the
+    threaded and mp engines (``--policies``, ``--engines``,
+    ``--programs`` select a sub-matrix).
 
 ``trace FILE|BUILTIN``
     Run a program under the :mod:`repro.obs` event bus; write a
@@ -91,7 +82,7 @@ import sys
 from contextlib import closing
 from typing import List, Optional
 
-from .engines import ENGINE_NAMES
+from .engines import ENGINE_NAMES, check_engine_opts, make_matcher
 from .ops5.interpreter import Interpreter
 from .ops5.parser import parse_program
 from .rete.network import ReteNetwork
@@ -118,40 +109,21 @@ def _read_source(path: str, verb: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     program = _read_program(args.file)
-    engine_opts: dict = {}
-    if args.engine in ("threaded", "mp"):
-        engine_opts["n_workers"] = args.workers
-        if args.policy is not None:
-            from .parallel.policy import POLICY_NAMES
-
-            if args.policy not in POLICY_NAMES:
-                raise SystemExit(
-                    f"repro run: unknown policy {args.policy!r}; expected "
-                    f"one of {', '.join(POLICY_NAMES)}"
-                )
-            engine_opts["policy"] = args.policy
-        if args.watchdog:
-            engine_opts["watchdog_s"] = args.watchdog
-            engine_opts["watchdog_dump"] = args.watchdog_dump
-    elif args.policy is not None:
-        raise SystemExit(
-            "repro run: --policy needs --engine threaded or mp"
+    try:
+        check_engine_opts(
+            args.engine, policy=args.policy, watchdog_s=args.watchdog
         )
-    elif args.watchdog:
-        raise SystemExit(
-            "repro run: --watchdog needs --engine threaded or mp"
-        )
-    if args.engine == "threaded":
-        engine_opts["n_queues"] = args.queues
-        engine_opts["lock_scheme"] = args.locks
-    if args.engine == "mp":
-        from .engines import mp_supported
-
-        if not mp_supported():
-            raise SystemExit(
-                "repro run: --engine mp needs the 'fork' start method "
-                "(unavailable on this platform); try --engine threaded"
-            )
+    except ValueError as exc:
+        raise SystemExit(f"repro run: {exc}")
+    engine_opts: dict = {
+        "n_workers": args.workers,
+        "n_queues": args.queues,
+        "lock_scheme": args.locks,
+        "policy": args.policy,
+    }
+    if args.watchdog:
+        engine_opts["watchdog_s"] = args.watchdog
+        engine_opts["watchdog_dump"] = args.watchdog_dump
     if args.flight_dump:
         from .obs import flight as obs_flight
 
@@ -246,90 +218,24 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_schedck(args: argparse.Namespace) -> int:
-    from .schedck.runner import EngineConfig, run_schedule, sweep
-    from .schedck.workloads import WORKLOADS
+class _BatteryNames:
+    """``choices`` for ``repro check``, read from the registry only when
+    the verb (or its help) is used — the other verbs, ``serve`` start-up
+    above all, never import the proof harness."""
 
-    try:
-        if args.sweep:
-            result = sweep(
-                args.sweep, base_seed=args.seed, max_steps=args.max_steps
-            )
-            print(result.format())
-            return 0 if result.ok else 1
-        program = batches = None
-        if args.workload is not None:
-            if args.workload not in WORKLOADS:
-                raise SystemExit(
-                    f"repro schedck: unknown workload {args.workload!r}; "
-                    f"expected one of {', '.join(sorted(WORKLOADS))}"
-                )
-            program, batches = WORKLOADS[args.workload]()
-        config = EngineConfig(
-            n_workers=args.workers,
-            n_queues=args.queues,
-            lock_scheme=args.locks,
-            n_lines=args.lines,
-            dispatch=args.dispatch,
-        )
-        report = run_schedule(
-            args.seed, config=config, policy_spec=args.policy,
-            program=program, batches=batches, max_steps=args.max_steps,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro schedck: {exc}")
-    print(report.format())
-    return 0 if report.ok and not report.truncated else 1
+    def __iter__(self):
+        from .check import BATTERIES
+
+        return iter(BATTERIES)
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
 
 
-def cmd_policyck(args: argparse.Namespace) -> int:
-    from .parallel.policy import POLICY_NAMES
-    from .parallel.policyck import PROGRAMS, POLICY_ENGINES, run_battery
+def cmd_check(args: argparse.Namespace) -> int:
+    from . import check
 
-    for policy in args.policies or ():
-        if policy not in POLICY_NAMES:
-            raise SystemExit(
-                f"repro policyck: unknown policy {policy!r}; expected "
-                f"one of {', '.join(POLICY_NAMES)}"
-            )
-    for engine in args.engines or ():
-        if engine not in POLICY_ENGINES:
-            raise SystemExit(
-                f"repro policyck: engine {engine!r} takes no policy; "
-                f"expected one of {', '.join(POLICY_ENGINES)}"
-            )
-    for name in args.programs or ():
-        if name not in PROGRAMS:
-            raise SystemExit(
-                f"repro policyck: unknown program {name!r}; expected "
-                f"one of {', '.join(sorted(PROGRAMS))}"
-            )
-    result = run_battery(
-        programs=args.programs or None,
-        engines=args.engines or None,
-        policies=args.policies or None,
-        n_workers=args.workers,
-        n_queues=args.queues,
-    )
-    print(result.format())
-    return 0 if result.ok else 1
-
-
-def cmd_corgick(args: argparse.Namespace) -> int:
-    from .corgi.diffcheck import PROFILES, run_seed, sweep
-
-    if args.profile != "rotate" and args.profile not in PROFILES:
-        raise SystemExit(
-            f"repro corgick: unknown profile {args.profile!r}; expected "
-            f"rotate or one of {', '.join(sorted(PROFILES))}"
-        )
-    if args.sweep:
-        result = sweep(args.sweep, base_seed=args.seed, profile=args.profile)
-        print(result.format())
-        return 0 if result.ok else 1
-    report = run_seed(args.seed, profile=args.profile)
-    print(report.format())
-    return 0 if report.ok else 1
+    return check.main(args)
 
 
 #: Program names ``trace``/``top`` resolve when the argument is not a file.
@@ -362,23 +268,17 @@ def _build_traced_matcher(args: argparse.Namespace, verb: str, network):
         engine = "threaded"
     if engine == "sequential":
         return None, engine
-    if engine == "mp":
-        from .engines import mp_supported
-
-        if not mp_supported():
-            raise SystemExit(
-                f"repro {verb}: --engine mp needs the 'fork' start "
-                "method (unavailable on this platform)"
-            )
-    from .engines import make_matcher
-
-    opts: dict = {}
-    if engine in ("threaded", "mp"):
-        opts["n_workers"] = args.parallel or args.workers
-    if engine == "threaded":
-        opts["n_queues"] = args.queues
-        opts["lock_scheme"] = args.locks
-    return make_matcher(engine, network, **opts), engine
+    try:
+        matcher = make_matcher(
+            engine,
+            network,
+            n_workers=args.parallel or args.workers,
+            n_queues=args.queues,
+            lock_scheme=args.locks,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro {verb}: {exc}")
+    return matcher, engine
 
 
 def _traced_run(args: argparse.Namespace, verb: str):
@@ -924,59 +824,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("ids", nargs="*")
     p_tab.set_defaults(func=cmd_tables)
 
-    p_sck = sub.add_parser(
-        "schedck", help="deterministic schedule exploration of the parallel engine"
+    p_chk = sub.add_parser(
+        "check", help="differential proof batteries vs the sequential oracle"
     )
-    p_sck.add_argument("--seed", type=int, default=0,
-                       help="schedule seed (sweep: first seed of the range)")
-    p_sck.add_argument("--policy", default="random",
-                       help="random | pct[:depth] | adversarial:{delay-plus,"
-                            "delay-deletes,starve-quiescence,starve-worker}")
-    p_sck.add_argument("--workers", type=int, default=2)
-    p_sck.add_argument("--queues", type=int, default=1)
-    p_sck.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
-    p_sck.add_argument("--lines", type=int, default=64)
-    p_sck.add_argument("--dispatch", default="round-robin",
-                       help="task-dispatch policy (round-robin, affinity, "
-                            "least-loaded, work-stealing, rebalance) — "
-                            "distinct from --policy, which picks the "
-                            "thread schedule")
-    p_sck.add_argument("--workload", default=None, metavar="NAME",
-                       help="replay a pinned workload (deep-chain, "
-                            "conjugate-storm) instead of generating one "
-                            "from the seed")
-    p_sck.add_argument("--sweep", type=int, default=0, metavar="N",
-                       help="fuzz N seeds across the config/policy grid")
-    p_sck.add_argument("--max-steps", type=int, default=200_000)
-    p_sck.set_defaults(func=cmd_schedck)
-
-    p_cck = sub.add_parser(
-        "corgick", help="differential fuzzing of the corgi engine vs sequential"
-    )
-    p_cck.add_argument("--seed", type=int, default=0,
-                       help="case seed (sweep: first seed of the range)")
-    p_cck.add_argument("--profile", default="rotate",
-                       help="rotate | shallow | deep | dense")
-    p_cck.add_argument("--sweep", type=int, default=0, metavar="N",
-                       help="fuzz N consecutive seeds")
-    p_cck.set_defaults(func=cmd_corgick)
-
-    p_pck = sub.add_parser(
-        "policyck",
-        help="differential policy battery: every dispatch/placement "
-             "policy must match sequential byte for byte",
-    )
-    p_pck.add_argument("--policies", nargs="*", metavar="POLICY",
-                       help="policies to check (default: all registered)")
-    p_pck.add_argument("--engines", nargs="*", metavar="ENGINE",
-                       help="threaded and/or mp (default: all supported)")
-    p_pck.add_argument("--programs", nargs="*", metavar="NAME",
-                       help="conformance programs (default: all eight)")
-    p_pck.add_argument("--workers", type=int, default=2)
-    p_pck.add_argument("--queues", type=int, default=None,
-                       help="threaded queue-count override (default: the "
-                            "per-policy safe-queue matrix)")
-    p_pck.set_defaults(func=cmd_policyck)
+    p_chk.add_argument("battery", metavar="BATTERY",
+                       choices=_BatteryNames(), help="one of: %(choices)s")
+    p_chk.add_argument("argv", nargs=argparse.REMAINDER, metavar="...",
+                       help="battery flags (see `repro check BATTERY --help`)")
+    p_chk.set_defaults(func=cmd_check)
 
     def _engine_flags(p: argparse.ArgumentParser, obs_flags: bool = True) -> None:
         p.add_argument("--engine", choices=list(ENGINE_NAMES),

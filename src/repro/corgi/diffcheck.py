@@ -1,18 +1,16 @@
-"""Differential fuzzing: corgi vs the sequential Rete oracle.
+"""corgick: differential fuzzing of corgi vs the sequential Rete oracle.
 
-The corgi analogue of :mod:`repro.schedck.runner`, minus the scheduler
-— corgi is sequential, so there are no interleavings to explore; what
+Corgi is sequential, so there are no interleavings to explore; what
 needs fuzzing is the *match algebra*: demand-driven enumeration,
 seeded dedup, hoisted negation gates and unlink/relink transitions
 against programs the author never wrote.  :func:`run_seed` derives a
-random program + WM workload from one seed via
-:mod:`repro.schedck.progen`, drives the sequential matcher and
-:class:`~repro.corgi.engine.CorgiMatcher` through identical batches in
-lockstep, and checks after every batch:
+random program + WM workload from one seed and drives
+:class:`~repro.corgi.engine.CorgiMatcher` through a
+:mod:`repro.check` lockstep run — conflict-set equality with the
+oracle after every batch (the state firing traces are computed from,
+so equality here *is* trace equality for any downstream run) — adding
+the corgi structural invariants:
 
-* **conflict set** — the signed fold of both engines' CS deltas must
-  be identical (this is the state firing traces are computed from, so
-  equality here *is* trace equality for any downstream run);
 * **unlink invariant** — every production is linked iff all its
   positive slot memories are non-empty, and unlinked productions hold
   no instantiations;
@@ -20,9 +18,8 @@ lockstep, and checks after every batch:
   ``slots x live WMEs + instantiations`` (there are no beta memories
   to blow up).
 
-Reports are byte-stable per seed and every sweep failure line carries
-a paste-ready ``python -m repro corgick --seed N`` replay command,
-mirroring the schedck sweep UX.
+Reports are byte-stable per seed and every failure carries a
+paste-ready ``python -m repro check corgick --seed N`` replay command.
 
 Seed profiles rotate through three corpora: ``shallow`` (the schedck
 default), ``deep`` (4-level chains — the blow-up shape), and ``dense``
@@ -32,15 +29,12 @@ cross products).
 
 from __future__ import annotations
 
-import random
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import argparse
+from typing import Dict, List, Optional, Tuple
 
-from ..ops5.parser import parse_program
+from .. import check
+from ..check import Finding
 from ..ops5.wme import WMEChange
-from ..rete.matcher import SequentialMatcher
-from ..rete.network import ReteNetwork
 from ..schedck import progen
 from .engine import CorgiMatcher
 
@@ -53,70 +47,26 @@ PROFILES: Dict[str, progen.ProgenParams] = {
 PROFILE_ROTATION: Tuple[str, ...] = ("shallow", "deep", "dense")
 
 
-@dataclass
-class Mismatch:
-    """One divergence or invariant violation, at one batch index."""
-
-    kind: str
-    batch: int
-    detail: str
-
-    def format(self) -> str:
-        return f"[{self.kind}] batch {self.batch}: {self.detail}"
-
-
-@dataclass
-class DiffReport:
-    """Outcome of one seeded differential run; byte-stable per seed."""
-
-    seed: int
-    profile: str
-    n_rules: int
-    n_changes: int
-    n_batches: int
-    mismatches: List[Mismatch] = field(default_factory=list)
-    stats: List[Tuple[str, object]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def format(self) -> str:
-        lines = [
-            f"corgick seed={self.seed} profile={self.profile}",
-            f"program: {self.n_rules} rules, {self.n_changes} WM changes "
-            f"in {self.n_batches} batches",
-        ]
-        for key, value in self.stats:
-            lines.append(f"  {key} = {value}")
-        if self.mismatches:
-            lines.append(f"mismatches: {len(self.mismatches)}")
-            lines.extend("  " + m.format() for m in self.mismatches)
-        else:
-            lines.append("mismatches: 0")
-        return "\n".join(lines)
-
-
-def _fold(cs: Counter, deltas) -> None:
-    for delta in deltas:
-        cs[(delta.production.name, delta.token.key)] += delta.sign
-
-
 def profile_for(seed: int, profile: str = "rotate") -> str:
     if profile == "rotate":
         return PROFILE_ROTATION[seed % len(PROFILE_ROTATION)]
+    if profile not in PROFILES:
+        raise ValueError(
+            f"unknown profile {profile!r}; expected rotate or one of "
+            f"{', '.join(sorted(PROFILES))}"
+        )
     return profile
 
 
-def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Mismatch]:
+def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Finding]:
     """The corgi structural invariants, checkable at any quiescence."""
-    out: List[Mismatch] = []
+    out: List[Finding] = []
     for plan in corgi.plans:
         sizes = corgi.slot_sizes(plan.name)
         pos_nonempty = all(sizes[s.index] > 0 for s in plan.pos_slots)
         if corgi.linked(plan.name) != pos_nonempty:
             out.append(
-                Mismatch(
+                Finding(
                     "unlink_invariant",
                     batch,
                     f"{plan.name}: linked={corgi.linked(plan.name)} but "
@@ -125,7 +75,7 @@ def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Mi
             )
         if not pos_nonempty and corgi._rules[plan.name].cs:
             out.append(
-                Mismatch(
+                Finding(
                     "ghost_instantiations",
                     batch,
                     f"{plan.name}: unlinked but holds "
@@ -138,7 +88,7 @@ def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Mi
     resident = corgi.resident_tokens()
     if resident > bound:
         out.append(
-            Mismatch(
+            Finding(
                 "space_bound",
                 batch,
                 f"resident tokens {resident} > slots*wmes+insts bound {bound}",
@@ -152,114 +102,63 @@ def run_seed(
     profile: str = "rotate",
     program: Optional[str] = None,
     batches: Optional[List[List[WMEChange]]] = None,
-) -> DiffReport:
+) -> check.Report:
     """One seeded differential run; engine divergence comes back as
-    report mismatches, never as an exception."""
+    report findings, never as an exception."""
     prof = profile_for(seed, profile)
-    rng = random.Random(seed)
-    if program is None:
-        program, generated = progen.generate(rng, PROFILES[prof])
-        if batches is None:
-            batches = generated
-    elif batches is None:
-        raise ValueError("a pinned program needs pinned batches")
-    program_ast = parse_program(program)
-
-    seq = SequentialMatcher(ReteNetwork.compile(program_ast))
-    corgi = CorgiMatcher(ReteNetwork.compile(program_ast))
-    seq_cs: Counter = Counter()
-    corgi_cs: Counter = Counter()
-    mismatches: List[Mismatch] = []
+    load = check.workload(seed, PROFILES[prof], program, batches)
+    corgi = CorgiMatcher(load.compile())
     live = 0
 
-    for bi, batch in enumerate(batches):
+    def invariants(bi, batch, _oracle):
+        nonlocal live
         live += sum(change.sign for change in batch)
-        _fold(seq_cs, seq.process_changes(batch))
-        try:
-            _fold(corgi_cs, corgi.process_changes(batch))
-        except RuntimeError as exc:
-            mismatches.append(Mismatch("engine_error", bi, str(exc)))
-            break
-        if +seq_cs != +corgi_cs:
-            extra = sorted(set(+corgi_cs) - set(+seq_cs))
-            missing = sorted(set(+seq_cs) - set(+corgi_cs))
-            mismatches.append(
-                Mismatch(
-                    "conflict_set",
-                    bi,
-                    f"corgi extra={extra} missing={missing}",
-                )
-            )
-            break
-        mismatches.extend(check_invariants(corgi, bi, live))
-        if mismatches:
-            break
+        return check_invariants(corgi, bi, live)
 
-    stats = [
-        ("tokens_emitted.seq", seq.stats.tokens_emitted),
-        ("tokens_emitted.corgi", corgi.stats.tokens_emitted),
-        ("node_activations.seq", seq.stats.node_activations),
-        ("node_activations.corgi", corgi.stats.node_activations),
-        ("corgi.unlinks", corgi.counters["unlinks"]),
-        ("corgi.relinks", corgi.counters["relinks"]),
-        ("corgi.lazy_skips", corgi.counters["lazy_skips"]),
-        ("corgi.gate_prunes", corgi.counters["gate_prunes"]),
-    ]
-    return DiffReport(
-        seed=seed,
-        profile=prof,
-        n_rules=len(program_ast.productions),
-        n_changes=sum(len(b) for b in batches),
-        n_batches=len(batches),
-        mismatches=mismatches,
-        stats=stats,
+    findings, oracle = check.lockstep(load, corgi, invariants)
+    return check.Report(
+        battery="corgick",
+        label=[("seed", seed), ("profile", prof)],
+        args={"seed": seed, "profile": prof} if program is None else None,
+        findings=findings,
+        body=[load.describe()],
+        stats=[
+            ("tokens_emitted.seq", oracle.stats.tokens_emitted),
+            ("tokens_emitted.corgi", corgi.stats.tokens_emitted),
+            ("node_activations.seq", oracle.stats.node_activations),
+            ("node_activations.corgi", corgi.stats.node_activations),
+            ("corgi.unlinks", corgi.counters["unlinks"]),
+            ("corgi.relinks", corgi.counters["relinks"]),
+            ("corgi.lazy_skips", corgi.counters["lazy_skips"]),
+            ("corgi.gate_prunes", corgi.counters["gate_prunes"]),
+        ],
     )
 
 
-@dataclass
-class DiffSweepResult:
-    """Aggregate of a corgi differential fuzz sweep."""
-
-    n_seeds: int
-    failures: List[DiffReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def format(self) -> str:
-        """Every FAIL line is reproducible from its own replay line."""
-        lines = [
-            f"corgick sweep: {self.n_seeds} seeds, "
-            f"{len(self.failures)} failing"
-        ]
-        for report in self.failures[:20]:
-            first = report.mismatches[0]
-            lines.append(
-                f"  FAIL seed={report.seed} profile={report.profile} "
-                f"— {first.format()}"
-            )
-            lines.append(
-                f"    replay: python -m repro corgick"
-                f" --seed {report.seed} --profile {report.profile}"
-            )
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more")
-        return "\n".join(lines)
-
-
-def sweep(
-    n_seeds: int,
-    base_seed: int = 0,
-    profile: str = "rotate",
-    on_report: Optional[Callable[[DiffReport], None]] = None,
-) -> DiffSweepResult:
+def sweep(n_seeds: int, base_seed: int = 0, profile: str = "rotate") -> check.Sweep:
     """Run ``n_seeds`` consecutive seeds through :func:`run_seed`."""
-    result = DiffSweepResult(n_seeds=n_seeds)
-    for i in range(n_seeds):
-        report = run_seed(base_seed + i, profile=profile)
-        if on_report is not None:
-            on_report(report)
-        if not report.ok:
-            result.failures.append(report)
-    return result
+    reports = [run_seed(base_seed + i, profile=profile) for i in range(n_seeds)]
+    return check.Sweep("corgick", "sweep", "seeds", reports)
+
+
+def _add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0,
+                   help="case seed (sweep: first seed of the range)")
+    p.add_argument("--profile", default="rotate",
+                   help="rotate | shallow | deep | dense")
+    p.add_argument("--sweep", type=int, default=0, metavar="N",
+                   help="fuzz N consecutive seeds")
+
+
+def _run(args: argparse.Namespace):
+    if args.sweep:
+        return sweep(args.sweep, base_seed=args.seed, profile=args.profile)
+    return run_seed(args.seed, profile=args.profile)
+
+
+BATTERY = check.Battery(
+    "corgick",
+    "differential fuzzing of the corgi engine vs sequential",
+    _add_arguments,
+    _run,
+)

@@ -54,6 +54,52 @@ def mp_supported() -> bool:
     return _supported()
 
 
+#: The engines that run a worker pool — the only ones a dispatch /
+#: placement ``policy`` or a stall watchdog means anything to.
+POOL_ENGINES: Tuple[str, ...] = ("threaded", "mp")
+
+
+def check_engine_opts(
+    engine: str, *, policy: Optional[str] = None, watchdog_s: Optional[float] = None
+) -> None:
+    """Every rule about which options an engine accepts, in one place.
+
+    Raises ``ValueError`` naming the offending value; :func:`make_matcher`
+    applies it, and the CLI and the serve ``open`` handler call it on
+    their raw input and map the error to their own surface
+    (``SystemExit``, ``bad-request``).  Options that are merely unused
+    by an engine (``n_workers`` on sequential) are not errors; ones that
+    would be a silent no-op the caller asked for by name are.
+    """
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
+        )
+    if policy is not None:
+        from .parallel.policy import POLICY_NAMES
+
+        if policy not in POLICY_NAMES:
+            raise ValueError(
+                f"unknown policy {policy!r}; expected one of "
+                f"{', '.join(POLICY_NAMES)}"
+            )
+        if engine not in POOL_ENGINES:
+            raise ValueError(
+                f"policy {policy!r} requires a parallel engine "
+                f"(threaded or mp), not {engine!r}"
+            )
+    if watchdog_s and engine not in POOL_ENGINES:
+        raise ValueError(
+            "a stall watchdog requires a parallel engine "
+            f"(threaded or mp), not {engine!r}"
+        )
+    if engine == "mp" and not mp_supported():
+        raise ValueError(
+            "engine 'mp' needs the 'fork' start method, which this "
+            "platform lacks; use 'threaded' or 'sequential'"
+        )
+
+
 def make_matcher(
     engine: str,
     network: ReteNetwork,
@@ -70,17 +116,11 @@ def make_matcher(
 ):
     """Build the named match backend over a compiled ``network``.
 
-    Unknown names raise ``ValueError`` listing the valid ones, so CLI
-    and serve-layer validation can simply try and re-raise.  ``policy``
-    (a :data:`repro.parallel.policy.POLICY_NAMES` name) only applies to
-    the parallel engines — passing one to sequential/corgi is an error
-    rather than a silent no-op.
+    Bad engine/option combinations raise ``ValueError``
+    (:func:`check_engine_opts`), so CLI and serve-layer validation can
+    simply try and re-raise.
     """
-    if policy is not None and engine not in ("threaded", "mp"):
-        raise ValueError(
-            f"policy {policy!r} requires a parallel engine (threaded or mp), "
-            f"not {engine!r}"
-        )
+    check_engine_opts(engine, policy=policy, watchdog_s=watchdog_s)
     if engine == "sequential":
         from .rete.matcher import SequentialMatcher
 
@@ -111,10 +151,6 @@ def make_matcher(
             watchdog_s=watchdog_s,
             watchdog_dump=watchdog_dump,
         )
-    if engine == "corgi":
-        from .corgi.engine import CorgiMatcher
+    from .corgi.engine import CorgiMatcher
 
-        return CorgiMatcher(network)
-    raise ValueError(
-        f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
-    )
+    return CorgiMatcher(network)

@@ -1,14 +1,12 @@
 """policyck: the differential policy-conformance battery.
 
-The scheduling-policy analogue of :mod:`repro.corgi.diffcheck`
-(corgick) and :mod:`repro.schedck.runner` — the proof obligation for
-:mod:`repro.parallel.policy` is that a policy may change *where* match
-work runs, never *what* the recognize-act cycle does.  Each battery
-case runs one bundled conformance program on one parallel engine under
-one dispatch/placement policy and requires the complete firing trace
-(cycle, production, timetags), final working memory, ``write`` output,
-halt flag, and cycle count to be byte-identical to the sequential
-reference run.
+The proof obligation for :mod:`repro.parallel.policy` is that a policy
+may change *where* match work runs, never *what* the recognize-act
+cycle does.  Each case is a :mod:`repro.check` whole-program run: one
+bundled conformance program on one parallel engine under one
+dispatch/placement policy, required to match the sequential reference
+in its complete firing trace (cycle, production, timetags), final
+working memory, ``write`` output, halt flag, and cycle count.
 
 Threaded cases run each policy at its conformance-validated queue
 count (:data:`repro.parallel.policy.SAFE_QUEUE_MATRIX` — the
@@ -16,129 +14,20 @@ per-policy successor of the old blanket ``n_queues=1`` pin) unless an
 explicit ``n_queues`` override is given; mp cases exercise the
 placement half of the same policy object (the shard owners table).
 
-Reports are byte-stable (racy telemetry like steal counts is kept out
-of ``format()``), and every FAIL line carries a paste-ready
-``python -m repro policyck`` replay command, mirroring the schedck and
-corgick sweep UX.
+Reports are byte-stable (racy telemetry like steal counts is never
+printed), and every FAIL line carries a paste-ready
+``python -m repro check policyck`` replay command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import argparse
+from typing import Dict, Optional, Sequence
 
-from ..programs import blocks, crossfire, monkey, negchain, rubik, tourney, weaver
-from .policy import POLICY_NAMES, SAFE_QUEUE_MATRIX, make_policy
-
-#: Program name -> OPS5 source factory: the same eight workloads, at
-#: the same sizes, as the cross-engine conformance suite
-#: (``tests/conformance``) — every beta node kind, both recursion
-#: styles, two cube scrambles, and the two adversarial fixtures.
-PROGRAMS: Dict[str, Callable[[], str]] = {
-    "blocks": lambda: blocks.source(),
-    "monkey": lambda: monkey.source(),
-    "tourney": lambda: tourney.source(n_teams=6, n_rounds=7),
-    "weaver": lambda: weaver.source(grid=4, n_nets=1),
-    "rubik": lambda: rubik.source(n_moves=4, seed=1988),
-    "cube": lambda: rubik.source(n_moves=3, seed=7),
-    "crossfire": lambda: crossfire.source(n_items=7),
-    "negchain": lambda: negchain.source(n_chains=5),
-}
-
-#: The engines a policy can drive (sequential and corgi take none).
-POLICY_ENGINES: Tuple[str, ...] = ("threaded", "mp")
-
-MAX_CYCLES = 5000
-
-
-def _render_trace(result) -> str:
-    """One canonical text rendering of a complete firing trace (the
-    same rendering the conformance suite asserts on)."""
-    return "\n".join(
-        f"{f.cycle} {f.production} {','.join(map(str, f.timetags))}"
-        for f in result.firings
-    )
-
-
-def _wm_snapshot(interp) -> tuple:
-    return tuple(sorted(
-        (wme.klass, wme.timetag, wme.attrs) for wme in interp.wm
-    ))
-
-
-def _run(source: str, engine: str, engine_opts: dict) -> dict:
-    from ..ops5.interpreter import Interpreter
-    from ..ops5.parser import parse_program
-
-    interp = Interpreter(parse_program(source), engine=engine, engine_opts=engine_opts)
-    try:
-        result = interp.run(max_cycles=MAX_CYCLES)
-        return {
-            "trace": _render_trace(result),
-            "wm": _wm_snapshot(interp),
-            "output": tuple(result.output),
-            "halted": result.halted,
-            "cycles": result.cycles,
-        }
-    finally:
-        interp.close()
-
-
-@dataclass
-class CaseResult:
-    """One (program, engine, policy) differential run."""
-
-    program: str
-    engine: str
-    policy: str
-    n_queues: int                 # 0 for mp (no queue axis)
-    mismatches: List[str] = field(default_factory=list)
-    cycles: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def describe(self) -> str:
-        queues = f" queues={self.n_queues}" if self.n_queues else ""
-        return f"policy={self.policy} engine={self.engine}{queues} program={self.program}"
-
-
-@dataclass
-class BatteryResult:
-    """Aggregate of one policyck battery; ``format()`` is byte-stable."""
-
-    cases: List[CaseResult] = field(default_factory=list)
-    skipped: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(case.ok for case in self.cases)
-
-    @property
-    def failures(self) -> List[CaseResult]:
-        return [case for case in self.cases if not case.ok]
-
-    def format(self) -> str:
-        lines = [
-            f"policyck battery: {len(self.cases)} cases, "
-            f"{len(self.failures)} failing, {len(self.skipped)} skipped"
-        ]
-        for case in self.cases:
-            status = "OK  " if case.ok else "FAIL"
-            lines.append(f"  {status} {case.describe()} cycles={case.cycles}")
-            for mismatch in case.mismatches:
-                lines.append(f"       {mismatch}")
-            if not case.ok:
-                lines.append(
-                    f"       replay: python -m repro policyck"
-                    f" --policies {case.policy}"
-                    f" --engines {case.engine}"
-                    f" --programs {case.program}"
-                )
-        for reason in self.skipped:
-            lines.append(f"  SKIP {reason}")
-        return "\n".join(lines)
+from .. import check
+from ..check import PROGRAMS, Finding
+from ..engines import POOL_ENGINES, check_engine_opts, mp_supported
+from .policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
 
 
 def run_case(
@@ -148,35 +37,33 @@ def run_case(
     reference: dict,
     n_workers: int = 2,
     n_queues: Optional[int] = None,
-) -> CaseResult:
-    """One differential case; divergence comes back as mismatches."""
-    if engine not in POLICY_ENGINES:
-        raise ValueError(
-            f"engine {engine!r} takes no policy; expected one of "
-            f"{', '.join(POLICY_ENGINES)}"
-        )
-    pol = make_policy(policy)  # validates the name
+) -> check.Report:
+    """One differential case; divergence comes back as findings."""
+    check_engine_opts(engine, policy=policy)
+    opts = {"n_workers": n_workers, "policy": policy}
+    label = [("policy", policy), ("engine", engine)]
     if engine == "threaded":
-        queues = n_queues if n_queues is not None else SAFE_QUEUE_MATRIX[pol.name]
-        opts = {"n_workers": n_workers, "n_queues": queues, "policy": pol.name}
-    else:
-        queues = 0
-        opts = {"n_workers": n_workers, "policy": pol.name}
-    case = CaseResult(
-        program=program, engine=engine, policy=pol.name, n_queues=queues
+        opts["n_queues"] = (
+            n_queues if n_queues is not None else SAFE_QUEUE_MATRIX[policy]
+        )
+        label.append(("queues", opts["n_queues"]))
+    label.append(("program", program))
+    report = check.Report(
+        battery="policyck",
+        label=label,
+        args={
+            "policies": policy, "engines": engine, "programs": program,
+            "workers": n_workers, "queues": n_queues,
+        },
     )
     try:
-        got = _run(PROGRAMS[program](), engine, opts)
+        got = check.run_program(PROGRAMS[program](), engine, opts)
     except Exception as exc:  # noqa: BLE001 - reported, battery continues
-        case.mismatches.append(f"[engine_error] {exc!r}")
-        return case
-    case.cycles = got["cycles"]
-    for fieldname in ("trace", "wm", "output", "halted", "cycles"):
-        if got[fieldname] != reference[fieldname]:
-            case.mismatches.append(
-                f"[{fieldname}] differs from sequential reference"
-            )
-    return case
+        report.findings.append(Finding("engine_error", None, repr(exc)))
+        return report
+    report.stats.append(("cycles", got["cycles"]))
+    report.findings.extend(check.diff_runs(got, reference))
+    return report
 
 
 def run_battery(
@@ -185,8 +72,7 @@ def run_battery(
     policies: Optional[Sequence[str]] = None,
     n_workers: int = 2,
     n_queues: Optional[int] = None,
-    on_case: Optional[Callable[[CaseResult], None]] = None,
-) -> BatteryResult:
+) -> check.Sweep:
     """The full differential matrix: policies x engines x programs.
 
     ``engines`` defaults to every policy-capable engine the platform
@@ -194,45 +80,67 @@ def run_battery(
     entry, not an error).  The sequential reference is computed once
     per program and shared across the matrix.
     """
-    from ..engines import mp_supported
-
-    program_names = list(programs) if programs is not None else sorted(PROGRAMS)
-    policy_names = list(policies) if policies is not None else list(POLICY_NAMES)
-    result = BatteryResult()
-
-    if engines is None:
-        engine_names = []
-        for name in POLICY_ENGINES:
-            if name == "mp" and not mp_supported():
-                result.skipped.append("engine=mp (needs the fork start method)")
-                continue
-            engine_names.append(name)
-    else:
-        engine_names = list(engines)
-
+    program_names = list(programs) if programs else sorted(PROGRAMS)
+    policy_names = list(policies) if policies else list(POLICY_NAMES)
+    engine_names = list(engines) if engines else list(POOL_ENGINES)
+    skipped = []
+    if not engines and not mp_supported():
+        engine_names.remove("mp")
+        skipped.append("engine=mp (needs the fork start method)")
+    # Bad names fail before anything runs.
     for name in program_names:
         if name not in PROGRAMS:
             raise ValueError(
                 f"unknown program {name!r}; expected one of "
                 f"{', '.join(sorted(PROGRAMS))}"
             )
-
-    references: Dict[str, dict] = {}
-    for program in program_names:
-        references[program] = _run(PROGRAMS[program](), "sequential", {})
-
     for policy in policy_names:
         for engine in engine_names:
-            for program in program_names:
-                case = run_case(
-                    program,
-                    engine,
-                    policy,
-                    references[program],
-                    n_workers=n_workers,
-                    n_queues=n_queues,
-                )
-                result.cases.append(case)
-                if on_case is not None:
-                    on_case(case)
-    return result
+            check_engine_opts(engine, policy=policy)
+
+    references: Dict[str, dict] = {
+        program: check.run_program(PROGRAMS[program](), "sequential", {})
+        for program in program_names
+    }
+    reports = [
+        run_case(
+            program, engine, policy, references[program],
+            n_workers=n_workers, n_queues=n_queues,
+        )
+        for policy in policy_names
+        for engine in engine_names
+        for program in program_names
+    ]
+    return check.Sweep(
+        "policyck", "battery", "cases", reports, skipped,
+        also=[(len(skipped), "skipped")],
+    )
+
+
+def _add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policies", nargs="*", metavar="POLICY",
+                   help="policies to check (default: all registered)")
+    p.add_argument("--engines", nargs="*", metavar="ENGINE",
+                   help="threaded and/or mp (default: all supported)")
+    p.add_argument("--programs", nargs="*", metavar="NAME",
+                   help="conformance programs (default: all eight)")
+    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--queues", type=int, default=None,
+                   help="threaded queue-count override (default: the "
+                        "per-policy safe-queue matrix)")
+
+
+def _run(args: argparse.Namespace):
+    return run_battery(
+        programs=args.programs, engines=args.engines, policies=args.policies,
+        n_workers=args.workers, n_queues=args.queues,
+    )
+
+
+BATTERY = check.Battery(
+    "policyck",
+    "differential policy battery: every dispatch/placement policy must "
+    "match sequential byte for byte",
+    _add_arguments,
+    _run,
+)

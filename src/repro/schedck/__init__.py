@@ -12,19 +12,21 @@ this package takes ownership of the interleaving instead:
   a time, so a run is a pure function of the schedule seed;
 * :mod:`~repro.schedck.policies` — seeded-random, PCT-style
   random-priority, and targeted adversarial schedule policies;
-* :mod:`~repro.schedck.invariants` — the quiescence-point invariant
-  checks (conflict-set equality, TaskCount, extra-deletes lists, token
-  memory census);
+* :mod:`~repro.schedck.invariants` — the engine-side quiescence-point
+  invariants (TaskCount, extra-deletes lists, token memory census) on
+  top of the conflict-set equality :mod:`repro.check` gives every
+  battery;
 * :mod:`~repro.schedck.progen` — a bounded random OPS5 program and
   working-memory workload generator for differential fuzzing;
-* :mod:`~repro.schedck.runner` — single-schedule replay
-  (``python -m repro schedck --seed N``) and multi-schedule sweeps.
+* :mod:`~repro.schedck.runner` — the ``schedck`` battery registered
+  with :mod:`repro.check`: single-schedule replay
+  (``python -m repro check schedck --seed N``) and multi-schedule sweeps.
 """
 
-from .invariants import Violation, memory_census
+from .invariants import memory_census
 from .policies import make_policy
 from .progen import ProgenParams, generate
-from .runner import EngineConfig, ScheduleReport, run_schedule, sweep
+from .runner import EngineConfig, run_schedule, sweep
 from .scheduler import CooperativeScheduler, ScheduleExhausted
 
 __all__ = [
@@ -32,8 +34,6 @@ __all__ = [
     "EngineConfig",
     "ProgenParams",
     "ScheduleExhausted",
-    "ScheduleReport",
-    "Violation",
     "generate",
     "make_policy",
     "memory_census",

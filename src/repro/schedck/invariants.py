@@ -1,11 +1,9 @@
 """Quiescence-point invariants for the parallel engine (§3.2).
 
 Checked after every ``process_changes`` batch, against the sequential
-matcher run in lockstep on the *same* WME objects:
+matcher run in lockstep on the *same* WME objects — on top of the
+conflict-set equality every battery gets from :mod:`repro.check`:
 
-``conflict_set``
-    The net conflict set (count-folded CS deltas, since the parallel
-    engine emits deltas unordered) equals the sequential matcher's.
 ``taskcount``
     TaskCount is zero at quiescence and was never observed negative.
 ``extra_deletes``
@@ -22,24 +20,11 @@ matcher run in lockstep on the *same* WME objects:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Counter as CounterT, List, Tuple
 
+from ..check import Finding, describe_diff
 from ..rete.memories import NotEntry
 from ..rete.network import ReteNetwork
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant failure at one quiescence point."""
-
-    invariant: str
-    batch: int
-    detail: str
-
-    def format(self) -> str:
-        return f"batch {self.batch}: {self.invariant}: {self.detail}"
-
 
 CensusKey = Tuple[int, str, tuple, int]
 
@@ -56,33 +41,22 @@ def memory_census(memory, network: ReteNetwork) -> CounterT[CensusKey]:
     return census
 
 
-def _describe_diff(extra: CounterT, missing: CounterT, limit: int = 4) -> str:
-    parts = []
-    if extra:
-        sample = ", ".join(repr(k) for k in sorted(extra)[:limit])
-        parts.append(f"{sum(extra.values())} extra (e.g. {sample})")
-    if missing:
-        sample = ", ".join(repr(k) for k in sorted(missing)[:limit])
-        parts.append(f"{sum(missing.values())} missing (e.g. {sample})")
-    return "; ".join(parts)
-
-
 def check_census(
     batch: int, parallel_census: CounterT, sequential_census: CounterT
-) -> List[Violation]:
+) -> List[Finding]:
     if parallel_census == sequential_census:
         return []
     extra = parallel_census - sequential_census
     missing = sequential_census - parallel_census
     out = [
-        Violation("memory_census", batch, _describe_diff(extra, missing))
+        Finding("memory_census", batch, describe_diff(extra, missing))
     ]
     dupes = Counter(
         {k: n for k, n in parallel_census.items() if n > 1 and sequential_census[k] <= 1}
     )
     if dupes:
         out.append(
-            Violation(
+            Finding(
                 "memory_census",
                 batch,
                 f"duplicated tokens: {sorted(dupes)[:4]!r}",
@@ -91,54 +65,24 @@ def check_census(
     return out
 
 
-def check_conflict_set(
-    batch: int, parallel_cs: CounterT, sequential_cs: CounterT
-) -> List[Violation]:
-    par = {k for k, n in parallel_cs.items() if n != 0}
-    seq = {k for k, n in sequential_cs.items() if n != 0}
-    if par == seq:
-        bad_counts = sorted(
-            k for k in par if parallel_cs[k] != sequential_cs[k]
-        )
-        if not bad_counts:
-            return []
-        return [
-            Violation(
-                "conflict_set",
-                batch,
-                f"instantiation multiplicities differ: {bad_counts[:4]!r}",
-            )
-        ]
-    return [
-        Violation(
-            "conflict_set",
-            batch,
-            _describe_diff(
-                Counter({k: 1 for k in par - seq}),
-                Counter({k: 1 for k in seq - par}),
-            ),
-        )
-    ]
-
-
-def check_quiescence(batch: int, matcher) -> List[Violation]:
+def check_quiescence(batch: int, matcher) -> List[Finding]:
     """Engine-side invariants on a quiesced :class:`ParallelMatcher`."""
-    out: List[Violation] = []
+    out: List[Finding] = []
     if matcher.taskcount.value != 0:
         out.append(
-            Violation(
+            Finding(
                 "taskcount", batch, f"non-zero at quiescence: {matcher.taskcount.value}"
             )
         )
     if matcher.taskcount.min_value < 0:
         out.append(
-            Violation(
+            Finding(
                 "taskcount", batch, f"went negative: min {matcher.taskcount.min_value}"
             )
         )
     pending = matcher.memory.pending_deletes
     if pending:
         out.append(
-            Violation("extra_deletes", batch, f"{pending} deletes still parked")
+            Finding("extra_deletes", batch, f"{pending} deletes still parked")
         )
     return out

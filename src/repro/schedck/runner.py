@@ -1,14 +1,15 @@
-"""Differential schedule runs: sequential oracle vs parallel engine.
+"""schedck: the threaded engine under a schedule the harness owns.
 
-:func:`run_schedule` is the unit of everything here: from one seed it
-derives a random program + workload (or takes a pinned one), runs the
-sequential matcher as the oracle, then replays the same WME batches
-through the threaded :class:`~repro.parallel.engine.ParallelMatcher`
-under the cooperative scheduler, checking every invariant at every
-quiescence point.  The report it returns is deterministic text: the
-same seed and configuration produce a byte-identical report, which is
-what lets a CI failure line be replayed locally with
-``python -m repro schedck --seed N``.
+The battery's share of a :mod:`repro.check` lockstep run: from one seed
+:func:`run_schedule` derives a random program + workload (or takes a
+pinned one) and drives the threaded
+:class:`~repro.parallel.engine.ParallelMatcher` through it *under the
+cooperative scheduler*, adding the engine-side invariants (TaskCount,
+parked deletes, token-memory census) to the shared conflict-set check
+at every quiescence point.  The report is deterministic text: the same
+seed and configuration produce a byte-identical report, which is what
+lets a CI failure line be replayed locally with
+``python -m repro check schedck --seed N``.
 
 :func:`sweep` fans one seed range out over the engine-configuration
 grid (workers × queues × lock scheme) and the policy rotation — the
@@ -17,27 +18,19 @@ differential fuzzing loop.
 
 from __future__ import annotations
 
-import random
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+import argparse
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ops5.parser import parse_program
+from .. import check
 from ..ops5.wme import WMEChange
 from ..parallel.engine import ParallelMatcher
 from ..parallel.policy import SAFE_QUEUE_MATRIX
-from ..rete.matcher import SequentialMatcher
-from ..rete.network import ReteNetwork
 from . import progen
-from .invariants import (
-    Violation,
-    check_census,
-    check_conflict_set,
-    check_quiescence,
-    memory_census,
-)
+from .invariants import check_census, check_quiescence, memory_census
 from .policies import DEFAULT_POLICIES, make_policy
 from .scheduler import CooperativeScheduler, HarnessSession
+from .workloads import WORKLOADS
 
 
 @dataclass(frozen=True)
@@ -71,6 +64,16 @@ class EngineConfig:
             base += f"/{self.dispatch}"
         return base
 
+    def flags(self) -> Dict[str, object]:
+        """This config as ``repro check schedck`` flag values."""
+        return {
+            "workers": self.n_workers,
+            "queues": self.n_queues,
+            "locks": self.lock_scheme,
+            "lines": self.n_lines,
+            "dispatch": self.dispatch,
+        }
+
 
 #: The acceptance-criteria grid: n_workers × n_queues × lock_scheme,
 #: plus one config per non-default dispatch policy at that policy's
@@ -87,193 +90,89 @@ DEFAULT_GRID: Tuple[EngineConfig, ...] = tuple(
 )
 
 
-@dataclass
-class ScheduleReport:
-    """Outcome of one schedule; :meth:`format` is byte-stable per seed."""
-
-    seed: int
-    policy: str
-    config: EngineConfig
-    n_rules: int
-    n_changes: int
-    n_batches: int
-    steps: int
-    truncated: bool
-    violations: List[Violation] = field(default_factory=list)
-    stats: List[Tuple[str, object]] = field(default_factory=list)
-    #: Dispatch-policy counters (steals, rebalances).  Kept out of
-    #: :meth:`format`: steal attribution depends on pop/wakeup timing
-    #: even under the cooperative scheduler, so printing it would
-    #: break the byte-identical-report contract.
-    telemetry: List[Tuple[str, object]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format(self) -> str:
-        lines = [
-            f"schedck seed={self.seed} policy={self.policy} "
-            f"config={self.config.describe()}",
-            f"program: {self.n_rules} rules, {self.n_changes} WM changes "
-            f"in {self.n_batches} batches",
-            f"schedule: {self.steps} decisions"
-            + (" (truncated)" if self.truncated else ""),
-        ]
-        for key, value in self.stats:
-            lines.append(f"  {key} = {value}")
-        if self.violations:
-            lines.append(f"violations: {len(self.violations)}")
-            lines.extend("  " + v.format() for v in self.violations)
-        else:
-            lines.append("violations: 0")
-        return "\n".join(lines)
-
-
-def _fold_deltas(cs: Counter, deltas) -> None:
-    for delta in deltas:
-        cs[(delta.production.name, delta.token.key)] += delta.sign
-
-
 def run_schedule(
     seed: int,
     config: EngineConfig = EngineConfig(),
     policy_spec: str = "random",
+    workload: Optional[str] = None,
     program: Optional[str] = None,
     batches: Optional[List[List[WMEChange]]] = None,
     params: progen.ProgenParams = progen.ProgenParams(),
     max_steps: int = 200_000,
-) -> ScheduleReport:
+) -> check.Report:
     """Run one seeded schedule differentially; never raises for engine
-    misbehaviour — failures come back as report violations."""
-    rng = random.Random(seed)
-    if program is None:
-        program, generated = progen.generate(rng, params)
-        if batches is None:
-            batches = generated
-    elif batches is None:
-        raise ValueError("a pinned program needs pinned batches")
-    program_ast = parse_program(program)
-
-    # Sequential oracle: per-batch conflict-set and memory snapshots.
-    seq_net = ReteNetwork.compile(program_ast)
-    seq = SequentialMatcher(seq_net, n_lines=config.n_lines)
-    seq_cs: Counter = Counter()
-    snapshots = []
-    for batch in batches:
-        _fold_deltas(seq_cs, seq.process_changes(batch))
-        snapshots.append((Counter(seq_cs), memory_census(seq.memory, seq_net)))
-
-    # Parallel run under the cooperative scheduler.
-    par_net = ReteNetwork.compile(program_ast)
+    misbehaviour — failures come back as report findings.  ``workload``
+    names a pinned :data:`~repro.schedck.workloads.WORKLOADS` fixture;
+    ``program`` + ``batches`` pin one that has no name (and therefore no
+    replay line)."""
+    if workload is not None:
+        if workload not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {workload!r}; expected one of "
+                f"{', '.join(sorted(WORKLOADS))}"
+            )
+        program, batches = WORKLOADS[workload]()
+    load = check.workload(seed, params, program, batches)
+    net = load.compile()
     policy = make_policy(policy_spec, seed)
     scheduler = CooperativeScheduler(
         policy, expected_threads=config.n_workers + 1, max_steps=max_steps
     )
-    violations: List[Violation] = []
-    par_cs: Counter = Counter()
     with HarnessSession(scheduler):
         matcher = ParallelMatcher(
-            par_net,
+            net,
             n_workers=config.n_workers,
             n_queues=config.n_queues,
             lock_scheme=config.lock_scheme,
             n_lines=config.n_lines,
             policy=config.dispatch,
         )
+
+        def invariants(bi, _batch, oracle):
+            return check_quiescence(bi, matcher) + check_census(
+                bi,
+                memory_census(matcher.memory, net),
+                memory_census(oracle.memory, oracle.network),
+            )
+
         try:
-            for bi, batch in enumerate(batches):
-                try:
-                    _fold_deltas(par_cs, matcher.process_changes(batch))
-                except RuntimeError as exc:
-                    cause = exc.__cause__
-                    detail = str(exc) + (f": {cause!r}" if cause else "")
-                    violations.append(Violation("engine_error", bi, detail))
-                    break
-                violations.extend(check_quiescence(bi, matcher))
-                expected_cs, expected_census = snapshots[bi]
-                violations.extend(check_conflict_set(bi, par_cs, expected_cs))
-                violations.extend(
-                    check_census(bi, memory_census(matcher.memory, par_net), expected_census)
-                )
-                if violations:
-                    break
+            findings, oracle = check.lockstep(load, matcher, invariants)
         finally:
             scheduler.deactivate()
             matcher.close()
 
-    par_stats = matcher.stats
-    stats = [
-        ("node_activations.seq", seq.stats.node_activations),
-        ("node_activations.par", par_stats.node_activations),
-        ("tokens_emitted.seq", seq.stats.tokens_emitted),
-        ("tokens_emitted.par", par_stats.tokens_emitted),
-        ("conjugate.parked", matcher.memory.parked_total),
-        ("conjugate.annihilated", matcher.memory.annihilations),
-        ("line_lock.requeues", matcher.line_lock_stats().requeues),
-    ]
-    telemetry = [
-        ("queue.steals", matcher.queues.stolen),
-        ("policy.rebalances", matcher.policy.rebalances),
-    ]
-    return ScheduleReport(
-        seed=seed,
-        policy=policy.name,
-        config=config,
-        n_rules=len(seq_net.productions),
-        n_changes=sum(len(b) for b in batches),
-        n_batches=len(batches),
-        steps=scheduler.steps,
+    args = {
+        "seed": seed, "policy": policy.name, **config.flags(),
+        "workload": workload, "max_steps": max_steps,
+    }
+    replayable = workload is not None or program is None
+    return check.Report(
+        battery="schedck",
+        label=[("seed", seed), ("policy", policy.name), ("config", config.describe())],
+        args=args if replayable else None,
+        findings=findings,
+        body=[
+            load.describe(),
+            f"schedule: {scheduler.steps} decisions"
+            + (" (truncated)" if scheduler.truncated else ""),
+        ],
+        stats=[
+            ("node_activations.seq", oracle.stats.node_activations),
+            ("node_activations.par", matcher.stats.node_activations),
+            ("tokens_emitted.seq", oracle.stats.tokens_emitted),
+            ("tokens_emitted.par", matcher.stats.tokens_emitted),
+            ("conjugate.parked", matcher.memory.parked_total),
+            ("conjugate.annihilated", matcher.memory.annihilations),
+            ("line_lock.requeues", matcher.line_lock_stats().requeues),
+        ],
         truncated=scheduler.truncated,
-        violations=violations,
-        stats=stats,
-        telemetry=telemetry,
+        # Steal attribution depends on pop/wakeup timing even under the
+        # cooperative scheduler, so it stays out of the printed stats.
+        telemetry=[
+            ("queue.steals", matcher.queues.stolen),
+            ("policy.rebalances", matcher.policy.rebalances),
+        ],
     )
-
-
-@dataclass
-class SweepResult:
-    """Aggregate of a differential fuzz sweep."""
-
-    n_schedules: int
-    failures: List[ScheduleReport] = field(default_factory=list)
-    truncated: int = 0
-    #: Step budget the sweep ran under — part of the replay recipe.
-    max_steps: int = 200_000
-
-    @property
-    def ok(self) -> bool:
-        # A truncated schedule is a liveness failure: the engine never
-        # reached quiescence inside the step budget.
-        return not self.failures and self.truncated == 0
-
-    def format(self) -> str:
-        """Summary where every FAIL is reproducible from its own lines:
-        the replay line is the complete ``repro schedck`` invocation
-        (seed, policy, full engine config, step budget) — no need to
-        reconstruct flags from the packed config string."""
-        lines = [
-            f"schedck sweep: {self.n_schedules} schedules, "
-            f"{len(self.failures)} failing, {self.truncated} truncated"
-        ]
-        for report in self.failures[:20]:
-            first = report.violations[0]
-            cfg = report.config
-            lines.append(
-                f"  FAIL seed={report.seed} policy={report.policy} "
-                f"config={cfg.describe()} — {first.format()}"
-            )
-            lines.append(
-                f"    replay: python -m repro schedck"
-                f" --seed {report.seed} --policy {report.policy}"
-                f" --workers {cfg.n_workers} --queues {cfg.n_queues}"
-                f" --locks {cfg.lock_scheme} --lines {cfg.n_lines}"
-                f" --dispatch {cfg.dispatch}"
-                f" --max-steps {self.max_steps}"
-            )
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more")
-        return "\n".join(lines)
 
 
 def sweep(
@@ -283,22 +182,67 @@ def sweep(
     policies: Sequence[str] = DEFAULT_POLICIES,
     params: progen.ProgenParams = progen.ProgenParams(),
     max_steps: int = 200_000,
-    on_report: Optional[Callable[[ScheduleReport], None]] = None,
-) -> SweepResult:
+) -> check.Sweep:
     """Run ``n_schedules`` seeds round-robin over configs × policies."""
-    result = SweepResult(n_schedules=n_schedules, max_steps=max_steps)
-    for i in range(n_schedules):
-        seed = base_seed + i
-        config = configs[i % len(configs)]
-        policy_spec = policies[(i // len(configs)) % len(policies)]
-        report = run_schedule(
-            seed, config=config, policy_spec=policy_spec,
-            params=params, max_steps=max_steps,
+    reports = [
+        run_schedule(
+            base_seed + i,
+            config=configs[i % len(configs)],
+            policy_spec=policies[(i // len(configs)) % len(policies)],
+            params=params,
+            max_steps=max_steps,
         )
-        if on_report is not None:
-            on_report(report)
-        if report.truncated:
-            result.truncated += 1
-        if not report.ok:
-            result.failures.append(report)
-    return result
+        for i in range(n_schedules)
+    ]
+    return check.Sweep(
+        "schedck", "sweep", "schedules", reports,
+        also=[(sum(r.truncated for r in reports), "truncated")],
+    )
+
+
+def _add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0,
+                   help="schedule seed (sweep: first seed of the range)")
+    p.add_argument("--policy", default="random",
+                   help="random | pct[:depth] | adversarial:{delay-plus,"
+                        "delay-deletes,starve-quiescence,starve-worker}")
+    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--queues", type=int, default=1)
+    p.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
+    p.add_argument("--lines", type=int, default=64)
+    p.add_argument("--dispatch", default="round-robin",
+                   help="task-dispatch policy (round-robin, affinity, "
+                        "least-loaded, work-stealing, rebalance) — "
+                        "distinct from --policy, which picks the "
+                        "thread schedule")
+    p.add_argument("--workload", default=None, metavar="NAME",
+                   help="replay a pinned workload (deep-chain, "
+                        "conjugate-storm) instead of generating one "
+                        "from the seed")
+    p.add_argument("--sweep", type=int, default=0, metavar="N",
+                   help="fuzz N seeds across the config/policy grid")
+    p.add_argument("--max-steps", type=int, default=200_000)
+
+
+def _run(args: argparse.Namespace):
+    if args.sweep:
+        return sweep(args.sweep, base_seed=args.seed, max_steps=args.max_steps)
+    config = EngineConfig(
+        n_workers=args.workers,
+        n_queues=args.queues,
+        lock_scheme=args.locks,
+        n_lines=args.lines,
+        dispatch=args.dispatch,
+    )
+    return run_schedule(
+        args.seed, config=config, policy_spec=args.policy,
+        workload=args.workload, max_steps=args.max_steps,
+    )
+
+
+BATTERY = check.Battery(
+    "schedck",
+    "deterministic schedule exploration of the threaded parallel engine",
+    _add_arguments,
+    _run,
+)

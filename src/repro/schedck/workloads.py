@@ -4,7 +4,7 @@ The schedule harness normally derives its workload from the seed via
 :mod:`repro.schedck.progen`; the regressions worth keeping, though,
 are *pinned* — a fixed program and fixed WME batches whose behaviour
 under a fixed schedule is an executable fact.  This registry gives
-those fixtures a name the CLI can replay (``repro schedck --workload
+those fixtures a name the CLI can replay (``repro check schedck --workload
 NAME``), so a failing pinned test prints a paste-ready command instead
 of "see the test file".
 

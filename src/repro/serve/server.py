@@ -19,8 +19,7 @@ import asyncio
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
-from ..engines import ENGINE_NAMES, mp_supported
-from ..parallel.policy import POLICY_NAMES
+from ..engines import POOL_ENGINES, check_engine_opts
 from ..obs import context as obs_context
 from ..obs import events as obs_events
 from ..obs import meter as obs_meter
@@ -314,12 +313,11 @@ class ReproServer:
         if strategy not in ("lex", "mea"):
             raise ProtocolError(E_BAD_REQUEST, f"unknown strategy {strategy!r}")
         engine = msg.get("engine", "sequential")
-        if engine not in ENGINE_NAMES:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINE_NAMES)}",
-            )
+        policy = msg.get("policy")
+        try:
+            check_engine_opts(engine, policy=policy)
+        except ValueError as exc:
+            raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
         workers = msg.get("workers", 2)
         if not isinstance(workers, int) or not 1 <= workers <= 16:
             raise ProtocolError(
@@ -330,30 +328,11 @@ class ReproServer:
             raise ProtocolError(
                 E_BAD_REQUEST, "tenant must be a non-empty string"
             )
-        policy = msg.get("policy")
-        if policy is not None:
-            if policy not in POLICY_NAMES:
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"unknown policy {policy!r}; expected one of "
-                    f"{', '.join(POLICY_NAMES)}",
-                )
-            if engine not in ("threaded", "mp"):
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"policy {policy!r} requires engine 'threaded' or 'mp'",
-                )
-        if engine == "mp" and not mp_supported():
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                "engine 'mp' needs the 'fork' start method, which this "
-                "host lacks; use 'threaded' or 'sequential'",
-            )
         # Only the worker-pool engines take n_workers (and optionally a
         # dispatch/placement policy); sequential and corgi are
         # single-threaded by design.
         engine_opts: Optional[Dict[str, Any]] = None
-        if engine in ("threaded", "mp"):
+        if engine in POOL_ENGINES:
             engine_opts = {"n_workers": workers}
             if policy is not None:
                 engine_opts["policy"] = policy

@@ -2,12 +2,9 @@
 
 ``ENGINES`` maps an engine name to the ``Interpreter`` keyword options
 that select it — adding an engine to the suite is one more entry
-here, nothing else.  ``PROGRAMS`` maps the eight bundled workloads to
-small-but-representative sources (every beta node kind, both recursion
-styles, the cube-model generator at two scrambles, and two adversarial
-fixtures — a cross-product stressor and a deep-chain negation program
-— that hold every engine to byte-identical traces exactly where match
-cost goes pathological).
+here, nothing else.  The eight bundled workloads (``PROGRAMS``) and the
+run-to-comparison-tuple helper are :mod:`repro.check`'s — the same
+whole-program proof the ``policyck`` battery runs.
 
 Sequential runs are the reference: each engine's complete firing trace
 (rendered to one canonical string), final working memory, ``write``
@@ -20,18 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ops5.interpreter import Interpreter
-from repro.ops5.parser import parse_program
+from repro.check import PROGRAMS, run_program
 from repro.parallel.policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
-from repro.programs import (
-    blocks,
-    crossfire,
-    monkey,
-    negchain,
-    rubik,
-    tourney,
-    weaver,
-)
 
 #: Engine name -> Interpreter(engine=..., engine_opts=...) selections.
 #: A new backend joins the conformance matrix by adding one line; a
@@ -71,56 +58,10 @@ ENGINES["mp@affinity"] = dict(
     engine="mp", engine_opts={"n_workers": 2, "policy": "affinity"}
 )
 
-#: Program name -> OPS5 source factory.  Sizes chosen so the whole
-#: matrix stays inside tier-1 time; "cube" is the cube-model generator
-#: (:mod:`repro.programs.cube`) emitting a second, different scramble
-#: than "rubik" — same generator, different program text and solution.
-PROGRAMS = {
-    "blocks": lambda: blocks.source(),
-    "monkey": lambda: monkey.source(),
-    "tourney": lambda: tourney.source(n_teams=6, n_rounds=7),
-    "weaver": lambda: weaver.source(grid=4, n_nets=1),
-    "rubik": lambda: rubik.source(n_moves=4, seed=1988),
-    "cube": lambda: rubik.source(n_moves=3, seed=7),
-    "crossfire": lambda: crossfire.source(n_items=7),
-    "negchain": lambda: negchain.source(n_chains=5),
-}
-
-MAX_CYCLES = 5000
-
-
-def render_trace(result) -> str:
-    """One canonical text rendering of a complete firing trace."""
-    return "\n".join(
-        f"{f.cycle} {f.production} {','.join(map(str, f.timetags))}"
-        for f in result.firings
-    )
-
-
-def wm_snapshot(interp) -> tuple:
-    """Order-independent view of final working memory (timetags are
-    creation-order dependent and *included*: engines must agree on
-    them too, or RHS ``remove``/``modify`` addressing would differ)."""
-    return tuple(sorted(
-        (wme.klass, wme.timetag, wme.attrs) for wme in interp.wm
-    ))
-
 
 def run_engine(source: str, engine_name: str):
     """Run ``source`` on one engine; returns the conformance tuple."""
-    program = parse_program(source)
-    interp = Interpreter(program, **ENGINES[engine_name])
-    try:
-        result = interp.run(max_cycles=MAX_CYCLES)
-        return {
-            "trace": render_trace(result),
-            "wm": wm_snapshot(interp),
-            "output": tuple(result.output),
-            "halted": result.halted,
-            "cycles": result.cycles,
-        }
-    finally:
-        interp.close()
+    return run_program(source, **ENGINES[engine_name])
 
 
 @pytest.fixture(scope="session")

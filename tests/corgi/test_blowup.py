@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from repro.check import check_conflict_set, fold_cs
 from repro.corgi.engine import CorgiMatcher
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WMEChange, WorkingMemory
@@ -29,11 +30,6 @@ from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
 
 from tests.schedck.test_deep_chain import deep_chain_case
-
-
-def fold(cs: Counter, deltas) -> None:
-    for d in deltas:
-        cs[(d.production.name, d.token.key)] += d.sign
 
 
 def test_deep_chain_no_blowup_under_corgi():
@@ -46,10 +42,10 @@ def test_deep_chain_no_blowup_under_corgi():
     corgi = CorgiMatcher(ReteNetwork.compile(compiled))
     seq_cs: Counter = Counter()
     corgi_cs: Counter = Counter()
-    for batch in batches:
-        fold(seq_cs, seq.process_changes(batch))
-        fold(corgi_cs, corgi.process_changes(batch))
-        assert +seq_cs == +corgi_cs
+    for bi, batch in enumerate(batches):
+        fold_cs(seq_cs, seq.process_changes(batch))
+        fold_cs(corgi_cs, corgi.process_changes(batch))
+        assert not check_conflict_set(bi, corgi_cs, seq_cs)
     # corgi counts every derived prefix where Rete counts only tokens
     # past the first join, so allow that bookkeeping factor — but no
     # blow-up: the threaded engine's pinned schedule exceeds this.

@@ -3,20 +3,18 @@ generated programs, plus the sweep/replay UX guarantees.
 
 Mirrors the schedck conventions: a fixed seed corpus that runs in
 tier-1 time, byte-stable reports, and failure lines that carry a
-paste-ready ``python -m repro corgick`` replay command.
+paste-ready ``python -m repro check corgick`` replay command.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.check import Finding, Report, Sweep
 from repro.cli import main
 from repro.corgi.diffcheck import (
     PROFILE_ROTATION,
     PROFILES,
-    DiffReport,
-    DiffSweepResult,
-    Mismatch,
     profile_for,
     run_seed,
     sweep,
@@ -30,10 +28,7 @@ CORPUS_SEEDS = range(60)
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_pinned_corpus_agrees(seed):
     report = run_seed(seed)
-    assert report.ok, (
-        report.format()
-        + f"\nreplay: python -m repro corgick --seed {seed}"
-    )
+    assert report.ok, report.format()
 
 
 def test_reports_are_byte_stable():
@@ -65,20 +60,15 @@ def test_corpus_exercises_the_interesting_machinery():
 
 
 def test_sweep_failure_lines_carry_replay_commands():
-    result = DiffSweepResult(n_seeds=1)
-    result.failures.append(
-        DiffReport(
-            seed=41,
-            profile="dense",
-            n_rules=2,
-            n_changes=5,
-            n_batches=2,
-            mismatches=[Mismatch("conflict_set", 1, "corgi extra=[..]")],
-        )
+    failing = Report(
+        battery="corgick",
+        label=[("seed", 41), ("profile", "dense")],
+        args={"seed": 41, "profile": "dense"},
+        findings=[Finding("conflict_set", 1, "1 extra (e.g. ..)")],
     )
-    text = result.format()
+    text = Sweep("corgick", "sweep", "seeds", [failing]).format()
     assert "FAIL seed=41 profile=dense" in text
-    assert "replay: python -m repro corgick --seed 41 --profile dense" in text
+    assert "replay: python -m repro check corgick --seed 41 --profile dense" in text
 
 
 def test_sweep_clean_range():
@@ -89,15 +79,15 @@ def test_sweep_clean_range():
 
 class TestCli:
     def test_corgick_single_seed(self, capsys):
-        assert main(["corgick", "--seed", "5"]) == 0
+        assert main(["check", "corgick", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "corgick seed=5" in out
-        assert "mismatches: 0" in out
+        assert "findings: 0" in out
 
     def test_corgick_sweep(self, capsys):
-        assert main(["corgick", "--sweep", "6"]) == 0
+        assert main(["check", "corgick", "--sweep", "6"]) == 0
         assert "6 seeds, 0 failing" in capsys.readouterr().out
 
     def test_corgick_rejects_unknown_profile(self):
         with pytest.raises(SystemExit, match="unknown profile"):
-            main(["corgick", "--profile", "bogus"])
+            main(["check", "corgick", "--profile", "bogus"])

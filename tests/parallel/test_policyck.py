@@ -11,53 +11,42 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import PROGRAMS, Sweep, run_program
 from repro.cli import main
 from repro.parallel.policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
-from repro.parallel.policyck import (
-    PROGRAMS,
-    POLICY_ENGINES,
-    BatteryResult,
-    CaseResult,
-    run_battery,
-    run_case,
-)
-
-
-def _reference():
-    from repro.parallel.policyck import _run
-
-    return _run(PROGRAMS["blocks"](), "sequential", {})
+from repro.parallel.policyck import run_battery, run_case
 
 
 @pytest.fixture(scope="module")
 def blocks_reference():
-    return _reference()
+    return run_program(PROGRAMS["blocks"](), "sequential", {})
 
 
 class TestRunCase:
     def test_threaded_case_matches_reference(self, blocks_reference):
         case = run_case("blocks", "threaded", "least-loaded", blocks_reference)
-        assert case.ok, case.mismatches
-        assert case.n_queues == SAFE_QUEUE_MATRIX["least-loaded"]
-        assert case.cycles == blocks_reference["cycles"]
+        assert case.ok, case.format()
+        assert dict(case.label)["queues"] == SAFE_QUEUE_MATRIX["least-loaded"]
+        assert dict(case.stats)["cycles"] == blocks_reference["cycles"]
 
     def test_queue_override_wins(self, blocks_reference):
         case = run_case(
             "blocks", "threaded", "work-stealing", blocks_reference, n_queues=1
         )
-        assert case.ok, case.mismatches
-        assert case.n_queues == 1
+        assert case.ok, case.format()
+        assert dict(case.label)["queues"] == 1
 
     def test_sequential_engine_is_rejected(self, blocks_reference):
-        with pytest.raises(ValueError, match="takes no policy"):
+        with pytest.raises(ValueError, match="requires a parallel engine"):
             run_case("blocks", "sequential", "affinity", blocks_reference)
 
     def test_divergence_is_reported_not_raised(self, blocks_reference):
         doctored = dict(blocks_reference, trace="bogus", cycles=-1)
         case = run_case("blocks", "threaded", "round-robin", doctored)
         assert not case.ok
-        assert "[trace] differs from sequential reference" in case.mismatches
-        assert "[cycles] differs from sequential reference" in case.mismatches
+        found = [finding.format() for finding in case.findings]
+        assert "[trace] differs from sequential reference" in found
+        assert "[cycles] differs from sequential reference" in found
 
 
 class TestBattery:
@@ -67,43 +56,35 @@ class TestBattery:
             policies=["round-robin", "rebalance"],
         )
         assert result.ok
-        assert len(result.cases) == 2
-        text = result.format()
-        assert "policyck battery: 2 cases, 0 failing" in text
-        assert "OK   policy=round-robin engine=threaded" in text
+        assert len(result.reports) == 2
+        assert result.format() == "policyck battery: 2 cases, 0 failing, 0 skipped"
+        assert result.reports[0].describe() == (
+            "policy=round-robin engine=threaded queues=1 program=blocks"
+        )
 
     def test_unknown_program_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown program"):
             run_battery(programs=["hanoi"], engines=["threaded"])
 
-    def test_failure_lines_carry_replay_commands(self):
-        result = BatteryResult(cases=[
-            CaseResult(program="rubik", engine="threaded",
-                       policy="affinity", n_queues=3,
-                       mismatches=["[trace] differs from sequential reference"]),
-        ])
+    def test_failure_lines_carry_replay_commands(self, blocks_reference):
+        doctored = dict(blocks_reference, trace="bogus")
+        case = run_case("blocks", "threaded", "affinity", doctored)
+        result = Sweep("policyck", "battery", "cases", [case])
         assert not result.ok
         text = result.format()
-        assert ("replay: python -m repro policyck --policies affinity"
-                " --engines threaded --programs rubik") in text
+        assert ("replay: python -m repro check policyck --policies affinity"
+                " --engines threaded --programs blocks --workers 2") in text
 
     def test_skips_render(self):
-        result = BatteryResult(skipped=["engine=mp (needs the fork start method)"])
+        result = Sweep("policyck", "battery", "cases",
+                       skipped=["engine=mp (needs the fork start method)"])
         assert result.ok
         assert "SKIP engine=mp" in result.format()
-
-    def test_programs_mirror_conformance_suite(self):
-        """Registry-sync guard: the battery must cover exactly the
-        programs the cross-engine conformance suite covers."""
-        from tests.conformance.conftest import PROGRAMS as CONF_PROGRAMS
-
-        assert set(PROGRAMS) == set(CONF_PROGRAMS)
-        assert POLICY_ENGINES == ("threaded", "mp")
 
 
 class TestCli:
     def test_smoke_run_exits_zero(self, capsys):
-        rc = main(["policyck", "--policies", "least-loaded",
+        rc = main(["check", "policyck", "--policies", "least-loaded",
                    "--engines", "threaded", "--programs", "blocks"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -111,19 +92,19 @@ class TestCli:
 
     def test_unknown_policy_is_clean_exit(self):
         with pytest.raises(SystemExit, match="unknown policy"):
-            main(["policyck", "--policies", "fifo"])
+            main(["check", "policyck", "--policies", "fifo"])
 
     def test_unknown_engine_is_clean_exit(self):
-        with pytest.raises(SystemExit, match="takes no policy"):
-            main(["policyck", "--engines", "corgi"])
+        with pytest.raises(SystemExit, match="requires a parallel engine"):
+            main(["check", "policyck", "--engines", "corgi"])
 
     def test_unknown_program_is_clean_exit(self):
         with pytest.raises(SystemExit, match="unknown program"):
-            main(["policyck", "--programs", "hanoi"])
+            main(["check", "policyck", "--programs", "hanoi"])
 
     def test_policy_names_in_help(self, capsys):
         with pytest.raises(SystemExit):
-            main(["policyck", "--help"])
+            main(["check", "policyck", "--help"])
         assert "policyck" in capsys.readouterr().out
 
 

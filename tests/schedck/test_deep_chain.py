@@ -27,7 +27,7 @@ from repro.schedck.workloads import deep_chain_case
 #: The pinned schedule: delete halves of every modify delayed behind
 #: the add halves, three workers racing on one queue.  The workload is
 #: the registry's ``deep-chain`` fixture, so the failure replays as
-#: ``python -m repro schedck --workload deep-chain --workers 3
+#: ``python -m repro check schedck --workload deep-chain --workers 3
 #: --policy adversarial:delay-deletes``.
 PINNED_SEED = 0
 PINNED_CONFIG = EngineConfig(n_workers=3, n_queues=1)

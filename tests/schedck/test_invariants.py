@@ -2,16 +2,12 @@
 
 from collections import Counter
 
+from repro.check import check_conflict_set
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WMEChange, WorkingMemory
 from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
-from repro.schedck.invariants import (
-    check_census,
-    check_conflict_set,
-    check_quiescence,
-    memory_census,
-)
+from repro.schedck.invariants import check_census, check_quiescence, memory_census
 
 PROGRAM = "(p r (c0 ^a <x>) (c1 ^a <x>) --> (halt))"
 
@@ -109,7 +105,7 @@ class TestQuiescence:
 
     def test_nonzero_taskcount_detected(self):
         violations = check_quiescence(0, self._FakeMatcher(value=3))
-        assert any(v.invariant == "taskcount" for v in violations)
+        assert any(v.kind == "taskcount" for v in violations)
 
     def test_negative_excursion_detected(self):
         violations = check_quiescence(0, self._FakeMatcher(min_value=-1))
@@ -117,4 +113,4 @@ class TestQuiescence:
 
     def test_parked_deletes_detected(self):
         violations = check_quiescence(2, self._FakeMatcher(pending=2))
-        assert any(v.invariant == "extra_deletes" for v in violations)
+        assert any(v.kind == "extra_deletes" for v in violations)

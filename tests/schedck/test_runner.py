@@ -48,9 +48,9 @@ class TestRunSchedule:
     def test_seed_reproduces_program_shape(self):
         a = run_schedule(29)
         b = run_schedule(29)
-        assert (a.n_rules, a.n_changes, a.n_batches, a.steps) == (
-            b.n_rules, b.n_changes, b.n_batches, b.steps
-        )
+        # The "program:" and "schedule:" lines carry rule, change, batch
+        # and decision counts.
+        assert len(a.body) == 2 and a.body == b.body
 
     def test_engine_error_reported_not_raised(self):
         # A pinned schedule on a broken network must come back as an
@@ -70,16 +70,12 @@ class TestSweep:
     def test_smoke_sweep_passes(self):
         result = sweep(24, base_seed=100)
         assert result.ok, result.format()
-        assert result.n_schedules == 24
+        assert len(result.reports) == 24
 
     def test_sweep_rotates_configs_and_policies(self):
-        seen = set()
-        result = sweep(
-            len(DEFAULT_GRID) * 2,
-            base_seed=200,
-            on_report=lambda r: seen.add((r.config, r.policy)),
-        )
+        result = sweep(len(DEFAULT_GRID) * 2, base_seed=200)
         assert result.ok, result.format()
+        seen = {r.describe().split(" ", 1)[1] for r in result.reports}
         assert len(seen) == len(DEFAULT_GRID) * 2
 
     def test_sweep_reports_failures(self):

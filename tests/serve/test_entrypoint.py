@@ -43,5 +43,5 @@ def test_python_dash_m_repro_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: repro")
-    for verb in ("run", "serve", "loadgen", "schedck"):
+    for verb in ("run", "serve", "loadgen", "check"):
         assert verb in proc.stdout

@@ -4,6 +4,8 @@ import asyncio
 import json
 import re
 
+import pytest
+
 from repro.ops5.interpreter import WMOp
 from repro.serve.limits import ServiceLimits
 from repro.serve.session import Busy
@@ -368,5 +370,31 @@ class TestShutdownDrain:
             assert all(f.done() for f in futs)
             assert (await futs[1]).outcome == "halted"
             assert server.sessions == {}
+
+        with_server(scenario)
+
+
+class TestOpenEngineOptionRules:
+    """``open`` is outside input: every bad engine option is answered
+    ``bad-request`` and the server keeps serving."""
+
+    @pytest.mark.parametrize("extra, needle", [
+        ({"engine": "warp"}, "unknown engine 'warp'"),
+        ({"engine": "threaded", "policy": "fifo"}, "unknown policy 'fifo'"),
+        ({"policy": "affinity"}, "policy 'affinity' requires"),
+        ({"engine": "threaded", "workers": 0}, "workers must be an integer in 1..16"),
+        ({"engine": "threaded", "workers": 17}, "workers must be an integer in 1..16"),
+        ({"engine": "threaded", "workers": "2"}, "workers must be an integer in 1..16"),
+    ])
+    def test_rejected_and_server_stays_alive(self, extra, needle):
+        async def scenario(server, reader, writer):
+            resp = await open_counter(reader, writer, **extra)
+            assert not resp["ok"]
+            assert resp["error"]["code"] == "bad-request"
+            assert needle in resp["error"]["message"]
+            assert not server.sessions
+            pong = await request(reader, writer, {"id": 2, "type": "ping"})
+            assert pong["pong"]
+            assert (await open_counter(reader, writer))["ok"]
 
         with_server(scenario)

@@ -51,6 +51,22 @@ class TestRun:
         assert out.count("tick") == 3
 
 
+class TestRunEngineOptionRules:
+    """Engine-option rejections reach ``repro run`` as a clean
+    ``SystemExit`` naming the verb (the rules live in repro.engines)."""
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--engine", "threaded", "--policy", "bogus"], "unknown policy 'bogus'"),
+        (["--policy", "affinity"], "threaded or mp"),
+        (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
+    ])
+    def test_rejected_with_verb_named(self, program_file, flags, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program_file, *flags])
+        assert str(exc.value).startswith("repro run: ")
+        assert needle in str(exc.value)
+
+
 class TestNetwork:
     def test_counts(self, program_file, capsys):
         assert main(["network", program_file]) == 0
@@ -85,42 +101,42 @@ class TestTables:
 
 class TestSchedck:
     def test_single_seed_exits_zero(self, capsys):
-        assert main(["schedck", "--seed", "42"]) == 0
+        assert main(["check", "schedck", "--seed", "42"]) == 0
         out = capsys.readouterr().out
         assert "schedck seed=42 policy=random config=1+2/1q/simple/64l" in out
-        assert "violations: 0" in out
+        assert "findings: 0" in out
 
     def test_report_deterministic_across_invocations(self, capsys):
-        main(["schedck", "--seed", "7", "--policy", "pct"])
+        main(["check", "schedck", "--seed", "7", "--policy", "pct"])
         first = capsys.readouterr().out
-        main(["schedck", "--seed", "7", "--policy", "pct"])
+        main(["check", "schedck", "--seed", "7", "--policy", "pct"])
         assert capsys.readouterr().out == first
 
     def test_config_flags_reach_report(self, capsys):
         assert main(
-            ["schedck", "--seed", "3", "--workers", "4", "--queues", "4",
+            ["check", "schedck", "--seed", "3", "--workers", "4", "--queues", "4",
              "--locks", "mrsw", "--policy", "adversarial:delay-plus"]
         ) == 0
         out = capsys.readouterr().out
         assert "policy=adversarial:delay-plus config=1+4/4q/mrsw/64l" in out
 
     def test_sweep_smoke(self, capsys):
-        assert main(["schedck", "--sweep", "4", "--seed", "100"]) == 0
+        assert main(["check", "schedck", "--sweep", "4", "--seed", "100"]) == 0
         out = capsys.readouterr().out
         assert "schedck sweep: 4 schedules, 0 failing, 0 truncated" in out
 
     def test_truncated_schedule_exits_nonzero(self, capsys):
-        assert main(["schedck", "--seed", "42", "--max-steps", "50"]) == 1
+        assert main(["check", "schedck", "--seed", "42", "--max-steps", "50"]) == 1
         assert "(truncated)" in capsys.readouterr().out
 
     def test_unknown_policy_is_clean_exit(self):
         with pytest.raises(SystemExit) as exc:
-            main(["schedck", "--policy", "bogus"])
+            main(["check", "schedck", "--policy", "bogus"])
         assert "unknown schedule policy" in str(exc.value)
 
     def test_zero_workers_is_clean_exit(self):
         with pytest.raises(SystemExit) as exc:
-            main(["schedck", "--workers", "0"])
+            main(["check", "schedck", "--workers", "0"])
         assert "match process" in str(exc.value)
 
 
@@ -385,11 +401,17 @@ class TestBench:
         assert len(lines) == 1 and json.loads(lines[0])["runid"] == "r1"
 
     def test_unchanged_tree_compares_clean(self, tmp_path, capsys):
-        """Acceptance: two runs of the same tree -> no regressions."""
+        """Acceptance: two runs of the same tree -> no regressions.
+
+        Gated on the stable (deterministic) metric family: these runs
+        are single-sample, so wall-clock metrics have no noise estimate
+        (MAD = 0) and would flag host jitter.  The same-runner wall-clock
+        noise gate is the ``perf-smoke`` CI job, with ``--repeat 3``."""
         assert self.bench_run(tmp_path, "r1") == 0
         assert self.bench_run(tmp_path, "r2") == 0
         capsys.readouterr()
-        assert main(["bench", "compare", "--out-dir", str(tmp_path)]) == 0
+        assert main(["bench", "compare", "--out-dir", str(tmp_path),
+                     "--stable-only"]) == 0
         out = capsys.readouterr().out
         assert "baseline r1 -> current r2" in out
         assert "regressed=0" in out
