@@ -165,8 +165,8 @@ class CorgiMatcher:
         else:
             deltas = self._apply_delete(change.wme, per_rule, obs_on)
 
-        for _ in deltas:
-            stats.record_activation("term")
+        stats.node_activations += len(deltas)
+        stats.term_activations += len(deltas)
         stats.cs_changes += len(deltas)
         if obs_on:
             _obs.span(
@@ -221,7 +221,8 @@ class CorgiMatcher:
             for slot in slots:
                 if slot.positive:
                     continue
-                stats.record_activation("not")
+                stats.node_activations += 1
+                stats.not_activations += 1
                 key = slot.right_key(wme)
                 dead = [
                     k
@@ -246,13 +247,13 @@ class CorgiMatcher:
                     if obs_on:
                         _obs.count("corgi.relink")
                 for slot in pos_touched:
-                    stats.record_activation("join")
+                    stats.node_activations += 1
                     for token in self._enumerate(rs, slot, wme):
                         rs.cs[token.key] = token
                         deltas.append(CSDelta(plan.production, token, ADD))
                         emitted += 1
             elif pos_touched:
-                stats.record_activation("join")
+                stats.node_activations += 1
                 self.counters["lazy_skips"] += 1
                 if obs_on:
                     _obs.count("corgi.lazy_skip")
@@ -288,7 +289,7 @@ class CorgiMatcher:
             pos_touched = any(s.positive for s in slots)
             neg_touched = any(not s.positive for s in slots)
             if pos_touched:
-                stats.record_activation("join")
+                stats.node_activations += 1
                 # Timetags are unique, so key membership means the WME
                 # is part of the instantiation, at whatever slot.
                 dead = [k for k in rs.cs if tt in k]
@@ -304,7 +305,8 @@ class CorgiMatcher:
                     if obs_on:
                         _obs.count("corgi.unlink")
             if neg_touched:
-                stats.record_activation("not")
+                stats.node_activations += 1
+                stats.not_activations += 1
                 # Removing a negated-slot WME can only *unblock*: re-sync
                 # against a fresh full derivation (skipped while
                 # unlinked, where the derivation is empty by definition).

@@ -217,6 +217,9 @@ class Production:
     ces: Tuple[ConditionElement, ...]
     actions: Tuple[Action, ...]
     line: int = 0
+    #: Computed once: conflict resolution reads it for every eligible
+    #: instantiation on every cycle.
+    _specificity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ces:
@@ -225,6 +228,15 @@ class Production:
             raise ValueError(
                 f"production {self.name}: first condition element may not be negated"
             )
+        total = 0
+        for ce in self.ces:
+            total += 1  # class test
+            for at in ce.tests:
+                if isinstance(at.test, Conjunction):
+                    total += len(at.test.tests)
+                else:
+                    total += 1
+        object.__setattr__(self, "_specificity", total)
 
     @property
     def positive_ces(self) -> Tuple[ConditionElement, ...]:
@@ -236,15 +248,7 @@ class Production:
         Counts the class test plus every attribute test (conjunctions
         count each contained test).
         """
-        total = 0
-        for ce in self.ces:
-            total += 1  # class test
-            for at in ce.tests:
-                if isinstance(at.test, Conjunction):
-                    total += len(at.test.tests)
-                else:
-                    total += 1
-        return total
+        return self._specificity
 
 
 @dataclass(frozen=True)

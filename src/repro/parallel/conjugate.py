@@ -6,79 +6,62 @@ cancels.  The paper's solution: park the early delete on the line's
 *extra-deletes list*; when the matching ``+`` arrives, both are
 discarded without further processing.
 
-:class:`ConjugateMemory` wraps any memory system with that behaviour:
+:class:`ConjugateMemory` is the hash memory plus those lists.  A node
+running in a non-strict :class:`~repro.rete.nodes.MatchContext` calls
+it around its own bucket work:
 
-* ``remove`` that finds no target parks the token key and reports
-  ``(None, examined)`` — the node then stops (no join);
-* ``insert`` first consults the parked deletes; on a hit it removes the
-  parked entry and returns ``False`` ("annihilated") so the node stops.
+* ``before_insert`` consults the parked deletes; on a hit it removes
+  the parked entry and returns True ("annihilated") so the node stores
+  nothing and stops;
+* ``before_remove`` precedes the node's scan for the delete target;
+* ``park`` records a delete whose scan found no target — the node then
+  stops (no join).
 
-All calls for a given (node, side, key) happen under that line's lock
-in the parallel engine, so the parked-delete dict needs no locking of
-its own beyond the GIL-atomicity of individual dict operations.
+``before_insert``/``before_remove`` are also the ``mem_insert`` /
+``mem_remove`` yield points the schedule harness interleaves threads
+on.  All calls for a given (node, side, key) happen under that line's
+lock in the parallel engine, so the parked-delete dict needs no locking
+of its own beyond the GIL-atomicity of individual dict operations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..rete.memories import MemorySystem
 from .hooks import yield_point
 
 
-class ConjugateMemory:
-    """Memory-system wrapper adding extra-deletes lists."""
+class ConjugateMemory(MemorySystem):
+    """Hash memory with extra-deletes lists."""
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.kind = inner.kind
+    def __init__(self, n_lines: int = 1024) -> None:
+        super().__init__("hash", n_lines)
         self._parked: Dict[Tuple[int, str, tuple], List[tuple]] = {}
         self.annihilations = 0
         self.parked_total = 0
 
-    # -- wrapped operations -------------------------------------------------
+    def before_insert(self, node_id: int, side: str, key: tuple, token_key: tuple) -> bool:
+        slot = (node_id, side, key)
+        yield_point("mem_insert", slot)
+        parked = self._parked.get(slot)
+        if not parked or token_key not in parked:
+            return False
+        parked.remove(token_key)
+        if not parked:
+            del self._parked[slot]
+        self.annihilations += 1
+        return True
 
-    def insert(self, node_id: int, side: str, key: tuple, item) -> bool:
-        yield_point("mem_insert", (node_id, side, key))
-        parked = self._parked.get((node_id, side, key))
-        if parked:
-            try:
-                parked.remove(item.key)
-            except ValueError:
-                pass
-            else:
-                self.annihilations += 1
-                if not parked:
-                    self._parked.pop((node_id, side, key), None)
-                return False
-        return self.inner.insert(node_id, side, key, item)
-
-    def remove(self, node_id: int, side: str, key: tuple, token_key: tuple):
+    def before_remove(self, node_id: int, side: str, key: tuple) -> None:
         yield_point("mem_remove", (node_id, side, key))
-        found, examined = self.inner.remove(node_id, side, key, token_key)
-        if found is None:
-            self._parked.setdefault((node_id, side, key), []).append(token_key)
-            self.parked_total += 1
-        return found, examined
 
-    # -- passthroughs ---------------------------------------------------------
-
-    def lookup_opposite(self, node_id: int, side: str, key: tuple):
-        return self.inner.lookup_opposite(node_id, side, key)
-
-    def side_size(self, node_id: int, side: str) -> int:
-        return self.inner.side_size(node_id, side)
-
-    def items(self, node_id: int, side: str):
-        return self.inner.items(node_id, side)
-
-    def line_of(self, node_id: int, key: tuple) -> int:
-        return self.inner.line_of(node_id, key)
-
-    def total_tokens(self) -> int:
-        return self.inner.total_tokens()
+    def park(self, node_id: int, side: str, key: tuple, token_key: tuple) -> None:
+        self._parked.setdefault((node_id, side, key), []).append(token_key)
+        self.parked_total += 1
 
     def clear(self) -> None:
-        self.inner.clear()
+        super().clear()
         self._parked.clear()
 
     @property

@@ -40,7 +40,6 @@ from ..obs import meter as _meter
 from ..obs.watchdog import ProbeSample, StallWatchdog
 from ..ops5.wme import WMEChange
 from ..rete import kernel
-from ..rete.memories import HashMemorySystem
 from ..rete.network import ReteNetwork
 from ..rete.nodes import Activation, CSDelta, MatchContext
 from ..rete.stats import MatchStats
@@ -84,7 +83,7 @@ class ParallelMatcher:
             raise ValueError("need at least one match process")
         self.network = network
         _flight.note_engine("threaded", n_workers)
-        self.memory = ConjugateMemory(HashMemorySystem(n_lines=n_lines))
+        self.memory = ConjugateMemory(n_lines)
         self.line_locks = make_line_locks(lock_scheme, n_lines)
         self.queues = TaskQueueSet(n_queues)
         self.policy = make_policy(policy)

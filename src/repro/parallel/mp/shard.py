@@ -70,7 +70,7 @@ class ShardMap:
 
     def line_of(self, node_id: int, key: tuple) -> int:
         """The hash line ``(node_id, key)`` lives on — identical to
-        :meth:`repro.rete.memories.HashMemorySystem.line_of`."""
+        :meth:`repro.rete.memories.MemorySystem.line_of`."""
         return stable_hash((node_id, key)) % self.n_lines
 
     def owner_of_line(self, line: int) -> int:

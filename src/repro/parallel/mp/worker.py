@@ -60,7 +60,6 @@ from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
 from ...rete import kernel
-from ...rete.memories import HashMemorySystem
 from ...rete.nodes import Activation, MatchContext
 from ...rete.stats import MatchStats
 from ...rete.token import Token
@@ -87,7 +86,7 @@ class _WorkerState:
         self.outbox = outbox
         self.taskcount = taskcount
         self.nodes = {node.node_id: node for node in network.beta_nodes}
-        self.memory = ConjugateMemory(HashMemorySystem(n_lines=shard.n_lines))
+        self.memory = ConjugateMemory(shard.n_lines)
         self.ctx = MatchContext(self.memory, MatchStats(), strict=False)
         self.local: List[Activation] = []
         #: Forwarded tasks absorbed mid-drain; their TaskCount units are

@@ -4,7 +4,7 @@ evaluation, instrumentation, and task-trace capture."""
 
 from .explain import describe_network, sharing_report, to_dot
 from .matcher import SequentialMatcher
-from .memories import HashMemorySystem, LinearMemorySystem, make_memory
+from .memories import MemorySystem
 from .network import ReteNetwork
 from .stats import MatchStats
 from .token import ADD, DELETE, Token
@@ -16,13 +16,11 @@ __all__ = [
     "sharing_report",
     "to_dot",
     "DELETE",
-    "HashMemorySystem",
-    "LinearMemorySystem",
     "MatchStats",
     "MatchTrace",
+    "MemorySystem",
     "ReteNetwork",
     "SequentialMatcher",
     "Token",
     "TraceRecorder",
-    "make_memory",
 ]

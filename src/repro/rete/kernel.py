@@ -63,11 +63,10 @@ def enter_change(
     ``route``.  Returns ``(alpha hits, constant tests)``."""
     hits, n_tests = alpha_pass(network, stats, wme, count)
     token = Token.single(wme)
-    roots = [
-        Activation(node, side, sign, token)
-        for terminal in hits
-        for node, side in terminal.successors
-    ]
+    roots: List[Activation] = []
+    for terminal in hits:
+        for node, side in terminal.successors:
+            roots.append(Activation(node, side, sign, token))
     if roots:
         route(roots)
     return len(hits), n_tests
@@ -185,10 +184,10 @@ def execute(
             if isinstance(node, JoinNode):
                 locks.enter_modify(line)
                 try:
-                    proceed = node.update_memory(ctx, act, key)
+                    stored = node.update_memory(ctx, act, key)
                 finally:
                     locks.exit_modify(line)
-                children = node.search_opposite(ctx, act, key) if proceed else []
+                children = [] if stored is None else node.search_opposite(ctx, act, key)
             else:
                 # Negated nodes mutate left-entry counts during the
                 # search, so the whole activation holds the

@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..obs import flight as _flight
 from ..ops5.wme import WMEChange
 from . import kernel
-from .memories import make_memory
+from .memories import MemorySystem
 from .network import ReteNetwork
 from .nodes import CSDelta, MatchContext
 from .stats import MatchStats
@@ -40,7 +40,7 @@ class SequentialMatcher:
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.network = network
-        self.memory = make_memory(memory, n_lines=n_lines)
+        self.memory = MemorySystem(memory, n_lines)
         self.stats = MatchStats()
         _flight.note_engine("sequential", 1)
         self.recorder = recorder

@@ -1,22 +1,28 @@
-"""Token memories: the paper's vs1 (linear lists) and vs2 (global hash
-tables) designs.
+"""Token memories: the paper's vs1 (linear lists) and vs2 (hash tables)
+designs, as one class.
 
-Both designs expose the same interface so the matcher and the node code
-are memory-agnostic:
+A :class:`MemorySystem` is the paper's two global tables, ``left`` and
+``right``, each mapping ``(node_id, key)`` to a *bucket* — a plain list
+of items.  It hands the tables out; the two-input nodes do the list
+work on a bucket (append, scan-and-delete, ``len``) inside their own
+activation frame, so a memory operation costs a dict lookup, not a
+call::
 
-* ``insert(node_id, side, key, item)``
-* ``remove(node_id, side, key, token_key)`` → ``(item | None, examined)``
-* ``lookup_opposite(node_id, side, key)`` → ``(items, examined)``
-* ``side_size(node_id, side)`` — total tokens stored for that node/side
-  (used for the paper's "opposite memory non-empty" statistic guard)
-* ``line_of(node_id, key)`` — the hash-table *line* (pair of
-  corresponding left/right buckets) an operation touches; this is what
-  the parallel implementations lock.
+    bucket = memory.left.get((node_id, key))      # None when empty
 
-``side`` is ``'L'`` or ``'R'``.  ``key`` is the tuple of values of the
-equality-tested variables (empty for cross-product nodes — which is
-precisely why cross-product productions pile into a single line and
-serialize, the Tourney phenomenon of §4.2).
+``key`` is the tuple of values of the equality-tested variables (empty
+for cross-product nodes — which is precisely why cross-product
+productions pile into a single line and serialize, the Tourney
+phenomenon of §4.2).  The linear design is the *unkeyed* case of the
+same layout: nodes file every token under the key ``()`` and evaluate
+all their tests, equality included, against each candidate — so an
+opposite-memory probe examines the whole opposite memory and a delete
+scans the whole same-side list, the counts of Tables 4-2/4-3.  A bucket
+that empties is dropped from its table.
+
+``line_of(node_id, key)`` is the hash-table *line* (pair of
+corresponding left/right buckets) an operation touches; this is what
+the parallel implementations lock.
 
 Items must expose a ``.key`` attribute (a tuple of WME timetags) used to
 locate them for deletion: plain :class:`~repro.rete.token.Token` for
@@ -26,7 +32,7 @@ join memories, :class:`NotEntry` for negated-node left memories.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from .token import Token
 
@@ -74,133 +80,43 @@ def stable_hash(value: Hashable) -> int:
     return zlib.crc32(repr(value).encode("utf-8"))
 
 
-class LinearMemorySystem:
-    """vs1: each node side keeps its tokens in one unordered linear list.
+Table = Dict[Tuple[int, tuple], List]
 
-    Every opposite-memory probe examines the *entire* opposite list;
-    every delete scans the same-side list to find its victim.  These
-    scan lengths are exactly the counts reported in Tables 4-2/4-3.
+
+class MemorySystem:
+    """The token memories of one matcher: two tables of buckets.
+
+    ``kind='hash'`` (vs2) keys buckets by the equality-test values and
+    spreads ``(node_id, key)`` over ``n_lines`` lines — several keys can
+    collide into one line, exactly like the fixed-size table of the C
+    implementation.  ``kind='linear'`` (vs1) is unkeyed: nodes pass
+    ``()`` for every key, and a node is its own pseudo-line.
     """
 
-    kind = "linear"
-
-    def __init__(self) -> None:
-        self._mem: Dict[Tuple[int, str], List] = {}
-
-    def clear(self) -> None:
-        self._mem.clear()
-
-    def insert(self, node_id: int, side: str, key: tuple, item) -> bool:
-        self._mem.setdefault((node_id, side), []).append(item)
-        return True
-
-    def remove(self, node_id: int, side: str, key: tuple, token_key: tuple):
-        bucket = self._mem.get((node_id, side))
-        if not bucket:
-            return None, 0
-        for i, item in enumerate(bucket):
-            if item.key == token_key:
-                bucket.pop(i)
-                return item, i + 1
-        return None, len(bucket)
-
-    def lookup_opposite(self, node_id: int, side: str, key: tuple):
-        other = RIGHT if side == LEFT else LEFT
-        bucket = self._mem.get((node_id, other), ())
-        return bucket, len(bucket)
-
-    def side_size(self, node_id: int, side: str) -> int:
-        return len(self._mem.get((node_id, side), ()))
-
-    def items(self, node_id: int, side: str) -> Iterator:
-        return iter(self._mem.get((node_id, side), ()))
-
-    def line_of(self, node_id: int, key: tuple) -> int:
-        # Linear memories have no hash lines; per-node pseudo-lines keep
-        # the trace machinery uniform.
-        return node_id
-
-    def total_tokens(self) -> int:
-        return sum(len(v) for v in self._mem.values())
-
-
-class HashMemorySystem:
-    """vs2: two global hash tables (left and right) for the whole network.
-
-    Buckets are keyed by ``(node_id, eq-values)``; a *line* is the pair
-    of corresponding left/right buckets, obtained by hashing the bucket
-    key into ``n_lines`` slots — multiple keys can collide into one
-    line, exactly like the fixed-size table of the C implementation.
-    """
-
-    kind = "hash"
-
-    def __init__(self, n_lines: int = 1024) -> None:
+    def __init__(self, kind: str = "hash", n_lines: int = 1024) -> None:
+        if kind not in ("hash", "linear"):
+            raise ValueError(f"unknown memory kind {kind!r}")
         if n_lines < 1:
             raise ValueError("n_lines must be >= 1")
+        self.kind = kind
+        self.keyed = kind == "hash"
         self.n_lines = n_lines
-        self._left: Dict[Tuple[int, tuple], List] = {}
-        self._right: Dict[Tuple[int, tuple], List] = {}
-        self._side_counts: Dict[Tuple[int, str], int] = {}
+        self.left: Table = {}
+        self.right: Table = {}
 
     def clear(self) -> None:
-        self._left.clear()
-        self._right.clear()
-        self._side_counts.clear()
-
-    def _table(self, side: str) -> Dict[Tuple[int, tuple], List]:
-        return self._left if side == LEFT else self._right
-
-    def insert(self, node_id: int, side: str, key: tuple, item) -> bool:
-        self._table(side).setdefault((node_id, key), []).append(item)
-        sk = (node_id, side)
-        self._side_counts[sk] = self._side_counts.get(sk, 0) + 1
-        return True
-
-    def remove(self, node_id: int, side: str, key: tuple, token_key: tuple):
-        table = self._table(side)
-        bucket = table.get((node_id, key))
-        if not bucket:
-            return None, 0
-        for i, item in enumerate(bucket):
-            if item.key == token_key:
-                bucket.pop(i)
-                if not bucket:
-                    del table[(node_id, key)]
-                sk = (node_id, side)
-                self._side_counts[sk] -= 1
-                return item, i + 1
-        return None, len(bucket)
-
-    def lookup_opposite(self, node_id: int, side: str, key: tuple):
-        other = RIGHT if side == LEFT else LEFT
-        bucket = self._table(other).get((node_id, key), ())
-        return bucket, len(bucket)
-
-    def side_size(self, node_id: int, side: str) -> int:
-        return self._side_counts.get((node_id, side), 0)
-
-    def items(self, node_id: int, side: str) -> Iterator:
-        table = self._table(side)
-        for (nid, _key), bucket in table.items():
-            if nid == node_id:
-                yield from bucket
+        self.left.clear()
+        self.right.clear()
 
     def line_of(self, node_id: int, key: tuple) -> int:
+        if not self.keyed:
+            return node_id
         return stable_hash((node_id, key)) % self.n_lines
-
-    def total_tokens(self) -> int:
-        return sum(self._side_counts.values())
 
     def bucket_sizes(self, side: str) -> List[int]:
         """Chain lengths per bucket — used by the hash-size ablation."""
-        return [len(b) for b in self._table(side).values()]
+        table = self.left if side == LEFT else self.right
+        return [len(bucket) for bucket in table.values()]
 
-
-def make_memory(kind: str, n_lines: int = 1024):
-    """Factory: ``kind`` is ``'linear'`` (vs1) or ``'hash'`` (vs2)."""
-    if kind == "linear":
-        return LinearMemorySystem()
-    if kind == "hash":
-        return HashMemorySystem(n_lines=n_lines)
-    raise ValueError(f"unknown memory kind {kind!r}")
+    def total_tokens(self) -> int:
+        return sum(self.bucket_sizes(LEFT)) + sum(self.bucket_sizes(RIGHT))

@@ -23,32 +23,32 @@ only caller and hands the children to whichever engine is scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from ..ops5.astnodes import Production
 from ..ops5.wme import WME
-from .memories import LEFT, RIGHT, NotEntry
-from .token import ADD, DELETE, Token
+from .memories import LEFT, NotEntry
+from .token import ADD, Token
 
 
-@dataclass
 class Activation:
     """One schedulable unit of match work: a token arriving at a node.
 
     This is the paper's *task*.  ``side`` is ``'L'``/``'R'`` for
-    two-input nodes and ``'L'`` for terminals.
+    two-input nodes and ``'L'`` for terminals.  ``parent`` is the tid of
+    the task whose output spawned this one; the kernel assigns it only
+    while a :class:`~repro.rete.trace.TraceRecorder` is attached.
     """
 
-    node: "BetaNode"
-    side: str
-    sign: int
-    token: Token
+    __slots__ = ("node", "side", "sign", "token", "parent")
 
-    #: tid of the task whose output spawned this one.  A plain class
-    #: default, not a field: the kernel assigns it per instance only
-    #: while a :class:`~repro.rete.trace.TraceRecorder` is attached.
-    parent = -1
+    def __init__(self, node: "BetaNode", side: str, sign: int, token: Token) -> None:
+        self.node = node
+        self.side = side
+        self.sign = sign
+        self.token = token
+        self.parent = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = "+" if self.sign == ADD else "-"
@@ -69,9 +69,12 @@ class MatchContext:
 
     ``strict`` controls what a two-input node does when a ``-`` token
     finds no stored ``+`` twin: in the sequential matcher (in-order
-    processing) that is a bug and raises; the parallel engine runs with
-    ``strict=False`` and a conjugate-aware memory wrapper that parks the
-    early delete on an extra-deletes list (§3.2).
+    processing) that is a bug and raises; the parallel engines run with
+    ``strict=False`` over a
+    :class:`~repro.parallel.conjugate.ConjugateMemory`, whose
+    extra-deletes lists (§3.2) the node then consults before every
+    store and parks the early delete on.  ``keyed`` is the memory's
+    hash-vs-linear choice, read once here instead of per activation.
     """
 
     __slots__ = (
@@ -79,6 +82,7 @@ class MatchContext:
         "stats",
         "cs_deltas",
         "strict",
+        "keyed",
         "tracing",
         "last_line",
         "last_opp_examined",
@@ -89,6 +93,7 @@ class MatchContext:
         self.memory = memory
         self.stats = stats
         self.strict = strict
+        self.keyed = memory.keyed
         self.tracing = tracing
         self.cs_deltas: List[CSDelta] = []
         # Per-activation probes, maintained only under `tracing`: the
@@ -187,30 +192,71 @@ class TwoInputNode(BetaNode):
         return True
 
     def key_for(self, side: str, token: Token) -> tuple:
+        """The hash key ``token`` is filed under on ``side`` — the
+        engines' line-routing helper (which line lock, which shard).
+        ``activate`` computes the same key inline."""
         if side == LEFT:
             return self.left_key_fn(token.wmes)
         return self.right_key_fn(token.wmes[-1])
 
-    def _filter_fn(self, memory) -> Callable:
-        # Hash memories already guarantee the equality tests via the
-        # bucket key; linear memories must re-check everything.
-        return self.tests_fn if memory.kind == "hash" else self.all_tests_fn
-
-    def _remove(self, ctx: MatchContext, side: str, key: tuple, token: Token):
-        """Delete ``token``'s stored twin from this node's ``side``
-        memory.  Returns the stored item, or None when the activation
-        must stop: no ``+`` twin was there, and the conjugate memory
-        wrapper parked the early delete on its extra-deletes list (a
-        strict context raises instead)."""
-        found, examined = ctx.memory.remove(self.node_id, side, key, token.key)
-        if examined:
-            ctx.stats.record_same_delete(side, examined)
+    def update_memory(self, ctx: MatchContext, act: Activation, key: tuple, item=None):
+        """Phase 1 (under the modification lock in the parallel engine):
+        store ``item`` (default: the token itself) in, or delete the
+        token's stored twin from, this node's same-side bucket for
+        ``key``.  Returns the item stored or deleted — or None when the
+        activation must stop: a conjugate pair annihilated, or an early
+        delete was parked (a strict context raises instead)."""
+        stats = ctx.stats
+        stats.node_activations += 1
+        memory = ctx.memory
+        node_id = self.node_id
+        side = act.side
+        token_key = act.token.key
         if ctx.tracing:
-            ctx.last_same_examined = examined
-        if found is None and ctx.strict:
-            raise RuntimeError(
-                f"delete of unknown token {token} at {self.kind} node {self.node_id}"
-            )
+            ctx.last_line = memory.line_of(node_id, key)
+        table = memory.left if side == LEFT else memory.right
+        slot = (node_id, key)
+
+        if act.sign == ADD:
+            if not ctx.strict and memory.before_insert(node_id, side, key, token_key):
+                return None
+            if item is None:
+                item = act.token
+            bucket = table.get(slot)
+            if bucket is None:
+                table[slot] = [item]
+            else:
+                bucket.append(item)
+            return item
+
+        if not ctx.strict:
+            memory.before_remove(node_id, side, key)
+        bucket = table.get(slot, ())
+        found = None
+        examined = 0
+        for stored in bucket:
+            examined += 1
+            if stored.key == token_key:
+                found = stored
+                del bucket[examined - 1]
+                if not bucket:
+                    del table[slot]
+                break
+        if examined:
+            if side == LEFT:
+                stats.same_del_examined_left += examined
+                stats.same_del_count_left += 1
+            else:
+                stats.same_del_examined_right += examined
+                stats.same_del_count_right += 1
+            if ctx.tracing:
+                ctx.last_same_examined = examined
+        if found is None:
+            if ctx.strict:
+                raise RuntimeError(
+                    f"delete of unknown token {act.token} at {self.kind} node {node_id}"
+                )
+            memory.park(node_id, side, key, token_key)
         return found
 
 
@@ -220,70 +266,61 @@ class JoinNode(TwoInputNode):
     kind = "join"
 
     def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
-        key = self.key_for(act.side, act.token)
-        proceed = self.update_memory(ctx, act, key)
-        if not proceed:
+        if not ctx.keyed:
+            key = ()
+        elif act.side == LEFT:
+            key = self.left_key_fn(act.token.wmes)
+        else:
+            key = self.right_key_fn(act.token.wmes[-1])
+        if self.update_memory(ctx, act, key) is None:
             return []
         return self.search_opposite(ctx, act, key)
 
-    def update_memory(self, ctx: MatchContext, act: Activation, key: tuple) -> bool:
-        """Phase 1 (under the modification lock in the parallel engine):
-        add/delete the token in this node's memory.  Returns False when
-        the activation should stop (conjugate-pair annihilation or a
-        parked early delete)."""
-        memory = ctx.memory
-        stats = ctx.stats
-        side = act.side
-        token = act.token
-        stats.record_activation("join")
-        if ctx.tracing:
-            ctx.last_line = memory.line_of(self.node_id, key)
-
-        if act.sign == ADD:
-            live = memory.insert(self.node_id, side, key, token)
-            if live is False:
-                # Annihilated by a parked early delete (conjugate pair).
-                return False
-        elif self._remove(ctx, side, key, token) is None:
-            # Parked early delete; do not join.
-            return False
-        return True
-
     def search_opposite(self, ctx: MatchContext, act: Activation, key: tuple) -> List[Activation]:
         """Phase 2 (outside the modification lock): scan the opposite
-        memory for consistent tokens and build child activations."""
+        bucket for consistent tokens and build child activations.  No
+        copy of the bucket is taken: whatever guards the line keeps the
+        other side's tokens out while this side searches."""
         memory = ctx.memory
-        stats = ctx.stats
         side = act.side
-        token = act.token
-        opposite, examined = memory.lookup_opposite(self.node_id, side, key)
+        opposite = (memory.right if side == LEFT else memory.left).get((self.node_id, key))
+        if not opposite:
+            # The paper's convention: an empty opposite memory is left
+            # out of the Table 4-2 average.
+            return []
+        stats = ctx.stats
+        examined = len(opposite)
         if ctx.tracing:
             ctx.last_opp_examined = examined
-        other = RIGHT if side == LEFT else LEFT
-        if memory.side_size(self.node_id, other) > 0:
-            stats.record_opposite(side, examined)
-        if not opposite:
-            return []
-
-        passes = self._filter_fn(memory)
+        # Hash buckets already guarantee the equality tests via the
+        # key; the unkeyed (linear) layout must re-check everything.
+        passes = self.tests_fn if ctx.keyed else self.all_tests_fn
+        token = act.token
+        sign = act.sign
+        children = self.children
         out: List[Activation] = []
         if side == LEFT:
+            stats.opp_examined_left += examined
+            stats.opp_count_left += 1
             wmes = token.wmes
-            for item in list(opposite):
+            token_key = token.key
+            for item in opposite:
                 w = item.wmes[0]
                 if passes(wmes, w):
-                    out.extend(
-                        Activation(child, LEFT, act.sign, token.extend(w))
-                        for child in self.children
-                    )
+                    joined = Token(wmes + (w,), token_key + (w.timetag,))
+                    for child in children:
+                        out.append(Activation(child, LEFT, sign, joined))
         else:
+            stats.opp_examined_right += examined
+            stats.opp_count_right += 1
             w = token.wmes[-1]
-            for item in list(opposite):
+            tail = (w,)
+            tag = (w.timetag,)
+            for item in opposite:
                 if passes(item.wmes, w):
-                    out.extend(
-                        Activation(child, LEFT, act.sign, item.extend(w))
-                        for child in self.children
-                    )
+                    joined = Token(item.wmes + tail, item.key + tag)
+                    for child in children:
+                        out.append(Activation(child, LEFT, sign, joined))
         stats.tokens_emitted += len(out)
         return out
 
@@ -298,67 +335,63 @@ class NotNode(TwoInputNode):
 
     kind = "not"
 
-    def _emit(self, sign: int, token: Token) -> List[Activation]:
-        return [
-            Activation(child, LEFT, sign, token)
-            for child in self.children
-        ]
-
     def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
         memory = ctx.memory
         stats = ctx.stats
+        stats.not_activations += 1
         side = act.side
+        sign = act.sign
         token = act.token
-        key = self.key_for(side, token)
-        stats.record_activation("not")
-        if ctx.tracing:
-            ctx.last_line = memory.line_of(self.node_id, key)
-        passes = self._filter_fn(memory)
-        out: List[Activation] = []
+        children = self.children
+        if not ctx.keyed:
+            key = ()
+            passes = self.all_tests_fn
+        else:
+            passes = self.tests_fn
+            if side == LEFT:
+                key = self.left_key_fn(token.wmes)
+            else:
+                key = self.right_key_fn(token.wmes[-1])
 
         if side == LEFT:
-            if act.sign == ADD:
-                opposite, examined = memory.lookup_opposite(self.node_id, side, key)
-                if ctx.tracing:
-                    ctx.last_opp_examined = examined
-                if memory.side_size(self.node_id, RIGHT) > 0:
-                    stats.record_opposite(side, examined)
-                wmes = token.wmes
-                count = sum(1 for item in opposite if passes(wmes, item.wmes[0]))
-                live = memory.insert(self.node_id, side, key, NotEntry(token, count))
-                if live is False:
-                    return []
-                if count == 0:
-                    out = self._emit(ADD, token)
+            if sign == ADD:
+                count = 0
+                rights = memory.right.get((self.node_id, key))
+                if rights:
+                    stats.opp_examined_left += len(rights)
+                    stats.opp_count_left += 1
+                    if ctx.tracing:
+                        ctx.last_opp_examined = len(rights)
+                    wmes = token.wmes
+                    for item in rights:
+                        if passes(wmes, item.wmes[0]):
+                            count += 1
+                entry = self.update_memory(ctx, act, key, NotEntry(token, count))
             else:
-                entry = self._remove(ctx, side, key, token)
-                if entry is None:
-                    return []
-                if entry.count == 0:
-                    out = self._emit(DELETE, token)
-        else:
-            w = token.wmes[-1]
-            if act.sign == ADD:
-                live = memory.insert(self.node_id, side, key, token)
-                if live is False:
-                    return []
-            elif self._remove(ctx, side, key, token) is None:
+                entry = self.update_memory(ctx, act, key)
+            if entry is None or entry.count:
                 return []
-            lefts, examined = memory.lookup_opposite(self.node_id, side, key)
-            if ctx.tracing:
-                ctx.last_opp_examined = examined
-            if memory.side_size(self.node_id, LEFT) > 0:
-                stats.record_opposite(side, examined)
-            for entry in lefts:
-                if passes(entry.token.wmes, w):
-                    if act.sign == ADD:
-                        entry.count += 1
-                        if entry.count == 1:
-                            out.extend(self._emit(DELETE, entry.token))
-                    else:
-                        entry.count -= 1
-                        if entry.count == 0:
-                            out.extend(self._emit(ADD, entry.token))
+            out = [Activation(child, LEFT, sign, token) for child in children]
+        else:
+            if self.update_memory(ctx, act, key) is None:
+                return []
+            out = []
+            lefts = memory.left.get((self.node_id, key))
+            if lefts:
+                stats.opp_examined_right += len(lefts)
+                stats.opp_count_right += 1
+                if ctx.tracing:
+                    ctx.last_opp_examined = len(lefts)
+                w = token.wmes[-1]
+                # A blocker arriving takes a count 0 -> 1 and retracts
+                # the left token; one leaving, 1 -> 0, re-asserts it.
+                edge = 1 if sign == ADD else 0
+                for entry in lefts:
+                    if passes(entry.token.wmes, w):
+                        entry.count += sign
+                        if entry.count == edge:
+                            for child in children:
+                                out.append(Activation(child, LEFT, -sign, entry.token))
         stats.tokens_emitted += len(out)
         return out
 
@@ -373,8 +406,10 @@ class TerminalNode(BetaNode):
         self.production = production
 
     def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
-        ctx.stats.record_activation("term")
-        ctx.stats.cs_changes += 1
+        stats = ctx.stats
+        stats.node_activations += 1
+        stats.term_activations += 1
+        stats.cs_changes += 1
         ctx.cs_deltas.append(CSDelta(self.production, act.token, act.sign))
         return []
 

@@ -9,13 +9,15 @@ Collects exactly the statistics the paper reports:
 * tokens examined in the *same* memory when locating the target of a
   delete, split by side (Table 4-3).
 
-The counters are plain integers bumped from the match inner loop, so
-keeping them cheap matters; derived means are computed on demand.
+The counters are plain integers bumped with ``+=`` from the match inner
+loop — no recording method stands between a node and its counter — and
+everything derived (the activation total, the per-kind view, the means)
+is computed on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
 
@@ -24,8 +26,14 @@ class MatchStats:
     """Counter block attached to a matcher for one run."""
 
     wme_changes: int = 0
+
+    # Node activations (Table 4-1): every beta node bumps the total,
+    # negated and terminal nodes their own kind as well — joins are the
+    # rest, so the code two-input nodes share counts without knowing
+    # which kind it runs for.
     node_activations: int = 0
-    activations_by_kind: Dict[str, int] = field(default_factory=dict)
+    not_activations: int = 0
+    term_activations: int = 0
 
     # Constant-test (alpha) network.
     constant_tests: int = 0
@@ -54,40 +62,18 @@ class MatchStats:
         engines' per-worker roll-up).  Walks the dataclass fields, so a
         counter added above is merged without being listed here."""
         for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(theirs, dict):
-                for key, n in theirs.items():
-                    mine[key] = mine.get(key, 0) + n
-            else:
-                setattr(self, f.name, mine + theirs)
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def record_activation(self, kind: str) -> None:
-        self.node_activations += 1
-        self.activations_by_kind[kind] = self.activations_by_kind.get(kind, 0) + 1
-
-    def record_opposite(self, side: str, examined: int) -> None:
-        """Record an opposite-memory scan of ``examined`` tokens.
-
-        Matches the paper's convention: activations finding an *empty*
-        opposite memory are excluded from the average.
-        """
-        if examined <= 0:
-            return
-        if side == "L":
-            self.opp_examined_left += examined
-            self.opp_count_left += 1
-        else:
-            self.opp_examined_right += examined
-            self.opp_count_right += 1
-
-    def record_same_delete(self, side: str, examined: int) -> None:
-        if side == "L":
-            self.same_del_examined_left += examined
-            self.same_del_count_left += 1
-        else:
-            self.same_del_examined_right += examined
-            self.same_del_count_right += 1
+    @property
+    def activations_by_kind(self) -> Dict[str, int]:
+        """Activations per node kind; a kind that never ran is absent."""
+        by_kind = {
+            "join": self.node_activations - self.not_activations - self.term_activations,
+            "not": self.not_activations,
+            "term": self.term_activations,
+        }
+        return {kind: n for kind, n in by_kind.items() if n}
 
     # -- derived means (the numbers printed in Tables 4-2 / 4-3) --------
 

@@ -26,9 +26,10 @@ NOT = "not"
 TERM = "term"
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
-    """One node activation = one schedulable task."""
+    """One node activation = one schedulable task.  Slotted: a trace
+    holds one per activation for as long as the simulator replays it."""
 
     tid: int
     parent: int              # -1 for first-level tasks (children of a change)

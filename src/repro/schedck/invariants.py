@@ -24,20 +24,20 @@ from typing import Counter as CounterT, List, Tuple
 
 from ..check import Finding, describe_diff
 from ..rete.memories import NotEntry
-from ..rete.network import ReteNetwork
 
 CensusKey = Tuple[int, str, tuple, int]
 
 
-def memory_census(memory, network: ReteNetwork) -> CounterT[CensusKey]:
+def memory_census(memory) -> CounterT[CensusKey]:
     """Multiset of ``(node_id, side, token_key, not_count)`` over all
-    two-input node memories (``not_count`` is -1 for plain tokens)."""
+    two-input node memories (``not_count`` is -1 for plain tokens) —
+    one walk over each table, however many nodes share it."""
     census: CounterT[CensusKey] = Counter()
-    for node in network.two_input_nodes():
-        for side in ("L", "R"):
-            for item in memory.items(node.node_id, side):
+    for side, table in (("L", memory.left), ("R", memory.right)):
+        for (node_id, _key), bucket in table.items():
+            for item in bucket:
                 count = item.count if isinstance(item, NotEntry) else -1
-                census[(node.node_id, side, item.key, count)] += 1
+                census[(node_id, side, item.key, count)] += 1
     return census
 
 

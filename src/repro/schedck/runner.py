@@ -131,8 +131,8 @@ def run_schedule(
         def invariants(bi, _batch, oracle):
             return check_quiescence(bi, matcher) + check_census(
                 bi,
-                memory_census(matcher.memory, net),
-                memory_census(oracle.memory, oracle.network),
+                memory_census(matcher.memory),
+                memory_census(oracle.memory),
             )
 
         try:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.memories import HashMemorySystem
 from repro.rete.token import Token
+from tests.rete.memdriver import NodeMemory
 
 
 def tok(tag: int) -> Token:
@@ -13,8 +13,8 @@ def tok(tag: int) -> Token:
 
 
 @pytest.fixture
-def memory() -> ConjugateMemory:
-    return ConjugateMemory(HashMemorySystem(n_lines=16))
+def memory() -> NodeMemory:
+    return NodeMemory(ConjugateMemory(n_lines=16))
 
 
 class TestConjugatePairs:

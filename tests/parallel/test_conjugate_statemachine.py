@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.memories import HashMemorySystem
 from repro.rete.token import Token
+from tests.rete.memdriver import NodeMemory
 
 NODES = (1, 2)
 SIDES = ("L", "R")
@@ -38,7 +38,7 @@ class ConjugateMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.memory = ConjugateMemory(HashMemorySystem(n_lines=8))
+        self.memory = NodeMemory(ConjugateMemory(n_lines=8))
         self.stored = Counter()
         self.parked = Counter()
         self.annihilations = 0
@@ -113,7 +113,7 @@ def test_conjugate_pairs_drain_in_any_order(tags, order):
         ops.append(("-", 10 * tag + i))
     order.shuffle(ops)
 
-    memory = ConjugateMemory(HashMemorySystem(n_lines=4))
+    memory = NodeMemory(ConjugateMemory(n_lines=4))
     out_of_order = 0
     live = set()
     for sign, tag in ops:

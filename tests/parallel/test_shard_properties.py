@@ -67,10 +67,10 @@ class TestSingleOwner:
     def test_line_matches_memory_system(self, node_id, key, n_lines):
         """Shard lines are the *same* lines the hash memories use, so
         line ownership really is ownership of the memory buckets."""
-        from repro.rete.memories import HashMemorySystem
+        from repro.rete.memories import MemorySystem
 
         shard = ShardMap(n_lines=n_lines, n_workers=3)
-        memory = HashMemorySystem(n_lines=n_lines)
+        memory = MemorySystem(n_lines=n_lines)
         assert shard.line_of(node_id, key) == memory.line_of(node_id, key)
 
 

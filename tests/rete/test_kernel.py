@@ -5,8 +5,8 @@ Two guards:
 * **Structure.**  An ``ast`` scan of ``src/repro`` proves that node
   activations, the alpha dispatch and the ``node_hit`` probe are called
   from :mod:`repro.rete.kernel` alone (``JoinNode.activate`` composing
-  its own two phases, and corgi's separate engine, are the named
-  exceptions).  A fourth hand-rolled loop in some engine fails here.
+  its own two phases, ``NotNode.activate`` using the shared phase 1,
+  and corgi's separate engine, are the named exceptions).  A fourth hand-rolled loop in some engine fails here.
 * **Instrumented once.**  With the bus on, the threaded and mp
   engines' per-node profiles equal their own ``MatchStats`` in total
   and per kind, and cover the node set the sequential matcher
@@ -83,17 +83,22 @@ class TestOneKernel:
         # Non-vacuity: the scan does see the kernel's own call sites.
         assert {(KERNEL, name) for name in ALLOWED} <= seen
 
-    def test_join_activate_is_the_only_phase_caller_in_nodes(self):
-        """``nodes.py`` may compose ``update_memory``/``search_opposite``
-        in exactly one place: ``JoinNode.activate``."""
+    def test_activate_methods_are_the_only_phase_callers_in_nodes(self):
+        """``nodes.py`` may compose the two phases in exactly one place,
+        ``JoinNode.activate``; the only other caller of the shared
+        phase 1 is ``NotNode.activate`` (a negated node searches and
+        updates under one lock, so it has no phase 2 of its own)."""
         tree = ast.parse((SRC / NODES).read_text())
-        callers = set()
+        callers = {"update_memory": set(), "search_opposite": set()}
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
                 for call in _calls(fn):
-                    if call.func.attr in ("update_memory", "search_opposite"):
-                        callers.add(f"{cls.name}.{fn.name}")
-        assert callers == {"JoinNode.activate"}
+                    if call.func.attr in callers:
+                        callers[call.func.attr].add(f"{cls.name}.{fn.name}")
+        assert callers == {
+            "update_memory": {"JoinNode.activate", "NotNode.activate"},
+            "search_opposite": {"JoinNode.activate"},
+        }
 
 
 PROGRAMS = {

@@ -1,16 +1,13 @@
-"""Unit tests for the linear (vs1) and hash (vs2) memory systems."""
+"""Unit tests for the linear (vs1) and hash (vs2) memory systems,
+driven through the node code that does their list work
+(:mod:`tests.rete.memdriver`)."""
 
 import pytest
 
-from repro.rete.memories import (
-    HashMemorySystem,
-    LinearMemorySystem,
-    NotEntry,
-    make_memory,
-    stable_hash,
-)
+from repro.rete.memories import MemorySystem, NotEntry, stable_hash
 from repro.ops5.wme import WME
 from repro.rete.token import Token
+from tests.rete.memdriver import NodeMemory
 
 
 def tok(*tags: int) -> Token:
@@ -19,7 +16,7 @@ def tok(*tags: int) -> Token:
 
 @pytest.fixture(params=["linear", "hash"])
 def memory(request):
-    return make_memory(request.param)
+    return NodeMemory(MemorySystem(request.param))
 
 
 class TestCommonBehaviour:
@@ -31,10 +28,13 @@ class TestCommonBehaviour:
         assert examined == 1
         assert memory.side_size(5, "L") == 0
 
-    def test_remove_missing_returns_none(self, memory):
+    def test_remove_missing_raises_when_strict(self, memory):
+        """In-order matching never deletes what it did not store (the
+        non-strict twin, parking, is tests/parallel/test_conjugate.py)."""
         memory.insert(5, "L", ("k",), tok(1))
-        found, _ = memory.remove(5, "L", ("k",), (99,))
-        assert found is None
+        with pytest.raises(RuntimeError, match="delete of unknown token"):
+            memory.remove(5, "L", ("k",), (99,))
+        assert memory.side_size(5, "L") == 1
 
     def test_side_size_tracks(self, memory):
         for i in range(4):
@@ -63,19 +63,20 @@ class TestCommonBehaviour:
     def test_items_iteration(self, memory):
         memory.insert(3, "L", ("a",), tok(1))
         memory.insert(3, "L", ("b",), tok(2))
-        assert len(list(memory.items(3, "L"))) == 2
+        assert memory.side_size(3, "L") == 2
+        assert memory.total_tokens() == 2
 
 
 class TestLinearScans:
     def test_opposite_examines_everything(self):
-        mem = LinearMemorySystem()
+        mem = NodeMemory(MemorySystem("linear"))
         for i in range(10):
             mem.insert(1, "R", (i,), tok(i))
         _, examined = mem.lookup_opposite(1, "L", (3,))
         assert examined == 10  # key ignored: full scan
 
     def test_delete_examines_up_to_position(self):
-        mem = LinearMemorySystem()
+        mem = NodeMemory(MemorySystem("linear"))
         tokens = [tok(i) for i in range(10)]
         for t in tokens:
             mem.insert(1, "L", (), t)
@@ -85,14 +86,14 @@ class TestLinearScans:
 
 class TestHashBuckets:
     def test_opposite_examines_bucket_only(self):
-        mem = HashMemorySystem()
+        mem = NodeMemory(MemorySystem("hash"))
         for i in range(10):
             mem.insert(1, "R", (i % 2,), tok(i))
         _, examined = mem.lookup_opposite(1, "L", (0,))
         assert examined == 5
 
     def test_empty_bucket_nonempty_memory(self):
-        mem = HashMemorySystem()
+        mem = NodeMemory(MemorySystem("hash"))
         mem.insert(1, "R", ("x",), tok(1))
         items, examined = mem.lookup_opposite(1, "L", ("y",))
         assert list(items) == []
@@ -100,26 +101,27 @@ class TestHashBuckets:
         assert mem.side_size(1, "R") == 1
 
     def test_bucket_cleanup_on_empty(self):
-        mem = HashMemorySystem()
+        mem = NodeMemory(MemorySystem("hash"))
         t = tok(1)
         mem.insert(1, "L", ("k",), t)
         mem.remove(1, "L", ("k",), t.key)
         assert mem.bucket_sizes("L") == []
+        assert mem.left == {}
 
     def test_line_of_stable_and_in_range(self):
-        mem = HashMemorySystem(n_lines=64)
+        mem = MemorySystem(n_lines=64)
         line = mem.line_of(7, ("red", 3))
         assert 0 <= line < 64
         assert line == mem.line_of(7, ("red", 3))
 
     def test_lines_differ_by_key(self):
-        mem = HashMemorySystem(n_lines=4096)
+        mem = MemorySystem(n_lines=4096)
         lines = {mem.line_of(7, (c,)) for c in ("a", "b", "c", "d", "e")}
         assert len(lines) > 1
 
     def test_n_lines_validation(self):
         with pytest.raises(ValueError):
-            HashMemorySystem(n_lines=0)
+            MemorySystem(n_lines=0)
 
 
 class TestStableHash:
@@ -152,9 +154,14 @@ class TestNotEntry:
 
 class TestFactory:
     def test_make_memory(self):
-        assert make_memory("linear").kind == "linear"
-        assert make_memory("hash").kind == "hash"
+        assert MemorySystem("linear").kind == "linear"
+        assert MemorySystem("hash").kind == "hash"
+        assert MemorySystem().keyed and not MemorySystem("linear").keyed
+
+    def test_linear_lines_are_per_node(self):
+        mem = MemorySystem("linear")
+        assert mem.line_of(7, ("red",)) == mem.line_of(7, ("blue",)) == 7
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_memory("btree")
+            MemorySystem("btree")

@@ -6,7 +6,7 @@ import pytest
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WME
 from repro.rete.matcher import SequentialMatcher
-from repro.rete.memories import make_memory
+from repro.rete.memories import MemorySystem
 from repro.rete.network import ReteNetwork
 from repro.rete.nodes import Activation, JoinNode, MatchContext, NotNode
 from repro.rete.stats import MatchStats
@@ -15,7 +15,7 @@ from repro.rete.token import ADD, DELETE, Token
 
 def build(src: str):
     network = ReteNetwork.compile(parse_program(src))
-    memory = make_memory("hash")
+    memory = MemorySystem("hash")
     ctx = MatchContext(memory, MatchStats(), strict=True)
     return network, memory, ctx
 
@@ -41,29 +41,29 @@ class TestJoinPhases:
         # Engine 2: explicit two-phase (what the parallel engine does).
         act_r = Activation(join2, "R", ADD, right)
         key_r = join2.key_for("R", right)
-        assert join2.update_memory(ctx2, act_r, key_r)
+        assert join2.update_memory(ctx2, act_r, key_r) is right
         join2.search_opposite(ctx2, act_r, key_r)
         act_l = Activation(join2, "L", ADD, left)
         key_l = join2.key_for("L", left)
-        assert join2.update_memory(ctx2, act_l, key_l)
+        assert join2.update_memory(ctx2, act_l, key_l) is left
         out2 = join2.search_opposite(ctx2, act_l, key_l)
 
         assert [a.token.key for a in out1] == [a.token.key for a in out2]
 
     def test_update_memory_false_stops_on_annihilation(self):
         from repro.parallel.conjugate import ConjugateMemory
-        from repro.rete.memories import HashMemorySystem
 
         net, _m, _ctx = build(self.SRC)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
-        memory = ConjugateMemory(HashMemorySystem(16))
+        memory = ConjugateMemory(16)
         ctx = MatchContext(memory, MatchStats(), strict=False)
         tok = Token.single(w("a", 3, x=1))
         key = join.key_for("L", tok)
         # Early delete parks; the matching add annihilates (False).
-        assert not join.update_memory(ctx, Activation(join, "L", DELETE, tok), key)
-        assert not join.update_memory(ctx, Activation(join, "L", ADD, tok), key)
-        assert memory.side_size(join.node_id, "L") == 0
+        assert join.update_memory(ctx, Activation(join, "L", DELETE, tok), key) is None
+        assert join.update_memory(ctx, Activation(join, "L", ADD, tok), key) is None
+        assert memory.total_tokens() == 0
+        assert (memory.parked_total, memory.annihilations) == (1, 1)
 
     def test_delete_emits_delete_children(self):
         net, _m, ctx = build(self.SRC)

@@ -165,12 +165,13 @@ def test_insertion_order_independence(source, ops):
 def test_memory_insert_remove_roundtrip(tags, key):
     """Inserting tokens and removing them in any order empties both
     memory systems and never loses a token."""
-    from repro.rete.memories import make_memory
+    from repro.rete.memories import MemorySystem
     from repro.rete.token import Token
     from repro.ops5.wme import WME
+    from tests.rete.memdriver import NodeMemory
 
     for kind in ("linear", "hash"):
-        mem = make_memory(kind)
+        mem = NodeMemory(MemorySystem(kind))
         tokens = [Token.single(WME.make("c", {}, t)) for t in tags]
         for t in tokens:
             mem.insert(1, "L", key, t)

@@ -40,35 +40,79 @@ class TestToken:
     def test_str(self):
         assert str(Token.of((w(1), w(2)))) == "[1 2]"
 
+    def test_equality_and_hash_are_by_value(self):
+        """The conflict set and ``Instantiation`` key on tokens."""
+        a, b = Token.single(w(1)).extend(w(2)), Token.of((w(1), w(2)))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Token.of((w(1), w(3)))
+        assert a != (a.wmes, a.key)
+
+    def test_pickle_round_trip(self):
+        """Tokens cross the mp engine's pipes."""
+        import pickle
+
+        t = Token.of((w(4), w(5)))
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.key == (4, 5)
+        assert not hasattr(back, "__dict__")
+
+
+class TestActivation:
+    def test_parent_defaults_to_no_parent_and_is_assignable(self):
+        """The kernel assigns ``parent`` only under a TraceRecorder."""
+        from repro.rete.nodes import Activation
+
+        act = Activation(None, "L", ADD, Token.single(w(1)))
+        assert act.parent == -1
+        act.parent = 7
+        assert act.parent == 7
+        assert not hasattr(act, "__dict__")
+
 
 class TestMatchStats:
     def test_record_activation_by_kind(self):
+        """Every beta node bumps the total, not/term nodes their own
+        counter too; joins are the rest, and unseen kinds are absent."""
         s = MatchStats()
-        s.record_activation("join")
-        s.record_activation("join")
-        s.record_activation("term")
+        s.node_activations += 3
+        s.term_activations += 1
         assert s.node_activations == 3
         assert s.activations_by_kind == {"join": 2, "term": 1}
 
     def test_opposite_means(self):
-        s = MatchStats()
-        s.record_opposite("L", 4)
-        s.record_opposite("L", 8)
-        s.record_opposite("R", 2)
+        s = MatchStats(
+            opp_examined_left=12, opp_count_left=2,
+            opp_examined_right=2, opp_count_right=1,
+        )
         assert s.mean_opp_left == 6.0
         assert s.mean_opp_right == 2.0
 
     def test_zero_examined_ignored(self):
-        # The paper counts only activations with non-empty opposite
-        # memories; zero-scan probes never reach record_opposite.
-        s = MatchStats()
-        s.record_opposite("L", 0)
-        assert s.opp_count_left == 0
+        """The paper counts only activations that find something to
+        examine: a probe of an empty bucket — here with a non-empty
+        opposite *memory* — stays out of the Table 4-2 average."""
+        from repro.ops5.parser import parse_program
+        from repro.rete.matcher import SequentialMatcher
+        from repro.rete.network import ReteNetwork
+        from repro.ops5.wme import WMEChange
+
+        network = ReteNetwork.compile(
+            parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
+        )
+        matcher = SequentialMatcher(network)
+        matcher.process_changes([
+            WMEChange(1, WME.make("b", {"y": 1}, 1)),
+            WMEChange(1, WME.make("a", {"x": 2}, 2)),
+        ])
+        s = matcher.stats
+        assert s.node_activations == 2
+        assert (s.opp_count_left, s.opp_count_right) == (0, 0)
         assert s.mean_opp_left == 0.0
 
     def test_same_delete_means(self):
-        s = MatchStats()
-        s.record_same_delete("R", 10)
+        s = MatchStats(same_del_examined_right=10, same_del_count_right=1)
         assert s.mean_same_del_right == 10.0
         assert s.mean_same_del_left == 0.0
 
@@ -80,21 +124,20 @@ class TestMatchStats:
         def block(base):
             stats = MatchStats()
             for i, f in enumerate(fields(MatchStats)):
-                if f.name != "activations_by_kind":
-                    setattr(stats, f.name, base + i)
+                setattr(stats, f.name, base + i)
             return stats
 
         a, b = block(100), block(1000)
-        a.activations_by_kind = {"join": 3, "term": 1}
-        b.activations_by_kind = {"join": 4, "not": 2}
         merged = MatchStats().merge(a).merge(b)
         for i, f in enumerate(fields(MatchStats)):
-            if f.name != "activations_by_kind":
-                assert getattr(merged, f.name) == 1100 + 2 * i, f.name
-        assert merged.activations_by_kind == {"join": 7, "term": 1, "not": 2}
-        # The operands are left alone.
-        assert a.activations_by_kind == {"join": 3, "term": 1}
-        assert b.wme_changes == 1000
+            assert getattr(merged, f.name) == 1100 + 2 * i, f.name
+        # The per-kind view follows from the merged counters.
+        a, b = MatchStats(node_activations=4, term_activations=1), MatchStats(
+            node_activations=6, not_activations=2
+        )
+        assert a.merge(b).activations_by_kind == {"join": 7, "not": 2, "term": 1}
+        # The operand is left alone.
+        assert b.activations_by_kind == {"join": 4, "not": 2}
 
     def test_summary_keys(self):
         s = MatchStats()

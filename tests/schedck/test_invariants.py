@@ -21,41 +21,49 @@ def matched_memory():
     return matcher, network
 
 
+def right_item(matcher, node):
+    """Some token stored in ``node``'s right memory."""
+    return next(
+        item
+        for (node_id, _key), bucket in matcher.memory.right.items()
+        if node_id == node.node_id
+        for item in bucket
+    )
+
+
 class TestMemoryCensus:
     def test_equal_memories_pass(self):
         matcher, network = matched_memory()
-        census = memory_census(matcher.memory, network)
+        census = memory_census(matcher.memory)
         assert census  # both sides of the join hold a token
         assert check_census(0, Counter(census), Counter(census)) == []
 
     def test_orphaned_token_detected(self):
         matcher, network = matched_memory()
-        expected = memory_census(matcher.memory, network)
+        expected = memory_census(matcher.memory)
         node = network.two_input_nodes()[0]
-        extra = next(iter(matcher.memory.items(node.node_id, "R")))
-        matcher.memory.insert(node.node_id, "R", ("orphan",), extra)
-        violations = check_census(0, memory_census(matcher.memory, network), expected)
+        extra = right_item(matcher, node)
+        matcher.memory.right[(node.node_id, ("orphan",))] = [extra]
+        violations = check_census(0, memory_census(matcher.memory), expected)
         assert violations
         assert "extra" in violations[0].detail
 
     def test_duplicated_token_detected(self):
         matcher, network = matched_memory()
-        expected = memory_census(matcher.memory, network)
+        expected = memory_census(matcher.memory)
         node = network.two_input_nodes()[0]
-        item = next(iter(matcher.memory.items(node.node_id, "R")))
-        key = node.key_for("R", item)
-        matcher.memory.insert(node.node_id, "R", key, item)
-        violations = check_census(0, memory_census(matcher.memory, network), expected)
+        item = right_item(matcher, node)
+        matcher.memory.right[(node.node_id, node.key_for("R", item))].append(item)
+        violations = check_census(0, memory_census(matcher.memory), expected)
         assert any("duplicated" in v.detail for v in violations)
 
     def test_lost_token_detected(self):
         matcher, network = matched_memory()
-        expected = memory_census(matcher.memory, network)
+        expected = memory_census(matcher.memory)
         node = network.two_input_nodes()[0]
-        item = next(iter(matcher.memory.items(node.node_id, "R")))
-        key = node.key_for("R", item)
-        matcher.memory.remove(node.node_id, "R", key, item.key)
-        violations = check_census(0, memory_census(matcher.memory, network), expected)
+        item = right_item(matcher, node)
+        matcher.memory.right[(node.node_id, node.key_for("R", item))].remove(item)
+        violations = check_census(0, memory_census(matcher.memory), expected)
         assert violations
         assert "missing" in violations[0].detail
 

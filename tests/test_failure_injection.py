@@ -11,9 +11,9 @@ from repro.ops5.wme import WME, WMEChange, WorkingMemory
 from repro.parallel.conjugate import ConjugateMemory
 from repro.parallel.engine import ParallelMatcher
 from repro.rete.matcher import SequentialMatcher
-from repro.rete.memories import HashMemorySystem
 from repro.rete.network import ReteNetwork
 from repro.rete.token import Token
+from tests.rete.memdriver import NodeMemory
 
 
 class TestSequentialStrictness:
@@ -88,7 +88,7 @@ class TestConjugateAccounting:
             matcher.close()
 
     def test_conjugate_memory_isolates_nodes(self):
-        memory = ConjugateMemory(HashMemorySystem(16))
+        memory = NodeMemory(ConjugateMemory(16))
         memory.remove(1, "L", (), (5,))
         # The park must not leak into other nodes' inserts.
         assert memory.insert(2, "L", (), Token.single(WME.make("c", {}, 5))) is True
