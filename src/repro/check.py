@@ -32,12 +32,12 @@ the case actually ran with, so pasting it re-runs that case.
 from __future__ import annotations
 
 import argparse
-import importlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from .cli import Registry, Verb
 from .ops5.parser import parse_program
 from .ops5.wme import WMEChange
 from .programs import blocks, crossfire, monkey, negchain, rubik, tourney, weaver
@@ -353,50 +353,37 @@ def diff_runs(got: dict, reference: dict) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# The registry and the one CLI handler
+# The registry behind ``repro check``
 
 
-@dataclass(frozen=True)
-class Battery:
-    """One registration: a name, its flags, and how to run them."""
+def battery(
+    name: str,
+    help: str,
+    add_arguments: Callable[[argparse.ArgumentParser], None],
+    run: Callable[[argparse.Namespace], Union[Report, Sweep]],
+) -> Verb:
+    """Register a battery as a verb: ``run`` maps parsed flags to the
+    outcome (a bad flag value raises ``ValueError``); the verb prints it
+    and exits 0 iff the proof held."""
 
-    name: str
-    help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    #: Parsed flags -> outcome; a bad flag value raises ``ValueError``.
-    run: Callable[[argparse.Namespace], Union[Report, Sweep]]
+    def verb_run(args: argparse.Namespace) -> int:
+        result = run(args)
+        print(result.format())
+        return 0 if result.ok else 1
+
+    return Verb(name, help, add_arguments, verb_run)
 
 
-#: Battery name -> the module whose ``BATTERY`` registers it.  Modules
-#: are imported on first use so the other verbs (``repro serve`` start-up
-#: above all) do not pay for the proof harnesses.
-BATTERIES: Dict[str, str] = {
-    "schedck": "repro.schedck.runner",
-    "corgick": "repro.corgi.diffcheck",
-    "policyck": "repro.parallel.policyck",
+#: Battery name -> (module whose ``VERBS`` registers it, summary).
+#: Modules are imported on first use so the other verbs (``repro serve``
+#: start-up above all) do not pay for the proof harnesses.
+BATTERIES: Registry = {
+    "schedck": ("repro.schedck.runner",
+                "deterministic schedule exploration of the threaded engine"),
+    "corgick": ("repro.corgi.diffcheck",
+                "differential fuzzing of the corgi engine"),
+    "policyck": ("repro.parallel.policyck",
+                 "every dispatch/placement policy x engine x program"),
 }
 
-
-def battery(name: str) -> Battery:
-    return importlib.import_module(BATTERIES[name]).BATTERY
-
-
-def battery_parser(name: str) -> argparse.ArgumentParser:
-    """The flag parser of one battery, as ``repro check NAME`` uses it."""
-    registered = battery(name)
-    parser = argparse.ArgumentParser(
-        prog=f"repro check {name}", description=registered.help
-    )
-    registered.add_arguments(parser)
-    return parser
-
-
-def main(args: argparse.Namespace) -> int:
-    """``repro check BATTERY [flags...]``: exit 0 iff the proof held."""
-    opts = battery_parser(args.battery).parse_args(args.argv)
-    try:
-        result = battery(args.battery).run(opts)
-    except ValueError as exc:
-        raise SystemExit(f"repro check {args.battery}: {exc}")
-    print(result.format())
-    return 0 if result.ok else 1
+VERBS = {"check": BATTERIES}

@@ -156,9 +156,8 @@ def _run(args: argparse.Namespace):
     return run_seed(args.seed, profile=args.profile)
 
 
-BATTERY = check.Battery(
+VERBS = {"corgick": check.battery(
     "corgick",
     "differential fuzzing of the corgi engine vs sequential",
-    _add_arguments,
-    _run,
-)
+    _add_arguments, _run,
+)}

@@ -47,6 +47,7 @@ from ..obs import events as _obs
 from ..obs import flight as _flight
 from ..ops5.wme import WME, WMEChange
 from ..rete.kernel import alpha_pass
+from ..rete.matcher import Matcher
 from ..rete.network import ReteNetwork
 from ..rete.nodes import CSDelta
 from ..rete.stats import MatchStats
@@ -99,7 +100,7 @@ class _RuleState:
         return self.linked
 
 
-class CorgiMatcher:
+class CorgiMatcher(Matcher):
     """Bounded-cost match backend over a compiled Rete network.
 
     Drop-in for :class:`~repro.rete.matcher.SequentialMatcher`: same
@@ -177,9 +178,6 @@ class CorgiMatcher:
                 args={"sign": change.sign, "alpha_hits": len(hits)},
             )
         return deltas
-
-    def close(self) -> None:
-        """Nothing to release; present for engine-contract uniformity."""
 
     # -- introspection (property tests, serve inspect) -------------------
 

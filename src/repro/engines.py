@@ -5,6 +5,12 @@ the conformance suite all pick match backends by name through this
 module, so adding a fourth engine means adding one entry here (and one
 fixture line in ``tests/conformance/``).
 
+It is also the one place that knows how a command line becomes an
+engine: :func:`add_engine_arguments` declares the flags,
+:func:`engine_from_args` resolves them, and every program-running verb
+goes through :func:`interpreter_from_args` — the paper's one control
+process, parameterised.
+
 Engines:
 
 ``sequential``
@@ -38,8 +44,11 @@ Engines:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import argparse
+import sys
+from typing import Dict, Optional, Tuple
 
+from .cli import Verb
 from .rete.network import ReteNetwork
 
 #: Every engine name accepted by ``make_matcher`` / ``--engine`` /
@@ -65,9 +74,10 @@ def check_engine_opts(
     """Every rule about which options an engine accepts, in one place.
 
     Raises ``ValueError`` naming the offending value; :func:`make_matcher`
-    applies it, and the CLI and the serve ``open`` handler call it on
-    their raw input and map the error to their own surface
-    (``SystemExit``, ``bad-request``).  Options that are merely unused
+    applies it, and :func:`engine_from_args` (every command line) and the
+    serve ``open`` handler call it on their raw input; the front door
+    and the server map the error to their own surface (``SystemExit``,
+    ``bad-request``).  Options that are merely unused
     by an engine (``n_workers`` on sequential) are not errors; ones that
     would be a silent no-op the caller asked for by name are.
     """
@@ -154,3 +164,146 @@ def make_matcher(
     from .corgi.engine import CorgiMatcher
 
     return CorgiMatcher(network)
+
+
+# ---------------------------------------------------------------------------
+# From a command line to a running engine
+
+
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine flags — declared here and nowhere else.  A default of
+    ``None`` means "not given": the value stays :func:`make_matcher`'s."""
+    g = parser.add_argument_group("engine")
+    g.add_argument("--engine", choices=list(ENGINE_NAMES),
+                   help="match backend (default sequential): threaded is GIL-bound, "
+                        "mp forks one process per worker (real speedup, stitched "
+                        "traces), corgi is the lazy bounded-cost matcher")
+    g.add_argument("--workers", type=int,
+                   help="match workers for --engine threaded/mp (default 2)")
+    g.add_argument("--parallel", type=int, default=0, metavar="K",
+                   help="shorthand for --engine threaded --workers K")
+    g.add_argument("--queues", type=int,
+                   help="task queues for --engine threaded (default 1)")
+    g.add_argument("--locks", choices=["simple", "mrsw"],
+                   help="line-lock scheme for --engine threaded (default simple)")
+    g.add_argument("--policy",
+                   help="dispatch/placement policy for --engine threaded/mp: "
+                        "round-robin (default), affinity, least-loaded, "
+                        "work-stealing, rebalance")
+    g.add_argument("--memory", choices=["hash", "linear"],
+                   help="token memories of the sequential engine (default hash)")
+    g.add_argument("--strategy", choices=["lex", "mea"], default="lex",
+                   help="conflict-resolution strategy")
+    g.add_argument("--watchdog", type=float, metavar="S",
+                   help="stall watchdog for threaded/mp: trip after S seconds "
+                        "of pending work with no progress")
+    g.add_argument("--watchdog-dump", metavar="FILE",
+                   help="write the watchdog diagnostic bundle here on trip")
+
+
+def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
+    """The ``(engine, engine_opts)`` the engine flags ask for; a bad
+    combination is a ``ValueError`` (:func:`check_engine_opts`).
+
+    ``--parallel K`` is resolved here — it *is* ``--engine threaded
+    --workers K``, so any other explicit value contradicts it.
+    """
+    engine, workers = ns.engine, ns.workers
+    if ns.parallel:
+        if engine not in (None, "threaded") or workers not in (None, ns.parallel):
+            raise ValueError(
+                f"--parallel {ns.parallel} means --engine threaded --workers "
+                f"{ns.parallel}; it cannot be combined with a different "
+                "--engine or --workers"
+            )
+        engine, workers = "threaded", ns.parallel
+    engine = engine or "sequential"
+    check_engine_opts(engine, policy=ns.policy, watchdog_s=ns.watchdog)
+    given = {
+        "memory": ns.memory,
+        "n_workers": workers,
+        "n_queues": ns.queues,
+        "lock_scheme": ns.locks,
+        "policy": ns.policy,
+        "watchdog_s": ns.watchdog or None,
+        "watchdog_dump": ns.watchdog_dump,
+    }
+    return engine, {k: v for k, v in given.items() if v is not None}
+
+
+def add_program_arguments(parser: argparse.ArgumentParser) -> None:
+    """What every program-running verb takes: the program, the engine
+    flags and the cycle budget."""
+    from . import programs  # not at module level: serve start-up imports us
+
+    parser.add_argument("file", metavar="PROGRAM",
+                        help="program file, or builtin: " + " | ".join(programs.__all__))
+    add_engine_arguments(parser)
+    parser.add_argument("--max-cycles", type=int, default=100000)
+
+
+def interpreter_from_args(ns: argparse.Namespace, **kwargs):
+    """The interpreter a program-running command line asks for — the one
+    construction ``run``, ``trace``, ``top`` and ``obs flight`` share."""
+    from . import programs
+    from .ops5.interpreter import Interpreter
+
+    engine, engine_opts = engine_from_args(ns)
+    program = programs.load(ns.file)
+    with programs.named_errors(ns.file):  # semantic errors surface at compile
+        return Interpreter(program, strategy=ns.strategy, engine=engine,
+                           engine_opts=engine_opts, **kwargs)
+
+
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    add_program_arguments(p)
+    p.add_argument("--mode", choices=["compiled", "interpreted"], default="compiled")
+    p.add_argument("--stats", action="store_true",
+                   help="print cycle and match counters to stderr")
+    p.add_argument("--trace", action="store_true", help="list the firings on stderr")
+    p.add_argument("--flight-dump", metavar="FILE",
+                   help="write a flight-recorder snapshot here on unhandled "
+                        "engine error")
+
+
+def _run(args: argparse.Namespace) -> int:
+    if args.flight_dump:
+        from .obs import flight
+
+        flight.set_dump_path(args.flight_dump)
+    with interpreter_from_args(args, mode=args.mode) as interp:
+        result = interp.run(max_cycles=args.max_cycles)
+        watchdog = interp.matcher.watchdog
+    if watchdog is not None and watchdog.tripped:
+        print(
+            f"repro run: watchdog tripped {watchdog.trips}x "
+            f"(stuck queue: {watchdog.bundles[-1].get('stuck_queue')})",
+            file=sys.stderr,
+        )
+    for line in result.output:
+        print(line)
+    if args.trace:
+        print("\nfirings:", file=sys.stderr)
+        for firing in result.firings:
+            print(
+                f"  {firing.cycle:5d}  {firing.production}  {firing.timetags}",
+                file=sys.stderr,
+            )
+    if args.stats:
+        stats = interp.stats
+        print(
+            f"\ncycles={result.cycles} halted={result.halted} "
+            f"wm_changes={stats.wme_changes} "
+            f"activations={stats.node_activations} "
+            f"match_seconds={interp.matcher.match_seconds:.3f}",
+            file=sys.stderr,
+        )
+    return 0
+
+
+VERBS = {"run": Verb(
+    "run",
+    "Run an OPS5 program (a file or a builtin name) to halt, quiescence or "
+    "--max-cycles on any match engine, and print its output.",
+    _add_run_arguments, _run,
+)}

@@ -10,9 +10,11 @@ Multimax (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from ..cli import Verb
 from . import paperdata
 from .paperdata import PROCS, PROGRAMS, QUEUES_MULTI
 from .tables import render_table
@@ -348,3 +350,23 @@ ALL_TABLES = {
 def run_all() -> List[ExperimentResult]:
     """Regenerate every table (used by ``examples/full_reproduction.py``)."""
     return [fn() for fn in ALL_TABLES.values()]
+
+
+def _tables(args) -> int:
+    selected = args.ids or list(ALL_TABLES)
+    unknown = [t for t in selected if t not in ALL_TABLES]
+    if unknown:
+        print(f"unknown tables: {unknown}; available: {sorted(ALL_TABLES)}", file=sys.stderr)
+        return 2
+    for table_id in selected:
+        print(ALL_TABLES[table_id]().report)
+        print()
+    return 0
+
+
+VERBS = {"tables": Verb(
+    "tables",
+    "Regenerate the paper's tables, paper vs measured (all of them by default): "
+    + ", ".join(ALL_TABLES) + ".",
+    lambda p: p.add_argument("ids", nargs="*", metavar="ID"), _tables,
+)}

@@ -95,9 +95,9 @@ def nearest_rank(ordered: Sequence[float], p: float) -> float:
     """Nearest-rank percentile over an already-sorted sequence.
 
     ``p`` must lie in [0, 100]; p=0 returns the minimum (rank clamps to
-    1) and p=100 the maximum.  The one percentile in the tree: meter
-    accounts, the serve :class:`~repro.serve.metrics.LatencyWindow` and
-    the loadgen report all call it, so they never disagree.
+    1) and p=100 the maximum.  The one percentile in the tree:
+    :class:`SampleRing` (meter accounts, the serve ``LatencyWindow``)
+    and the loadgen report all call it, so they never disagree.
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
@@ -105,6 +105,63 @@ def nearest_rank(ordered: Sequence[float], p: float) -> float:
         raise ValueError("percentile of an empty sequence")
     rank = max(1, -(-len(ordered) * p // 100))  # ceil without math
     return ordered[int(rank) - 1]
+
+
+class SampleRing:
+    """The most recent ``capacity`` samples, for nearest-rank percentiles
+    — the one sample window in the tree (meter accounts hold
+    milliseconds in it, the serve ``LatencyWindow`` seconds)."""
+
+    __slots__ = ("capacity", "_samples", "_next")
+
+    def __init__(self, capacity: int = SAMPLE_CAPACITY) -> None:
+        self.capacity = capacity
+        self._samples: List[float] = []
+        self._next = 0
+
+    def record(self, value: float) -> None:
+        if len(self._samples) < self.capacity:
+            self._samples.append(value)
+        else:
+            self._samples[self._next] = value
+            self._next = (self._next + 1) % self.capacity
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def percentiles(self, *ps: float) -> List[float]:
+        """Nearest-rank percentiles (each ``p`` in [0, 100], else
+        ``ValueError``) over the window, sorted once; 0.0 each while
+        the window is empty."""
+        ordered = sorted(self._samples) or [0.0]
+        return [nearest_rank(ordered, p) for p in ps]
+
+
+def count_under(buckets_ms: Sequence[float], counts: Sequence[int],
+                target_ms: float) -> int:
+    """How many histogram observations were <= ``target_ms``, resolved
+    at bucket granularity (the tightest bucket bound <= target counts).
+    ``counts`` are per-bucket; a trailing +Inf count is ignored."""
+    return sum(c for le, c in zip(buckets_ms, counts) if le <= target_ms)
+
+
+def slo_verdict(objective: SLObjective, total: int, good: int) -> Dict[str, Any]:
+    """One objective's report — achieved fraction and burn rate — from
+    ``good`` of ``total`` transactions under its target.  The one SLO
+    arithmetic: live accounts and ``repro obs slo`` both call it."""
+    achieved = (good / total) if total else 1.0
+    violation = 1.0 - achieved
+    budget = 1.0 - objective.goal
+    burn = (violation / budget) if budget > 0 else (
+        0.0 if violation == 0 else float("inf"))
+    return {
+        "objective": objective.to_json(),
+        "total": total,
+        "good": good,
+        "achieved": achieved,
+        "burn_rate": burn,
+        "met": achieved >= objective.goal,
+    }
 
 
 class Histogram:
@@ -146,13 +203,7 @@ class Histogram:
         return out
 
     def under_ms(self, target_ms: float) -> int:
-        """How many observations were <= target_ms, resolved at bucket
-        granularity (the tightest bucket bound <= target counts)."""
-        acc = 0
-        for le, c in zip(BUCKETS_MS, self.counts):
-            if le <= target_ms:
-                acc += c
-        return acc
+        return count_under(BUCKETS_MS, self.counts, target_ms)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -170,13 +221,12 @@ class Histogram:
 class MeterAccount:
     """Aggregates for one session or one tenant."""
 
-    __slots__ = ("counters", "hist", "_samples", "_sample_i")
+    __slots__ = ("counters", "hist", "samples")
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {n: 0 for n in COUNTER_NAMES}
         self.hist = Histogram()
-        self._samples: List[float] = []
-        self._sample_i = 0
+        self.samples = SampleRing()
 
     def add(self, name: str, n: float = 1) -> None:
         # dict get+set: benign race from worker threads (see module doc)
@@ -186,40 +236,19 @@ class MeterAccount:
         ms = seconds * 1e3
         self.counters["txns"] += 1
         self.hist.observe(ms, request_id)
-        if len(self._samples) < SAMPLE_CAPACITY:
-            self._samples.append(ms)
-        else:
-            self._samples[self._sample_i] = ms
-            self._sample_i = (self._sample_i + 1) % SAMPLE_CAPACITY
+        self.samples.record(ms)
 
     def percentiles(self) -> Dict[str, float]:
         """Nearest-rank p50/p95/p99 over the sample window (0.0 each
         while no transaction has been observed)."""
-        vals = sorted(self._samples)
-        return {
-            f"p{p}_ms": nearest_rank(vals, p) if vals else 0.0
-            for p in (50, 95, 99)
-        }
+        p50, p95, p99 = self.samples.percentiles(50, 95, 99)
+        return {"p50_ms": p50, "p95_ms": p95, "p99_ms": p99}
 
     def slo_report(self, objectives: Sequence[SLObjective]) -> List[Dict[str, Any]]:
-        out = []
-        for obj in objectives:
-            total = self.hist.total
-            good = self.hist.under_ms(obj.target_ms)
-            achieved = (good / total) if total else 1.0
-            violation = 1.0 - achieved
-            budget = 1.0 - obj.goal
-            burn = (violation / budget) if budget > 0 else (
-                0.0 if violation == 0 else float("inf"))
-            out.append({
-                "objective": obj.to_json(),
-                "total": total,
-                "good": good,
-                "achieved": achieved,
-                "burn_rate": burn,
-                "met": achieved >= obj.goal,
-            })
-        return out
+        return [
+            slo_verdict(obj, self.hist.total, self.hist.under_ms(obj.target_ms))
+            for obj in objectives
+        ]
 
     def to_json(self, objectives: Sequence[SLObjective]) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"counters": dict(self.counters)}

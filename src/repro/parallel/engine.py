@@ -40,6 +40,7 @@ from ..obs import meter as _meter
 from ..obs.watchdog import ProbeSample, StallWatchdog
 from ..ops5.wme import WMEChange
 from ..rete import kernel
+from ..rete.matcher import Matcher
 from ..rete.network import ReteNetwork
 from ..rete.nodes import Activation, CSDelta, MatchContext
 from ..rete.stats import MatchStats
@@ -52,7 +53,7 @@ from .taskqueue import TaskCount, TaskQueueSet
 _POISON = ("poison",)
 
 
-class ParallelMatcher:
+class ParallelMatcher(Matcher):
     """Drop-in matcher for :class:`~repro.ops5.interpreter.Interpreter`.
 
     Parameters mirror the paper's experimental axes: ``n_workers`` (the
@@ -112,7 +113,6 @@ class ParallelMatcher:
         ]
         for t in self._threads:
             t.start()
-        self.watchdog: Optional[StallWatchdog] = None
         self._holder_tracking = False
         if watchdog_s:
             # Holder names in the stall bundle cost one current_thread()
@@ -212,12 +212,6 @@ class ParallelMatcher:
             self.queues.push(_POISON, home=self._next_home())
         for t in self._threads:
             t.join(timeout=10.0)
-
-    def __enter__(self) -> "ParallelMatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _next_home(self) -> int:
         self._push_seq += 1

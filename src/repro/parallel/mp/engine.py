@@ -47,6 +47,7 @@ from ...obs import flight as _flight
 from ...obs import meter as _meter
 from ...obs.watchdog import ProbeSample, StallWatchdog
 from ...ops5.wme import WMEChange
+from ...rete.matcher import Matcher
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
@@ -73,7 +74,7 @@ def mp_supported() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class ProcessMatcher:
+class ProcessMatcher(Matcher):
     """Drop-in multiprocess matcher for the interpreter (`engine=mp`).
 
     Parameters mirror the paper's axes where they survive the
@@ -148,7 +149,6 @@ class ProcessMatcher:
         ]
         for proc in self._procs:
             proc.start()
-        self.watchdog: Optional[StallWatchdog] = None
         if watchdog_s:
             self.watchdog = StallWatchdog(
                 self._watchdog_probe,
@@ -319,17 +319,6 @@ class ProcessMatcher:
             extra={"workers": alive, "seq": self._seq},
         )
 
-    # -- observability surfaces ----------------------------------------------
-
-    def obs_merged_snapshot(self):
-        """Control snapshot with every worker lane folded in (profiles
-        built from this see the workers' match work)."""
-        return _fabric.merged_snapshot(_obs.snapshot(), self.fabric)
-
-    def obs_stitched_trace(self):
-        """``(chrome_doc, stitch_orphans)`` across all processes."""
-        return _fabric.stitch_trace(_obs.snapshot(), self.fabric)
-
     def close(self) -> None:
         """Kill the match processes (the control process's duty)."""
         if self._shutdown:
@@ -350,12 +339,6 @@ class ProcessMatcher:
                 proc.join(timeout=5.0)
         for q in (*self._inboxes, self._results):
             q.close()
-
-    def __enter__(self) -> "ProcessMatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

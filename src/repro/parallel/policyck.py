@@ -137,10 +137,9 @@ def _run(args: argparse.Namespace):
     )
 
 
-BATTERY = check.Battery(
+VERBS = {"policyck": check.battery(
     "policyck",
     "differential policy battery: every dispatch/placement policy must "
     "match sequential byte for byte",
-    _add_arguments,
-    _run,
-)
+    _add_arguments, _run,
+)}

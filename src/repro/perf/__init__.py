@@ -12,6 +12,7 @@ profiles (:mod:`~repro.perf.compare`).  CLI: ``repro bench
 run|compare|report``; workflow and schema: docs/PERF.md.
 """
 
+from ..cli import Registry
 from .compare import CompareResult, MetricDelta, Mover, compare_docs
 from .report import load_trajectory, render_markdown, trajectory_entry
 from .runner import run_suite
@@ -34,3 +35,11 @@ __all__ = [
     "trajectory_entry",
     "validate_bench_doc",
 ]
+
+#: The ``repro bench`` group.
+BENCH: Registry = {
+    "run": ("repro.perf.runner", "run a scenario suite; write a BENCH_<runid>.json"),
+    "compare": ("repro.perf.compare", "classify metric movement vs a baseline run"),
+    "report": ("repro.perf.report", "render the trajectory as markdown"),
+}
+VERBS = {"bench": BENCH}

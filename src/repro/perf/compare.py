@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cli import Verb
 from .schema import validate_bench_doc
 
 #: Multiplier on the summed MADs in the noise band.  3 x MAD ~= 2 sigma
@@ -325,3 +326,35 @@ def resolve_doc(out_dir: str, spec: str) -> Dict[str, Any]:
             f"no artifact for runid {spec!r} (looked for {path})"
         )
     return load_doc(path)
+
+
+def _add_arguments(p) -> None:
+    p.add_argument("--out-dir", default="benchmarks")
+    p.add_argument("--baseline", default="prev",
+                   help="runid, artifact path, 'latest', or 'prev' (default: prev)")
+    p.add_argument("--current", default="latest",
+                   help="runid, artifact path, 'latest', or 'prev' (default: latest)")
+    p.add_argument("--stable-only", action="store_true",
+                   help="compare deterministic metrics only (cross-machine safe)")
+    p.add_argument("--movers", type=int, default=5,
+                   help="hot-spot movers listed per regressed scenario")
+
+
+def _run(args) -> int:
+    result = compare_docs(
+        resolve_doc(args.out_dir, args.baseline),
+        resolve_doc(args.out_dir, args.current),
+        stable_only=args.stable_only,
+        movers_limit=args.movers,
+    )
+    print(result.format())
+    return 0 if result.ok else 1
+
+
+VERBS = {"compare": Verb(
+    "compare",
+    "Classify every metric of a run against a baseline run with MAD-based noise "
+    "thresholds and attribute regressions to hot-spot movers; exit 1 on a "
+    "regression.",
+    _add_arguments, _run,
+)}

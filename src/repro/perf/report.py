@@ -18,6 +18,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
+from ..cli import Verb
+
 
 def trajectory_entry(doc: Dict[str, Any], artifact: str) -> Dict[str, Any]:
     """The trajectory line summarizing one BENCH document."""
@@ -155,3 +157,27 @@ def render_run_text(doc: Dict[str, Any], path: str) -> str:
             lines.append(f"    dropped obs events: {int(dropped)}")
     lines.append(f"artifact: {path}")
     return "\n".join(lines)
+
+
+def _add_arguments(p) -> None:
+    p.add_argument("--out-dir", default="benchmarks")
+    p.add_argument("--limit", type=int, default=20, help="most recent runs shown")
+    p.add_argument("--out", metavar="FILE",
+                   help="write the markdown here instead of stdout")
+
+
+def _run(args) -> int:
+    entries = load_trajectory(os.path.join(args.out_dir, "trajectory.jsonl"))
+    text = render_markdown(entries, limit=args.limit)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {args.out} ({len(entries)} runs)")
+    else:
+        print(text, end="")
+    return 0
+
+
+VERBS = {"report": Verb(
+    "report", "Render the trajectory.jsonl history as markdown.", _add_arguments, _run,
+)}

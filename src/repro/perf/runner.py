@@ -24,6 +24,7 @@ import secrets
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cli import Verb
 from ..obs import events as obs_events
 from ..obs import profile as obs_profile
 from .scenarios import SCENARIOS, Scenario, select
@@ -219,3 +220,45 @@ def run_suite(
             trajectory_entry(doc, artifact=os.path.basename(path)),
         )
     return doc, path
+
+
+def _add_arguments(p) -> None:
+    p.add_argument("--suite", default="smoke", help="smoke | full | all (default smoke)")
+    p.add_argument("--scenario", action="append", default=[], metavar="ID",
+                   help="run this scenario instead of a suite (repeatable)")
+    p.add_argument("--repeat", type=int, default=5,
+                   help="timed repetitions per scenario (deterministic "
+                        "scenarios always run once)")
+    p.add_argument("--warmup", type=int, default=1, help="discarded warm-up repetitions")
+    p.add_argument("--out-dir", default="benchmarks",
+                   help="artifact + trajectory directory")
+    p.add_argument("--runid", help="override the generated run id")
+    p.add_argument("--note", default="", help="free-form note stored in the artifact")
+    p.add_argument("--no-trajectory", action="store_true",
+                   help="write the artifact only; skip the trajectory append")
+
+
+def _run(args) -> int:
+    from .report import render_run_text
+
+    doc, path = run_suite(
+        suite=args.suite,
+        scenario_ids=tuple(args.scenario) or None,
+        repeat=args.repeat,
+        warmup=args.warmup,
+        out_dir=args.out_dir,
+        runid=args.runid,
+        note=args.note,
+        trajectory=not args.no_trajectory,
+    )
+    print(render_run_text(doc, path))
+    return 0
+
+
+VERBS = {"run": Verb(
+    "run",
+    "Execute a scenario suite with warm-up and repetitions, write a schema-"
+    "versioned BENCH_<runid>.json artifact, and append to the trajectory.jsonl "
+    "history.",
+    _add_arguments, _run,
+)}

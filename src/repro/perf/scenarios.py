@@ -272,6 +272,7 @@ def _fabric_mp() -> RepResult:
     """
     from ..obs import events as _events
     from ..obs.export import validate_chrome_trace
+    from ..obs.fabric import stitch_trace
     from ..ops5.interpreter import Interpreter
     from ..ops5.parser import parse_program
     from ..parallel.mp import ProcessMatcher
@@ -287,7 +288,7 @@ def _fabric_mp() -> RepResult:
         interp = Interpreter(program, matcher=matcher, network=network)
         try:
             interp.run(max_cycles=50000)
-            doc, orphans = matcher.obs_stitched_trace()
+            doc, orphans = stitch_trace(_events.snapshot(), matcher.fabric)
             trips = matcher.watchdog.trips if matcher.watchdog else 0
             ship_batches = float(matcher.fabric.ship_batches)
             shipped_spans = float(matcher.fabric.shipped_spans)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..cli import Verb
 from .network import ReteNetwork
 from .nodes import JoinNode, NotNode, TerminalNode
 
@@ -120,3 +121,38 @@ def to_dot(network: ReteNetwork, title: str = "rete") -> str:
             out.append(f'  {beta_name(node)} -> {beta_name(child)} [label="L"];')
     out.append("}")
     return "\n".join(out)
+
+
+
+def _add_network_arguments(p) -> None:
+    p.add_argument("file", metavar="PROGRAM", help="program file or builtin name")
+    p.add_argument("--mode", choices=["compiled", "interpreted"], default="compiled")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="also list every constant-test and two-input node")
+
+
+def _network(args) -> int:
+    from .. import programs
+
+    program = programs.load(args.file)
+    with programs.named_errors(args.file):
+        network = ReteNetwork.compile(program, mode=args.mode)
+    print(f"productions:        {len(network.productions)}")
+    for kind, n in network.node_counts().items():
+        print(f"{kind + ':':<19} {n}")
+    if args.verbose:
+        print("\nconstant-test nodes:")
+        for node in network.constant_nodes:
+            print(f"  #{node.node_id}: {node.desc}")
+        print("\ntwo-input nodes:")
+        for node in network.two_input_nodes():
+            print(f"  {node.kind} #{node.node_id}: tests={list(node.tests)}")
+    return 0
+
+
+VERBS = {"network": Verb(
+    "network",
+    "Compile a program and dump its Rete network: node counts by kind and, "
+    "with -v, every constant-test and two-input node.",
+    _add_network_arguments, _network,
+)}

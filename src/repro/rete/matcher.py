@@ -29,7 +29,36 @@ from .stats import MatchStats
 from .trace import TraceRecorder
 
 
-class SequentialMatcher:
+class Matcher:
+    """The contract the four engines share beyond ``process_changes``.
+
+    Code that built its matcher through :func:`repro.engines.make_matcher`
+    (every verb, the serve layer) reads these attributes directly.  The
+    interpreter alone still probes ``strict_cs``/``close``/``stats``
+    with ``getattr``: ``Interpreter(matcher=...)`` is the one door a
+    foreign object — bench's span proxy, a test fake with nothing but
+    ``process_changes`` — can come through.
+    """
+
+    #: Conflict-set deltas arrive in order (``False``: unordered, the
+    #: interpreter validates counts after each batch).
+    strict_cs = True
+    #: The :class:`~repro.obs.watchdog.StallWatchdog`, when one was asked for.
+    watchdog = None
+    #: The :class:`~repro.obs.fabric.FabricCollector` of worker processes.
+    fabric = None
+
+    def close(self) -> None:
+        """Release workers; idempotent.  Nothing to release by default."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class SequentialMatcher(Matcher):
     """Single-process match engine over a compiled network."""
 
     def __init__(

@@ -240,9 +240,8 @@ def _run(args: argparse.Namespace):
     )
 
 
-BATTERY = check.Battery(
+VERBS = {"schedck": check.battery(
     "schedck",
     "deterministic schedule exploration of the threaded parallel engine",
-    _add_arguments,
-    _run,
-)
+    _add_arguments, _run,
+)}

@@ -14,6 +14,7 @@ conflict sets to sequential" check.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
 from collections import Counter
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cli import Verb
+from ..engines import add_engine_arguments, engine_from_args
 from ..obs import events as obs_events
 from ..obs import fabric as obs_fabric
 from ..obs.export import write_chrome_trace
@@ -30,7 +33,7 @@ from .netcache import NetworkCache
 from .protocol import decode_line, encode, ops_to_wire
 from .server import ReproServer
 from .session import SessionCore
-from .traffic import Traffic, build, build_from_source
+from .traffic import SCENARIOS, Traffic, build, build_from_source
 
 #: Give up on one transaction after this many busy retries.
 MAX_BUSY_RETRIES = 100
@@ -173,8 +176,7 @@ async def _run_session(
     host: str,
     port: int,
     run: SessionRun,
-    engine: str = "sequential",
-    workers: int = 2,
+    open_opts: Dict[str, Any],
 ) -> None:
     """Open one session and replay its traffic, sequentially."""
     traffic = run.traffic
@@ -184,9 +186,8 @@ async def _run_session(
         resp = await client.request({
             "type": "open",
             "program": traffic.program,
-            "engine": engine,
-            "workers": workers,
             "tenant": run.tenant,
+            **open_opts,
         })
         if not resp.get("ok"):
             run.errors.append(f"open failed: {resp.get('error')}")
@@ -287,8 +288,7 @@ async def run_loadgen(
     shutdown_after: bool = False,
     trace_path: Optional[str] = None,
     tenants: int = 1,
-    engine: str = "sequential",
-    workers: int = 2,
+    open_opts: Optional[Dict[str, Any]] = None,
     meter: bool = False,
     meter_out: Optional[str] = None,
     prom_out: Optional[str] = None,
@@ -307,8 +307,10 @@ async def run_loadgen(
     (control + worker lanes + request flow arrows).
 
     ``tenants`` partitions sessions round-robin into that many tenant
-    labels (``t0..tN-1``); ``engine``/``workers`` pick the match
-    backend each session opens with.  ``meter=True`` enables
+    labels (``t0..tN-1``); ``open_opts`` are extra fields of every
+    session's ``open`` request (``engine``, ``workers``, ``policy``,
+    ``strategy`` — the match backend each session runs on).
+    ``meter=True`` enables
     :mod:`repro.obs.meter` on a spawned server; the snapshot is
     scraped into ``report.meter`` (and ``meter_out``/``prom_out``
     write the JSON snapshot / Prometheus exposition to files).
@@ -337,7 +339,7 @@ async def run_loadgen(
     started = perf_counter()
     try:
         await asyncio.gather(
-            *(_run_session(host, port, run, engine, workers) for run in runs)
+            *(_run_session(host, port, run, open_opts or {}) for run in runs)
         )
         wall = perf_counter() - started
 
@@ -456,3 +458,123 @@ def _write_trace(
             json.dump(doc, fh)
     else:
         write_chrome_trace(trace_path, snap)
+
+
+def _add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", default="mix", help=" | ".join(SCENARIOS))
+    p.add_argument("--sessions", type=int, default=20)
+    p.add_argument("--transactions", type=int, default=50,
+                   help="transactions per session")
+    p.add_argument("--connect", metavar="HOST:PORT", help="drive a running server")
+    p.add_argument("--spawn", action="store_true",
+                   help="host an in-process server on an ephemeral port")
+    p.add_argument("--program", metavar="PROGRAM",
+                   help="replay budgeted runs of this program (file or builtin "
+                        "name) instead of a scenario")
+    p.add_argument("--verify", action="store_true",
+                   help="byte-compare firings with a sequential replay")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shutdown-after", action="store_true",
+                   help="send a shutdown request when the run is done")
+    p.add_argument("--trace-out", metavar="FILE",
+                   help="enable the obs event bus for the run and write a Chrome-"
+                        "trace JSON file (stitched across processes when sessions "
+                        "use --engine mp)")
+    p.add_argument("--tenants", type=int, default=1,
+                   help="partition sessions round-robin into N tenant labels "
+                        "t0..tN-1 (default 1 = all 'default')")
+    p.add_argument("--meter", action="store_true",
+                   help="enable metering on the spawned server and scrape the "
+                        "snapshot into the report")
+    p.add_argument("--meter-out", metavar="FILE",
+                   help="write the meter snapshot + client latency summary as "
+                        "JSON (feed to `repro obs slo`)")
+    p.add_argument("--prom-out", metavar="FILE",
+                   help="write the server's Prometheus exposition here")
+    add_engine_arguments(p)
+
+
+def _open_opts(args: argparse.Namespace) -> Dict[str, Any]:
+    """The engine flags as fields of the ``open`` request each session
+    sends; the server builds its interpreter from them the way ``repro
+    run`` does (``Interpreter(engine=, engine_opts=)``)."""
+    engine, engine_opts = engine_from_args(args)
+    open_opts = {"engine": engine, "strategy": args.strategy}
+    for key, field_name in (("n_workers", "workers"), ("policy", "policy")):
+        if key in engine_opts:
+            open_opts[field_name] = engine_opts.pop(key)
+    if engine_opts:
+        raise ValueError(
+            f"engine options {', '.join(engine_opts)} do not travel over the "
+            "serve protocol (an open request carries engine, workers, policy "
+            "and strategy)"
+        )
+    return open_opts
+
+
+def _loadgen(args: argparse.Namespace) -> int:
+    if args.scenario not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {args.scenario!r}; "
+            f"expected one of {', '.join(SCENARIOS)}"
+        )
+    if args.sessions < 1 or args.transactions < 1:
+        raise ValueError("--sessions and --transactions must be positive")
+    host = port = None
+    if args.connect and args.spawn:
+        raise ValueError("--connect and --spawn are exclusive")
+    if args.connect:
+        host, _, port_text = args.connect.rpartition(":")
+        try:
+            port = int(port_text)
+        except ValueError:
+            port = -1
+        if not host or not 0 < port <= 65535:
+            raise ValueError(f"bad --connect {args.connect!r}; expected HOST:PORT")
+    elif not args.spawn:
+        raise ValueError("need --connect HOST:PORT or --spawn")
+    program_source = None
+    if args.program:
+        from .. import programs
+        from ..ops5.parser import parse_program
+
+        # Parsed here too, so a malformed file is one message up front
+        # and not one failed ``open`` per session.
+        program_source = programs.read(args.program)
+        with programs.named_errors(args.program):
+            parse_program(program_source)
+    if args.tenants < 1:
+        raise ValueError("--tenants must be positive")
+    report = asyncio.run(
+        run_loadgen(
+            scenario=args.scenario,
+            sessions=args.sessions,
+            transactions=args.transactions,
+            host=host,
+            port=port,
+            spawn=args.spawn,
+            verify=args.verify,
+            seed=args.seed,
+            program_source=program_source,
+            shutdown_after=args.shutdown_after,
+            trace_path=args.trace_out,
+            tenants=args.tenants,
+            open_opts=_open_opts(args),
+            meter=args.meter,
+            meter_out=args.meter_out,
+            prom_out=args.prom_out,
+        )
+    )
+    print(report.format())
+    return 0 if report.ok else 1
+
+
+VERBS = {"loadgen": Verb(
+    "loadgen",
+    "Drive a server (--connect HOST:PORT, or in-process via --spawn) with N "
+    "concurrent sessions replaying deterministic scenario traffic; print a "
+    "throughput/latency report and, with --verify, byte-compare each session's "
+    "firings against a sequential replay.  Of the engine flags the serve "
+    "protocol carries --engine, --workers/--parallel, --policy and --strategy.",
+    _add_arguments, _loadgen,
+)}

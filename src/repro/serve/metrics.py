@@ -1,8 +1,9 @@
 """Counters and latency percentiles for the service layer.
 
 Latencies are kept in a fixed-capacity window of the most recent
-samples (a ring buffer); percentiles are nearest-rank over that window,
-computed on demand.  Counts are monotonic over the full lifetime.
+samples (:class:`repro.obs.meter.SampleRing`, the one ring in the
+tree); percentiles are nearest-rank over that window, computed on
+demand.  Counts are monotonic over the full lifetime.
 """
 
 from __future__ import annotations
@@ -10,56 +11,46 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..obs.meter import nearest_rank
+from ..obs.meter import SampleRing, nearest_rank  # noqa: F401  (nearest_rank: re-export)
 
 
-class LatencyWindow:
-    """Ring buffer of recent latency samples (seconds)."""
+class LatencyWindow(SampleRing):
+    """Recent latency samples: seconds in, a ``*_ms`` summary out."""
+
+    __slots__ = ("count", "total_seconds")
 
     def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self._samples: List[float] = []
-        self._next = 0
+        super().__init__(capacity)
         self.count = 0  # lifetime total, not window size
         self.total_seconds = 0.0
 
     def record(self, seconds: float) -> None:
         self.count += 1
         self.total_seconds += seconds
-        if len(self._samples) < self.capacity:
-            self._samples.append(seconds)
-        else:
-            self._samples[self._next] = seconds
-            self._next = (self._next + 1) % self.capacity
+        super().record(seconds)
 
     @property
     def window_size(self) -> int:
         """Number of samples currently held (≤ capacity)."""
-        return len(self._samples)
+        return len(self)
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile (``p`` in [0, 100]) over the window.
-
-        Returns 0.0 when the window is empty; raises ``ValueError`` for
-        ``p`` outside [0, 100].
-        """
-        if not self._samples:
-            if not 0 <= p <= 100:
-                raise ValueError(f"percentile must be in [0, 100], got {p}")
-            return 0.0
-        return nearest_rank(sorted(self._samples), p)
+        """Nearest-rank percentile (``p`` in [0, 100], else ``ValueError``)
+        over the window, in seconds; 0.0 when the window is empty."""
+        return self.percentiles(p)[0]
 
     def summary(self) -> Dict[str, float]:
         mean = self.total_seconds / self.count if self.count else 0.0
+        p50, p95, p99 = self.percentiles(50, 95, 99)
         return {
             "count": self.count,
             "window": self.window_size,
             "mean_ms": mean * 1e3,
-            "p50_ms": self.percentile(50) * 1e3,
-            "p95_ms": self.percentile(95) * 1e3,
-            "p99_ms": self.percentile(99) * 1e3,
+            "p50_ms": p50 * 1e3,
+            "p95_ms": p95 * 1e3,
+            "p99_ms": p99 * 1e3,
         }
 
 

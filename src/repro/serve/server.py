@@ -15,11 +15,13 @@ CI smoke job stops the server it started.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
-from ..engines import POOL_ENGINES, check_engine_opts
+from ..cli import Verb
+from ..engines import check_engine_opts
 from ..obs import context as obs_context
 from ..obs import events as obs_events
 from ..obs import meter as obs_meter
@@ -328,14 +330,9 @@ class ReproServer:
             raise ProtocolError(
                 E_BAD_REQUEST, "tenant must be a non-empty string"
             )
-        # Only the worker-pool engines take n_workers (and optionally a
-        # dispatch/placement policy); sequential and corgi are
-        # single-threaded by design.
-        engine_opts: Optional[Dict[str, Any]] = None
-        if engine in POOL_ENGINES:
-            engine_opts = {"n_workers": workers}
-            if policy is not None:
-                engine_opts["policy"] = policy
+        # Unused by the single-threaded engines (check_engine_opts has
+        # already refused a policy there).
+        engine_opts = {"n_workers": workers, "policy": policy}
         if len(self.sessions) >= self.limits.max_sessions:
             self.metrics.rejected_busy += 1
             raise ProtocolError(
@@ -362,9 +359,7 @@ class ReproServer:
     def _retire_fabric(self, session: Session) -> None:
         """Keep a closed mp session's fabric collector so one stitched
         trace can still cover its workers after the engine is gone."""
-        if session.core.engine != "mp":
-            return
-        fabric = getattr(session.core.interp.matcher, "fabric", None)
+        fabric = session.core.interp.matcher.fabric
         if fabric is not None and fabric.lanes:
             self.retired_fabric.append((session.session_id, fabric))
 
@@ -456,3 +451,63 @@ class ReproServer:
                 obs_profile.build(obs_events.snapshot())
             )
         return ok_response(req_id, **payload)
+
+
+def _add_serve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral)")
+    p.add_argument("--mode", choices=["compiled", "interpreted"], default="compiled")
+    p.add_argument("--preload", action="append", default=[], metavar="FILE",
+                   help="warm the network cache with a program file (repeatable)")
+    p.add_argument("--max-sessions", type=int, default=256)
+    p.add_argument("--inbox-depth", type=int, default=16)
+    p.add_argument("--meter", action="store_true",
+                   help="enable per-session/per-tenant resource metering "
+                        "(the `meter` verb)")
+    p.add_argument("--slo", action="append", default=[], metavar="NAME:TARGET_MS:GOAL",
+                   help="SLO objective, e.g. txn_p99:250:0.99 (repeatable; "
+                        "implies --meter)")
+
+
+def _serve(args: argparse.Namespace) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"invalid port {args.port}; expected 0-65535")
+    preload_sources = []
+    if args.preload:
+        from .. import programs  # only then: plain start-up stays light
+
+        preload_sources = [programs.read(path) for path in args.preload]
+    limits = ServiceLimits(
+        max_sessions=args.max_sessions, inbox_depth=args.inbox_depth
+    ).validate()
+    slo_objectives = [obs_meter.parse_objective(spec) for spec in args.slo]
+
+    async def serve() -> None:
+        server = ReproServer(
+            host=args.host, port=args.port, limits=limits, mode=args.mode,
+            meter=args.meter or bool(slo_objectives), slo=slo_objectives or None,
+        )
+        host, port = await server.start()
+        try:
+            for source in preload_sources:
+                server.preload(source)
+        except Ops5Error as exc:
+            await server.shutdown()
+            raise SystemExit(f"repro serve: preload failed: {exc}")
+        print(f"repro serve: listening on {host}:{port}", flush=True)
+        await server.serve_forever()
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
+    return 0
+
+
+VERBS = {"serve": Verb(
+    "serve",
+    "Host OPS5 sessions over a line-delimited JSON protocol: many concurrent "
+    "working memories over shared compiled Rete networks, with batched WM "
+    "transactions, backpressure, and cycle budgets (docs/SERVICE.md).",
+    _add_serve_arguments, _serve,
+)}

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..rete.trace import MatchTrace
+from ..cli import Verb
+from ..rete.trace import MatchTrace, TraceRecorder
 from .engine import SimResult, simulate, uniprocessor_baseline
 from .machine import DEFAULT_CONFIG, MachineConfig, alpha_tasks, task_cost
 
@@ -169,3 +170,47 @@ def time_breakdown(
         line_waiting=line_waiting,
         idle=idle,
     )
+
+
+
+def _add_simulate_arguments(p) -> None:
+    p.add_argument("file", metavar="PROGRAM", help="program file or builtin name")
+    p.add_argument("--processes", type=int, nargs="+", default=[1, 3, 7, 13],
+                   help="match-process counts to simulate")
+    p.add_argument("--queues", type=int, nargs="+", default=[1, 8],
+                   help="task-queue counts to simulate")
+    p.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
+    p.add_argument("--max-cycles", type=int, default=100000)
+
+
+def _simulate(args) -> int:
+    from .. import programs
+    from ..ops5.interpreter import Interpreter
+
+    recorder = TraceRecorder()
+    program = programs.load(args.file)
+    with programs.named_errors(args.file):
+        interp = Interpreter(program, recorder=recorder)
+    result = interp.run(max_cycles=args.max_cycles)
+    print(f"run: {result.cycles} cycles, {recorder.trace.n_tasks} match tasks")
+    base = uniprocessor_baseline(recorder.trace)
+    print(f"uniprocessor match (simulated Encore Multimax): {base.match_seconds:.3f}s")
+    print(f"{'config':>12} {'speed-up':>9} {'queue spins':>12}")
+    for k in args.processes:
+        for q in args.queues:
+            run = simulate(recorder.trace, n_match=k, n_queues=q, lock_scheme=args.locks)
+            print(
+                f"{f'1+{k}/{q}q':>12} "
+                f"{base.match_instr / run.match_instr:>9.2f} "
+                f"{run.queue_stats.mean_spins:>12.2f}"
+            )
+    return 0
+
+
+VERBS = {"simulate": Verb(
+    "simulate",
+    "Run a program on the sequential engine, record its match-task trace, and "
+    "simulate it on the Encore Multimax across a grid of match-process and "
+    "task-queue counts.",
+    _add_simulate_arguments, _simulate,
+)}

@@ -73,7 +73,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", sorted(check.BATTERIES))
     def test_every_entry_registers_under_its_own_name(self, name, capsys):
-        assert check.battery(name).name == name
+        assert cli.load(check.BATTERIES, name).name == name
         with pytest.raises(SystemExit):
             cli.main(["check", name, "--help"])
         assert f"usage: repro check {name}" in capsys.readouterr().out
@@ -228,9 +228,9 @@ def assert_replays(result, capsys, rerun_prints=Report.format) -> int:
         prefix = "replay: python -m repro "
         assert line.startswith(prefix)
         argv = shlex.split(line[len(prefix):])
-        parsed = cli.build_parser().parse_args(argv)
-        assert parsed.func is cli.cmd_check and parsed.battery == report.battery
-        check.battery_parser(parsed.battery).parse_args(parsed.argv)
+        verb, prog, _flags = cli.parse(cli.VERBS, "repro", argv)
+        assert verb is cli.load(check.BATTERIES, report.battery)
+        assert prog == f"repro check {report.battery}"
         capsys.readouterr()
         assert cli.main(argv) == 1
         assert capsys.readouterr().out == rerun_prints(report) + "\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 PROGRAM = """
 (p hello (greeting ^to <who>) --> (write hello <who>) (halt))
@@ -147,6 +147,114 @@ class TestReadProgramErrors:
             main(["run", missing])
         assert "cannot read" in str(exc.value)
         assert missing in str(exc.value)
+
+
+    PROGRAM_TAKING = [
+        ["run"], ["network"], ["simulate"], ["trace", "--out", "/dev/null"],
+        ["top"], ["obs", "flight", "--out", "/dev/null"],
+        ["loadgen", "--spawn", "--program"],
+    ]
+
+    @staticmethod
+    def assert_message(argv, bad, needle):
+        verb = " ".join(arg for arg in argv[:2] if not arg.startswith("-"))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(bad)])
+        message = str(exc.value)
+        assert message.startswith(f"repro {verb}: {bad}: "), message
+        assert needle in message
+
+    @pytest.mark.parametrize("argv", PROGRAM_TAKING,
+                             ids=lambda argv: " ".join(argv[:2]))
+    def test_syntax_error_is_a_message_not_a_traceback(self, tmp_path, argv):
+        """An Ops5Error while loading the program of any program-taking
+        verb ends as ``repro <verb>: <file>: <message>``."""
+        bad = tmp_path / "bad.ops5"
+        bad.write_text("(p broken (a ^x <v>) --> (halt)", encoding="utf-8")
+        self.assert_message(argv, bad, "unexpected end of input")
+
+    @pytest.mark.parametrize("argv", [a for a in PROGRAM_TAKING
+                                      if a[0] not in ("network", "loadgen")],
+                             ids=lambda argv: " ".join(argv[:2]))
+    def test_semantic_error_is_a_message_too(self, tmp_path, argv):
+        """...including the ones only RHS compilation finds, on every
+        verb that builds an interpreter."""
+        bad = tmp_path / "bad.ops5"
+        bad.write_text("(p bad (a ^x 1) --> (modify 3 ^x 2))", encoding="utf-8")
+        self.assert_message(argv, bad, "modify")
+
+
+class TestEngineFlags:
+    """The engine flags are declared once (repro.engines) and resolved
+    once (``engine_from_args``) for every verb that runs a program."""
+
+    @pytest.mark.parametrize("verb", [["run"], ["trace"], ["top"],
+                                      ["obs", "flight"]], ids=" ".join)
+    def test_parallel_contradicting_engine_is_rejected(self, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "blocks", "--parallel", "2", "--engine", "mp"])
+        assert str(exc.value).startswith(f"repro {' '.join(verb)}: --parallel 2")
+
+    def test_parallel_contradicting_workers_is_rejected(self):
+        with pytest.raises(SystemExit, match="--parallel 2 means"):
+            main(["top", "blocks", "--parallel", "2", "--workers", "3"])
+
+    def test_parallel_is_shorthand_for_threaded_workers(self, tmp_path, capsys):
+        flight = tmp_path / "f.json"
+        assert main(["obs", "flight", "blocks", "--parallel", "2",
+                     "--engine", "threaded", "--out", str(flight)]) == 0
+        assert "run: engine=threaded " in capsys.readouterr().out
+
+    def test_traced_run_takes_a_dispatch_policy(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--parallel", "2", "--queues", "2",
+                     "--policy", "affinity",
+                     "--out", str(tmp_path / "t.json")]) == 0
+        assert "(equal)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--policy", "affinity"], "threaded or mp"),
+        (["--parallel", "2", "--policy", "bogus"], "unknown policy 'bogus'"),
+        (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
+    ])
+    def test_traced_verbs_share_the_engine_option_rules(self, flags, needle):
+        for verb in (["trace"], ["top"], ["obs", "flight"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*verb, "blocks", *flags])
+            assert str(exc.value).startswith(f"repro {' '.join(verb)}: ")
+            assert needle in str(exc.value)
+
+    def test_top_takes_strategy_and_memory(self, capsys):
+        assert main(["top", "blocks", "--strategy", "mea",
+                     "--memory", "linear"]) == 0
+        assert "hot productions" in capsys.readouterr().out
+
+    def test_run_takes_builtin_names_and_the_shared_flags(self, capsys):
+        """docs/OBSERVABILITY.md "Using it": `repro run rubik --engine
+        threaded --parallel 3 --queues 2 --watchdog 5 ...` (on blocks,
+        which halts in five cycles)."""
+        assert main(["run", "blocks", "--engine", "threaded", "--parallel",
+                     "3", "--queues", "2", "--watchdog", "60"]) == 0
+        assert "all goals satisfied" in capsys.readouterr().out
+
+    def test_the_unused_run_spellings_are_gone(self, capsys):
+        for flag in ("--run-queues", "--run-locks"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "blocks", flag, "2"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_loadgen_forwards_what_the_protocol_carries(self, capsys):
+        assert main(["loadgen", "--spawn", "--scenario", "monkey",
+                     "--sessions", "2", "--transactions", "3", "--verify",
+                     "--parallel", "2", "--policy", "affinity"]) == 0
+        assert "verify: 2/2" in capsys.readouterr().out
+
+    def test_loadgen_rejects_flags_the_protocol_cannot_carry(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--spawn", "--engine", "threaded",
+                  "--queues", "2", "--locks", "mrsw"])
+        assert str(exc.value).startswith("repro loadgen: engine options ")
+        assert "n_queues, lock_scheme" in str(exc.value)
 
 
 class TestServe:
@@ -371,9 +479,11 @@ class TestObsVerbs:
 
 
 class TestParser:
-    def test_requires_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([])
+    def test_requires_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "VERB" in capsys.readouterr().err
 
 
 class TestBench:
