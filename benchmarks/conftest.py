@@ -4,9 +4,9 @@ Reports are printed (visible with ``-s``) and also written to
 ``benchmarks/reports/`` so a plain ``python -m pytest benchmarks/ -q``
 run leaves the paper-vs-measured tables on disk.  (There is no
 ``--benchmark-only`` flag — that belongs to the pytest-benchmark
-plugin, which this repo does not use.)  For machine-readable history
-with regression gating, use ``repro bench run`` instead — see
-docs/PERF.md.
+plugin, which this repo does not use.)  The deterministic counters are
+gated exactly by ``repro bench run`` / ``compare`` and wall time is
+measured by ``bench/run.py`` — see docs/PERF.md.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ VERBS: Registry = {
               "host OPS5 sessions over a line-JSON protocol"),
     "loadgen": ("repro.serve.loadgen",
                 "drive a server with concurrent session traffic"),
-    "bench": ("repro.perf", "performance observatory (see docs/PERF.md)"),
+    "bench": ("repro.perf", "deterministic counter gate (see docs/PERF.md)"),
 }
 
 

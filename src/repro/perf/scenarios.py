@@ -1,21 +1,13 @@
 """The declarative scenario registry driving ``repro bench``.
 
-Each :class:`Scenario` names one measured workload — a paper-table
-contrast, a simulated parallel sweep, the threaded engine, or a
-service-layer burst — and declares every metric it produces as a
-:class:`MetricSpec`: the unit, which direction is *better*, and the
-noise tolerances the compare engine applies (see docs/PERF.md).
-
-Two metric families, deliberately separated:
-
-* ``stable=True`` metrics are deterministic functions of the tree —
-  simulated Multimax instruction counts, speed-ups, spin counts,
-  activation totals.  They carry near-zero tolerances and are the
-  cross-machine regression gate (CI compares them against a committed
-  seed artifact).
-* wall-clock metrics (seconds, txn/s, latency) are host-dependent and
-  noisy; they carry generous relative tolerances plus the MAD-based
-  noise band, and are only compared between runs on comparable hosts.
+Each :class:`Scenario` names one workload — a sequential match, a
+simulated Multimax sweep, an mp run with the trace fabric on, a service
+burst — and declares the name of every value it emits.  Every value is
+a deterministic function of the tree: activation, token, steal, spill
+and error counts, simulated instruction counts (``*_minstr``),
+speed-ups (``*speedup*``, x) and mean spins per acquire (``*_spins_*``).
+Nothing here reads a clock; wall time and per-layer seconds are
+``bench/``'s job (see docs/PERF.md).
 
 The ``smoke`` suite is sized to finish in a few seconds (small weaver
 grid, a 3-session service burst); ``full`` adds the paper-table
@@ -25,89 +17,50 @@ workloads at the ``repro.harness`` bench sizes.
 from __future__ import annotations
 
 import asyncio
-import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
 #: Suite names scenarios may claim membership of.
 SUITES = ("smoke", "full")
 
-#: Default tolerance for deterministic (simulator-derived) metrics:
-#: wide enough to absorb float formatting, far below any real change.
-STABLE_REL_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Declaration of one metric a scenario emits."""
-
-    name: str
-    unit: str
-    direction: str  # "lower" | "higher" is better
-    rel_tol: float
-    abs_tol: float = 0.0
-    stable: bool = False
-    headline: bool = False
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("lower", "higher"):
-            raise ValueError(f"bad direction {self.direction!r} for {self.name}")
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ValueError(f"negative tolerance for {self.name}")
-
 
 @dataclass
-class RepResult:
-    """What one repetition of a scenario produced."""
+class Result:
+    """What the one run of a scenario produced."""
 
     metrics: Dict[str, float]
     #: Compiled network of the run, for node→production attribution in
-    #: the captured hot-spot profile (None when not applicable).
+    #: the captured profile (None when not applicable).
     network: object = None
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One registered workload: measurement callable plus metric specs."""
+    """One registered workload: measurement callable plus metric names."""
 
     scenario_id: str
     title: str
     suites: Tuple[str, ...]
-    specs: Tuple[MetricSpec, ...]
-    run: Callable[[], RepResult] = field(repr=False, default=None)
-    #: Capture an obs hot-spot profile in a dedicated extra repetition.
-    profiled: bool = True
-    #: Fixed repetition count overriding the runner's ``--repeat``
-    #: (None = use the runner's).  Stable-only scenarios always run once.
-    repeat: Optional[int] = None
-    #: Host check run before any repetition: returns ``None`` to
-    #: proceed or a human-readable reason string, in which case the
-    #: runner records ``{"skipped": reason, "metrics": {}}`` instead of
-    #: measuring (e.g. the mp speedup curve on a <4-core host).  The
-    #: compare engine treats a skipped side's metrics as added/removed,
-    #: which never gates.
+    metrics: Tuple[str, ...]
+    run: Callable[[], Result] = field(repr=False, default=None)
+    #: Run with the obs bus on and store the per-node count profile the
+    #: compare gate names movers from.
+    profiled: bool = False
+    #: Host check run first: returns ``None`` to proceed or a
+    #: human-readable reason string, in which case the runner records
+    #: ``{"skipped": reason, "metrics": {}}`` instead of measuring.
+    #: The compare gate passes a scenario the current host skipped and
+    #: prints the reason.
     precondition: Optional[Callable[[], Optional[str]]] = field(
         repr=False, default=None
     )
-
-    @property
-    def stable_only(self) -> bool:
-        return all(spec.stable for spec in self.specs)
-
-    def spec(self, name: str) -> Optional[MetricSpec]:
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        return None
 
 
 # ---------------------------------------------------------------------------
 # Workload helpers
 # ---------------------------------------------------------------------------
 
-#: Smoke-suite weaver sizing: ~0.1 s of match per run — large enough to
-#: time, small enough that warm-up + repetitions stay interactive.
+#: Smoke-suite weaver sizing: ~20k activations, under a second per run.
 _SMOKE_WEAVER = dict(grid=5, n_nets=1)
 
 
@@ -117,32 +70,21 @@ def _smoke_source() -> str:
     return weaver.source(**_SMOKE_WEAVER)
 
 
-def _run_match(source: str, memory: str):
-    """One sequential run; returns ``(match_seconds, stats, network)``."""
+def _match_weaver() -> Result:
     from ..ops5.interpreter import Interpreter
 
-    interp = Interpreter(source, memory=memory)
+    interp = Interpreter(_smoke_source())
     interp.run(max_cycles=50000)
-    return interp.matcher.match_seconds, interp.stats, interp.network
-
-
-def _match_weaver() -> RepResult:
-    source = _smoke_source()
-    hash_s, stats, network = _run_match(source, "hash")
-    linear_s, _stats, _net = _run_match(source, "linear")
-    return RepResult(
+    return Result(
         metrics={
-            "match_hash_s": hash_s,
-            "match_linear_s": linear_s,
-            "linear_hash_ratio": linear_s / hash_s if hash_s else 0.0,
-            "activations": float(stats.node_activations),
-            "wm_changes": float(stats.wme_changes),
+            "activations": float(interp.stats.node_activations),
+            "wm_changes": float(interp.stats.wme_changes),
         },
-        network=network,
+        network=interp.network,
     )
 
 
-def _sim_weaver() -> RepResult:
+def _sim_weaver() -> Result:
     from ..ops5.interpreter import Interpreter
     from ..rete.trace import TraceRecorder
     from ..simulator.engine import simulate
@@ -162,7 +104,7 @@ def _sim_weaver() -> RepResult:
     s_7_8 = simulate(trace, n_match=7, n_queues=8, lock_scheme="simple")
     m_7_8 = simulate(trace, n_match=7, n_queues=8, lock_scheme="mrsw")
     s_7_1 = simulate(trace, n_match=7, n_queues=1, lock_scheme="simple")
-    return RepResult(
+    return Result(
         metrics={
             "uniproc_minstr": simple_base.match_instr / 1e6,
             "speedup_1p3_1q": simple_base.match_instr / s_3_1.match_instr,
@@ -171,104 +113,26 @@ def _sim_weaver() -> RepResult:
             "queue_spins_1p7_1q": s_7_1.queue_stats.mean_spins,
             "line_spins_1p7_8q": s_7_8.line_left.mean_spins,
         },
-        network=interp.network,
     )
-
-
-def _parallel_weaver() -> RepResult:
-    from ..ops5.interpreter import Interpreter
-    from ..ops5.parser import parse_program
-    from ..parallel.engine import ParallelMatcher
-    from ..rete.network import ReteNetwork
-
-    program = parse_program(_smoke_source())
-    network = ReteNetwork.compile(program)
-    matcher = ParallelMatcher(network, n_workers=2, n_queues=2,
-                              lock_scheme="simple")
-    interp = Interpreter(program, matcher=matcher, network=network)
-    started = perf_counter()
-    try:
-        interp.run(max_cycles=50000)
-    finally:
-        interp.close()
-    return RepResult(
-        metrics={"wall_s": perf_counter() - started},
-        network=network,
-    )
-
-
-#: Worker counts of the mp speedup curve — the 1/2/4/8 ladder the
-#: paper's speedup tables climb (its 16-CPU Multimax going up in
-#: doublings); 1 worker is the self-baseline the ratios divide by.
-_MP_WORKER_LADDER = (1, 2, 4, 8)
-
-#: Cores needed before the curve means anything: with fewer than 4 the
-#: 4- and 8-worker points just measure oversubscription.
-_MP_MIN_CPUS = 4
 
 
 def _mp_precondition() -> Optional[str]:
+    """The fabric counters need ``fork``, not cores."""
     from ..engines import mp_supported
 
     if not mp_supported():
         return "mp engine unavailable (no 'fork' start method)"
-    cpus = os.cpu_count() or 1
-    if cpus < _MP_MIN_CPUS:
-        return f"host has {cpus} CPU(s); speedup curve needs >= {_MP_MIN_CPUS}"
     return None
 
 
-def _mp_speedup(source: str) -> RepResult:
-    """Match seconds at each rung of the worker ladder, plus ratios.
-
-    Times ``ProcessMatcher.match_seconds`` (dispatch to merge), the
-    multiprocess analogue of the quantity the paper's speedup tables
-    report — conflict resolution and RHS evaluation stay sequential in
-    the control process and are excluded, exactly as in the paper.
-    """
-    from ..ops5.interpreter import Interpreter
-    from ..ops5.parser import parse_program
-    from ..parallel.mp import ProcessMatcher
-    from ..rete.network import ReteNetwork
-
-    program = parse_program(source)
-    network = ReteNetwork.compile(program)
-    walls: Dict[int, float] = {}
-    for n_workers in _MP_WORKER_LADDER:
-        matcher = ProcessMatcher(network, n_workers=n_workers)
-        interp = Interpreter(program, matcher=matcher, network=network)
-        try:
-            interp.run(max_cycles=50000)
-        finally:
-            interp.close()
-        walls[n_workers] = matcher.match_seconds
-    base = walls[1] or 1e-9
-    metrics = {f"wall_{n}w_s": walls[n] for n in _MP_WORKER_LADDER}
-    for n in _MP_WORKER_LADDER[1:]:
-        metrics[f"speedup_{n}w"] = base / walls[n] if walls[n] else 0.0
-    return RepResult(metrics=metrics, network=network)
-
-
-def _mp_weaver() -> RepResult:
-    return _mp_speedup(_smoke_source())
-
-
-def _mp_tourney() -> RepResult:
-    from ..programs import tourney
-
-    return _mp_speedup(tourney.source(n_teams=8, n_rounds=12))
-
-
-def _fabric_mp() -> RepResult:
-    """Trace-fabric cost and health: a 2-worker mp run with the obs
-    bus ON, worker spans shipped over the pipes and stitched into one
+def _fabric_mp() -> Result:
+    """Trace-fabric health: a 2-worker mp run with the obs bus ON,
+    worker spans shipped over the pipes and stitched into one
     multi-process Chrome trace, an (untrippable) stall watchdog riding
-    along.  The fabric counters — ship batches, shipped spans, stitch
-    orphans, trace schema problems, watchdog trips — are deterministic
-    functions of the run and feed the stable gate; the wall clock is
-    the human-readable cost headline.  Manages the bus itself, so it
-    must not share a process-wide bus epoch with the profiler
-    (``profiled=False``).
+    along.  Ship batches, shipped spans, stitch orphans, trace schema
+    problems and watchdog trips are all functions of the run, not of
+    the host's core count.  Manages the bus itself, so it must not
+    share a bus epoch with the profiler (``profiled`` stays off).
     """
     from ..obs import events as _events
     from ..obs.export import validate_chrome_trace
@@ -282,7 +146,6 @@ def _fabric_mp() -> RepResult:
     network = ReteNetwork.compile(program)
     _events.reset()
     _events.enable()
-    started = perf_counter()
     try:
         matcher = ProcessMatcher(network, n_workers=2, watchdog_s=600.0)
         interp = Interpreter(program, matcher=matcher, network=network)
@@ -297,35 +160,24 @@ def _fabric_mp() -> RepResult:
     finally:
         _events.disable()
         _events.reset()
-    wall = perf_counter() - started
-    return RepResult(
+    return Result(
         metrics={
-            "wall_s": wall,
             "ship_batches": ship_batches,
             "shipped_spans": shipped_spans,
             "stitch_orphans": float(orphans),
             "trace_problems": float(len(validate_chrome_trace(doc))),
             "watchdog_trips": float(trips),
         },
-        network=network,
     )
 
 
-def _serve_loadgen() -> RepResult:
+def _serve_loadgen() -> Result:
     from ..serve.loadgen import run_loadgen
 
     report = asyncio.run(
         run_loadgen(scenario="blocks", sessions=3, transactions=6, spawn=True)
     )
-    wall = report.wall_seconds or 1e-9
-    return RepResult(
-        metrics={
-            "txn_s": report.txns_ok / wall,
-            "p95_ms": report.latency.get("p95_ms", 0.0),
-            "errors": float(report.errors),
-            "busy_retries": float(report.busy_retries),
-        }
-    )
+    return Result(metrics={"errors": float(report.errors)})
 
 
 #: Sizing for the corgi-adversarial contrast: large enough that eager
@@ -396,53 +248,41 @@ def _adv_deep_batches(n_per_level: int, n_churn: int):
     return batches
 
 
-def _serve_meter() -> RepResult:
-    """Meter overhead gate: the identical service burst run twice —
-    plain, then with per-session/per-tenant metering on and the
-    sessions split across two tenants.  The headline is the wall-clock
-    ratio (metering is O(1) counter bumps per unit of work, so the
-    ratio should sit inside the noise band); the stable metrics pin
-    down that the metered run actually metered — every transaction
-    landed in a tenant account and the Prometheus exposition parses
+def _serve_meter() -> Result:
+    """The service burst with per-session/per-tenant metering on and
+    the sessions split across two tenants: every transaction must land
+    in a tenant account and the Prometheus exposition must parse
     clean."""
     from ..obs import meter as _meter
     from ..obs.export import validate_prometheus
     from ..serve.loadgen import run_loadgen
 
-    kwargs = dict(scenario="blocks", sessions=3, transactions=6, spawn=True)
     try:
-        plain = asyncio.run(run_loadgen(**kwargs))
-        metered = asyncio.run(run_loadgen(tenants=2, meter=True, **kwargs))
+        metered = asyncio.run(run_loadgen(
+            scenario="blocks", sessions=3, transactions=6, spawn=True,
+            tenants=2, meter=True))
     finally:
         # The spawned server enables the module-global meter; leave the
         # process clean for whatever scenario runs next.
         _meter.disable()
-    plain_wall = plain.wall_seconds or 1e-9
-    metered_wall = metered.wall_seconds or 1e-9
     tenant_accounts = metered.meter.get("tenants", {})
     meter_txns = sum(
         a.get("counters", {}).get("txns", 0) for a in tenant_accounts.values()
     )
     prom_problems = len(validate_prometheus(metered.prometheus))
-    return RepResult(
+    return Result(
         metrics={
-            "plain_wall_s": plain_wall,
-            "metered_wall_s": metered_wall,
-            "meter_overhead_x": metered_wall / plain_wall,
             "meter_txns": float(meter_txns),
-            "meter_errors": float(
-                plain.errors + metered.errors + prom_problems
-            ),
+            "meter_errors": float(metered.errors + prom_problems),
         }
     )
 
 
-def _corgi_adversarial() -> RepResult:
-    """Headline contrast: sequential (eager) Rete vs the corgi lazy
-    engine on adversarial cross-product / blocked-chain loads, driven
-    at the matcher layer so both engines see identical WMEChange
-    batches.  Token counts are deterministic and feed the stable gate;
-    the wall seconds and speedups are the human-readable headline."""
+def _corgi_adversarial() -> Result:
+    """Sequential (eager) Rete vs the corgi lazy engine on adversarial
+    cross-product / blocked-chain loads, driven at the matcher layer so
+    both engines see identical WMEChange batches; the contrast is the
+    derived-token count (CORGI's bound is a counted one)."""
     from ..corgi.engine import CorgiMatcher
     from ..ops5.parser import parse_program
     from ..rete.matcher import SequentialMatcher
@@ -453,48 +293,22 @@ def _corgi_adversarial() -> RepResult:
         ("deep", _ADV_DEEP_SOURCE, _adv_deep_batches(**_ADV_DEEP)),
     )
     metrics: Dict[str, float] = {}
-    network = None
     for name, source, batches in cases:
         program = parse_program(source)
         for eng, factory in (("rete", SequentialMatcher),
                              ("corgi", CorgiMatcher)):
-            net = ReteNetwork.compile(program)
-            matcher = factory(net)
-            started = perf_counter()
+            matcher = factory(ReteNetwork.compile(program))
             for batch in batches:
                 matcher.process_changes(batch)
-            metrics[f"{name}_{eng}_s"] = perf_counter() - started
             metrics[f"{name}_{eng}_tokens"] = float(
                 matcher.stats.tokens_emitted)
-            if name == "cross" and eng == "rete":
-                network = net
-        metrics[f"{name}_speedup"] = (
-            metrics[f"{name}_rete_s"]
-            / max(metrics[f"{name}_corgi_s"], 1e-9)
-        )
-    return RepResult(metrics=metrics, network=network)
+    return Result(metrics=metrics)
 
 
 # -- full-suite workloads (paper bench sizes; minutes, not seconds) ---------
 
 
-def _full_uniproc() -> RepResult:
-    """Table 4-1/4-4 contrast at bench sizes, measured fresh (no memo)."""
-    from ..harness.workloads import program_source
-
-    metrics: Dict[str, float] = {}
-    network = None
-    for prog in ("weaver", "rubik", "tourney"):
-        source = program_source(prog)
-        vs2_s, _stats, network = _run_match(source, "hash")
-        vs1_s, _stats, _net = _run_match(source, "linear")
-        metrics[f"{prog}_vs1_s"] = vs1_s
-        metrics[f"{prog}_vs2_s"] = vs2_s
-        metrics[f"{prog}_vs1_vs2"] = vs1_s / vs2_s if vs2_s else 0.0
-    return RepResult(metrics=metrics, network=network)
-
-
-def _full_sim_sweeps() -> RepResult:
+def _full_sim_sweeps() -> Result:
     """Endpoint speed-ups/spins of Tables 4-5..4-9 at bench sizes."""
     from ..harness.workloads import sim, speedup
 
@@ -509,21 +323,20 @@ def _full_sim_sweeps() -> RepResult:
         metrics[f"{prog}_queue_spins_1p13_1q"] = sim(
             prog, n_match=13, n_queues=1,
             lock_scheme="simple").queue_stats.mean_spins
-    return RepResult(metrics=metrics)
+    return Result(metrics=metrics)
 
 
 def _policy_metric_key(policy: str) -> str:
     return policy.replace("-", "_")
 
 
-def _policy_sim_sweep(source: str) -> RepResult:
+def _policy_sim_sweep(source: str) -> Result:
     """Simulated Multimax speedups under every dispatch policy.
 
     One trace, one simulator configuration (7 match procs, 8 queues),
     five dispatch policies — the axis Table 4-6 varies by hand
     (queue count) generalised to the policy registry.  Everything is
-    deterministic (instruction counts, steal and rebalance totals), so
-    the whole matrix feeds the cross-machine stable gate."""
+    deterministic: instruction counts, steal and rebalance totals."""
     from ..ops5.interpreter import Interpreter
     from ..parallel.policy import POLICY_NAMES
     from ..rete.trace import TraceRecorder
@@ -545,58 +358,20 @@ def _policy_sim_sweep(source: str) -> RepResult:
         metrics[f"{key}_steals"] = float(run.steals)
         if policy == "rebalance":
             metrics["rebalance_spills"] = float(run.rebalances)
-    return RepResult(metrics=metrics, network=interp.network)
+    return Result(metrics=metrics)
 
 
-def _policy_sweep_weaver() -> RepResult:
+def _policy_sweep_weaver() -> Result:
     return _policy_sim_sweep(_smoke_source())
 
 
-def _policy_sweep_tourney() -> RepResult:
+def _policy_sweep_tourney() -> Result:
     from ..programs import tourney
 
     return _policy_sim_sweep(tourney.source(n_teams=8, n_rounds=12))
 
 
-#: Threaded wall matrix needs real concurrency to say anything.
-_POLICY_WALL_MIN_CPUS = 2
-
-
-def _policy_wall_precondition() -> Optional[str]:
-    cpus = os.cpu_count() or 1
-    if cpus < _POLICY_WALL_MIN_CPUS:
-        return (f"host has {cpus} CPU(s); threaded policy walls need "
-                f">= {_POLICY_WALL_MIN_CPUS}")
-    return None
-
-
-def _policy_wall_threaded() -> RepResult:
-    """Wall seconds of the threaded engine under each dispatch policy,
-    each at its conformance-safe queue count (SAFE_QUEUE_MATRIX)."""
-    from ..ops5.interpreter import Interpreter
-    from ..parallel.policy import POLICY_NAMES, safe_queues
-
-    source = _smoke_source()
-    metrics: Dict[str, float] = {}
-    network = None
-    for policy in POLICY_NAMES:
-        interp = Interpreter(
-            source, engine="threaded",
-            engine_opts={"n_workers": 2, "n_queues": safe_queues(policy),
-                         "policy": policy},
-        )
-        started = perf_counter()
-        try:
-            interp.run(max_cycles=50000)
-        finally:
-            interp.close()
-        metrics[f"{_policy_metric_key(policy)}_wall_s"] = (
-            perf_counter() - started)
-        network = interp.network
-    return RepResult(metrics=metrics, network=network)
-
-
-def _full_serve_throughput() -> RepResult:
+def _full_serve_errors() -> Result:
     from ..serve.loadgen import run_loadgen
 
     metrics: Dict[str, float] = {}
@@ -605,28 +380,13 @@ def _full_serve_throughput() -> RepResult:
             run_loadgen(scenario=scenario, sessions=sessions,
                         transactions=15, spawn=True)
         )
-        wall = report.wall_seconds or 1e-9
-        metrics[f"{scenario}_x{sessions}_txn_s"] = report.txns_ok / wall
-        metrics[f"{scenario}_x{sessions}_p95_ms"] = report.latency.get(
-            "p95_ms", 0.0)
         metrics[f"{scenario}_x{sessions}_errors"] = float(report.errors)
-    return RepResult(metrics=metrics)
+    return Result(metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
 # The registry
 # ---------------------------------------------------------------------------
-
-
-def _wall(name: str, unit: str = "s", direction: str = "lower",
-          rel_tol: float = 0.6, headline: bool = False) -> MetricSpec:
-    return MetricSpec(name, unit, direction, rel_tol, headline=headline)
-
-
-def _stable(name: str, unit: str, direction: str,
-            headline: bool = False) -> MetricSpec:
-    return MetricSpec(name, unit, direction, STABLE_REL_TOL,
-                      stable=True, headline=headline)
 
 
 SCENARIOS: Dict[str, Scenario] = {}
@@ -635,8 +395,7 @@ SCENARIOS: Dict[str, Scenario] = {}
 def _register(scenario: Scenario) -> Scenario:
     if scenario.scenario_id in SCENARIOS:
         raise ValueError(f"duplicate scenario {scenario.scenario_id!r}")
-    names = [s.name for s in scenario.specs]
-    if len(names) != len(set(names)):
+    if len(scenario.metrics) != len(set(scenario.metrics)):
         raise ValueError(f"duplicate metric in {scenario.scenario_id!r}")
     unknown = set(scenario.suites) - set(SUITES)
     if unknown:
@@ -647,94 +406,29 @@ def _register(scenario: Scenario) -> Scenario:
 
 _register(Scenario(
     scenario_id="match-weaver",
-    title="Sequential match, weaver 5x5 grid: hash vs linear memories",
+    title="Sequential match, weaver 5x5 grid",
     suites=("smoke", "full"),
-    specs=(
-        _wall("match_hash_s", headline=True),
-        _wall("match_linear_s"),
-        MetricSpec("linear_hash_ratio", "x", "higher", 0.6),
-        _stable("activations", "count", "lower"),
-        _stable("wm_changes", "count", "lower"),
-    ),
+    metrics=("activations", "wm_changes"),
     run=_match_weaver,
+    profiled=True,
 ))
 
 _register(Scenario(
     scenario_id="sim-weaver",
     title="Simulated Multimax sweep, weaver 5x5: k procs x queues x locks",
     suites=("smoke", "full"),
-    specs=(
-        _stable("uniproc_minstr", "Minstr", "lower"),
-        _stable("speedup_1p3_1q", "x", "higher"),
-        _stable("speedup_1p7_8q", "x", "higher", headline=True),
-        _stable("speedup_mrsw_1p7_8q", "x", "higher"),
-        _stable("queue_spins_1p7_1q", "spins", "lower"),
-        _stable("line_spins_1p7_8q", "spins", "lower"),
-    ),
+    metrics=("uniproc_minstr", "speedup_1p3_1q", "speedup_1p7_8q",
+             "speedup_mrsw_1p7_8q", "queue_spins_1p7_1q", "line_spins_1p7_8q"),
     run=_sim_weaver,
-))
-
-_register(Scenario(
-    scenario_id="parallel-weaver",
-    title="Threaded parallel engine, weaver 5x5, 2 workers / 2 queues",
-    suites=("smoke", "full"),
-    specs=(
-        MetricSpec("wall_s", "s", "lower", 0.75, headline=True),
-    ),
-    run=_parallel_weaver,
-))
-
-def _mp_specs() -> Tuple[MetricSpec, ...]:
-    """The speedup-curve metric block, shared by both mp scenarios.
-
-    Everything lives in the wall-clock family (host-dependent by
-    definition — the curve's whole point is how many CPUs the host
-    gives us), so none of it feeds the cross-machine stable gate.
-    """
-    specs = [_wall(f"wall_{n}w_s") for n in _MP_WORKER_LADDER]
-    for n in _MP_WORKER_LADDER[1:]:
-        specs.append(MetricSpec(f"speedup_{n}w", "x", "higher", 0.5,
-                                headline=(n == 4)))
-    return tuple(specs)
-
-
-_register(Scenario(
-    scenario_id="mp-speedup-weaver",
-    title="Multiprocess match speedup curve, weaver 5x5, 1/2/4/8 workers",
-    suites=("smoke", "full"),
-    specs=_mp_specs(),
-    run=_mp_weaver,
-    profiled=False,
-    repeat=1,
-    precondition=_mp_precondition,
-))
-
-_register(Scenario(
-    scenario_id="mp-speedup-tourney",
-    title="Multiprocess match speedup curve, tourney 8x12, 1/2/4/8 workers",
-    suites=("full",),
-    specs=_mp_specs(),
-    run=_mp_tourney,
-    profiled=False,
-    repeat=1,
-    precondition=_mp_precondition,
 ))
 
 _register(Scenario(
     scenario_id="fabric-mp",
     title="Trace fabric: 2-worker mp run, bus on, stitched Chrome trace",
     suites=("smoke", "full"),
-    specs=(
-        _wall("wall_s", headline=True),
-        _stable("ship_batches", "count", "lower"),
-        _stable("shipped_spans", "count", "lower"),
-        _stable("stitch_orphans", "count", "lower"),
-        _stable("trace_problems", "count", "lower"),
-        _stable("watchdog_trips", "count", "lower"),
-    ),
+    metrics=("ship_batches", "shipped_spans", "stitch_orphans",
+             "trace_problems", "watchdog_trips"),
     run=_fabric_mp,
-    profiled=False,
-    repeat=1,
     precondition=_mp_precondition,
 ))
 
@@ -742,153 +436,75 @@ _register(Scenario(
     scenario_id="serve-loadgen",
     title="Service layer: 3 sessions x 6 transactions, blocks scenario",
     suites=("smoke", "full"),
-    specs=(
-        MetricSpec("txn_s", "txn/s", "higher", 0.6, headline=True),
-        MetricSpec("p95_ms", "ms", "lower", 1.5),
-        MetricSpec("errors", "count", "lower", 0.0, stable=True),
-        MetricSpec("busy_retries", "count", "lower", 0.0, abs_tol=20.0),
-    ),
+    metrics=("errors",),
     run=_serve_loadgen,
-    profiled=False,
 ))
 
 _register(Scenario(
     scenario_id="serve-meter",
-    title="Meter overhead: plain vs metered 2-tenant service burst",
+    title="Metered 2-tenant service burst: accounts and exposition",
     suites=("smoke", "full"),
-    specs=(
-        _wall("plain_wall_s"),
-        _wall("metered_wall_s"),
-        MetricSpec("meter_overhead_x", "x", "lower", 0.6, headline=True),
-        _stable("meter_txns", "count", "higher"),
-        _stable("meter_errors", "count", "lower"),
-    ),
+    metrics=("meter_txns", "meter_errors"),
     run=_serve_meter,
-    profiled=False,
 ))
 
 _register(Scenario(
     scenario_id="corgi-adversarial",
     title="Lazy corgi vs eager Rete on cross-product / blocked-chain loads",
     suites=("smoke", "full"),
-    specs=tuple(
-        spec
-        for case in ("cross", "deep")
-        for spec in (
-            _wall(f"{case}_rete_s"),
-            _wall(f"{case}_corgi_s"),
-            MetricSpec(f"{case}_speedup", "x", "higher", 0.6,
-                       headline=(case == "cross")),
-            _stable(f"{case}_rete_tokens", "count", "lower"),
-            _stable(f"{case}_corgi_tokens", "count", "lower"),
-        )
-    ),
+    metrics=tuple(f"{case}_{eng}_tokens"
+                  for case in ("cross", "deep")
+                  for eng in ("rete", "corgi")),
     run=_corgi_adversarial,
-    profiled=False,
-))
-
-_register(Scenario(
-    scenario_id="tables-uniproc",
-    title="Tables 4-1/4-4 contrast at harness bench sizes",
-    suites=("full",),
-    specs=tuple(
-        spec
-        for prog in ("weaver", "rubik", "tourney")
-        for spec in (
-            _wall(f"{prog}_vs1_s", rel_tol=0.5),
-            _wall(f"{prog}_vs2_s", rel_tol=0.5,
-                  headline=(prog == "tourney")),
-            MetricSpec(f"{prog}_vs1_vs2", "x", "higher", 0.5),
-        )
-    ),
-    run=_full_uniproc,
-    repeat=1,
 ))
 
 _register(Scenario(
     scenario_id="sim-sweeps",
     title="Tables 4-5..4-9 endpoints at harness bench sizes",
     suites=("full",),
-    specs=tuple(
-        spec
+    metrics=tuple(
+        f"{prog}_{name}"
         for prog in ("weaver", "rubik", "tourney")
-        for spec in (
-            _stable(f"{prog}_speedup_1p13_1q", "x", "higher"),
-            _stable(f"{prog}_speedup_1p13_8q", "x", "higher",
-                    headline=(prog == "rubik")),
-            _stable(f"{prog}_speedup_mrsw_1p13_8q", "x", "higher"),
-            _stable(f"{prog}_queue_spins_1p13_1q", "spins", "lower"),
-        )
+        for name in ("speedup_1p13_1q", "speedup_1p13_8q",
+                     "speedup_mrsw_1p13_8q", "queue_spins_1p13_1q")
     ),
     run=_full_sim_sweeps,
-    profiled=False,
 ))
 
-def _policy_sweep_specs() -> Tuple[MetricSpec, ...]:
-    """Stable per-policy metric block shared by both policy sweeps."""
+
+def _policy_sweep_metrics() -> Tuple[str, ...]:
+    """Per-policy metric block shared by both policy sweeps."""
     from ..parallel.policy import POLICY_NAMES
 
-    specs = []
+    names = []
     for policy in POLICY_NAMES:
         key = _policy_metric_key(policy)
-        specs.append(_stable(f"{key}_speedup_1p7_8q", "x", "higher",
-                             headline=(policy == "rebalance")))
-        specs.append(_stable(f"{key}_steals", "count", "lower"))
-    specs.append(_stable("rebalance_spills", "count", "lower"))
-    return tuple(specs)
+        names += [f"{key}_speedup_1p7_8q", f"{key}_steals"]
+    return tuple(names) + ("rebalance_spills",)
 
 
 _register(Scenario(
     scenario_id="policy-sweep",
     title="Dispatch-policy matrix, simulated Multimax, weaver 5x5, 7p/8q",
     suites=("smoke", "full"),
-    specs=_policy_sweep_specs(),
+    metrics=_policy_sweep_metrics(),
     run=_policy_sweep_weaver,
-    profiled=False,
 ))
 
 _register(Scenario(
     scenario_id="policy-sweep-tourney",
     title="Dispatch-policy matrix, simulated Multimax, tourney 8x12, 7p/8q",
     suites=("full",),
-    specs=_policy_sweep_specs(),
+    metrics=_policy_sweep_metrics(),
     run=_policy_sweep_tourney,
-    profiled=False,
-))
-
-_register(Scenario(
-    scenario_id="policy-wall-threaded",
-    title="Threaded walls per dispatch policy at safe queue counts, weaver 5x5",
-    suites=("full",),
-    specs=tuple(
-        _wall(f"{_policy_metric_key(p)}_wall_s",
-              headline=(p == "round-robin"))
-        for p in ("round-robin", "affinity", "least-loaded",
-                  "work-stealing", "rebalance")
-    ),
-    run=_policy_wall_threaded,
-    profiled=False,
-    repeat=1,
-    precondition=_policy_wall_precondition,
 ))
 
 _register(Scenario(
     scenario_id="serve-throughput",
-    title="Service throughput at scale points (blocks x4, tourney x12)",
+    title="Service bursts at scale points (blocks x4, tourney x12): errors",
     suites=("full",),
-    specs=tuple(
-        spec
-        for scenario, sessions in (("blocks", 4), ("tourney", 12))
-        for spec in (
-            MetricSpec(f"{scenario}_x{sessions}_txn_s", "txn/s", "higher", 0.6),
-            MetricSpec(f"{scenario}_x{sessions}_p95_ms", "ms", "lower", 1.5),
-            MetricSpec(f"{scenario}_x{sessions}_errors", "count", "lower",
-                       0.0, stable=True),
-        )
-    ),
-    run=_full_serve_throughput,
-    profiled=False,
-    repeat=1,
+    metrics=("blocks_x4_errors", "tourney_x12_errors"),
+    run=_full_serve_errors,
 ))
 
 

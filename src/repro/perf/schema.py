@@ -1,67 +1,70 @@
-"""The BENCH artifact schema: identifier, shape, and validator.
+"""The BENCH artifact schema: identifier, shape, text form, validator.
 
-One ``repro bench run`` emits one ``BENCH_<runid>.json`` document:
+One ``repro bench run`` emits one ``BENCH_<suite>.json`` document:
 
 .. code-block:: json
 
     {
-      "schema": "repro.bench/1",
-      "runid": "20260806-093012-4f2a",
-      "created": "2026-08-06T09:30:12+00:00",
-      "created_unix": 1775467812.0,
-      "suite": "smoke",
-      "note": "",
-      "host": {"python": "3.11.8", "platform": "...", "cpus": 16},
-      "scenarios": {
-        "match-weaver": {
-          "title": "...",
-          "repeat": 5, "warmup": 1,
-          "metrics": {
-            "match_hash_s": {
-              "samples": [0.081, 0.079],
-              "median": 0.080, "mad": 0.001,
-              "unit": "s", "direction": "lower",
-              "rel_tol": 0.6, "abs_tol": 0.0,
-              "stable": false, "headline": true
-            }
-          },
-          "counters": {"lock_contention_ratio": 0.02},
-          "profile": {"nodes": [...], "locks": [...], "productions": [...]}
-        }
-      }
+     "schema": "repro.bench/2",
+     "suite": "smoke",
+     "scenarios": {
+      "match-weaver": {
+       "title": "...",
+       "metrics": {"activations": 20168.0, "wm_changes": 288.0},
+       "profile": [
+        [57, "join", "route-net", 310, 1240, 96]
+       ]
+      },
+      "fabric-mp": {"title": "...", "skipped": "<reason>", "metrics": {}}
+     }
     }
 
+The document is a pure function of the tree: no run id, timestamp or
+host block, so two runs of one tree write identical bytes and the
+``git diff`` of the committed baseline is the history.  Every metric is
+one deterministic number.  ``profile`` (profiled scenarios only) holds
+one row per activated Rete node, columns :data:`PROFILE_COLUMNS`,
+ordered by node id — counts only, nothing timed.
+
 A scenario whose host precondition failed is recorded as
-``{"title": ..., "skipped": "<reason>", "metrics": {}, ...}`` — the
-reason string is mandatory when ``metrics`` is empty, so an artifact
-can never silently contain an unmeasured scenario.
+``{"title": ..., "skipped": "<reason>", "metrics": {}}`` — the reason
+string is mandatory when ``metrics`` is empty, so an artifact can never
+silently contain an unmeasured scenario.
 
-``direction`` declares which way is better (``"lower"`` for seconds and
-spins, ``"higher"`` for speed-ups and throughput); ``stable`` marks
-metrics that are deterministic for a given tree (simulated instruction
-counts, activation totals) and therefore comparable across machines —
-the CI gate compares those against a committed seed artifact, while
-wall-clock metrics are only compared between runs on the same host.
-
-:func:`validate_bench_doc` is the schema check used by the tests, the
-CI ``perf-smoke`` job, and ``repro bench compare`` before trusting a
-baseline file; like
+:func:`validate_bench_doc` is the check ``repro bench compare`` applies
+before trusting a file; like
 :func:`repro.obs.export.validate_chrome_trace` it returns a list of
 human-readable problems, empty when the document is valid.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+import json
+import re
+from typing import Any, Dict, List
 
-#: Version tag written into every artifact; compare refuses documents
-#: whose major family ("repro.bench") differs.
-SCHEMA_ID = "repro.bench/1"
+#: Version tag written into every artifact.
+SCHEMA_ID = "repro.bench/2"
 
-_DIRECTIONS = ("lower", "higher")
+#: Column order of one ``profile`` row.
+PROFILE_COLUMNS = (
+    "node_id", "kind", "production", "activations", "examined", "emitted",
+)
+_COLUMN_TYPES = (int, str, str, int, int, int)
 
-_TOP_STR = ("schema", "runid", "created", "suite")
-_METRIC_NUM = ("median", "mad", "rel_tol", "abs_tol")
+#: One profile row as ``json.dumps(indent=1)`` spreads it over lines.
+_SPREAD_ROW = re.compile(
+    r"\[\n\s+(\d+),\n\s+(\"[^\"\n]*\"),\n\s+(\"[^\"\n]*\"),"
+    r"\n\s+(\d+),\n\s+(\d+),\n\s+(\d+)\n\s+\]"
+)
+
+
+def dumps(doc: Dict[str, Any]) -> str:
+    """The artifact's byte-stable text: sorted keys, one line per metric
+    and per profile row, so a moved counter is a one-line diff that
+    names its node."""
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    return _SPREAD_ROW.sub(r"[\1, \2, \3, \4, \5, \6]", text) + "\n"
 
 
 def _is_num(value: Any) -> bool:
@@ -69,55 +72,21 @@ def _is_num(value: Any) -> bool:
 
 
 def _check_profile(problems: List[str], where: str, profile: Any) -> None:
-    if not isinstance(profile, dict):
-        problems.append(f"{where}: profile is not an object")
+    if not isinstance(profile, list):
+        problems.append(f"{where}: profile is not an array")
         return
-    for section, keys in (
-        ("nodes", ("node_id", "production", "self_ms")),
-        ("locks", ("label", "wait_ms")),
-        ("productions", ("production", "self_ms")),
-    ):
-        rows = profile.get(section, [])
-        if not isinstance(rows, list):
-            problems.append(f"{where}: profile.{section} is not an array")
+    for i, row in enumerate(profile):
+        if not isinstance(row, list) or len(row) != len(PROFILE_COLUMNS):
+            problems.append(
+                f"{where}: profile[{i}] is not a "
+                f"{len(PROFILE_COLUMNS)}-column row"
+            )
             continue
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"{where}: profile.{section}[{i}] not an object")
-                continue
-            for key in keys:
-                if key not in row:
-                    problems.append(
-                        f"{where}: profile.{section}[{i}] missing {key!r}"
-                    )
-
-
-def _check_metric(problems: List[str], where: str, stats: Any) -> None:
-    if not isinstance(stats, dict):
-        problems.append(f"{where}: not an object")
-        return
-    samples = stats.get("samples")
-    if not isinstance(samples, list) or not samples:
-        problems.append(f"{where}: samples missing or empty")
-    elif not all(_is_num(s) for s in samples):
-        problems.append(f"{where}: samples must be numbers")
-    for key in _METRIC_NUM:
-        if not _is_num(stats.get(key)):
-            problems.append(f"{where}: {key} must be a number")
-    if _is_num(stats.get("rel_tol")) and stats["rel_tol"] < 0:
-        problems.append(f"{where}: rel_tol must be >= 0")
-    if _is_num(stats.get("abs_tol")) and stats["abs_tol"] < 0:
-        problems.append(f"{where}: abs_tol must be >= 0")
-    if stats.get("direction") not in _DIRECTIONS:
-        problems.append(
-            f"{where}: direction must be one of {_DIRECTIONS}, "
-            f"got {stats.get('direction')!r}"
-        )
-    if not isinstance(stats.get("unit"), str):
-        problems.append(f"{where}: unit must be a string")
-    for key in ("stable", "headline"):
-        if not isinstance(stats.get(key, False), bool):
-            problems.append(f"{where}: {key} must be a boolean")
+        for name, kind, value in zip(PROFILE_COLUMNS, _COLUMN_TYPES, row):
+            if not isinstance(value, kind) or isinstance(value, bool):
+                problems.append(
+                    f"{where}: profile[{i}] {name} must be {kind.__name__}"
+                )
 
 
 def validate_bench_doc(doc: Any) -> List[str]:
@@ -125,17 +94,11 @@ def validate_bench_doc(doc: Any) -> List[str]:
     problems: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
-    for key in _TOP_STR:
-        if not isinstance(doc.get(key), str) or not doc.get(key):
-            problems.append(f"{key} is missing or not a non-empty string")
     schema = doc.get("schema")
-    if isinstance(schema, str) and not schema.startswith("repro.bench/"):
-        problems.append(f"unknown schema family {schema!r}")
-    if not _is_num(doc.get("created_unix")):
-        problems.append("created_unix must be a number")
-    host = doc.get("host")
-    if not isinstance(host, dict):
-        problems.append("host is missing or not an object")
+    if schema != SCHEMA_ID:
+        problems.append(f"schema is {schema!r}, expected {SCHEMA_ID!r}")
+    if not isinstance(doc.get("suite"), str) or not doc.get("suite"):
+        problems.append("suite is missing or not a non-empty string")
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, dict):
         problems.append("scenarios is missing or not an object")
@@ -154,17 +117,11 @@ def validate_bench_doc(doc: Any) -> List[str]:
         if not isinstance(metrics, dict) or (not metrics and skipped is None):
             problems.append(f"{where}: metrics missing or empty")
         else:
-            for name, stats in metrics.items():
-                _check_metric(problems, f"{where} metric {name!r}", stats)
-        for key in ("repeat", "warmup"):
-            if not isinstance(scenario.get(key), int):
-                problems.append(f"{where}: {key} must be an integer")
-        counters = scenario.get("counters", {})
-        if not isinstance(counters, dict):
-            problems.append(f"{where}: counters is not an object")
-        elif not all(_is_num(v) for v in counters.values()):
-            problems.append(f"{where}: counter values must be numbers")
-        profile = scenario.get("profile")
-        if profile is not None:
-            _check_profile(problems, where, profile)
+            for name, value in metrics.items():
+                if not _is_num(value):
+                    problems.append(
+                        f"{where} metric {name!r}: value must be a number"
+                    )
+        if "profile" in scenario:
+            _check_profile(problems, where, scenario["profile"])
     return problems

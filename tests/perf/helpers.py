@@ -2,66 +2,23 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional
 
 from repro.perf.schema import SCHEMA_ID
 
 
-def make_metric(
-    median: float,
-    mad: float = 0.0,
-    samples: Optional[List[float]] = None,
-    direction: str = "lower",
-    rel_tol: float = 0.1,
-    abs_tol: float = 0.0,
-    stable: bool = False,
-    unit: str = "s",
-    headline: bool = False,
-) -> Dict[str, Any]:
-    return {
-        "samples": samples if samples is not None else [median],
-        "median": median,
-        "mad": mad,
-        "unit": unit,
-        "direction": direction,
-        "rel_tol": rel_tol,
-        "abs_tol": abs_tol,
-        "stable": stable,
-        "headline": headline,
-    }
-
-
 def make_scenario(
-    metrics: Dict[str, Dict[str, Any]],
-    profile: Optional[Dict[str, Any]] = None,
-    counters: Optional[Dict[str, float]] = None,
+    metrics: Dict[str, float],
+    profile: Optional[List[list]] = None,
+    skipped: Optional[str] = None,
 ) -> Dict[str, Any]:
-    return {
-        "title": "synthetic",
-        "repeat": max(len(m["samples"]) for m in metrics.values()),
-        "warmup": 0,
-        "metrics": metrics,
-        "counters": counters or {},
-        "profile": profile,
-    }
+    entry: Dict[str, Any] = {"title": "synthetic", "metrics": metrics}
+    if profile is not None:
+        entry["profile"] = profile
+    if skipped is not None:
+        entry["skipped"] = skipped
+    return entry
 
 
-def make_doc(runid: str, scenarios: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    return {
-        "schema": SCHEMA_ID,
-        "runid": runid,
-        "created": "2026-08-06T00:00:00+0000",
-        "created_unix": 1.0,
-        "suite": "smoke",
-        "note": "",
-        "host": {"python": "3.11", "platform": "test", "cpus": 1},
-        "scenarios": scenarios,
-    }
-
-
-def clone(doc: Dict[str, Any], runid: str) -> Dict[str, Any]:
-    """Deep copy with a new runid (the 'unchanged tree second run')."""
-    out = copy.deepcopy(doc)
-    out["runid"] = runid
-    return out
+def make_doc(scenarios: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    return {"schema": SCHEMA_ID, "suite": "smoke", "scenarios": scenarios}

@@ -1,18 +1,17 @@
-"""Compare-engine classification, edge cases, and regression attribution."""
+"""The exact gate: classification, one-sided metrics, attribution."""
+
+import copy
 
 import pytest
 
-from repro.perf.compare import NOISE_K, compare_docs, resolve_doc
+from repro.perf.compare import attribute, compare_docs, load_doc
 
-from .helpers import clone, make_doc, make_metric, make_scenario
+from .helpers import make_doc, make_scenario
 
 
-def one_metric_docs(base_metric, cur_metric, name="m", profile=None,
-                    cur_profile=None):
-    base = make_doc("base", {"s": make_scenario({name: base_metric},
-                                                profile=profile)})
-    cur = make_doc("cur", {"s": make_scenario({name: cur_metric},
-                                              profile=cur_profile)})
+def one_metric_docs(base_value, cur_value, profile=None, cur_profile=None):
+    base = make_doc({"s": make_scenario({"m": base_value}, profile=profile)})
+    cur = make_doc({"s": make_scenario({"m": cur_value}, profile=cur_profile)})
     return base, cur
 
 
@@ -22,259 +21,173 @@ def classification(result, key):
 
 class TestClassification:
     def test_unchanged_tree_is_all_unchanged(self):
-        base = make_doc(
-            "base",
-            {"s": make_scenario({
-                "wall_s": make_metric(0.5, mad=0.01, rel_tol=0.3),
-                "speedup": make_metric(5.0, direction="higher", stable=True,
-                                       rel_tol=1e-3),
-            })},
-        )
-        result = compare_docs(base, clone(base, "cur"))
+        base = make_doc({"s": make_scenario({"count": 20168.0,
+                                             "speedup": 5.152527260445817})})
+        result = compare_docs(base, copy.deepcopy(base))
         assert result.ok
-        assert {d.classification for d in result.deltas} == {"unchanged"}
-
-    def test_lower_is_better_regression(self):
-        base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.1), make_metric(1.5, rel_tol=0.1)
-        )
-        result = compare_docs(base, cur)
-        assert classification(result, "s.m") == "regressed"
-        assert not result.ok
-
-    def test_lower_is_better_improvement(self):
-        base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.1), make_metric(0.5, rel_tol=0.1)
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "improved"
-
-    def test_higher_is_better_direction_flips(self):
-        # Throughput dropping is a regression; rising is an improvement.
-        base, cur = one_metric_docs(
-            make_metric(100.0, direction="higher", rel_tol=0.1),
-            make_metric(50.0, direction="higher", rel_tol=0.1),
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "regressed"
-        base, cur = one_metric_docs(
-            make_metric(100.0, direction="higher", rel_tol=0.1),
-            make_metric(200.0, direction="higher", rel_tol=0.1),
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "improved"
-
-    def test_within_tolerance_is_unchanged_both_directions(self):
-        for direction in ("lower", "higher"):
-            base, cur = one_metric_docs(
-                make_metric(1.0, direction=direction, rel_tol=0.2),
-                make_metric(1.1, direction=direction, rel_tol=0.2),
-            )
-            assert classification(compare_docs(base, cur), "s.m") == "unchanged"
-
-    def test_mad_widens_the_noise_band(self):
-        # 30% movement, nominal rel_tol 10% — but both runs measured
-        # noisy (MAD 0.05 each): 3*(0.05+0.05)=0.3 covers the delta.
-        base, cur = one_metric_docs(
-            make_metric(1.0, mad=0.05, rel_tol=0.1),
-            make_metric(1.3, mad=0.05, rel_tol=0.1),
-        )
-        result = compare_docs(base, cur)
-        assert classification(result, "s.m") == "unchanged"
-        delta = result.deltas[0]
-        assert delta.threshold == pytest.approx(NOISE_K * 0.1)
-
-    def test_single_sample_mad_zero_falls_back_to_rel_tol(self):
-        # One sample each => MAD 0; the declared rel_tol is the only
-        # band, so a 5% move inside rel_tol=0.1 stays unchanged and a
-        # 20% move regresses.
-        base, cur = one_metric_docs(
-            make_metric(1.0, samples=[1.0], rel_tol=0.1),
-            make_metric(1.05, samples=[1.05], rel_tol=0.1),
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "unchanged"
-        base, cur = one_metric_docs(
-            make_metric(1.0, samples=[1.0], rel_tol=0.1),
-            make_metric(1.2, samples=[1.2], rel_tol=0.1),
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "regressed"
+        assert {d.classification for d in result.deltas} == {"same"}
 
     def test_zero_tolerance_exact_metric(self):
-        # stable counters: any movement flags, equality never does.
-        base, cur = one_metric_docs(
-            make_metric(0.0, rel_tol=0.0), make_metric(0.0, rel_tol=0.0)
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "unchanged"
-        base, cur = one_metric_docs(
-            make_metric(0.0, rel_tol=0.0), make_metric(1.0, rel_tol=0.0)
-        )
-        assert classification(compare_docs(base, cur), "s.m") == "regressed"
+        # Equality never flags; any movement does, in either direction
+        # and however small.
+        assert classification(
+            compare_docs(*one_metric_docs(0.0, 0.0)), "s.m") == "same"
+        for cur in (1.0, -1.0, 5e-16):
+            result = compare_docs(*one_metric_docs(0.0, cur))
+            assert classification(result, "s.m") == "changed"
+            assert not result.ok
+
+    def test_changed_value_prints_unrounded(self):
+        result = compare_docs(*one_metric_docs(4.424373494015836,
+                                               4.424373494015837))
+        out = result.format()
+        assert "4.424373494015836" in out and "4.424373494015837" in out
+        assert "FAILED (1 metrics not same)" in out
 
 
 class TestOneSidedMetrics:
+    """``added`` and ``removed`` gate: nothing enters or leaves the
+    baseline unnoticed."""
+
     def test_metric_only_in_current_is_added(self):
-        base = make_doc("base", {"s": make_scenario({"old": make_metric(1.0)})})
-        cur = make_doc("cur", {"s": make_scenario({
-            "old": make_metric(1.0), "new": make_metric(2.0)})})
+        base = make_doc({"s": make_scenario({"old": 1.0})})
+        cur = make_doc({"s": make_scenario({"old": 1.0, "new": 2.0})})
         result = compare_docs(base, cur)
         assert classification(result, "s.new") == "added"
-        assert result.ok  # additions never gate
+        assert [d.key for d in result.failures] == ["s.new"]
 
     def test_metric_only_in_baseline_is_removed(self):
-        base = make_doc("base", {"s": make_scenario({
-            "old": make_metric(1.0), "gone": make_metric(2.0)})})
-        cur = make_doc("cur", {"s": make_scenario({"old": make_metric(1.0)})})
+        base = make_doc({"s": make_scenario({"old": 1.0, "gone": 2.0})})
+        cur = make_doc({"s": make_scenario({"old": 1.0})})
         result = compare_docs(base, cur)
         assert classification(result, "s.gone") == "removed"
-        assert result.ok
+        assert [d.key for d in result.failures] == ["s.gone"]
 
     def test_empty_baseline_everything_added(self):
-        base = make_doc("base", {})
-        cur = make_doc("cur", {"s": make_scenario({"m": make_metric(1.0)})})
-        result = compare_docs(base, cur)
-        assert result.ok
+        result = compare_docs(make_doc({}),
+                              make_doc({"s": make_scenario({"m": 1.0})}))
+        assert not result.ok
         assert {d.classification for d in result.deltas} == {"added"}
 
     def test_whole_scenario_added(self):
-        base = make_doc("base", {"s": make_scenario({"m": make_metric(1.0)})})
-        cur = make_doc("cur", {
-            "s": make_scenario({"m": make_metric(1.0)}),
-            "s2": make_scenario({"m2": make_metric(3.0)}),
-        })
+        base = make_doc({"s": make_scenario({"m": 1.0})})
+        cur = make_doc({"s": make_scenario({"m": 1.0}),
+                        "s2": make_scenario({"m2": 3.0})})
         result = compare_docs(base, cur)
         assert classification(result, "s2.m2") == "added"
+        assert not result.ok
+
+    def test_whole_scenario_removed(self):
+        base = make_doc({"s": make_scenario({"m": 1.0}),
+                         "s2": make_scenario({"m2": 3.0})})
+        cur = make_doc({"s": make_scenario({"m": 1.0})})
+        result = compare_docs(base, cur)
+        assert classification(result, "s2.m2") == "removed"
+        assert not result.ok
 
 
-class TestStableOnly:
-    def test_stable_only_skips_wall_metrics(self):
-        base = make_doc("base", {"s": make_scenario({
-            "wall_s": make_metric(1.0, rel_tol=0.1),
-            "instr": make_metric(100.0, stable=True, rel_tol=1e-3),
-        })})
-        cur = make_doc("cur", {"s": make_scenario({
-            "wall_s": make_metric(9.0, rel_tol=0.1),  # would regress
-            "instr": make_metric(100.0, stable=True, rel_tol=1e-3),
-        })})
-        result = compare_docs(base, cur, stable_only=True)
+class TestSkipped:
+    def test_scenario_skipped_by_current_host_passes_with_reason(self):
+        base = make_doc({"s": make_scenario({"m": 1.0, "n": 2.0})})
+        cur = make_doc({"s": make_scenario({}, skipped="no fork here")})
+        result = compare_docs(base, cur)
         assert result.ok
-        assert [d.metric for d in result.deltas] == ["instr"]
+        assert {d.classification for d in result.deltas} == {"skipped"}
+        assert result.counts()["skipped"] == 2
+        assert "skipped 's': no fork here" in result.format()
+
+    def test_baseline_skipped_but_current_measured_is_added(self):
+        # A baseline seeded where the scenario could not run gates
+        # nothing; a host that can run it must fail until it is re-seeded.
+        base = make_doc({"s": make_scenario({}, skipped="no fork here")})
+        cur = make_doc({"s": make_scenario({"m": 1.0})})
+        result = compare_docs(base, cur)
+        assert classification(result, "s.m") == "added"
+        assert not result.ok
+
+
+#: Two productions: ``cross-pair`` (two joins and a terminal) and
+#: ``quiet-rule``; rows are schema.PROFILE_COLUMNS.
+def profile(join_acts, join_examined, quiet_acts=3):
+    return [
+        [7, "join", "quiet-rule", quiet_acts, 3, 1],
+        [41, "join", "cross-pair", 10, 20, 5],
+        [42, "join", "cross-pair", join_acts, join_examined, 5],
+        [43, "term", "cross-pair", 5, 0, 0],
+    ]
 
 
 class TestInjectedSlowdownAttribution:
-    """The acceptance scenario: a perturbed node/lock must be flagged
-    as regressed and *named* by the hot-spot attribution."""
+    """A synthetic count movement must be *named*: production first,
+    then its nodes, ranked by count deltas alone."""
 
-    @staticmethod
-    def profile(node_ms: float, lock_wait_ms: float):
-        return {
-            "nodes": [
-                {"node_id": 42, "kind": "join", "production": "cross-pair",
-                 "activations": 10, "self_ms": node_ms, "examined": 50,
-                 "emitted": 5},
-                {"node_id": 7, "kind": "and", "production": "quiet-rule",
-                 "activations": 3, "self_ms": 0.2, "examined": 3,
-                 "emitted": 1},
-            ],
-            "locks": [
-                {"label": "line", "acquires": 100, "contended": 30,
-                 "contention_ratio": 0.3, "wait_ms": lock_wait_ms,
-                 "hold_ms": 1.0},
-            ],
-            "productions": [
-                {"production": "cross-pair", "activations": 10,
-                 "self_ms": node_ms, "examined": 50},
-            ],
-            "total_activations": 13,
-            "dropped": 0,
-        }
-
-    def test_slow_node_named_as_top_mover(self):
+    def test_moved_production_and_node_named_first(self):
         base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.1),
-            make_metric(5.0, rel_tol=0.1),  # injected 5x slowdown
-            name="match_s",
-            profile=self.profile(node_ms=1.0, lock_wait_ms=0.5),
-            cur_profile=self.profile(node_ms=4.8, lock_wait_ms=0.5),
-        )
-        result = compare_docs(base, cur)
-        assert not result.ok
-        movers = result.movers["s"]
-        assert movers, "regressed scenario must carry attribution"
-        top = movers[0]
-        assert top.kind in ("node", "production")
-        assert "cross-pair" in top.label
-        assert top.delta_ms == pytest.approx(3.8)
-        # the rendered report names the perturbed production too
-        assert "cross-pair" in result.format()
-
-    def test_contended_lock_named_as_top_mover(self):
-        base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.1),
-            make_metric(3.0, rel_tol=0.1),
-            name="match_s",
-            profile=self.profile(node_ms=1.0, lock_wait_ms=0.5),
-            cur_profile=self.profile(node_ms=1.0, lock_wait_ms=40.0),
-        )
+            100.0, 190.0,
+            profile=profile(10, 50), cur_profile=profile(100, 900, 4))
         result = compare_docs(base, cur)
         top = result.movers["s"][0]
-        assert top.kind == "lock" and top.label == "line"
-        assert "line" in result.format()
+        assert top.label == "cross-pair"
+        assert top.baseline == (25, 70, 10) and top.current == (115, 920, 10)
+        assert top.deltas == (90, 850, 0)
+        assert [n.label for n in top.nodes] == ["#42 join"]
+        assert top.nodes[0].deltas == (90, 850, 0)
+        assert [m.label for m in result.movers["s"]] == [
+            "cross-pair", "quiet-rule"]
+        out = result.format()
+        assert "cross-pair" in out and "#42 join" in out
+        assert "activations 10 -> 100 (+90)" in out
+
+    def test_ties_on_activations_fall_to_examined(self):
+        base = make_scenario({"m": 1.0}, profile=[
+            [1, "join", "a", 5, 10, 1], [2, "join", "b", 5, 10, 1]])
+        cur = make_scenario({"m": 2.0}, profile=[
+            [1, "join", "a", 6, 11, 1], [2, "join", "b", 6, 40, 1]])
+        assert [m.label for m in attribute(base, cur)] == ["b", "a"]
+
+    def test_node_on_one_side_only_counts_from_zero(self):
+        base = make_scenario({"m": 1.0}, profile=[[1, "join", "a", 5, 10, 1]])
+        cur = make_scenario({"m": 2.0}, profile=[[1, "join", "a", 5, 10, 1],
+                                                 [9, "join", "z", 7, 0, 0]])
+        (mover,) = attribute(base, cur)
+        assert mover.label == "z" and mover.baseline == (0, 0, 0)
+        assert mover.nodes[0].label == "#9 join"
+
+    def test_limit_caps_productions(self):
+        base = make_scenario({"m": 1.0}, profile=[
+            [i, "join", f"p{i}", 1, 0, 0] for i in range(8)])
+        cur = make_scenario({"m": 2.0}, profile=[
+            [i, "join", f"p{i}", 2 + i, 0, 0] for i in range(8)])
+        assert [m.label for m in attribute(base, cur, limit=2)] == ["p7", "p6"]
 
     def test_missing_profile_yields_empty_attribution(self):
-        base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.1), make_metric(5.0, rel_tol=0.1)
-        )
-        result = compare_docs(base, cur)
+        result = compare_docs(*one_metric_docs(1.0, 5.0))
         assert result.movers == {"s": []}
         assert "no profile recorded" in result.format()
 
     def test_unregressed_scenarios_get_no_attribution(self):
         base, cur = one_metric_docs(
-            make_metric(1.0, rel_tol=0.5),
-            make_metric(1.1, rel_tol=0.5),
-            profile=self.profile(1.0, 0.5),
-            cur_profile=self.profile(2.0, 0.5),
-        )
+            1.0, 1.0, profile=profile(10, 50), cur_profile=profile(100, 900))
         assert compare_docs(base, cur).movers == {}
 
 
 class TestValidationAndResolution:
     def test_invalid_baseline_rejected(self):
-        cur = make_doc("cur", {"s": make_scenario({"m": make_metric(1.0)})})
+        cur = make_doc({"s": make_scenario({"m": 1.0})})
         with pytest.raises(ValueError, match="baseline artifact invalid"):
-            compare_docs({"schema": "repro.bench/1"}, cur)
+            compare_docs({"schema": "repro.bench/2"}, cur)
 
-    def test_resolve_by_path_runid_latest_prev(self, tmp_path):
-        import json
+    def test_previous_schema_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_old.json"
+        path.write_text('{"schema": "repro.bench/1", "suite": "smoke", '
+                        '"scenarios": {}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="expected 'repro.bench/2'"):
+            load_doc(str(path))
 
-        from repro.perf.report import append_trajectory, trajectory_entry
-
-        out = tmp_path / "bench"
-        out.mkdir()
-        for runid in ("a1", "a2"):
-            doc = make_doc(runid, {"s": make_scenario({"m": make_metric(1.0)})})
-            path = out / f"BENCH_{runid}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            append_trajectory(
-                str(out / "trajectory.jsonl"),
-                trajectory_entry(doc, artifact=path.name),
-            )
-        assert resolve_doc(str(out), "latest")["runid"] == "a2"
-        assert resolve_doc(str(out), "prev")["runid"] == "a1"
-        assert resolve_doc(str(out), "a1")["runid"] == "a1"
-        assert resolve_doc(str(out), str(out / "BENCH_a2.json"))["runid"] == "a2"
-        with pytest.raises(ValueError, match="no artifact for runid"):
-            resolve_doc(str(out), "zz")
-
-    def test_resolve_prev_needs_two_runs(self, tmp_path):
-        import json
-
-        from repro.perf.report import append_trajectory, trajectory_entry
-
-        out = tmp_path / "bench"
-        out.mkdir()
-        doc = make_doc("only", {"s": make_scenario({"m": make_metric(1.0)})})
-        (out / "BENCH_only.json").write_text(json.dumps(doc), encoding="utf-8")
-        append_trajectory(
-            str(out / "trajectory.jsonl"),
-            trajectory_entry(doc, artifact="BENCH_only.json"),
-        )
-        with pytest.raises(ValueError, match="needs at least 2"):
-            resolve_doc(str(out), "prev")
+    def test_load_doc_errors_name_the_file(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read"):
+            load_doc(str(tmp_path / "absent.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load_doc(str(bad))

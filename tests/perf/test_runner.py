@@ -1,4 +1,4 @@
-"""run_suite: sampling, reduction, artifact emission, obs integration."""
+"""run_suite: one run per scenario, artifact emission, obs integration."""
 
 import json
 import os
@@ -6,18 +6,17 @@ import os
 import pytest
 
 from repro.obs import events as obs_events
-from repro.perf.report import load_trajectory
-from repro.perf.runner import _mad, _median, make_runid, run_suite
-from repro.perf.scenarios import SCENARIOS, MetricSpec, RepResult, Scenario
-from repro.perf.schema import validate_bench_doc
+from repro.perf.runner import run_suite
+from repro.perf.scenarios import SCENARIOS, Result, Scenario
+from repro.perf.schema import PROFILE_COLUMNS, validate_bench_doc
 
 
-def counting_scenario(counter, stable=False, metrics=("m",)):
+def counting_scenario(counter, metrics=("m",), precondition=None):
     """A cheap fake scenario whose run() increments ``counter['runs']``."""
 
     def run():
         counter["runs"] += 1
-        return RepResult(
+        return Result(
             metrics={name: float(counter["runs"]) for name in metrics}
         )
 
@@ -25,102 +24,60 @@ def counting_scenario(counter, stable=False, metrics=("m",)):
         scenario_id="fake",
         title="fake",
         suites=("smoke",),
-        specs=tuple(
-            MetricSpec(name, "s", "lower", 0.1, stable=stable)
-            for name in metrics
-        ),
+        metrics=tuple(metrics),
         run=run,
-        profiled=False,
+        precondition=precondition,
     )
-
-
-class TestStatistics:
-    def test_median_odd_even(self):
-        assert _median([3.0, 1.0, 2.0]) == 2.0
-        assert _median([4.0, 1.0, 2.0, 3.0]) == 2.5
-
-    def test_mad_robust_to_outlier(self):
-        values = [1.0, 1.1, 0.9, 50.0]
-        center = _median(values)
-        assert _mad(values, center) == pytest.approx(0.1, abs=0.01)
-
-    def test_runid_shape(self):
-        runid = make_runid()
-        assert len(runid) == 20 and runid[8] == "-" and runid[15] == "-"
 
 
 class TestRunSuite:
     def test_artifact_written_and_schema_valid(self, tmp_path):
         counter = {"runs": 0}
-        registry = {"fake": counting_scenario(counter)}
-        doc, path = run_suite(
-            repeat=3, warmup=1, out_dir=str(tmp_path), runid="r1",
-            registry=registry,
-        )
+        registry = {"fake": counting_scenario(counter, metrics=("m", "n"))}
+        doc, path = run_suite(out_dir=str(tmp_path), registry=registry)
         assert validate_bench_doc(doc) == []
-        assert counter["runs"] == 4  # 1 warmup + 3 timed
-        entry = doc["scenarios"]["fake"]
-        assert entry["repeat"] == 3 and entry["warmup"] == 1
-        assert entry["metrics"]["m"]["samples"] == [2.0, 3.0, 4.0]
-        assert entry["metrics"]["m"]["median"] == 3.0
+        assert set(doc) == {"schema", "suite", "scenarios"}
+        assert doc["scenarios"]["fake"] == {
+            "title": "fake", "metrics": {"m": 1.0, "n": 1.0}}
         # On-disk copy round-trips and no temp file leaks behind it.
-        assert json.loads(
-            (tmp_path / "BENCH_r1.json").read_text()
-        ) == doc
-        assert os.path.basename(path) == "BENCH_r1.json"
-        assert [p.name for p in tmp_path.iterdir()] and all(
-            ".tmp" not in p.name for p in tmp_path.iterdir()
-        )
-
-    def test_trajectory_appended_per_run(self, tmp_path):
-        counter = {"runs": 0}
-        registry = {"fake": counting_scenario(counter)}
-        for runid in ("r1", "r2"):
-            run_suite(repeat=1, warmup=0, out_dir=str(tmp_path),
-                      runid=runid, registry=registry)
-        entries = load_trajectory(str(tmp_path / "trajectory.jsonl"))
-        assert [e["runid"] for e in entries] == ["r1", "r2"]
-        assert entries[0]["artifact"] == "BENCH_r1.json"
-        assert "fake.m" in entries[0]["metrics"]
-
-    def test_no_trajectory_flag(self, tmp_path):
-        counter = {"runs": 0}
-        run_suite(repeat=1, warmup=0, out_dir=str(tmp_path), runid="r1",
-                  registry={"fake": counting_scenario(counter)},
-                  trajectory=False)
-        assert not (tmp_path / "trajectory.jsonl").exists()
+        assert json.loads((tmp_path / "BENCH_smoke.json").read_text()) == doc
+        assert os.path.basename(path) == "BENCH_smoke.json"
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_smoke.json"]
 
     def test_stable_scenario_forced_to_single_rep(self, tmp_path):
+        # No warm-up, no repetition: a deterministic value needs neither.
         counter = {"runs": 0}
-        registry = {"fake": counting_scenario(counter, stable=True)}
-        doc, _ = run_suite(repeat=5, warmup=2, out_dir=str(tmp_path),
-                           runid="r1", registry=registry)
-        # No warmup, one repetition: deterministic values need neither.
+        run_suite(out_dir=str(tmp_path),
+                  registry={"fake": counting_scenario(counter)})
         assert counter["runs"] == 1
-        entry = doc["scenarios"]["fake"]
-        assert entry["repeat"] == 1 and entry["warmup"] == 0
-        assert entry["metrics"]["m"]["mad"] == 0.0
+
+    def test_explicit_scenarios_write_a_custom_artifact(self, tmp_path):
+        doc, path = run_suite(scenario_ids=("corgi-adversarial",),
+                              out_dir=str(tmp_path))
+        assert doc["suite"] == "custom"
+        assert list(doc["scenarios"]) == ["corgi-adversarial"]
+        assert os.path.basename(path) == "BENCH_custom.json"
+
+    def test_failed_precondition_is_skipped_with_reason(self, tmp_path):
+        counter = {"runs": 0}
+        registry = {"fake": counting_scenario(
+            counter, precondition=lambda: "host cannot")}
+        doc, _ = run_suite(out_dir=str(tmp_path), registry=registry)
+        assert counter["runs"] == 0
+        assert doc["scenarios"]["fake"] == {
+            "title": "fake", "metrics": {}, "skipped": "host cannot"}
+        assert validate_bench_doc(doc) == []
 
     def test_metric_name_mismatch_rejected(self, tmp_path):
         bad = Scenario(
             scenario_id="bad",
             title="bad",
             suites=("smoke",),
-            specs=(MetricSpec("declared", "s", "lower", 0.1),),
-            run=lambda: RepResult(metrics={"produced": 1.0}),
-            profiled=False,
+            metrics=("declared",),
+            run=lambda: Result(metrics={"produced": 1.0}),
         )
         with pytest.raises(ValueError, match="declares"):
-            run_suite(repeat=1, warmup=0, out_dir=str(tmp_path),
-                      registry={"bad": bad})
-
-    def test_bad_arguments_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="repeat"):
-            run_suite(repeat=0, out_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="bad runid"):
-            run_suite(repeat=1, out_dir=str(tmp_path),
-                      runid="../escape",
-                      registry={"fake": counting_scenario({"runs": 0})})
+            run_suite(out_dir=str(tmp_path), registry={"bad": bad})
 
     def test_unknown_suite_propagates(self, tmp_path):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -128,32 +85,25 @@ class TestRunSuite:
 
 
 class TestObsProfileIntegration:
-    """A real profiled scenario: the extra rep must capture a hot-spot
-    profile with node→production attribution, and leave the bus off."""
+    """A real profiled scenario: its one bus-on run must capture the
+    per-node count profile with node→production attribution, and leave
+    the bus off."""
 
     def test_profiled_run_attaches_profile_and_counters(self, tmp_path):
         registry = {"match-weaver": SCENARIOS["match-weaver"]}
-        doc, _ = run_suite(repeat=1, warmup=0, out_dir=str(tmp_path),
-                           runid="r1", registry=registry)
+        doc, path = run_suite(out_dir=str(tmp_path), registry=registry)
         assert validate_bench_doc(doc) == []
         entry = doc["scenarios"]["match-weaver"]
-        profile = entry["profile"]
-        assert profile is not None and profile["nodes"]
-        top = profile["nodes"][0]
-        assert top["self_ms"] > 0
-        assert top["production"]  # attribution resolved via the network
-        assert entry["counters"]["dropped_events"] == 0
-        # The profiled rep must not leave the global bus enabled.
+        rows = entry["profile"]
+        assert rows == sorted(rows)  # node-id order, not hottest-first
+        assert all(len(row) == len(PROFILE_COLUMNS) for row in rows)
+        assert all(row[2] != "?" for row in rows)  # owner resolved
+        # The profile is the same run the counter came from.
+        assert sum(row[3] for row in rows) == entry["metrics"]["activations"]
+        # One line per row on disk: a moved counter is a one-line diff.
+        text = open(path, encoding="utf-8").read()
+        assert text.count("\n") < len(rows) + 40
+        assert json.loads(text) == doc
+        # The profiled run must not leave the global bus enabled.
         assert not obs_events.enabled()
         assert obs_events.snapshot().workers == {}
-
-    def test_parallel_scenario_captures_lock_counters(self, tmp_path):
-        registry = {"parallel-weaver": SCENARIOS["parallel-weaver"]}
-        doc, _ = run_suite(repeat=1, warmup=0, out_dir=str(tmp_path),
-                           runid="r1", registry=registry)
-        entry = doc["scenarios"]["parallel-weaver"]
-        counters = entry["counters"]
-        assert counters["obs.queue.push"] > 0
-        assert counters["lock_acquires"] > 0
-        assert 0.0 <= counters["lock_contention_ratio"] <= 1.0
-        assert entry["profile"]["locks"]  # taskcount/queue/line waits

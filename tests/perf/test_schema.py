@@ -1,37 +1,20 @@
-"""BENCH artifact schema validation."""
+"""BENCH artifact schema validation and text form."""
 
-from repro.perf.schema import validate_bench_doc
+import json
 
-from .helpers import make_doc, make_metric, make_scenario
+from repro.perf.schema import dumps, validate_bench_doc
+
+from .helpers import make_doc, make_scenario
 
 
 def valid_doc():
-    return make_doc(
-        "r1",
-        {
-            "s": make_scenario(
-                {"m": make_metric(1.0, samples=[1.0, 1.1])},
-                profile={
-                    "nodes": [
-                        {"node_id": 3, "kind": "join", "production": "p",
-                         "activations": 2, "self_ms": 1.5, "examined": 4,
-                         "emitted": 1}
-                    ],
-                    "locks": [
-                        {"label": "queue", "acquires": 5, "contended": 1,
-                         "contention_ratio": 0.2, "wait_ms": 0.1,
-                         "hold_ms": 0.4}
-                    ],
-                    "productions": [
-                        {"production": "p", "activations": 2, "self_ms": 1.5,
-                         "examined": 4}
-                    ],
-                    "total_activations": 2,
-                    "dropped": 0,
-                },
-            )
-        },
-    )
+    return make_doc({
+        "s": make_scenario(
+            {"m": 1.0, "n": 20168},
+            profile=[[3, "join", "p", 2, 4, 1], [4, "term", "p", 1, 0, 0]],
+        ),
+        "t": make_scenario({}, skipped="host cannot"),
+    })
 
 
 class TestValidateBenchDoc:
@@ -44,44 +27,59 @@ class TestValidateBenchDoc:
     def test_missing_top_level_fields(self):
         problems = validate_bench_doc({})
         assert any("schema" in p for p in problems)
-        assert any("runid" in p for p in problems)
+        assert any("suite" in p for p in problems)
         assert any("scenarios" in p for p in problems)
 
     def test_unknown_schema_family(self):
+        for schema in ("other.format/9", "repro.bench/1"):
+            doc = valid_doc()
+            doc["schema"] = schema
+            assert any("expected 'repro.bench/2'" in p
+                       for p in validate_bench_doc(doc))
+
+    def test_counter_values_must_be_numbers(self):
+        for bad in ("lots", None, True, {"median": 1.0}):
+            doc = valid_doc()
+            doc["scenarios"]["s"]["metrics"]["m"] = bad
+            assert any("value must be a number" in p
+                       for p in validate_bench_doc(doc))
+
+    def test_unmeasured_scenario_needs_a_reason(self):
         doc = valid_doc()
-        doc["schema"] = "other.format/9"
-        assert any("unknown schema family" in p
+        del doc["scenarios"]["t"]["skipped"]
+        assert any("metrics missing or empty" in p
                    for p in validate_bench_doc(doc))
-
-    def test_empty_samples_flagged(self):
-        doc = valid_doc()
-        doc["scenarios"]["s"]["metrics"]["m"]["samples"] = []
-        assert any("samples missing or empty" in p
-                   for p in validate_bench_doc(doc))
-
-    def test_bad_direction_flagged(self):
-        doc = valid_doc()
-        doc["scenarios"]["s"]["metrics"]["m"]["direction"] = "sideways"
-        assert any("direction" in p for p in validate_bench_doc(doc))
-
-    def test_negative_tolerance_flagged(self):
-        doc = valid_doc()
-        doc["scenarios"]["s"]["metrics"]["m"]["rel_tol"] = -0.1
-        assert any("rel_tol" in p for p in validate_bench_doc(doc))
+        doc["scenarios"]["t"]["skipped"] = ""
+        assert any("non-empty string" in p for p in validate_bench_doc(doc))
 
     def test_profile_rows_need_keys(self):
         doc = valid_doc()
-        doc["scenarios"]["s"]["profile"]["nodes"] = [{"kind": "join"}]
-        problems = validate_bench_doc(doc)
-        assert any("missing 'node_id'" in p for p in problems)
-        assert any("missing 'self_ms'" in p for p in problems)
+        doc["scenarios"]["s"]["profile"] = [[3, "join", "p", 2, 4]]
+        assert any("6-column row" in p for p in validate_bench_doc(doc))
+        doc["scenarios"]["s"]["profile"] = [[3, "join", "p", 2.5, 4, 1]]
+        assert any("activations must be int" in p
+                   for p in validate_bench_doc(doc))
+        doc["scenarios"]["s"]["profile"] = {"nodes": []}
+        assert any("not an array" in p for p in validate_bench_doc(doc))
 
     def test_profile_optional(self):
         doc = valid_doc()
-        doc["scenarios"]["s"]["profile"] = None
+        del doc["scenarios"]["s"]["profile"]
         assert validate_bench_doc(doc) == []
 
-    def test_counter_values_must_be_numbers(self):
+
+class TestDumps:
+    def test_round_trips_with_one_line_per_row_and_metric(self):
         doc = valid_doc()
-        doc["scenarios"]["s"]["counters"] = {"x": "lots"}
-        assert any("counter values" in p for p in validate_bench_doc(doc))
+        text = dumps(doc)
+        assert json.loads(text) == doc
+        lines = text.splitlines()
+        assert '    [3, "join", "p", 2, 4, 1],' in lines
+        assert '    "m": 1.0,' in lines
+        assert text.endswith("}\n")
+
+    def test_key_order_does_not_reach_the_bytes(self):
+        doc = valid_doc()
+        flipped = dict(reversed(list(doc.items())))
+        flipped["scenarios"] = dict(reversed(list(doc["scenarios"].items())))
+        assert dumps(flipped) == dumps(doc)

@@ -488,91 +488,61 @@ class TestParser:
 
 class TestBench:
     @staticmethod
-    def bench_run(out_dir, runid):
+    def bench_run(out_dir):
         return main([
             "bench", "run", "--scenario", "match-weaver",
-            "--repeat", "1", "--warmup", "0",
-            "--out-dir", str(out_dir), "--runid", runid,
+            "--out-dir", str(out_dir),
         ])
 
-    def test_run_emits_artifact_and_trajectory(self, tmp_path, capsys):
+    def test_run_emits_artifact(self, tmp_path, capsys):
         import json
 
         from repro.perf.schema import validate_bench_doc
 
-        assert self.bench_run(tmp_path, "r1") == 0
+        assert self.bench_run(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "bench run r1" in out
-        assert "match_hash_s" in out
+        assert "bench run suite=custom" in out
+        assert "activations" in out
         assert f"artifact: {tmp_path}" in out
-        doc = json.loads((tmp_path / "BENCH_r1.json").read_text())
+        doc = json.loads((tmp_path / "BENCH_custom.json").read_text())
         assert validate_bench_doc(doc) == []
-        lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["runid"] == "r1"
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_custom.json"]
 
     def test_unchanged_tree_compares_clean(self, tmp_path, capsys):
-        """Acceptance: two runs of the same tree -> no regressions.
-
-        Gated on the stable (deterministic) metric family: these runs
-        are single-sample, so wall-clock metrics have no noise estimate
-        (MAD = 0) and would flag host jitter.  The same-runner wall-clock
-        noise gate is the ``perf-smoke`` CI job, with ``--repeat 3``."""
-        assert self.bench_run(tmp_path, "r1") == 0
-        assert self.bench_run(tmp_path, "r2") == 0
+        """Acceptance: two runs of the same tree -> every metric same."""
+        assert self.bench_run(tmp_path / "r1") == 0
+        assert self.bench_run(tmp_path / "r2") == 0
         capsys.readouterr()
-        assert main(["bench", "compare", "--out-dir", str(tmp_path),
-                     "--stable-only"]) == 0
+        assert main(["bench", "compare",
+                     "--baseline", str(tmp_path / "r1" / "BENCH_custom.json"),
+                     "--current", str(tmp_path / "r2" / "BENCH_custom.json"),
+                     ]) == 0
         out = capsys.readouterr().out
-        assert "baseline r1 -> current r2" in out
-        assert "regressed=0" in out
-        assert "result: OK (no regressions)" in out
+        assert "changed=0 added=0 removed=0 skipped=0 same=2" in out
+        assert "result: OK" in out
 
     def test_compare_flags_injected_regression(self, tmp_path, capsys):
         import json
 
-        assert self.bench_run(tmp_path, "r1") == 0
-        assert self.bench_run(tmp_path, "r2") == 0
-        # Inject a slowdown into the r2 artifact: inflate the stable
-        # activation count and one node's profile self-time.
-        path = tmp_path / "BENCH_r2.json"
-        doc = json.loads(path.read_text())
+        assert self.bench_run(tmp_path) == 0
+        base = tmp_path / "BENCH_custom.json"
+        # Inflate the activation count and one node's profile row.
+        doc = json.loads(base.read_text())
         entry = doc["scenarios"]["match-weaver"]
-        entry["metrics"]["activations"]["median"] *= 2
-        entry["profile"]["nodes"][0]["self_ms"] += 100.0
-        perturbed = entry["profile"]["nodes"][0]["production"]
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        entry["metrics"]["activations"] += 100
+        entry["profile"][0][3] += 100
+        perturbed = entry["profile"][0][2]
+        cur = tmp_path / "perturbed.json"
+        cur.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
-        assert main(["bench", "compare", "--out-dir", str(tmp_path)]) == 1
+        assert main(["bench", "compare", "--baseline", str(base),
+                     "--current", str(cur)]) == 1
         out = capsys.readouterr().out
         assert "match-weaver.activations" in out
-        assert "regressed" in out
-        assert "hot-spot movers" in out
-        assert perturbed in out  # attribution names the perturbed node
-
-    def test_compare_stable_only(self, tmp_path, capsys):
-        assert self.bench_run(tmp_path, "r1") == 0
-        assert self.bench_run(tmp_path, "r2") == 0
-        capsys.readouterr()
-        assert main(["bench", "compare", "--out-dir", str(tmp_path),
-                     "--stable-only"]) == 0
-        out = capsys.readouterr().out
-        assert "activations" in out
-        assert "match_hash_s" not in out  # wall metrics skipped
-
-    def test_report_renders_trajectory(self, tmp_path, capsys):
-        assert self.bench_run(tmp_path, "r1") == 0
-        capsys.readouterr()
-        report_file = tmp_path / "report.md"
-        assert main(["bench", "report", "--out-dir", str(tmp_path),
-                     "--out", str(report_file)]) == 0
-        text = report_file.read_text()
-        assert "# Performance trajectory" in text
-        assert "| r1 |" in text
-        assert "wrote" in capsys.readouterr().out
-
-    def test_report_empty_history(self, tmp_path, capsys):
-        assert main(["bench", "report", "--out-dir", str(tmp_path)]) == 0
-        assert "No recorded runs yet" in capsys.readouterr().out
+        assert "changed=1" in out
+        assert "movers for 'match-weaver'" in out
+        assert perturbed in out  # attribution names the perturbed production
+        assert "(+100)" in out
 
     def test_unknown_suite_is_clean_exit(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -588,5 +558,16 @@ class TestBench:
 
     def test_compare_without_history_is_clean_exit(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "compare", "--out-dir", str(tmp_path)])
-        assert "needs at least 2" in str(exc.value)
+            main(["bench", "compare", "--out-dir", str(tmp_path),
+                  "--baseline", str(tmp_path / "absent.json")])
+        assert "cannot read" in str(exc.value)
+
+    def test_removed_verb_and_flags_are_gone(self, capsys):
+        for argv in (["bench", "report"],
+                     ["bench", "run", "--repeat", "3"],
+                     ["bench", "run", "--no-trajectory"],
+                     ["bench", "compare", "--stable-only"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
