@@ -22,6 +22,7 @@ syntax                  AST node
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -274,8 +275,8 @@ class Program:
 
     def __post_init__(self) -> None:
         self.declared_attrs = {lit.klass: lit.attrs for lit in self.literalizes}
-        names = [p.name for p in self.productions]
-        dupes = {n for n in names if names.count(n) > 1}
+        counts = Counter(p.name for p in self.productions)
+        dupes = [name for name, n in counts.items() if n > 1]
         if dupes:
             raise ValueError(f"duplicate production names: {sorted(dupes)}")
 

@@ -11,11 +11,12 @@ to working memory and hands them to the matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .astnodes import (
     Action,
     BindAction,
+    Conjunction,
     Constant,
     HaltAction,
     MakeAction,
@@ -27,6 +28,8 @@ from .astnodes import (
     RhsConst,
     RhsValue,
     RhsVar,
+    Test,
+    Var,
     WriteAction,
 )
 from .errors import RuntimeOps5Error
@@ -53,39 +56,34 @@ class RhsEnv:
 ThreadedOp = Callable[[RhsEnv], None]
 
 
-def extract_bindings(production: Production, token: Token) -> Dict[str, Constant]:
-    """Variable bindings implied by an instantiation's WMEs.
+def binding_plan(production: Production) -> Tuple[Tuple[str, int, str], ...]:
+    """``(variable, token position, attribute)`` for each LHS variable.
 
     Walks the LHS the same way the network compiler does, so a variable
     is bound by its first ``=`` occurrence in a positive CE.
     """
-    bindings: Dict[str, Constant] = {}
+    plan: Dict[str, Tuple[str, int, str]] = {}
     pos = 0
     for ce in production.ces:
         if ce.negated:
             continue
-        if pos >= len(token.wmes):
-            break
-        wme = token.wmes[pos]
-        for var in ce.variables():
-            if var not in bindings:
-                value = _first_binding_attr(ce, var)
-                if value is not None:
-                    bindings[var] = wme.get(value)
+        for at in ce.tests:
+            tests = at.test.tests if isinstance(at.test, Conjunction) else (at.test,)
+            for t in tests:
+                if isinstance(t, Test) and t.op == "=" and isinstance(t.operand, Var):
+                    plan.setdefault(t.operand.name, (t.operand.name, pos, at.attr))
         pos += 1
-    return bindings
+    return tuple(plan.values())
 
 
-def _first_binding_attr(ce, var: str) -> Optional[str]:
-    from .astnodes import Conjunction, Test, Var
+def _bind(plan, wmes: Tuple[WME, ...]) -> Dict[str, Constant]:
+    n = len(wmes)  # startup fires on the empty token
+    return {var: wmes[pos].vals.get(attr) for var, pos, attr in plan if pos < n}
 
-    for at in ce.tests:
-        tests = at.test.tests if isinstance(at.test, Conjunction) else (at.test,)
-        for t in tests:
-            if isinstance(t, Test) and t.op == "=" and isinstance(t.operand, Var):
-                if t.operand.name == var:
-                    return at.attr
-    return None
+
+def extract_bindings(production: Production, token: Token) -> Dict[str, Constant]:
+    """Variable bindings implied by an instantiation's WMEs."""
+    return _bind(binding_plan(production), token.wmes)
 
 
 class CompiledRHS:
@@ -94,6 +92,8 @@ class CompiledRHS:
     def __init__(self, production: Production) -> None:
         self.production = production
         self._ce_token_pos = _ce_positions(production)
+        #: Computed once: ``execute`` binds from it without touching the AST.
+        self._plan = binding_plan(production)
         self.ops: List[ThreadedOp] = [self._compile_action(a) for a in production.actions]
 
     # -- public ------------------------------------------------------------
@@ -102,14 +102,17 @@ class CompiledRHS:
         self,
         wm: WorkingMemory,
         token: Token,
-        input_values: Optional[Sequence[Constant]] = None,
+        input_values: Optional[List[Constant]] = None,
     ) -> RhsEnv:
-        """Run the RHS against ``wm``; returns the populated environment."""
+        """Run the RHS against ``wm``; returns the populated environment.
+
+        ``input_values`` is the ``(accept)`` stream itself, consumed in place.
+        """
         env = RhsEnv(
             wm=wm,
             token=token,
-            bindings=extract_bindings(self.production, token),
-            input_values=list(input_values or ()),
+            bindings=_bind(self._plan, token.wmes),
+            input_values=input_values if input_values is not None else [],
         )
         for i, pos in self._ce_token_pos.items():
             env.ce_wmes[i] = token.wmes[pos] if pos < len(token.wmes) else None

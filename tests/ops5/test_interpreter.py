@@ -126,6 +126,44 @@ class TestModes:
         assert interp.stats.node_activations > 0
 
 
+class TestAcceptStream:
+    SRC = """
+    (p read (tick ^n <n>) --> (remove 1) (make got ^n <n> ^v (accept)))
+    (startup (make tick ^n 1) (make tick ^n 2))
+    """
+
+    def test_each_accept_consumes_the_next_value(self):
+        # Regression: every firing used to read a fresh copy of the
+        # stream, so both ticks got 10 and nothing was ever consumed.
+        interp = Interpreter(self.SRC, input_values=[10, 20])
+        interp.run()
+        got = sorted((w.get("n"), w.get("v")) for w in interp.wm if w.klass == "got")
+        assert got == [(1, 20), (2, 10)]  # LEX: the newer tick reads first
+        assert interp.input_values == []
+
+    def test_exhausted_stream_is_an_error(self):
+        interp = Interpreter(
+            self.SRC + "(startup (make tick ^n 3))", input_values=[10, 20]
+        )
+        with pytest.raises(RuntimeOps5Error, match="no pending input"):
+            interp.run()
+        assert interp.cycle == 3 and interp.input_values == []
+
+    def test_the_callers_list_is_left_alone(self):
+        values = [10, 20]
+        Interpreter(self.SRC, input_values=values).run()
+        assert values == [10, 20]
+
+    def test_startup_and_rules_share_the_stream(self):
+        interp = Interpreter(
+            "(p r (a ^v <v>) --> (make b ^v (accept)))"
+            "(startup (make a ^v (accept)))",
+            input_values=[1, 2],
+        )
+        interp.run()
+        assert [(w.klass, w.get("v")) for w in interp.wm] == [("a", 1), ("b", 2)]
+
+
 class TestErrors:
     def test_removing_same_wme_twice_across_rules(self):
         # Two rules both trying to remove the same wme: the second
