@@ -1,10 +1,10 @@
 """The stall watchdog: no-progress detection for the parallel engines.
 
-The documented failure mode it exists for: the threaded engine's
-multi-queue rubik livelock — tasks queued, TaskCount stuck above zero,
-every worker spinning — which until now could only be *found* offline
-by schedck, never diagnosed in a live run.  The watchdog turns that
-(and any future cousin) into a reproducible, self-describing dump.
+The failure mode it exists for: tasks queued, TaskCount stuck above
+zero, every worker spinning or blocked — the shape of the mp engine's
+old pipe-full forward deadlock — which offline tools can only *find*,
+never diagnose in a live run.  The watchdog turns that (and any future
+cousin) into a reproducible, self-describing dump.
 
 Mechanics: a daemon thread samples a *probe* — a cheap callable the
 engine supplies returning :class:`ProbeSample` (cumulative tasks done,

@@ -5,7 +5,7 @@ from . import hooks
 from .conjugate import ConjugateMemory
 from .engine import ParallelMatcher
 from .locks import LockStats, MRSWLineLocks, SimpleLineLocks, SpinLock, make_line_locks
-from .policy import POLICY_NAMES, SAFE_QUEUE_MATRIX, Policy, make_policy
+from .policy import POLICY_NAMES, Policy, make_policy
 from .taskqueue import TaskCount, TaskQueueSet
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "POLICY_NAMES",
     "ParallelMatcher",
     "Policy",
-    "SAFE_QUEUE_MATRIX",
     "SimpleLineLocks",
     "SpinLock",
     "TaskCount",

@@ -12,9 +12,10 @@ One *control process* (the caller's thread, i.e. the interpreter) and
 * per-line hash-table locks (simple or MRSW).
 
 The control thread pushes one root task per WM change and then waits
-for ``TaskCount`` to reach zero, exactly as in §3.2; match threads loop
-pop → process → push, with every memory-touching activation bracketed
-by its line's lock.
+for ``TaskCount`` to reach zero, as in §3.2 — once per sign, a batch's
+retractions before its assertions; match threads loop pop → process →
+push, with every memory-touching activation bracketed by its line's
+lock.
 
 **Honesty note on speed**: under CPython's GIL this engine demonstrates
 the *correctness* of the synchronization design (identical conflict
@@ -60,9 +61,7 @@ class ParallelMatcher(Matcher):
     "k" of "1+k"), ``n_queues`` (1–8), ``lock_scheme`` ('simple' or
     'mrsw'), ``n_lines`` (hash-table size), plus ``policy`` — the task
     dispatch policy from :mod:`repro.parallel.policy` deciding which
-    queue each push lands on (and whether pops steal).  Multi-queue
-    runs need a line-affinity policy on modify-heavy programs; see
-    :data:`repro.parallel.policy.SAFE_QUEUE_MATRIX`.
+    queue each push lands on.
     """
 
     #: Conflict-set deltas arrive unordered; the interpreter must use a
@@ -88,7 +87,6 @@ class ParallelMatcher(Matcher):
         self.line_locks = make_line_locks(lock_scheme, n_lines)
         self.queues = TaskQueueSet(n_queues)
         self.policy = make_policy(policy)
-        self._steals = self.policy.steals
         self._last_rebalances = 0
         self.taskcount = TaskCount()
         self.n_workers = n_workers
@@ -129,7 +127,8 @@ class ParallelMatcher(Matcher):
     # -- control-process side -------------------------------------------------
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Pipeline the changes to the match processes; wait for quiescence."""
+        """Pipeline the changes to the match processes, retractions
+        first; wait for quiescence after each sign."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
         match_t0 = perf_counter()
@@ -140,39 +139,47 @@ class ParallelMatcher(Matcher):
             batch_t0 = _obs.now()
         # Request-scoped task meta: worker threads do not inherit the
         # control thread's contextvar, so capture the active request's
-        # ids here and ride them on every task tuple.  The second slot
-        # is the push timestamp the workers turn into queue-wait
-        # metering; None whenever neither layer is on, so the disabled
-        # path allocates nothing.
-        meta = None
-        if obs_on or meter_on:
-            ids = _context.current_ids()
+        # ids here and ride them on every task tuple.
+        ids = _context.current_ids() if obs_on or meter_on else None
+        # Retract before assert: a mixed batch is pushed sign by sign,
+        # every `-` to quiescence and then every `+`, so no join ever
+        # holds the old and the new WME of one modify together.  A WME
+        # made and removed inside one batch meets its `-` first; the
+        # extra-deletes lists park it until the `+` arrives.
+        deletes = [change for change in changes if change.sign < 0]
+        if deletes and len(deletes) < len(changes):
+            waves = (deletes, [change for change in changes if change.sign > 0])
+        else:
+            waves = (changes,)
+        for wave in waves:
+            # The second slot is this wave's push timestamp, which the
+            # workers turn into queue-wait metering; None whenever neither
+            # layer is on, so the disabled path allocates nothing.
             t_push = _obs.now() if meter_on else 0
-            if ids is not None or t_push:
-                meta = (ids, t_push)
-        for change in changes:
-            self.taskcount.increment()
-            # Root WM changes have no hash line yet (alpha dispatch
-            # assigns one to each derived activation); the policy sees
-            # line=None, pusher=None (the control process).
-            self._dispatch(("change", change.sign, change.wme, meta), None, None)
-        # The control process becomes idle and waits for the match
-        # processes to finish (TaskCount == 0).
-        if obs_on:
-            wait_t0 = _obs.now()
-        while not self.taskcount.zero:
+            meta = (ids, t_push) if ids is not None or t_push else None
+            for change in wave:
+                self.taskcount.increment()
+                # Root WM changes have no hash line yet (alpha dispatch
+                # assigns one to each derived activation); the policy
+                # sees line=None, pusher=None (the control process).
+                self._dispatch(("change", change.sign, change.wme, meta), None, None)
+            # The control process becomes idle and waits for the match
+            # processes to finish (TaskCount == 0).
+            if obs_on:
+                wait_t0 = _obs.now()
+            while not self.taskcount.zero and not self._failures:
+                yield_point("quiesce_wait", self.taskcount)
+                time.sleep(0)
+            if obs_on:
+                _obs.span(
+                    "phase", "match.quiesce_wait", wait_t0, _obs.now(),
+                    args=_context.tag({"changes": len(wave)}),
+                )
             if self._failures:
                 break
-            yield_point("quiesce_wait", self.taskcount)
-            time.sleep(0)
         if obs_on:
-            t1 = _obs.now()
             _obs.span(
-                "phase", "match.quiesce_wait", wait_t0, t1,
-                args=_context.tag({"changes": len(changes)}),
-            )
-            _obs.span(
-                "phase", "match.parallel_batch", batch_t0, t1,
+                "phase", "match.parallel_batch", batch_t0, _obs.now(),
                 args=_context.tag({"changes": len(changes)}),
             )
         if self._failures:
@@ -297,7 +304,7 @@ class ParallelMatcher(Matcher):
 
         try:
             while True:
-                task = self.queues.pop(home=wid, steal=self._steals)
+                task = self.queues.pop(home=wid)
                 if task is None:
                     if self._shutdown:
                         return

@@ -3,16 +3,9 @@
 The paper's speedup hinges on *where* match work runs: which worker
 owns a token hash line (the mp backend's shard routing), and which
 task queue a spawned activation lands on (the threaded engine and the
-Encore simulator).  Both decisions used to be hard-coded — round-robin
-line ownership in :class:`~repro.parallel.mp.shard.ShardMap`, round-
-robin pushes with scan-stealing pops in the threaded engine — which
-left the placement axis unexplorable and the threaded engine pinned to
-one task queue (multi-queue rubik livelocks under round-robin routing;
-see :data:`SAFE_QUEUE_MATRIX`).
-
-A :class:`Policy` packages both decisions behind one small interface,
-mirroring the ray-scheduler-prototype's registry of interchangeable
-schedulers replayed over one trace:
+Encore simulator).  A :class:`Policy` packages both decisions behind
+one small interface, mirroring the ray-scheduler-prototype's registry
+of interchangeable schedulers replayed over one trace:
 
 ``place_lines(n_lines, n_workers)``
     Static shard placement — the ``line -> owner worker`` map the mp
@@ -32,60 +25,38 @@ schedulers replayed over one trace:
 Registered policies (:data:`POLICY_NAMES`):
 
 ``round-robin``
-    The historical default: pushes deal queues in sequence order,
-    lines deal to workers modulo.  No load feedback — **livelocks
-    modify-heavy programs (rubik) when every queue is some worker's
-    dedicated home** (``n_queues == n_workers``): each worker's LIFO
-    pops mostly ride its own freshest pushes, the two workers follow
-    disjoint subtrees of one modify's ``+``/``-`` halves, and the
-    parked conjugate-delete lists grow until every insert rescans them
-    (the pinned schedck reproduction in
-    ``tests/schedck/test_rubik_livelock.py``).
+    The default: pushes deal queues in sequence order, lines deal to
+    workers modulo.  No load feedback.
 
 ``affinity``
     Hash-line locality: a task is routed to ``line % n_queues``, so
     every activation touching one line serializes through one queue —
     the paper's per-line mutual exclusion recast as routing.  Places
     lines in contiguous blocks per worker (the mp layout axis).
-    Locality alone does *not* break the divergence livelock: the
-    queues are LIFO, so a conjugate delete pushed later still
-    overtakes its insert inside the same stack, and at ``n_queues ==
-    n_workers`` affinity livelocks rubik exactly like round-robin.
-    With an extra steal-only overflow queue (``n_queues >
-    n_workers``) it is fast and stable.
 
 ``least-loaded``
     Shallowest-queue dispatch (ties break to the lowest index), the
-    classic load-balancing baseline.  The depth feedback keeps every
-    queue shallow, which both mixes the workers' streams and bounds
-    how far a conjugate pair can spread — it survives the dedicated-
-    home alignment that kills round-robin.
+    classic load-balancing baseline.
 
 ``work-stealing``
     Producers push to their own queue (the control process deals
     round-robin); consumers pop home-first and steal from peers when
     empty.  Keeps spawned work cache-warm like the paper's LIFO
-    queues; at ``n_queues == n_workers`` it completes rubik but with
-    heavy run-to-run variance (two depth-first racers), so its
-    conformance pin keeps an overflow queue.
+    queues.
 
 ``rebalance``
     Hot-shard rebalancing on top of affinity: route by line unless the
     line's home queue is *hot* (deeper than ``hot_depth`` and more
     than twice the shallowest queue), then spill to the least-loaded
-    queue and count a rebalance.  This is the policy that
-    demonstrably fixes the livelock alignment: with 2 workers and 2
-    dedicated queues — where round-robin and plain affinity both hang
-    rubik past any budget — the hot spill keeps the stacks shallow
-    and mixed and the run completes in ~1 s (see
-    ``tests/schedck/test_rubik_livelock.py`` and the policyck
-    battery).
+    queue and count a rebalance.
 
-All policies steal on pop (``steals = True``): an idle worker scans
-peer queues rather than spinning on an empty home queue, so no policy
-can strand queued work.  Policy objects are cheap, per-matcher, and
-carry only counters as mutable state; :func:`make_policy` builds one
-from its registry name.
+A policy decides where a push lands, never whether a pop finds it: an
+idle worker always scans peer queues
+(:meth:`~repro.parallel.taskqueue.TaskQueueSet.pop`), so every policy
+terminates with the sequential answer at any queue and worker count
+(the policyck battery, the conformance matrix).  Policy objects are
+cheap, per-matcher, and carry only counters as mutable state;
+:func:`make_policy` builds one from its registry name.
 """
 
 from __future__ import annotations
@@ -103,28 +74,6 @@ POLICY_NAMES: Tuple[str, ...] = (
     "rebalance",
 )
 
-#: Threaded-engine queue counts at which each policy passes the full
-#: conformance battery (2 workers) fast and repeatably — the
-#: per-policy successor of the old blanket ``n_queues=1`` pin.
-#: Empirical basis (rubik n_moves=4 seed=1988, 2 workers, 5-6 runs
-#: per cell): round-robin and affinity both run >60 s (livelock) at
-#: ``n_queues == n_workers`` but finish in ~0.4 s with a steal-only
-#: overflow queue (3); least-loaded and rebalance finish the
-#: dedicated-home alignment (2) in ~0.6-1.4 s because depth feedback
-#: keeps the stacks shallow; work-stealing completes at 2 but with
-#: ~0.5-6 s variance, so its pin keeps the overflow queue.
-#: Round-robin stays at one queue on purpose: it is the naive
-#: baseline whose multi-queue failure is reproduced deterministically
-#: in ``tests/schedck/test_rubik_livelock.py``, and one queue is its
-#: only alignment-proof configuration.
-SAFE_QUEUE_MATRIX = {
-    "round-robin": 1,
-    "affinity": 3,
-    "least-loaded": 2,
-    "work-stealing": 3,
-    "rebalance": 2,
-}
-
 
 class Policy:
     """Base policy: shard placement plus task dispatch.
@@ -132,13 +81,11 @@ class Policy:
     Subclasses set ``name`` and override the two decision methods.
     ``needs_line`` tells the engine whether to compute a task's hash
     line before pushing (a ``stable_hash`` per push — skipped for
-    line-blind policies); ``steals`` whether pops may scan peer
-    queues.
+    line-blind policies).
     """
 
     name = "?"
     needs_line = False
-    steals = True
 
     def __init__(self) -> None:
         #: Dispatch decisions that overrode the natural home because it
@@ -279,7 +226,6 @@ _POLICY_CLASSES = {
 }
 
 assert set(_POLICY_CLASSES) == set(POLICY_NAMES)
-assert set(SAFE_QUEUE_MATRIX) == set(POLICY_NAMES)
 
 
 def make_policy(spec) -> Policy:
@@ -299,8 +245,3 @@ def make_policy(spec) -> Policy:
         )
     return cls()
 
-
-def safe_queues(spec) -> int:
-    """The conformance-safe threaded queue count for a policy name."""
-    policy = make_policy(spec)
-    return SAFE_QUEUE_MATRIX[policy.name]

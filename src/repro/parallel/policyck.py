@@ -8,11 +8,9 @@ dispatch/placement policy, required to match the sequential reference
 in its complete firing trace (cycle, production, timetags), final
 working memory, ``write`` output, halt flag, and cycle count.
 
-Threaded cases run each policy at its conformance-validated queue
-count (:data:`repro.parallel.policy.SAFE_QUEUE_MATRIX` — the
-per-policy successor of the old blanket ``n_queues=1`` pin) unless an
-explicit ``n_queues`` override is given; mp cases exercise the
-placement half of the same policy object (the shard owners table).
+Threaded cases run one task queue per worker unless an explicit
+``n_queues`` is given; mp cases exercise the placement half of the same
+policy object (the shard owners table).
 
 Reports are byte-stable (racy telemetry like steal counts is never
 printed), and every FAIL line carries a paste-ready
@@ -27,7 +25,7 @@ from typing import Dict, Optional, Sequence
 from .. import check
 from ..check import PROGRAMS, Finding
 from ..engines import POOL_ENGINES, check_engine_opts, mp_supported
-from .policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
+from .policy import POLICY_NAMES
 
 
 def run_case(
@@ -43,9 +41,7 @@ def run_case(
     opts = {"n_workers": n_workers, "policy": policy}
     label = [("policy", policy), ("engine", engine)]
     if engine == "threaded":
-        opts["n_queues"] = (
-            n_queues if n_queues is not None else SAFE_QUEUE_MATRIX[policy]
-        )
+        opts["n_queues"] = n_queues if n_queues is not None else n_workers
         label.append(("queues", opts["n_queues"]))
     label.append(("program", program))
     report = check.Report(
@@ -126,8 +122,7 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
                    help="conformance programs (default: all eight)")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--queues", type=int, default=None,
-                   help="threaded queue-count override (default: the "
-                        "per-policy safe-queue matrix)")
+                   help="threaded queue count (default: one per worker)")
 
 
 def _run(args: argparse.Namespace):

@@ -108,16 +108,12 @@ class TaskQueueSet:
                 # to keep near zero.
                 _obs.count("queue.push_imbalanced")
 
-    def pop(self, home: int = 0, steal: bool = True) -> Optional[Any]:
-        """Pop from the home queue, else scan the others; None if all empty.
-
-        ``steal=False`` restricts the pop to the home queue (a policy
-        that forbids stealing); the default scans every queue so no
-        task can be stranded.
-        """
+    def pop(self, home: int = 0) -> Optional[Any]:
+        """Pop from the home queue, else scan the others (so no task
+        can be stranded on a queue no worker calls home); None if all
+        are empty."""
         yield_point("queue_pop", home)
-        n = self.n_queues if steal else 1
-        for offset in range(n):
+        for offset in range(self.n_queues):
             qi = (home + offset) % self.n_queues
             queue = self._queues[qi]
             if not queue:

@@ -13,8 +13,8 @@ this package takes ownership of the interleaving instead:
 * :mod:`~repro.schedck.policies` — seeded-random, PCT-style
   random-priority, and targeted adversarial schedule policies;
 * :mod:`~repro.schedck.invariants` — the engine-side quiescence-point
-  invariants (TaskCount, extra-deletes lists, token memory census) on
-  top of the conflict-set equality :mod:`repro.check` gives every
+  invariants (TaskCount, extra-deletes lists, token memory census,
+  bounded amplification) on top of the conflict-set equality :mod:`repro.check` gives every
   battery;
 * :mod:`~repro.schedck.progen` — a bounded random OPS5 program and
   working-memory workload generator for differential fuzzing;

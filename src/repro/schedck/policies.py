@@ -130,11 +130,10 @@ class BurstPolicy(_GuardMixin):
     maximal interleaving — which lets conjugate ``+``/``-`` twins
     annihilate almost as soon as they meet.  A preemptive interpreter
     does the opposite: each thread owns the core for a long slice and
-    drains its own LIFO queue alone.  That burst shape is what sustains
-    the multi-queue conjugate amplification (each generation of a
-    split pair multiplies before its delete half is serviced), so this
-    family is the one that reproduces the rubik livelock inside the
-    deterministic harness (``tests/schedck/test_rubik_livelock.py``).
+    drains its own LIFO queue alone.  That burst shape is the one that
+    lets a split pair's halves stream furthest apart, so this family
+    drives the pinned conjugate-storm regression
+    (``tests/schedck/test_conjugate_storm.py``).
     """
 
     def __init__(self, seed: int, quantum: int = 100) -> None:

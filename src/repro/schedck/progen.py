@@ -17,10 +17,8 @@ interleaving.
 
 The default parameters cap rules at two positive CEs: this is the
 *shallow-chain corpus* the differential fuzz sweep runs on.  Deeper
-chains are known to diverge transiently under adversarial delete delay
-(DESIGN.md "Known divergences"); the pinned regression test in
-``tests/schedck/test_deep_chain.py`` uses ``max_pos_ces=4`` to
-reproduce exactly that.
+chains are covered by the pinned workloads
+(:mod:`repro.schedck.workloads`).
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ The battery's share of a :mod:`repro.check` lockstep run: from one seed
 pinned one) and drives the threaded
 :class:`~repro.parallel.engine.ParallelMatcher` through it *under the
 cooperative scheduler*, adding the engine-side invariants (TaskCount,
-parked deletes, token-memory census) to the shared conflict-set check
-at every quiescence point.  The report is deterministic text: the same
-seed and configuration produce a byte-identical report, which is what
-lets a CI failure line be replayed locally with
-``python -m repro check schedck --seed N``.
+parked deletes, token-memory census, bounded amplification) to the
+shared conflict-set check at every quiescence point.  The report is
+deterministic text: the same seed and configuration produce a
+byte-identical report, which is what lets a CI failure line be replayed
+locally with ``python -m repro check schedck --seed N``.
 
 :func:`sweep` fans one seed range out over the engine-configuration
 grid (workers × queues × lock scheme) and the policy rotation — the
@@ -25,9 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import check
 from ..ops5.wme import WMEChange
 from ..parallel.engine import ParallelMatcher
-from ..parallel.policy import SAFE_QUEUE_MATRIX
+from ..parallel.policy import POLICY_NAMES
 from . import progen
-from .invariants import check_census, check_quiescence, memory_census
+from .invariants import (
+    check_amplification, check_census, check_quiescence, memory_census,
+)
 from .policies import DEFAULT_POLICIES, make_policy
 from .scheduler import CooperativeScheduler, HarnessSession
 from .workloads import WORKLOADS
@@ -42,9 +44,8 @@ class EngineConfig:
     lands on* — and is deliberately a separate axis from the harness's
     thread-schedule policy (``--policy``), which decides *which thread
     runs next*.  The same seed under the same thread schedule can be
-    replayed against different dispatch policies, which is how the
-    multi-queue livelock reproduction and its fixed twin differ by
-    exactly one knob (``tests/schedck/test_rubik_livelock.py``).
+    replayed against every dispatch policy
+    (``tests/schedck/test_conjugate_storm.py``).
     """
 
     n_workers: int = 2
@@ -75,18 +76,19 @@ class EngineConfig:
         }
 
 
-#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme,
-#: plus one config per non-default dispatch policy at that policy's
-#: conformance-safe queue count (SAFE_QUEUE_MATRIX) so the sweep
-#: exercises every dispatch path under schedule fuzz.
+#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme
+#: under the default dispatch, plus every other dispatch policy at one
+#: queue per worker so the sweep exercises each dispatch path under
+#: schedule fuzz.
 DEFAULT_GRID: Tuple[EngineConfig, ...] = tuple(
     EngineConfig(n_workers=w, n_queues=q, lock_scheme=s)
     for w in (1, 2, 4)
     for q in (1, 4)
     for s in ("simple", "mrsw")
 ) + tuple(
-    EngineConfig(n_workers=2, n_queues=SAFE_QUEUE_MATRIX[d], dispatch=d)
-    for d in ("affinity", "least-loaded", "work-stealing", "rebalance")
+    EngineConfig(n_workers=2, n_queues=2, dispatch=d)
+    for d in POLICY_NAMES
+    if d != "round-robin"
 )
 
 
@@ -129,10 +131,14 @@ def run_schedule(
         )
 
         def invariants(bi, _batch, oracle):
-            return check_quiescence(bi, matcher) + check_census(
-                bi,
-                memory_census(matcher.memory),
-                memory_census(oracle.memory),
+            return (
+                check_quiescence(bi, matcher)
+                + check_census(
+                    bi,
+                    memory_census(matcher.memory),
+                    memory_census(oracle.memory),
+                )
+                + check_amplification(bi, matcher.stats, oracle.stats)
             )
 
         try:

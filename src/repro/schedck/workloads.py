@@ -8,21 +8,25 @@ those fixtures a name the CLI can replay (``repro check schedck --workload
 NAME``), so a failing pinned test prints a paste-ready command instead
 of "see the test file".
 
+Both are amplification regressions: while a batch's ``+`` and ``-``
+changes raced, a join that held the old and the new WME of one modify
+multiplied tokens per chain level.  The threaded engine now retracts
+before it asserts, and ``tests/schedck/test_deep_chain.py`` and
+``test_conjugate_storm.py`` hold them to no more match work than
+sequential.
+
 ``deep-chain``
-    The 4-level chain whose *thread-schedule*-induced transient token
-    blow-up (delete halves of a modify delayed behind the add halves)
-    is pinned as a strict xfail in ``tests/schedck/test_deep_chain.py``.
+    A 4-level chain, every level above the base modified in one batch
+    — once a transient token blow-up under a *thread schedule* that
+    delays the delete halves behind the add halves
+    (``adversarial:delay-deletes``).
 
 ``conjugate-storm``
-    The *dispatch*-induced sibling: a deeper chain driven through
-    repeated modify batches, so every batch floods the queues with
-    ``+``/``-`` conjugate twins — the rubik recognize-act cycle's
-    match-phase shape distilled to the smallest program that still
-    shows the multi-queue divergence.  Under the naive round-robin
-    dispatch at the livelock alignment (``n_queues == n_workers``) the
-    twins land on different queues and the parked-delete lists grow;
-    under the rebalancing dispatch the same thread schedule stays
-    clean (``tests/schedck/test_rubik_livelock.py``).
+    The *dispatch*-side sibling: a deeper chain with a width-2 cross
+    product per level, modified in one conjugate-heavy batch — the
+    rubik recognize-act cycle's match-phase shape distilled.  Once a
+    livelock under round-robin dispatch with one queue per worker
+    (``burst:50``, 2 workers, 2 queues).
 """
 
 from __future__ import annotations
@@ -62,12 +66,11 @@ def conjugate_storm_case(
     level — each round puts ``2 * width * (levels-1)`` conjugate
     halves in flight at once, the way rubik's rotation productions
     churn the cube state every cycle.  ``width > 1`` gives every join
-    level a cross product, so a delete half delayed behind its insert
-    half double-counts *width-fold* per level it lags — the
-    amplification that turns a reordered queue into a livelock.
+    level a cross product, so a delete half that lagged its insert
+    half would double-count *width-fold* per level.
 
-    The defaults are the pinned livelock shape of
-    ``tests/schedck/test_rubik_livelock.py``, so the registry entry
+    The defaults are the pinned shape of
+    ``tests/schedck/test_conjugate_storm.py``, so the registry entry
     replays it exactly."""
     wm = WorkingMemory()
     current = [

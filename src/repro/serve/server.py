@@ -158,8 +158,13 @@ class ReproServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break  # over-long line or peer reset
+                except ConnectionError:
+                    break  # peer reset
+                except ValueError:
+                    # Over-long line: the stream cannot be resynchronised,
+                    # so say why once and hang up.
+                    await self._serve_one(None, writer, write_lock)
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -182,11 +187,15 @@ class ReproServer:
                 pass
 
     async def _serve_one(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+        self, line: Optional[bytes], writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
         req_id: Any = None
         self.metrics.requests += 1
         try:
+            if line is None:
+                raise ProtocolError(
+                    E_BAD_REQUEST, f"request line exceeds {MAX_LINE_BYTES} bytes"
+                )
             msg = decode_line(line)
             req_id = msg.get("id")
             response = await self._dispatch(msg)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import PROGRAMS, run_program
-from repro.parallel.policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
+from repro.parallel.policy import POLICY_NAMES
 
 #: Engine name -> Interpreter(engine=..., engine_opts=...) selections.
 #: A new backend joins the conformance matrix by adding one line; a
@@ -26,33 +26,26 @@ from repro.parallel.policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
 #: below (and the registry-sync guard in test_conformance.py fails if
 #: the loop and :data:`repro.parallel.policy.POLICY_NAMES` drift).
 #:
-#: The base threaded row runs its default round-robin dispatch on a
-#: single task queue; each other policy runs at its conformance-safe
-#: queue count from SAFE_QUEUE_MATRIX.  The per-policy counts replace
-#: the old blanket ``n_queues=1`` pin: at ``n_queues == n_workers``
-#: the rubik workloads livelock under dispatch policies without load
-#: feedback — conjugate ``+``/``-`` halves land on different LIFO
-#: queues and the amplification outruns annihilation (reproduced
-#: deterministically in ``tests/schedck/test_rubik_livelock.py``).
+#: Every threaded row runs one task queue per worker (the base row is
+#: the default round-robin dispatch); ``threaded@3-queues`` adds a
+#: queue no worker calls home, reachable only by steals.
 #: ``mp@affinity`` covers the blocked shard placement, the other
 #: placement half of the same policy objects.
 ENGINES = {
     "sequential": dict(engine="sequential", engine_opts={}),
     "threaded": dict(engine="threaded",
-                     engine_opts={"n_workers": 2, "n_queues": 1}),
+                     engine_opts={"n_workers": 2, "n_queues": 2}),
+    "threaded@3-queues": dict(engine="threaded",
+                              engine_opts={"n_workers": 2, "n_queues": 3}),
     "mp": dict(engine="mp", engine_opts={"n_workers": 2}),
     "corgi": dict(engine="corgi", engine_opts={}),
 }
 for _policy in POLICY_NAMES:
     if _policy == "round-robin":
-        continue  # the base "threaded" row: default policy, 1 queue
+        continue  # the base "threaded" row
     ENGINES[f"threaded@{_policy}"] = dict(
         engine="threaded",
-        engine_opts={
-            "n_workers": 2,
-            "n_queues": SAFE_QUEUE_MATRIX[_policy],
-            "policy": _policy,
-        },
+        engine_opts={"n_workers": 2, "n_queues": 2, "policy": _policy},
     )
 ENGINES["mp@affinity"] = dict(
     engine="mp", engine_opts={"n_workers": 2, "policy": "affinity"}

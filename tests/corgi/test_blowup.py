@@ -1,7 +1,7 @@
-"""The deep-chain blow-up, flipped: what stays an xfail for the
-threaded engine (tests/schedck/test_deep_chain.py) *passes* under
-corgi, because lazy join evaluation never materializes the
-intermediate partial-token chains the blow-up multiplies.
+"""Corgi on the blow-up shapes: lazy join evaluation never
+materializes the intermediate partial-token chains that eager joins
+multiply (the deep-chain case is the one the threaded engine is held to
+in tests/schedck/test_deep_chain.py).
 
 Three guards, in increasing ambition:
 
@@ -28,14 +28,13 @@ from repro.ops5.parser import parse_program
 from repro.ops5.wme import WMEChange, WorkingMemory
 from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
-
-from tests.schedck.test_deep_chain import deep_chain_case
+from repro.schedck.workloads import deep_chain_case
 
 
 def test_deep_chain_no_blowup_under_corgi():
-    """The flip of the pinned strict-xfail: under corgi the deep-chain
-    case stays within a constant factor of sequential Rete's match
-    work, and the conflict set agrees batch for batch."""
+    """Under corgi the deep-chain case stays within a constant factor
+    of sequential Rete's match work, and the conflict set agrees batch
+    for batch."""
     program, batches = deep_chain_case()
     compiled = parse_program(program)
     seq = SequentialMatcher(ReteNetwork.compile(compiled))
@@ -47,8 +46,7 @@ def test_deep_chain_no_blowup_under_corgi():
         fold_cs(corgi_cs, corgi.process_changes(batch))
         assert not check_conflict_set(bi, corgi_cs, seq_cs)
     # corgi counts every derived prefix where Rete counts only tokens
-    # past the first join, so allow that bookkeeping factor — but no
-    # blow-up: the threaded engine's pinned schedule exceeds this.
+    # past the first join, so allow that bookkeeping factor.
     assert corgi.stats.tokens_emitted <= 2 * seq.stats.tokens_emitted
 
 

@@ -5,12 +5,19 @@ sequential matcher under real thread interleavings, for every worker
 count, queue count, and lock scheme.
 """
 
+import threading
+from collections import Counter
+
 import pytest
 
+from repro.check import check_conflict_set, fold_cs
 from repro.ops5.interpreter import Interpreter
 from repro.ops5.parser import parse_program
+from repro.ops5.wme import WMEChange, WorkingMemory
+from repro.parallel import hooks
 from repro.parallel.engine import ParallelMatcher
 from repro.programs import blocks, tourney
+from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
 from tests.conftest import FIND_COLORED_BLOCK
 
@@ -51,6 +58,84 @@ class TestAgainstSequential:
         with parallel_interp(src, n_workers=3, n_queues=2) as interp:
             result = interp.run(max_cycles=2000)
         assert result.output[-1] == sequential.output[-1] == "scheduled 15 matches"
+
+
+JOIN_AND_NEGATION = """
+(p both (a ^x <v>) (b ^y <v>) --> (halt))
+(p lone (a ^x <v>) - (b ^y <v>) --> (halt))
+"""
+
+
+class TestRetractBeforeAssert:
+    def build(self, **kw):
+        program = parse_program(JOIN_AND_NEGATION)
+        return program, ParallelMatcher(ReteNetwork.compile(program), **kw)
+
+    def test_wme_made_and_removed_in_one_batch_meets_its_delete_first(self):
+        """``[+a, +b, -b, +b']``: the ``-b`` runs in the first wave,
+        finds nothing to remove and parks on the extra-deletes lists of
+        the join and the not-node; the ``+b`` of the second wave
+        annihilates against it.  Same conflict set as the batch order."""
+        program, matcher = self.build(n_workers=2, n_queues=2)
+        wm = WorkingMemory()
+        a, b = wm.add("a", {"x": 1}), wm.add("b", {"y": 1})
+        old, new = wm.modify(b, {"y": 1})
+        batch = [WMEChange(1, a), WMEChange(1, b), WMEChange(-1, old), WMEChange(1, new)]
+        got, want = Counter(), Counter()
+        try:
+            fold_cs(got, matcher.process_changes(batch))
+        finally:
+            matcher.close()
+        oracle = SequentialMatcher(ReteNetwork.compile(program))
+        fold_cs(want, oracle.process_changes(batch))
+        assert +want == Counter({("both", (a.timetag, new.timetag)): 1})
+        assert check_conflict_set(0, got, want) == []
+        assert matcher.memory.parked_total > 0
+        assert matcher.memory.annihilations == matcher.memory.parked_total
+        assert matcher.memory.pending_deletes == 0
+
+    def test_one_quiescence_wait_per_sign(self):
+        """A single-sign batch is pushed and awaited once, a mixed batch
+        twice: count the control thread's push -> ``quiesce_wait``
+        transitions at the yield points.  Workers are held at their pop
+        until the control thread is waiting, so a wave can never drain
+        before its wait is observed."""
+        _program, matcher = self.build(n_workers=2)
+        control = threading.current_thread()
+        waiting = threading.Event()
+        labels = []
+
+        def hook(label, _detail):
+            if threading.current_thread() is not control:
+                if label == "queue_pop":
+                    waiting.wait(5)
+                return
+            if label == "queue_push":
+                waiting.clear()
+            elif label == "quiesce_wait":
+                waiting.set()
+            labels.append(label)
+
+        def waits(batch):
+            del labels[:]
+            matcher.process_changes(batch)
+            return sum(
+                now == "quiesce_wait" and before != "quiesce_wait"
+                for before, now in zip([None] + labels, labels)
+            )
+
+        wm = WorkingMemory()
+        a, b = wm.add("a", {"x": 1}), wm.add("b", {"y": 1})
+        old, new = wm.modify(a, {"x": 2})
+        hooks.install(hook)
+        try:
+            assert waits([WMEChange(1, a), WMEChange(1, b)]) == 1
+            assert waits([WMEChange(-1, old), WMEChange(1, new)]) == 2
+            assert waits([WMEChange(-1, new), WMEChange(-1, b)]) == 1
+        finally:
+            hooks.uninstall()
+            waiting.set()
+            matcher.close()
 
 
 class TestEngineMechanics:

@@ -12,8 +12,8 @@ The policy contract has two halves, and each gets its own invariants:
   tasks go, every pushed task is popped exactly once and the steal
   counters account for exactly the pops that left their home queue.
 
-Plus the registry plumbing itself: unknown names fail loudly, policy
-instances pass through, and the safe-queue matrix covers the registry.
+Plus the registry plumbing itself: unknown names fail loudly and policy
+instances pass through.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.policy import (
-    POLICY_NAMES,
-    SAFE_QUEUE_MATRIX,
-    Policy,
-    make_policy,
-    safe_queues,
-)
+from repro.parallel.policy import POLICY_NAMES, Policy, make_policy
 from repro.parallel.taskqueue import TaskQueueSet
 
 _n_lines = st.integers(min_value=1, max_value=2048)
@@ -95,7 +89,7 @@ class TestDispatchConservesWork:
             queues.push(("task", seq), home=home)
         popped = []
         for i in range(len(tasks)):
-            task = queues.pop(home=i % n_queues, steal=pol.steals)
+            task = queues.pop(home=i % n_queues)
             assert task is not None, "a pushed task was dropped"
             popped.append(task[1])
         assert sorted(popped) == list(range(len(tasks)))
@@ -121,7 +115,7 @@ class TestDispatchConservesWork:
             queues.push(("task", i), home=victim)
         drain_home = (victim + 1) % n_queues
         for _ in range(n_tasks):
-            assert queues.pop(home=drain_home, steal=True)
+            assert queues.pop(home=drain_home)
         expected = 0 if drain_home == victim else n_tasks
         assert queues.stolen == expected
         assert queues.pushed == queues.popped == n_tasks
@@ -172,6 +166,15 @@ class TestHomeForContract:
         # to each other rather than scattering them.
         assert len(hot[spilled]) == 0
 
+    def test_rebalance_spills_inside_a_real_engine_run(self):
+        """The engine hands the policy live queue depths: the pinned
+        conjugate-storm schedule runs its queues hot enough to spill."""
+        from tests.schedck.test_conjugate_storm import run_pinned
+
+        report = run_pinned("rebalance")
+        assert report.ok, report.format()
+        assert dict(report.telemetry)["policy.rebalances"] > 0
+
 
 class TestRegistry:
     def test_unknown_policy_fails_loudly(self):
@@ -181,10 +184,6 @@ class TestRegistry:
     def test_instance_passes_through(self):
         pol = make_policy("affinity")
         assert make_policy(pol) is pol
-
-    def test_every_policy_has_a_safe_queue_count(self):
-        for name in POLICY_NAMES:
-            assert safe_queues(name) == SAFE_QUEUE_MATRIX[name] >= 1
 
     def test_fresh_instances_have_zero_counters(self):
         for name in POLICY_NAMES:

@@ -7,7 +7,16 @@ from repro.ops5.parser import parse_program
 from repro.ops5.wme import WMEChange, WorkingMemory
 from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
-from repro.schedck.invariants import check_census, check_quiescence, memory_census
+from repro.rete.stats import MatchStats
+from repro.schedck import invariants
+from repro.schedck.invariants import (
+    AMPLIFICATION_PER_CHANGE,
+    check_amplification,
+    check_census,
+    check_quiescence,
+    memory_census,
+)
+from repro.schedck.runner import run_schedule
 
 PROGRAM = "(p r (c0 ^a <x>) (c1 ^a <x>) --> (halt))"
 
@@ -122,3 +131,34 @@ class TestQuiescence:
     def test_parked_deletes_detected(self):
         violations = check_quiescence(2, self._FakeMatcher(pending=2))
         assert any(v.kind == "extra_deletes" for v in violations)
+
+
+class TestAmplification:
+    @staticmethod
+    def stats(tokens, changes=0):
+        stats = MatchStats()
+        stats.tokens_emitted = tokens
+        stats.wme_changes = changes
+        return stats
+
+    def test_additive_excess_passes(self):
+        seq = self.stats(100, changes=5)
+        assert check_amplification(0, self.stats(60), seq) == []
+        at_bound = self.stats(100 + AMPLIFICATION_PER_CHANGE * 5)
+        assert check_amplification(0, at_bound, seq) == []
+
+    def test_multiplicative_excess_detected(self):
+        seq = self.stats(6660, changes=44)
+        # The removed conjugate-storm livelock: 2.4x the oracle's tokens.
+        (finding,) = check_amplification(1, self.stats(16252), seq)
+        assert finding.kind == "amplification" and finding.batch == 1
+        assert "16252" in finding.detail and "44 WM changes" in finding.detail
+
+    def test_finding_fails_the_schedule_with_a_replay_line(self, monkeypatch):
+        monkeypatch.setattr(invariants, "AMPLIFICATION_PER_CHANGE", -1000)
+        report = run_schedule(0, workload="deep-chain")
+        assert not report.ok
+        text = report.format()
+        assert "[amplification] batch 0:" in text
+        assert "replay: python -m repro check schedck --seed 0" in text
+        assert "--workload deep-chain" in text

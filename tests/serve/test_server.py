@@ -8,6 +8,7 @@ import pytest
 
 from repro.ops5.interpreter import WMOp
 from repro.serve.limits import ServiceLimits
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.session import Busy
 
 from .conftest import COUNTER, SPINNER, request, with_server
@@ -217,6 +218,21 @@ class TestErrors:
             assert not resp["ok"] and resp["error"]["code"] == "bad-request"
             # The connection survives both.
             assert (await request(reader, writer, {"id": 2, "type": "ping"}))["ok"]
+
+        with_server(scenario)
+
+    def test_over_long_line_is_answered_before_the_close(self):
+        """A frame past MAX_LINE_BYTES cannot be resynchronised, so the
+        connection ends — but with a typed error first, not a bare EOF."""
+        async def scenario(server, reader, writer):
+            writer.write(b"x" * (MAX_LINE_BYTES + 1))
+            await writer.drain()
+            resp = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            assert resp["id"] is None and not resp["ok"]
+            assert resp["error"]["code"] == "bad-request"
+            assert f"exceeds {MAX_LINE_BYTES} bytes" in resp["error"]["message"]
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            assert server.metrics.errors == 1
 
         with_server(scenario)
 

@@ -105,6 +105,27 @@ class TestWorkerFaultPropagation:
         with pytest.raises(RuntimeError, match="match process failed"):
             matcher.process_changes([WMEChange(1, wm.add("a", {"x": 1}))])
 
+    def test_failure_in_the_retract_wave_stops_the_batch(self):
+        """A node that raises while a mixed batch's ``-`` changes run
+        surfaces before any ``+`` change is pushed, and closes the
+        matcher."""
+        program = parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
+        network = ReteNetwork.compile(program)
+        matcher = ParallelMatcher(network, n_workers=2, n_queues=2)
+        wm = WorkingMemory()
+        a = wm.add("a", {"x": 1})
+        matcher.process_changes([WMEChange(1, a)])
+        network.two_input_nodes()[0].key_for = None  # type: ignore[assignment]
+        pushed = []
+        push = matcher.queues.push
+        matcher.queues.push = lambda task, home=0: (pushed.append(task), push(task, home))
+        old, new = wm.modify(a, {"x": 2})
+        with pytest.raises(RuntimeError, match="match process failed"):
+            matcher.process_changes([WMEChange(-1, old), WMEChange(1, new)])
+        assert [t[1] for t in pushed if t[0] == "change"] == [-1]
+        with pytest.raises(RuntimeError, match="already closed"):
+            matcher.process_changes([])
+
     def test_failed_matcher_refuses_further_work(self):
         program = parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
         network = ReteNetwork.compile(program)
