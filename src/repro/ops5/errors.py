@@ -12,7 +12,8 @@ class Ops5Error(Exception):
 
 
 class LexError(Ops5Error):
-    """Raised when the lexer encounters an invalid character sequence."""
+    """An invalid character sequence.  Kept for API compatibility:
+    nothing raises it, the scanner has a token for every character."""
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{message} (line {line}, column {column})")

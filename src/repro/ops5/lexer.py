@@ -15,18 +15,22 @@ The only delicate part of lexing OPS5 is the overloading of ``<`` and
 * ``<<`` and ``>>`` delimit disjunctions;
 * ``<=`` / ``>=`` / ``<>`` / ``<=>`` are predicates.
 
-We resolve this with longest-match scanning anchored on a regular
-expression for variables.
+Every one of those decisions is one ordered alternation, compiled once
+(:data:`_SCANNER`): the first alternative that matches at a position
+wins, so the order of the alternatives *is* the disambiguation —
+variable before operator, ``<=>`` before ``<=`` and ``<>``, the
+negated-CE minus and the number before the catch-all symbol.  A
+construct that fails an earlier alternative is not an error, it falls
+through to a later one: ``<abc`` is the predicate ``<`` followed by the
+symbol ``abc``, and ``2>>`` (a number not followed by a delimiter) is
+one symbol.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Iterator, List, Union
-
-from .errors import LexError
 
 
 class TokenType(Enum):
@@ -47,147 +51,92 @@ class TokenType(Enum):
     SYMBOL = auto()         # any other atom
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token with its source position."""
 
-    type: TokenType
-    value: Union[str, int, float]
-    line: int
-    column: int
+    __slots__ = ("type", "value", "line", "column")
+
+    def __init__(
+        self, type: TokenType, value: Union[str, int, float], line: int, column: int
+    ) -> None:
+        self.type = type
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def _fields(self) -> tuple:
+        return (self.type, self.value, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
 
 
-# A variable is '<' name '>' with no whitespace; names may contain most
-# printing characters but not the delimiters used by the grammar.
-_VARIABLE_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_\-]*)>")
+# The whole token grammar.  Every character is a blank, a delimiter or
+# part of a symbol, so the alternation matches at every position and
+# ``finditer`` skips nothing.  A group named after a TokenType yields
+# that token.  A token takes the blanks behind it along (outside its
+# group), which halves the number of matches on ordinary source.
+_SCANNER = re.compile(
+    r"""
+    (?P<newline>\n)
+  | (?P<blank>(?:[^\S\n]+|;[^\n]*)+)            # comments run to end of line
+  | (?:
+        (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<HAT>\^)
+        # '<' name '>' with no whitespace, before '<' the predicate
+      | <(?P<VARIABLE>[A-Za-z_][A-Za-z0-9_\-]*)>
+        # longest first: '<<' '>>' before '<' '>', and '<=>' (same-type)
+        # before '<=' and '<>'
+      | (?P<LDOUBLE><<) | (?P<RDOUBLE>>>) | (?P<ARROW>-->)
+      | (?P<PREDICATE><=>|<=|>=|<>|=|<|>)
+        # a bare '-' before whitespace or '(' negates a condition
+        # element; a minus starting a number is the next alternative's
+      | (?P<MINUS>-(?=\s|\(|\Z))
+        # a number must end at a delimiter: '2x' is a symbol
+      | (?P<NUMBER>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?(?=[\s(){};^]|\Z))
+      | (?P<SYMBOL>[^\s(){}^;]+)
+    ) [^\S\n]*
+    """,
+    re.VERBOSE,
+)
 
-# A symbol atom runs until whitespace or a delimiter character.
-_SYMBOL_RE = re.compile(r"[^\s(){}^;]+")
-
-_NUMBER_RE = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?")
-
-# Multi-character operators, longest first.  '<=>' (same-type) must come
-# before '<=' and '<>'.
-_OPERATORS = ("<=>", "<=", ">=", "<>", "<<", ">>", "-->", "=", "<", ">")
-
-_OPERATOR_TYPES = {
-    "<<": TokenType.LDOUBLE,
-    ">>": TokenType.RDOUBLE,
-    "-->": TokenType.ARROW,
-}
+_TYPES = {t.name: t for t in TokenType}
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` into a list of :class:`Token`.
 
-    Raises :class:`~repro.ops5.errors.LexError` on an unterminated or
-    malformed construct.  Comments run from ``;`` to end of line.
+    Never raises: text that is not a variable, operator or number is a
+    symbol (see the module docstring for ``<abc`` and ``2>>``).
+    Comments run from ``;`` to end of line.
     """
-    return list(iter_tokens(source))
+    tokens: List[Token] = []
+    append = tokens.append
+    types = _TYPES
+    line = 1
+    line_start = 0
+    for m in _SCANNER.finditer(source):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        value: Union[str, int, float] = m.group(kind)
+        if kind == "NUMBER":
+            value = float(value) if "." in value or "e" in value or "E" in value else int(value)
+        append(Token(types[kind], value, line, m.start() - line_start + 1))
+    return tokens
 
 
 def iter_tokens(source: str) -> Iterator[Token]:
-    """Yield tokens from ``source`` one at a time (see :func:`tokenize`)."""
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == ";":
-            # Comment to end of line.
-            nl = source.find("\n", pos)
-            pos = n if nl < 0 else nl
-            continue
-        col = pos - line_start + 1
-        if ch == "(":
-            yield Token(TokenType.LPAREN, "(", line, col)
-            pos += 1
-            continue
-        if ch == ")":
-            yield Token(TokenType.RPAREN, ")", line, col)
-            pos += 1
-            continue
-        if ch == "{":
-            yield Token(TokenType.LBRACE, "{", line, col)
-            pos += 1
-            continue
-        if ch == "}":
-            yield Token(TokenType.RBRACE, "}", line, col)
-            pos += 1
-            continue
-        if ch == "^":
-            yield Token(TokenType.HAT, "^", line, col)
-            pos += 1
-            continue
-
-        # Variable?  Must be checked before '<' the predicate.
-        m = _VARIABLE_RE.match(source, pos)
-        if m:
-            yield Token(TokenType.VARIABLE, m.group(1), line, col)
-            pos = m.end()
-            continue
-
-        # Multi-character / single-character operators.
-        matched_op = None
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                matched_op = op
-                break
-        if matched_op == "-->":
-            yield Token(TokenType.ARROW, "-->", line, col)
-            pos += 3
-            continue
-        if matched_op in ("<<", ">>"):
-            yield Token(_OPERATOR_TYPES[matched_op], matched_op, line, col)
-            pos += len(matched_op)
-            continue
-        if matched_op is not None:
-            yield Token(TokenType.PREDICATE, matched_op, line, col)
-            pos += len(matched_op)
-            continue
-
-        # A bare '-' introducing a negated CE: a minus followed by
-        # whitespace or '('.  A minus starting a number is handled by the
-        # number branch below.
-        if ch == "-" and (pos + 1 >= n or source[pos + 1].isspace() or source[pos + 1] == "("):
-            yield Token(TokenType.MINUS, "-", line, col)
-            pos += 1
-            continue
-
-        # Number?
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            end = m.end()
-            # Guard against symbols that merely start with digits (e.g.
-            # '2x'): the match must end at a delimiter.
-            if end >= n or source[end].isspace() or source[end] in "(){};^":
-                text = m.group(0)
-                value: Union[int, float]
-                if "." in text or "e" in text or "E" in text:
-                    value = float(text)
-                else:
-                    value = int(text)
-                yield Token(TokenType.NUMBER, value, line, col)
-                pos = end
-                continue
-
-        # Symbol atom.
-        m = _SYMBOL_RE.match(source, pos)
-        if m:
-            yield Token(TokenType.SYMBOL, m.group(0), line, col)
-            pos = m.end()
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", line, col)
+    """Iterate over the tokens of ``source`` (see :func:`tokenize`)."""
+    return iter(tokenize(source))

@@ -48,26 +48,36 @@ _COMPUTE_OPS = ("+", "-", "*", "//", "\\")
 
 
 class _TokenStream:
-    """A cursor over the token list with one-token lookahead."""
+    """A cursor over the token list with one-token lookahead.
+
+    The list ends in a ``None`` sentinel, so looking at the current
+    token is one index and the cursor never asks how long the list is;
+    ``next`` refuses to step over the sentinel.
+    """
+
+    __slots__ = ("_tokens", "_pos", "form_line")
 
     def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+        self._tokens: List[Optional[Token]] = [*tokens, None]
         self._pos = 0
+        #: Line of the ``(`` of the top-level form being parsed.
+        self.form_line = 0
 
     def peek(self) -> Optional[Token]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok is None:
-            raise ParseError("unexpected end of input")
+            raise self.end_of_input()
         self._pos += 1
         return tok
 
     def expect(self, ttype: TokenType) -> Token:
-        tok = self.next()
+        tok = self._tokens[self._pos]
+        if tok is None:
+            raise self.end_of_input()
+        self._pos += 1
         if tok.type is not ttype:
             raise ParseError(
                 f"expected {ttype.name}, found {tok.type.name} {tok.value!r}", tok.line
@@ -75,8 +85,18 @@ class _TokenStream:
         return tok
 
     def at(self, ttype: TokenType) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         return tok is not None and tok.type is ttype
+
+    def end_of_input(self, where: str = "") -> ParseError:
+        """The error for running out of tokens inside a top-level form
+        (the only place it can happen): positioned at the form's ``(``,
+        naming the line of the last token read."""
+        last = self._tokens[self._pos - 1]
+        return ParseError(
+            f"unexpected end of input{where} at line {last.line}: unclosed form",
+            self.form_line,
+        )
 
 
 def parse_program(source: str) -> Program:
@@ -85,15 +105,21 @@ def parse_program(source: str) -> Program:
     literalizes: List[Literalize] = []
     productions: List[Production] = []
     startup: List[Action] = []
+    names = set()
     while stream.peek() is not None:
         tok = stream.expect(TokenType.LPAREN)
+        stream.form_line = tok.line
         head = stream.next()
         if head.type is not TokenType.SYMBOL:
             raise ParseError(f"expected form head, found {head.value!r}", head.line)
         if head.value == "literalize":
             literalizes.append(_parse_literalize(stream))
         elif head.value == "p":
-            productions.append(_parse_production(stream, tok.line))
+            prod = _parse_production(stream, tok.line)
+            if prod.name in names:
+                raise ParseError(f"duplicate production name {prod.name!r}", tok.line)
+            names.add(prod.name)
+            productions.append(prod)
         elif head.value == "startup":
             startup.extend(_parse_actions_until_rparen(stream))
         else:
@@ -162,7 +188,7 @@ def _parse_condition_element(stream: _TokenStream, negated: bool) -> ConditionEl
 def _parse_value_test(stream: _TokenStream):
     tok = stream.peek()
     if tok is None:
-        raise ParseError("unexpected end of input in condition element")
+        raise stream.end_of_input(" in condition element")
     if tok.type is TokenType.LBRACE:
         stream.next()
         subtests: List[Union[Test, Disjunction]] = []

@@ -29,7 +29,7 @@ Join descriptors, applied to (left token wmes, right WME ``w``)::
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..ops5.wme import WME
 
@@ -205,20 +205,30 @@ def _ordered(a, op: str, b) -> bool:
 
 
 class CompiledEvaluator:
-    """Generates and compiles straight-line Python per node (the 'machine
-    code' analogue)."""
+    """Generates and compiles straight-line Python per distinct test (the
+    'machine code' analogue).
+
+    The generated functions are pure (``w`` / ``wmes`` in, bool or tuple
+    out, globals ``_cmp`` and ``_ord`` only), so nodes whose descriptors
+    render to the same text share one function object — Figure 2-2's
+    node sharing applied to the code — and :func:`compile` runs once per
+    distinct text.  The memo lives and dies with the evaluator, one per
+    :class:`~repro.rete.network.ReteNetwork`.
+    """
 
     name = "compiled"
 
     def __init__(self) -> None:
-        self._counter = 0
+        self._compiled: Dict[str, Callable] = {}
 
     def _exec(self, src: str, fn_name: str):
-        self._counter += 1
-        namespace = {"_cmp": compare, "_ord": _ordered}
-        code = compile(src, f"<rete-codegen-{self._counter}>", "exec")
-        exec(code, namespace)
-        return namespace[fn_name]
+        fn = self._compiled.get(src)
+        if fn is None:
+            namespace = {"_cmp": compare, "_ord": _ordered}
+            code = compile(src, f"<rete-codegen-{len(self._compiled) + 1}>", "exec")
+            exec(code, namespace)
+            fn = self._compiled[src] = namespace[fn_name]
+        return fn
 
     def alpha_test(self, desc: AlphaDesc) -> Callable[[WME], bool]:
         src = f"def _t(w):\n    return {_alpha_expr(desc)}\n"

@@ -241,20 +241,22 @@ class ReteNetwork:
         # Canonical order maximizes sharing between CEs that list the
         # same tests in different orders.
         ordered = sorted(descs, key=repr)
-        children = entry.children
         node: Optional[ConstantTestNode] = None
         for desc in ordered:
-            child = children.get(desc)
+            if node is None:
+                child = entry.children.get(desc)
+            else:
+                child = next((c for c in node.children if c.desc == desc), None)
             if child is None:
                 child = ConstantTestNode(
                     self._new_node_id(), desc, self.evaluator.alpha_test(desc)
                 )
-                children[desc] = child
                 self.constant_nodes.append(child)
-                if node is not None:
+                if node is None:
+                    entry.children[desc] = child
+                else:
                     node.children.append(child)
             node = child
-            children = {c.desc: c for c in node.children}
 
         if node is None:
             if entry.terminal is None:

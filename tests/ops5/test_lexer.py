@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ops5.errors import LexError
 from repro.ops5.lexer import Token, TokenType, tokenize
 
 

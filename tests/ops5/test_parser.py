@@ -146,8 +146,12 @@ class TestPrograms:
         assert len(prog.startup) == 2
 
     def test_duplicate_production_names_rejected(self):
-        with pytest.raises(ValueError):
-            parse_program("(p r (a) --> (halt)) (p r (b) --> (halt))")
+        # A ParseError like every other bad program (it was a bare
+        # ValueError from Program.__post_init__), at the line of the
+        # second definition.
+        with pytest.raises(ParseError, match="duplicate production name 'r'") as err:
+            parse_program("(p r (a) --> (halt))\n\n(p q (a) --> (halt))\n(p r (b) --> (halt))")
+        assert err.value.line == 4
 
     def test_unknown_top_level_form(self):
         with pytest.raises(ParseError):
@@ -164,6 +168,26 @@ class TestPrograms:
     def test_unterminated_form(self):
         with pytest.raises(ParseError):
             parse_program("(p r (a) --> (halt)")
+
+    @pytest.mark.parametrize(
+        "form,last_line",
+        [
+            ("(p r\n  (a ^x 1)", 5),
+            ("(p r\n  (a ^x 1)\n  -->\n  (make b", 7),
+            ("(p r (a ^x", 4),  # the 'in condition element' message
+            ("(literalize a\n  x y", 5),
+            ("(startup (make a)", 4),
+            ("(", 4),
+        ],
+    )
+    def test_end_of_input_is_positioned_at_the_open_form(self, form, last_line):
+        # It carried line 0: an unclosed form anywhere in a 4 000-line
+        # source reported no position at all.
+        source = "(literalize b z)\n\n(p ok (b) --> (halt))\n" + form
+        with pytest.raises(ParseError, match="unexpected end of input") as err:
+            parse_program(source)
+        assert err.value.line == 4
+        assert f"at line {last_line}: unclosed form (line 4)" in str(err.value)
 
     def test_specificity_counts_tests(self):
         p = parse_production("(p r (a ^x 1 ^y <v>) (b ^z { <w> > 2 }) --> (halt))")

@@ -254,6 +254,21 @@ class TestErrors:
 
         with_server(scenario)
 
+    def test_duplicate_rule_name_is_the_clients_error(self):
+        """A program that defines one rule twice is a bad program, not a
+        server fault: ``parse-error`` naming the rule and the line of
+        its second definition, and the connection stays usable."""
+        dup = "(p r (a) --> (halt))\n(p r (b) --> (halt))"
+
+        async def scenario(server, reader, writer):
+            resp = await request(reader, writer, {"id": 1, "type": "open", "program": dup})
+            assert resp["error"]["code"] == "parse-error"
+            assert "duplicate production name 'r' (line 2)" in resp["error"]["message"]
+            assert (await request(reader, writer, {"id": 2, "type": "ping"}))["pong"]
+            assert (await open_counter(reader, writer))["ok"]
+
+        with_server(scenario)
+
     def test_session_limit(self):
         async def scenario(server, reader, writer):
             assert (await open_counter(reader, writer))["ok"]
