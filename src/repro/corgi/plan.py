@@ -136,9 +136,9 @@ def compile_plans(
                     node_id=node.node_id,
                     kind=node.kind,
                     alpha=alpha_of[(node.node_id, "R")],
-                    right_key=node.right_key_fn,
-                    left_key=node.left_key_fn,
-                    tests=node.tests_fn,
+                    right_key=node.right_key_fn or _no_key,
+                    left_key=node.left_key_fn or _no_key,
+                    tests=node.tests_fn or _no_tests,
                 )
             )
             if not negated:

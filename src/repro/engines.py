@@ -69,7 +69,13 @@ POOL_ENGINES: Tuple[str, ...] = ("threaded", "mp")
 
 
 def check_engine_opts(
-    engine: str, *, policy: Optional[str] = None, watchdog_s: Optional[float] = None
+    engine: str,
+    *,
+    policy: Optional[str] = None,
+    watchdog_s: Optional[float] = None,
+    memory: Optional[str] = None,
+    n_queues: Optional[int] = None,
+    lock_scheme: Optional[str] = None,
 ) -> None:
     """Every rule about which options an engine accepts, in one place.
 
@@ -103,6 +109,18 @@ def check_engine_opts(
             "a stall watchdog requires a parallel engine "
             f"(threaded or mp), not {engine!r}"
         )
+    if memory == "linear" and engine != "sequential":
+        raise ValueError(
+            "memory 'linear' (--memory) requires the sequential engine, "
+            f"not {engine!r}, which runs hash memories"
+        )
+    for name, flag, value in (
+        ("n_queues", "--queues", n_queues), ("lock_scheme", "--locks", lock_scheme)
+    ):
+        if value is not None and engine != "threaded":
+            raise ValueError(
+                f"{name} ({flag}) requires the threaded engine, not {engine!r}"
+            )
     if engine == "mp" and not mp_supported():
         raise ValueError(
             "engine 'mp' needs the 'fork' start method, which this "
@@ -118,7 +136,7 @@ def make_matcher(
     n_lines: int = 1024,
     n_workers: int = 2,
     n_queues: Optional[int] = None,
-    lock_scheme: str = "simple",
+    lock_scheme: Optional[str] = None,
     policy: Optional[str] = None,
     recorder=None,
     watchdog_s: Optional[float] = None,
@@ -130,7 +148,10 @@ def make_matcher(
     (:func:`check_engine_opts`), so CLI and serve-layer validation can
     simply try and re-raise.
     """
-    check_engine_opts(engine, policy=policy, watchdog_s=watchdog_s)
+    check_engine_opts(
+        engine, policy=policy, watchdog_s=watchdog_s,
+        memory=memory, n_queues=n_queues, lock_scheme=lock_scheme,
+    )
     if engine == "sequential":
         from .rete.matcher import SequentialMatcher
 
@@ -144,7 +165,7 @@ def make_matcher(
             network,
             n_workers=n_workers,
             n_queues=n_queues if n_queues is not None else 1,
-            lock_scheme=lock_scheme,
+            lock_scheme=lock_scheme if lock_scheme is not None else "simple",
             n_lines=n_lines,
             policy=policy if policy is not None else "round-robin",
             watchdog_s=watchdog_s,
@@ -218,7 +239,10 @@ def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
             )
         engine, workers = "threaded", ns.parallel
     engine = engine or "sequential"
-    check_engine_opts(engine, policy=ns.policy, watchdog_s=ns.watchdog)
+    check_engine_opts(
+        engine, policy=ns.policy, watchdog_s=ns.watchdog,
+        memory=ns.memory, n_queues=ns.queues, lock_scheme=ns.locks,
+    )
     given = {
         "memory": ns.memory,
         "n_workers": workers,

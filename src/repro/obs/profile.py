@@ -84,7 +84,9 @@ class Profile:
 
     @property
     def total_activations(self) -> int:
-        return sum(row.activations for row in self.nodes)
+        """Every node belongs to exactly one production row, so either
+        table sums to the total — `repro top` keeps only one of them."""
+        return sum(row.activations for row in self.nodes or self.productions)
 
 
 def build(snap: ObsSnapshot, network=None) -> Profile:

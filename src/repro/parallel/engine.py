@@ -43,7 +43,7 @@ from ..ops5.wme import WMEChange
 from ..rete import kernel
 from ..rete.matcher import Matcher
 from ..rete.network import ReteNetwork
-from ..rete.nodes import Activation, CSDelta, MatchContext
+from ..rete.nodes import CSDelta, MatchContext, Task
 from ..rete.stats import MatchStats
 from .conjugate import ConjugateMemory
 from .hooks import thread_exit, yield_point
@@ -93,6 +93,8 @@ class ParallelMatcher(Matcher):
         self._ctxs = [
             MatchContext(self.memory, MatchStats(), strict=False) for _ in range(n_workers)
         ]
+        for ctx in self._ctxs:
+            ctx.locks = self.line_locks
         self._shutdown = False
         self._failures: List[BaseException] = []
         self._push_seq = 0
@@ -297,7 +299,7 @@ class ParallelMatcher(Matcher):
         ctx = self._ctxs[wid]
         task = None
 
-        def route(children: List[Activation]) -> None:
+        def route(children: List[Task]) -> None:
             # The kernel's seam.  Reads `task` when called: children
             # inherit the meta of the task the loop below is running.
             self._push_children(wid, children, task[-1])
@@ -329,7 +331,7 @@ class ParallelMatcher(Matcher):
                     kernel.change_task(
                         self.network, ctx.stats, task[1], task[2], route, ids
                     )
-                elif not kernel.execute(ctx, task[1], self.line_locks, route, ids):
+                elif not kernel.execute(ctx, task[1], route, ids):
                     # MRSW refused the line: put the task back on a
                     # queue and move on.
                     self.taskcount.increment()
@@ -345,18 +347,16 @@ class ParallelMatcher(Matcher):
         finally:
             thread_exit()
 
-    def _line_of(self, act: Activation) -> Optional[int]:
-        """The hash line ``act`` will touch (None for terminals).  Line-
+    def _line_of(self, task: Task) -> Optional[int]:
+        """The hash line ``task`` will touch (None for terminals).  Line-
         affinity routing pays this one extra key hash per push; the
         kernel recomputes it under the line lock anyway."""
-        node = act.node
+        node, side, _sign, token = task
         if not node.uses_line():
             return None
-        return self.memory.line_of(
-            node.node_id, node.key_for(act.side, act.token)
-        )
+        return self.memory.line_of(node.node_id, node.key_for(side, token))
 
-    def _push_children(self, wid: int, children: List[Activation], meta) -> None:
+    def _push_children(self, wid: int, children: List[Task], meta) -> None:
         if meta is not None and meta[1]:
             # Re-stamp the push time so child queue-wait measures this
             # push, not the ancestor's (one tuple per sibling group).

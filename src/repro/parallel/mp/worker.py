@@ -60,7 +60,7 @@ from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
 from ...rete import kernel
-from ...rete.nodes import Activation, MatchContext
+from ...rete.nodes import MatchContext, Task
 from ...rete.stats import MatchStats
 from ...rete.token import Token
 from ..conjugate import ConjugateMemory
@@ -88,7 +88,7 @@ class _WorkerState:
         self.nodes = {node.node_id: node for node in network.beta_nodes}
         self.memory = ConjugateMemory(shard.n_lines)
         self.ctx = MatchContext(self.memory, MatchStats(), strict=False)
-        self.local: List[Activation] = []
+        self.local: List[Task] = []
         #: Forwarded tasks absorbed mid-drain; their TaskCount units are
         #: released together with the batch unit after the drain.
         self.borrowed = 0
@@ -117,15 +117,15 @@ class _WorkerState:
 
     # -- task routing -------------------------------------------------------
 
-    def route_child(self, act: Activation) -> None:
-        node = act.node
+    def route_child(self, task: Task) -> None:
+        node, side, sign, token = task
         if not node.uses_line():
             # Terminals: no shared line, processed where produced.
-            self.local.append(act)
+            self.local.append(task)
             return
-        owner = self.shard.route(node.node_id, node.key_for(act.side, act.token))
+        owner = self.shard.route(node.node_id, node.key_for(side, token))
         if owner == self.wid:
-            self.local.append(act)
+            self.local.append(task)
         else:
             # Drain our own pipe before the potentially-blocking write
             # into the peer's.  Two workers forwarding heavily to each
@@ -139,33 +139,31 @@ class _WorkerState:
             self._count_add(1)
             self.counters["tasks_forwarded"] += 1
             self.counters["ipc_msgs"] += 1
-            self._forward_queues[owner].put(
-                ("act", node.node_id, act.side, act.sign, act.token.wmes)
-            )
+            self._forward_queues[owner].put(("act", node.node_id, side, sign, token.wmes))
 
-    def route_children(self, children: List[Activation]) -> None:
+    def route_children(self, children: List[Task]) -> None:
         """The kernel's seam: each child stays on the local stack or
         goes down its owning shard's pipe."""
         for child in children:
             self.route_child(child)
 
-    def keep_roots(self, roots: List[Activation], mine: bool) -> None:
+    def keep_roots(self, roots: List[Task], mine: bool) -> None:
         """The kernel's seam for a broadcast change: every worker
         derives every root, so instead of forwarding, keep exactly the
         ones whose line this shard owns.  Non-line roots (single-CE
         terminals) belong to the change's designated worker."""
-        for act in roots:
-            node = act.node
+        for task in roots:
+            node, side, _sign, token = task
             if node.uses_line():
-                key = node.key_for(act.side, act.token)
+                key = node.key_for(side, token)
                 if self.shard.route(node.node_id, key) == self.wid:
-                    self.local.append(act)
+                    self.local.append(task)
             elif mine:
-                self.local.append(act)
+                self.local.append(task)
 
-    def rebuild(self, msg) -> Activation:
+    def rebuild(self, msg) -> Task:
         _kind, node_id, side, sign, wmes = msg
-        return Activation(self.nodes[node_id], side, sign, Token.of(tuple(wmes)))
+        return (self.nodes[node_id], side, sign, Token.of(tuple(wmes)))
 
     # -- the drain loop -----------------------------------------------------
 

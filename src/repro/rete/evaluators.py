@@ -25,11 +25,15 @@ Join descriptors, applied to (left token wmes, right WME ``w``)::
     (rattr, op, lpos, lattr)        w.rattr  OP  wmes[lpos].lattr
 
 ``op`` is one of ``= <> < <= > >= <=>``.
+
+Absent means ``None``: both evaluators return ``None`` for an empty
+join-test list and ``(None, None)`` for an empty key, and the two-input
+node then joins, or files under ``()``, without a call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..ops5.wme import WME
 
@@ -108,10 +112,10 @@ class InterpretedEvaluator:
 
         return test
 
-    def join_tests(self, descs: Sequence[JoinDesc]) -> Callable:
+    def join_tests(self, descs: Sequence[JoinDesc]) -> Optional[Callable]:
         descs = tuple(descs)
         if not descs:
-            return _always_true
+            return None
 
         def test(wmes: Tuple[WME, ...], w: WME, _descs=descs) -> bool:
             return _eval_joins(_descs, wmes, w)
@@ -122,7 +126,7 @@ class InterpretedEvaluator:
         """(left_key_fn, right_key_fn) for the hash-memory eq-test key."""
         eq_descs = tuple(eq_descs)
         if not eq_descs:
-            return _empty_key_token, _empty_key_wme
+            return None, None
 
         def left_key(wmes: Tuple[WME, ...], _descs=eq_descs) -> tuple:
             return tuple(wmes[lpos].vals.get(lattr) for (_r, _o, lpos, lattr) in _descs)
@@ -131,18 +135,6 @@ class InterpretedEvaluator:
             return tuple(w.vals.get(rattr) for (rattr, _o, _p, _a) in _descs)
 
         return left_key, right_key
-
-
-def _always_true(wmes, w) -> bool:
-    return True
-
-
-def _empty_key_token(wmes) -> tuple:
-    return ()
-
-
-def _empty_key_wme(w) -> tuple:
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +226,10 @@ class CompiledEvaluator:
         src = f"def _t(w):\n    return {_alpha_expr(desc)}\n"
         return self._exec(src, "_t")
 
-    def join_tests(self, descs: Sequence[JoinDesc]) -> Callable:
+    def join_tests(self, descs: Sequence[JoinDesc]) -> Optional[Callable]:
         descs = tuple(descs)
         if not descs:
-            return _always_true
+            return None
         body = " and ".join(_join_expr(d) for d in descs)
         src = f"def _t(wmes, w):\n    return {body}\n"
         return self._exec(src, "_t")
@@ -245,7 +237,7 @@ class CompiledEvaluator:
     def key_fns(self, eq_descs: Sequence[JoinDesc]):
         eq_descs = tuple(eq_descs)
         if not eq_descs:
-            return _empty_key_token, _empty_key_wme
+            return None, None
         lparts = ", ".join(
             f"wmes[{lpos}].vals.get({lattr!r})" for (_r, _o, lpos, lattr) in eq_descs
         )

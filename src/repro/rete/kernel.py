@@ -11,13 +11,19 @@ local-stack-or-owner's-pipe (DESIGN.md, "Engines are transports over
 one kernel").
 
 Only this module turns a WM change into alpha statistics and root
-activations, calls a node's ``activate`` (bare in :func:`drain`, inside
-the line-lock bracket in :func:`execute`), and attaches the
-per-activation instrumentation: the ``ctx.last_*`` probes, the
-``node_hit`` hot-spot, the ``task``/``wm_change`` spans and the
+tasks, calls a node's ``activate`` (bare in :func:`drain`, on an entered
+hash line in :func:`execute`), and attaches the per-activation
+instrumentation: the ``ctx.last_*`` probes, the ``node_hit`` hot-spot,
+the ``task``/``wm_change`` spans and the
 :class:`~repro.rete.trace.TraceRecorder` observer with parent linkage.
 ``tests/rete/test_kernel.py`` checks that structurally.  Stack engines
 call in once per WM change or per drain, never once per activation.
+
+A task is the tuple ``(node, side, sign, token)``.  Only while a
+recorder is attached do tasks carry a fifth element, the tid of the
+task whose output spawned them (-1 for the roots of a change), so the
+unrecorded path pays for the parent link with neither an object nor a
+field write.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ from ..obs import context as _context
 from ..obs import events as _obs
 from ..ops5.wme import WME
 from .network import ReteNetwork
-from .nodes import Activation, AlphaTerminal, BetaNode, JoinNode, MatchContext
+from .nodes import AlphaTerminal, BetaNode, MatchContext, Task
 from .stats import MatchStats
 from .token import Token
 from .trace import TraceRecorder
 
-Route = Callable[[List[Activation]], None]
+Route = Callable[[List[Task]], None]
 
 
 def alpha_pass(
@@ -59,14 +65,14 @@ def enter_change(
     network: ReteNetwork, stats: MatchStats, sign: int, wme: WME, route: Route,
     count: bool = True,
 ) -> Tuple[int, int]:
-    """Turn one WM change into root activations and hand them to
-    ``route``.  Returns ``(alpha hits, constant tests)``."""
+    """Turn one WM change into root tasks and hand them to ``route``.
+    Returns ``(alpha hits, constant tests)``."""
     hits, n_tests = alpha_pass(network, stats, wme, count)
     token = Token.single(wme)
-    roots: List[Activation] = []
+    roots: List[Task] = []
     for terminal in hits:
         for node, side in terminal.successors:
-            roots.append(Activation(node, side, sign, token))
+            roots.append((node, side, sign, token))
     if roots:
         route(roots)
     return len(hits), n_tests
@@ -80,41 +86,47 @@ def _node_hit(ctx: MatchContext, node: BetaNode, dur_ns: int, n_children: int) -
 
 
 def drain(
-    ctx: MatchContext, stack: List[Activation], route: Route,
+    ctx: MatchContext, stack: List[Task], route: Route,
     recorder: Optional[TraceRecorder] = None, limit: int = -1,
 ) -> int:
-    """Run activations off the LIFO ``stack`` until it is empty, or
-    until ``limit`` of them have run (the mp worker's inbox-poll
-    interval).  Children go to ``route``, which may well push them back
-    onto ``stack``.  Returns the number of activations run."""
+    """Run tasks off the LIFO ``stack`` until it is empty, or until
+    ``limit`` of them have run (the mp worker's inbox-poll interval).
+    Children go to ``route``, which may well push them back onto
+    ``stack``.  Under a ``recorder`` every task, in and out, is a
+    5-tuple ending in its parent's tid.  Returns the number of
+    activations run."""
     obs_on = _obs.ENABLED
     tracing = ctx.tracing = obs_on or recorder is not None
     done = 0
     while stack:
-        act = stack.pop()
-        node = act.node
-        if tracing:
-            ctx.last_opp_examined = ctx.last_same_examined = 0
-        if obs_on:
-            t0 = _obs.now()
-            children = node.activate(ctx, act)
-            _node_hit(ctx, node, _obs.now() - t0, len(children))
+        task = stack.pop()
+        if not tracing:
+            node, side, sign, token = task
+            children = node.activate(ctx, side, sign, token)
         else:
-            children = node.activate(ctx, act)
-        if recorder is not None:
-            tid = recorder.add_task(
-                parent=act.parent,
-                kind=node.kind,
-                node_id=node.node_id,
-                side=act.side,
-                sign=act.sign,
-                line=ctx.last_line if node.uses_line() else -1,
-                opp_examined=ctx.last_opp_examined,
-                same_examined=ctx.last_same_examined,
-                n_children=len(children),
-            )
-            for child in children:
-                child.parent = tid
+            if recorder is None:
+                node, side, sign, token = task
+            else:
+                node, side, sign, token, parent = task
+            ctx.last_opp_examined = ctx.last_same_examined = 0
+            t0 = _obs.now() if obs_on else 0
+            children = node.activate(ctx, side, sign, token)
+            if obs_on:
+                _node_hit(ctx, node, _obs.now() - t0, len(children))
+            if recorder is not None:
+                tid = recorder.add_task(
+                    parent=parent,
+                    kind=node.kind,
+                    node_id=node.node_id,
+                    side=side,
+                    sign=sign,
+                    line=ctx.last_line if node.uses_line() else -1,
+                    opp_examined=ctx.last_opp_examined,
+                    same_examined=ctx.last_same_examined,
+                    n_children=len(children),
+                )
+                for i, (n, s, g, t) in enumerate(children):
+                    children[i] = (n, s, g, t, tid)
         if children:
             route(children)
         done += 1
@@ -132,10 +144,11 @@ def match_change(
     obs_on = _obs.ENABLED
     if obs_on:
         t0 = _obs.now()
-    stack: List[Activation] = []
+    stack: List[Task] = []
     n_hits, n_tests = enter_change(network, ctx.stats, sign, wme, stack.extend)
     if recorder is not None:
         recorder.begin_change(n_const_tests=n_tests, n_alpha_hits=n_hits)
+        stack = [root + (-1,) for root in stack]
     drain(ctx, stack, stack.extend, recorder)
     if obs_on:
         _obs.span("match", "wm_change", t0, _obs.now(),
@@ -157,48 +170,32 @@ def change_task(
         _obs.span("task", "wm_change", t0, _obs.now(), args=_context.tag_ids(None, ids))
 
 
-def execute(
-    ctx: MatchContext, act: Activation, locks, route: Route, ids: Optional[dict]
-) -> bool:
-    """Run one activation as a queue task, bracketed by its hash line's
-    lock (§3.2).  Returns False when MRSW line locking refused entry —
-    tokens from the other side are being processed on this line — and
-    the caller must put the task back on a queue unprocessed."""
+def execute(ctx: MatchContext, task: Task, route: Route, ids: Optional[dict]) -> bool:
+    """Run one task off a queue, on its hash line entered through
+    ``ctx.locks`` (§3.2; the node takes the modification bracket inside
+    it).  Returns False when MRSW line locking refused entry — tokens
+    from the other side are being processed on this line — and the
+    caller must put the task back on a queue unprocessed."""
     obs_on = ctx.tracing = _obs.ENABLED
     if obs_on:
         t0 = _obs.now()
         ctx.last_opp_examined = ctx.last_same_examined = 0
-    node = act.node
+    node, side, sign, token = task
     if not node.uses_line():
-        children = node.activate(ctx, act)
+        children = node.activate(ctx, side, sign, token)
     else:
-        key = node.key_for(act.side, act.token)
-        line = ctx.memory.line_of(node.node_id, key)
-        if not locks.enter(line, act.side):
+        locks = ctx.locks
+        line = ctx.last_line = ctx.memory.line_of(node.node_id, node.key_for(side, token))
+        if not locks.enter(line, side):
             if obs_on:
                 _obs.count("task.requeued")
                 _obs.span("task", "requeue", t0, _obs.now(),
                           args=_context.tag_ids({"node": node.node_id}, ids))
             return False
         try:
-            if isinstance(node, JoinNode):
-                locks.enter_modify(line)
-                try:
-                    stored = node.update_memory(ctx, act, key)
-                finally:
-                    locks.exit_modify(line)
-                children = [] if stored is None else node.search_opposite(ctx, act, key)
-            else:
-                # Negated nodes mutate left-entry counts during the
-                # search, so the whole activation holds the
-                # modification lock.
-                locks.enter_modify(line)
-                try:
-                    children = node.activate(ctx, act)
-                finally:
-                    locks.exit_modify(line)
+            children = node.activate(ctx, side, sign, token)
         finally:
-            locks.exit(line, act.side)
+            locks.exit(line, side)
     if children:
         route(children)
     if obs_on:

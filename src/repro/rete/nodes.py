@@ -17,42 +17,25 @@ in separate memory-node objects:
 
 ``activate`` methods contain the pure match logic.  They read and write
 memories through the context object and *return* the resulting child
-activations instead of recursing; :mod:`repro.rete.kernel` is their
-only caller and hands the children to whichever engine is scheduling.
+tasks instead of recursing; :mod:`repro.rete.kernel` is their only
+caller and hands the children to whichever engine is scheduling.
+
+A *task* — the paper's schedulable unit of match work, a token arriving
+at a node — is the plain tuple ``(node, side, sign, token)``: ``side``
+is ``'L'``/``'R'`` for two-input nodes and ``'L'`` for terminals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..ops5.astnodes import Production
 from ..ops5.wme import WME
 from .memories import LEFT, NotEntry
 from .token import ADD, Token
 
-
-class Activation:
-    """One schedulable unit of match work: a token arriving at a node.
-
-    This is the paper's *task*.  ``side`` is ``'L'``/``'R'`` for
-    two-input nodes and ``'L'`` for terminals.  ``parent`` is the tid of
-    the task whose output spawned this one; the kernel assigns it only
-    while a :class:`~repro.rete.trace.TraceRecorder` is attached.
-    """
-
-    __slots__ = ("node", "side", "sign", "token", "parent")
-
-    def __init__(self, node: "BetaNode", side: str, sign: int, token: Token) -> None:
-        self.node = node
-        self.side = side
-        self.sign = sign
-        self.token = token
-        self.parent = -1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        s = "+" if self.sign == ADD else "-"
-        return f"<{self.node.kind}#{self.node.node_id} {self.side} {s}{self.token}>"
+Task = Tuple["BetaNode", str, int, Token]
 
 
 @dataclass
@@ -75,6 +58,8 @@ class MatchContext:
     extra-deletes lists (§3.2) the node then consults before every
     store and parks the early delete on.  ``keyed`` is the memory's
     hash-vs-linear choice, read once here instead of per activation.
+    ``locks`` is None except under the threaded engine, which hangs its
+    line locks here for the node's §3.2 modification bracket.
     """
 
     __slots__ = (
@@ -84,6 +69,7 @@ class MatchContext:
         "strict",
         "keyed",
         "tracing",
+        "locks",
         "last_line",
         "last_opp_examined",
         "last_same_examined",
@@ -95,10 +81,13 @@ class MatchContext:
         self.strict = strict
         self.keyed = memory.keyed
         self.tracing = tracing
+        self.locks = None
         self.cs_deltas: List[CSDelta] = []
         # Per-activation probes, maintained only under `tracing`: the
         # kernel zeroes the examined counts before each activation, the
         # node fills them (and its line) in, the kernel reads them.
+        # Under `locks` the line flows the other way: the kernel leaves
+        # the one it entered here for the node to bracket.
         self.last_line = -1
         self.last_opp_examined = 0
         self.last_same_examined = 0
@@ -153,7 +142,7 @@ class BetaNode:
         self.node_id = node_id
         self.children: List[BetaNode] = []
 
-    def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
+    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
         raise NotImplementedError
 
     def uses_line(self) -> bool:
@@ -162,23 +151,31 @@ class BetaNode:
 
 
 class TwoInputNode(BetaNode):
-    """Coalesced memory + two-input node: what join and not nodes share.
+    """Coalesced memory + two-input node: one token at one node is one
+    procedure call (§3.1), and :meth:`activate` is that call for join
+    and not nodes alike.
 
     ``tests`` holds the full descriptor list; ``eq_descs`` the subset of
     plain equality tests that form the hash key.  ``tests_fn`` evaluates
     the *residual* tests when hash memories pre-filter on the key, and
-    ``all_tests_fn`` evaluates everything for linear memories.
+    ``all_tests_fn`` evaluates everything for linear memories.  Absent
+    means ``None``: a node with no (residual) test joins every candidate
+    without a call, one with no equality test files under ``()``
+    without one.
     """
+
+    #: Whether left tokens are stored as counted :class:`NotEntry`s.
+    negated = False
 
     def __init__(
         self,
         node_id: int,
         tests: Sequence[tuple],
         eq_descs: Sequence[tuple],
-        tests_fn: Callable,
-        all_tests_fn: Callable,
-        left_key_fn: Callable,
-        right_key_fn: Callable,
+        tests_fn: Optional[Callable],
+        all_tests_fn: Optional[Callable],
+        left_key_fn: Optional[Callable],
+        right_key_fn: Optional[Callable],
     ) -> None:
         super().__init__(node_id)
         self.tests = tuple(tests)
@@ -196,68 +193,169 @@ class TwoInputNode(BetaNode):
         engines' line-routing helper (which line lock, which shard).
         ``activate`` computes the same key inline."""
         if side == LEFT:
-            return self.left_key_fn(token.wmes)
-        return self.right_key_fn(token.wmes[-1])
+            key_fn, arg = self.left_key_fn, token.wmes
+        else:
+            key_fn, arg = self.right_key_fn, token.wmes[-1]
+        return () if key_fn is None else key_fn(arg)
 
-    def update_memory(self, ctx: MatchContext, act: Activation, key: tuple, item=None):
-        """Phase 1 (under the modification lock in the parallel engine):
-        store ``item`` (default: the token itself) in, or delete the
-        token's stored twin from, this node's same-side bucket for
-        ``key``.  Returns the item stored or deleted — or None when the
-        activation must stop: a conjugate pair annihilated, or an early
-        delete was parked (a strict context raises instead)."""
-        stats = ctx.stats
-        stats.node_activations += 1
+    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
+        """Key, store-or-delete, opposite search, output — in this one
+        frame.  A join node stores the token itself and outputs it
+        joined with every consistent opposite token; a not node stores
+        left tokens wrapped in :class:`NotEntry` with the count of
+        consistent right WMEs, and a left token is live downstream iff
+        its count is zero.
+
+        Under the threaded engine (``ctx.locks``, on the line the kernel
+        entered and left in ``ctx.last_line``) the memory update runs
+        inside the §3.2 modification lock and the search outside it; a
+        not node mutates left-entry counts while it searches, so it
+        holds the lock throughout.  No copy of the opposite bucket is
+        taken: whatever guards the line keeps the other side's tokens
+        out while this side searches.
+        """
         memory = ctx.memory
+        stats = ctx.stats
         node_id = self.node_id
-        side = act.side
-        token_key = act.token.key
-        if ctx.tracing:
-            ctx.last_line = memory.line_of(node_id, key)
-        table = memory.left if side == LEFT else memory.right
+        negated = self.negated
+        wmes = token.wmes
+        # `arg` is what the key function reads: the left token's WMEs,
+        # or the right token's one WME; `counted` is a not node's left
+        # token, the one stored with a count.
+        if side == LEFT:
+            key_fn, arg, counted = self.left_key_fn, wmes, negated
+            same, opposite = memory.left, memory.right
+        else:
+            key_fn, arg, counted = self.right_key_fn, wmes[-1], False
+            same, opposite = memory.right, memory.left
+        # Hash buckets already guarantee the equality tests via the
+        # key; the unkeyed (linear) layout must re-check everything.
+        if not ctx.keyed:
+            passes = self.all_tests_fn
+            key = ()
+        else:
+            passes = self.tests_fn
+            key = () if key_fn is None else key_fn(arg)
         slot = (node_id, key)
-
-        if act.sign == ADD:
-            if not ctx.strict and memory.before_insert(node_id, side, key, token_key):
-                return None
-            if item is None:
-                item = act.token
-            bucket = table.get(slot)
-            if bucket is None:
-                table[slot] = [item]
+        stats.node_activations += 1
+        if negated:
+            stats.not_activations += 1
+        locks = ctx.locks
+        if locks is not None:
+            line = ctx.last_line
+            locks.enter_modify(line)
+        elif ctx.tracing:
+            ctx.last_line = memory.line_of(node_id, key)
+        try:
+            if sign == ADD:
+                item = token
+                if counted:
+                    count = 0
+                    rights = opposite.get(slot)
+                    if rights:
+                        stats.opp_examined_left += len(rights)
+                        stats.opp_count_left += 1
+                        if ctx.tracing:
+                            ctx.last_opp_examined = len(rights)
+                        for right in rights:
+                            if passes is None or passes(wmes, right.wmes[0]):
+                                count += 1
+                    item = NotEntry(token, count)
+                if not ctx.strict and memory.before_insert(node_id, side, key, token.key):
+                    # A parked early delete annihilated this add (§3.2).
+                    return []
+                bucket = same.get(slot)
+                if bucket is None:
+                    same[slot] = [item]
+                else:
+                    bucket.append(item)
             else:
-                bucket.append(item)
-            return item
+                if not ctx.strict:
+                    memory.before_remove(node_id, side, key)
+                bucket = same.get(slot, ())
+                token_key = token.key
+                item = None
+                examined = 0
+                for stored in bucket:
+                    examined += 1
+                    if stored.key == token_key:
+                        item = stored
+                        del bucket[examined - 1]
+                        if not bucket:
+                            del same[slot]
+                        break
+                if examined:
+                    if side == LEFT:
+                        stats.same_del_examined_left += examined
+                        stats.same_del_count_left += 1
+                    else:
+                        stats.same_del_examined_right += examined
+                        stats.same_del_count_right += 1
+                    if ctx.tracing:
+                        ctx.last_same_examined = examined
+                if item is None:
+                    if ctx.strict:
+                        raise RuntimeError(
+                            f"delete of unknown token {token} at {self.kind} node {node_id}"
+                        )
+                    memory.park(node_id, side, key, token_key)
+                    return []
+            if locks is not None and not negated:
+                locks.exit_modify(line)
+                locks = None
 
-        if not ctx.strict:
-            memory.before_remove(node_id, side, key)
-        bucket = table.get(slot, ())
-        found = None
-        examined = 0
-        for stored in bucket:
-            examined += 1
-            if stored.key == token_key:
-                found = stored
-                del bucket[examined - 1]
-                if not bucket:
-                    del table[slot]
-                break
-        if examined:
-            if side == LEFT:
-                stats.same_del_examined_left += examined
-                stats.same_del_count_left += 1
+            children = self.children
+            if counted:
+                if item.count:
+                    return []
+                out = [(child, LEFT, sign, token) for child in children]
             else:
-                stats.same_del_examined_right += examined
-                stats.same_del_count_right += 1
-            if ctx.tracing:
-                ctx.last_same_examined = examined
-        if found is None:
-            if ctx.strict:
-                raise RuntimeError(
-                    f"delete of unknown token {act.token} at {self.kind} node {node_id}"
-                )
-            memory.park(node_id, side, key, token_key)
-        return found
+                candidates = opposite.get(slot)
+                if not candidates:
+                    # The paper's convention: an empty opposite memory
+                    # is left out of the Table 4-2 average.
+                    return []
+                if ctx.tracing:
+                    ctx.last_opp_examined = len(candidates)
+                out = []
+                if side == LEFT:
+                    stats.opp_examined_left += len(candidates)
+                    stats.opp_count_left += 1
+                    token_key = token.key
+                    for item in candidates:
+                        w = item.wmes[0]
+                        if passes is None or passes(wmes, w):
+                            joined = Token(wmes + (w,), token_key + (w.timetag,))
+                            for child in children:
+                                out.append((child, LEFT, sign, joined))
+                else:
+                    stats.opp_examined_right += len(candidates)
+                    stats.opp_count_right += 1
+                    w = arg
+                    if negated:
+                        # A blocker arriving takes a count 0 -> 1 and
+                        # retracts the left token; one leaving, 1 -> 0,
+                        # re-asserts it.
+                        edge = 1 if sign == ADD else 0
+                        for entry in candidates:
+                            if passes is None or passes(entry.token.wmes, w):
+                                entry.count += sign
+                                if entry.count == edge:
+                                    for child in children:
+                                        out.append((child, LEFT, -sign, entry.token))
+                    else:
+                        tail = (w,)
+                        tag = (w.timetag,)
+                        for item in candidates:
+                            if passes is None or passes(item.wmes, w):
+                                joined = Token(item.wmes + tail, item.key + tag)
+                                for child in children:
+                                    out.append((child, LEFT, sign, joined))
+            stats.tokens_emitted += len(out)
+            return out
+        finally:
+            if locks is not None:
+                locks.exit_modify(line)
 
 
 class JoinNode(TwoInputNode):
@@ -265,135 +363,12 @@ class JoinNode(TwoInputNode):
 
     kind = "join"
 
-    def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
-        if not ctx.keyed:
-            key = ()
-        elif act.side == LEFT:
-            key = self.left_key_fn(act.token.wmes)
-        else:
-            key = self.right_key_fn(act.token.wmes[-1])
-        if self.update_memory(ctx, act, key) is None:
-            return []
-        return self.search_opposite(ctx, act, key)
-
-    def search_opposite(self, ctx: MatchContext, act: Activation, key: tuple) -> List[Activation]:
-        """Phase 2 (outside the modification lock): scan the opposite
-        bucket for consistent tokens and build child activations.  No
-        copy of the bucket is taken: whatever guards the line keeps the
-        other side's tokens out while this side searches."""
-        memory = ctx.memory
-        side = act.side
-        opposite = (memory.right if side == LEFT else memory.left).get((self.node_id, key))
-        if not opposite:
-            # The paper's convention: an empty opposite memory is left
-            # out of the Table 4-2 average.
-            return []
-        stats = ctx.stats
-        examined = len(opposite)
-        if ctx.tracing:
-            ctx.last_opp_examined = examined
-        # Hash buckets already guarantee the equality tests via the
-        # key; the unkeyed (linear) layout must re-check everything.
-        passes = self.tests_fn if ctx.keyed else self.all_tests_fn
-        token = act.token
-        sign = act.sign
-        children = self.children
-        out: List[Activation] = []
-        if side == LEFT:
-            stats.opp_examined_left += examined
-            stats.opp_count_left += 1
-            wmes = token.wmes
-            token_key = token.key
-            for item in opposite:
-                w = item.wmes[0]
-                if passes(wmes, w):
-                    joined = Token(wmes + (w,), token_key + (w.timetag,))
-                    for child in children:
-                        out.append(Activation(child, LEFT, sign, joined))
-        else:
-            stats.opp_examined_right += examined
-            stats.opp_count_right += 1
-            w = token.wmes[-1]
-            tail = (w,)
-            tag = (w.timetag,)
-            for item in opposite:
-                if passes(item.wmes, w):
-                    joined = Token(item.wmes + tail, item.key + tag)
-                    for child in children:
-                        out.append(Activation(child, LEFT, sign, joined))
-        stats.tokens_emitted += len(out)
-        return out
-
 
 class NotNode(TwoInputNode):
-    """Coalesced memory + two-input node for a negated CE.
-
-    Left tokens are stored wrapped in :class:`NotEntry` carrying the
-    count of matching right WMEs; a left token is live downstream iff
-    its count is zero.
-    """
+    """Coalesced memory + two-input node for a negated CE."""
 
     kind = "not"
-
-    def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
-        memory = ctx.memory
-        stats = ctx.stats
-        stats.not_activations += 1
-        side = act.side
-        sign = act.sign
-        token = act.token
-        children = self.children
-        if not ctx.keyed:
-            key = ()
-            passes = self.all_tests_fn
-        else:
-            passes = self.tests_fn
-            if side == LEFT:
-                key = self.left_key_fn(token.wmes)
-            else:
-                key = self.right_key_fn(token.wmes[-1])
-
-        if side == LEFT:
-            if sign == ADD:
-                count = 0
-                rights = memory.right.get((self.node_id, key))
-                if rights:
-                    stats.opp_examined_left += len(rights)
-                    stats.opp_count_left += 1
-                    if ctx.tracing:
-                        ctx.last_opp_examined = len(rights)
-                    wmes = token.wmes
-                    for item in rights:
-                        if passes(wmes, item.wmes[0]):
-                            count += 1
-                entry = self.update_memory(ctx, act, key, NotEntry(token, count))
-            else:
-                entry = self.update_memory(ctx, act, key)
-            if entry is None or entry.count:
-                return []
-            out = [Activation(child, LEFT, sign, token) for child in children]
-        else:
-            if self.update_memory(ctx, act, key) is None:
-                return []
-            out = []
-            lefts = memory.left.get((self.node_id, key))
-            if lefts:
-                stats.opp_examined_right += len(lefts)
-                stats.opp_count_right += 1
-                if ctx.tracing:
-                    ctx.last_opp_examined = len(lefts)
-                w = token.wmes[-1]
-                # A blocker arriving takes a count 0 -> 1 and retracts
-                # the left token; one leaving, 1 -> 0, re-asserts it.
-                edge = 1 if sign == ADD else 0
-                for entry in lefts:
-                    if passes(entry.token.wmes, w):
-                        entry.count += sign
-                        if entry.count == edge:
-                            for child in children:
-                                out.append(Activation(child, LEFT, -sign, entry.token))
-        stats.tokens_emitted += len(out)
-        return out
+    negated = True
 
 
 class TerminalNode(BetaNode):
@@ -405,11 +380,11 @@ class TerminalNode(BetaNode):
         super().__init__(node_id)
         self.production = production
 
-    def activate(self, ctx: MatchContext, act: Activation) -> List[Activation]:
+    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
         stats = ctx.stats
         stats.node_activations += 1
         stats.term_activations += 1
         stats.cs_changes += 1
-        ctx.cs_deltas.append(CSDelta(self.production, act.token, act.sign))
+        ctx.cs_deltas.append(CSDelta(self.production, token, sign))
         return []
 

@@ -180,7 +180,7 @@ class TestEngineMechanics:
         network = ReteNetwork.compile(program)
         matcher = ParallelMatcher(network, n_workers=1)
         join = network.two_input_nodes()[0]
-        join.tests_fn = None  # worker will raise TypeError
+        join.tests_fn = 0  # not None, not callable: worker will raise TypeError
         interp = Interpreter(program, matcher=matcher)
         with pytest.raises(RuntimeError):
             interp.add_wme("a", {"x": 1})

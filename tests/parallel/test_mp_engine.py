@@ -286,7 +286,6 @@ class TestForwardDeadlockAvoidance:
         return state, FakeNetwork.beta_nodes[0]
 
     def test_route_child_absorbs_inbox_before_forwarding(self):
-        from repro.rete.nodes import Activation
         from repro.rete.token import Token
 
         wme = WME.make("block", {"color": "red"}, 1)
@@ -300,7 +299,7 @@ class TestForwardDeadlockAvoidance:
                 inbox_empty_at_put.append(state.inbox.empty())
 
         state._forward_queues = {1: FakePeerQueue()}
-        act = Activation(node, "left", 1, Token.single(wme))
+        act = (node, "left", 1, Token.single(wme))
         state.route_child(act)
 
         # The forward happened, with our own pipe already drained.
@@ -317,7 +316,6 @@ class TestForwardDeadlockAvoidance:
         it belongs to (peer and control share the inbox pipe).  The
         mid-drain absorb must park the batch message for the main loop
         instead of treating it as a protocol violation."""
-        from repro.rete.nodes import Activation
         from repro.rete.token import Token
 
         wme = WME.make("block", {"color": "red"}, 1)
@@ -331,7 +329,7 @@ class TestForwardDeadlockAvoidance:
                 forwarded.append(msg)
 
         state._forward_queues = {1: FakePeerQueue()}
-        act = Activation(node, "left", 1, Token.single(wme))
+        act = (node, "left", 1, Token.single(wme))
         state.route_child(act)
 
         assert state.deferred == [racing_batch]

@@ -2,17 +2,18 @@
 
 Memories hand out buckets and the nodes do the list work, so "insert",
 "remove" and "probe the opposite side" are no longer methods of a
-memory: they are what :meth:`TwoInputNode.update_memory` and a node's
-opposite-bucket lookup do.  :class:`NodeMemory` runs exactly that code
-against bare join nodes, so the memory unit tests exercise the real
-store/delete path (strict error, conjugate hooks, examined counts)
-without compiling a network.
+memory: they are what :meth:`TwoInputNode.activate` does with an
+arriving ``+`` or ``-`` token.  :class:`NodeMemory` runs exactly that
+frame against bare nodes (no tests, no children, a key function that
+answers whatever key the caller names), so the memory unit tests
+exercise the real store/delete path (strict error, conjugate hooks,
+examined counts) without compiling a network.
 """
 
+from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.evaluators import make_evaluator
-from repro.rete.memories import LEFT
-from repro.rete.nodes import Activation, JoinNode, MatchContext
+from repro.rete.memories import LEFT, NotEntry
+from repro.rete.nodes import JoinNode, MatchContext, NotNode
 from repro.rete.stats import MatchStats
 from repro.rete.token import ADD, DELETE, Token
 
@@ -24,43 +25,49 @@ class NodeMemory:
         strict = not isinstance(memory, ConjugateMemory)
         self.ctx = MatchContext(memory, MatchStats(), strict=strict, tracing=True)
         self._nodes = {}
+        self._key = ()
 
     def __getattr__(self, name):
         # Everything else (counters, clear, line_of, ...) is the memory's own.
         return getattr(self.memory, name)
 
-    def _node(self, node_id):
+    def _activate(self, node_id, side, key, sign, token, cls=JoinNode):
         if node_id not in self._nodes:
-            evaluator = make_evaluator("compiled")
-            always = evaluator.join_tests(())
-            self._nodes[node_id] = JoinNode(
-                node_id, (), (), always, always, *evaluator.key_fns(())
+            self._nodes[node_id] = cls(
+                node_id, (), (), None, None, lambda _wmes: self._key, lambda _w: self._key
             )
-        return self._nodes[node_id]
+        self._key = key
+        assert self._nodes[node_id].activate(self.ctx, side, sign, token) == []
 
-    def _key(self, key):
+    def _bucket(self, node_id, side, key):
         # What a node's ``activate`` does: unkeyed memories file
         # everything under ``()``.
-        return key if self.memory.keyed else ()
+        table = self.memory.left if side == LEFT else self.memory.right
+        return table.get((node_id, key if self.memory.keyed else ()), ())
 
     def insert(self, node_id, side, key, item) -> bool:
-        """True when stored, False when a parked delete annihilated it."""
-        node = self._node(node_id)
-        act = Activation(node, side, ADD, getattr(item, "token", item))
-        return node.update_memory(self.ctx, act, self._key(key), item) is not None
+        """True when stored, False when a parked delete annihilated it.
+        A :class:`NotEntry` is what a not node stores for a left token."""
+        before = len(self._bucket(node_id, side, key))
+        if isinstance(item, NotEntry):
+            self._activate(node_id, side, key, ADD, item.token, NotNode)
+        else:
+            self._activate(node_id, side, key, ADD, item)
+        return len(self._bucket(node_id, side, key)) > before
 
     def remove(self, node_id, side, key, token_key):
         """``(stored item | None, tokens examined)``."""
-        node = self._node(node_id)
+        before = list(self._bucket(node_id, side, key))
+        found = next((s for s in before if s.key == token_key), None)
         self.ctx.last_same_examined = 0
-        act = Activation(node, side, DELETE, Token((), token_key))
-        found = node.update_memory(self.ctx, act, self._key(key))
+        twin = Token.of(tuple(WME.make("memdriver", {}, tag) for tag in token_key))
+        self._activate(node_id, side, key, DELETE, twin)
+        assert len(self._bucket(node_id, side, key)) == len(before) - (found is not None)
         return found, self.ctx.last_same_examined
 
     def lookup_opposite(self, node_id, side, key):
         """``(opposite bucket, tokens a probe examines)``."""
-        table = self.memory.right if side == LEFT else self.memory.left
-        bucket = table.get((node_id, self._key(key)), ())
+        bucket = self._bucket(node_id, "R" if side == LEFT else LEFT, key)
         return bucket, len(bucket)
 
     def side_size(self, node_id, side) -> int:

@@ -102,12 +102,12 @@ def test_each_distinct_test_is_compiled_once(program, compile_calls):
     _, prog = program
     net = ReteNetwork.compile(prog)
     assert len(compile_calls) == len(set(compile_calls)) <= 100
-    # ... and the nodes hold exactly those functions (plus at most the
-    # three constant ones for "no tests" / "no key"), however many nodes.
+    # ... and the nodes hold exactly those functions (plus ``None`` for
+    # "no tests" / "no key"), however many nodes.
     fns = node_functions(net)
     assert len(fns) > 10 * len(compile_calls)
-    distinct = {id(fn) for fn in fns}
-    assert len(compile_calls) <= len(distinct) <= len(compile_calls) + 3
+    distinct = {id(fn) for fn in fns if fn is not None}
+    assert len(distinct) == len(compile_calls)
 
 
 def test_the_network_is_the_parents(program):

@@ -82,8 +82,8 @@ class TestAlphaTests:
 
 class TestJoinTests:
     def test_empty_tests_always_true(self, evaluator):
-        fn = evaluator.join_tests(())
-        assert fn((w(),), w())
+        """Absent means None: the node joins every candidate, no call."""
+        assert evaluator.join_tests(()) is None
 
     def test_single_eq(self, evaluator):
         fn = evaluator.join_tests((("y", "=", 0, "x"),))
@@ -102,9 +102,8 @@ class TestJoinTests:
 
 class TestKeyFunctions:
     def test_empty_key(self, evaluator):
-        lk, rk = evaluator.key_fns(())
-        assert lk((w(),)) == ()
-        assert rk(w()) == ()
+        """Absent means None: the node files under ``()``, no call."""
+        assert evaluator.key_fns(()) == (None, None)
 
     def test_keys_align(self, evaluator):
         lk, rk = evaluator.key_fns((("y", "=", 0, "x"), ("z", "=", 0, "q")))

@@ -1,16 +1,17 @@
-"""A two-input activation costs one Python frame per phase — guarded.
+"""A two-input activation costs one Python frame — guarded.
 
 The paper's §3.1 coalesces memory nodes into the two-input node so one
 token at one node is one procedure call; Table 4-4 measures what
 per-token interpretation overhead costs.  Here the unit is the Python
-frame: a join activation may enter ``JoinNode.activate``,
-``update_memory`` and ``search_opposite`` (3 frames), its one compiled
-key function, and the compiled test function once per candidate it
-examines; the only other frames are the ``__init__`` of the tokens and
-activations it outputs.  A helper re-introduced into that path
-(``key_for``, a memory method, a stats recorder, ``Token.extend``)
-shows up as a frame this test does not know, and fails a unit test
-instead of a benchmark.
+frame: a join activation enters ``TwoInputNode.activate`` and nothing
+else of the package, except the compiled key function at a node that
+*has* equality tests, the compiled test function — once per candidate —
+at a node that *has* a residual test, and ``Token.__init__`` once per
+output token.  Tasks are tuples, so scheduling one builds no frame.  A
+helper re-introduced into that path (``key_for``, a memory method, a
+stats recorder, ``Token.extend``, a task class, a stand-in for an
+absent test) shows up as a frame this test does not know, and fails a
+unit test instead of a benchmark.
 """
 
 import sys
@@ -25,22 +26,23 @@ from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
 from repro.rete.nodes import JoinNode
 from repro.rete.token import ADD, DELETE
+from repro.rete.trace import TraceRecorder
 
 PACKAGE = str(Path(repro.__file__).parent)
 
-#: Two joins; the second carries a residual (non-equality) test so the
-#: test function is a real compiled closure, not ``_always_true`` (and
-#: ``<>`` compiles inline, so the closure calls nothing itself).
-SOURCE = "(p r (a ^x <v> ^n <n>) (b ^y <v>) (c ^z <v> ^m <> <n>) --> (halt))"
+#: Two joins, both keyed on ``<v>``; only the second carries a residual
+#: (non-equality) test (``<>`` compiles inline, so the closure calls
+#: nothing itself).
+KEYED = "(p r (a ^x <v> ^n <n>) (b ^y <v>) (c ^z <v> ^m <> <n>) --> (halt))"
+#: The same chain with no variable shared: cross products, so neither
+#: join has a key or a test to call.
+CROSS = "(p r (a ^x <v> ^n <n>) (b ^y <u>) (c ^z <t> ^m <m>) --> (halt))"
 
-#: Frames of one WM change that are not per-activation work, and the
-#: object constructors the activation path may run.
+#: Frames of one WM change that are not per-activation work.
 PER_CHANGE = {"match_change", "enter_change", "alpha_pass", "drain",
               "ReteNetwork.alpha_dispatch", "Token.single"}
-CONSTRUCTORS = {"Token.__init__", "Activation.__init__"}
-TERMINAL = {"TerminalNode.activate"}
-PHASES = ("JoinNode.activate", "TwoInputNode.update_memory",
-          "JoinNode.search_opposite")
+ACTIVATE = "TwoInputNode.activate"
+TERMINAL = "TerminalNode.activate"
 
 
 def changes():
@@ -57,10 +59,14 @@ def changes():
     return out + [(DELETE, wme) for _sign, wme in out[::3]]
 
 
-def profile_match(matcher, batch):
-    """Calls per code object of the package (and of its generated
-    closures) while ``batch`` is matched — not of whatever a plugin's
-    gc callback happens to run in between."""
+def profile_match(source):
+    """``(frames by qualname, key calls, test calls, stats, network)``
+    of the package (and of its generated closures) while the batch is
+    matched — not of whatever a plugin's gc callback happens to run in
+    between."""
+    network = ReteNetwork.compile(parse_program(source))
+    matcher = SequentialMatcher(network)
+    batch = changes()
     frames = Counter()
 
     def on_event(frame, event, _arg):
@@ -71,26 +77,14 @@ def profile_match(matcher, batch):
     sys.setprofile(on_event)
     try:
         for sign, wme in batch:
-            kernel.match_change(matcher.network, matcher.ctx, sign, wme)
+            kernel.match_change(network, matcher.ctx, sign, wme)
     finally:
         sys.setprofile(None)
-    return frames
 
-
-def test_join_activation_stays_within_its_frame_budget():
-    network = ReteNetwork.compile(parse_program(SOURCE))
-    matcher = SequentialMatcher(network)
-    frames = profile_match(matcher, changes())
-    stats = matcher.stats
-    joins = stats.activations_by_kind["join"]
-    assert joins >= 40 and stats.tokens_emitted >= 10  # not vacuous
-
-    join_nodes = [n for n in network.beta_nodes if isinstance(n, JoinNode)]
-    assert len(join_nodes) == 2
-    key_fns = {f.__code__ for n in join_nodes for f in (n.left_key_fn, n.right_key_fn)}
-    test_fns = {n.tests_fn.__code__ for n in join_nodes}
+    joins = [n for n in network.beta_nodes if isinstance(n, JoinNode)]
+    key_fns = {f.__code__ for n in joins for f in (n.left_key_fn, n.right_key_fn) if f}
+    test_fns = {n.tests_fn.__code__ for n in joins if n.tests_fn}
     alpha_tests = {n.test.__code__ for n in network.constant_nodes}
-
     by_name = Counter()
     key_calls = test_calls = 0
     for code, n in frames.items():
@@ -100,19 +94,47 @@ def test_join_activation_stays_within_its_frame_budget():
             test_calls += n
         elif code not in alpha_tests:
             by_name[code.co_qualname] += n
+    return by_name, key_calls, test_calls, matcher.stats, network
 
-    # One frame per phase, one key function call, one test call per
-    # candidate examined ...
-    assert sum(by_name[name] for name in PHASES) <= 3 * joins
-    assert by_name["JoinNode.activate"] == joins
-    assert key_calls == joins
-    assert test_calls == stats.opp_examined_left + stats.opp_examined_right
-    # ... and nothing else: every other frame is per change, the
-    # terminal node's, or the constructor of an output object.
-    unknown = set(by_name) - set(PHASES) - PER_CHANGE - CONSTRUCTORS - TERMINAL
-    assert unknown == set()
-    n_changes = stats.wme_changes
-    assert all(by_name[name] == n_changes for name in PER_CHANGE)
-    roots = by_name["Activation.__init__"] - stats.tokens_emitted
-    assert 0 < roots <= 2 * n_changes
-    assert by_name["Token.__init__"] <= n_changes + stats.tokens_emitted
+
+def assert_only_budgeted_frames(by_name, stats):
+    """One ``activate`` per two-input activation, and nothing else that
+    is not per change, the terminal node's, or an output token's
+    constructor."""
+    joins = stats.activations_by_kind["join"]
+    assert joins >= 40 and stats.tokens_emitted >= 10  # not vacuous
+    assert by_name[ACTIVATE] == joins
+    assert set(by_name) - PER_CHANGE == {ACTIVATE, TERMINAL, "Token.__init__"}
+    assert all(by_name[name] == stats.wme_changes for name in PER_CHANGE)
+    assert by_name[TERMINAL] == stats.activations_by_kind["term"]
+    assert by_name["Token.__init__"] <= stats.wme_changes + stats.tokens_emitted
+
+
+def test_join_activation_stays_within_its_frame_budget():
+    by_name, key_calls, test_calls, stats, network = profile_match(KEYED)
+    assert_only_budgeted_frames(by_name, stats)
+    first, second = (n for n in network.beta_nodes if isinstance(n, JoinNode))
+    assert first.tests_fn is None and second.tests_fn is not None
+    # One key call per activation (both joins have equality tests), one
+    # test call per candidate the join with the residual test examines —
+    # read off a recorded twin of the same run.
+    recorder = TraceRecorder()
+    twin = SequentialMatcher(network, recorder=recorder)
+    for sign, wme in changes():
+        kernel.match_change(network, twin.ctx, sign, wme, recorder)
+    examined = {first.node_id: 0, second.node_id: 0}
+    for task in recorder.trace.tasks:
+        if task.node_id in examined:
+            examined[task.node_id] += task.opp_examined
+    assert min(examined.values()) > 0
+    assert key_calls == stats.activations_by_kind["join"]
+    assert test_calls == examined[second.node_id]
+
+
+def test_absent_keys_and_tests_cost_no_frame():
+    by_name, key_calls, test_calls, stats, network = profile_match(CROSS)
+    assert_only_budgeted_frames(by_name, stats)
+    for node in network.two_input_nodes():
+        assert (node.tests_fn, node.left_key_fn, node.right_key_fn) == (None,) * 3
+    assert stats.opp_examined_left + stats.opp_examined_right > 0
+    assert key_calls == test_calls == 0

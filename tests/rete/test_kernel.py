@@ -4,9 +4,11 @@ Two guards:
 
 * **Structure.**  An ``ast`` scan of ``src/repro`` proves that node
   activations, the alpha dispatch and the ``node_hit`` probe are called
-  from :mod:`repro.rete.kernel` alone (``JoinNode.activate`` composing
-  its own two phases, ``NotNode.activate`` using the shared phase 1,
-  and corgi's separate engine, are the named exceptions).  A fourth hand-rolled loop in some engine fails here.
+  from :mod:`repro.rete.kernel` alone (corgi's separate engine is the
+  named exception), and that the phase split a two-input activation
+  used to be — ``class Activation``, ``update_memory``,
+  ``search_opposite`` — is defined nowhere.  A fourth hand-rolled loop
+  in some engine, or a second copy of the activation frame, fails here.
 * **Instrumented once.**  With the bus on, the threaded and mp
   engines' per-node profiles equal their own ``MatchStats`` in total
   and per kind, and cover the node set the sequential matcher
@@ -29,14 +31,11 @@ from repro.programs import blocks, tourney
 SRC = Path(repro.__file__).parent
 
 KERNEL = "rete/kernel.py"
-NODES = "rete/nodes.py"
 
 #: method name -> files (relative to src/repro; a trailing "/" means a
 #: package) allowed to call it.
 ALLOWED = {
     "activate": {KERNEL},
-    "update_memory": {KERNEL, NODES},
-    "search_opposite": {KERNEL, NODES},
     "alpha_dispatch": {KERNEL, "corgi/"},
     "node_hit": {KERNEL, "corgi/"},
 }
@@ -53,9 +52,10 @@ def _is_guarded(call: ast.Call) -> bool:
     if name not in ALLOWED:
         return False
     if name == "activate":
-        # `node.activate(ctx, act)` — not the unrelated zero/one-arg
-        # activate() methods of the obs context and the schedck harness.
-        return len(call.args) == 2
+        # `node.activate(ctx, side, sign, token)` — not the unrelated
+        # zero/one-arg activate() methods of the obs context and the
+        # schedck harness.
+        return len(call.args) == 4
     return True
 
 
@@ -83,22 +83,20 @@ class TestOneKernel:
         # Non-vacuity: the scan does see the kernel's own call sites.
         assert {(KERNEL, name) for name in ALLOWED} <= seen
 
-    def test_activate_methods_are_the_only_phase_callers_in_nodes(self):
-        """``nodes.py`` may compose the two phases in exactly one place,
-        ``JoinNode.activate``; the only other caller of the shared
-        phase 1 is ``NotNode.activate`` (a negated node searches and
-        updates under one lock, so it has no phase 2 of its own)."""
-        tree = ast.parse((SRC / NODES).read_text())
-        callers = {"update_memory": set(), "search_opposite": set()}
-        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
-                for call in _calls(fn):
-                    if call.func.attr in callers:
-                        callers[call.func.attr].add(f"{cls.name}.{fn.name}")
-        assert callers == {
-            "update_memory": {"JoinNode.activate", "NotNode.activate"},
-            "search_opposite": {"JoinNode.activate"},
-        }
+    def test_the_phase_split_is_defined_nowhere(self):
+        """One frame, one copy of the text: the task class and the two
+        phases were deleted, not kept beside ``TwoInputNode.activate``,
+        and no node kind overrides that one frame."""
+        gone = {"Activation", "update_memory", "search_opposite"}
+        defined = set()
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone:
+                    defined.add(f"{path.relative_to(SRC).as_posix()}:{node.name}")
+        assert defined == set()
+        from repro.rete.nodes import JoinNode, NotNode, TwoInputNode
+
+        assert JoinNode.activate is NotNode.activate is TwoInputNode.activate
 
 
 PROGRAMS = {

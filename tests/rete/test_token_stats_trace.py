@@ -61,14 +61,33 @@ class TestToken:
 
 class TestActivation:
     def test_parent_defaults_to_no_parent_and_is_assignable(self):
-        """The kernel assigns ``parent`` only under a TraceRecorder."""
-        from repro.rete.nodes import Activation
+        """A task is ``(node, side, sign, token)``; the kernel appends
+        the spawning task's tid only under a TraceRecorder."""
+        from repro.ops5.parser import parse_program
+        from repro.ops5.wme import WMEChange
+        from repro.rete import kernel
+        from repro.rete.matcher import SequentialMatcher
+        from repro.rete.network import ReteNetwork
 
-        act = Activation(None, "L", ADD, Token.single(w(1)))
-        assert act.parent == -1
-        act.parent = 7
-        assert act.parent == 7
-        assert not hasattr(act, "__dict__")
+        network = ReteNetwork.compile(parse_program("(p r (a) (b) --> (halt))"))
+        for recorder in (None, TraceRecorder()):
+            matcher = SequentialMatcher(network, recorder=recorder)
+            matcher.process_changes([WMEChange(ADD, WME.make("a", {}, 1))])
+            if recorder is not None:
+                recorder.begin_change(n_const_tests=0, n_alpha_hits=0)
+            stack, routed = [], []
+            kernel.enter_change(network, matcher.stats, ADD, WME.make("b", {}, 2), stack.extend)
+            assert [len(task) for task in stack] == [4]
+            if recorder is not None:
+                stack = [root + (-1,) for root in stack]
+            kernel.drain(matcher.ctx, stack, routed.extend, recorder)
+            (child,) = routed
+            assert child[0].kind == "term" and child[3].key == (1, 2)
+            if recorder is None:
+                assert len(child) == 4
+            else:
+                parent = recorder.trace.tasks[-1]
+                assert parent.parent == -1 and child[4] == parent.tid
 
 
 class TestMatchStats:

@@ -223,6 +223,34 @@ class TestEngineFlags:
             assert str(exc.value).startswith(f"repro {' '.join(verb)}: ")
             assert needle in str(exc.value)
 
+    @pytest.mark.parametrize("engine, option, flag, value", [
+        ("threaded", "memory", "--memory", "linear"),
+        ("mp", "memory", "--memory", "linear"),
+        ("corgi", "memory", "--memory", "linear"),
+        ("mp", "n_queues", "--queues", 2),
+        ("corgi", "lock_scheme", "--locks", "mrsw"),
+        ("sequential", "n_queues", "--queues", 2),
+        ("sequential", "lock_scheme", "--locks", "simple"),
+    ])
+    def test_flags_the_engine_would_silently_ignore_are_rejected(
+        self, engine, option, flag, value
+    ):
+        """Re-measuring Table 4-1's linear column on another engine must
+        not quietly return the hash number; the same rule is a
+        ``ValueError`` from ``make_matcher``."""
+        from repro.engines import make_matcher
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "monkey", "--engine", engine, flag, str(value)])
+        assert str(exc.value).startswith("repro run: ") and flag in str(exc.value)
+        with pytest.raises(ValueError, match=flag):
+            make_matcher(engine, None, **{option: value})
+
+    def test_flags_naming_what_the_engine_runs_anyway_are_fine(self, capsys):
+        assert main(["run", "monkey", "--engine", "threaded", "--memory", "hash",
+                     "--queues", "2", "--locks", "mrsw"]) == 0
+        assert "grabs the bananas" in capsys.readouterr().out
+
     def test_top_takes_strategy_and_memory(self, capsys):
         assert main(["top", "blocks", "--strategy", "mea",
                      "--memory", "linear"]) == 0
@@ -378,6 +406,19 @@ class TestTop:
         assert "hot productions" in out
         assert "move-block" in out
         assert "hot nodes" not in out  # pruned to the requested table
+
+    def test_top_total_is_the_match_stats_total(self, capsys):
+        """The default table is pruned to productions; its total line
+        still counts every activation (it printed 0)."""
+        from repro.ops5.interpreter import Interpreter
+        from repro.programs import load
+
+        assert main(["top", "monkey"]) == 0
+        interp = Interpreter(load("monkey"))
+        interp.run()
+        total = interp.stats.node_activations
+        assert total > 0
+        assert f"total activations: {total}\n" in capsys.readouterr().out + "\n"
 
     def test_top_by_phase(self, capsys):
         assert main(["top", "blocks", "--by", "phase"]) == 0

@@ -136,3 +136,58 @@ class TestWorkerFaultPropagation:
             matcher.process_changes([WMEChange(1, wm.add("a", {"x": 1}))])
         with pytest.raises(RuntimeError):
             matcher.process_changes([])
+
+    @pytest.mark.parametrize("scheme", ["simple", "mrsw"])
+    def test_raise_inside_the_modify_bracket_releases_the_line(self, scheme):
+        """The §3.2 bracket is taken inside the activation frame; a
+        conjugate hook that raises there must still surface as the
+        typed error, promptly, with every line and modification lock
+        released — no worker left spinning, no watchdog trip."""
+        import threading
+        import time
+
+        class Boom(Exception):
+            pass
+
+        def boom(*_args):
+            raise Boom("before_insert")
+
+        program = parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
+        network = ReteNetwork.compile(program)
+        matcher = ParallelMatcher(
+            network, n_workers=2, n_queues=2, lock_scheme=scheme, n_lines=8,
+            watchdog_s=30.0,
+        )
+        matcher.memory.before_insert = boom
+        wm = WorkingMemory()
+        batch = [WMEChange(1, wm.add("a", {"x": i % 3})) for i in range(12)]
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="match process failed") as exc:
+            matcher.process_changes(batch)
+        assert isinstance(exc.value.__cause__, Boom)
+        assert time.monotonic() - t0 < 5.0  # close() joined both workers
+        assert not any(t.is_alive() for t in matcher._threads)
+        assert matcher.line_locks.holders() == {}
+        assert matcher.watchdog.trips == 0
+
+        # Every line can still be entered and bracketed from either
+        # side: nothing was left held.
+        locks = matcher.line_locks
+
+        def sweep():
+            for line in range(8):
+                for side in "LR":
+                    assert locks.enter(line, side)
+                    locks.enter_modify(line)
+                    locks.exit_modify(line)
+                    locks.exit(line, side)
+
+        sweeper = threading.Thread(target=sweep, daemon=True)
+        sweeper.start()
+        sweeper.join(5.0)
+        assert not sweeper.is_alive()
+
+        # The network is unharmed: a fresh matcher runs the batch clean.
+        with ParallelMatcher(network, n_workers=2, lock_scheme=scheme) as fresh:
+            assert fresh.process_changes(batch) == []
+            assert fresh.memory.total_tokens() == len(batch)
