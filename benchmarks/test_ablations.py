@@ -18,21 +18,17 @@ from repro.simulator.machine import DEFAULT_CONFIG
 from repro.simulator.engine import simulate
 
 
-def test_ablation_queue_count(benchmark, emit):
+def test_ablation_queue_count(emit):
     """Sweeping 1..16 queues at 1+13: gains saturate near the paper's 8."""
 
-    def run():
-        rows = []
-        for prog in ("weaver", "rubik", "tourney"):
-            base = baseline(prog)
-            speedups = []
-            for q in (1, 2, 4, 8, 16):
-                r = sim(prog, n_match=13, n_queues=q)
-                speedups.append(base.match_instr / r.match_instr)
-            rows.append([prog] + speedups)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for prog in ("weaver", "rubik", "tourney"):
+        base = baseline(prog)
+        speedups = []
+        for q in (1, 2, 4, 8, 16):
+            r = sim(prog, n_match=13, n_queues=q)
+            speedups.append(base.match_instr / r.match_instr)
+        rows.append([prog] + speedups)
     emit(
         "ablation_queue_count",
         render_table(
@@ -49,21 +45,17 @@ def test_ablation_queue_count(benchmark, emit):
     assert by_prog["rubik"][3] > by_prog["rubik"][0] * 1.4
 
 
-def test_ablation_alpha_granularity(benchmark, emit):
+def test_ablation_alpha_granularity(emit):
     """Constant-test grouping: very fine groups drown in scheduling
     overhead; very coarse groups serialize the alpha fan-out."""
 
-    def run():
-        trace = traced_run("rubik").trace
-        rows = []
-        for group in (1, 4, 16, 64, 1024):
-            cfg = DEFAULT_CONFIG.with_overrides(alpha_group_size=group)
-            base = simulate(trace, n_match=1, pipelined=False, config=cfg)
-            run13 = simulate(trace, n_match=13, n_queues=8, config=cfg)
-            rows.append([group, base.match_seconds, base.match_instr / run13.match_instr])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    trace = traced_run("rubik").trace
+    rows = []
+    for group in (1, 4, 16, 64, 1024):
+        cfg = DEFAULT_CONFIG.with_overrides(alpha_group_size=group)
+        base = simulate(trace, n_match=1, pipelined=False, config=cfg)
+        run13 = simulate(trace, n_match=13, n_queues=8, config=cfg)
+        rows.append([group, base.match_seconds, base.match_instr / run13.match_instr])
     emit(
         "ablation_alpha_granularity",
         render_table(
@@ -78,30 +70,26 @@ def test_ablation_alpha_granularity(benchmark, emit):
     assert by_group[1][1] > by_group[16][1]
 
 
-def test_ablation_hash_lines(benchmark, emit):
+def test_ablation_hash_lines(emit):
     """Fewer hash lines force unrelated buckets onto shared locks."""
 
-    def run():
-        from repro.ops5.interpreter import Interpreter
-        from repro.rete.trace import TraceRecorder
-        from repro.harness.workloads import program_source
+    from repro.ops5.interpreter import Interpreter
+    from repro.rete.trace import TraceRecorder
+    from repro.harness.workloads import program_source
 
-        rows = []
-        for n_lines in (16, 64, 1024):
-            recorder = TraceRecorder()
-            interp = Interpreter(
-                program_source("rubik"), recorder=recorder, n_lines=n_lines
-            )
-            interp.run(max_cycles=50000)
-            trace = recorder.trace
-            base = simulate(trace, n_match=1, pipelined=False)
-            r = simulate(trace, n_match=13, n_queues=8)
-            rows.append(
-                [n_lines, base.match_instr / r.match_instr, r.line_left.mean_spins]
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for n_lines in (16, 64, 1024):
+        recorder = TraceRecorder()
+        interp = Interpreter(
+            program_source("rubik"), recorder=recorder, n_lines=n_lines
+        )
+        interp.run(max_cycles=50000)
+        trace = recorder.trace
+        base = simulate(trace, n_match=1, pipelined=False)
+        r = simulate(trace, n_match=13, n_queues=8)
+        rows.append(
+            [n_lines, base.match_instr / r.match_instr, r.line_left.mean_spins]
+        )
     emit(
         "ablation_hash_lines",
         render_table(
@@ -114,20 +102,16 @@ def test_ablation_hash_lines(benchmark, emit):
     assert rows[0][2] >= rows[-1][2] * 0.9
 
 
-def test_ablation_pipelining(benchmark, emit):
+def test_ablation_pipelining(emit):
     """§3.1's control/match pipelining: disabling the overlap costs
     elapsed time at every process count."""
 
-    def run():
-        rows = []
-        for prog in ("rubik", "weaver"):
-            trace = traced_run(prog).trace
-            over = simulate(trace, n_match=5, n_queues=4, pipelined=True)
-            serial = simulate(trace, n_match=5, n_queues=4, pipelined=False)
-            rows.append([prog, over.total_instr, serial.total_instr])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for prog in ("rubik", "weaver"):
+        trace = traced_run(prog).trace
+        over = simulate(trace, n_match=5, n_queues=4, pipelined=True)
+        serial = simulate(trace, n_match=5, n_queues=4, pipelined=False)
+        rows.append([prog, over.total_instr, serial.total_instr])
     emit(
         "ablation_pipelining",
         render_table(
@@ -140,21 +124,17 @@ def test_ablation_pipelining(benchmark, emit):
         assert pipelined <= serial * 1.02
 
 
-def test_ablation_handoff_storm(benchmark, emit):
+def test_ablation_handoff_storm(emit):
     """The TTAS handoff penalty is what degrades contended lines; with
     it disabled, Tourney's ceiling rises."""
 
-    def run():
-        trace = traced_run("tourney").trace
-        rows = []
-        for handoff in (0, 8, 24):
-            cfg = DEFAULT_CONFIG.with_overrides(ttas_handoff=handoff)
-            base = simulate(trace, n_match=1, pipelined=False, config=cfg)
-            r = simulate(trace, n_match=13, n_queues=8, config=cfg)
-            rows.append([handoff, base.match_instr / r.match_instr])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    trace = traced_run("tourney").trace
+    rows = []
+    for handoff in (0, 8, 24):
+        cfg = DEFAULT_CONFIG.with_overrides(ttas_handoff=handoff)
+        base = simulate(trace, n_match=1, pipelined=False, config=cfg)
+        r = simulate(trace, n_match=13, n_queues=8, config=cfg)
+        rows.append([handoff, base.match_instr / r.match_instr])
     emit(
         "ablation_handoff",
         render_table(

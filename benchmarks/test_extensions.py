@@ -19,22 +19,18 @@ def _speedup(trace, **opts):
     return base.match_instr / run.match_instr
 
 
-def test_hardware_task_scheduler(benchmark, emit):
+def test_hardware_task_scheduler(emit):
     """The hardware scheduler removes queue-lock contention entirely:
     with one (hardware) queue it must beat the 1-queue software
     configuration and approach the 8-queue one."""
 
-    def run():
-        rows = []
-        for prog in ("weaver", "rubik", "tourney"):
-            trace = traced_run(prog).trace
-            sw1 = _speedup(trace, n_queues=1)
-            sw8 = _speedup(trace, n_queues=8)
-            hw = _speedup(trace, n_queues=1, hardware_scheduler=True)
-            rows.append([prog, sw1, sw8, hw])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for prog in ("weaver", "rubik", "tourney"):
+        trace = traced_run(prog).trace
+        sw1 = _speedup(trace, n_queues=1)
+        sw8 = _speedup(trace, n_queues=8)
+        hw = _speedup(trace, n_queues=1, hardware_scheduler=True)
+        rows.append([prog, sw1, sw8, hw])
     emit(
         "extension_hardware_scheduler",
         render_table(
@@ -50,22 +46,18 @@ def test_hardware_task_scheduler(benchmark, emit):
     assert by_prog["rubik"][2] > by_prog["rubik"][1] * 0.9
 
 
-def test_overlapped_conflict_resolution(benchmark, emit):
+def test_overlapped_conflict_resolution(emit):
     """Footnote 3's CR overlap shortens total elapsed time (match time
     is untouched — CR runs on the control process)."""
 
-    def run():
-        rows = []
-        for prog in ("rubik", "tourney"):
-            trace = traced_run(prog).trace
-            serial = EncoreSimulator(trace, SimOptions(n_match=5, n_queues=4)).run()
-            overlap = EncoreSimulator(
-                trace, SimOptions(n_match=5, n_queues=4, overlap_cr=True)
-            ).run()
-            rows.append([prog, serial.total_instr, overlap.total_instr])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for prog in ("rubik", "tourney"):
+        trace = traced_run(prog).trace
+        serial = EncoreSimulator(trace, SimOptions(n_match=5, n_queues=4)).run()
+        overlap = EncoreSimulator(
+            trace, SimOptions(n_match=5, n_queues=4, overlap_cr=True)
+        ).run()
+        rows.append([prog, serial.total_instr, overlap.total_instr])
     emit(
         "extension_overlap_cr",
         render_table(

@@ -24,6 +24,8 @@ from repro.parallel.engine import ParallelMatcher
 from repro.programs import blocks, tourney
 from repro.rete.network import ReteNetwork
 
+pytestmark = pytest.mark.host_time  # real threads: spin counts vary per run
+
 
 def _run_parallel(source: str, n_workers: int, n_queues: int, lock_scheme: str):
     program = parse_program(source)
@@ -41,14 +43,13 @@ def _run_parallel(source: str, n_workers: int, n_queues: int, lock_scheme: str):
 
 
 @pytest.mark.parametrize("lock_scheme", ["simple", "mrsw"])
-def test_parallel_engine_matches_sequential(benchmark, emit, lock_scheme):
+def test_parallel_engine_matches_sequential(emit, lock_scheme):
     source = tourney.source(n_teams=8, n_rounds=10)
     sequential = Interpreter(source).run(max_cycles=5000)
 
-    def run():
-        return _run_parallel(source, n_workers=3, n_queues=2, lock_scheme=lock_scheme)
-
-    result, qstats, lstats = benchmark.pedantic(run, rounds=1, iterations=1)
+    result, qstats, lstats = _run_parallel(
+        source, n_workers=3, n_queues=2, lock_scheme=lock_scheme
+    )
     assert result.output[-1] == sequential.output[-1] == "scheduled 28 matches"
     assert result.halted
     emit(
@@ -68,7 +69,7 @@ def test_parallel_engine_matches_sequential(benchmark, emit, lock_scheme):
     assert qstats.acquisitions > 100
 
 
-def test_parallel_engine_blocks_world(benchmark):
+def test_parallel_engine_blocks_world():
     """A multi-goal blocks world under real threads reaches the same
     final plan as the sequential engine."""
     source = blocks.source(
@@ -77,9 +78,8 @@ def test_parallel_engine_blocks_world(benchmark):
     )
     sequential = Interpreter(source).run(max_cycles=500)
 
-    def run():
-        return _run_parallel(source, n_workers=4, n_queues=2, lock_scheme="simple")
-
-    result, _q, _l = benchmark.pedantic(run, rounds=1, iterations=1)
+    result, _q, _l = _run_parallel(
+        source, n_workers=4, n_queues=2, lock_scheme="simple"
+    )
     assert result.output == sequential.output
     assert not any(line.startswith("error") for line in result.output)

@@ -8,8 +8,8 @@ scans are long; Tourney is the extreme case in at least one direction
 from repro.harness import experiments
 
 
-def test_table_4_2(benchmark, emit):
-    result = benchmark.pedantic(experiments.table_4_2, rounds=1, iterations=1)
+def test_table_4_2(emit):
+    result = experiments.table_4_2()
     emit("table_4_2", result.report)
 
     for prog, entry in result.data.items():
@@ -25,8 +25,8 @@ def test_table_4_2(benchmark, emit):
     assert tourney["lin_left"] > 5 * tourney["hash_left"]
 
 
-def test_table_4_3(benchmark, emit):
-    result = benchmark.pedantic(experiments.table_4_3, rounds=1, iterations=1)
+def test_table_4_3(emit):
+    result = experiments.table_4_3()
     emit("table_4_3", result.report)
 
     for prog, entry in result.data.items():

@@ -9,8 +9,8 @@ not the queue.
 from repro.harness import experiments
 
 
-def test_table_4_6(benchmark, emit):
-    result = benchmark.pedantic(experiments.table_4_6, rounds=1, iterations=1)
+def test_table_4_6(emit):
+    result = experiments.table_4_6()
     emit("table_4_6", result.report)
 
     multi = {prog: entry["speedups"] for prog, entry in result.data.items()}

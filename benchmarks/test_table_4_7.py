@@ -9,8 +9,8 @@ queue).
 from repro.harness import experiments
 
 
-def test_table_4_7(benchmark, emit):
-    result = benchmark.pedantic(experiments.table_4_7, rounds=1, iterations=1)
+def test_table_4_7(emit):
+    result = experiments.table_4_7()
     emit("table_4_7", result.report)
 
     for prog, entry in result.data.items():

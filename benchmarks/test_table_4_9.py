@@ -9,8 +9,8 @@ table shows the same asymmetry: beta tokens churn more than WMEs).
 from repro.harness import experiments
 
 
-def test_table_4_9(benchmark, emit):
-    result = benchmark.pedantic(experiments.table_4_9, rounds=1, iterations=1)
+def test_table_4_9(emit):
+    result = experiments.table_4_9()
     emit("table_4_9", result.report)
 
     data = result.data

@@ -9,8 +9,8 @@ queues.
 from repro.harness import experiments
 
 
-def test_tourney_fix(benchmark, emit):
-    result = benchmark.pedantic(experiments.tourney_fix, rounds=1, iterations=1)
+def test_tourney_fix(emit):
+    result = experiments.tourney_fix()
     emit("tourney_fix", result.report)
 
     assert result.data["after"] > result.data["before"] * 1.1
@@ -18,9 +18,9 @@ def test_tourney_fix(benchmark, emit):
     assert result.data["after"] > 4.0
 
 
-def test_task_durations(benchmark, emit):
+def test_task_durations(emit):
     """§4.1/§5: mean task length lands in the 100-700 instruction band."""
-    result = benchmark.pedantic(experiments.task_durations, rounds=1, iterations=1)
+    result = experiments.task_durations()
     emit("task_durations", result.report)
 
     for prog, entry in result.data.items():

@@ -40,7 +40,6 @@ memory raises, exactly like a ``-`` token with no stored ``+`` twin.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import events as _obs
@@ -105,10 +104,10 @@ class CorgiMatcher(Matcher):
 
     Drop-in for :class:`~repro.rete.matcher.SequentialMatcher`: same
     ``process_changes`` contract, same strict-delete semantics, same
-    ``stats``/``match_seconds`` instrumentation.  ``tokens_emitted``
-    counts *derived partial combinations* (the engine's unit of join
-    work); its growth staying polynomial on cross-product programs is
-    the whole point, and what the perf scenario measures.
+    ``stats`` instrumentation.  ``tokens_emitted`` counts *derived
+    partial combinations* (the engine's unit of join work); its growth
+    staying polynomial on cross-product programs is the whole point,
+    and what the perf scenario measures.
     """
 
     def __init__(self, network: ReteNetwork) -> None:
@@ -119,7 +118,6 @@ class CorgiMatcher(Matcher):
             p.name: _RuleState(p) for p in self.plans
         }
         self.stats = MatchStats()
-        self.match_seconds = 0.0
         #: Unlink/relink bookkeeping (also mirrored onto the obs bus).
         self.counters = {
             "unlinks": 0,
@@ -133,12 +131,10 @@ class CorgiMatcher(Matcher):
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
         """Process a batch of changes in order (one RHS's output)."""
-        start = perf_counter()
         _flight.record("corgi", "batch", {"changes": len(changes)})
         deltas: List[CSDelta] = []
         for change in changes:
             deltas.extend(self.process_change(change))
-        self.match_seconds += perf_counter() - start
         return deltas
 
     def process_change(self, change: WMEChange) -> List[CSDelta]:

@@ -296,6 +296,7 @@ def _run(args: argparse.Namespace) -> int:
 
         flight.set_dump_path(args.flight_dump)
     with interpreter_from_args(args, mode=args.mode) as interp:
+        interp.timed = args.stats
         result = interp.run(max_cycles=args.max_cycles)
         watchdog = interp.matcher.watchdog
     if watchdog is not None and watchdog.tripped:
@@ -319,7 +320,7 @@ def _run(args: argparse.Namespace) -> int:
             f"\ncycles={result.cycles} halted={result.halted} "
             f"wm_changes={stats.wme_changes} "
             f"activations={stats.node_activations} "
-            f"match_seconds={interp.matcher.match_seconds:.3f}",
+            f"match_seconds={interp.phase_ns['match'] * 1e-9:.3f}",
             file=sys.stderr,
         )
     return 0

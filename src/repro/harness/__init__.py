@@ -2,7 +2,7 @@
 caching, experiment runners for every table, and report rendering."""
 
 from . import paperdata
-from .experiments import ALL_TABLES, ExperimentResult, run_all
+from .experiments import ALL_TABLES, ExperimentResult
 from .tables import render_table
 from .workloads import baseline, sim, speedup, timed_run, traced_run
 
@@ -12,7 +12,6 @@ __all__ = [
     "baseline",
     "paperdata",
     "render_table",
-    "run_all",
     "sim",
     "speedup",
     "timed_run",

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..cli import Verb
 from . import paperdata
 from .paperdata import PROCS, PROGRAMS, QUEUES_MULTI
 from .tables import render_table
-from .workloads import baseline, sim, speedup, timed_run, traced_run
+from .workloads import baseline, counted_run, sim, speedup, timed_run, traced_run
 
 
 @dataclass
@@ -75,8 +75,8 @@ def table_4_2() -> ExperimentResult:
     data: Dict[str, Dict] = {}
     rows = []
     for prog in PROGRAMS:
-        _s1, lin = timed_run(prog, memory="linear", mode="compiled")
-        _s2, hsh = timed_run(prog, memory="hash", mode="compiled")
+        lin = counted_run(prog, memory="linear")
+        hsh = counted_run(prog, memory="hash")
         paper = paperdata.TABLE_4_2[prog]
         measured = {
             "lin_left": lin.mean_opp_left,
@@ -101,8 +101,8 @@ def table_4_3() -> ExperimentResult:
     data: Dict[str, Dict] = {}
     rows = []
     for prog in PROGRAMS:
-        _s1, lin = timed_run(prog, memory="linear", mode="compiled")
-        _s2, hsh = timed_run(prog, memory="hash", mode="compiled")
+        lin = counted_run(prog, memory="linear")
+        hsh = counted_run(prog, memory="hash")
         paper = paperdata.TABLE_4_3[prog]
         measured = {
             "lin_left": lin.mean_same_del_left,
@@ -345,11 +345,6 @@ ALL_TABLES = {
     "tourney-fix": tourney_fix,
     "task-durations": task_durations,
 }
-
-
-def run_all() -> List[ExperimentResult]:
-    """Regenerate every table (used by ``examples/full_reproduction.py``)."""
-    return [fn() for fn in ALL_TABLES.values()]
 
 
 def _tables(args) -> int:

@@ -10,14 +10,12 @@ per-change match statistics that drive every result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ops5.interpreter import Interpreter
-from ..ops5.parser import parse_program
 from ..rete.trace import MatchTrace, TraceRecorder
-from ..simulator.engine import SimResult, simulate, uniprocessor_baseline
+from ..simulator.engine import SimResult, simulate
 from ..simulator.machine import DEFAULT_CONFIG, MachineConfig
 from ..programs import rubik, tourney, weaver
 
@@ -50,7 +48,6 @@ class WorkloadRun:
     name: str
     trace: MatchTrace
     stats: object            # MatchStats of the run
-    host_seconds: float
     cycles: int
     output: Tuple[str, ...]
 
@@ -58,6 +55,7 @@ class WorkloadRun:
 _trace_cache: Dict[str, WorkloadRun] = {}
 _sim_cache: Dict[tuple, SimResult] = {}
 _timing_cache: Dict[tuple, Tuple[float, object]] = {}
+_stats_cache: Dict[tuple, object] = {}
 
 
 def traced_run(name: str, max_cycles: int = 50000) -> WorkloadRun:
@@ -67,14 +65,11 @@ def traced_run(name: str, max_cycles: int = 50000) -> WorkloadRun:
         return cached
     recorder = TraceRecorder()
     interp = Interpreter(program_source(name), recorder=recorder)
-    start = time.perf_counter()
     result = interp.run(max_cycles=max_cycles)
-    elapsed = time.perf_counter() - start
     run = WorkloadRun(
         name=name,
         trace=recorder.trace,
         stats=interp.stats,
-        host_seconds=elapsed,
         cycles=result.cycles,
         output=tuple(result.output),
     )
@@ -94,17 +89,31 @@ def timed_run(
     cached = _timing_cache.get(key)
     if cached is not None:
         return cached
-    # Match time only — the paper's uniprocessor comparisons exclude
-    # conflict resolution and RHS evaluation.  Best-of-two runs damps
-    # host scheduling noise.
+    # Match time only (the interpreter's phase ledger) — the paper's
+    # uniprocessor comparisons exclude conflict resolution and RHS
+    # evaluation.  Best-of-two runs damps host scheduling noise.
     best = None
     for _attempt in range(2):
         interp = Interpreter(program_source(name), memory=memory, mode=mode)
+        interp.timed = True
         interp.run(max_cycles=max_cycles)
-        if best is None or interp.matcher.match_seconds < best[0]:
-            best = (interp.matcher.match_seconds, interp.stats)
+        seconds = interp.phase_ns["match"] * 1e-9
+        if best is None or seconds < best[0]:
+            best = (seconds, interp.stats)
     _timing_cache[key] = best
-    return _timing_cache[key]
+    return best
+
+
+def counted_run(name: str, memory: str, max_cycles: int = 50000):
+    """The ``MatchStats`` of one untimed compiled run (memoized): what
+    the tables that print no seconds are built from."""
+    key = (name, memory)
+    stats = _stats_cache.get(key)
+    if stats is None:
+        interp = Interpreter(program_source(name), memory=memory)
+        interp.run(max_cycles=max_cycles)
+        stats = _stats_cache[key] = interp.stats
+    return stats
 
 
 def sim(
@@ -158,3 +167,4 @@ def clear_caches() -> None:
     _trace_cache.clear()
     _sim_cache.clear()
     _timing_cache.clear()
+    _stats_cache.clear()

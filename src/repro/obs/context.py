@@ -5,8 +5,7 @@ locks, phases.  This module answers *on whose behalf*: every serve
 request gets a :class:`RequestContext` (request id, session id, tenant
 label) that travels from the protocol layer through the interpreter's
 recognize-act phases into the match engines, so a span in a stitched
-multi-process trace — or a counter in the meter
-(:mod:`repro.obs.meter`) — can always be attributed back to the client
+multi-process trace can always be attributed back to the client
 request that caused it.
 
 Propagation crosses three execution boundaries, each handled where it
@@ -15,7 +14,8 @@ happens rather than by ambient magic:
 * **asyncio → interpreter** (same thread): a ``contextvars.ContextVar``
   holds the active context; the serve session worker activates it
   around each transaction, and the interpreter reads it when stamping
-  phase spans or metering phase seconds (:func:`current`, :func:`tag`).
+  phase spans (:func:`tag`); the meter needs no context, the session
+  that charges it knows its own id and tenant.
 * **control thread → match threads** (threaded engine): worker threads
   do not inherit the contextvar, so the engine captures
   :func:`current_ids` at dispatch time and tags every task it pushes —

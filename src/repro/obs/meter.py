@@ -40,12 +40,12 @@ per account and objective, the achieved fraction and the **burn rate**
 ``violation_fraction / (1 - goal)`` — 1.0 means exactly spending the
 error budget, >1 means burning it faster than allowed.
 
-Like the bus, the meter is module-global with an ``ENABLED`` flag read
-once per unit of work; disabled metering is a bool test.  Mutation from
-engine worker threads uses plain ``dict`` read-modify-write — int
-additions race benignly under the GIL at worst losing one increment,
-which is acceptable for aggregate accounting and keeps locks out of the
-match hot path.
+Like the bus, the meter is module-global with an ``ENABLED`` flag, and
+only :mod:`repro.serve` reads it, once per transaction: the interpreter
+and the match engines count into plain attributes of their own and know
+nothing of sessions or tenants; ``SessionCore.transact`` bills the
+difference a transaction made with one :func:`charge`.  In the server
+every writer is therefore the event-loop thread.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ COUNTER_NAMES = (
     "queue_wait_s", "ipc_bytes", "txns",
     "rejected_busy", "rejected_budget", "dropped_events",
 )
-
-_PHASE_COUNTER = {"match": "match_s", "select": "select_s", "act": "act_s"}
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,6 @@ class MeterAccount:
         self.samples = SampleRing()
 
     def add(self, name: str, n: float = 1) -> None:
-        # dict get+set: benign race from worker threads (see module doc)
         self.counters[name] = self.counters.get(name, 0) + n
 
     def observe_txn(self, seconds: float, request_id: str = "") -> None:
@@ -290,6 +287,13 @@ class Meter:
             tenant: Optional[str] = None) -> None:
         for acct in self._accounts(session_id, tenant):
             acct.add(name, n)
+
+    def charge(self, session_id: str, amounts: Dict[str, float],
+               tenant: Optional[str] = None) -> None:
+        for acct in self._accounts(session_id, tenant):
+            for name, n in amounts.items():
+                if n:
+                    acct.add(name, n)
 
     def observe_txn(self, session_id: str, seconds: float,
                     request_id: str = "", tenant: Optional[str] = None) -> None:
@@ -356,13 +360,12 @@ def add(session_id: str, name: str, n: float = 1,
         _METER.add(session_id, name, n, tenant)
 
 
-def add_phase(session_id: str, phase: str, seconds: float,
-              tenant: Optional[str] = None) -> None:
-    """Accumulate interpreter phase seconds (match/select/act)."""
+def charge(session_id: str, amounts: Dict[str, float],
+           tenant: Optional[str] = None) -> None:
+    """Bill one transaction's ``{counter: amount}`` (what the engine
+    stack counted while it ran) with one account look-up."""
     if ENABLED:
-        name = _PHASE_COUNTER.get(phase)
-        if name:
-            _METER.add(session_id, name, seconds, tenant)
+        _METER.charge(session_id, amounts, tenant)
 
 
 def txn(session_id: str, seconds: float, request_id: str = "",

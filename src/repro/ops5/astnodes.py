@@ -239,10 +239,6 @@ class Production:
                     total += 1
         object.__setattr__(self, "_specificity", total)
 
-    @property
-    def positive_ces(self) -> Tuple[ConditionElement, ...]:
-        return tuple(ce for ce in self.ces if not ce.negated)
-
     def specificity(self) -> int:
         """Number of tests in the LHS — the OPS5 specificity measure.
 

@@ -4,7 +4,7 @@ Drives the three-phase cycle of §2.1:
 
 1. **Match** — delegate the WM changes of the last firing to the match
    engine (sequential Rete, or the threaded parallel engine — anything
-   implementing ``process_changes(changes) -> [CSDelta]``).
+   whose ``process_changes`` turns a list of changes into ``CSDelta``s).
 2. **Conflict resolution** — LEX or MEA over the conflict set, with
    refraction.
 3. **Act** — execute the chosen instantiation's compiled RHS, producing
@@ -12,7 +12,10 @@ Drives the three-phase cycle of §2.1:
 
 The interpreter is deliberately single-threaded even when the matcher
 is parallel: conflict resolution, RHS evaluation and I/O all belong to
-the control process (§3.1).
+the control process (§3.1).  Each phase is called from one place and
+timed by one bracket into ``Interpreter.phase_ns`` — only when someone
+asked (``timed``, or the obs bus) — and nobody is billed here: who pays
+for a phase is the serve layer's business.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .wme import WME, WMEChange, WorkingMemory
 from ..obs import context as _context
 from ..obs import events as _obs
 from ..obs import flight as _flight
-from ..obs import meter as _meter
 from ..rete.network import ReteNetwork
 from ..rete.token import EMPTY
 from ..rete.trace import TraceRecorder
@@ -73,10 +75,6 @@ class RunResult:
         if self.exhausted:
             return "exhausted"
         return "quiescent"
-
-    @property
-    def fired_names(self) -> List[str]:
-        return [f.production for f in self.firings]
 
 
 class TransactionError(RuntimeOps5Error):
@@ -196,6 +194,15 @@ class Interpreter:
         )
         self._startup_done = False
         self._closed = False
+        #: Ask for the phase ledger without the bus (``run --stats``, a
+        #: metered session); passed on to the matcher, whose engine-side
+        #: counts (queue wait, IPC bytes) run under the same switch.
+        self.timed = False
+        #: The phase ledger: nanoseconds inside each phase.  The only
+        #: clock the control process reads, and only while ``timed`` or
+        #: the bus is on; who is billed for it is the reader's business
+        #: (:class:`~repro.serve.session.SessionCore`).
+        self.phase_ns = {"match": 0, "select": 0, "act": 0}
 
     # -- working-memory entry points ---------------------------------------
 
@@ -276,36 +283,24 @@ class Interpreter:
         self.halted = self.halted or env.halted
         self._apply_changes(env.changes)
 
+    def _clock(self, phase: str, t0: int, args: dict) -> None:
+        """Close the bracket a phase opened at ``t0``: into the ledger,
+        and onto the bus as a request-tagged ``phase`` span when on."""
+        t1 = _obs.now()
+        self.phase_ns[phase] += t1 - t0
+        if _obs.ENABLED:
+            _obs.span("phase", phase, t0, t1, args=_context.tag(args))
+
     def _apply_changes(self, changes: List[WMEChange]) -> int:
-        # Phase timing serves two consumers: the bus (spans, opt-in
-        # tracing) and the meter (per-session aggregates, opt-in
-        # accounting).  Either being on pays for the clock reads.
-        obs_on = _obs.ENABLED
-        ctx = _context.current() if (obs_on or _meter.ENABLED) else None
-        meter_on = _meter.ENABLED and ctx is not None
+        timed = self.matcher.timed = self.timed
+        clocked = timed or _obs.ENABLED
         try:
-            if obs_on or meter_on:
+            if clocked:
                 t0 = _obs.now()
-                deltas = self.matcher.process_changes(changes)
-                t1 = _obs.now()
-                if obs_on:
-                    _obs.span(
-                        "phase", "match", t0, t1,
-                        args=_context.tag(
-                            {"cycle": self.cycle, "changes": len(changes)}
-                        ),
-                    )
-                if meter_on:
-                    _meter.add_phase(
-                        ctx.session_id, "match", (t1 - t0) * 1e-9,
-                        tenant=ctx.tenant,
-                    )
-                    _meter.add(
-                        ctx.session_id, "wm_changes", len(changes),
-                        tenant=ctx.tenant,
-                    )
-            else:
-                deltas = self.matcher.process_changes(changes)
+            deltas = self.matcher.process_changes(changes)
+            if clocked:
+                self._clock("match", t0,
+                            {"cycle": self.cycle, "changes": len(changes)})
         except Exception as exc:
             # The black box survives the crash: note the failure in the
             # flight ring and dump it (no-op unless a dump path is
@@ -352,21 +347,12 @@ class Interpreter:
             self.startup()
         if self.halted:
             return None
-        obs_on = _obs.ENABLED
-        ctx = _context.current() if (obs_on or _meter.ENABLED) else None
-        meter_on = _meter.ENABLED and ctx is not None
-        if obs_on or meter_on:
+        clocked = self.timed or _obs.ENABLED
+        if clocked:
             t0 = _obs.now()
-            inst = self.strategy.select(self.conflict_set)
-            t1 = _obs.now()
-            if obs_on:
-                _obs.span("phase", "select", t0, t1,
-                          args=_context.tag({"cycle": self.cycle}))
-            if meter_on:
-                _meter.add_phase(ctx.session_id, "select", (t1 - t0) * 1e-9,
-                                 tenant=ctx.tenant)
-        else:
-            inst = self.strategy.select(self.conflict_set)
+        inst = self.strategy.select(self.conflict_set)
+        if clocked:
+            self._clock("select", t0, {"cycle": self.cycle})
         if inst is None:
             return None
         self.conflict_set.mark_fired(inst)  # refraction
@@ -378,27 +364,14 @@ class Interpreter:
         )
         if self.recorder is not None:
             self.recorder.begin_cycle(production.name, len(production.actions))
-        if obs_on or meter_on:
+        if clocked:
             t0 = _obs.now()
-            env = self._rhs[production.name].execute(
-                self.wm, inst.token, self.input_values
-            )
-            t1 = _obs.now()
-            if obs_on:
-                _obs.span(
-                    "phase", "act", t0, t1,
-                    args=_context.tag(
-                        {"cycle": self.cycle, "production": production.name}
-                    ),
-                )
-            if meter_on:
-                _meter.add_phase(ctx.session_id, "act", (t1 - t0) * 1e-9,
-                                 tenant=ctx.tenant)
-                _meter.add(ctx.session_id, "firings", tenant=ctx.tenant)
-        else:
-            env = self._rhs[production.name].execute(
-                self.wm, inst.token, self.input_values
-            )
+        env = self._rhs[production.name].execute(
+            self.wm, inst.token, self.input_values
+        )
+        if clocked:
+            self._clock("act", t0,
+                        {"cycle": self.cycle, "production": production.name})
         self.output.extend(env.out)
         if env.halted:
             self.halted = True

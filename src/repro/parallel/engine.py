@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import threading
 import time
-from time import perf_counter
 from typing import List, Optional
 
 from ..obs import context as _context
 from ..obs import events as _obs
 from ..obs import flight as _flight
-from ..obs import meter as _meter
 from ..obs.watchdog import ProbeSample, StallWatchdog
 from ..ops5.wme import WMEChange
 from ..rete import kernel
@@ -98,10 +96,9 @@ class ParallelMatcher(Matcher):
         self._shutdown = False
         self._failures: List[BaseException] = []
         self._push_seq = 0
-        #: Wall-clock seconds spent inside match, mirroring
-        #: ``SequentialMatcher.match_seconds`` so ``--stats`` and the
-        #: perf scenarios read every engine the same way.
-        self.match_seconds = 0.0
+        #: Push-to-pop nanoseconds per worker (each slot has one
+        #: writer), accumulated only while ``timed``.
+        self._queue_wait_ns = [0] * n_workers
         #: Cumulative tasks fully processed across all workers — the
         #: watchdog's progress signal.  A plain int bumped under the
         #: GIL: lost updates are possible and harmless (it only needs
@@ -133,16 +130,15 @@ class ParallelMatcher(Matcher):
         first; wait for quiescence after each sign."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
-        match_t0 = perf_counter()
         _flight.record("threaded", "batch", {"changes": len(changes)})
         obs_on = _obs.ENABLED
-        meter_on = _meter.ENABLED
+        timed = self.timed
         if obs_on:
             batch_t0 = _obs.now()
         # Request-scoped task meta: worker threads do not inherit the
         # control thread's contextvar, so capture the active request's
-        # ids here and ride them on every task tuple.
-        ids = _context.current_ids() if obs_on or meter_on else None
+        # ids here and ride them on every task tuple (they tag spans).
+        ids = _context.current_ids() if obs_on else None
         # Retract before assert: a mixed batch is pushed sign by sign,
         # every `-` to quiescence and then every `+`, so no join ever
         # holds the old and the new WME of one modify together.  A WME
@@ -155,9 +151,9 @@ class ParallelMatcher(Matcher):
             waves = (changes,)
         for wave in waves:
             # The second slot is this wave's push timestamp, which the
-            # workers turn into queue-wait metering; None whenever neither
-            # layer is on, so the disabled path allocates nothing.
-            t_push = _obs.now() if meter_on else 0
+            # workers turn into queue wait; the meta is None with the
+            # bus off and nobody timing, so that path allocates nothing.
+            t_push = _obs.now() if timed else 0
             meta = (ids, t_push) if ids is not None or t_push else None
             for change in wave:
                 self.taskcount.increment()
@@ -205,7 +201,6 @@ class ParallelMatcher(Matcher):
             if rebalances > self._last_rebalances:
                 _obs.count("policy.rebalance", rebalances - self._last_rebalances)
             self._last_rebalances = rebalances
-        self.match_seconds += perf_counter() - match_t0
         return deltas
 
     def close(self) -> None:
@@ -230,20 +225,6 @@ class ParallelMatcher(Matcher):
         """Push one task to the queue the dispatch policy selects."""
         home = self.policy.home_for(line, pusher, self._next_home(), self.queues.views)
         self.queues.push(task, home=home)
-
-    def policy_counters(self) -> dict:
-        """Policy-layer telemetry: steal/rebalance totals and the queue
-        imbalance high-water mark, alongside push/pop conservation
-        counts (pushed == popped once quiescent and closed)."""
-        return {
-            "policy": self.policy.name,
-            "n_queues": self.queues.n_queues,
-            "pushed": self.queues.pushed,
-            "popped": self.queues.popped,
-            "steals": self.queues.stolen,
-            "rebalances": self.policy.rebalances,
-            "max_queue_depth": self.queues.max_depth,
-        }
 
     def _watchdog_probe(self) -> ProbeSample:
         """Cheap point-in-time progress reading for the stall watchdog
@@ -285,6 +266,10 @@ class ParallelMatcher(Matcher):
             merged.merge(ctx.stats)
         return merged
 
+    @property
+    def queue_wait_ns(self) -> int:
+        return sum(self._queue_wait_ns)
+
     def queue_lock_stats(self) -> LockStats:
         return self.queues.lock_stats()
 
@@ -316,17 +301,13 @@ class ParallelMatcher(Matcher):
                 if task[0] == "poison":
                     return
                 meta = task[-1]
-                ids = meta[0] if meta is not None else None
-                if ids is not None and meta[1] and _meter.ENABLED:
-                    # Queue-wait attribution: push-to-pop latency,
-                    # charged to the request that caused the task.
-                    # Requeued tasks accrue each trip (see
-                    # _push_children's re-stamp).
-                    _meter.add(
-                        ids["session"], "queue_wait_s",
-                        (_obs.now() - meta[1]) * 1e-9,
-                        tenant=ids["tenant"],
-                    )
+                ids = None
+                if meta is not None:
+                    ids = meta[0]
+                    if meta[1]:
+                        # Push-to-pop latency; requeued tasks accrue
+                        # each trip (see _push_children's re-stamp).
+                        self._queue_wait_ns[wid] += _obs.now() - meta[1]
                 if task[0] == "change":
                     kernel.change_task(
                         self.network, ctx.stats, task[1], task[2], route, ids

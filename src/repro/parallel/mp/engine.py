@@ -37,14 +37,12 @@ import itertools
 import multiprocessing
 import pickle
 import time
-from time import perf_counter
 from typing import Dict, List, Optional
 
 from ...obs import context as _context
 from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
-from ...obs import meter as _meter
 from ...obs.watchdog import ProbeSample, StallWatchdog
 from ...ops5.wme import WMEChange
 from ...rete.matcher import Matcher
@@ -120,10 +118,6 @@ class ProcessMatcher(Matcher):
         self._taskcount = ctx.Value("q", 0)
         self._seq = 0
         self._shutdown = False
-        #: Wall-clock seconds spent inside match (dispatch to merge),
-        #: the quantity the speedup scenarios compare across worker
-        #: counts — mirrors ``SequentialMatcher.match_seconds``.
-        self.match_seconds = 0.0
         #: Last flush's per-worker stats snapshots (cumulative per
         #: worker; replaced, not summed, on every flush).
         self._worker_stats: Dict[int, MatchStats] = {}
@@ -164,7 +158,6 @@ class ProcessMatcher(Matcher):
         """Broadcast the batch, wait for quiescence, merge the deltas."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
-        started = perf_counter()
         obs_on = _obs.ENABLED
         if obs_on != self._workers_obs:
             # Safe to interleave: workers are idle on inbox.get()
@@ -173,8 +166,7 @@ class ProcessMatcher(Matcher):
             for inbox in self._inboxes:
                 inbox.put(("obs", obs_on, cap))
             self._workers_obs = obs_on
-        meter_on = _meter.ENABLED
-        ctx_ids = _context.current_ids() if (obs_on or meter_on) else None
+        ctx_ids = _context.current_ids() if obs_on else None
         if obs_on:
             t0 = _obs.now()
         self._seq = next(_GLOBAL_SEQ)
@@ -188,15 +180,11 @@ class ProcessMatcher(Matcher):
         # gives stitched traces request-scoped worker lanes.
         for inbox in self._inboxes:
             inbox.put(("changes", self._seq, payload, ctx_ids))
-        if meter_on and ctx_ids is not None:
+        if self.timed:
             # Batch-granular IPC accounting: one pickle of the payload
             # stands in for what the pipe actually carried, times the
             # fan-out (the batch is broadcast to every worker).
-            _meter.add(
-                ctx_ids["session"], "ipc_bytes",
-                len(pickle.dumps(payload)) * self.n_workers,
-                tenant=ctx_ids["tenant"],
-            )
+            self.ipc_bytes += len(pickle.dumps(payload)) * self.n_workers
         if obs_on:
             t1 = _obs.now()
             # "seq" is the stitch key pairing this span with the worker
@@ -210,13 +198,12 @@ class ProcessMatcher(Matcher):
         if obs_on:
             t2 = _obs.now()
             _obs.span("mp", "quiesce_wait", t1, t2)
-        deltas = self._flush(ctx_ids if meter_on else None)
+        deltas = self._flush()
         if obs_on:
             t3 = _obs.now()
             _obs.span("mp", "merge", t2, t3, args={"deltas": len(deltas)})
             _obs.span("mp", "parallel_batch", t0, t3,
                       args=_context.tag({"changes": len(changes)}))
-        self.match_seconds += perf_counter() - started
         return deltas
 
     def _wait_quiescent(self) -> None:
@@ -256,7 +243,7 @@ class ProcessMatcher(Matcher):
             f"match process {proc.name} died (exit {proc.exitcode}){detail}"
         )
 
-    def _flush(self, meter_ids: Optional[Dict[str, str]] = None) -> List[CSDelta]:
+    def _flush(self) -> List[CSDelta]:
         for inbox in self._inboxes:
             inbox.put(("flush", self._seq))
         terminals = self.network.terminals
@@ -278,14 +265,10 @@ class ProcessMatcher(Matcher):
                 continue
             seen += 1
             pending_total += pending
-            if meter_ids is not None:
+            if self.timed:
                 # Reply-direction IPC bytes (deltas + stats + ship),
                 # re-pickled once per worker per batch.
-                _meter.add(
-                    meter_ids["session"], "ipc_bytes",
-                    len(pickle.dumps((payload, stats, counters, ship))),
-                    tenant=meter_ids["tenant"],
-                )
+                self.ipc_bytes += len(pickle.dumps((payload, stats, counters, ship)))
             if ship is not None:
                 self.fabric.absorb(wid, ship)
             self._worker_stats[wid] = stats

@@ -88,11 +88,3 @@ class ShardMap:
         return tuple(
             line for line, owner in enumerate(self._owners) if owner == wid
         )
-
-    def lines_per_worker(self) -> Tuple[int, ...]:
-        """Owned-line counts by worker — the placement-imbalance probe
-        (a sane policy keeps ``max - min <= 1``)."""
-        counts = [0] * self.n_workers
-        for owner in self._owners:
-            counts[owner] += 1
-        return tuple(counts)

@@ -320,7 +320,3 @@ def fixed_source(n_teams: int = DEFAULT_TEAMS, n_rounds: int = DEFAULT_ROUNDS) -
 def n_rules() -> int:
     """17 productions, matching the paper (both variants)."""
     return 17
-
-
-def max_matches(n_teams: int = DEFAULT_TEAMS) -> int:
-    return n_teams * (n_teams - 1) // 2

@@ -225,18 +225,6 @@ _CONTROL = """
 """
 
 
-def control_rule_names() -> List[str]:
-    return [
-        "pick-net",
-        "expand-exhausted",
-        "clear-frontier",
-        "clear-cand",
-        "clear-visited",
-        "cleanup-done",
-        "all-routed",
-    ]
-
-
 def startup_block(
     grid: int, nets: Sequence[Tuple[int, int, int, int, int]], blocked: Sequence[Tuple[int, int]]
 ) -> str:

@@ -16,7 +16,6 @@ Optionally records the full task DAG via a
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional
 
 from ..obs import flight as _flight
@@ -47,6 +46,15 @@ class Matcher:
     watchdog = None
     #: The :class:`~repro.obs.fabric.FabricCollector` of worker processes.
     fabric = None
+    #: Set by the interpreter from its own ``timed`` before each batch.
+    #: Engines never bill anyone: while it is set, the ones with a
+    #: transport count what it costs into the two plain totals below,
+    #: and whoever owns the session reads them.
+    timed = False
+    #: Nanoseconds tasks sat on a queue between push and pop (threaded).
+    queue_wait_ns = 0
+    #: Pickled bytes moved over worker pipes, both directions (mp).
+    ipc_bytes = 0
 
     def close(self) -> None:
         """Release workers; idempotent.  Nothing to release by default."""
@@ -74,14 +82,10 @@ class SequentialMatcher(Matcher):
         _flight.note_engine("sequential", 1)
         self.recorder = recorder
         self.ctx = MatchContext(self.memory, self.stats, strict=True)
-        #: Wall-clock seconds spent inside match (the paper times match
-        #: alone, excluding conflict resolution and RHS evaluation).
-        self.match_seconds = 0.0
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
         """Process a batch of changes in order (one RHS's output); each
         runs to quiescence on the kernel's stack before the next."""
-        start = perf_counter()
         _flight.record("sequential", "batch", {"changes": len(changes)})
         ctx = self.ctx
         deltas: List[CSDelta] = []
@@ -89,5 +93,4 @@ class SequentialMatcher(Matcher):
             ctx.cs_deltas = []
             kernel.match_change(self.network, ctx, change.sign, change.wme, self.recorder)
             deltas.extend(ctx.cs_deltas)
-        self.match_seconds += perf_counter() - start
         return deltas

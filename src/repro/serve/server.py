@@ -228,6 +228,7 @@ class ReproServer:
             try:
                 result = await fut
             except BudgetError as exc:
+                self.metrics.rejected_budget += 1
                 raise ProtocolError(E_BUDGET, str(exc))
             except TransactionError as exc:
                 raise ProtocolError(E_TXN, str(exc))

@@ -115,26 +115,27 @@ class SessionCore:
                 _meter.add(self.session_id, "rejected_budget",
                            tenant=self.tenant)
             raise
-        # Attribute obs-bus span drops to the request running while
-        # they happened (only measurable when both layers are on).
-        drops_before = (
-            _events.dropped_total()
-            if (_meter.ENABLED and _events.ENABLED) else None
-        )
+        # The engines below only count; this is where the counts become
+        # someone's bill: read the totals, run, charge the difference.
+        interp = self.interp
+        metered = interp.timed = _meter.ENABLED
+        if metered:
+            was = self._meter_reading()
         start = perf_counter()
         try:
-            created = self.interp.apply_transaction(ops)
+            created = interp.apply_transaction(ops)
         except TransactionError:
             counters.errors += 1
             raise
-        before = self.interp.cycle
-        part = self.interp.run_cycles(budget, deadline=deadline)
+        before = interp.cycle
+        part = interp.run_cycles(budget, deadline=deadline)
         elapsed = perf_counter() - start
-        if drops_before is not None:
-            dropped = _events.dropped_total() - drops_before
-            if dropped:
-                _meter.add(self.session_id, "dropped_events", dropped,
-                           tenant=self.tenant)
+        if metered:
+            now = self._meter_reading()
+            _meter.charge(
+                self.session_id, {name: now[name] - was[name] for name in now},
+                tenant=self.tenant,
+            )
 
         counters.transactions += 1
         counters.wm_ops += len(ops)
@@ -151,6 +152,24 @@ class SessionCore:
             created=created,
             wm_size=self.wm_size,
         )
+
+    def _meter_reading(self) -> dict:
+        """Running totals of everything a transaction is charged for,
+        in meter units (obs-bus span drops included: they belong to the
+        request running while they happened)."""
+        interp = self.interp
+        matcher = interp.matcher
+        phase_ns = interp.phase_ns
+        return {
+            "match_s": phase_ns["match"] * 1e-9,
+            "select_s": phase_ns["select"] * 1e-9,
+            "act_s": phase_ns["act"] * 1e-9,
+            "firings": interp.cycle,
+            "wm_changes": matcher.stats.wme_changes,
+            "queue_wait_s": matcher.queue_wait_ns * 1e-9,
+            "ipc_bytes": matcher.ipc_bytes,
+            "dropped_events": _events.dropped_total(),
+        }
 
     def profile(self) -> dict:
         """Live engine profile: the match statistics the paper tables
@@ -216,25 +235,19 @@ class Session:
         Never awaits before enqueueing, so callers that submit
         back-to-back get back-to-back execution order.  ``ctx`` is the
         request context the worker activates around the transaction
-        (request-scoped spans + meter attribution).
+        (request-scoped spans, the meter's latency exemplar).
         """
-        core = self.core
-        if self.closing:
+        if self.closing or self._inbox.full():
+            core = self.core
+            core.counters.rejected_busy += 1
             if _meter.ENABLED:
                 _meter.add(core.session_id, "rejected_busy",
                            tenant=core.tenant)
             raise Busy(self._retry_after_ms)
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._inbox.put_nowait(
-                (perf_counter(), ctx, ops, max_cycles, deadline_ms, fut)
-            )
-        except asyncio.QueueFull:
-            core.counters.rejected_busy += 1
-            if _meter.ENABLED:
-                _meter.add(core.session_id, "rejected_busy",
-                           tenant=core.tenant)
-            raise Busy(self._retry_after_ms) from None
+        self._inbox.put_nowait(
+            (perf_counter(), ctx, ops, max_cycles, deadline_ms, fut)
+        )
         return fut
 
     async def _run(self) -> None:

@@ -161,7 +161,6 @@ class TestIntrospection:
             result = interp.run(max_cycles=10)
             assert result.halted
             assert result.output == ["saw 9"]
-            assert interp.matcher.match_seconds > 0.0
         finally:
             interp.close()
 

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: rendering, workload caching, and
 paper-data integrity."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness import paperdata
@@ -88,3 +90,35 @@ class TestWorkloads:
         clear_caches()
         b = traced_run("tourney")
         assert a is not b
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _ours_rows(text):
+    """``{program: [cells]}`` of the ``(ours)`` rows of one ``|`` table."""
+    rows = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0].endswith("(ours)"):
+            rows[cells[0].split()[0]] = cells[1:]
+    return rows
+
+
+@pytest.mark.parametrize("table", ["4-5", "4-6", "4-7"])
+def test_experiments_md_quotes_the_committed_report(table):
+    """A file compare, no simulation: the simulated tables are
+    deterministic, ``benchmarks/reports/`` holds what the code prints
+    (CI regenerates and diffs it), and EXPERIMENTS.md must quote it."""
+    doc = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    section = doc.split(f"## Table {table} ")[1].split("\n## ")[0]
+    quoted = _ours_rows(section)
+    report = _ours_rows(
+        (REPO / "benchmarks" / "reports" / f"table_{table.replace('-', '_')}.txt")
+        .read_text(encoding="utf-8")
+    )
+    assert set(quoted) == set(report) == {"weaver", "rubik", "tourney"}
+    for program, cells in quoted.items():
+        # The report's 4-5 / 4-6 rows lead with a uniprocessor-seconds
+        # column the document leaves out; the six 1+k columns are last.
+        assert cells == report[program][-6:], (table, program)

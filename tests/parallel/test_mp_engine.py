@@ -189,15 +189,6 @@ class TestWatchdogWiring:
 
 
 class TestMeasurement:
-    def test_match_seconds_accumulates(self):
-        interp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
-                             engine_opts={"n_workers": 1})
-        try:
-            interp.run(max_cycles=100)
-            assert interp.matcher.match_seconds > 0.0
-        finally:
-            interp.close()
-
     def test_ipc_counters_present(self):
         interp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
                              engine_opts={"n_workers": 2})

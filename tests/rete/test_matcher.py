@@ -143,12 +143,6 @@ class TestStats:
         assert m_lin.memory.kind == "linear"
         assert m_hash.memory.kind == "hash"
 
-    def test_match_seconds_accumulates(self):
-        m = matcher_for("(p r (a) (b) --> (halt))")
-        wm = WorkingMemory()
-        m.process_changes([add(wm, "a"), add(wm, "b")])
-        assert m.match_seconds > 0
-
 
 class TestTraceRecording:
     def test_trace_captures_tasks(self):

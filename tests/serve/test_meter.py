@@ -203,6 +203,20 @@ class TestBackpressureAccounting:
             assert resp["error"]["code"] == "budget-exceeded"
             snap = obs_meter.snapshot()
             assert snap["sessions"][sid]["counters"]["rejected_budget"] == 1
+            # The server-wide counter hears of it too: the `stats`
+            # server block, the session's, and the exposition agree.
+            resp = await request(reader, writer, {"id": 3, "type": "stats"})
+            assert resp["server"]["rejected_budget"] == 1
+            assert resp["sessions"][sid]["rejected_budget"] == 1
+            resp = await request(
+                reader, writer,
+                {"id": 4, "type": "stats", "format": "prometheus"},
+            )
+            assert "\nrepro_rejected_budget_total 1\n" in resp["body"]
+            assert (
+                f'repro_session_rejected_budget_total{{session="{sid}"}} 1'
+                in resp["body"]
+            )
 
         with_metered_server(scenario)
 

@@ -176,6 +176,8 @@ class TestAsyncSession:
             assert (await futs[1]).outcome == "halted"
             with pytest.raises(Busy):
                 session.submit([], max_cycles=0)  # closed for business
+            # ... and counted like a full inbox's bounce.
+            assert session.core.counters.rejected_busy == 1
 
         asyncio.run(scenario())
 
