@@ -14,6 +14,11 @@ Design constraints, in order:
    buffer *registration*, once per thread per epoch.  This matters
    because the layer instruments spin locks themselves: a lock inside
    the event path would perturb exactly the contention it measures.
+   A worker *process* (the mp engine) is one more such writer: it
+   records on its own copy of this module, ships the delta at each
+   flush, and the control thread that flushed files it
+   (:func:`file_remote`) in a buffer keyed by the worker's OS pid —
+   same cap, same drop count, same epoch rules, one writer.
 
 3. **Bounded memory.**  Span buffers are capped per worker
    (:data:`DEFAULT_MAX_EVENTS`); overflowing spans are counted in
@@ -21,10 +26,12 @@ Design constraints, in order:
    per-lock, counters) are fixed-size dictionaries keyed by node id /
    lock label and never grow with run length.
 
-Timestamps are monotonic ``time.perf_counter_ns`` integers; spans are
-plain tuples ``(t0_ns, dur_ns, cat, name, args)``.  ``snapshot()``
-merges all live buffers into an immutable :class:`ObsSnapshot` without
-stopping collection.
+Timestamps are monotonic ``time.perf_counter_ns`` integers (one clock
+for every process of a host, so shipped spans need no translation);
+spans are plain tuples ``(t0_ns, dur_ns, cat, name, args)``.
+``snapshot()`` merges all live buffers into an :class:`ObsSnapshot`
+without stopping collection; the snapshot owns the one JSON form of a
+set of observations (:meth:`ObsSnapshot.to_json` / ``from_json``).
 """
 
 from __future__ import annotations
@@ -45,19 +52,27 @@ DEFAULT_MAX_EVENTS = 200_000
 #: Monotonic nanosecond clock used for every span boundary.
 now = perf_counter_ns
 
+#: Schema id of a snapshot's JSON form (``repro trace --fabric-out``,
+#: ``repro obs stitch``).  /1 was a control snapshot beside a list of
+#: worker lanes; /2 is the snapshot, workers of every process in it.
+SNAPSHOT_SCHEMA = "repro.fabric/2"
+
 _SPAN = Tuple[int, int, str, str, Optional[dict]]
 
 
 class _WorkerBuffer:
-    """One thread's private event storage.  Never shared for writing."""
+    """One writer's private event storage — a thread of this process
+    (``pid`` 0) or a worker process whose shipped deltas one control
+    thread files.  Never shared for writing."""
 
-    __slots__ = ("name", "epoch", "max_events", "spans", "dropped",
+    __slots__ = ("name", "epoch", "max_events", "pid", "spans", "dropped",
                  "nodes", "locks", "counters")
 
-    def __init__(self, name: str, epoch: int, max_events: int) -> None:
+    def __init__(self, name: str, epoch: int, max_events: int, pid: int = 0) -> None:
         self.name = name
         self.epoch = epoch
         self.max_events = max_events
+        self.pid = pid
         self.spans: List[_SPAN] = []
         self.dropped = 0
         # node_id -> [kind, activations, self_ns, tokens_examined, emitted]
@@ -70,6 +85,8 @@ class _WorkerBuffer:
 _tls = threading.local()
 _reg_lock = threading.Lock()
 _registry: List[_WorkerBuffer] = []
+#: OS pid -> the registered buffer of that worker process (this epoch's).
+_remote: Dict[int, _WorkerBuffer] = {}
 _epoch = 0
 _max_events = DEFAULT_MAX_EVENTS
 #: Drops carried over from retired buffers (cleared registries, dead
@@ -95,6 +112,10 @@ def enable(max_events_per_worker: int = DEFAULT_MAX_EVENTS) -> None:
     """Turn collection on (idempotent).  Existing data is kept; call
     :func:`reset` first for a fresh capture."""
     global ENABLED, _max_events
+    if max_events_per_worker < 0:
+        raise ValueError(
+            f"the per-worker span cap must be >= 0, got {max_events_per_worker}"
+        )
     _max_events = max_events_per_worker
     ENABLED = True
 
@@ -137,6 +158,7 @@ def reset() -> None:
         _epoch += 1
         _retired_dropped += sum(buf.dropped for buf in _registry)
         _registry.clear()
+        _remote.clear()
 
 
 # -- recording (callers must have checked ENABLED) ---------------------------
@@ -185,6 +207,44 @@ def lock_hit(label: str, wait_ns: int, hold_ns: int, contended: bool) -> None:
         agg[3] += hold_ns
 
 
+def file_remote(pid: int, name: str, spans: List[_SPAN], nodes: Dict[int, list],
+                counters: Dict[str, int], dropped: int = 0) -> int:
+    """File a delta that worker process ``pid`` recorded on its own bus
+    into that worker's buffer here (registered on first use, like a
+    thread's).  ``dropped`` is what the worker already lost; spans
+    beyond this buffer's cap are dropped and counted too.  Returns how
+    many of ``spans`` were kept.  One thread files for a given pid —
+    the one flushing the engine that owns the process."""
+    buf = _remote.get(pid)
+    if buf is None or buf.epoch != _epoch:
+        buf = _WorkerBuffer(name, _epoch, _max_events, pid)
+        with _reg_lock:
+            _registry.append(buf)
+        _remote[pid] = buf
+    kept = min(len(spans), buf.max_events - len(buf.spans))
+    buf.spans.extend(spans[:kept])
+    buf.dropped += dropped + len(spans) - kept
+    fold_nodes(buf.nodes, nodes)
+    for key, n in counters.items():
+        buf.counters[key] = buf.counters.get(key, 0) + n
+    return kept
+
+
+def fold_nodes(into: Dict[int, list], nodes: Dict[int, list]) -> None:
+    """Add per-node aggregates ``[kind, activations, self_ns, examined,
+    emitted]`` into ``into`` — the one place two writers' node tables
+    are summed."""
+    for node_id, agg in nodes.items():
+        have = into.get(node_id)
+        if have is None:
+            into[node_id] = list(agg)
+        else:
+            have[1] += agg[1]
+            have[2] += agg[2]
+            have[3] += agg[3]
+            have[4] += agg[4]
+
+
 # -- snapshots ---------------------------------------------------------------
 
 
@@ -200,6 +260,8 @@ class ObsSnapshot:
     locks: Dict[str, list] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     dropped: int = 0
+    #: The ``workers`` that are other processes: display name -> OS pid.
+    remote: Dict[str, int] = field(default_factory=dict)
 
     @property
     def n_spans(self) -> int:
@@ -207,6 +269,79 @@ class ObsSnapshot:
 
     def spans_by_cat(self, cat: str) -> List[_SPAN]:
         return [s for spans in self.workers.values() for s in spans if s[2] == cat]
+
+    def to_json(self) -> Dict[str, Any]:
+        """The snapshot as a JSON-serializable document."""
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "workers": {
+                name: [list(span) for span in spans]
+                for name, spans in sorted(self.workers.items())
+            },
+            "remote": dict(self.remote),
+            "nodes": {str(k): list(v) for k, v in self.nodes.items()},
+            "locks": {k: list(v) for k, v in self.locks.items()},
+            "counters": dict(self.counters),
+            "dropped": self.dropped,
+        }
+
+    @classmethod
+    def from_json(cls, doc: Any) -> "ObsSnapshot":
+        """The inverse of :meth:`to_json`, and the one place a saved
+        document is validated: raises ``ValueError("<where>: <what>")``
+        at the first thing that is not what ``to_json`` writes."""
+        if _shaped(doc, dict, "document").get("schema") != SNAPSHOT_SCHEMA:
+            raise ValueError(f"schema: is {doc.get('schema')!r}, this reader "
+                             f"takes {SNAPSHOT_SCHEMA!r}")
+        snap = cls(dropped=_shaped(doc.get("dropped"), int, "dropped"))
+        for name, spans in _table(doc, "workers", list):
+            where = f"workers[{name!r}]"
+            snap.workers[name] = [
+                tuple(_row(span, _SPAN_SHAPE, f"{where}[{i}]"))
+                for i, span in enumerate(spans)
+            ]
+        for name, pid in _table(doc, "remote", int):
+            if name not in snap.workers:
+                raise ValueError(f"remote[{name!r}]: names no worker")
+            snap.remote[name] = pid
+        for key, agg in _table(doc, "nodes", list):
+            if not key.isdigit():
+                raise ValueError(f"nodes[{key!r}]: the key is not a node id")
+            snap.nodes[int(key)] = _row(agg, _NODE_SHAPE, f"nodes[{key!r}]")
+        for label, agg in _table(doc, "locks", list):
+            snap.locks[label] = _row(agg, _LOCK_SHAPE, f"locks[{label!r}]")
+        snap.counters = dict(_table(doc, "counters", int))
+        return snap
+
+
+_OBJECT_OR_NULL = (dict, type(None))
+_SPAN_SHAPE = (int, int, str, str, _OBJECT_OR_NULL)
+_NODE_SHAPE = (str, int, int, int, int)
+_LOCK_SHAPE = (int, int, int, int)
+_KIND_NAMES = {int: "an integer", str: "a string", list: "an array",
+               dict: "an object", _OBJECT_OR_NULL: "an object or null"}
+
+
+def _shaped(value: Any, kind, where: str) -> Any:
+    # bool is an int to isinstance; no field of a snapshot is one.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: {value!r} is not {_KIND_NAMES[kind]}")
+    return value
+
+
+def _table(doc: dict, field_name: str, kind) -> List[Tuple[str, Any]]:
+    table = _shaped(doc.get(field_name), dict, field_name)
+    return [
+        (key, _shaped(value, kind, f"{field_name}[{key!r}]"))
+        for key, value in table.items()
+    ]
+
+
+def _row(row: Any, shape: tuple, where: str) -> list:
+    if len(_shaped(row, list, where)) != len(shape):
+        raise ValueError(f"{where}: {len(shape)} fields expected, got {row!r}")
+    return [_shaped(value, kind, f"{where}[{i}]")
+            for i, (value, kind) in enumerate(zip(row, shape))]
 
 
 def snapshot() -> ObsSnapshot:
@@ -217,19 +352,13 @@ def snapshot() -> ObsSnapshot:
         buffers = list(_registry)
     for buf in buffers:
         name = buf.name
-        if name in snap.workers:  # two threads with one name (rare)
+        if name in snap.workers:  # two writers with one name (rare)
             name = f"{name}#{sum(1 for k in snap.workers if k.split('#')[0] == buf.name)}"
         snap.workers[name] = list(buf.spans)
+        if buf.pid:
+            snap.remote[name] = buf.pid
         snap.dropped += buf.dropped
-        for node_id, agg in buf.nodes.items():
-            have = snap.nodes.get(node_id)
-            if have is None:
-                snap.nodes[node_id] = list(agg)
-            else:
-                have[1] += agg[1]
-                have[2] += agg[2]
-                have[3] += agg[3]
-                have[4] += agg[4]
+        fold_nodes(snap.nodes, buf.nodes)
         for label, agg in buf.locks.items():
             have = snap.locks.get(label)
             if have is None:

@@ -2,11 +2,14 @@
 
 ``chrome_trace`` turns an :class:`~repro.obs.events.ObsSnapshot` into
 the Trace Event Format consumed by ``chrome://tracing`` and Perfetto
-(https://ui.perfetto.dev): one timeline row per worker thread, complete
-duration events (``"ph": "X"``) with microsecond timestamps, and
-thread-name metadata events so the control process and each match
-process are labelled.  ``validate_chrome_trace`` is the schema check
-the CI ``obs-smoke`` job runs on exported files.
+(https://ui.perfetto.dev) and is the only place a span becomes an
+event: one timeline row per thread of this process on pid 1, one
+process group per remote worker (the mp engine's match processes) on
+pid ``100 + k``, complete duration events (``"ph": "X"``) with
+microsecond timestamps, name metadata for every row, and flow arrows
+wherever both ends of a causal link were recorded.
+``validate_chrome_trace`` is the schema check the CI ``obs-smoke`` job
+runs on exported files.
 
 ``prometheus_text`` renders the service layer's counters (server,
 netcache, per-session) in the Prometheus exposition format, so a
@@ -25,46 +28,96 @@ from .events import ObsSnapshot
 #: Required keys of a complete ("X") trace event.
 _X_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
 
-#: Required keys of a flow ("s"/"f") event — the fabric's
-#: dispatch→worker arrows (see :mod:`repro.obs.fabric`).
+#: Required keys of a flow ("s"/"f") event.
 _FLOW_KEYS = ("name", "cat", "ph", "id", "ts", "pid", "tid")
 
 #: Metadata event names we emit: per-thread labels everywhere, and
-#: per-process labels in stitched multi-process traces.
+#: per-process labels in multi-process traces.
 _META_NAMES = ("thread_name", "process_name")
+
+#: Chrome-trace pid of the first remote worker (this process is pid 1).
+WORKER_PID_BASE = 100
+
+
+def _flow_end(cat: str, name: str, args: dict, t0: int, dur: int):
+    """Which end of which arrow a span is: ``(is_source, key, ts_ns)``,
+    key None for neither.  ``dispatch``: the control side's
+    ``mp/dispatch`` span ends where the worker ``batch`` spans carrying
+    its ``seq`` begin.  ``request``: a ``serve`` span begins every
+    ``phase/match`` span of the request whose ``req`` it carries (from
+    there the dispatch arrows, whose source spans nest inside the
+    phase, reach the workers)."""
+    if "seq" in args:
+        if cat == "mp" and name == "dispatch":
+            return True, ("dispatch", args["seq"]), t0 + dur
+        if cat == "mp.worker" and name == "batch":
+            return False, ("dispatch", args["seq"]), t0
+    if "req" in args:
+        if cat == "serve":
+            return True, ("request", args["req"]), t0
+        if cat == "phase" and name == "match":
+            return False, ("request", args["req"]), t0
+    return False, None, t0
 
 
 def chrome_trace(snap: ObsSnapshot) -> Dict[str, Any]:
-    """The snapshot as a Trace Event Format document (JSON object form)."""
+    """The snapshot as a Trace Event Format document (JSON object form).
+
+    A ``batch`` span whose ``seq`` no recorded dispatch carries is a
+    *stitch orphan*: counted, never linked, because a nonzero count
+    means the causal story is incomplete.  ``otherData`` reports
+    ``stitch_orphans``, ``request_flows`` and ``fabric_lanes`` whenever
+    there was anything to stitch (a remote worker or an arrow source)."""
     events: List[Dict[str, Any]] = []
-    for tid, (worker, spans) in enumerate(sorted(snap.workers.items())):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": worker},
-            }
-        )
-        for t0, dur, cat, name, args in spans:
+    local = sorted(name for name in snap.workers if name not in snap.remote)
+    rows = [(1, tid, worker) for tid, worker in enumerate(local)]
+    if snap.remote:
+        events.append({"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+                       "args": {"name": "control"}})
+    for k, worker in enumerate(sorted(snap.remote)):
+        pid = WORKER_PID_BASE + k
+        rows.append((pid, 0, worker))
+        events.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                       "args": {"name": f"{worker} (pid {snap.remote[worker]})"}})
+    sources: Dict[tuple, Tuple[int, int, float]] = {}
+    targets: List[Tuple[tuple, int, int, float]] = []
+    for pid, tid, worker in rows:
+        events.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                       "args": {"name": worker}})
+        for t0, dur, cat, name, args in snap.workers[worker]:
             event: Dict[str, Any] = {
                 "name": name,
                 "cat": cat,
                 "ph": "X",
                 "ts": t0 / 1e3,  # ns -> us, the format's unit
                 "dur": dur / 1e3,
-                "pid": 1,
+                "pid": pid,
                 "tid": tid,
             }
             if args:
                 event["args"] = args
+                is_source, key, ts = _flow_end(cat, name, args, t0, dur)
+                if is_source:
+                    sources[key] = (pid, tid, ts / 1e3)
+                elif key is not None:
+                    targets.append((key, pid, tid, ts / 1e3))
             events.append(event)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs", "dropped_spans": snap.dropped},
-    }
+    flows = request_flows = orphans = 0
+    for key, pid, tid, ts in targets:
+        src = sources.get(key)
+        if src is None:
+            orphans += key[0] == "dispatch"
+            continue
+        flows += 1  # the flow id: one running counter per document
+        request_flows += key[0] == "request"
+        flow = {"name": key[0], "cat": "fabric", "id": flows}
+        events.append({**flow, "ph": "s", "pid": src[0], "tid": src[1], "ts": src[2]})
+        events.append({**flow, "ph": "f", "bp": "e", "pid": pid, "tid": tid, "ts": ts})
+    other: Dict[str, Any] = {"producer": "repro.obs", "dropped_spans": snap.dropped}
+    if snap.remote or sources:
+        other.update(stitch_orphans=orphans, request_flows=request_flows,
+                     fabric_lanes=len(snap.remote))
+    return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
 
 
 def write_chrome_trace(path: str, snap: ObsSnapshot) -> int:

@@ -1,86 +1,50 @@
-"""The cross-process trace fabric: worker-side obs, shipped and stitched.
+"""The ship: how a worker process's observations reach the one bus.
 
-The mp backend's match workers are forked processes, so their event
-buffers (:mod:`repro.obs.events` is per-process module state) die with
-them — before this module, a ``repro trace --engine mp`` run showed
-the control process's dispatch/quiesce/merge spans and nothing from
-the processes doing the actual matching.
+The mp backend's match workers are forked processes, so what they
+record — on their own copies of :mod:`repro.obs.events` and
+:mod:`repro.obs.flight` — would die with them.  It rides the existing
+per-batch synchronization point instead, the flush reply (no new IPC
+round trips), as one dict whose format only this module knows:
 
-The fabric closes that hole with three pieces:
-
-* **Shipping** (worker side, :func:`build_ship`): at every flush —
-  the existing per-batch synchronization point, so no new IPC round
-  trips — a worker snapshots its local bus (spans, per-node hot-spot
-  aggregates, counters, drop count), bounds the span payload
+* :func:`build_ship` (worker side) snapshots the local bus — spans,
+  per-node aggregates, counters, drop count — bounds the span payload
   (:data:`SHIP_MAX_SPANS`; overflow is *counted*, never silently cut),
-  attaches its flight-recorder tail, and resets the local bus so each
-  ship is a delta.
-
-* **Collection** (control side, :class:`FabricCollector`): one
-  :class:`WorkerLane` per worker accumulates the shipped deltas,
-  bounded again at :data:`LANE_MAX_SPANS` per lane.  Absorption bumps
+  attaches the flight-recorder tail, and resets the local bus so each
+  ship is a delta.  With the bus off a ship is the tail and nothing
+  else.
+* :func:`file_ship` (control side, called by the thread that flushed)
+  hands the tail to :func:`repro.obs.flight.keep_remote_tail` — always
+  — and, while the bus is on, files the delta into the worker's own
+  buffer of the control process's bus
+  (:func:`repro.obs.events.file_remote`), counting
   ``fabric.ship_batches`` / ``fabric.ship_spans`` /
-  ``fabric.ship_dropped`` on the control bus, so the perf runner's
-  counter capture trends fabric health alongside the match metrics.
+  ``fabric.ship_dropped`` there.  From then on the worker is one more
+  row of :func:`repro.obs.events.snapshot`, which profiles and the
+  trace renderer read without knowing an engine had processes.
 
-* **Stitching** (:func:`stitch_trace`): one Chrome trace with the
-  control process on pid 1 and each worker on its own pid lane, plus
-  flow arrows from every control ``dispatch`` span to the worker
-  ``batch`` spans it triggered (matched on the batch sequence number
-  both sides stamp into span args).  Worker spans whose sequence
-  number matches no dispatch are counted as ``stitch_orphans`` —
-  present in the document *and* returned, because a nonzero orphan
-  count means the causal story is incomplete.
-
-Timestamps stitch without translation: both sides use
-``time.perf_counter_ns``, which on the fork-capable platforms the mp
-backend supports (Linux ``CLOCK_MONOTONIC``, macOS
-``mach_absolute_time``) is a system-wide clock shared across
-processes.
-
-:func:`write_capture` / :func:`load_capture` round-trip the raw fabric
-state (control snapshot + lanes) as a schema-versioned JSON file, so
-``repro obs stitch`` can re-stitch a capture offline.
+:func:`write_capture` / :func:`load_capture` keep a snapshot as a file
+(``repro trace --fabric-out``, ``repro obs stitch``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from . import events as _events
 from . import flight
 from .events import ObsSnapshot
-
-#: Schema identifier of the raw capture file format.
-FABRIC_SCHEMA = "repro.fabric/1"
 
 #: Span cap per flush reply (worker side).  A conformance-scale batch
 #: ships a handful of spans; a runaway batch ships the most recent
 #: SHIP_MAX_SPANS and counts the rest in ``ship_dropped``.
 SHIP_MAX_SPANS = 20_000
 
-#: Control-side span cap per worker lane (mirrors the per-thread cap
-#: of the local bus).
-LANE_MAX_SPANS = 200_000
-
 #: Flight-recorder events attached to each ship (the worker's black
 #: box tail travels with every flush, so the control process always
 #: holds a dead worker's last moments).
 SHIP_FLIGHT_TAIL = 20
-
-#: Chrome-trace pid offset for worker lanes (control is pid 1).
-WORKER_PID_BASE = 100
-
-#: Flow-id floor for request-scoped arrows (serve verb → interpreter
-#: phase).  Far above any ``seq * (WORKER_PID_BASE + 1) + wid``
-#: dispatch flow id a real run can reach, so the two arrow families
-#: never collide in one document.
-REQUEST_FLOW_BASE = 1_000_000_007
-
-
-# -- worker side -------------------------------------------------------------
 
 
 def build_ship(
@@ -112,369 +76,40 @@ def build_ship(
     }
 
 
-# -- control side ------------------------------------------------------------
-
-
-class WorkerLane:
-    """One worker's accumulated shipped telemetry."""
-
-    __slots__ = ("wid", "name", "pid", "spans", "nodes", "counters",
-                 "dropped", "ship_batches", "flight_tail")
-
-    def __init__(self, wid: int, name: str) -> None:
-        self.wid = wid
-        self.name = name
-        self.pid = 0
-        self.spans: List[tuple] = []
-        #: node_id -> [kind, activations, self_ns, examined, emitted]
-        self.nodes: Dict[int, list] = {}
-        self.counters: Dict[str, int] = {}
-        self.dropped = 0
-        self.ship_batches = 0
-        self.flight_tail: List[dict] = []
-
-
-class FabricCollector:
-    """Accumulates worker ships in the control process."""
-
-    def __init__(self) -> None:
-        self.lanes: Dict[int, WorkerLane] = {}
-
-    def absorb(self, wid: int, ship: Dict[str, Any]) -> None:
-        """Fold one flush's ship payload into the worker's lane.  Bumps
-        the ``fabric.*`` counters on the control bus while it is
-        enabled, so fabric health rides the normal profile capture."""
-        lane = self.lanes.get(wid)
-        if lane is None:
-            lane = self.lanes[wid] = WorkerLane(wid, f"match-{wid}")
-        lane.pid = ship.get("pid", lane.pid)
-        lane.ship_batches += 1
-        incoming = ship.get("spans") or []
-        dropped = int(ship.get("dropped", 0)) + int(ship.get("ship_dropped", 0))
-        room = LANE_MAX_SPANS - len(lane.spans)
-        if len(incoming) > room:
-            dropped += len(incoming) - room
-            incoming = incoming[:room]
-        lane.spans.extend(incoming)
-        lane.dropped += dropped
-        for node_id, agg in (ship.get("nodes") or {}).items():
-            have = lane.nodes.get(node_id)
-            if have is None:
-                lane.nodes[node_id] = list(agg)
-            else:
-                have[1] += agg[1]
-                have[2] += agg[2]
-                have[3] += agg[3]
-                have[4] += agg[4]
-        for key, n in (ship.get("counters") or {}).items():
-            lane.counters[key] = lane.counters.get(key, 0) + n
-        lane.flight_tail = list(ship.get("flight") or lane.flight_tail)
-        if _events.ENABLED:
-            _events.count("fabric.ship_batches")
-            if incoming:
-                _events.count("fabric.ship_spans", len(incoming))
-            if dropped:
-                _events.count("fabric.ship_dropped", dropped)
-
-    @property
-    def ship_batches(self) -> int:
-        return sum(lane.ship_batches for lane in self.lanes.values())
-
-    @property
-    def shipped_spans(self) -> int:
-        return sum(len(lane.spans) for lane in self.lanes.values())
-
-    def flight_tails(self) -> Dict[str, List[dict]]:
-        """Last-known flight tail per worker, for watchdog bundles and
-        crash snapshots."""
-        return {
-            lane.name: list(lane.flight_tail)
-            for lane in self.lanes.values()
-            if lane.flight_tail
-        }
-
-
-def merged_snapshot(snap: ObsSnapshot, collector: FabricCollector) -> ObsSnapshot:
-    """A copy of ``snap`` with every worker lane folded in: lane spans
-    become extra worker timelines, node/counter aggregates merge, and
-    shipped drop counts add up — so profiles built from an mp run see
-    the workers' match work, not just the control process's."""
-    merged = ObsSnapshot(
-        workers={name: list(spans) for name, spans in snap.workers.items()},
-        nodes={node_id: list(agg) for node_id, agg in snap.nodes.items()},
-        locks={label: list(agg) for label, agg in snap.locks.items()},
-        counters=dict(snap.counters),
-        dropped=snap.dropped,
+def file_ship(name: str, ship: Dict[str, Any]) -> None:
+    """File one flush reply's ship from the worker displayed as ``name``."""
+    pid = ship["pid"]
+    flight.keep_remote_tail(pid, name, ship["flight"])
+    if not _events.ENABLED:
+        return
+    spans = ship["spans"]
+    dropped = ship["dropped"] + ship["ship_dropped"]
+    kept = _events.file_remote(
+        pid, name, spans, ship["nodes"], ship["counters"], dropped=dropped
     )
-    for wid in sorted(collector.lanes):
-        lane = collector.lanes[wid]
-        name = f"mp:{lane.name}"
-        if name in merged.workers:  # pragma: no cover - defensive
-            name = f"{name}#{wid}"
-        merged.workers[name] = list(lane.spans)
-        merged.dropped += lane.dropped
-        for node_id, agg in lane.nodes.items():
-            have = merged.nodes.get(node_id)
-            if have is None:
-                merged.nodes[node_id] = list(agg)
-            else:
-                have[1] += agg[1]
-                have[2] += agg[2]
-                have[3] += agg[3]
-                have[4] += agg[4]
-        for key, n in lane.counters.items():
-            merged.counters[key] = merged.counters.get(key, 0) + n
-    return merged
+    dropped += len(spans) - kept
+    _events.count("fabric.ship_batches")
+    if kept:
+        _events.count("fabric.ship_spans", kept)
+    if dropped:
+        _events.count("fabric.ship_dropped", dropped)
 
 
-# -- stitching ---------------------------------------------------------------
-
-
-def stitch_trace(
-    snap: ObsSnapshot, collector: FabricCollector
-) -> Tuple[Dict[str, Any], int]:
-    """One causally-stitched Chrome trace across all processes.
-
-    Returns ``(document, stitch_orphans)``.  The control process's
-    threads render exactly as :func:`repro.obs.export.chrome_trace`
-    renders them (pid 1); each worker lane gets its own pid; every
-    control ``dispatch`` span flows to the worker ``batch`` spans that
-    carry the same batch sequence number.
-    """
-    from .export import chrome_trace
-
-    doc = chrome_trace(snap)
-    events = doc["traceEvents"]
-    events.insert(
-        0,
-        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-         "args": {"name": "control"}},
-    )
-    # Control dispatch spans, keyed by batch seq.  Tids here must match
-    # chrome_trace's assignment (enumerate over sorted worker names).
-    dispatch: Dict[int, Tuple[int, float]] = {}
-    # Request-scoped arrows: each serve-verb span flows to the
-    # interpreter phase spans carrying the same request id ("req" from
-    # repro.obs.context), completing the serve → phase → worker-batch
-    # causal chain (the last hop is the seq-keyed dispatch arrows,
-    # whose dispatch spans nest inside the phase).
-    serve_spans: Dict[str, Tuple[int, float]] = {}
-    phase_hops: List[Tuple[str, int, float]] = []
-    for tid, (_worker, spans) in enumerate(sorted(snap.workers.items())):
-        for t0, dur, cat, name, args in spans:
-            if cat == "mp" and name == "dispatch" and args and "seq" in args:
-                dispatch[args["seq"]] = (tid, (t0 + dur) / 1e3)
-            elif cat == "serve" and args and "req" in args:
-                serve_spans[args["req"]] = (tid, t0 / 1e3)
-            elif (cat == "phase" and name == "match"
-                  and args and "req" in args):
-                phase_hops.append((args["req"], tid, t0 / 1e3))
-    request_flows = 0
-    for req, tid, ts in phase_hops:
-        src = serve_spans.get(req)
-        if src is None:
-            continue
-        flow_id = REQUEST_FLOW_BASE + request_flows
-        events.append(
-            {"name": "request", "cat": "fabric", "ph": "s",
-             "id": flow_id, "pid": 1, "tid": src[0], "ts": src[1]}
-        )
-        events.append(
-            {"name": "request", "cat": "fabric", "ph": "f", "bp": "e",
-             "id": flow_id, "pid": 1, "tid": tid, "ts": ts}
-        )
-        request_flows += 1
-
-    orphans = 0
-    for wid in sorted(collector.lanes):
-        lane = collector.lanes[wid]
-        pid = WORKER_PID_BASE + wid
-        events.append(
-            {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-             "args": {"name": f"{lane.name} (pid {lane.pid})"}}
-        )
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": pid, "tid": 0,
-             "args": {"name": lane.name}}
-        )
-        for t0, dur, cat, name, args in lane.spans:
-            event: Dict[str, Any] = {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": t0 / 1e3,
-                "dur": dur / 1e3,
-                "pid": pid,
-                "tid": 0,
-            }
-            if args:
-                event["args"] = args
-            events.append(event)
-            if cat == "mp.worker" and name == "batch" and args and "seq" in args:
-                seq = args["seq"]
-                src = dispatch.get(seq)
-                if src is None:
-                    orphans += 1
-                    continue
-                # One flow per (seq, worker): Chrome flow ids must be
-                # unique per arrow, and one dispatch fans out to every
-                # worker's batch span.
-                flow_id = seq * (WORKER_PID_BASE + 1) + wid
-                events.append(
-                    {"name": "dispatch", "cat": "fabric", "ph": "s",
-                     "id": flow_id, "pid": 1, "tid": src[0], "ts": src[1]}
-                )
-                events.append(
-                    {"name": "dispatch", "cat": "fabric", "ph": "f",
-                     "bp": "e", "id": flow_id, "pid": pid, "tid": 0,
-                     "ts": t0 / 1e3}
-                )
-    other = doc["otherData"]
-    other["stitch_orphans"] = orphans
-    other["request_flows"] = request_flows
-    other["fabric_lanes"] = len(collector.lanes)
-    other["dropped_spans"] = other.get("dropped_spans", 0) + sum(
-        lane.dropped for lane in collector.lanes.values()
-    )
-    return doc, orphans
-
-
-def merge_collectors(
-    collectors: List[Tuple[str, FabricCollector]]
-) -> FabricCollector:
-    """Fold several matchers' collectors into one, re-keying worker
-    lanes with unique wids (and ``label:`` name prefixes) so a server
-    hosting many mp sessions can stitch them all into a single trace.
-    Batch seqs are process-unique (``repro.parallel.mp.engine``'s
-    global counter), so dispatch arrows keep pairing correctly after
-    the merge.  Lanes are shallow-shared, not copied: treat the merged
-    collector as read-only."""
-    merged = FabricCollector()
-    next_wid = 0
-    for label, collector in collectors:
-        for wid in sorted(collector.lanes):
-            lane = collector.lanes[wid]
-            clone = WorkerLane(
-                next_wid, f"{label}:{lane.name}" if label else lane.name
-            )
-            clone.pid = lane.pid
-            clone.spans = lane.spans
-            clone.nodes = lane.nodes
-            clone.counters = lane.counters
-            clone.dropped = lane.dropped
-            clone.ship_batches = lane.ship_batches
-            clone.flight_tail = lane.flight_tail
-            merged.lanes[next_wid] = clone
-            next_wid += 1
-    return merged
-
-
-# -- raw capture round-trip --------------------------------------------------
-
-
-def _spans_to_json(spans: List[tuple]) -> List[list]:
-    return [list(span) for span in spans]
-
-
-def _spans_from_json(spans: Any) -> List[tuple]:
-    return [tuple(span) for span in spans or []]
-
-
-def capture_doc(snap: ObsSnapshot, collector: FabricCollector) -> Dict[str, Any]:
-    """The raw fabric state as a JSON-serializable document."""
-    return {
-        "schema": FABRIC_SCHEMA,
-        "control": {
-            "workers": {
-                name: _spans_to_json(spans)
-                for name, spans in sorted(snap.workers.items())
-            },
-            "nodes": {str(k): list(v) for k, v in snap.nodes.items()},
-            "locks": {k: list(v) for k, v in snap.locks.items()},
-            "counters": dict(snap.counters),
-            "dropped": snap.dropped,
-        },
-        "lanes": [
-            {
-                "wid": lane.wid,
-                "name": lane.name,
-                "pid": lane.pid,
-                "spans": _spans_to_json(lane.spans),
-                "nodes": {str(k): list(v) for k, v in lane.nodes.items()},
-                "counters": dict(lane.counters),
-                "dropped": lane.dropped,
-                "ship_batches": lane.ship_batches,
-                "flight": list(lane.flight_tail),
-            }
-            for _wid, lane in sorted(collector.lanes.items())
-        ],
-    }
-
-
-def write_capture(path: str, snap: ObsSnapshot, collector: FabricCollector) -> None:
-    doc = capture_doc(snap, collector)
+def write_capture(path: str, snap: ObsSnapshot) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(snap.to_json(), fh)
         fh.write("\n")
     os.replace(tmp, path)
 
 
-def validate_capture(doc: Any) -> List[str]:
-    """Schema-check a raw fabric capture; returns problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != FABRIC_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {FABRIC_SCHEMA!r}"
-        )
-    control = doc.get("control")
-    if not isinstance(control, dict) or not isinstance(
-        control.get("workers"), dict
-    ):
-        problems.append("control.workers is missing or not an object")
-    lanes = doc.get("lanes")
-    if not isinstance(lanes, list):
-        problems.append("lanes is missing or not an array")
-    else:
-        for i, lane in enumerate(lanes):
-            if not isinstance(lane, dict) or not isinstance(lane.get("wid"), int):
-                problems.append(f"lanes[{i}]: needs an integer wid")
-                continue
-            if not isinstance(lane.get("spans"), list):
-                problems.append(f"lanes[{i}]: spans must be an array")
-    return problems
-
-
-def load_capture(doc: Dict[str, Any]) -> Tuple[ObsSnapshot, FabricCollector]:
-    """Reconstitute ``(control snapshot, collector)`` from a capture
-    document (raises ValueError on schema problems)."""
-    problems = validate_capture(doc)
-    if problems:
-        raise ValueError("bad fabric capture: " + "; ".join(problems))
-    control = doc["control"]
-    snap = ObsSnapshot(
-        workers={
-            name: _spans_from_json(spans)
-            for name, spans in control["workers"].items()
-        },
-        nodes={int(k): list(v) for k, v in (control.get("nodes") or {}).items()},
-        locks={k: list(v) for k, v in (control.get("locks") or {}).items()},
-        counters=dict(control.get("counters") or {}),
-        dropped=int(control.get("dropped", 0)),
-    )
-    collector = FabricCollector()
-    for entry in doc["lanes"]:
-        lane = WorkerLane(entry["wid"], entry.get("name", f"match-{entry['wid']}"))
-        lane.pid = int(entry.get("pid", 0))
-        lane.spans = _spans_from_json(entry.get("spans"))
-        lane.nodes = {
-            int(k): list(v) for k, v in (entry.get("nodes") or {}).items()
-        }
-        lane.counters = dict(entry.get("counters") or {})
-        lane.dropped = int(entry.get("dropped", 0))
-        lane.ship_batches = int(entry.get("ship_batches", 0))
-        lane.flight_tail = list(entry.get("flight") or [])
-        collector.lanes[lane.wid] = lane
-    return snap, collector
+def load_capture(path: str) -> ObsSnapshot:
+    """The snapshot :func:`write_capture` saved at ``path``; a file that
+    is not one raises ``ValueError("bad capture: <where>: <what>")``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ObsSnapshot.from_json(json.load(fh))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # not JSON, or not what to_json writes
+        raise ValueError(f"bad capture: {exc}") from None

@@ -10,9 +10,13 @@ unconditionally, because one ``perf_counter_ns`` call plus one
 enough to leave enabled in production.
 
 The ring is per *process* — forked mp workers inherit a copy and then
-diverge; their tails travel back to the control process over the
-fabric (:mod:`repro.obs.fabric`) piggybacked on flush replies, so a
-dead worker's last moments survive it.
+diverge; the tail of theirs rides every flush reply (bus on or off) and
+the control process keeps the last one each worker sent
+(:func:`keep_remote_tail`), for the :data:`REMOTE_TAILS` workers heard
+from most recently.  That store belongs to this module, not to an
+engine or a session, so every snapshot carries it under ``workers`` —
+one written after the failed matcher has already closed included — and
+a dead worker's last moments survive it.
 
 Snapshots are schema-versioned JSON (:data:`FLIGHT_SCHEMA`) and are
 produced three ways:
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from time import perf_counter_ns, time
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -44,6 +48,11 @@ FLIGHT_SCHEMA = "repro.flight/2"
 #: complete recognize-act cycles of context, while the ring itself
 #: stays a few tens of KB.
 DEFAULT_RING_SIZE = 256
+
+#: Remote workers whose last-known tail is kept (the most recently
+#: heard from win): what closed mp sessions leave behind is bounded by
+#: this constant, not by how many a long-lived server has hosted.
+REMOTE_TAILS = 32
 
 #: Environment variable naming where to dump a snapshot on unhandled
 #: engine error (see :func:`dump_on_error`).
@@ -59,6 +68,8 @@ _dump_path: Optional[str] = None
 # history: configure()/reset() leave it alone so a snapshot taken
 # after a ring resize still names the engines that fed it.
 _engines: Dict[str, int] = {}
+# OS pid -> (display name, last shipped tail), least recently heard first.
+_remote_tails: "OrderedDict[int, Tuple[str, List[dict]]]" = OrderedDict()
 # Serializes snapshot/configure against concurrent recorders; record()
 # itself stays lock-free (deque.append is atomic under the GIL).
 _snap_lock = threading.Lock()
@@ -72,14 +83,17 @@ def configure(capacity: int = DEFAULT_RING_SIZE) -> None:
     with _snap_lock:
         _ring = deque(maxlen=capacity)
         _recorded_total = 0
+        _remote_tails.clear()
 
 
 def reset() -> None:
-    """Empty the ring without changing its capacity."""
+    """Empty the ring (and the worker tails) without changing its
+    capacity."""
     global _recorded_total
     with _snap_lock:
         _ring.clear()
         _recorded_total = 0
+        _remote_tails.clear()
 
 
 def note_engine(name: str, workers: int = 1) -> None:
@@ -115,13 +129,37 @@ def tail(n: Optional[int] = None) -> List[Dict[str, Any]]:
     ]
 
 
-def snapshot(reason: str, workers: Optional[Dict[str, List[dict]]] = None) -> Dict[str, Any]:
-    """The ring as a schema-versioned JSON document.
+def keep_remote_tail(pid: int, name: str, tail: List[dict]) -> None:
+    """Remember the flight tail worker process ``pid`` just shipped.  An
+    empty tail leaves the last-known one alone."""
+    if not tail:
+        return
+    with _snap_lock:
+        _remote_tails[pid] = (name, tail)
+        _remote_tails.move_to_end(pid)
+        while len(_remote_tails) > REMOTE_TAILS:
+            _remote_tails.popitem(last=False)
 
-    ``workers`` optionally attaches remote tails — e.g. the last-known
-    flight events each mp worker shipped over the fabric — keyed by a
-    display name.
-    """
+
+def remote_tail(pid: int) -> List[dict]:
+    """The last tail worker process ``pid`` shipped ([] if none is kept)."""
+    with _snap_lock:
+        kept = _remote_tails.get(pid)
+    return list(kept[1]) if kept else []
+
+
+def remote_tails() -> Dict[str, List[dict]]:
+    """Every kept tail, keyed ``"<name> (pid <pid>)"``."""
+    with _snap_lock:
+        return {
+            f"{name} (pid {pid})": list(tail)
+            for pid, (name, tail) in _remote_tails.items()
+        }
+
+
+def snapshot(reason: str) -> Dict[str, Any]:
+    """The ring as a schema-versioned JSON document, with the kept
+    worker tails (if any) under ``workers``."""
     doc: Dict[str, Any] = {
         "schema": FLIGHT_SCHEMA,
         "reason": reason,
@@ -133,18 +171,15 @@ def snapshot(reason: str, workers: Optional[Dict[str, List[dict]]] = None) -> Di
         "engines": dict(_engines),
         "events": tail(),
     }
+    workers = remote_tails()
     if workers:
-        doc["workers"] = {
-            name: list(events) for name, events in sorted(workers.items())
-        }
+        doc["workers"] = workers
     return doc
 
 
-def write_snapshot(
-    path: str, reason: str, workers: Optional[Dict[str, List[dict]]] = None
-) -> Dict[str, Any]:
+def write_snapshot(path: str, reason: str) -> Dict[str, Any]:
     """Serialize :func:`snapshot` to ``path``; returns the document."""
-    doc = snapshot(reason, workers=workers)
+    doc = snapshot(reason)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -17,7 +17,7 @@ from typing import List
 from ..cli import Registry, Verb
 from ..engines import add_program_arguments, engine_from_args, interpreter_from_args
 from . import events, fabric, flight, meter, profile
-from .export import validate_chrome_trace, write_chrome_trace
+from .export import chrome_trace, validate_chrome_trace
 
 
 def _add_traced_arguments(p: argparse.ArgumentParser) -> None:
@@ -29,9 +29,10 @@ def _add_traced_arguments(p: argparse.ArgumentParser) -> None:
 
 def _traced_run(args: argparse.Namespace):
     """Run one program with the event bus on; returns ``(run result,
-    match stats, control-process snapshot, matcher, profile)``.  An mp
-    matcher's worker lanes (``matcher.fabric``) are folded into the
-    profile."""
+    match stats, snapshot, profile)`` — every process of an mp run is
+    in the snapshot."""
+    if args.max_events < 0:
+        raise ValueError(f"--max-events must be >= 0, got {args.max_events}")
     interp = interpreter_from_args(args)
     events.reset()
     events.enable(max_events_per_worker=args.max_events)
@@ -42,10 +43,7 @@ def _traced_run(args: argparse.Namespace):
         interp.close()
         snap = events.snapshot()
         events.disable()
-    matcher = interp.matcher
-    merged = snap if matcher.fabric is None else fabric.merged_snapshot(
-        snap, matcher.fabric)
-    return result, stats, snap, matcher, profile.build(merged, network=interp.network)
+    return result, stats, snap, profile.build(snap, network=interp.network)
 
 
 def _add_trace_arguments(p: argparse.ArgumentParser) -> None:
@@ -53,26 +51,21 @@ def _add_trace_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="trace.json",
                    help="Chrome-trace JSON output path (Perfetto-loadable)")
     p.add_argument("--fabric-out", metavar="FILE",
-                   help="with --engine mp: also write the raw fabric capture "
-                        "(re-stitch with `repro obs stitch`)")
+                   help="also save the snapshot the trace was rendered from "
+                        "(re-render with `repro obs stitch`)")
 
 
 def _trace(args: argparse.Namespace) -> int:
-    result, stats, snap, matcher, prof = _traced_run(args)
-    if matcher.fabric is not None:
-        # mp: one stitched trace — control pid plus one pid lane per
-        # worker, with dispatch→batch flow arrows.
-        doc, orphans = fabric.stitch_trace(snap, matcher.fabric)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        n_events = len(doc["traceEvents"])
-        if args.fabric_out:
-            fabric.write_capture(args.fabric_out, snap, matcher.fabric)
-            print(f"fabric capture -> {args.fabric_out}")
-        if orphans:
-            print(f"warning: {orphans} stitch orphans", file=sys.stderr)
-    else:
-        n_events = write_chrome_trace(args.out, snap)
+    result, stats, snap, prof = _traced_run(args)
+    doc = chrome_trace(snap)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    if args.fabric_out:
+        fabric.write_capture(args.fabric_out, snap)
+        print(f"fabric capture -> {args.fabric_out}")
+    orphans = doc["otherData"].get("stitch_orphans")
+    if orphans:
+        print(f"warning: {orphans} stitch orphans", file=sys.stderr)
     print(profile.render_text(prof, limit=args.limit))
     agreement = (
         "equal" if prof.total_activations == stats.node_activations else "MISMATCH"
@@ -83,7 +76,7 @@ def _trace(args: argparse.Namespace) -> int:
         f"profile activations={prof.total_activations} "
         f"match node_activations={stats.node_activations} ({agreement})"
     )
-    print(f"trace: {n_events} events -> {args.out}")
+    print(f"trace: {len(doc['traceEvents'])} events -> {args.out}")
     return 0 if agreement == "equal" else 1
 
 
@@ -120,11 +113,7 @@ def _flight(args: argparse.Namespace) -> int:
         flight.reset()
     with interpreter_from_args(args) as interp:
         result = interp.run(max_cycles=args.max_cycles)
-        # mp workers' tails arrive piggybacked on flush replies even
-        # with the bus off.
-        collector = interp.matcher.fabric
-        workers = collector.flight_tails() if collector is not None else None
-    doc = flight.write_snapshot(args.out, "cli", workers=workers)
+    doc = flight.write_snapshot(args.out, "cli")
     problems = flight.validate_flight(doc)
     print(
         f"run: engine={engine_from_args(args)[0]} cycles={result.cycles} "
@@ -156,8 +145,7 @@ def _load_json(path: str):
 
 
 def _stitch(args: argparse.Namespace) -> int:
-    snap, collector = fabric.load_capture(_load_json(args.capture))
-    doc, orphans = fabric.stitch_trace(snap, collector)
+    doc = chrome_trace(fabric.load_capture(args.capture))
     problems = validate_chrome_trace(doc)
     for problem in problems:
         print(f"invalid trace: {problem}", file=sys.stderr)
@@ -166,10 +154,11 @@ def _stitch(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     pids = sorted({e["pid"] for e in doc["traceEvents"]})
+    other = doc["otherData"]
     print(
         f"stitched: {len(doc['traceEvents'])} events across "
-        f"{len(pids)} pids ({len(collector.lanes)} worker lanes, "
-        f"{orphans} orphans) -> {args.out}"
+        f"{len(pids)} pids ({other.get('fabric_lanes', 0)} worker lanes, "
+        f"{other.get('stitch_orphans', 0)} orphans) -> {args.out}"
     )
     return 0
 

@@ -14,7 +14,7 @@ for ``stall_after_s``"; an idle-but-quiescent engine (no pending work)
 never trips.  On a stall the watchdog emits one schema-versioned
 diagnostic **bundle** (:data:`WATCHDOG_SCHEMA`): the probe history,
 per-queue depths naming the stuck queue, the lock-holder table, and
-the flight-recorder tail (local ring plus any shipped worker tails),
+the flight-recorder tail (local ring plus the kept worker tails),
 then re-arms only after progress resumes, so one stall episode is one
 bundle.
 
@@ -94,9 +94,6 @@ class StallWatchdog:
     dump_path:
         When set, each bundle is also written there as JSON (the
         last trip wins — by then you are reading a broken run anyway).
-    worker_tails:
-        Optional callable returning ``{worker name: [flight events]}``
-        — the mp control process passes the last-known shipped tails.
     """
 
     def __init__(
@@ -107,7 +104,6 @@ class StallWatchdog:
         interval_s: Optional[float] = None,
         on_trip: Optional[Callable[[Dict[str, Any]], None]] = None,
         dump_path: Optional[str] = None,
-        worker_tails: Optional[Callable[[], Dict[str, List[dict]]]] = None,
     ) -> None:
         if stall_after_s <= 0:
             raise ValueError("stall_after_s must be positive")
@@ -119,7 +115,6 @@ class StallWatchdog:
         )
         self.on_trip = on_trip
         self.dump_path = dump_path
-        self.worker_tails = worker_tails
         self.bundles: List[Dict[str, Any]] = []
         self.trips = 0
         self._history: deque = deque(maxlen=HISTORY)
@@ -210,12 +205,6 @@ class StallWatchdog:
             if weight > deepest:
                 deepest = weight
                 stuck = name
-        tails: Dict[str, List[dict]] = {}
-        if self.worker_tails is not None:
-            try:
-                tails = self.worker_tails()
-            except Exception:  # pragma: no cover - engine mid-teardown
-                tails = {}
         return {
             "schema": WATCHDOG_SCHEMA,
             "engine": self.engine,
@@ -232,7 +221,7 @@ class StallWatchdog:
                 {"t_s": t, **s.to_json()} for t, s in list(self._history)
             ],
             "flight": flight.tail(),
-            "worker_flight": tails,
+            "worker_flight": flight.remote_tails(),
         }
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import pickle
+import select
 import time
 from typing import Dict, List, Optional
 
@@ -59,11 +60,10 @@ from .worker import run_worker
 _WAIT_S = 0.0002
 
 #: Process-unique batch sequence numbers, shared by every ProcessMatcher
-#: in this control process.  The seq is the fabric's stitch key pairing
-#: dispatch spans with worker batch spans; a server hosting several mp
-#: sessions merges their lanes into one trace, so per-matcher counters
-#: would collide (two sessions' "seq 1" cross-linking each other's
-#: batches).
+#: in this control process.  The seq is the stitch key pairing dispatch
+#: spans with worker batch spans; a server hosting several mp sessions
+#: has all their workers on one bus, so per-matcher counters would
+#: collide (two sessions' "seq 1" cross-linking each other's batches).
 _GLOBAL_SEQ = itertools.count(1)
 
 
@@ -122,9 +122,6 @@ class ProcessMatcher(Matcher):
         #: worker; replaced, not summed, on every flush).
         self._worker_stats: Dict[int, MatchStats] = {}
         self._ipc_totals: Dict[str, int] = {}
-        #: Worker-shipped observability (spans, node profiles, flight
-        #: tails), accumulated per worker lane by the trace fabric.
-        self.fabric = _fabric.FabricCollector()
         #: Whether the workers currently mirror the control process's
         #: obs flag (synced lazily at each batch boundary).
         self._workers_obs = False
@@ -143,13 +140,19 @@ class ProcessMatcher(Matcher):
         ]
         for proc in self._procs:
             proc.start()
+        # What _next_reply sleeps on: a reply or a death.  SimpleQueue
+        # offers nothing public to wait on (``_reader`` is the read end
+        # of its pipe), and its ``empty()`` builds a selector per call.
+        self._reply_fd = self._results._reader.fileno()
+        self._reply_or_death = select.poll()
+        for fd in (self._reply_fd, *(proc.sentinel for proc in self._procs)):
+            self._reply_or_death.register(fd, select.POLLIN)
         if watchdog_s:
             self.watchdog = StallWatchdog(
                 self._watchdog_probe,
                 engine="mp",
                 stall_after_s=watchdog_s,
                 dump_path=watchdog_dump,
-                worker_tails=self.fabric.flight_tails,
             ).start()
 
     # -- control-process side -----------------------------------------------
@@ -188,7 +191,7 @@ class ProcessMatcher(Matcher):
         if obs_on:
             t1 = _obs.now()
             # "seq" is the stitch key pairing this span with the worker
-            # batch spans it triggered (repro.obs.fabric).
+            # batch spans it triggered (repro.obs.export.chrome_trace).
             _obs.span("mp", "dispatch", t0, t1,
                       args=_context.tag(
                           {"changes": len(changes), "seq": self._seq}))
@@ -208,16 +211,31 @@ class ProcessMatcher(Matcher):
 
     def _wait_quiescent(self) -> None:
         while self._taskcount.value != 0:
-            for proc in self._procs:
-                if proc.exitcode is not None:
-                    self._raise_worker_failure(proc)
+            self._check_alive()
             time.sleep(_WAIT_S)
 
+    def _check_alive(self) -> None:
+        for proc in self._procs:
+            if proc.exitcode is not None:
+                self._raise_worker_failure(proc)
+
+    def _next_reply(self):
+        """The next message on the results queue.  A worker that died
+        owes a reply that will never come, so this sleeps on *a reply
+        or a death* rather than in ``get()`` — and, unlike the poll in
+        :meth:`_wait_quiescent`, adds no latency to a healthy flush."""
+        while True:
+            for fd, _event in self._reply_or_death.poll():
+                if fd == self._reply_fd:
+                    return self._results.get()
+            # A sentinel fired — a moment before the exit status can be
+            # collected; until then this loop comes back here.
+            self._check_alive()
+
     @staticmethod
-    def _format_error(msg) -> str:
-        """Traceback text plus the dead worker's flight-recorder tail
-        (its last recorded moments survive the process)."""
-        _kind, _wid, detail, tail = msg
+    def _format_error(detail: str, tail) -> str:
+        """``detail`` plus a worker's flight-recorder tail (its last
+        recorded moments survive the process)."""
         if tail:
             lines = [
                 f"  {event['engine']}.{event['event']} {event['detail'] or {}}"
@@ -230,11 +248,13 @@ class ProcessMatcher(Matcher):
         return detail
 
     def _raise_worker_failure(self, proc) -> None:
-        detail = ""
+        # What the worker said on its way out, if it lived long enough
+        # to say it; else the last tail it shipped with a flush reply.
+        detail = self._format_error("", _flight.remote_tail(proc.pid))
         while not self._results.empty():
             msg = self._results.get()
             if msg[0] == "error":
-                detail = f"\n{self._format_error(msg)}"
+                detail = f"\n{self._format_error(msg[2], msg[3])}"
         _flight.record("mp", "worker_death",
                        {"proc": proc.name, "exitcode": proc.exitcode})
         _flight.dump_on_error("worker_death")
@@ -251,13 +271,13 @@ class ProcessMatcher(Matcher):
         pending_total = 0
         seen = 0
         while seen < self.n_workers:
-            msg = self._results.get()
+            msg = self._next_reply()
             if msg[0] == "error":
                 _flight.record("mp", "worker_error", {"wid": msg[1]})
                 _flight.dump_on_error("worker_error")
                 self.close()
                 raise RuntimeError(
-                    f"match process failed\n{self._format_error(msg)}"
+                    f"match process failed\n{self._format_error(msg[2], msg[3])}"
                 )
             _kind, wid, seq, payload, stats, counters, pending, ship = msg
             if seq != self._seq:
@@ -269,8 +289,7 @@ class ProcessMatcher(Matcher):
                 # Reply-direction IPC bytes (deltas + stats + ship),
                 # re-pickled once per worker per batch.
                 self.ipc_bytes += len(pickle.dumps((payload, stats, counters, ship)))
-            if ship is not None:
-                self.fabric.absorb(wid, ship)
+            _fabric.file_ship(self._procs[wid].name, ship)
             self._worker_stats[wid] = stats
             for name, n in counters.items():
                 self._ipc_totals[name] = self._ipc_totals.get(name, 0) + n

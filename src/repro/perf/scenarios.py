@@ -127,16 +127,16 @@ def _mp_precondition() -> Optional[str]:
 
 def _fabric_mp() -> Result:
     """Trace-fabric health: a 2-worker mp run with the obs bus ON,
-    worker spans shipped over the pipes and stitched into one
-    multi-process Chrome trace, an (untrippable) stall watchdog riding
-    along.  Ship batches, shipped spans, stitch orphans, trace schema
-    problems and watchdog trips are all functions of the run, not of
-    the host's core count.  Manages the bus itself, so it must not
-    share a bus epoch with the profiler (``profiled`` stays off).
+    worker spans shipped over the pipes, filed on the control process's
+    bus and rendered as one multi-process Chrome trace, an (untrippable)
+    stall watchdog riding along.  Ship batches, shipped spans, stitch
+    orphans, trace schema problems and watchdog trips are all functions
+    of the run, not of the host's core count.  Manages the bus itself,
+    so it must not share a bus epoch with the profiler (``profiled``
+    stays off).
     """
     from ..obs import events as _events
-    from ..obs.export import validate_chrome_trace
-    from ..obs.fabric import stitch_trace
+    from ..obs.export import chrome_trace, validate_chrome_trace
     from ..ops5.interpreter import Interpreter
     from ..ops5.parser import parse_program
     from ..parallel.mp import ProcessMatcher
@@ -151,20 +151,19 @@ def _fabric_mp() -> Result:
         interp = Interpreter(program, matcher=matcher, network=network)
         try:
             interp.run(max_cycles=50000)
-            doc, orphans = stitch_trace(_events.snapshot(), matcher.fabric)
+            snap = _events.snapshot()
             trips = matcher.watchdog.trips if matcher.watchdog else 0
-            ship_batches = float(matcher.fabric.ship_batches)
-            shipped_spans = float(matcher.fabric.shipped_spans)
         finally:
             interp.close()
     finally:
         _events.disable()
         _events.reset()
+    doc = chrome_trace(snap)
     return Result(
         metrics={
-            "ship_batches": ship_batches,
-            "shipped_spans": shipped_spans,
-            "stitch_orphans": float(orphans),
+            "ship_batches": float(snap.counters["fabric.ship_batches"]),
+            "shipped_spans": float(snap.counters["fabric.ship_spans"]),
+            "stitch_orphans": float(doc["otherData"]["stitch_orphans"]),
             "trace_problems": float(len(validate_chrome_trace(doc))),
             "watchdog_trips": float(trips),
         },

@@ -36,7 +36,9 @@ class Matcher:
     interpreter alone still probes ``strict_cs``/``close``/``stats``
     with ``getattr``: ``Interpreter(matcher=...)`` is the one door a
     foreign object — bench's span proxy, a test fake with nothing but
-    ``process_changes`` — can come through.
+    ``process_changes`` — can come through.  What an engine's workers
+    *observed* is not part of the contract: threads and processes alike
+    write to the one bus (:func:`repro.obs.events.snapshot`).
     """
 
     #: Conflict-set deltas arrive in order (``False``: unordered, the
@@ -44,8 +46,6 @@ class Matcher:
     strict_cs = True
     #: The :class:`~repro.obs.watchdog.StallWatchdog`, when one was asked for.
     watchdog = None
-    #: The :class:`~repro.obs.fabric.FabricCollector` of worker processes.
-    fabric = None
     #: Set by the interpreter from its own ``timed`` before each batch.
     #: Engines never bill anyone: while it is set, the ones with a
     #: transport count what it costs into the two plain totals below,

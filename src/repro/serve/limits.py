@@ -83,7 +83,9 @@ class ServiceLimits:
         """The wall-clock deadline for one transaction; rejects over-asks."""
         if requested is None:
             return self.default_deadline_ms
-        if requested <= 0:
+        # Written so that NaN, which compares false both ways and would
+        # make a deadline that never fires, fails it.
+        if not requested > 0:
             raise BudgetError(f"deadline_ms must be positive, got {requested}")
         if requested > self.max_deadline_ms:
             raise BudgetError(

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cli import Verb
 from ..engines import add_engine_arguments, engine_from_args
 from ..obs import events as obs_events
-from ..obs import fabric as obs_fabric
 from ..obs.export import write_chrome_trace
 from .limits import ServiceLimits
 from .metrics import nearest_rank
@@ -367,7 +366,7 @@ async def run_loadgen(
         if server is not None:
             await server.shutdown()
         if trace_path is not None:
-            _write_trace(trace_path, obs_events.snapshot(), server)
+            write_chrome_trace(trace_path, obs_events.snapshot())
             obs_events.disable()
 
     report = LoadReport(
@@ -443,21 +442,6 @@ def _tenant_summary(
             "p99_ms": nearest_rank(ordered, 99) * 1e3 if n else 0.0,
         }
     return out
-
-
-def _write_trace(
-    trace_path: str, snap: Any, server: Optional[ReproServer]
-) -> None:
-    """Plain Chrome trace, or — when the in-process server retired mp
-    fabric collectors — the causally-stitched multi-process document."""
-    collectors = list(server.retired_fabric) if server is not None else []
-    if collectors:
-        merged = obs_fabric.merge_collectors(collectors)
-        doc, _orphans = obs_fabric.stitch_trace(snap, merged)
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    else:
-        write_chrome_trace(trace_path, snap)
 
 
 def _add_arguments(p: argparse.ArgumentParser) -> None:

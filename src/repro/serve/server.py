@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
@@ -77,10 +78,6 @@ class ReproServer:
         self._next_session = 1
         self._draining = False
         self._stop: Optional[asyncio.Event] = None
-        #: Fabric collectors of closed mp sessions, kept so a loadgen
-        #: run can stitch one trace covering every session's workers
-        #: after shutdown — (session_id, FabricCollector) pairs.
-        self.retired_fabric: list = []
         self.meter_enabled = meter
         if meter:
             # Metering is process-global (the engines report into the
@@ -125,7 +122,6 @@ class ReproServer:
             else:
                 session.closing = True
                 session.core.close()
-            self._retire_fabric(session)
             self.metrics.sessions_closed += 1
         self.sessions.clear()
         # Reap connection handlers: clients that already hung up finish
@@ -298,8 +294,12 @@ class ReproServer:
         ):
             raise ProtocolError(E_BAD_REQUEST, "max_cycles must be an integer")
         deadline_ms = msg.get("deadline_ms")
-        if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
-            raise ProtocolError(E_BAD_REQUEST, "deadline_ms must be a number")
+        if deadline_ms is not None and (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not math.isfinite(deadline_ms)  # json.loads reads NaN, Infinity
+        ):
+            raise ProtocolError(E_BAD_REQUEST, "deadline_ms must be a finite number")
         # Every transact gets a request context; the session worker
         # activates it around the transaction so spans and meter
         # counters attribute to this request end to end.
@@ -331,7 +331,8 @@ class ReproServer:
         except ValueError as exc:
             raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
         workers = msg.get("workers", 2)
-        if not isinstance(workers, int) or not 1 <= workers <= 16:
+        if (isinstance(workers, bool) or not isinstance(workers, int)
+                or not 1 <= workers <= 16):
             raise ProtocolError(
                 E_BAD_REQUEST, "workers must be an integer in 1..16"
             )
@@ -366,18 +367,10 @@ class ReproServer:
         self.metrics.sessions_opened += 1
         return ok_response(req_id, session=sid, cached=cached, key=entry.key)
 
-    def _retire_fabric(self, session: Session) -> None:
-        """Keep a closed mp session's fabric collector so one stitched
-        trace can still cover its workers after the engine is gone."""
-        fabric = session.core.interp.matcher.fabric
-        if fabric is not None and fabric.lanes:
-            self.retired_fabric.append((session.session_id, fabric))
-
     async def _handle_close(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         session = self._session_for(msg)
         self.sessions.pop(session.session_id, None)
         drained = await session.drain()
-        self._retire_fabric(session)
         self.metrics.sessions_closed += 1
         return ok_response(
             msg.get("id"), closed=session.session_id, drained=drained

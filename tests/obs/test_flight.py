@@ -77,12 +77,28 @@ class TestSnapshot:
         assert flight.validate_flight(doc) == []
 
     def test_snapshot_embeds_worker_tails(self):
-        doc = flight.snapshot(
-            "crash", workers={"match-1": [{"t_ns": 1, "engine": "mp.worker",
-                                           "event": "start", "detail": None}]}
-        )
-        assert "match-1" in doc["workers"]
+        assert "workers" not in flight.snapshot("nothing kept yet")
+        flight.keep_remote_tail(4243, "match-1", [
+            {"t_ns": 1, "engine": "mp.worker", "event": "start", "detail": None}])
+        doc = flight.snapshot("crash")
+        assert list(doc["workers"]) == ["match-1 (pid 4243)"]
         assert flight.validate_flight(doc) == []
+
+    def test_remote_tails_are_the_most_recent_workers_up_to_a_constant(self):
+        event = {"t_ns": 1, "engine": "mp.worker", "event": "batch", "detail": None}
+        for pid in range(1, flight.REMOTE_TAILS + 11):
+            flight.keep_remote_tail(pid, "match-0", [dict(event, t_ns=pid)])
+        flight.keep_remote_tail(11, "match-0", [])  # empty: last-known stays
+        flight.keep_remote_tail(12, "match-0", [dict(event, t_ns=-1)])
+        tails = flight.remote_tails()
+        assert len(tails) == flight.REMOTE_TAILS
+        assert flight.remote_tail(10) == [] and "match-0 (pid 10)" not in tails
+        assert flight.remote_tail(11) == [dict(event, t_ns=11)]
+        # Heard from again: worker 12 is now the most recent, not the oldest.
+        assert list(tails)[-1] == "match-0 (pid 12)"
+        assert flight.remote_tail(12)[0]["t_ns"] == -1
+        flight.reset()
+        assert flight.remote_tails() == {}
 
     def test_write_snapshot_round_trip(self, tmp_path):
         flight.record("seq", "batch", {"changes": 2})

@@ -106,15 +106,17 @@ class TestTripDecision:
         assert doc["stuck_queue"] == "queue[1]"
 
     def test_bundle_embeds_worker_flight_tails(self):
-        tails = {"match-0": [{"t_ns": 1, "engine": "mp.worker",
-                              "event": "start", "detail": None}]}
-        dog = StallWatchdog(
-            lambda: None, engine="mp", stall_after_s=1.0,
-            worker_tails=lambda: tails,
-        )
-        dog.evaluate(0.0, stuck_sample())
-        bundle = dog.evaluate(2.0, stuck_sample())
-        assert bundle["worker_flight"] == tails
+        tail = [{"t_ns": 1, "engine": "mp.worker",
+                 "event": "start", "detail": None}]
+        flight.reset()
+        flight.keep_remote_tail(4242, "match-0", tail)
+        try:
+            dog = StallWatchdog(lambda: None, engine="mp", stall_after_s=1.0)
+            dog.evaluate(0.0, stuck_sample())
+            bundle = dog.evaluate(2.0, stuck_sample())
+        finally:
+            flight.reset()
+        assert bundle["worker_flight"] == {"match-0 (pid 4242)": tail}
         assert validate_bundle(bundle) == []
 
     def test_rejects_non_positive_threshold(self):

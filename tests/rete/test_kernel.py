@@ -24,7 +24,6 @@ import pytest
 import repro
 from repro.engines import mp_supported
 from repro.obs import events
-from repro.obs.fabric import merged_snapshot
 from repro.ops5.interpreter import Interpreter
 from repro.programs import blocks, tourney
 
@@ -125,8 +124,6 @@ def run_traced(source, engine, **opts):
         try:
             interp.run(max_cycles=2000)
             snap = events.snapshot()
-            if engine == "mp":
-                snap = merged_snapshot(snap, interp.matcher.fabric)
             kinds = {n.node_id: n.kind for n in interp.network.beta_nodes}
             return snap.nodes, interp.matcher.stats, kinds
         finally:

@@ -357,6 +357,31 @@ class TestErrors:
         with_server(scenario)
 
 
+    @pytest.mark.parametrize("deadline_ms", [
+        float("nan"), float("inf"), float("-inf"), True,
+    ])
+    def test_non_finite_or_bool_deadline_is_a_bad_request(self, deadline_ms):
+        """``json.loads`` reads ``NaN`` and ``Infinity``; a NaN deadline
+        resolved to a deadline that never fired."""
+        async def scenario(server, reader, writer):
+            sid = (await open_counter(reader, writer))["session"]
+            resp = await request(
+                reader, writer,
+                {"id": 2, "type": "transact", "session": sid,
+                 "deadline_ms": deadline_ms},
+            )
+            assert not resp["ok"]
+            assert resp["error"]["code"] == "bad-request"
+            assert "finite number" in resp["error"]["message"]
+            ok = await request(
+                reader, writer,
+                {"id": 3, "type": "transact", "session": sid, "deadline_ms": 50},
+            )
+            assert ok["ok"]
+
+        with_server(scenario)
+
+
 class TestBackpressure:
     def test_inbox_overflow_reports_busy_on_the_wire(self):
         """Stage more transactions than the inbox holds in one batch —
@@ -416,6 +441,7 @@ class TestOpenEngineOptionRules:
         ({"engine": "threaded", "workers": 0}, "workers must be an integer in 1..16"),
         ({"engine": "threaded", "workers": 17}, "workers must be an integer in 1..16"),
         ({"engine": "threaded", "workers": "2"}, "workers must be an integer in 1..16"),
+        ({"engine": "threaded", "workers": True}, "workers must be an integer in 1..16"),
     ])
     def test_rejected_and_server_stays_alive(self, extra, needle):
         async def scenario(server, reader, writer):

@@ -82,6 +82,17 @@ class TestBudgets:
         with pytest.raises(BudgetError):
             core.transact([], deadline_ms=10 * 60 * 1000)
 
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), 0, -1.0])
+    def test_a_deadline_that_would_never_fire_is_rejected(self, deadline_ms):
+        """NaN compares false to the floor *and* to the cap, and
+        ``monotonic() >= nan`` is never true: resolved as asked, it ran
+        the transaction outside the documented cap."""
+        limits = ServiceLimits()
+        with pytest.raises(BudgetError):
+            limits.resolve_deadline_ms(deadline_ms)
+        assert limits.resolve_deadline_ms(None) == limits.default_deadline_ms
+        assert limits.resolve_deadline_ms(limits.max_deadline_ms) == limits.max_deadline_ms
+
     def test_negative_budget_rejected(self, counter_entry):
         core = make(counter_entry)
         with pytest.raises(BudgetError):

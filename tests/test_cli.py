@@ -451,7 +451,6 @@ class TestObsVerbs:
         import json
 
         from repro.obs.export import validate_chrome_trace
-        from repro.obs.fabric import validate_capture
 
         self.needs_mp()
         out = tmp_path / "stitched.json"
@@ -465,20 +464,72 @@ class TestObsVerbs:
         assert pids == {1, 100, 101}
         assert any(e.get("ph") == "s" for e in doc["traceEvents"])
         assert doc["otherData"]["stitch_orphans"] == 0
-        assert validate_capture(json.loads(capture.read_text())) == []
+        assert json.loads(capture.read_text())["schema"] == "repro.fabric/2"
 
         restitched = tmp_path / "restitched.json"
         assert main(["obs", "stitch", str(capture),
                      "--out", str(restitched)]) == 0
-        doc2 = json.loads(restitched.read_text())
-        assert validate_chrome_trace(doc2) == []
-        assert {e["pid"] for e in doc2["traceEvents"]} == pids
+        assert json.loads(restitched.read_text()) == doc
 
     def test_obs_stitch_rejects_bad_capture(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nope"}', encoding="utf-8")
         with pytest.raises(SystemExit, match="obs stitch"):
             main(["obs", "stitch", str(bad), "--out", "/dev/null"])
+
+    @pytest.mark.parametrize("change, message", [
+        # Each was a traceback (or an unpositioned unpack error) once.
+        ({"workers": {"MainThread": [[1, 2]]}},
+         "workers['MainThread'][0]: 5 fields expected, got [1, 2]"),
+        ({"workers": {"MainThread": [["soon", 2, "task", "join", None]]}},
+         "workers['MainThread'][0][0]: 'soon' is not an integer"),
+        ({"nodes": {"seven": ["join", 1, 1, 1, 1]}},
+         "nodes['seven']: the key is not a node id"),
+        ({"schema": "repro.fabric/1"},
+         "schema: is 'repro.fabric/1', this reader takes 'repro.fabric/2'"),
+    ])
+    def test_obs_stitch_names_what_is_wrong_with_a_capture(
+        self, change, message, tmp_path
+    ):
+        import json
+
+        from repro.obs.events import ObsSnapshot
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**ObsSnapshot().to_json(), **change}))
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "stitch", str(bad), "--out", str(tmp_path / "out.json")])
+        assert str(exc.value) == f"repro obs stitch: bad capture: {message}"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("verb", ["trace", "top"])
+    def test_negative_max_events_is_refused_at_the_front_door(self, verb, tmp_path):
+        """It used to be accepted and drop every span silently."""
+        with pytest.raises(SystemExit, match=f"repro {verb}: --max-events must be >= 0"):
+            main([verb, "blocks", "--max-events", "-1"])
+
+    def test_max_events_bounds_the_worker_processes_timelines_too(
+        self, tmp_path, capsys
+    ):
+        """One cap for every timeline: the mp workers' rows used to sit
+        in a second structure with a cap of its own that ``--max-events``
+        did not move."""
+        import json
+
+        self.needs_mp()
+        out = tmp_path / "trace.json"
+        assert main(["trace", "blocks", "--engine", "mp", "--workers", "2",
+                     "--max-events", "5", "--out", str(out)]) == 0
+        assert "dropped spans" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        rows = {}
+        for event in doc["traceEvents"]:
+            if event["ph"] == "X":
+                key = (event["pid"], event["tid"])
+                rows[key] = rows.get(key, 0) + 1
+        assert {pid for pid, _tid in rows} == {1, 100, 101}
+        assert max(rows.values()) <= 5
+        assert doc["otherData"]["dropped_spans"] > 0
 
     def test_obs_flight_snapshot(self, tmp_path, capsys):
         import json
@@ -505,7 +556,8 @@ class TestObsVerbs:
                      "--workers", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert validate_flight(doc) == []
-        assert set(doc["workers"]) == {"match-0", "match-1"}
+        assert sorted(name.split(" (pid ")[0] for name in doc["workers"]) == [
+            "match-0", "match-1"]
 
     def test_run_watchdog_needs_parallel_engine(self, program_file):
         with pytest.raises(SystemExit, match="threaded or mp"):

@@ -191,3 +191,97 @@ class TestWorkerFaultPropagation:
         with ParallelMatcher(network, n_workers=2, lock_scheme=scheme) as fresh:
             assert fresh.process_changes(batch) == []
             assert fresh.memory.total_tokens() == len(batch)
+
+
+class TestWorkerProcessDeath:
+    """The process-level half of the fault matrix: a match *process*
+    that dies owes the control process a reply that will never come.
+    Wherever it dies — answering ``flush``, or SIGKILLed in the middle
+    of a batch — the run ends inside a bounded time in the typed error
+    naming it, with the last flight tail it shipped in the message and
+    in the crash dump, and no watchdog trip."""
+
+    PROGRAM = """
+    (literalize tick n)
+    (p count (tick ^n {<n> < 50}) --> (modify 1 ^n (compute <n> + 1)))
+    (startup (make tick ^n 0))
+    """
+
+    @staticmethod
+    def dying(method, fatal_call, die):
+        """``_WorkerState.<method>`` as worker 0 runs it: its
+        ``fatal_call``-th call dies instead (earlier ones, and every
+        other worker's, are the real thing — so the worker has shipped
+        a tail by then)."""
+        calls = []
+
+        def wrapper(self, *args):
+            calls.append(args)
+            if self.wid == 0 and len(calls) == fatal_call:
+                die()
+            return method(self, *args)
+
+        return wrapper
+
+    @pytest.mark.parametrize("where, exitcode", [
+        ("on_flush", 9),      # dies answering flush: nobody to reply
+        ("on_changes", -9),   # SIGKILL mid-batch: TaskCount never drains
+    ])
+    def test_death_is_a_typed_error_with_the_workers_last_tail(
+        self, where, exitcode, tmp_path, monkeypatch
+    ):
+        import json
+        import os
+        import signal
+        import time
+
+        from repro.obs import flight
+        from repro.parallel.mp import ProcessMatcher, mp_supported
+        from repro.parallel.mp.worker import _WorkerState
+
+        if not mp_supported():
+            pytest.skip("mp engine needs the 'fork' start method")
+        die = ((lambda: os._exit(9)) if where == "on_flush"
+               else (lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(
+            _WorkerState, where, self.dying(getattr(_WorkerState, where), 3, die))
+        dump = tmp_path / "crash.json"
+        flight.reset()
+        flight.set_dump_path(str(dump))
+        program = parse_program(self.PROGRAM)
+        network = ReteNetwork.compile(program)
+        matcher = ProcessMatcher(network, n_workers=2, watchdog_s=2.0)
+        interp = Interpreter(program, matcher=matcher, network=network)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError) as exc:
+                interp.run(max_cycles=100)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            interp.close()
+            flight.set_dump_path(None)
+        text = str(exc.value)
+        assert f"match process match-0 died (exit {exitcode})" in text
+        # No ("error", ...) message from a process that never got to
+        # send one: the tail is the one it last shipped.
+        assert "worker flight recorder (last" in text
+        assert "mp.worker.batch" in text
+        assert matcher.watchdog.trips == 0
+        assert any(e["event"] == "worker_death" for e in flight.tail())
+
+        # The dump on disk is the interpreter's, written *after* the
+        # matcher closed — the worker tails outlive the matcher.
+        doc = json.loads(dump.read_text())
+        assert flight.validate_flight(doc) == []
+        assert doc["reason"] == "match_error"
+        dead = f"match-0 (pid {matcher._procs[0].pid})"
+        assert any(e["event"] == "batch" for e in doc["workers"][dead])
+
+        # Nothing of the failure outlives it: the same network, a fresh
+        # matcher, a clean run.
+        monkeypatch.undo()
+        flight.reset()
+        with Interpreter(program, engine="mp", network=network,
+                         engine_opts={"n_workers": 2}) as fresh:
+            assert fresh.run(max_cycles=100).cycles == 50
