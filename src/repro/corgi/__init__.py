@@ -6,6 +6,7 @@ holds it to the sequential Rete engine's behaviour.
 """
 
 from .engine import CorgiMatcher
-from .plan import RulePlan, SlotPlan, compile_plans
+from .plan import MemPlan, RulePlan, SlotPlan, compile_plans, memory_layout
 
-__all__ = ["CorgiMatcher", "RulePlan", "SlotPlan", "compile_plans"]
+__all__ = ["CorgiMatcher", "MemPlan", "RulePlan", "SlotPlan", "compile_plans",
+           "memory_layout"]

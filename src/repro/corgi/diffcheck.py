@@ -14,6 +14,13 @@ the corgi structural invariants:
 * **unlink invariant** — every production is linked iff all its
   positive slot memories are non-empty, and unlinked productions hold
   no instantiations;
+* **counted unlinking** — each rule's empty-slot count equals a recount
+  from its slot sizes, and a memory's linked-reader registry is exactly
+  its readers whose rule is linked;
+* **shared memories** — every memory holds exactly the live WMEs that
+  pass its alpha terminal, however many slots read it;
+* **timetag index** — the per-rule index and the instantiation set
+  describe the same instantiations;
 * **space bound** — corgi's resident tokens never exceed
   ``slots x live WMEs + instantiations`` (there are no beta memories
   to blow up).
@@ -21,20 +28,21 @@ the corgi structural invariants:
 Reports are byte-stable per seed and every failure carries a
 paste-ready ``python -m repro check corgick --seed N`` replay command.
 
-Seed profiles rotate through three corpora: ``shallow`` (the schedck
-default), ``deep`` (4-level chains — the blow-up shape), and ``dense``
+Seed profiles rotate through four corpora: ``shallow`` (the schedck
+default), ``deep`` (4-level chains — the blow-up shape), ``dense``
 (a single value for every attribute: maximal bucket collisions and
-cross products).
+cross products), and ``wide`` (a dozen rules over two classes: many
+readers per memory, in mixed link states).
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple, Union
 
 from .. import check
 from ..check import Finding
-from ..ops5.wme import WMEChange
+from ..ops5.wme import WME, WMEChange
 from ..schedck import progen
 from .engine import CorgiMatcher
 
@@ -43,8 +51,9 @@ PROFILES: Dict[str, progen.ProgenParams] = {
     "shallow": progen.ProgenParams(),
     "deep": progen.ProgenParams(max_pos_ces=4, max_rules=3),
     "dense": progen.ProgenParams(n_values=1, max_pos_ces=3),
+    "wide": progen.ProgenParams(max_rules=12, n_classes=2),
 }
-PROFILE_ROTATION: Tuple[str, ...] = ("shallow", "deep", "dense")
+PROFILE_ROTATION: Tuple[str, ...] = ("shallow", "deep", "dense", "wide")
 
 
 def profile_for(seed: int, profile: str = "rotate") -> str:
@@ -58,13 +67,18 @@ def profile_for(seed: int, profile: str = "rotate") -> str:
     return profile
 
 
-def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Finding]:
-    """The corgi structural invariants, checkable at any quiescence."""
+def check_invariants(
+    corgi: CorgiMatcher, batch: int, live_wmes: Union[int, Collection[WME]]
+) -> List[Finding]:
+    """The corgi structural invariants, checkable at any quiescence.
+    ``live_wmes`` is the live WMEs, or just their count (the memory
+    contents are then not checked)."""
     out: List[Finding] = []
     for plan in corgi.plans:
+        rs = corgi._rules[plan.name]
         sizes = corgi.slot_sizes(plan.name)
-        pos_nonempty = all(sizes[s.index] > 0 for s in plan.pos_slots)
-        if corgi.linked(plan.name) != pos_nonempty:
+        n_empty = sum(1 for s in plan.pos_slots if sizes[s.index] == 0)
+        if corgi.linked(plan.name) != (n_empty == 0):
             out.append(
                 Finding(
                     "unlink_invariant",
@@ -73,18 +87,74 @@ def check_invariants(corgi: CorgiMatcher, batch: int, live_wmes: int) -> List[Fi
                     f"positive slot sizes {sizes}",
                 )
             )
-        if not pos_nonempty and corgi._rules[plan.name].cs:
+        if rs.n_empty != n_empty:
+            out.append(
+                Finding(
+                    "empty_count",
+                    batch,
+                    f"{plan.name}: counts {rs.n_empty} empty positive "
+                    f"slots, slot sizes {sizes} say {n_empty}",
+                )
+            )
+        if n_empty and rs.cs:
             out.append(
                 Finding(
                     "ghost_instantiations",
                     batch,
                     f"{plan.name}: unlinked but holds "
-                    f"{len(corgi._rules[plan.name].cs)} instantiations",
+                    f"{len(rs.cs)} instantiations",
                 )
             )
+        index: Dict[int, set] = {}
+        for key in rs.cs:
+            for tt in key:
+                index.setdefault(tt, set()).add(key)
+        if {tt: set(keys) for tt, keys in rs.by_tt.items()} != index:
+            out.append(
+                Finding(
+                    "timetag_index",
+                    batch,
+                    f"{plan.name}: index covers timetags {sorted(rs.by_tt)}, "
+                    f"the {len(rs.cs)} instantiations {sorted(index)}",
+                )
+            )
+    passing: Dict[int, List[int]] = {}  # alpha id -> live timetags passing it
+    if not isinstance(live_wmes, int):
+        for w in live_wmes:
+            for terminal in corgi.network.alpha_dispatch(w)[0]:
+                passing.setdefault(terminal.alpha_id, []).append(w.timetag)
+    for mem in corgi._mems:
+        registry = {s for s in mem.readers if corgi.linked(corgi.plans[s.rule].name)}
+        if set(mem.linked) != registry:
+            out.append(
+                Finding(
+                    "linked_registry",
+                    batch,
+                    f"memory {mem.plan.index}: {len(mem.linked)} registered "
+                    f"readers, {len(registry)} readers of linked rules",
+                )
+            )
+        stored = sorted(tt for bucket in mem.buckets.values() for tt in bucket)
+        problem = None
+        if len(stored) != mem.size:
+            problem = f"size {mem.size} but stores {stored}"
+        elif not isinstance(live_wmes, int):
+            live = sorted(passing.get(mem.plan.alpha.alpha_id, ()))
+            if stored != live:
+                problem = f"stores {stored}, live WMEs passing its terminal {live}"
+        if problem:
+            out.append(
+                Finding(
+                    "memory_size",
+                    batch,
+                    f"memory {mem.plan.index} (alpha {mem.plan.alpha.alpha_id}, "
+                    f"key {mem.plan.key_attrs}): {problem}",
+                )
+            )
+    n_live = live_wmes if isinstance(live_wmes, int) else len(live_wmes)
     n_slots = sum(len(p.slots) for p in corgi.plans)
     n_insts = sum(len(rs.cs) for rs in corgi._rules.values())
-    bound = n_slots * live_wmes + n_insts
+    bound = n_slots * n_live + n_insts
     resident = corgi.resident_tokens()
     if resident > bound:
         out.append(
@@ -108,12 +178,15 @@ def run_seed(
     prof = profile_for(seed, profile)
     load = check.workload(seed, PROFILES[prof], program, batches)
     corgi = CorgiMatcher(load.compile())
-    live = 0
+    live: Dict[int, WME] = {}
 
     def invariants(bi, batch, _oracle):
-        nonlocal live
-        live += sum(change.sign for change in batch)
-        return check_invariants(corgi, bi, live)
+        for change in batch:
+            if change.sign > 0:
+                live[change.wme.timetag] = change.wme
+            else:
+                del live[change.wme.timetag]
+        return check_invariants(corgi, bi, live.values())
 
     findings, oracle = check.lockstep(load, corgi, invariants)
     return check.Report(
@@ -145,7 +218,7 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="case seed (sweep: first seed of the range)")
     p.add_argument("--profile", default="rotate",
-                   help="rotate | shallow | deep | dense")
+                   help="rotate | shallow | deep | dense | wide")
     p.add_argument("--sweep", type=int, default=0, metavar="N",
                    help="fuzz N consecutive seeds")
 

@@ -1,26 +1,36 @@
 """The corgi match engine: bounded-cost matching without beta memories.
 
 Where Rete stores every partial join result (beta tokens) and pays for
-cross-products eagerly, corgi stores only *alpha* memories — per
-(production, condition-element) hash-bucketed WME sets — and re-derives
-full instantiations on demand, in the TREAT/CORGI tradition
-(PAPERS.md).  Three mechanisms bound the cost:
+cross-products eagerly, corgi stores only *alpha* memories — one
+hash-bucketed WME set per distinct (alpha terminal, equality-key
+attributes) pair, shared by every condition element of every production
+that reads it — and re-derives full instantiations on demand, in the
+TREAT/CORGI tradition (PAPERS.md).  Four mechanisms bound the cost:
 
-**Left/right unlinking.**  A production is *linked* only while every
-positive slot memory is non-empty.  While any one is empty no
-instantiation can exist, so the engine skips all join work for that
-production — an add costs one hash insert, O(1).  This is what keeps
-the cross-product stressors polynomial: Rete builds the full N x N
-intermediate token set even when the third CE never matches; corgi
-never enumerates until the demand (a complete candidate) exists.
+**Shared alpha memories.**  A WM change is stored once per memory it
+passes into, not once per reader: paper §2.2 / Fig. 2-2 shares the
+constant tests between productions, and the memory behind them is
+shared here the same way.
+
+**Left/right unlinking, counted.**  A production is *linked* only while
+every positive slot's memory is non-empty.  Each rule keeps the count
+of its empty positive slots, moved only when a memory's size crosses
+0 <-> 1; each memory keeps the registry of its readers whose rule is
+linked.  A WM change visits that registry and nothing else, so an
+unlinked rule costs a change *nothing* — it is off the successor list,
+not visited and skipped.  This is what keeps the cross-product
+stressors polynomial: Rete builds the full N x N intermediate token set
+even when the third CE never matches; corgi never enumerates until the
+demand (a complete candidate) exists.
 
 **Lazy join evaluation.**  Adds seed enumeration *from the changed
 WME*: only combinations containing the new WME are derived, walking
 positive slots in CE order through the same hash keys and residual
-tests the Rete two-input nodes use.  When one WME matches several
-slots of one production, each combination is generated exactly once —
-at the *first* slot it occupies (earlier slots exclude it, later ones
-include it).
+tests the Rete two-input nodes use, one Python frame per level.  When
+one WME matches several slots of one production, each combination is
+generated exactly once — at the *first* slot it occupies (earlier slots
+exclude it, later ones include it).  Instantiations are indexed by
+timetag, so a delete retracts exactly the ones the WME sits in.
 
 **Hoisted negation gates.**  A negated slot is checked as soon as the
 positive prefix it references is bound (``SlotPlan.needed``), not at
@@ -34,8 +44,15 @@ disappears in Rete's delta stream, so the net per-change delta corgi
 computes leaves the conflict set byte-identical after every change —
 and the firing trace follows from the conflict set alone.
 
-Deletes mirror strict Rete semantics: deleting a WME unknown to a slot
-memory raises, exactly like a ``-`` token with no stored ``+`` twin.
+Deletes mirror strict Rete semantics: deleting a WME unknown to a
+memory raises, exactly like a ``-`` token with no stored ``+`` twin —
+and before any memory is touched.
+
+One *activation* (``stats.node_activations``, one ``node_hit`` on the
+bus) is one visit to a linked reader, one wholesale retraction at an
+unlink, or one conflict-set delta (kind ``term``); a reader that is not
+visited is neither (``counters["lazy_skips"]`` counts those by
+arithmetic).
 """
 
 from __future__ import annotations
@@ -51,52 +68,40 @@ from ..rete.network import ReteNetwork
 from ..rete.nodes import CSDelta
 from ..rete.stats import MatchStats
 from ..rete.token import ADD, DELETE, Token
-from .plan import RulePlan, SlotPlan, compile_plans
-
-
-class _SlotMem:
-    """One slot's alpha memory: eq-join key -> {timetag: WME}."""
-
-    __slots__ = ("buckets", "size")
-
-    def __init__(self) -> None:
-        self.buckets: Dict[tuple, Dict[int, WME]] = {}
-        self.size = 0
-
-    def insert(self, key: tuple, wme: WME) -> None:
-        self.buckets.setdefault(key, {})[wme.timetag] = wme
-        self.size += 1
-
-    def remove(self, key: tuple, wme: WME) -> bool:
-        bucket = self.buckets.get(key)
-        if not bucket or wme.timetag not in bucket:
-            return False
-        del bucket[wme.timetag]
-        if not bucket:
-            del self.buckets[key]
-        self.size -= 1
-        return True
+from .plan import MemPlan, RulePlan, SlotPlan, compile_plans, memory_layout
 
 
 class _RuleState:
-    """Mutable per-production state: slot memories + derived matches."""
+    """Mutable per-production state: link count + derived matches."""
 
-    __slots__ = ("plan", "mems", "cs", "linked")
+    __slots__ = ("plan", "cs", "by_tt", "n_empty")
 
     def __init__(self, plan: RulePlan) -> None:
         self.plan = plan
-        self.mems = [_SlotMem() for _ in plan.slots]
         #: Current instantiations, token.key -> Token — the engine's
         #: only derived state, and it is exactly the conflict set's
         #: view of this production (no intermediate tokens exist).
         self.cs: Dict[Tuple[int, ...], Token] = {}
-        self.linked = False
+        #: timetag -> keys of the instantiations that WME sits in.
+        self.by_tt: Dict[int, Dict[Tuple[int, ...], None]] = {}
+        #: Positive slots whose memory is empty; linked iff 0.
+        self.n_empty = len(plan.pos_slots)
 
-    def check_linked(self) -> bool:
-        self.linked = all(
-            self.mems[s.index].size > 0 for s in self.plan.pos_slots
-        )
-        return self.linked
+
+class _Memory:
+    """One shared alpha memory: eq-join key -> {timetag: WME} (a single
+    ``None`` bucket when its readers join on no equality test)."""
+
+    __slots__ = ("plan", "right_key", "readers", "buckets", "size", "linked")
+
+    def __init__(self, plan: MemPlan) -> None:
+        self.plan = plan
+        self.right_key = plan.right_key
+        self.readers = plan.readers
+        self.buckets: Dict[Optional[tuple], Dict[int, WME]] = {}
+        self.size = 0
+        #: The readers whose rule is linked — all a change ever visits.
+        self.linked: Dict[SlotPlan, _RuleState] = {}
 
 
 class CorgiMatcher(Matcher):
@@ -113,19 +118,24 @@ class CorgiMatcher(Matcher):
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
         _flight.note_engine("corgi", 1)
-        self.plans, self._routing = compile_plans(network)
+        self.plans, _routing = compile_plans(network)
+        self._states = [_RuleState(p) for p in self.plans]
         self._rules: Dict[str, _RuleState] = {
-            p.name: _RuleState(p) for p in self.plans
+            rs.plan.name: rs for rs in self._states
         }
+        self._mems = [_Memory(m) for m in memory_layout(network)]
+        self._mems_of: Dict[int, List[_Memory]] = {}
+        for mem in self._mems:
+            self._mems_of.setdefault(mem.plan.alpha.alpha_id, []).append(mem)
         self.stats = MatchStats()
         #: Unlink/relink bookkeeping (also mirrored onto the obs bus).
         self.counters = {
             "unlinks": 0,
             "relinks": 0,
-            "lazy_skips": 0,   # adds absorbed in O(1) by an unlinked rule
+            "lazy_skips": 0,   # reader slots an add did not visit: rule unlinked
             "gate_prunes": 0,  # enumeration branches cut by a hoisted gate
         }
-        self._examined = 0  # bucket entries scanned (probe for obs)
+        self._examined = 0  # entries scanned by the current visit (obs probe)
 
     # -- public contract -------------------------------------------------
 
@@ -138,29 +148,21 @@ class CorgiMatcher(Matcher):
         return deltas
 
     def process_change(self, change: WMEChange) -> List[CSDelta]:
-        """Filter one WM change through the plans; returns CS deltas."""
+        """Store one WM change in the memories it passes into and visit
+        their linked readers; returns CS deltas."""
         stats = self.stats
         obs_on = _obs.ENABLED
         if obs_on:
             change_t0 = _obs.now()
 
         hits, _n_tests = alpha_pass(self.network, stats, change.wme)
-
-        # Group the touched slots by production, preserving dispatch
-        # order (deterministic for a given compiled network).
-        per_rule: Dict[str, Tuple[_RuleState, List[SlotPlan]]] = {}
-        for terminal in hits:
-            for plan, slot in self._routing.get(terminal.alpha_id, ()):
-                entry = per_rule.get(plan.name)
-                if entry is None:
-                    per_rule[plan.name] = (self._rules[plan.name], [slot])
-                else:
-                    entry[1].append(slot)
-
+        mems_of = self._mems_of
+        touched = [mem for terminal in hits for mem in mems_of[terminal.alpha_id]]
+        deltas: List[CSDelta] = []
         if change.sign == ADD:
-            deltas = self._apply_add(change.wme, per_rule, obs_on)
+            self._apply_add(change.wme, touched, deltas, obs_on)
         else:
-            deltas = self._apply_delete(change.wme, per_rule, obs_on)
+            self._apply_delete(change.wme, touched, deltas, obs_on)
 
         stats.node_activations += len(deltas)
         stats.term_activations += len(deltas)
@@ -178,169 +180,211 @@ class CorgiMatcher(Matcher):
     # -- introspection (property tests, serve inspect) -------------------
 
     def linked(self, rule_name: str) -> bool:
-        return self._rules[rule_name].linked
+        return self._rules[rule_name].n_empty == 0
 
     def slot_sizes(self, rule_name: str) -> List[int]:
-        return [m.size for m in self._rules[rule_name].mems]
+        mems = self._mems
+        return [mems[s.mem].size for s in self._rules[rule_name].plan.slots]
 
     def resident_tokens(self) -> int:
-        """Total stored entries: alpha memberships + instantiations.
+        """Total stored entries as the rules see them: every slot's
+        alpha memberships (a shared memory counts once per reader) +
+        instantiations.
 
         The corgi space invariant — there are no beta memories, so this
         is bounded by (slots x WM size) + live instantiations, never by
         intermediate cross-product size.
         """
-        return sum(
-            sum(m.size for m in rs.mems) + len(rs.cs)
-            for rs in self._rules.values()
+        return sum(m.size * len(m.readers) for m in self._mems) + sum(
+            len(rs.cs) for rs in self._states
         )
+
+    # -- link transitions ------------------------------------------------
+
+    def _link(self, rs: _RuleState, obs_on: bool) -> None:
+        mems = self._mems
+        for slot in rs.plan.slots:
+            mems[slot.mem].linked[slot] = rs
+        self.counters["relinks"] += 1
+        if obs_on:
+            _obs.count("corgi.relink")
+
+    def _unlink(self, rs: _RuleState, slot: SlotPlan, deltas, obs_on) -> None:
+        """``slot``'s memory just emptied: the rule leaves every
+        registry and everything it had derived goes with it."""
+        mems = self._mems
+        plan = rs.plan
+        for s in plan.slots:
+            del mems[s.mem].linked[s]
+        self.counters["unlinks"] += 1
+        self.stats.node_activations += 1
+        for token in rs.cs.values():
+            deltas.append(CSDelta(plan.production, token, DELETE))
+        if obs_on:
+            _obs.count("corgi.unlink")
+            self._hit(slot, plan, 0, len(rs.cs), len(rs.cs))
+        rs.cs.clear()
+        rs.by_tt.clear()
+
+    # -- instantiation index ---------------------------------------------
+
+    @staticmethod
+    def _keep(rs: _RuleState, token: Token) -> None:
+        """Record one derived instantiation, under every timetag in it."""
+        key = token.key
+        rs.cs[key] = token
+        by_tt = rs.by_tt
+        for tt in key:
+            peers = by_tt.get(tt)
+            if peers is None:
+                by_tt[tt] = {key: None}
+            else:
+                peers[key] = None
+
+    @staticmethod
+    def _drop(rs: _RuleState, key: Tuple[int, ...]) -> Token:
+        """Forget one instantiation: out of ``cs`` and of the index
+        entry of every timetag in it."""
+        by_tt = rs.by_tt
+        for tt in key:
+            peers = by_tt.get(tt)
+            if peers is not None:  # a WME may sit in two slots
+                peers.pop(key, None)
+                if not peers:
+                    del by_tt[tt]
+        return rs.cs.pop(key)
+
+    @staticmethod
+    def _hit(slot: SlotPlan, plan: RulePlan, dur_ns, examined, emitted) -> None:
+        _obs.node_hit(slot.node_id, slot.kind, dur_ns, examined, emitted)
+        for _ in range(emitted):
+            _obs.node_hit(plan.terminal_id, "term", 0, 0, 0)
 
     # -- add path --------------------------------------------------------
 
-    def _apply_add(self, wme, per_rule, obs_on) -> List[CSDelta]:
+    def _apply_add(self, wme, touched, deltas, obs_on) -> None:
         stats = self.stats
-        deltas: List[CSDelta] = []
-        # Phase 1: the WME enters every touched slot memory first, so
+        counters = self.counters
+        states = self._states
+        tt = wme.timetag
+        # Phase 1: the WME enters every memory it passes into first, so
         # enumeration and gate checks below see a consistent picture.
-        for rs, slots in per_rule.values():
-            for slot in slots:
-                rs.mems[slot.index].insert(slot.right_key(wme), wme)
+        for mem in touched:
+            key = mem.right_key(wme) if mem.right_key is not None else None
+            bucket = mem.buckets.get(key)
+            if bucket is None:
+                mem.buckets[key] = {tt: wme}
+            else:
+                bucket[tt] = wme
+            mem.size += 1
+            if mem.size == 1:
+                for slot in mem.readers:
+                    if slot.positive:
+                        rs = states[slot.rule]
+                        rs.n_empty -= 1
+                        if not rs.n_empty:
+                            self._link(rs, obs_on)
 
-        for rs, slots in per_rule.values():
-            plan = rs.plan
-            t0 = _obs.now() if obs_on else 0
-            self._examined = 0
-            emitted = 0
-            # Negated adds can only kill existing instantiations.
-            for slot in slots:
-                if slot.positive:
-                    continue
-                stats.node_activations += 1
-                stats.not_activations += 1
-                key = slot.right_key(wme)
-                dead = [
-                    k
-                    for k, tok in rs.cs.items()
-                    if slot.left_key(tok.wmes) == key
-                    and slot.tests(tok.wmes, wme)
-                ]
-                self._examined += len(rs.cs)
-                for k in dead:
-                    deltas.append(
-                        CSDelta(plan.production, rs.cs.pop(k), DELETE)
-                    )
-                    emitted += 1
-
-            was_linked = rs.linked
-            pos_touched = sorted(
-                (s for s in slots if s.positive), key=lambda s: s.index
-            )
-            if pos_touched and rs.check_linked():
-                if not was_linked:
-                    self.counters["relinks"] += 1
-                    if obs_on:
-                        _obs.count("corgi.relink")
-                for slot in pos_touched:
-                    stats.node_activations += 1
-                    for token in self._enumerate(rs, slot, wme):
-                        rs.cs[token.key] = token
-                        deltas.append(CSDelta(plan.production, token, ADD))
-                        emitted += 1
-            elif pos_touched:
-                stats.node_activations += 1
-                self.counters["lazy_skips"] += 1
+        for mem in touched:
+            skipped = len(mem.readers) - len(mem.linked)
+            if skipped:
+                counters["lazy_skips"] += skipped
                 if obs_on:
-                    _obs.count("corgi.lazy_skip")
-            if obs_on:
-                _obs.node_hit(
-                    slots[0].node_id,
-                    slots[0].kind,
-                    _obs.now() - t0,
-                    self._examined,
-                    emitted,
-                )
-        return deltas
+                    _obs.count("corgi.lazy_skip", skipped)
+            for slot, rs in mem.linked.items():
+                plan = rs.plan
+                stats.node_activations += 1
+                self._examined = 0
+                if obs_on:
+                    t0 = _obs.now()
+                before = len(deltas)
+                if slot.positive:
+                    for token in self._enumerate(rs, slot, wme):
+                        self._keep(rs, token)
+                        deltas.append(CSDelta(plan.production, token, ADD))
+                else:
+                    # A negated add can only kill existing instantiations.
+                    stats.not_activations += 1
+                    if rs.cs:
+                        left_key, tests = slot.left_key, slot.tests
+                        key = slot.right_key(wme) if left_key is not None else None
+                        self._examined += len(rs.cs)
+                        dead = [
+                            k
+                            for k, tok in rs.cs.items()
+                            if (left_key is None or left_key(tok.wmes) == key)
+                            and (tests is None or tests(tok.wmes, wme))
+                        ]
+                        for k in dead:
+                            deltas.append(
+                                CSDelta(plan.production, self._drop(rs, k), DELETE)
+                            )
+                if obs_on:
+                    self._hit(slot, plan, _obs.now() - t0, self._examined,
+                              len(deltas) - before)
 
     # -- delete path -----------------------------------------------------
 
-    def _apply_delete(self, wme, per_rule, obs_on) -> List[CSDelta]:
+    def _apply_delete(self, wme, touched, deltas, obs_on) -> None:
         stats = self.stats
-        deltas: List[CSDelta] = []
+        states = self._states
         tt = wme.timetag
-        for rs, slots in per_rule.values():
-            for slot in slots:
-                if not rs.mems[slot.index].remove(slot.right_key(wme), wme):
-                    raise RuntimeError(
-                        f"delete of unknown wme {tt} at corgi slot "
-                        f"{rs.plan.name}[{slot.index}]"
-                    )
-
-        for rs, slots in per_rule.values():
-            plan = rs.plan
-            t0 = _obs.now() if obs_on else 0
-            self._examined = 0
-            emitted = 0
-            pos_touched = any(s.positive for s in slots)
-            neg_touched = any(not s.positive for s in slots)
-            if pos_touched:
-                stats.node_activations += 1
-                # Timetags are unique, so key membership means the WME
-                # is part of the instantiation, at whatever slot.
-                dead = [k for k in rs.cs if tt in k]
-                self._examined += len(rs.cs)
-                for k in dead:
-                    deltas.append(
-                        CSDelta(plan.production, rs.cs.pop(k), DELETE)
-                    )
-                    emitted += 1
-                was_linked = rs.linked
-                if not rs.check_linked() and was_linked:
-                    self.counters["unlinks"] += 1
-                    if obs_on:
-                        _obs.count("corgi.unlink")
-            if neg_touched:
-                stats.node_activations += 1
-                stats.not_activations += 1
-                # Removing a negated-slot WME can only *unblock*: re-sync
-                # against a fresh full derivation (skipped while
-                # unlinked, where the derivation is empty by definition).
-                if rs.linked:
-                    fresh = {
-                        t.key: t for t in self._enumerate(rs, None, None)
-                    }
-                    for k, token in fresh.items():
-                        if k not in rs.cs:
-                            rs.cs[k] = token
-                            deltas.append(
-                                CSDelta(plan.production, token, ADD)
-                            )
-                            emitted += 1
-                    for k in [k for k in rs.cs if k not in fresh]:
-                        deltas.append(
-                            CSDelta(plan.production, rs.cs.pop(k), DELETE)
-                        )
-                        emitted += 1
-            if obs_on:
-                _obs.node_hit(
-                    slots[0].node_id,
-                    slots[0].kind,
-                    _obs.now() - t0,
-                    self._examined,
-                    emitted,
+        found = []
+        for mem in touched:
+            key = mem.right_key(wme) if mem.right_key is not None else None
+            bucket = mem.buckets.get(key)
+            if bucket is None or tt not in bucket:
+                raise RuntimeError(
+                    f"delete of unknown wme {tt} at corgi memory "
+                    f"{mem.plan.index} (alpha {mem.plan.alpha.alpha_id})"
                 )
-        return deltas
+            found.append((mem, key, bucket))
+        for mem, key, bucket in found:
+            del bucket[tt]
+            if not bucket:
+                del mem.buckets[key]
+            mem.size -= 1
+            if not mem.size:
+                for slot in mem.readers:
+                    if slot.positive:
+                        rs = states[slot.rule]
+                        rs.n_empty += 1
+                        if rs.n_empty == 1:
+                            self._unlink(rs, slot, deltas, obs_on)
+
+        for mem in touched:
+            for slot, rs in mem.linked.items():
+                plan = rs.plan
+                stats.node_activations += 1
+                self._examined = 0
+                if obs_on:
+                    t0 = _obs.now()
+                before = len(deltas)
+                if slot.positive:
+                    # Exactly the instantiations the WME sits in, at
+                    # whatever slot (timetags are unique).
+                    dead = rs.by_tt.get(tt)
+                    if dead:
+                        self._examined += len(dead)
+                        for k in list(dead):
+                            deltas.append(
+                                CSDelta(plan.production, self._drop(rs, k), DELETE)
+                            )
+                else:
+                    stats.not_activations += 1
+                    # Removing a negated-slot WME can only *unblock*: a
+                    # fresh full derivation holds what it was blocking.
+                    # (Should the WME sit in a positive slot of this
+                    # rule too, that slot's visit does the retracting.)
+                    for token in self._enumerate(rs, None, None):
+                        if token.key not in rs.cs:
+                            self._keep(rs, token)
+                            deltas.append(CSDelta(plan.production, token, ADD))
+                if obs_on:
+                    self._hit(slot, plan, _obs.now() - t0, self._examined,
+                              len(deltas) - before)
 
     # -- demand-driven enumeration ---------------------------------------
-
-    def _gate_blocked(self, rs: _RuleState, gate: SlotPlan, prefix) -> bool:
-        bucket = rs.mems[gate.index].buckets.get(gate.left_key(prefix))
-        if not bucket:
-            return False
-        self._examined += len(bucket)
-        for cand in bucket.values():
-            if gate.tests(prefix, cand):
-                return True
-        return False
 
     def _enumerate(
         self,
@@ -348,7 +392,8 @@ class CorgiMatcher(Matcher):
         seed_slot: Optional[SlotPlan],
         seed: Optional[WME],
     ) -> List[Token]:
-        """Derive instantiations by walking positive slots in CE order.
+        """Derive instantiations by walking positive slots in CE order,
+        one frame per level.
 
         With a seed, only combinations using ``seed`` at ``seed_slot``
         are produced (slots before the seed exclude it, slots after
@@ -357,50 +402,74 @@ class CorgiMatcher(Matcher):
         instantiation set is derived (negated-delete re-sync).
         """
         plan = rs.plan
-        pos_slots = plan.pos_slots
-        gates_at = plan.gates_at
-        seed_d = seed_slot.pos_index if seed_slot is not None else -1
-        seed_tt = seed.timetag if seed is not None else -1
-        stats = self.stats
+        mems = self._mems
         counters = self.counters
+        gates_at = plan.gates_at
+        for gate in gates_at[0]:
+            # needed == 0: no join test at all, so any WME blocks.
+            if mems[gate.mem].size:
+                self._examined += 1
+                counters["gate_prunes"] += 1
+                return []
+        pos_slots = plan.pos_slots
+        n_pos = len(pos_slots)
+        seed_d = seed_slot.pos_index if seed_slot is not None else -1
+        stats = self.stats
         out: List[Token] = []
-        prefix: List[WME] = []
 
-        def descend(d: int) -> None:
-            ptuple = tuple(prefix)
-            for gate in gates_at[d]:
-                if self._gate_blocked(rs, gate, ptuple):
-                    counters["gate_prunes"] += 1
-                    return
-            if d == plan.n_pos:
-                out.append(Token.of(ptuple))
-                return
+        def descend(d: int, prefix: Tuple[WME, ...]) -> None:
             slot = pos_slots[d]
+            left_key = slot.left_key
+            tests = slot.tests
             if d == seed_d:
-                if slot.index != 0 and not (
-                    slot.left_key(ptuple) == slot.right_key(seed)
-                    and slot.tests(ptuple, seed)
-                ):
+                if left_key is not None and left_key(prefix) != slot.right_key(seed):
                     return
-                stats.tokens_emitted += 1
-                prefix.append(seed)
-                descend(d + 1)
-                prefix.pop()
-                return
-            key = () if slot.index == 0 else slot.left_key(ptuple)
-            bucket = rs.mems[slot.index].buckets.get(key)
-            if not bucket:
-                return
-            self._examined += len(bucket)
-            for cand_tt, cand in list(bucket.items()):
-                if d < seed_d and cand_tt == seed_tt:
+                if tests is not None and not tests(prefix, seed):
+                    return
+                cands = (seed,)
+                tests = None
+            else:
+                bucket = mems[slot.mem].buckets.get(
+                    left_key(prefix) if left_key is not None else None
+                )
+                if not bucket:
+                    return
+                self._examined += len(bucket)
+                cands = bucket.values()
+            nxt = d + 1
+            gates = gates_at[nxt]
+            for cand in cands:
+                if d < seed_d and cand is seed:
                     continue
-                if slot.index != 0 and not slot.tests(ptuple, cand):
+                if tests is not None and not tests(prefix, cand):
                     continue
                 stats.tokens_emitted += 1
-                prefix.append(cand)
-                descend(d + 1)
-                prefix.pop()
+                wmes = prefix + (cand,)
+                blocked = False
+                for gate in gates:
+                    gate_key = gate.left_key
+                    blockers = mems[gate.mem].buckets.get(
+                        gate_key(wmes) if gate_key is not None else None
+                    )
+                    if blockers:
+                        gate_tests = gate.tests
+                        if gate_tests is None:
+                            self._examined += 1
+                            blocked = True
+                            break
+                        self._examined += len(blockers)
+                        for blocker in blockers.values():
+                            if gate_tests(wmes, blocker):
+                                blocked = True
+                                break
+                        if blocked:
+                            break
+                if blocked:
+                    counters["gate_prunes"] += 1
+                elif nxt == n_pos:
+                    out.append(Token.of(wmes))
+                else:
+                    descend(nxt, wmes)
 
-        descend(0)
+        descend(0, ())
         return out
