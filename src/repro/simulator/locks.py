@@ -5,7 +5,9 @@ FIFO-by-request-time granting: a request at time *t* is granted at
 ``max(t, free_at)`` and the waiting time is converted into a spin count
 (one spin per ``spin_period`` instructions, minimum 1 — matching the
 paper's "number of times a process spins before it gets access", which
-is 1.00–1.03 even without contention in Table 4-7).
+is 1.00–1.03 even without contention in Table 4-7).  The event loop
+(:mod:`.engine`) carries the same arithmetic inline for the queue locks
+and the simple line locks; the objects here serve the MRSW scheme.
 
 :class:`SimMRSWLine` models the per-line state of the
 multiple-reader-single-writer scheme: the Unused/Left/Right flag with a
@@ -68,24 +70,22 @@ class SimLock:
 
         Returns ``(grant_time, spins)``.
         """
-        if self._pending:
-            self._pending = [g for g in self._pending if g > t]
-        waiters = len(self._pending)
-        if waiters:
-            hold += self.handoff * waiters
+        pending = self._pending
+        if pending:
+            # Grant times never decrease, so the last is the latest.
+            if pending[-1] <= t:
+                pending.clear()
+            else:
+                pending[:] = [g for g in pending if g > t]
+                hold += self.handoff * len(pending)
         grant = self.free_at if self.free_at > t else t
         self.free_at = grant + hold
         if self.handoff:
-            self._pending.append(grant)
-        spins = 1 + int((grant - t) // self.spin_period)
+            pending.append(grant)
+        spins = 1 + int((grant - t) // self.spin_period) if grant > t else 1
         self.stats.acquisitions += 1
         self.stats.spins += spins
         return grant, spins
-
-    def extend(self, until: float) -> None:
-        """Keep the lock held until ``until`` (for variable hold times)."""
-        if until > self.free_at:
-            self.free_at = until
 
 
 # MRSW flag states.

@@ -23,7 +23,7 @@ The per-task cost is assembled from the trace's size features::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from ..rete.trace import TaskRecord
 
@@ -133,10 +133,41 @@ def task_cost_parts(task: TaskRecord, config: MachineConfig) -> Tuple[int, int, 
     return update, scan, build
 
 
-def task_cost_split(task: TaskRecord, config: MachineConfig) -> Tuple[int, int]:
-    """(update_phase, rest) split — kept for the MRSW mod-lock model."""
-    update, scan, build = task_cost_parts(task, config)
-    return update, scan + build
+def task_columns(tasks: Sequence[TaskRecord], config: MachineConfig, lock_scheme: str):
+    """The same costs as columns indexed by tid, filled once per replay:
+    ``(line, is_left, first, scan, build)``.
+
+    ``first`` is what a task holds its hash line for before anything
+    else: the whole simple-lock hold (update + scan + flag set/clear),
+    or under ``"mrsw"`` the update alone (the modification lock).  A
+    task that takes no line lock — a terminal, or a node without a
+    hashed memory — has ``None`` there and its whole :func:`task_cost`
+    in ``build``.  ``is_left`` is 0/1, so it indexes a [right, left]
+    pair.  Held to :func:`task_cost` / :func:`task_cost_parts` task by
+    task in ``tests/simulator/test_event_budget.py``.
+    """
+    update_base, per_same, not_extra = (
+        config.update_base, config.per_same_examined, config.not_extra)
+    scan_base, per_opp = config.join_base - config.update_base, config.per_opp_examined
+    per_build, flag_cost = config.per_child_build, config.line_lock_hold_overhead
+    line = [t.line for t in tasks]
+    is_left = [t.side == "L" for t in tasks]
+    update = [
+        update_base + per_same * t.same_examined + (not_extra if t.kind == "not" else 0)
+        for t in tasks
+    ]
+    scan = [scan_base + per_opp * t.opp_examined for t in tasks]
+    build = [per_build * t.n_children for t in tasks]
+    if lock_scheme == "mrsw":
+        first = update[:]
+    else:
+        first = [u + s + flag_cost for u, s in zip(update, scan)]
+    for tid, t in enumerate(tasks):
+        if t.kind == "term":
+            first[tid], build[tid] = None, config.term_cost
+        elif t.line < 0:
+            first[tid], build[tid] = None, update[tid] + scan[tid] + build[tid]
+    return line, is_left, first, scan, build
 
 
 def alpha_tasks(n_const_tests: int, n_children: int, config: MachineConfig):

@@ -193,7 +193,7 @@ def _simulate(args) -> int:
         interp = Interpreter(program, recorder=recorder)
     result = interp.run(max_cycles=args.max_cycles)
     print(f"run: {result.cycles} cycles, {recorder.trace.n_tasks} match tasks")
-    base = uniprocessor_baseline(recorder.trace)
+    base = uniprocessor_baseline(recorder.trace, lock_scheme=args.locks)
     print(f"uniprocessor match (simulated Encore Multimax): {base.match_seconds:.3f}s")
     print(f"{'config':>12} {'speed-up':>9} {'queue spins':>12}")
     for k in args.processes:

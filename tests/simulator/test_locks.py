@@ -57,13 +57,6 @@ class TestSimLock:
         assert grant == 1000.0
         assert spins == 1
 
-    def test_extend(self):
-        lock = SimLock(spin_period=8)
-        lock.request(0.0, hold=10)
-        lock.extend(50.0)
-        grant, _ = lock.request(5.0, hold=1)
-        assert grant == 50.0
-
 
 class TestSimMRSWLine:
     def make(self):

@@ -9,7 +9,6 @@ from repro.simulator.machine import (
     alpha_tasks,
     task_cost,
     task_cost_parts,
-    task_cost_split,
 )
 
 
@@ -56,12 +55,6 @@ class TestTaskCost:
         for t in (task(), task(opp=7, same=3, children=2), task("not", opp=1)):
             update, scan, build = task_cost_parts(t, DEFAULT_CONFIG)
             assert update + scan + build == task_cost(t, DEFAULT_CONFIG)
-
-    def test_split_is_update_vs_rest(self):
-        t = task(opp=4, same=2, children=1)
-        update, rest = task_cost_split(t, DEFAULT_CONFIG)
-        u, s, b = task_cost_parts(t, DEFAULT_CONFIG)
-        assert (update, rest) == (u, s + b)
 
     def test_paper_range(self):
         # A typical activation lands in the paper's 100-700 instruction

@@ -92,6 +92,25 @@ class TestSimulate:
         assert "speed-up" in out
         assert "1+2/1q" in out
 
+    def test_speedups_divide_by_the_same_lock_schemes_baseline(self, capsys):
+        """Table 4-8's methodology: the uniprocessor column runs the MRSW
+        code too (it once ran simple locks whatever ``--locks`` said)."""
+        from repro import programs
+        from repro.ops5.interpreter import Interpreter
+        from repro.rete.trace import TraceRecorder
+        from repro.simulator.report import speedup_curve
+
+        assert main(["simulate", "blocks", "--processes", "3", "--queues", "1",
+                     "--locks", "mrsw"]) == 0
+        out = capsys.readouterr().out
+        recorder = TraceRecorder()
+        Interpreter(programs.load("blocks"), recorder=recorder).run()
+        curve = speedup_curve(recorder.trace, processes=(3,), lock_scheme="mrsw")
+        assert f"uniprocessor match (simulated Encore Multimax): {curve.baseline_seconds:.3f}s" in out
+        assert f"{'1+3/1q':>12} {curve.speedups[0]:>9.2f}" in out
+        simple = speedup_curve(recorder.trace, processes=(3,))
+        assert f"{simple.baseline_seconds:.3f}" != f"{curve.baseline_seconds:.3f}"
+
 
 class TestTables:
     def test_unknown_table_id(self, capsys):
