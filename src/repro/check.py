@@ -166,8 +166,8 @@ class Sweep:
 def fold_cs(cs: Counter, deltas) -> None:
     """Fold signed conflict-set deltas into a net multiset (engines may
     emit them in any order)."""
-    for delta in deltas:
-        cs[(delta.production.name, delta.token.key)] += delta.sign
+    for production, token, sign in deltas:
+        cs[(production.name, token[1])] += sign
 
 
 def describe_diff(extra: Counter, missing: Counter, limit: int = 4) -> str:

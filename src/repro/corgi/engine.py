@@ -78,7 +78,7 @@ class _RuleState:
 
     def __init__(self, plan: RulePlan) -> None:
         self.plan = plan
-        #: Current instantiations, token.key -> Token — the engine's
+        #: Current instantiations, key -> token — the engine's
         #: only derived state, and it is exactly the conflict set's
         #: view of this production (no intermediate tokens exist).
         self.cs: Dict[Tuple[int, ...], Token] = {}
@@ -219,7 +219,7 @@ class CorgiMatcher(Matcher):
         self.counters["unlinks"] += 1
         self.stats.node_activations += 1
         for token in rs.cs.values():
-            deltas.append(CSDelta(plan.production, token, DELETE))
+            deltas.append((plan.production, token, DELETE))
         if obs_on:
             _obs.count("corgi.unlink")
             self._hit(slot, plan, 0, len(rs.cs), len(rs.cs))
@@ -231,7 +231,7 @@ class CorgiMatcher(Matcher):
     @staticmethod
     def _keep(rs: _RuleState, token: Token) -> None:
         """Record one derived instantiation, under every timetag in it."""
-        key = token.key
+        key = token[1]
         rs.cs[key] = token
         by_tt = rs.by_tt
         for tt in key:
@@ -301,7 +301,7 @@ class CorgiMatcher(Matcher):
                 if slot.positive:
                     for token in self._enumerate(rs, slot, wme):
                         self._keep(rs, token)
-                        deltas.append(CSDelta(plan.production, token, ADD))
+                        deltas.append((plan.production, token, ADD))
                 else:
                     # A negated add can only kill existing instantiations.
                     stats.not_activations += 1
@@ -312,13 +312,11 @@ class CorgiMatcher(Matcher):
                         dead = [
                             k
                             for k, tok in rs.cs.items()
-                            if (left_key is None or left_key(tok.wmes) == key)
-                            and (tests is None or tests(tok.wmes, wme))
+                            if (left_key is None or left_key(tok[0]) == key)
+                            and (tests is None or tests(tok[0], wme))
                         ]
                         for k in dead:
-                            deltas.append(
-                                CSDelta(plan.production, self._drop(rs, k), DELETE)
-                            )
+                            deltas.append((plan.production, self._drop(rs, k), DELETE))
                 if obs_on:
                     self._hit(slot, plan, _obs.now() - t0, self._examined,
                               len(deltas) - before)
@@ -367,9 +365,7 @@ class CorgiMatcher(Matcher):
                     if dead:
                         self._examined += len(dead)
                         for k in list(dead):
-                            deltas.append(
-                                CSDelta(plan.production, self._drop(rs, k), DELETE)
-                            )
+                            deltas.append((plan.production, self._drop(rs, k), DELETE))
                 else:
                     stats.not_activations += 1
                     # Removing a negated-slot WME can only *unblock*: a
@@ -377,9 +373,9 @@ class CorgiMatcher(Matcher):
                     # (Should the WME sit in a positive slot of this
                     # rule too, that slot's visit does the retracting.)
                     for token in self._enumerate(rs, None, None):
-                        if token.key not in rs.cs:
+                        if token[1] not in rs.cs:
                             self._keep(rs, token)
-                            deltas.append(CSDelta(plan.production, token, ADD))
+                            deltas.append((plan.production, token, ADD))
                 if obs_on:
                     self._hit(slot, plan, _obs.now() - t0, self._examined,
                               len(deltas) - before)
@@ -417,7 +413,7 @@ class CorgiMatcher(Matcher):
         stats = self.stats
         out: List[Token] = []
 
-        def descend(d: int, prefix: Tuple[WME, ...]) -> None:
+        def descend(d: int, prefix: Tuple[WME, ...], tags: Tuple[int, ...]) -> None:
             slot = pos_slots[d]
             left_key = slot.left_key
             tests = slot.tests
@@ -445,6 +441,7 @@ class CorgiMatcher(Matcher):
                     continue
                 stats.tokens_emitted += 1
                 wmes = prefix + (cand,)
+                key = tags + (cand.timetag,)
                 blocked = False
                 for gate in gates:
                     gate_key = gate.left_key
@@ -467,9 +464,9 @@ class CorgiMatcher(Matcher):
                 if blocked:
                     counters["gate_prunes"] += 1
                 elif nxt == n_pos:
-                    out.append(Token.of(wmes))
+                    out.append((wmes, key))
                 else:
-                    descend(nxt, wmes)
+                    descend(nxt, wmes, key)
 
-        descend(0, ())
+        descend(0, (), ())
         return out

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .astnodes import Production
 from .errors import RuntimeOps5Error
-from ..rete.token import Token
+from ..rete.token import Token, fmt
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,10 @@ class Instantiation:
 
     @property
     def key(self) -> Tuple[str, Tuple[int, ...]]:
-        return (self.production.name, self.token.key)
+        return (self.production.name, self.token[1])
 
     def __str__(self) -> str:
-        tags = " ".join(str(t) for t in self.token.key)
-        return f"{self.production.name} [{tags}]"
+        return f"{self.production.name} {fmt(self.token)}"
 
 
 class ConflictSet:
@@ -79,7 +78,7 @@ class ConflictSet:
         return self._present
 
     def apply(self, production: Production, token: Token, sign: int) -> None:
-        key = (production.name, token.key)
+        key = (production.name, token[1])
         entry = self._entries.get(key)
         before = 0 if entry is None else entry[2]
         count = before + sign
@@ -136,7 +135,7 @@ class ConflictSet:
                 entry = entries.get(key)
                 if (entry is not None and entry[2] > 0 and entry[3] is None
                         and key not in self._fired):
-                    entry[3] = sort_key = order(entry[0], entry[1].key)
+                    entry[3] = sort_key = order(entry[0], entry[1][1])
                     fresh.append(sort_key)
             self._pending = []
             if len(fresh) > len(agenda):

@@ -4,7 +4,8 @@ Drives the three-phase cycle of §2.1:
 
 1. **Match** — delegate the WM changes of the last firing to the match
    engine (sequential Rete, or the threaded parallel engine — anything
-   whose ``process_changes`` turns a list of changes into ``CSDelta``s).
+   whose ``process_changes`` turns a list of changes into conflict-set
+   changes, ``(production, token, sign)`` tuples).
 2. **Conflict resolution** — LEX or MEA over the conflict set, with
    refraction.
 3. **Act** — execute the chosen instantiation's compiled RHS, producing
@@ -313,7 +314,7 @@ class Interpreter:
             _flight.dump_on_error("match_error")
             raise
         for delta in deltas:
-            self.conflict_set.apply(delta.production, delta.token, delta.sign)
+            self.conflict_set.apply(*delta)
         if not self._strict_cs:
             # Parallel deltas arrive unordered; after the batch every
             # count must have settled to 0 or 1.
@@ -379,7 +380,7 @@ class Interpreter:
         if self.recorder is not None:
             self.recorder.end_cycle(cs_deltas=n_cs_deltas)
         return Firing(
-            cycle=self.cycle, production=production.name, timetags=inst.token.key
+            cycle=self.cycle, production=production.name, timetags=inst.token[1]
         )
 
     def run_cycles(self, budget: int, deadline: Optional[float] = None) -> RunResult:

@@ -83,7 +83,7 @@ def _bind(plan, wmes: Tuple[WME, ...]) -> Dict[str, Constant]:
 
 def extract_bindings(production: Production, token: Token) -> Dict[str, Constant]:
     """Variable bindings implied by an instantiation's WMEs."""
-    return _bind(binding_plan(production), token.wmes)
+    return _bind(binding_plan(production), token[0])
 
 
 class CompiledRHS:
@@ -108,14 +108,15 @@ class CompiledRHS:
 
         ``input_values`` is the ``(accept)`` stream itself, consumed in place.
         """
+        wmes = token[0]
         env = RhsEnv(
             wm=wm,
             token=token,
-            bindings=_bind(self._plan, token.wmes),
+            bindings=_bind(self._plan, wmes),
             input_values=input_values if input_values is not None else [],
         )
         for i, pos in self._ce_token_pos.items():
-            env.ce_wmes[i] = token.wmes[pos] if pos < len(token.wmes) else None
+            env.ce_wmes[i] = wmes[pos] if pos < len(wmes) else None
         for op in self.ops:
             op(env)
             if env.halted:

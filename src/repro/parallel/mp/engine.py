@@ -50,7 +50,6 @@ from ...rete.matcher import Matcher
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
-from ...rete.token import Token
 from .shard import ShardMap
 from .worker import run_worker
 
@@ -295,11 +294,8 @@ class ProcessMatcher(Matcher):
                 self._ipc_totals[name] = self._ipc_totals.get(name, 0) + n
                 if _obs.ENABLED and n:
                     _obs.count(f"mp.{name}", n)
-            for prod_name, wmes, sign in payload:
-                deltas.append(
-                    CSDelta(terminals[prod_name].production,
-                            Token.of(tuple(wmes)), sign)
-                )
+            for prod_name, token, sign in payload:
+                deltas.append((terminals[prod_name].production, token, sign))
         if pending_total:
             raise RuntimeError(
                 f"{pending_total} conjugate deletes left parked"

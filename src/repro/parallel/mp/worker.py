@@ -19,7 +19,7 @@ Message protocol (inbound, one queue per worker):
     their batch spans so stitched traces stay request-scoped across the
     process boundary.
 
-``("act", node_id, side, sign, wmes)``
+``("act", node_id, side, sign, token)``
     A forwarded activation for a line this worker owns, produced by a
     peer whose join emitted a child token landing on our shard.  Peer
     and control process write the same inbox pipe, so an act may
@@ -62,7 +62,6 @@ from ...obs import flight as _flight
 from ...rete import kernel
 from ...rete.nodes import MatchContext, Task
 from ...rete.stats import MatchStats
-from ...rete.token import Token
 from ..conjugate import ConjugateMemory
 from .shard import ShardMap
 
@@ -139,7 +138,7 @@ class _WorkerState:
             self._count_add(1)
             self.counters["tasks_forwarded"] += 1
             self.counters["ipc_msgs"] += 1
-            self._forward_queues[owner].put(("act", node.node_id, side, sign, token.wmes))
+            self._forward_queues[owner].put(("act", node.node_id, side, sign, token))
 
     def route_children(self, children: List[Task]) -> None:
         """The kernel's seam: each child stays on the local stack or
@@ -162,8 +161,8 @@ class _WorkerState:
                 self.local.append(task)
 
     def rebuild(self, msg) -> Task:
-        _kind, node_id, side, sign, wmes = msg
-        return (self.nodes[node_id], side, sign, Token.of(tuple(wmes)))
+        _kind, node_id, side, sign, token = msg
+        return (self.nodes[node_id], side, sign, token)
 
     # -- the drain loop -----------------------------------------------------
 
@@ -252,8 +251,8 @@ class _WorkerState:
 
     def on_flush(self, seq: int) -> None:
         deltas = [
-            (d.production.name, d.token.wmes, d.sign)
-            for d in self.ctx.cs_deltas
+            (production.name, token, sign)
+            for production, token, sign in self.ctx.cs_deltas
         ]
         self.ctx.cs_deltas = []
         self.outbox.put((

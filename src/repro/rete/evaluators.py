@@ -142,58 +142,55 @@ class InterpretedEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _py_const(value) -> str:
-    return repr(value)
-
-
 _SIMPLE_OPS = {"=": "==", "<>": "!="}
-_ORDER_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def _inline(lhs: str, op: str, rhs: str, i: int, rhs_numeric: Optional[bool] = None) -> str:
+    """``compare(lhs, op, rhs)`` spelled as one expression that calls no
+    Python function.  An ordering test (and ``<=>``) binds its operands
+    to the walrus temporaries ``_a{i}`` / ``_b{i}`` — unique per
+    descriptor, so several can share one generated function — and fails
+    on an absent value or a number/symbol mismatch.  ``rhs_numeric`` is
+    the class of a literal ``rhs``, known when the text is generated
+    (``None``: read at match time)."""
+    if op in _SIMPLE_OPS:
+        return f"({lhs} {_SIMPLE_OPS[op]} {rhs})"
+    if op not in ("<", "<=", ">", ">=", "<=>"):
+        raise ValueError(f"unknown predicate {op!r}")
+    a = f"_a{i}"
+    if rhs_numeric is None:
+        b = f"_b{i}"
+        guard = (f"({a} := {lhs}) is not None and ({b} := {rhs}) is not None"
+                 f" and isinstance({a}, _N) is isinstance({b}, _N)")
+    elif rhs_numeric:  # an absent value fails isinstance on its own
+        b = rhs
+        guard = f"isinstance({a} := {lhs}, _N)"
+    else:
+        b = rhs
+        guard = f"({a} := {lhs}) is not None and not isinstance({a}, _N)"
+    if op == "<=>":
+        return f"({guard})"
+    return f"({guard} and {a} {op} {b})"
 
 
 def _alpha_expr(desc: AlphaDesc) -> str:
     kind = desc[0]
     if kind == "const":
         _, attr, op, value = desc
-        lhs = f"w.vals.get({attr!r})"
-        if op in _SIMPLE_OPS:
-            return f"({lhs} {_SIMPLE_OPS[op]} {_py_const(value)})"
-        if op in _ORDER_OPS:
-            return f"_ord({lhs}, {op!r}, {_py_const(value)})"
-        return f"_cmp({lhs}, {op!r}, {_py_const(value)})"
+        numeric = None if value is None else isinstance(value, _NUMERIC)
+        return _inline(f"w.vals.get({attr!r})", op, repr(value), 0, numeric)
     if kind == "intra":
         _, attr, op, attr2 = desc
-        lhs = f"w.vals.get({attr!r})"
-        rhs = f"w.vals.get({attr2!r})"
-        if op in _SIMPLE_OPS:
-            return f"({lhs} {_SIMPLE_OPS[op]} {rhs})"
-        return f"_cmp({lhs}, {op!r}, {rhs})"
+        return _inline(f"w.vals.get({attr!r})", op, f"w.vals.get({attr2!r})", 0)
     if kind == "disj":
         _, attr, values = desc
         return f"(w.vals.get({attr!r}) in {set(values)!r})"
     raise ValueError(f"unknown alpha descriptor {desc!r}")
 
 
-def _join_expr(desc: JoinDesc) -> str:
+def _join_expr(desc: JoinDesc, i: int) -> str:
     rattr, op, lpos, lattr = desc
-    lhs = f"w.vals.get({rattr!r})"
-    rhs = f"wmes[{lpos}].vals.get({lattr!r})"
-    if op in _SIMPLE_OPS:
-        return f"({lhs} {_SIMPLE_OPS[op]} {rhs})"
-    return f"_cmp({lhs}, {op!r}, {rhs})"
-
-
-def _ordered(a, op: str, b) -> bool:
-    # Constant ordering test against a known-numeric/known-str constant:
-    # only the WME side's type needs checking.
-    if type(a) is type(b) or (isinstance(a, _NUMERIC) and isinstance(b, _NUMERIC)):
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
-    return False
+    return _inline(f"w.vals.get({rattr!r})", op, f"wmes[{lpos}].vals.get({lattr!r})", i)
 
 
 class CompiledEvaluator:
@@ -201,10 +198,13 @@ class CompiledEvaluator:
     'machine code' analogue).
 
     The generated functions are pure (``w`` / ``wmes`` in, bool or tuple
-    out, globals ``_cmp`` and ``_ord`` only), so nodes whose descriptors
-    render to the same text share one function object — Figure 2-2's
-    node sharing applied to the code — and :func:`compile` runs once per
-    distinct text.  The memo lives and dies with the evaluator, one per
+    out, one global: ``_N``, the numeric classes) and call no Python
+    function: every predicate, ordering included, is an inline
+    expression (:func:`_inline`), so a test costs its own frame and no
+    other.  Nodes whose descriptors render to the same text share one
+    function object — Figure 2-2's node sharing applied to the code —
+    and :func:`compile` runs once per distinct text.  The memo lives and
+    dies with the evaluator, one per
     :class:`~repro.rete.network.ReteNetwork`.
     """
 
@@ -216,7 +216,7 @@ class CompiledEvaluator:
     def _exec(self, src: str, fn_name: str):
         fn = self._compiled.get(src)
         if fn is None:
-            namespace = {"_cmp": compare, "_ord": _ordered}
+            namespace = {"_N": _NUMERIC}
             code = compile(src, f"<rete-codegen-{len(self._compiled) + 1}>", "exec")
             exec(code, namespace)
             fn = self._compiled[src] = namespace[fn_name]
@@ -230,7 +230,7 @@ class CompiledEvaluator:
         descs = tuple(descs)
         if not descs:
             return None
-        body = " and ".join(_join_expr(d) for d in descs)
+        body = " and ".join(_join_expr(d, i) for i, d in enumerate(descs))
         src = f"def _t(wmes, w):\n    return {body}\n"
         return self._exec(src, "_t")
 

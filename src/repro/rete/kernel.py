@@ -36,7 +36,6 @@ from ..ops5.wme import WME
 from .network import ReteNetwork
 from .nodes import AlphaTerminal, BetaNode, MatchContext, Task
 from .stats import MatchStats
-from .token import Token
 from .trace import TraceRecorder
 
 Route = Callable[[List[Task]], None]
@@ -68,7 +67,7 @@ def enter_change(
     """Turn one WM change into root tasks and hand them to ``route``.
     Returns ``(alpha hits, constant tests)``."""
     hits, n_tests = alpha_pass(network, stats, wme, count)
-    token = Token.single(wme)
+    token = ((wme,), (wme.timetag,))
     roots: List[Task] = []
     for terminal in hits:
         for node, side in terminal.successors:

@@ -24,9 +24,11 @@ that empties is dropped from its table.
 corresponding left/right buckets) an operation touches; this is what
 the parallel implementations lock.
 
-Items must expose a ``.key`` attribute (a tuple of WME timetags) used to
-locate them for deletion: plain :class:`~repro.rete.token.Token` for
-join memories, :class:`NotEntry` for negated-node left memories.
+An item is located for deletion by its index 1, the tuple of its WME
+timetags: a join memory holds tokens, ``(wmes, key)``
+(:mod:`repro.rete.token`), and a negated node's left memory holds the
+lists ``[token, key, count]``, so one scan (``stored[1] == key``)
+serves both.
 """
 
 from __future__ import annotations
@@ -34,24 +36,8 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Hashable, List, Tuple
 
-from .token import Token
-
 LEFT = "L"
 RIGHT = "R"
-
-
-class NotEntry:
-    """A left token of a negated node together with its match count."""
-
-    __slots__ = ("token", "count", "key")
-
-    def __init__(self, token: Token, count: int = 0) -> None:
-        self.token = token
-        self.count = count
-        self.key = token.key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NotEntry({self.token}, count={self.count})"
 
 
 def stable_hash(value: Hashable) -> int:

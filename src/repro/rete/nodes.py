@@ -22,29 +22,26 @@ caller and hands the children to whichever engine is scheduling.
 
 A *task* — the paper's schedulable unit of match work, a token arriving
 at a node — is the plain tuple ``(node, side, sign, token)``: ``side``
-is ``'L'``/``'R'`` for two-input nodes and ``'L'`` for terminals.
+is ``'L'``/``'R'`` for two-input nodes and ``'L'`` for terminals.  The
+token is itself the tuple ``(wmes, key)`` (:mod:`repro.rete.token`), a
+not node's stored left entry the list ``[token, key, count]``, and a
+conflict-set change the tuple ``(production, token, sign)`` — so
+scheduling a task, emitting a token and reporting a change each build
+no Python frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..ops5.astnodes import Production
 from ..ops5.wme import WME
-from .memories import LEFT, NotEntry
-from .token import ADD, Token
+from .memories import LEFT
+from .token import ADD, Token, fmt
 
 Task = Tuple["BetaNode", str, int, Token]
-
-
-@dataclass
-class CSDelta:
-    """A conflict-set change produced by a terminal node."""
-
-    production: Production
-    token: Token
-    sign: int
+#: A conflict-set change, as a terminal node appends it.
+CSDelta = Tuple[Production, Token, int]
 
 
 class MatchContext:
@@ -164,7 +161,8 @@ class TwoInputNode(BetaNode):
     without one.
     """
 
-    #: Whether left tokens are stored as counted :class:`NotEntry`s.
+    #: Whether left tokens are stored as counted ``[token, key, count]``
+    #: entries.
     negated = False
 
     def __init__(
@@ -193,18 +191,20 @@ class TwoInputNode(BetaNode):
         engines' line-routing helper (which line lock, which shard).
         ``activate`` computes the same key inline."""
         if side == LEFT:
-            key_fn, arg = self.left_key_fn, token.wmes
+            key_fn, arg = self.left_key_fn, token[0]
         else:
-            key_fn, arg = self.right_key_fn, token.wmes[-1]
+            key_fn, arg = self.right_key_fn, token[0][-1]
         return () if key_fn is None else key_fn(arg)
 
     def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
         """Key, store-or-delete, opposite search, output — in this one
         frame.  A join node stores the token itself and outputs it
         joined with every consistent opposite token; a not node stores
-        left tokens wrapped in :class:`NotEntry` with the count of
-        consistent right WMEs, and a left token is live downstream iff
-        its count is zero.
+        each left token as the list ``[token, key, count]``, ``count``
+        the number of consistent right WMEs, and a left token is live
+        downstream iff its count is zero.  Index 1 is the key in a token
+        and in an entry alike, so one delete scan serves both memories.
+        Output tokens are built inline, as tuples: no frame per token.
 
         Under the threaded engine (``ctx.locks``, on the line the kernel
         entered and left in ``ctx.last_line``) the memory update runs
@@ -218,7 +218,7 @@ class TwoInputNode(BetaNode):
         stats = ctx.stats
         node_id = self.node_id
         negated = self.negated
-        wmes = token.wmes
+        wmes, token_key = token
         # `arg` is what the key function reads: the left token's WMEs,
         # or the right token's one WME; `counted` is a not node's left
         # token, the one stored with a count.
@@ -258,10 +258,10 @@ class TwoInputNode(BetaNode):
                         if ctx.tracing:
                             ctx.last_opp_examined = len(rights)
                         for right in rights:
-                            if passes is None or passes(wmes, right.wmes[0]):
+                            if passes is None or passes(wmes, right[0][0]):
                                 count += 1
-                    item = NotEntry(token, count)
-                if not ctx.strict and memory.before_insert(node_id, side, key, token.key):
+                    item = [token, token_key, count]
+                if not ctx.strict and memory.before_insert(node_id, side, key, token_key):
                     # A parked early delete annihilated this add (§3.2).
                     return []
                 bucket = same.get(slot)
@@ -273,12 +273,11 @@ class TwoInputNode(BetaNode):
                 if not ctx.strict:
                     memory.before_remove(node_id, side, key)
                 bucket = same.get(slot, ())
-                token_key = token.key
                 item = None
                 examined = 0
                 for stored in bucket:
                     examined += 1
-                    if stored.key == token_key:
+                    if stored[1] == token_key:
                         item = stored
                         del bucket[examined - 1]
                         if not bucket:
@@ -296,7 +295,7 @@ class TwoInputNode(BetaNode):
                 if item is None:
                     if ctx.strict:
                         raise RuntimeError(
-                            f"delete of unknown token {token} at {self.kind} node {node_id}"
+                            f"delete of unknown token {fmt(token)} at {self.kind} node {node_id}"
                         )
                     memory.park(node_id, side, key, token_key)
                     return []
@@ -305,27 +304,27 @@ class TwoInputNode(BetaNode):
                 locks = None
 
             children = self.children
+            out = []
             if counted:
-                if item.count:
-                    return []
-                out = [(child, LEFT, sign, token) for child in children]
+                if item[2]:
+                    return out
+                for child in children:
+                    out.append((child, LEFT, sign, token))
             else:
                 candidates = opposite.get(slot)
                 if not candidates:
                     # The paper's convention: an empty opposite memory
                     # is left out of the Table 4-2 average.
-                    return []
+                    return out
                 if ctx.tracing:
                     ctx.last_opp_examined = len(candidates)
-                out = []
                 if side == LEFT:
                     stats.opp_examined_left += len(candidates)
                     stats.opp_count_left += 1
-                    token_key = token.key
-                    for item in candidates:
-                        w = item.wmes[0]
+                    for right in candidates:
+                        w = right[0][0]
                         if passes is None or passes(wmes, w):
-                            joined = Token(wmes + (w,), token_key + (w.timetag,))
+                            joined = (wmes + (w,), token_key + (w.timetag,))
                             for child in children:
                                 out.append((child, LEFT, sign, joined))
                 else:
@@ -338,17 +337,18 @@ class TwoInputNode(BetaNode):
                         # re-asserts it.
                         edge = 1 if sign == ADD else 0
                         for entry in candidates:
-                            if passes is None or passes(entry.token.wmes, w):
-                                entry.count += sign
-                                if entry.count == edge:
+                            left = entry[0]
+                            if passes is None or passes(left[0], w):
+                                entry[2] += sign
+                                if entry[2] == edge:
                                     for child in children:
-                                        out.append((child, LEFT, -sign, entry.token))
+                                        out.append((child, LEFT, -sign, left))
                     else:
                         tail = (w,)
                         tag = (w.timetag,)
-                        for item in candidates:
-                            if passes is None or passes(item.wmes, w):
-                                joined = Token(item.wmes + tail, item.key + tag)
+                        for left_wmes, left_key in candidates:
+                            if passes is None or passes(left_wmes, w):
+                                joined = (left_wmes + tail, left_key + tag)
                                 for child in children:
                                     out.append((child, LEFT, sign, joined))
             stats.tokens_emitted += len(out)
@@ -372,7 +372,8 @@ class NotNode(TwoInputNode):
 
 
 class TerminalNode(BetaNode):
-    """One per production: converts arriving tokens into CS deltas."""
+    """One per production: converts arriving tokens into conflict-set
+    changes, each the tuple ``(production, token, sign)``."""
 
     kind = "term"
 
@@ -385,6 +386,6 @@ class TerminalNode(BetaNode):
         stats.node_activations += 1
         stats.term_activations += 1
         stats.cs_changes += 1
-        ctx.cs_deltas.append(CSDelta(self.production, token, sign))
+        ctx.cs_deltas.append((self.production, token, sign))
         return []
 

@@ -26,21 +26,21 @@ from collections import Counter
 from typing import Counter as CounterT, List, Tuple
 
 from ..check import Finding, describe_diff
-from ..rete.memories import NotEntry
 
 CensusKey = Tuple[int, str, tuple, int]
 
 
 def memory_census(memory) -> CounterT[CensusKey]:
     """Multiset of ``(node_id, side, token_key, not_count)`` over all
-    two-input node memories (``not_count`` is -1 for plain tokens) —
-    one walk over each table, however many nodes share it."""
+    two-input node memories (``not_count`` is -1 for a plain token, a
+    tuple; a not node's left entry is the list ``[token, key, count]``)
+    — one walk over each table, however many nodes share it."""
     census: CounterT[CensusKey] = Counter()
     for side, table in (("L", memory.left), ("R", memory.right)):
         for (node_id, _key), bucket in table.items():
             for item in bucket:
-                count = item.count if isinstance(item, NotEntry) else -1
-                census[(node_id, side, item.key, count)] += 1
+                count = item[2] if isinstance(item, list) else -1
+                census[(node_id, side, item[1], count)] += 1
     return census
 
 

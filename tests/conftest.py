@@ -69,6 +69,6 @@ def run_program(source: str, max_cycles: int = 1000, **kw):
 def conflict_snapshot(interp: Interpreter):
     """A canonical, comparable view of the conflict set."""
     return sorted(
-        (inst.production.name, inst.token.key)
+        (inst.production.name, inst.token[1])
         for inst in interp.conflict_set.instantiations()
     )

@@ -105,9 +105,9 @@ class TestUnlinking:
         _, deltas = drive(matcher, wm, "probe", {"a": 1, "b": 3})
         assert matcher.linked("needle")
         assert matcher.counters["relinks"] == 1
-        assert [d.sign for d in deltas] == [1]
-        assert deltas[0].token.wmes[1].vals["id"] == 1
-        assert deltas[0].token.wmes[2].vals["id"] == 3
+        assert [sign for _p, _t, sign in deltas] == [1]
+        assert deltas[0][1][0][1].vals["id"] == 1
+        assert deltas[0][1][0][2].vals["id"] == 3
 
     def test_delete_unlinks_and_kills_instantiations(self):
         matcher = compiled(NEEDLE)
@@ -118,7 +118,7 @@ class TestUnlinking:
         probe, _ = drive(matcher, wm, "probe", {"a": 1, "b": 3})
         wm.remove(probe)
         deltas = matcher.process_changes([WMEChange(-1, probe)])
-        assert [d.sign for d in deltas] == [-1]
+        assert [sign for _p, _t, sign in deltas] == [-1]
         assert not matcher.linked("needle")
         assert matcher.counters["unlinks"] == 1
 

@@ -43,7 +43,8 @@ class _DeltaHash:
         def process_changes(changes):
             deltas = inner(changes)
             for line in sorted(
-                f"{d.production.name} {d.token.key} {d.sign}" for d in deltas
+                f"{production.name} {token[1]} {sign}"
+                for production, token, sign in deltas
             ):
                 self.sha.update(line.encode() + b"\n")
             self.sha.update(b"--\n")

@@ -118,7 +118,7 @@ def delete_one_of(n: int):
         snap = obs_events.snapshot()
         obs_events.disable()
         obs_events.reset()
-    assert [d.sign for d in deltas] == [-1]
+    assert [sign for _p, _t, sign in deltas] == [-1]
     assert len(matcher._rules["pair"].cs) == n - 1
     (_kind, hits, _dur, examined, emitted), = (
         agg for agg in snap.nodes.values() if agg[0] == "join"

@@ -33,7 +33,7 @@ from repro.ops5.parser import parse_production
 from repro.ops5.rhs import CompiledRHS
 from repro.ops5.wme import WorkingMemory
 from repro.programs import weaver
-from repro.rete.token import Token
+from repro.rete.token import of
 from tests.ops5.test_conflict import token
 
 #: Specificities 1, 4, 2, 2, 3: ties on recency fall through to
@@ -237,7 +237,7 @@ def loaded(n):
     production = PRODUCTIONS["pair"]
     for i in range(n):
         cs.apply(production, token(i + 1, 1), 1)
-    assert LexStrategy().select(cs).token.key == (n, 1)
+    assert LexStrategy().select(cs).token[1] == (n, 1)
     return cs
 
 
@@ -247,7 +247,7 @@ def one_cycle(cs):
     cs.apply(production, token(3, 1), -1)
     cs.apply(production, token(5000, 1), 1)
     inst = strategy.select(cs)
-    assert inst.token.key == (5000, 1)
+    assert inst.token[1] == (5000, 1)
     cs.mark_fired(inst)
     assert strategy.select(cs) is not None
 
@@ -271,7 +271,7 @@ def test_executing_an_rhs_never_enters_the_ast_module():
     )
     rhs = CompiledRHS(production)
     wm = WorkingMemory()
-    tok = Token.of((wm.add("a", {"x": 1, "y": 3}), wm.add("b", {"x": 1, "k": 7})))
+    tok = of((wm.add("a", {"x": 1, "y": 3}), wm.add("b", {"x": 1, "k": 7})))
     envs = []
     calls, files = calls_during(lambda: envs.append(rhs.execute(wm, tok)))
     assert envs[0].bindings == {"v": 1, "w": 3, "k": 7}

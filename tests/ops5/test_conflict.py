@@ -7,7 +7,7 @@ from repro.ops5.conflict import ConflictSet, Instantiation, LexStrategy, MeaStra
 from repro.ops5.errors import RuntimeOps5Error
 from repro.ops5.parser import parse_production
 from repro.ops5.wme import WME
-from repro.rete.token import Token
+from repro.rete.token import Token, of
 
 
 def prod(name: str, n_ces: int = 1, extra_tests: int = 0) -> Production:
@@ -17,7 +17,7 @@ def prod(name: str, n_ces: int = 1, extra_tests: int = 0) -> Production:
 
 
 def token(*timetags: int) -> Token:
-    return Token.of(tuple(WME.make("c", {}, t) for t in timetags))
+    return of(tuple(WME.make("c", {}, t) for t in timetags))
 
 
 class TestConflictSet:
@@ -40,6 +40,16 @@ class TestConflictSet:
         cs.apply(p, token(1), +1)
         with pytest.raises(RuntimeOps5Error):
             cs.apply(p, token(1), +1)
+
+    def test_double_add_message_prints_timetags(self):
+        """The error names the instantiation by its timetags, never by
+        the WMEs' reprs."""
+        cs = ConflictSet(strict=True)
+        p = prod("r", 2)
+        cs.apply(p, token(3, 7), +1)
+        with pytest.raises(RuntimeOps5Error) as exc:
+            cs.apply(p, token(3, 7), +1)
+        assert str(exc.value) == "conflict set corrupt: r [3 7] reached count 2"
 
     def test_strict_rejects_remove_of_absent(self):
         cs = ConflictSet(strict=True)
@@ -122,15 +132,15 @@ class TestMea:
         cs = ConflictSet()
         # For LEX, b would win (9 > 8); MEA compares the *first* CE's
         # timetag first: a's first CE is newer.
-        cs.apply(prod("a", 2), Token.of((WME.make("c", {}, 8), WME.make("c", {}, 2))), +1)
-        cs.apply(prod("b", 2), Token.of((WME.make("c", {}, 3), WME.make("c", {}, 9))), +1)
+        cs.apply(prod("a", 2), of((WME.make("c", {}, 8), WME.make("c", {}, 2))), +1)
+        cs.apply(prod("b", 2), of((WME.make("c", {}, 3), WME.make("c", {}, 9))), +1)
         assert MeaStrategy().select(cs).production.name == "a"
         assert LexStrategy().select(cs).production.name == "b"
 
     def test_falls_back_to_lex(self):
         cs = ConflictSet()
-        cs.apply(prod("a", 2), Token.of((WME.make("c", {}, 5), WME.make("c", {}, 2))), +1)
-        cs.apply(prod("b", 2), Token.of((WME.make("c", {}, 5), WME.make("c", {}, 7))), +1)
+        cs.apply(prod("a", 2), of((WME.make("c", {}, 5), WME.make("c", {}, 2))), +1)
+        cs.apply(prod("b", 2), of((WME.make("c", {}, 5), WME.make("c", {}, 7))), +1)
         assert MeaStrategy().select(cs).production.name == "b"
 
 

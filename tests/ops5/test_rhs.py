@@ -6,7 +6,7 @@ from repro.ops5.errors import RuntimeOps5Error
 from repro.ops5.parser import parse_production
 from repro.ops5.rhs import CompiledRHS, extract_bindings
 from repro.ops5.wme import WorkingMemory
-from repro.rete.token import Token
+from repro.rete.token import of
 
 
 def setup(src: str, *wme_specs):
@@ -14,7 +14,7 @@ def setup(src: str, *wme_specs):
     prod = parse_production(src)
     wm = WorkingMemory()
     wmes = tuple(wm.add(klass, attrs) for klass, attrs in wme_specs)
-    return CompiledRHS(prod), wm, Token.of(wmes)
+    return CompiledRHS(prod), wm, of(wmes)
 
 
 class TestBindings:

@@ -4,12 +4,12 @@ import pytest
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.token import Token
+from repro.rete.token import Token, of
 from tests.rete.memdriver import NodeMemory
 
 
 def tok(tag: int) -> Token:
-    return Token.single(WME.make("c", {}, tag))
+    return of((WME.make("c", {}, tag),))
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ class TestConjugatePairs:
     def test_normal_order_passthrough(self, memory):
         t = tok(1)
         assert memory.insert(1, "L", (), t) is True
-        found, _ = memory.remove(1, "L", (), t.key)
+        found, _ = memory.remove(1, "L", (), t[1])
         assert found is t
         assert memory.pending_deletes == 0
 

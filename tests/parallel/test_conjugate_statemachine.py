@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.token import Token
+from repro.rete.token import Token, of
 from tests.rete.memdriver import NodeMemory
 
 NODES = (1, 2)
@@ -30,7 +30,7 @@ TAGS = tuple(range(1, 5))
 
 
 def tok(tag: int) -> Token:
-    return Token.single(WME.make("c", {}, tag))
+    return of((WME.make("c", {}, tag),))
 
 
 class ConjugateMachine(RuleBasedStateMachine):

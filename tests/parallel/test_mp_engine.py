@@ -277,7 +277,7 @@ class TestForwardDeadlockAvoidance:
         return state, FakeNetwork.beta_nodes[0]
 
     def test_route_child_absorbs_inbox_before_forwarding(self):
-        from repro.rete.token import Token
+        from repro.rete.token import of
 
         wme = WME.make("block", {"color": "red"}, 1)
         pending = ("act", 1, "left", 1, (wme,))
@@ -290,7 +290,7 @@ class TestForwardDeadlockAvoidance:
                 inbox_empty_at_put.append(state.inbox.empty())
 
         state._forward_queues = {1: FakePeerQueue()}
-        act = (node, "left", 1, Token.single(wme))
+        act = (node, "left", 1, of((wme,)))
         state.route_child(act)
 
         # The forward happened, with our own pipe already drained.
@@ -307,7 +307,7 @@ class TestForwardDeadlockAvoidance:
         it belongs to (peer and control share the inbox pipe).  The
         mid-drain absorb must park the batch message for the main loop
         instead of treating it as a protocol violation."""
-        from repro.rete.token import Token
+        from repro.rete.token import of
 
         wme = WME.make("block", {"color": "red"}, 1)
         racing_batch = ("changes", 6, [(1, wme)], None)
@@ -320,7 +320,7 @@ class TestForwardDeadlockAvoidance:
                 forwarded.append(msg)
 
         state._forward_queues = {1: FakePeerQueue()}
-        act = (node, "left", 1, Token.single(wme))
+        act = (node, "left", 1, of((wme,)))
         state.route_child(act)
 
         assert state.deferred == [racing_batch]

@@ -69,9 +69,9 @@ def apply_batches(matcher, batches):
     counts = {}
     for batch in batches:
         changes = [WMEChange(1, wm.add(klass, attrs)) for klass, attrs in batch]
-        for delta in matcher.process_changes(changes):
-            key = (delta.production.name, delta.token.key)
-            counts[key] = counts.get(key, 0) + delta.sign
+        for production, token, sign in matcher.process_changes(changes):
+            key = (production.name, token[1])
+            counts[key] = counts.get(key, 0) + sign
     return {k for k, v in counts.items() if v == 1}
 
 

@@ -12,10 +12,10 @@ examined counts) without compiling a network.
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
-from repro.rete.memories import LEFT, NotEntry
+from repro.rete.memories import LEFT
 from repro.rete.nodes import JoinNode, MatchContext, NotNode
 from repro.rete.stats import MatchStats
-from repro.rete.token import ADD, DELETE, Token
+from repro.rete.token import ADD, DELETE, of
 
 
 class NodeMemory:
@@ -47,10 +47,11 @@ class NodeMemory:
 
     def insert(self, node_id, side, key, item) -> bool:
         """True when stored, False when a parked delete annihilated it.
-        A :class:`NotEntry` is what a not node stores for a left token."""
+        A list ``[token, key, count]`` is what a not node stores for a
+        left token: passing one stores its token through a not node."""
         before = len(self._bucket(node_id, side, key))
-        if isinstance(item, NotEntry):
-            self._activate(node_id, side, key, ADD, item.token, NotNode)
+        if isinstance(item, list):
+            self._activate(node_id, side, key, ADD, item[0], NotNode)
         else:
             self._activate(node_id, side, key, ADD, item)
         return len(self._bucket(node_id, side, key)) > before
@@ -58,9 +59,9 @@ class NodeMemory:
     def remove(self, node_id, side, key, token_key):
         """``(stored item | None, tokens examined)``."""
         before = list(self._bucket(node_id, side, key))
-        found = next((s for s in before if s.key == token_key), None)
+        found = next((s for s in before if s[1] == token_key), None)
         self.ctx.last_same_examined = 0
-        twin = Token.of(tuple(WME.make("memdriver", {}, tag) for tag in token_key))
+        twin = of(tuple(WME.make("memdriver", {}, tag) for tag in token_key))
         self._activate(node_id, side, key, DELETE, twin)
         assert len(self._bucket(node_id, side, key)) == len(before) - (found is not None)
         return found, self.ctx.last_same_examined

@@ -1,5 +1,7 @@
 """Unit tests for interpreted vs compiled test evaluation."""
 
+import builtins
+
 import pytest
 
 from repro.ops5.wme import WME
@@ -142,3 +144,81 @@ class TestModeEquivalence:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_evaluator("jit")
+
+
+PRED_OPS = ("=", "<>", "<", "<=", ">", ">=", "<=>")
+#: ``None`` stands for an absent attribute.
+PRED_VALUES = (None, -1, 0, 1, 1.0, 2.5, "a", "abc", "abd")
+PAIRS = [(a, b) for a in PRED_VALUES for b in PRED_VALUES]
+
+
+def wv(**attrs) -> WME:
+    return w(**{k: v for k, v in attrs.items() if v is not None})
+
+
+class TestPredicateTable:
+    """Every op x every ordered pair x every compiled shape: the
+    compiled test, the interpreted one and :func:`compare` agree."""
+
+    @staticmethod
+    def agree(desc_fn, cases):
+        fi, fc = desc_fn(InterpretedEvaluator()), desc_fn(CompiledEvaluator())
+        for args, want in cases:
+            assert bool(fi(*args)) is want, args
+            assert bool(fc(*args)) is want, args
+
+    @pytest.mark.parametrize("op", PRED_OPS)
+    def test_join(self, op):
+        self.agree(
+            lambda ev: ev.join_tests((("y", op, 0, "x"),)),
+            [(((wv(x=b),), wv(y=a)), compare(a, op, b)) for a, b in PAIRS],
+        )
+
+    @pytest.mark.parametrize("op", PRED_OPS)
+    def test_join_with_two_ordering_descriptors(self, op):
+        """Two descriptors in one test: each needs its own temporaries."""
+        self.agree(
+            lambda ev: ev.join_tests((("y", op, 0, "x"), ("z", ">=", 1, "u"))),
+            [
+                (((wv(x=b), wv(u=a)), wv(y=a, z=b)),
+                 compare(a, op, b) and compare(b, ">=", a))
+                for a, b in PAIRS
+            ],
+        )
+
+    @pytest.mark.parametrize("op", PRED_OPS)
+    def test_alpha_const(self, op):
+        # A constant is a literal of the source, never None.
+        for b in PRED_VALUES[1:]:
+            self.agree(
+                lambda ev: ev.alpha_test(("const", "a", op, b)),
+                [((wv(a=a),), compare(a, op, b)) for a in PRED_VALUES],
+            )
+
+    @pytest.mark.parametrize("op", PRED_OPS)
+    def test_alpha_intra(self, op):
+        self.agree(
+            lambda ev: ev.alpha_test(("intra", "a", op, "b")),
+            [((wv(a=a, b=b),), compare(a, op, b)) for a, b in PAIRS],
+        )
+
+    def test_generated_text_calls_no_helper(self, monkeypatch):
+        """An ordering test is spelled inline: no generated text names
+        the dispatcher or a helper, so a test costs no frame of its own."""
+        sources = []
+        real = builtins.compile
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", recording)
+        ev = CompiledEvaluator()
+        for op in PRED_OPS:
+            ev.join_tests((("y", op, 0, "x"), ("z", op, 1, "u")))
+            ev.alpha_test(("intra", "a", op, "b"))
+            for b in PRED_VALUES[1:]:
+                ev.alpha_test(("const", "a", op, b))
+        assert len(sources) >= len(PRED_OPS) * 3
+        for name in ("_cmp", "_ord", "compare"):
+            assert not [src for src in sources if name in src], name

@@ -1,17 +1,21 @@
-"""A two-input activation costs one Python frame — guarded.
+"""A two-input activation costs one Python frame, an output token none
+— guarded.
 
 The paper's §3.1 coalesces memory nodes into the two-input node so one
 token at one node is one procedure call; Table 4-4 measures what
 per-token interpretation overhead costs.  Here the unit is the Python
-frame: a join activation enters ``TwoInputNode.activate`` and nothing
-else of the package, except the compiled key function at a node that
-*has* equality tests, the compiled test function — once per candidate —
-at a node that *has* a residual test, and ``Token.__init__`` once per
-output token.  Tasks are tuples, so scheduling one builds no frame.  A
-helper re-introduced into that path (``key_for``, a memory method, a
-stats recorder, ``Token.extend``, a task class, a stand-in for an
-absent test) shows up as a frame this test does not know, and fails a
-unit test instead of a benchmark.
+frame: a join or not activation enters ``TwoInputNode.activate`` and
+nothing else of the package, except the compiled key function at a node
+that *has* equality tests and the compiled test function — once per
+candidate — at a node that *has* a residual test.  That test spells an
+ordering predicate inline, so it calls nothing itself.  Tasks, tokens
+and conflict-set changes are tuples and a not node's left entry is a
+list, so scheduling a task, emitting a token and storing an entry build
+no frame.  A helper re-introduced into that path (``key_for``, a memory
+method, a stats recorder, a token or entry class, a comparison helper,
+a dataclass, a comprehension, a stand-in for an absent test) shows up
+as a frame this test does not know, and fails a unit test instead of a
+benchmark.
 """
 
 import sys
@@ -24,7 +28,7 @@ from repro.ops5.wme import WME
 from repro.rete import kernel
 from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
-from repro.rete.nodes import JoinNode
+from repro.rete.nodes import JoinNode, NotNode
 from repro.rete.token import ADD, DELETE
 from repro.rete.trace import TraceRecorder
 
@@ -38,9 +42,14 @@ KEYED = "(p r (a ^x <v> ^n <n>) (b ^y <v>) (c ^z <v> ^m <> <n>) --> (halt))"
 #: join has a key or a test to call.
 CROSS = "(p r (a ^x <v> ^n <n>) (b ^y <u>) (c ^z <t> ^m <m>) --> (halt))"
 
+#: ``propose-match`` in miniature: a cross product whose one test is an
+#: ordering, ``<t2> > <t1>``, under a negated CE keyed on both.
+PROPOSE = ("(p r (a ^x <v>) (b ^y <t1>) (b ^y { <t2> > <t1> }) "
+           "- (d ^lo <t1> ^hi <t2>) --> (halt))")
+
 #: Frames of one WM change that are not per-activation work.
 PER_CHANGE = {"match_change", "enter_change", "alpha_pass", "drain",
-              "ReteNetwork.alpha_dispatch", "Token.single"}
+              "ReteNetwork.alpha_dispatch"}
 ACTIVATE = "TwoInputNode.activate"
 TERMINAL = "TerminalNode.activate"
 
@@ -59,19 +68,40 @@ def changes():
     return out + [(DELETE, wme) for _sign, wme in out[::3]]
 
 
-def profile_match(source):
+def propose_changes():
+    """Teams, two played pairs, the control element; then a played pair
+    leaves (its left token re-asserts), a team leaves, the control
+    element goes (everything retracts) and comes back."""
+    wmes = []
+
+    def make(klass, attrs):
+        wmes.append(WME.make(klass, attrs, len(wmes) + 1))
+        return wmes[-1]
+
+    teams = [make("b", {"y": i}) for i in range(5)]
+    played = [make("d", {"lo": 0, "hi": 1}), make("d", {"lo": 1, "hi": 3})]
+    control = make("a", {"x": 1})
+    out = [(ADD, wme) for wme in teams + played + [control]]
+    out += [(DELETE, played[0]), (DELETE, teams[4]), (DELETE, control)]
+    return out + [(ADD, make("d", {"lo": 0, "hi": 2})), (ADD, make("a", {"x": 2}))]
+
+
+def profile_match(source, batch_fn=changes):
     """``(frames by qualname, key calls, test calls, stats, network)``
     of the package (and of its generated closures) while the batch is
     matched — not of whatever a plugin's gc callback happens to run in
     between."""
     network = ReteNetwork.compile(parse_program(source))
     matcher = SequentialMatcher(network)
-    batch = changes()
+    batch = batch_fn()
     frames = Counter()
 
     def on_event(frame, event, _arg):
+        # "<string>": what a dataclass's generated methods are compiled as.
         code = frame.f_code
-        if event == "call" and code.co_filename.startswith((PACKAGE, "<rete-codegen")):
+        if event == "call" and code.co_filename.startswith(
+            (PACKAGE, "<rete-codegen", "<string>")
+        ):
             frames[code] += 1
 
     sys.setprofile(on_event)
@@ -81,9 +111,9 @@ def profile_match(source):
     finally:
         sys.setprofile(None)
 
-    joins = [n for n in network.beta_nodes if isinstance(n, JoinNode)]
-    key_fns = {f.__code__ for n in joins for f in (n.left_key_fn, n.right_key_fn) if f}
-    test_fns = {n.tests_fn.__code__ for n in joins if n.tests_fn}
+    nodes = network.two_input_nodes()
+    key_fns = {f.__code__ for n in nodes for f in (n.left_key_fn, n.right_key_fn) if f}
+    test_fns = {n.tests_fn.__code__ for n in nodes if n.tests_fn}
     alpha_tests = {n.test.__code__ for n in network.constant_nodes}
     by_name = Counter()
     key_calls = test_calls = 0
@@ -99,15 +129,28 @@ def profile_match(source):
 
 def assert_only_budgeted_frames(by_name, stats):
     """One ``activate`` per two-input activation, and nothing else that
-    is not per change, the terminal node's, or an output token's
-    constructor."""
-    joins = stats.activations_by_kind["join"]
-    assert joins >= 40 and stats.tokens_emitted >= 10  # not vacuous
-    assert by_name[ACTIVATE] == joins
-    assert set(by_name) - PER_CHANGE == {ACTIVATE, TERMINAL, "Token.__init__"}
+    is not per change or the terminal node's: an output token costs no
+    frame."""
+    kinds = stats.activations_by_kind
+    two_input = kinds["join"] + kinds.get("not", 0)
+    assert two_input >= 40 and stats.tokens_emitted >= 10  # not vacuous
+    assert by_name[ACTIVATE] == two_input
+    assert set(by_name) - PER_CHANGE == {ACTIVATE, TERMINAL}
     assert all(by_name[name] == stats.wme_changes for name in PER_CHANGE)
-    assert by_name[TERMINAL] == stats.activations_by_kind["term"]
-    assert by_name["Token.__init__"] <= stats.wme_changes + stats.tokens_emitted
+    assert by_name[TERMINAL] == kinds["term"]
+
+
+def examined_by_node(network, batch):
+    """Opposite-memory candidates examined per node, read off a
+    recorded twin of the same run."""
+    recorder = TraceRecorder()
+    twin = SequentialMatcher(network, recorder=recorder)
+    for sign, wme in batch:
+        kernel.match_change(network, twin.ctx, sign, wme, recorder)
+    examined = Counter()
+    for task in recorder.trace.tasks:
+        examined[task.node_id] += task.opp_examined
+    return examined
 
 
 def test_join_activation_stays_within_its_frame_budget():
@@ -116,17 +159,9 @@ def test_join_activation_stays_within_its_frame_budget():
     first, second = (n for n in network.beta_nodes if isinstance(n, JoinNode))
     assert first.tests_fn is None and second.tests_fn is not None
     # One key call per activation (both joins have equality tests), one
-    # test call per candidate the join with the residual test examines —
-    # read off a recorded twin of the same run.
-    recorder = TraceRecorder()
-    twin = SequentialMatcher(network, recorder=recorder)
-    for sign, wme in changes():
-        kernel.match_change(network, twin.ctx, sign, wme, recorder)
-    examined = {first.node_id: 0, second.node_id: 0}
-    for task in recorder.trace.tasks:
-        if task.node_id in examined:
-            examined[task.node_id] += task.opp_examined
-    assert min(examined.values()) > 0
+    # test call per candidate the join with the residual test examines.
+    examined = examined_by_node(network, changes())
+    assert examined[first.node_id] > 0 and examined[second.node_id] > 0
     assert key_calls == stats.activations_by_kind["join"]
     assert test_calls == examined[second.node_id]
 
@@ -138,3 +173,27 @@ def test_absent_keys_and_tests_cost_no_frame():
         assert (node.tests_fn, node.left_key_fn, node.right_key_fn) == (None,) * 3
     assert stats.opp_examined_left + stats.opp_examined_right > 0
     assert key_calls == test_calls == 0
+
+
+def test_ordering_join_and_not_node_cost_no_frame_per_token():
+    """``propose-match``'s shape: the ordering test runs once per
+    candidate and calls nothing, and neither the tokens it emits nor
+    the not node's counted entries build a frame."""
+    by_name, key_calls, test_calls, stats, network = profile_match(PROPOSE, propose_changes)
+    assert_only_budgeted_frames(by_name, stats)
+    cross, ordered = (n for n in network.beta_nodes if isinstance(n, JoinNode))
+    (negated,) = (n for n in network.beta_nodes if isinstance(n, NotNode))
+    assert cross.tests_fn is None and negated.tests_fn is None
+    assert ordered.tests_fn is not None and ordered.left_key_fn is None
+    assert stats.activations_by_kind["not"] > 0 and stats.cs_changes > 0
+    examined = examined_by_node(network, propose_changes())
+    assert test_calls == examined[ordered.node_id] > 0
+    # The not node alone is keyed: one key call per activation of it.
+    assert key_calls == stats.activations_by_kind["not"]
+    helpers = [
+        name for name in by_name
+        if name in ("compare", "_ordered", "<listcomp>")
+        or name.startswith(("NotEntry", "Token", "CSDelta"))
+        or name.endswith("__init__")
+    ]
+    assert helpers == []

@@ -36,7 +36,7 @@ class TestJoin:
                 changes = [add(wm, "b", {"y": 1}), add(wm, "a", {"x": 1})]
             deltas = m.process_changes(changes)
             assert len(deltas) == 1
-            assert deltas[0].sign == 1
+            assert deltas[0][2] == 1
 
     def test_mismatched_values_do_not_join(self):
         m = matcher_for(self.SRC)
@@ -52,7 +52,7 @@ class TestJoin:
         m.process_changes([ca, cb])
         deltas = m.process_changes([rm(wm, ca.wme)])
         assert len(deltas) == 1
-        assert deltas[0].sign == -1
+        assert deltas[0][2] == -1
 
     def test_same_wme_both_sides_single_emission(self):
         # A wme whose class feeds both CEs must produce exactly one pair.
@@ -86,7 +86,7 @@ class TestNegation:
         m = matcher_for(self.SRC)
         wm = WorkingMemory()
         deltas = m.process_changes([add(wm, "a", {"x": 1})])
-        assert [d.sign for d in deltas] == [1]
+        assert [sign for _p, _t, sign in deltas] == [1]
 
     def test_present_negated_blocks(self):
         m = matcher_for(self.SRC)
@@ -99,7 +99,7 @@ class TestNegation:
         wm = WorkingMemory()
         m.process_changes([add(wm, "a", {"x": 1})])
         deltas = m.process_changes([add(wm, "b", {"y": 1})])
-        assert [d.sign for d in deltas] == [-1]
+        assert [sign for _p, _t, sign in deltas] == [-1]
 
     def test_removing_blocker_rederives(self):
         m = matcher_for(self.SRC)
@@ -107,7 +107,7 @@ class TestNegation:
         cb = add(wm, "b", {"y": 1})
         m.process_changes([cb, add(wm, "a", {"x": 1})])
         deltas = m.process_changes([rm(wm, cb.wme)])
-        assert [d.sign for d in deltas] == [1]
+        assert [sign for _p, _t, sign in deltas] == [1]
 
     def test_two_blockers_count_correctly(self):
         m = matcher_for(self.SRC)
@@ -117,13 +117,13 @@ class TestNegation:
         m.process_changes([cb1, cb2, add(wm, "a", {"x": 1})])
         assert m.process_changes([rm(wm, cb1.wme)]) == []
         deltas = m.process_changes([rm(wm, cb2.wme)])
-        assert [d.sign for d in deltas] == [1]
+        assert [sign for _p, _t, sign in deltas] == [1]
 
     def test_unrelated_blocker_ignored(self):
         m = matcher_for(self.SRC)
         wm = WorkingMemory()
         deltas = m.process_changes([add(wm, "b", {"y": 99}), add(wm, "a", {"x": 1})])
-        assert [d.sign for d in deltas] == [1]
+        assert [sign for _p, _t, sign in deltas] == [1]
 
 
 class TestStats:

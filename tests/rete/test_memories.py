@@ -4,14 +4,14 @@ driven through the node code that does their list work
 
 import pytest
 
-from repro.rete.memories import MemorySystem, NotEntry, stable_hash
+from repro.rete.memories import MemorySystem, stable_hash
 from repro.ops5.wme import WME
-from repro.rete.token import Token
+from repro.rete.token import Token, of
 from tests.rete.memdriver import NodeMemory
 
 
 def tok(*tags: int) -> Token:
-    return Token.of(tuple(WME.make("c", {}, t) for t in tags))
+    return of(tuple(WME.make("c", {}, t) for t in tags))
 
 
 @pytest.fixture(params=["linear", "hash"])
@@ -23,7 +23,7 @@ class TestCommonBehaviour:
     def test_insert_then_remove(self, memory):
         t = tok(1)
         assert memory.insert(5, "L", ("k",), t) is True
-        found, examined = memory.remove(5, "L", ("k",), t.key)
+        found, examined = memory.remove(5, "L", ("k",), t[1])
         assert found is t
         assert examined == 1
         assert memory.side_size(5, "L") == 0
@@ -80,7 +80,7 @@ class TestLinearScans:
         tokens = [tok(i) for i in range(10)]
         for t in tokens:
             mem.insert(1, "L", (), t)
-        _, examined = mem.remove(1, "L", (), tokens[6].key)
+        _, examined = mem.remove(1, "L", (), tokens[6][1])
         assert examined == 7
 
 
@@ -104,7 +104,7 @@ class TestHashBuckets:
         mem = NodeMemory(MemorySystem("hash"))
         t = tok(1)
         mem.insert(1, "L", ("k",), t)
-        mem.remove(1, "L", ("k",), t.key)
+        mem.remove(1, "L", ("k",), t[1])
         assert mem.bucket_sizes("L") == []
         assert mem.left == {}
 
@@ -139,17 +139,24 @@ class TestStableHash:
 
 
 class TestNotEntry:
+    """A not node's left entry is the list ``[token, key, count]``."""
+
     def test_wraps_token_key(self):
+        mem = NodeMemory(MemorySystem("hash"))
         t = tok(3, 4)
-        entry = NotEntry(t, count=2)
-        assert entry.key == (3, 4)
-        assert entry.count == 2
+        mem.insert(1, "L", (), [t, t[1], 0])
+        mem.insert(1, "R", (), tok(7))
+        mem.insert(1, "R", (), tok(8))
+        (entry,) = mem.left[(1, ())]
+        assert entry[1] == (3, 4)
+        assert entry[2] == 2
+        assert entry == [t, (3, 4), 2]
 
     def test_storable_in_memories(self, memory):
         t = tok(5)
-        memory.insert(1, "L", (), NotEntry(t))
-        found, _ = memory.remove(1, "L", (), t.key)
-        assert isinstance(found, NotEntry)
+        memory.insert(1, "L", (), [t, t[1], 0])
+        found, _ = memory.remove(1, "L", (), t[1])
+        assert isinstance(found, list) and found[0] is t
 
 
 class TestFactory:

@@ -10,7 +10,7 @@ from repro.rete.memories import MemorySystem
 from repro.rete.network import ReteNetwork
 from repro.rete.nodes import JoinNode, MatchContext, NotNode
 from repro.rete.stats import MatchStats
-from repro.rete.token import ADD, DELETE, Token
+from repro.rete.token import ADD, DELETE, of
 
 
 def build(src: str):
@@ -64,8 +64,8 @@ class TestJoinPhases:
         net, _m, plain = build(self.SRC)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
         node, ctx, log = bracketed(self.SRC, JoinNode)
-        right = Token.single(w("b", 1, y=5))
-        left = Token.single(w("a", 2, x=5))
+        right = of((w("b", 1, y=5),))
+        left = of((w("a", 2, x=5),))
 
         assert node.activate(ctx, "R", ADD, right) == []
         assert log.events == [("enter_modify", 9), ("exit_modify", 9)]
@@ -75,15 +75,15 @@ class TestJoinPhases:
 
         join.activate(plain, "R", ADD, right)
         expected = join.activate(plain, "L", ADD, left)
-        assert [t[1:3] + (t[3].key,) for t in out] == [("L", ADD, (2, 1))]
+        assert [t[1:3] + (t[3][1],) for t in out] == [("L", ADD, (2, 1))]
         assert [t[3] for t in out] == [t[3] for t in expected]
 
     def test_not_node_holds_the_bracket_throughout(self):
         """A negated node mutates left-entry counts while it searches."""
         node, ctx, log = bracketed(TestNotNodeCounts.SRC, NotNode)
-        node.activate(ctx, "L", ADD, Token.single(w("a", 1, x=7)))
+        node.activate(ctx, "L", ADD, of((w("a", 1, x=7),)))
         del log.events[:]
-        out = node.activate(ctx, "R", ADD, Token.single(w("b", 2, y=7)))
+        out = node.activate(ctx, "R", ADD, of((w("b", 2, y=7),)))
         assert log.events == [("enter_modify", 9), "search", ("exit_modify", 9)]
         assert [t[2] for t in out] == [DELETE]
 
@@ -92,16 +92,27 @@ class TestJoinPhases:
         src = self.SRC if cls is JoinNode else TestNotNodeCounts.SRC
         node, ctx, log = bracketed(src, cls)
         with pytest.raises(RuntimeError, match="delete of unknown token"):
-            node.activate(ctx, "L", DELETE, Token.single(w("a", 3, x=1)))
+            node.activate(ctx, "L", DELETE, of((w("a", 3, x=1),)))
         assert log.events == [("enter_modify", 9), ("exit_modify", 9)]
+
+    def test_unknown_delete_message_prints_timetags(self):
+        """A strict delete with no stored twin names the token by its
+        timetags, never by the WMEs' reprs."""
+        net, _m, ctx = build(self.SRC)
+        join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
+        with pytest.raises(RuntimeError) as exc:
+            join.activate(ctx, "L", DELETE, of((w("a", 3, x=1), w("b", 7, y=1))))
+        assert str(exc.value) == (
+            f"delete of unknown token [3 7] at join node {join.node_id}"
+        )
 
     def test_annihilated_add_stops_the_activation(self):
         net, _m, _ctx = build(self.SRC)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
         memory = ConjugateMemory(16)
         ctx = MatchContext(memory, MatchStats(), strict=False)
-        join.activate(ctx, "R", ADD, Token.single(w("b", 1, y=1)))
-        tok = Token.single(w("a", 3, x=1))
+        join.activate(ctx, "R", ADD, of((w("b", 1, y=1),)))
+        tok = of((w("a", 3, x=1),))
         # Early delete parks; the matching add annihilates: neither is
         # stored, neither searches the waiting right token.
         assert join.activate(ctx, "L", DELETE, tok) == []
@@ -113,8 +124,8 @@ class TestJoinPhases:
     def test_delete_emits_delete_children(self):
         net, _m, ctx = build(self.SRC)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
-        right = Token.single(w("b", 1, y=5))
-        left = Token.single(w("a", 2, x=5))
+        right = of((w("b", 1, y=5),))
+        left = of((w("a", 2, x=5),))
         join.activate(ctx, "R", ADD, right)
         join.activate(ctx, "L", ADD, left)
         out = join.activate(ctx, "L", DELETE, left)
@@ -124,9 +135,9 @@ class TestJoinPhases:
     def test_keys_route_by_equality_values(self):
         net, memory, ctx = build(self.SRC)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
-        join.activate(ctx, "R", ADD, Token.single(w("b", 1, y=5)))
-        join.activate(ctx, "R", ADD, Token.single(w("b", 2, y=6)))
-        out = join.activate(ctx, "L", ADD, Token.single(w("a", 3, x=5)))
+        join.activate(ctx, "R", ADD, of((w("b", 1, y=5),)))
+        join.activate(ctx, "R", ADD, of((w("b", 2, y=6),)))
+        out = join.activate(ctx, "L", ADD, of((w("a", 3, x=5),)))
         assert len(out) == 1  # only the y=5 bucket is probed
         assert ctx.stats.opp_examined_left == 1
 
@@ -140,11 +151,11 @@ class TestNotNodeCounts:
     def test_count_tracks_blockers(self):
         net, memory, ctx = build(self.SRC)
         node = self._not_node(net)
-        left = Token.single(w("a", 1, x=7))
+        left = of((w("a", 1, x=7),))
         out = node.activate(ctx, "L", ADD, left)
         assert len(out) == 1 and out[0][2] == ADD
 
-        blocker = Token.single(w("b", 2, y=7))
+        blocker = of((w("b", 2, y=7),))
         out = node.activate(ctx, "R", ADD, blocker)
         assert len(out) == 1 and out[0][2] == DELETE
 
@@ -154,25 +165,25 @@ class TestNotNodeCounts:
     def test_second_blocker_silent(self):
         net, memory, ctx = build(self.SRC)
         node = self._not_node(net)
-        node.activate(ctx, "L", ADD, Token.single(w("a", 1, x=7)))
-        node.activate(ctx, "R", ADD, Token.single(w("b", 2, y=7)))
-        out = node.activate(ctx, "R", ADD, Token.single(w("b", 3, y=7)))
+        node.activate(ctx, "L", ADD, of((w("a", 1, x=7),)))
+        node.activate(ctx, "R", ADD, of((w("b", 2, y=7),)))
+        out = node.activate(ctx, "R", ADD, of((w("b", 3, y=7),)))
         assert out == []  # count 1 -> 2: no downstream change
 
     def test_left_delete_while_blocked_silent(self):
         net, memory, ctx = build(self.SRC)
         node = self._not_node(net)
-        left = Token.single(w("a", 1, x=7))
-        node.activate(ctx, "R", ADD, Token.single(w("b", 2, y=7)))
+        left = of((w("a", 1, x=7),))
+        node.activate(ctx, "R", ADD, of((w("b", 2, y=7),)))
         assert node.activate(ctx, "L", ADD, left) == []
         assert node.activate(ctx, "L", DELETE, left) == []
 
     def test_mismatched_blocker_ignored(self):
         net, memory, ctx = build(self.SRC)
         node = self._not_node(net)
-        out = node.activate(ctx, "L", ADD, Token.single(w("a", 1, x=7)))
+        out = node.activate(ctx, "L", ADD, of((w("a", 1, x=7),)))
         assert len(out) == 1
-        out = node.activate(ctx, "R", ADD, Token.single(w("b", 2, y=99)))
+        out = node.activate(ctx, "R", ADD, of((w("b", 2, y=99),)))
         assert out == []
 
 
@@ -181,7 +192,7 @@ class TestTracingProbes:
         net, memory, _ = build("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
         ctx = MatchContext(memory, MatchStats(), strict=True, tracing=True)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
-        join.activate(ctx, "R", ADD, Token.single(w("b", 1, y=5)))
+        join.activate(ctx, "R", ADD, of((w("b", 1, y=5),)))
         assert ctx.last_line >= 0
-        join.activate(ctx, "L", ADD, Token.single(w("a", 2, x=5)))
+        join.activate(ctx, "L", ADD, of((w("a", 2, x=5),)))
         assert ctx.last_opp_examined == 1

@@ -99,9 +99,9 @@ def run_history(source: str, ops, memory: str, mode: str):
             wme = live.pop(arg % len(live))
             wm.remove(wme)
             deltas = matcher.process_changes([WMEChange(-1, wme)])
-        for d in deltas:
-            key = (d.production.name, d.token.key)
-            conflict[key] = conflict.get(key, 0) + d.sign
+        for production, token, sign in deltas:
+            key = (production.name, token[1])
+            conflict[key] = conflict.get(key, 0) + sign
     assert all(v in (0, 1) for v in conflict.values()), conflict
     return {k for k, v in conflict.items() if v == 1}, matcher
 
@@ -166,18 +166,18 @@ def test_memory_insert_remove_roundtrip(tags, key):
     """Inserting tokens and removing them in any order empties both
     memory systems and never loses a token."""
     from repro.rete.memories import MemorySystem
-    from repro.rete.token import Token
+    from repro.rete.token import of
     from repro.ops5.wme import WME
     from tests.rete.memdriver import NodeMemory
 
     for kind in ("linear", "hash"):
         mem = NodeMemory(MemorySystem(kind))
-        tokens = [Token.single(WME.make("c", {}, t)) for t in tags]
+        tokens = [of((WME.make("c", {}, t),)) for t in tags]
         for t in tokens:
             mem.insert(1, "L", key, t)
         assert mem.side_size(1, "L") == len(tokens)
         for t in reversed(tokens):
-            found, examined = mem.remove(1, "L", key, t.key)
+            found, examined = mem.remove(1, "L", key, t[1])
             assert found is t
             assert examined >= 1
         assert mem.total_tokens() == 0

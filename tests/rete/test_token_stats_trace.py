@@ -4,7 +4,7 @@ import pytest
 
 from repro.ops5.wme import WME
 from repro.rete.stats import MatchStats
-from repro.rete.token import ADD, DELETE, EMPTY, Token
+from repro.rete.token import ADD, DELETE, EMPTY, fmt, of
 from repro.rete.trace import MatchTrace, TaskRecord, TraceRecorder
 
 
@@ -12,50 +12,76 @@ def w(tag: int) -> WME:
     return WME.make("c", {"i": tag}, tag)
 
 
+def joined(left: WME, right: WME):
+    """The token a join node builds, inline, for ``left`` then ``right``."""
+    from repro.ops5.parser import parse_program
+    from repro.ops5.wme import WMEChange
+    from repro.rete.matcher import SequentialMatcher
+    from repro.rete.network import ReteNetwork
+
+    source = f"(p r (c ^i {left.timetag}) (c ^i {right.timetag}) --> (halt))"
+    matcher = SequentialMatcher(ReteNetwork.compile(parse_program(source)))
+    matcher.process_changes([WMEChange(ADD, left)])
+    ((_production, token, _sign),) = matcher.process_changes([WMEChange(ADD, right)])
+    return token
+
+
 class TestToken:
+    """A token is the plain tuple ``(wmes, key)``."""
+
     def test_of_builds_key_from_timetags(self):
-        t = Token.of((w(3), w(7)))
-        assert t.key == (3, 7)
-        assert len(t) == 2
+        t = of((w(3), w(7)))
+        assert t[1] == (3, 7)
+        assert len(t[0]) == 2
 
     def test_single(self):
-        t = Token.single(w(9))
-        assert t.key == (9,)
+        """A WM change enters the network as a one-WME token."""
+        from repro.ops5.parser import parse_program
+        from repro.rete import kernel
+        from repro.rete.network import ReteNetwork
+        from repro.rete.stats import MatchStats
+
+        network = ReteNetwork.compile(parse_program("(p r (c) (d) --> (halt))"))
+        roots = []
+        kernel.enter_change(network, MatchStats(), ADD, w(9), roots.extend)
+        ((_node, _side, _sign, t),) = roots
+        assert t[1] == (9,)
+        assert t == ((w(9),), (9,))
 
     def test_extend(self):
-        t = Token.single(w(1)).extend(w(2))
-        assert t.key == (1, 2)
-        assert t.wmes[1].timetag == 2
+        t = joined(w(1), w(2))
+        assert t[1] == (1, 2)
+        assert t[0][1].timetag == 2
 
     def test_empty(self):
-        assert EMPTY.key == ()
-        assert len(EMPTY) == 0
+        assert EMPTY[1] == ()
+        assert len(EMPTY[0]) == 0
 
     def test_equality_by_content(self):
-        assert Token.of((w(1),)) == Token.of((w(1),))
+        assert of((w(1),)) == of((w(1),))
 
     def test_signs(self):
         assert ADD == 1 and DELETE == -1
 
     def test_str(self):
-        assert str(Token.of((w(1), w(2)))) == "[1 2]"
+        assert fmt(of((w(1), w(2)))) == "[1 2]"
 
     def test_equality_and_hash_are_by_value(self):
         """The conflict set and ``Instantiation`` key on tokens."""
-        a, b = Token.single(w(1)).extend(w(2)), Token.of((w(1), w(2)))
+        a, b = joined(w(1), w(2)), of((w(1), w(2)))
         assert a == b and a is not b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-        assert a != Token.of((w(1), w(3)))
-        assert a != (a.wmes, a.key)
+        assert a != of((w(1), w(3)))
+        assert type(a) is tuple and a == (a[0], a[1])
 
     def test_pickle_round_trip(self):
         """Tokens cross the mp engine's pipes."""
         import pickle
 
-        t = Token.of((w(4), w(5)))
+        t = of((w(4), w(5)))
         back = pickle.loads(pickle.dumps(t))
-        assert back == t and back.key == (4, 5)
+        assert back == t and back[1] == (4, 5)
         assert not hasattr(back, "__dict__")
 
 
@@ -82,7 +108,7 @@ class TestActivation:
                 stack = [root + (-1,) for root in stack]
             kernel.drain(matcher.ctx, stack, routed.extend, recorder)
             (child,) = routed
-            assert child[0].kind == "term" and child[3].key == (1, 2)
+            assert child[0].kind == "term" and child[3][1] == (1, 2)
             if recorder is None:
                 assert len(child) == 4
             else:

@@ -50,11 +50,7 @@ def no_invariants(_bi, _batch, _oracle):
 def spurious_minus(bi, deltas):
     """One ``-`` delta for an instantiation that was never there."""
     if bi == 1:
-        ghost = SimpleNamespace(
-            production=SimpleNamespace(name="r"),
-            token=SimpleNamespace(key=(98, 99)),
-            sign=-1,
-        )
+        ghost = (SimpleNamespace(name="r"), ((), (98, 99)), -1)
         deltas.append(ghost)
     return deltas
 

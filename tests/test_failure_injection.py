@@ -12,7 +12,7 @@ from repro.parallel.conjugate import ConjugateMemory
 from repro.parallel.engine import ParallelMatcher
 from repro.rete.matcher import SequentialMatcher
 from repro.rete.network import ReteNetwork
-from repro.rete.token import Token
+from repro.rete.token import of
 from tests.rete.memdriver import NodeMemory
 
 
@@ -60,13 +60,8 @@ class TestConflictSetGuards:
             strict_cs = False
 
             def process_changes(self, changes):
-                from repro.rete.nodes import CSDelta
-
                 # A remove with no matching add: count goes negative.
-                return [
-                    CSDelta(program.productions[0], Token.single(c.wme), -1)
-                    for c in changes
-                ]
+                return [(program.productions[0], of((c.wme,)), -1) for c in changes]
 
         interp = Interpreter(program, matcher=LyingMatcher())
         with pytest.raises(RuntimeOps5Error):
@@ -91,7 +86,7 @@ class TestConjugateAccounting:
         memory = NodeMemory(ConjugateMemory(16))
         memory.remove(1, "L", (), (5,))
         # The park must not leak into other nodes' inserts.
-        assert memory.insert(2, "L", (), Token.single(WME.make("c", {}, 5))) is True
+        assert memory.insert(2, "L", (), of((WME.make("c", {}, 5),))) is True
         assert memory.pending_deletes == 1
 
 
