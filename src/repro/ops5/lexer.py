@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from typing import Iterator, List, Union
+from typing import List, Optional, Tuple, Union
 
 
 class TokenType(Enum):
@@ -51,43 +51,22 @@ class TokenType(Enum):
     SYMBOL = auto()         # any other atom
 
 
-class Token:
-    """A single lexical token with its source position."""
-
-    __slots__ = ("type", "value", "line", "column")
-
-    def __init__(
-        self, type: TokenType, value: Union[str, int, float], line: int, column: int
-    ) -> None:
-        self.type = type
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def _fields(self) -> tuple:
-        return (self.type, self.value, self.line, self.column)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
+#: A lexical token: ``(type, value, line, column)``, ``type`` a
+#: :class:`TokenType`, line and column counted from 1.
+Token = Tuple[TokenType, Union[str, int, float], int, int]
 
 
-# The whole token grammar.  Every character is a blank, a delimiter or
-# part of a symbol, so the alternation matches at every position and
-# ``finditer`` skips nothing.  A group named after a TokenType yields
-# that token.  A token takes the blanks behind it along (outside its
-# group), which halves the number of matches on ordinary source.
+# The whole token grammar of one line (no token spans a line, so
+# :func:`tokenize` scans each line on its own).  Every character is a
+# blank, a delimiter or part of a symbol, so the alternation matches at
+# every position and ``finditer`` skips nothing.  A group named after a
+# TokenType yields that token.  A token takes the blanks behind it along
+# (outside its group), which halves the number of matches on ordinary
+# source.  ``\Z`` is the end of the line: where a minus or a number
+# must be followed by a blank, the end of its line counts as one.
 _SCANNER = re.compile(
     r"""
-    (?P<newline>\n)
-  | (?P<blank>(?:[^\S\n]+|;[^\n]*)+)            # comments run to end of line
+    (?P<blank>(?:\s+|;.*)+)                     # comments run to end of line
   | (?:
         (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<HAT>\^)
         # '<' name '>' with no whitespace, before '<' the predicate
@@ -102,41 +81,54 @@ _SCANNER = re.compile(
         # a number must end at a delimiter: '2x' is a symbol
       | (?P<NUMBER>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?(?=[\s(){};^]|\Z))
       | (?P<SYMBOL>[^\s(){}^;]+)
-    ) [^\S\n]*
+    ) \s*
     """,
     re.VERBOSE,
 )
 
-_TYPES = {t.name: t for t in TokenType}
+#: ``m.lastindex`` -> the TokenType its group yields (``None``: a blank).
+_KINDS: List[Optional[TokenType]] = [None] * (_SCANNER.groups + 1)
+for _name, _index in _SCANNER.groupindex.items():
+    _KINDS[_index] = TokenType.__members__.get(_name)
+del _name, _index
+
+
+def _scan_line(text: str) -> List[Tuple[TokenType, Union[str, int, float], int]]:
+    """The ``(type, value, column)`` of every token on one line."""
+    out = []
+    append = out.append
+    kinds = _KINDS
+    number = TokenType.NUMBER
+    for m in _SCANNER.finditer(text):
+        index = m.lastindex
+        kind = kinds[index]
+        if kind is None:
+            continue
+        value: Union[str, int, float] = m.group(index)
+        if kind is number:
+            value = float(value) if "." in value or "e" in value or "E" in value else int(value)
+        append((kind, value, m.start() + 1))
+    return out
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` into a list of :class:`Token`.
+    """Tokenize ``source`` into a list of :data:`Token` tuples.
 
     Never raises: text that is not a variable, operator or number is a
     symbol (see the module docstring for ``<abc`` and ``2>>``).
-    Comments run from ``;`` to end of line.
+    Comments run from ``;`` to end of line.  A line that occurs more
+    than once is scanned once per call: the memo is a local, so nothing
+    outlives the call that filled it.
     """
     tokens: List[Token] = []
     append = tokens.append
-    types = _TYPES
-    line = 1
-    line_start = 0
-    for m in _SCANNER.finditer(source):
-        kind = m.lastgroup
-        if kind == "blank":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        value: Union[str, int, float] = m.group(kind)
-        if kind == "NUMBER":
-            value = float(value) if "." in value or "e" in value or "E" in value else int(value)
-        append(Token(types[kind], value, line, m.start() - line_start + 1))
+    scanned = {}
+    line = 0
+    for text in source.split("\n"):
+        line += 1
+        triples = scanned.get(text)
+        if triples is None:
+            triples = scanned[text] = _scan_line(text)
+        for kind, value, column in triples:
+            append((kind, value, line, column))
     return tokens
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    """Iterate over the tokens of ``source`` (see :func:`tokenize`)."""
-    return iter(tokenize(source))

@@ -197,3 +197,41 @@ class TestPrograms:
     def test_ce_variables_in_order(self):
         p = parse_production("(p r (a ^x <b> ^y <a> ^z <b>) --> (halt))")
         assert p.ces[0].variables() == ("b", "a")
+
+
+class TestConditionElementMemo:
+    """One ``parse_program`` call builds each distinct CE once."""
+
+    def test_a_repeated_ce_is_one_object(self):
+        prog = parse_program("(p a (x ^v 1) --> (halt))\n(p b (y) (x ^v 1) --> (halt))")
+        assert prog.productions[0].ces[0] is prog.productions[1].ces[1]
+
+    def test_1_and_1_0_and_minus_0_0_stay_apart(self):
+        """``1 == 1.0`` and ``0.0 == -0.0``, each pair hashing alike: a
+        memo keyed on the values would hand the second CE the first's
+        literal (the same trap as
+        ``test_codegen_budget.py::test_rendered_text_keeps_1_and_1_0_apart``)."""
+        prog = parse_program(
+            "(p i (a ^x 1) --> (halt)) (p f (a ^x 1.0) --> (halt))\n"
+            "(p z (a ^x 0.0) --> (halt)) (p m (a ^x -0.0) --> (halt))"
+        )
+        lits = [p.ces[0].tests[0].test.operand for p in prog.productions]
+        assert [repr(lit.value) for lit in lits] == ["1", "1.0", "0.0", "-0.0"]
+        assert lits[0] == Lit(1) and type(lits[1].value) is float
+
+    def test_negation_is_part_of_the_key(self):
+        prog = parse_program("(p r (y) (x ^v 1) - (x ^v 1) --> (halt))")
+        positive, negated = prog.productions[0].ces[1:]
+        assert (positive.negated, negated.negated) == (False, True)
+        assert positive.tests == negated.tests
+
+    def test_a_variable_is_not_the_symbol_of_its_name(self):
+        prog = parse_program("(p r (x ^v <k>) (x ^v k) --> (halt))")
+        first, second = prog.productions[0].ces
+        assert first.tests[0].test.operand == Var("k")
+        assert second.tests[0].test.operand == Lit("k")
+
+    def test_a_bad_ce_raises_where_it_always_did(self):
+        with pytest.raises(ParseError, match="empty disjunction") as err:
+            parse_program("(p r (x ^v 1) --> (halt))\n(p s (x ^v << >>) --> (halt))")
+        assert err.value.line == 2

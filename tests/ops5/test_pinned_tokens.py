@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro import programs
 from repro.check import PROGRAMS as CONFORMANCE
 from repro.ops5.errors import Ops5Error
-from repro.ops5.lexer import Token, TokenType, tokenize
+from repro.ops5.lexer import TokenType, tokenize
 from repro.ops5.parser import parse_program
 from repro.programs import rubik, tourney, weaver
 
@@ -54,7 +54,7 @@ SOURCES = {
 
 
 def stream(source: str) -> list:
-    return [[t.type.name, t.value, t.line, t.column] for t in tokenize(source)]
+    return [[t[0].name, t[1], t[2], t[3]] for t in tokenize(source)]
 
 
 def sha256(text: str) -> str:
@@ -113,15 +113,12 @@ def test_fuzz_parse_outcomes_are_the_pinned_ones():
         assert parse_outcome(text) == expected, text
 
 
-def test_token_keeps_its_fields_equality_hash_and_repr():
-    """``Token`` stopped being a frozen dataclass (four
-    ``object.__setattr__`` per token); what callers saw of it stays."""
+def test_a_token_is_a_plain_4_tuple():
+    """``(type, value, line, column)``: the pinned stream's own layout,
+    with ``type`` the ``TokenType`` member."""
     tok = tokenize("\n  <x>")[0]
-    assert (tok.type, tok.value, tok.line, tok.column) == (TokenType.VARIABLE, "x", 2, 3)
-    same = Token(TokenType.VARIABLE, "x", 2, 3)
-    assert tok == same and hash(tok) == hash(same) and len({tok, same}) == 1
-    assert tok != Token(TokenType.VARIABLE, "x", 2, 4) and tok != ("x",)
-    assert repr(tok) == "Token(VARIABLE, 'x', 2:3)"
+    assert type(tok) is tuple
+    assert tok == (TokenType.VARIABLE, "x", 2, 3)
 
 
 # -- properties -----------------------------------------------------------
@@ -132,13 +129,13 @@ def test_token_keeps_its_fields_equality_hash_and_repr():
 def test_positions_point_at_the_token(source):
     lines = source.split("\n")
     for tok in tokenize(source):
-        rest = lines[tok.line - 1][tok.column - 1:]
-        if tok.type is TokenType.NUMBER:
+        rest = lines[tok[2] - 1][tok[3] - 1:]
+        if tok[0] is TokenType.NUMBER:
             # 1e3, +2 and .5 are not spelled the way their values print.
             text = re.match(r"[^\s(){}^;]*", rest).group()
-            assert repr(type(tok.value)(text)) == repr(tok.value)
+            assert repr(type(tok[1])(text)) == repr(tok[1])
         else:
-            spelling = f"<{tok.value}>" if tok.type is TokenType.VARIABLE else tok.value
+            spelling = f"<{tok[1]}>" if tok[0] is TokenType.VARIABLE else tok[1]
             assert rest.startswith(spelling), (tok, rest)
 
 
@@ -171,13 +168,32 @@ def test_comments_and_blank_runs_only_move_positions(pieces, lead):
         offsets.append(len(dressed))
         dressed += spelling + sep
     got = tokenize(dressed)
-    assert [(t.type, t.value) for t in got] == [(t.type, t.value) for t in tokenize(plain)]
+    assert [(t[0], t[1]) for t in got] == [(t[0], t[1]) for t in tokenize(plain)]
     line_starts = [0] + [i + 1 for i, ch in enumerate(dressed) if ch == "\n"]
-    starts = [line_starts[t.line - 1] + t.column - 1 for t in got]
+    starts = [line_starts[t[2] - 1] + t[3] - 1 for t in got]
     # '<abc' is two tokens of one spelling: each start is inside the
     # piece it came from, in order.
     assert starts == sorted(starts)
     assert set(offsets) <= set(starts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET + "<>()^ \n", max_size=40))
+def test_a_repeated_text_repeats_its_stream_lines_later(text):
+    """``t`` lexed as ``t + "\\n" + t`` gives ``t``'s stream twice, the
+    second copy shifted by ``t``'s line count: the per-line memo hands
+    each repeated line the tokens it gave the first time."""
+    once = tokenize(text)
+    shift = text.count("\n") + 1
+    shifted = [(kind, value, line + shift, column) for kind, value, line, column in once]
+    assert repr(tokenize(text + "\n" + text)) == repr(once + shifted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET + "<>()^ \n", max_size=40))
+def test_crlf_source_lexes_as_lf(text):
+    got = tokenize(text.replace("\n", "\r\n"))
+    assert repr([tok[:2] for tok in got]) == repr([tok[:2] for tok in tokenize(text)])
 
 
 if __name__ == "__main__":
@@ -196,3 +212,4 @@ if __name__ == "__main__":
         for text in fuzz_strings()
     )
     print(f'{head[:-2]},\n "fuzz": [\n{cases}\n]}}')
+

@@ -10,6 +10,11 @@ no counter in ``src/`` — and hold the *network* to the parent's
 (``c693114``) node ids, wiring and ownership, so the saving cannot have
 come from building something else.
 
+The front end shares the same way: one ``parse_program`` call scans each
+distinct source line once and builds each distinct condition element
+once.  The counts are taken by wrapping the lexer's line scanner, again
+with no counter in ``src/``.
+
 They also guard the rule that made the saving measurable: no cache may
 outlive the call that filled it.  ``bench/`` samples set-up several
 times in one process; a memo that survived from one ``parse_program`` /
@@ -22,6 +27,7 @@ import hashlib
 
 import pytest
 
+from repro.ops5 import lexer
 from repro.ops5.parser import parse_program
 from repro.programs import rubik, weaver
 from repro.rete.network import ReteNetwork
@@ -158,3 +164,31 @@ def test_no_cache_outlives_the_call_that_filled_it(program, compile_calls):
     source = SOURCES[name]()
     again = parse_program(source)
     assert again is not prog and again is not parse_program(source)
+
+
+def _ces(prog) -> list:
+    return [ce for p in prog.productions for ce in p.ces]
+
+
+def test_one_parse_scans_each_distinct_line_and_builds_each_distinct_ce_once(monkeypatch):
+    scanned = []
+    real = lexer._scan_line
+
+    def counting(text):
+        scanned.append(text)
+        return real(text)
+
+    monkeypatch.setattr(lexer, "_scan_line", counting)
+    source = SOURCES["weaver-8x4"]()
+    ces = _ces(parse_program(source))
+    assert len(source.split("\n")) == 5441
+    assert len(scanned) == len(set(scanned)) == 933
+    assert len(ces) == 2121
+    assert len({id(ce) for ce in ces}) == 99
+
+
+def test_two_parses_share_no_condition_element():
+    source = SOURCES["weaver-8x4"]()
+    first, second = (_ces(parse_program(source)) for _ in range(2))
+    assert first == second
+    assert not {id(ce) for ce in first} & {id(ce) for ce in second}
