@@ -50,7 +50,7 @@ VERBS: Registry = {
     "trace": ("repro.obs.verbs",
               "run a program under the obs event bus; export a Chrome trace"),
     "top": ("repro.obs.verbs", "run a program and print one hot-spot table"),
-    "obs": ("repro.obs.verbs", "flight recorder, trace-fabric and SLO tools"),
+    "obs": ("repro.obs.verbs", "flight recorder and SLO tools"),
     "serve": ("repro.serve.server",
               "host OPS5 sessions over a line-JSON protocol"),
     "loadgen": ("repro.serve.loadgen",

@@ -30,8 +30,7 @@ Timestamps are monotonic ``time.perf_counter_ns`` integers (one clock
 for every process of a host, so shipped spans need no translation);
 spans are plain tuples ``(t0_ns, dur_ns, cat, name, args)``.
 ``snapshot()`` merges all live buffers into an :class:`ObsSnapshot`
-without stopping collection; the snapshot owns the one JSON form of a
-set of observations (:meth:`ObsSnapshot.to_json` / ``from_json``).
+without stopping collection.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: THE flag.  Instrumentation sites check this before any allocation:
 #: ``if events.ENABLED: ...``.  Toggle through :func:`enable` /
@@ -51,11 +50,6 @@ DEFAULT_MAX_EVENTS = 200_000
 
 #: Monotonic nanosecond clock used for every span boundary.
 now = perf_counter_ns
-
-#: Schema id of a snapshot's JSON form (``repro trace --fabric-out``,
-#: ``repro obs stitch``).  /1 was a control snapshot beside a list of
-#: worker lanes; /2 is the snapshot, workers of every process in it.
-SNAPSHOT_SCHEMA = "repro.fabric/2"
 
 _SPAN = Tuple[int, int, str, str, Optional[dict]]
 
@@ -269,79 +263,6 @@ class ObsSnapshot:
 
     def spans_by_cat(self, cat: str) -> List[_SPAN]:
         return [s for spans in self.workers.values() for s in spans if s[2] == cat]
-
-    def to_json(self) -> Dict[str, Any]:
-        """The snapshot as a JSON-serializable document."""
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "workers": {
-                name: [list(span) for span in spans]
-                for name, spans in sorted(self.workers.items())
-            },
-            "remote": dict(self.remote),
-            "nodes": {str(k): list(v) for k, v in self.nodes.items()},
-            "locks": {k: list(v) for k, v in self.locks.items()},
-            "counters": dict(self.counters),
-            "dropped": self.dropped,
-        }
-
-    @classmethod
-    def from_json(cls, doc: Any) -> "ObsSnapshot":
-        """The inverse of :meth:`to_json`, and the one place a saved
-        document is validated: raises ``ValueError("<where>: <what>")``
-        at the first thing that is not what ``to_json`` writes."""
-        if _shaped(doc, dict, "document").get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(f"schema: is {doc.get('schema')!r}, this reader "
-                             f"takes {SNAPSHOT_SCHEMA!r}")
-        snap = cls(dropped=_shaped(doc.get("dropped"), int, "dropped"))
-        for name, spans in _table(doc, "workers", list):
-            where = f"workers[{name!r}]"
-            snap.workers[name] = [
-                tuple(_row(span, _SPAN_SHAPE, f"{where}[{i}]"))
-                for i, span in enumerate(spans)
-            ]
-        for name, pid in _table(doc, "remote", int):
-            if name not in snap.workers:
-                raise ValueError(f"remote[{name!r}]: names no worker")
-            snap.remote[name] = pid
-        for key, agg in _table(doc, "nodes", list):
-            if not key.isdigit():
-                raise ValueError(f"nodes[{key!r}]: the key is not a node id")
-            snap.nodes[int(key)] = _row(agg, _NODE_SHAPE, f"nodes[{key!r}]")
-        for label, agg in _table(doc, "locks", list):
-            snap.locks[label] = _row(agg, _LOCK_SHAPE, f"locks[{label!r}]")
-        snap.counters = dict(_table(doc, "counters", int))
-        return snap
-
-
-_OBJECT_OR_NULL = (dict, type(None))
-_SPAN_SHAPE = (int, int, str, str, _OBJECT_OR_NULL)
-_NODE_SHAPE = (str, int, int, int, int)
-_LOCK_SHAPE = (int, int, int, int)
-_KIND_NAMES = {int: "an integer", str: "a string", list: "an array",
-               dict: "an object", _OBJECT_OR_NULL: "an object or null"}
-
-
-def _shaped(value: Any, kind, where: str) -> Any:
-    # bool is an int to isinstance; no field of a snapshot is one.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where}: {value!r} is not {_KIND_NAMES[kind]}")
-    return value
-
-
-def _table(doc: dict, field_name: str, kind) -> List[Tuple[str, Any]]:
-    table = _shaped(doc.get(field_name), dict, field_name)
-    return [
-        (key, _shaped(value, kind, f"{field_name}[{key!r}]"))
-        for key, value in table.items()
-    ]
-
-
-def _row(row: Any, shape: tuple, where: str) -> list:
-    if len(_shaped(row, list, where)) != len(shape):
-        raise ValueError(f"{where}: {len(shape)} fields expected, got {row!r}")
-    return [_shaped(value, kind, f"{where}[{i}]")
-            for i, (value, kind) in enumerate(zip(row, shape))]
 
 
 def snapshot() -> ObsSnapshot:

@@ -21,20 +21,15 @@ round trips), as one dict whose format only this module knows:
   ``fabric.ship_dropped`` there.  From then on the worker is one more
   row of :func:`repro.obs.events.snapshot`, which profiles and the
   trace renderer read without knowing an engine had processes.
-
-:func:`write_capture` / :func:`load_capture` keep a snapshot as a file
-(``repro trace --fabric-out``, ``repro obs stitch``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict
 
 from . import events as _events
 from . import flight
-from .events import ObsSnapshot
 
 #: Span cap per flush reply (worker side).  A conformance-scale batch
 #: ships a handful of spans; a runaway batch ships the most recent
@@ -94,22 +89,3 @@ def file_ship(name: str, ship: Dict[str, Any]) -> None:
     if dropped:
         _events.count("fabric.ship_dropped", dropped)
 
-
-def write_capture(path: str, snap: ObsSnapshot) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(snap.to_json(), fh)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def load_capture(path: str) -> ObsSnapshot:
-    """The snapshot :func:`write_capture` saved at ``path``; a file that
-    is not one raises ``ValueError("bad capture: <where>: <what>")``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ObsSnapshot.from_json(json.load(fh))
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # not JSON, or not what to_json writes
-        raise ValueError(f"bad capture: {exc}") from None

@@ -52,8 +52,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 METER_SCHEMA = "repro.meter/1"
 
@@ -64,6 +65,12 @@ BUCKETS_MS: Tuple[float, ...] = (
 
 #: Exact-sample ring size per account for nearest-rank percentiles.
 SAMPLE_CAPACITY = 4096
+
+#: Closed sessions whose account is kept (the most recently closed
+#: win): what a long-lived server keeps of the sessions it has closed is
+#: bounded by this constant, not by how many it has hosted.  Tenant
+#: accounts already hold the totals and are never retired.
+CLOSED_SESSIONS = 32
 
 COUNTER_NAMES = (
     "match_s", "select_s", "act_s", "firings", "wm_changes",
@@ -263,13 +270,25 @@ class Meter:
         self.sessions: Dict[str, MeterAccount] = {}
         self.tenants: Dict[str, MeterAccount] = {}
         self._session_tenant: Dict[str, str] = {}
-        self._lock = threading.Lock()  # guards account-map insertion only
+        self._closed: Deque[str] = deque()  # retired session ids, oldest first
+        self._lock = threading.Lock()  # guards account-map changes only
 
     def register_session(self, session_id: str, tenant: str) -> None:
         with self._lock:
             self._session_tenant[session_id] = tenant
             self.sessions.setdefault(session_id, MeterAccount())
             self.tenants.setdefault(tenant, MeterAccount())
+
+    def retire_session(self, session_id: str) -> None:
+        """The session closed: keep its account among the
+        :data:`CLOSED_SESSIONS` most recently closed, dropping the
+        oldest beyond them."""
+        with self._lock:
+            self._closed.append(session_id)
+            while len(self._closed) > CLOSED_SESSIONS:
+                old = self._closed.popleft()
+                self.sessions.pop(old, None)
+                self._session_tenant.pop(old, None)
 
     def _accounts(self, session_id: str, tenant: Optional[str]) -> Tuple[MeterAccount, ...]:
         if tenant is None:
@@ -349,6 +368,11 @@ def meter() -> Meter:
 def register_session(session_id: str, tenant: str = "default") -> None:
     if ENABLED:
         _METER.register_session(session_id, tenant)
+
+
+def retire_session(session_id: str) -> None:
+    if ENABLED:
+        _METER.retire_session(session_id)
 
 
 def add(session_id: str, name: str, n: float = 1,

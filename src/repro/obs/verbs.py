@@ -4,7 +4,7 @@
 run ``repro run`` does (:func:`repro.engines.interpreter_from_args`: the
 same program resolver, the same engine flags, the same interpreter) —
 with the event bus on, or the flight ring dumped afterwards.  ``obs
-stitch`` and ``obs slo`` work offline on saved artifacts.
+slo`` works offline on a saved meter snapshot.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import List
 
 from ..cli import Registry, Verb
 from ..engines import add_program_arguments, engine_from_args, interpreter_from_args
-from . import events, fabric, flight, meter, profile
-from .export import chrome_trace, validate_chrome_trace
+from . import events, flight, meter, profile
+from .export import chrome_trace
 
 
 def _add_traced_arguments(p: argparse.ArgumentParser) -> None:
@@ -50,9 +50,6 @@ def _add_trace_arguments(p: argparse.ArgumentParser) -> None:
     _add_traced_arguments(p)
     p.add_argument("--out", default="trace.json",
                    help="Chrome-trace JSON output path (Perfetto-loadable)")
-    p.add_argument("--fabric-out", metavar="FILE",
-                   help="also save the snapshot the trace was rendered from "
-                        "(re-render with `repro obs stitch`)")
 
 
 def _trace(args: argparse.Namespace) -> int:
@@ -60,9 +57,6 @@ def _trace(args: argparse.Namespace) -> int:
     doc = chrome_trace(snap)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    if args.fabric_out:
-        fabric.write_capture(args.fabric_out, snap)
-        print(f"fabric capture -> {args.fabric_out}")
     orphans = doc["otherData"].get("stitch_orphans")
     if orphans:
         print(f"warning: {orphans} stitch orphans", file=sys.stderr)
@@ -129,38 +123,12 @@ def _flight(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _add_stitch_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("capture",
-                   help="fabric capture file (`repro trace --engine mp --fabric-out`)")
-    p.add_argument("--out", default="stitched.json",
-                   help="Chrome-trace JSON output path")
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-
-
-def _stitch(args: argparse.Namespace) -> int:
-    doc = chrome_trace(fabric.load_capture(args.capture))
-    problems = validate_chrome_trace(doc)
-    for problem in problems:
-        print(f"invalid trace: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    pids = sorted({e["pid"] for e in doc["traceEvents"]})
-    other = doc["otherData"]
-    print(
-        f"stitched: {len(doc['traceEvents'])} events across "
-        f"{len(pids)} pids ({other.get('fabric_lanes', 0)} worker lanes, "
-        f"{other.get('stitch_orphans', 0)} orphans) -> {args.out}"
-    )
-    return 0
 
 
 def _add_slo_arguments(p: argparse.ArgumentParser) -> None:
@@ -304,7 +272,6 @@ def _slo(args: argparse.Namespace) -> int:
 
 OBS: Registry = {
     "flight": (__name__, "run a program and dump the always-on flight-recorder ring"),
-    "stitch": (__name__, "re-stitch a saved fabric capture into a Chrome trace"),
     "slo": (__name__, "render a saved meter snapshot as a per-tenant SLO report"),
 }
 
@@ -332,12 +299,6 @@ VERBS = {
         "dump the ring of recent engine events as a schema-versioned snapshot; "
         "with --engine mp the workers' tails are included.",
         _add_flight_arguments, _flight,
-    ),
-    "stitch": Verb(
-        "stitch",
-        "Re-stitch a saved fabric capture (`repro trace --engine mp "
-        "--fabric-out`) into a Chrome trace offline.",
-        _add_stitch_arguments, _stitch,
     ),
     "slo": Verb(
         "slo",

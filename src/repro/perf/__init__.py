@@ -5,7 +5,7 @@ spins, the simulated speed-up columns) and timed ones that need one
 trusted clock.  The clock is ``bench/``; this package keeps the counted
 half honest.  It runs a declarative registry of scenarios
 (:mod:`~repro.perf.scenarios`) once each (:mod:`~repro.perf.runner`),
-writes their counters as a byte-stable ``BENCH_<suite>.json``
+writes their counters as a byte-stable ``BENCH_smoke.json``
 (:mod:`~repro.perf.schema`), and compares them exactly against the
 committed baseline, naming the productions and nodes whose match counts
 moved (:mod:`~repro.perf.compare`).  CLI: ``repro bench run|compare``;
@@ -33,7 +33,7 @@ __all__ = [
 
 #: The ``repro bench`` group.
 BENCH: Registry = {
-    "run": ("repro.perf.runner", "run a scenario suite once; write BENCH_<suite>.json"),
+    "run": ("repro.perf.runner", "run every scenario once; write BENCH_smoke.json"),
     "compare": ("repro.perf.compare", "exact counter gate vs the committed baseline"),
 }
 VERBS = {"bench": BENCH}

@@ -1,12 +1,14 @@
-"""Executes scenario suites and emits BENCH artifacts.
+"""Runs the scenario registry and emits BENCH artifacts.
 
 One :func:`run_suite` call runs every selected scenario exactly once —
 each value is a deterministic function of the tree, so there is nothing
 to warm up, repeat or average — and writes the result atomically as
-``BENCH_<suite>.json`` (see docs/PERF.md).  A profiled scenario's one
-run happens with the obs bus **on**, and the per-node counts it gathers
-are stored beside the metrics: when a counter later moves, ``bench
-compare`` names the node and production from the two artifacts alone.
+``BENCH_smoke.json`` (every scenario) or ``BENCH_custom.json`` (an
+explicit ``--scenario`` list; see docs/PERF.md).  A profiled scenario's
+one run happens with the obs bus **on**, and the per-node counts it
+gathers are stored beside the metrics: when a counter later moves,
+``bench compare`` names the node and production from the two artifacts
+alone.
 """
 
 from __future__ import annotations
@@ -61,17 +63,16 @@ def _run_scenario(scenario: Scenario) -> Dict[str, Any]:
 
 
 def run_suite(
-    suite: str = "smoke",
     scenario_ids: Optional[Tuple[str, ...]] = None,
     out_dir: str = "bench-out",
     registry: Optional[Dict[str, Scenario]] = None,
 ) -> Tuple[Dict[str, Any], str]:
-    """Run a suite (or ``registry``, when given, in place of the
-    selection); returns ``(document, artifact path)``."""
+    """Run every registered scenario, the ``scenario_ids`` alone, or
+    ``registry`` in place of the registry; returns ``(document,
+    artifact path)``."""
+    suite = "custom" if scenario_ids else "smoke"
     if registry is None:
-        registry = select(suite=suite, scenario_ids=scenario_ids)
-        if scenario_ids:
-            suite = "custom"
+        registry = select(scenario_ids)
     doc: Dict[str, Any] = {
         "schema": SCHEMA_ID,
         "suite": suite,
@@ -105,9 +106,9 @@ def render_run_text(doc: Dict[str, Any], path: str) -> str:
 
 
 def _add_arguments(p) -> None:
-    p.add_argument("--suite", default="smoke", help="smoke | full | all (default smoke)")
     p.add_argument("--scenario", action="append", default=[], metavar="ID",
-                   help="run this scenario instead of a suite (repeatable)")
+                   help="run only this scenario (repeatable; written as "
+                        "BENCH_custom.json)")
     p.add_argument("--out-dir", default="bench-out",
                    help="artifact directory (default bench-out; "
                         "`--out-dir benchmarks` regenerates the committed "
@@ -115,18 +116,14 @@ def _add_arguments(p) -> None:
 
 
 def _run(args) -> int:
-    doc, path = run_suite(
-        suite=args.suite,
-        scenario_ids=tuple(args.scenario) or None,
-        out_dir=args.out_dir,
-    )
+    doc, path = run_suite(tuple(args.scenario) or None, out_dir=args.out_dir)
     print(render_run_text(doc, path))
     return 0
 
 
 VERBS = {"run": Verb(
     "run",
-    "Run every scenario of a suite once and write its deterministic counters "
-    "(and per-node count profile) as a byte-stable BENCH_<suite>.json.",
+    "Run every scenario once and write its deterministic counters (and "
+    "per-node count profile) as a byte-stable BENCH_smoke.json.",
     _add_arguments, _run,
 )}

@@ -9,9 +9,9 @@ speed-ups (``*speedup*``, x) and mean spins per acquire (``*_spins_*``).
 Nothing here reads a clock; wall time and per-layer seconds are
 ``bench/``'s job (see docs/PERF.md).
 
-The ``smoke`` suite is sized to finish in a few seconds (small weaver
-grid, a 3-session service burst); ``full`` adds the paper-table
-workloads at the ``repro.harness`` bench sizes.
+Every scenario is sized so the whole registry — the ``smoke`` suite of
+the committed ``BENCH_smoke.json`` — finishes in a few seconds (small
+weaver grid, a 3-session service burst).
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
-
-#: Suite names scenarios may claim membership of.
-SUITES = ("smoke", "full")
 
 
 @dataclass
@@ -40,7 +37,6 @@ class Scenario:
 
     scenario_id: str
     title: str
-    suites: Tuple[str, ...]
     metrics: Tuple[str, ...]
     run: Callable[[], Result] = field(repr=False, default=None)
     #: Run with the obs bus on and store the per-node count profile the
@@ -87,19 +83,14 @@ def _match_weaver() -> Result:
 def _sim_weaver() -> Result:
     from ..ops5.interpreter import Interpreter
     from ..rete.trace import TraceRecorder
-    from ..simulator.engine import simulate
+    from ..simulator.engine import simulate, uniprocessor_baseline
 
     recorder = TraceRecorder()
     interp = Interpreter(_smoke_source(), recorder=recorder)
     interp.run(max_cycles=50000)
     trace = recorder.trace
-
-    def base(scheme: str):
-        return simulate(trace, n_match=1, n_queues=1, lock_scheme=scheme,
-                        pipelined=False)
-
-    simple_base = base("simple")
-    mrsw_base = base("mrsw")
+    simple_base = uniprocessor_baseline(trace, lock_scheme="simple")
+    mrsw_base = uniprocessor_baseline(trace, lock_scheme="mrsw")
     s_3_1 = simulate(trace, n_match=3, n_queues=1, lock_scheme="simple")
     s_7_8 = simulate(trace, n_match=7, n_queues=8, lock_scheme="simple")
     m_7_8 = simulate(trace, n_match=7, n_queues=8, lock_scheme="mrsw")
@@ -304,50 +295,28 @@ def _corgi_adversarial() -> Result:
     return Result(metrics=metrics)
 
 
-# -- full-suite workloads (paper bench sizes; minutes, not seconds) ---------
-
-
-def _full_sim_sweeps() -> Result:
-    """Endpoint speed-ups/spins of Tables 4-5..4-9 at bench sizes."""
-    from ..harness.workloads import sim, speedup
-
-    metrics: Dict[str, float] = {}
-    for prog in ("weaver", "rubik", "tourney"):
-        metrics[f"{prog}_speedup_1p13_1q"] = speedup(
-            prog, n_match=13, n_queues=1, lock_scheme="simple")
-        metrics[f"{prog}_speedup_1p13_8q"] = speedup(
-            prog, n_match=13, n_queues=8, lock_scheme="simple")
-        metrics[f"{prog}_speedup_mrsw_1p13_8q"] = speedup(
-            prog, n_match=13, n_queues=8, lock_scheme="mrsw")
-        metrics[f"{prog}_queue_spins_1p13_1q"] = sim(
-            prog, n_match=13, n_queues=1,
-            lock_scheme="simple").queue_stats.mean_spins
-    return Result(metrics=metrics)
-
-
 def _policy_metric_key(policy: str) -> str:
     return policy.replace("-", "_")
 
 
-def _policy_sim_sweep(source: str) -> Result:
+def _policy_sweep() -> Result:
     """Simulated Multimax speedups under every dispatch policy.
 
-    One trace, one simulator configuration (7 match procs, 8 queues),
-    five dispatch policies — the axis Table 4-6 varies by hand
+    One weaver trace, one simulator configuration (7 match procs, 8
+    queues), five dispatch policies — the axis Table 4-6 varies by hand
     (queue count) generalised to the policy registry.  Everything is
     deterministic: instruction counts, steal and rebalance totals."""
     from ..ops5.interpreter import Interpreter
     from ..parallel.policy import POLICY_NAMES
     from ..rete.trace import TraceRecorder
-    from ..simulator.engine import simulate
+    from ..simulator.engine import simulate, uniprocessor_baseline
 
     recorder = TraceRecorder()
-    interp = Interpreter(source, recorder=recorder)
+    interp = Interpreter(_smoke_source(), recorder=recorder)
     interp.run(max_cycles=50000)
     trace = recorder.trace
 
-    base = simulate(trace, n_match=1, n_queues=1, lock_scheme="simple",
-                    pipelined=False)
+    base = uniprocessor_baseline(trace, lock_scheme="simple")
     metrics: Dict[str, float] = {}
     for policy in POLICY_NAMES:
         run = simulate(trace, n_match=7, n_queues=8, lock_scheme="simple",
@@ -357,29 +326,6 @@ def _policy_sim_sweep(source: str) -> Result:
         metrics[f"{key}_steals"] = float(run.steals)
         if policy == "rebalance":
             metrics["rebalance_spills"] = float(run.rebalances)
-    return Result(metrics=metrics)
-
-
-def _policy_sweep_weaver() -> Result:
-    return _policy_sim_sweep(_smoke_source())
-
-
-def _policy_sweep_tourney() -> Result:
-    from ..programs import tourney
-
-    return _policy_sim_sweep(tourney.source(n_teams=8, n_rounds=12))
-
-
-def _full_serve_errors() -> Result:
-    from ..serve.loadgen import run_loadgen
-
-    metrics: Dict[str, float] = {}
-    for scenario, sessions in (("blocks", 4), ("tourney", 12)):
-        report = asyncio.run(
-            run_loadgen(scenario=scenario, sessions=sessions,
-                        transactions=15, spawn=True)
-        )
-        metrics[f"{scenario}_x{sessions}_errors"] = float(report.errors)
     return Result(metrics=metrics)
 
 
@@ -396,9 +342,6 @@ def _register(scenario: Scenario) -> Scenario:
         raise ValueError(f"duplicate scenario {scenario.scenario_id!r}")
     if len(scenario.metrics) != len(set(scenario.metrics)):
         raise ValueError(f"duplicate metric in {scenario.scenario_id!r}")
-    unknown = set(scenario.suites) - set(SUITES)
-    if unknown:
-        raise ValueError(f"unknown suites {unknown} in {scenario.scenario_id!r}")
     SCENARIOS[scenario.scenario_id] = scenario
     return scenario
 
@@ -406,7 +349,6 @@ def _register(scenario: Scenario) -> Scenario:
 _register(Scenario(
     scenario_id="match-weaver",
     title="Sequential match, weaver 5x5 grid",
-    suites=("smoke", "full"),
     metrics=("activations", "wm_changes"),
     run=_match_weaver,
     profiled=True,
@@ -415,7 +357,6 @@ _register(Scenario(
 _register(Scenario(
     scenario_id="sim-weaver",
     title="Simulated Multimax sweep, weaver 5x5: k procs x queues x locks",
-    suites=("smoke", "full"),
     metrics=("uniproc_minstr", "speedup_1p3_1q", "speedup_1p7_8q",
              "speedup_mrsw_1p7_8q", "queue_spins_1p7_1q", "line_spins_1p7_8q"),
     run=_sim_weaver,
@@ -424,7 +365,6 @@ _register(Scenario(
 _register(Scenario(
     scenario_id="fabric-mp",
     title="Trace fabric: 2-worker mp run, bus on, stitched Chrome trace",
-    suites=("smoke", "full"),
     metrics=("ship_batches", "shipped_spans", "stitch_orphans",
              "trace_problems", "watchdog_trips"),
     run=_fabric_mp,
@@ -434,7 +374,6 @@ _register(Scenario(
 _register(Scenario(
     scenario_id="serve-loadgen",
     title="Service layer: 3 sessions x 6 transactions, blocks scenario",
-    suites=("smoke", "full"),
     metrics=("errors",),
     run=_serve_loadgen,
 ))
@@ -442,7 +381,6 @@ _register(Scenario(
 _register(Scenario(
     scenario_id="serve-meter",
     title="Metered 2-tenant service burst: accounts and exposition",
-    suites=("smoke", "full"),
     metrics=("meter_txns", "meter_errors"),
     run=_serve_meter,
 ))
@@ -450,29 +388,15 @@ _register(Scenario(
 _register(Scenario(
     scenario_id="corgi-adversarial",
     title="Lazy corgi vs eager Rete on cross-product / blocked-chain loads",
-    suites=("smoke", "full"),
     metrics=tuple(f"{case}_{eng}_tokens"
                   for case in ("cross", "deep")
                   for eng in ("rete", "corgi")),
     run=_corgi_adversarial,
 ))
 
-_register(Scenario(
-    scenario_id="sim-sweeps",
-    title="Tables 4-5..4-9 endpoints at harness bench sizes",
-    suites=("full",),
-    metrics=tuple(
-        f"{prog}_{name}"
-        for prog in ("weaver", "rubik", "tourney")
-        for name in ("speedup_1p13_1q", "speedup_1p13_8q",
-                     "speedup_mrsw_1p13_8q", "queue_spins_1p13_1q")
-    ),
-    run=_full_sim_sweeps,
-))
-
 
 def _policy_sweep_metrics() -> Tuple[str, ...]:
-    """Per-policy metric block shared by both policy sweeps."""
+    """The policy sweep's metric names, one block per policy."""
     from ..parallel.policy import POLICY_NAMES
 
     names = []
@@ -485,45 +409,19 @@ def _policy_sweep_metrics() -> Tuple[str, ...]:
 _register(Scenario(
     scenario_id="policy-sweep",
     title="Dispatch-policy matrix, simulated Multimax, weaver 5x5, 7p/8q",
-    suites=("smoke", "full"),
     metrics=_policy_sweep_metrics(),
-    run=_policy_sweep_weaver,
-))
-
-_register(Scenario(
-    scenario_id="policy-sweep-tourney",
-    title="Dispatch-policy matrix, simulated Multimax, tourney 8x12, 7p/8q",
-    suites=("full",),
-    metrics=_policy_sweep_metrics(),
-    run=_policy_sweep_tourney,
-))
-
-_register(Scenario(
-    scenario_id="serve-throughput",
-    title="Service bursts at scale points (blocks x4, tourney x12): errors",
-    suites=("full",),
-    metrics=("blocks_x4_errors", "tourney_x12_errors"),
-    run=_full_serve_errors,
+    run=_policy_sweep,
 ))
 
 
-def select(suite: Optional[str] = None,
-           scenario_ids: Optional[Tuple[str, ...]] = None) -> Dict[str, Scenario]:
-    """Scenarios for one suite name (``"all"`` = everything) or an
-    explicit id list; raises ``ValueError`` for unknown names."""
-    if scenario_ids:
-        unknown = [sid for sid in scenario_ids if sid not in SCENARIOS]
-        if unknown:
-            raise ValueError(
-                f"unknown scenarios {unknown}; available: {sorted(SCENARIOS)}"
-            )
-        return {sid: SCENARIOS[sid] for sid in scenario_ids}
-    if suite == "all":
+def select(scenario_ids: Optional[Tuple[str, ...]] = None) -> Dict[str, Scenario]:
+    """Every registered scenario, or the explicit id list in its order;
+    raises ``ValueError`` for unknown ids."""
+    if not scenario_ids:
         return dict(SCENARIOS)
-    if suite not in SUITES:
+    unknown = [sid for sid in scenario_ids if sid not in SCENARIOS]
+    if unknown:
         raise ValueError(
-            f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}"
+            f"unknown scenarios {unknown}; available: {sorted(SCENARIOS)}"
         )
-    return {
-        sid: sc for sid, sc in SCENARIOS.items() if suite in sc.suites
-    }
+    return {sid: SCENARIOS[sid] for sid in scenario_ids}

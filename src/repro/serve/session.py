@@ -188,6 +188,7 @@ class SessionCore:
 
     def close(self) -> None:
         self.interp.close()
+        _meter.retire_session(self.session_id)
 
 
 #: Inbox sentinel asking the worker to finish and exit.

@@ -1,26 +1,15 @@
 """Discrete-event simulator of PSM-E on the Encore Multimax: machine
 cost model, lock models, and the trace-driven simulation engine."""
 
-from .engine import EncoreSimulator, SimOptions, SimResult, simulate, speedup, uniprocessor_baseline
+from .engine import EncoreSimulator, SimOptions, SimResult, simulate, uniprocessor_baseline
 from .locks import SimLock, SimMRSWLine, SpinStats
 from .machine import DEFAULT_CONFIG, MachineConfig, task_cost
-from .report import (
-    SpeedupCurve,
-    TimeBreakdown,
-    TraceProfile,
-    profile_trace,
-    speedup_curve,
-    time_breakdown,
-)
+from .report import SpeedupCurve, speedup_curve
 
 __all__ = [
     "DEFAULT_CONFIG",
     "SpeedupCurve",
-    "TimeBreakdown",
-    "TraceProfile",
-    "profile_trace",
     "speedup_curve",
-    "time_breakdown",
     "EncoreSimulator",
     "MachineConfig",
     "SimLock",
@@ -29,7 +18,6 @@ __all__ = [
     "SimResult",
     "SpinStats",
     "simulate",
-    "speedup",
     "task_cost",
     "uniprocessor_baseline",
 ]

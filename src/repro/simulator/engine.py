@@ -477,8 +477,3 @@ def uniprocessor_baseline(
         trace, n_match=1, n_queues=1, lock_scheme=lock_scheme, pipelined=False, config=config
     )
 
-
-def speedup(trace: MatchTrace, baseline: SimResult, **kw) -> float:
-    """Speed-up of configuration ``kw`` relative to ``baseline``."""
-    run = simulate(trace, config=baseline.config, **kw)
-    return baseline.match_instr / run.match_instr if run.match_instr else float("inf")

@@ -1,5 +1,5 @@
-"""One bus across processes: the ship, where it is filed, what the
-renderer draws from it, and the capture round trip.
+"""One bus across processes: the ship, where it is filed, and what the
+renderer draws from it.
 
 Unit tests fabricate ships and file them on the real bus; the
 integration class at the bottom runs the real mp engine (skipped where
@@ -13,14 +13,11 @@ it named, now reached through ``fabric.file_ship``,
 ``events.snapshot()`` and ``export.chrome_trace``.
 """
 
-import json
-
 import pytest
 
-from repro.obs import events, fabric, flight
-from repro.obs.events import SNAPSHOT_SCHEMA, ObsSnapshot
+from repro.obs import events, flight
 from repro.obs.export import WORKER_PID_BASE, chrome_trace, validate_chrome_trace
-from repro.obs.fabric import build_ship, file_ship, load_capture, write_capture
+from repro.obs.fabric import build_ship, file_ship
 
 
 def ship(wid=0, seq=1, pid=4242, t0=1_000, nodes=None, flight=None, **extra):
@@ -219,71 +216,6 @@ class TestStitchTrace:
         ids = [e["id"] for e in doc["traceEvents"] if e["ph"] == "s"]
         assert len(ids) == len(set(ids)) == 103
         assert doc["otherData"]["fabric_lanes"] == 103
-
-
-class TestCaptureRoundTrip:
-    def build(self):
-        record_dispatches()
-        events.node_hit(3, "alpha", 10, 1, 1)
-        events.lock_hit("queue", 5, 7, False)
-        events.count("queue.push", 5)
-        file_ship("match-0", ship(nodes={7: ["join", 2, 100, 4, 1]}))
-        return events.snapshot()
-
-    def test_doc_validates_and_survives_json(self, obs, tmp_path):
-        snap = self.build()
-        path = tmp_path / "capture.json"
-        write_capture(str(path), snap)
-        assert json.loads(path.read_text())["schema"] == SNAPSHOT_SCHEMA
-        assert load_capture(str(path)) == ObsSnapshot.from_json(
-            json.loads(json.dumps(snap.to_json())))
-        snap2 = load_capture(str(path))
-        assert snap2.workers.keys() == snap.workers.keys()
-        assert (snap2.nodes, snap2.locks, snap2.counters, snap2.remote) == (
-            snap.nodes, snap.locks, snap.counters, snap.remote)
-
-    def test_restitched_capture_matches_original(self, obs, tmp_path):
-        snap = self.build()
-        path = tmp_path / "capture.json"
-        write_capture(str(path), snap)
-        assert chrome_trace(load_capture(str(path))) == json.loads(
-            json.dumps(chrome_trace(snap)))
-
-    def test_load_rejects_bad_doc(self, obs, tmp_path):
-        good = self.build().to_json()
-        path = tmp_path / "capture.json"
-
-        def refused(doc):
-            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-            with pytest.raises(ValueError) as exc:
-                load_capture(str(path))
-            assert str(exc.value).startswith("bad capture: ")
-            return str(exc.value)
-
-        assert "document: [] is not an object" in refused([])
-        assert "Expecting" in refused("{not json")
-        old = refused({**good, "schema": "repro.fabric/1"})
-        assert "'repro.fabric/1'" in old and repr(SNAPSHOT_SCHEMA) in old
-        assert "dropped: None is not an integer" in refused(
-            {"schema": SNAPSHOT_SCHEMA})
-        assert "workers: None is not an object" in refused(
-            {"schema": SNAPSHOT_SCHEMA, "dropped": 0})
-        assert "workers['MainThread'][0]: 5 fields expected" in refused(
-            {**good, "workers": {"MainThread": [[1, 2]]}})
-        assert "workers['MainThread'][0][0]: 'x' is not an integer" in refused(
-            {**good, "workers": {"MainThread": [["x", 2, "a", "b", None]]}})
-        assert "[4]: 3 is not an object or null" in refused(
-            {**good, "workers": {"MainThread": [[1, 2, "a", "b", 3]]}})
-        assert "nodes['x']: the key is not a node id" in refused(
-            {**good, "nodes": {"x": ["join", 1, 1, 1, 1]}})
-        assert "nodes['7']: 5 fields expected" in refused(
-            {**good, "nodes": {"7": ["join", 1]}})
-        assert "remote['ghost']: names no worker" in refused(
-            {**good, "remote": {"ghost": 1}})
-        assert "dropped: True is not an integer" in refused(
-            {**good, "dropped": True})
-        with pytest.raises(ValueError, match="cannot read"):
-            load_capture(str(tmp_path / "absent.json"))
 
 
 # -- integration against the real mp engine ---------------------------------

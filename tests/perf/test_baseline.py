@@ -2,7 +2,7 @@
 committed ``benchmarks/BENCH_smoke.json``, byte for byte.
 
 If this fails after an intended behaviour change, regenerate the
-baseline (``python -m repro bench run --suite smoke --out-dir
+baseline (``python -m repro bench run --out-dir
 benchmarks``) and commit its diff with the change — that diff is the history (docs/PERF.md).
 """
 
@@ -63,7 +63,7 @@ FABRIC_MP = {"ship_batches": 414.0, "shipped_spans": 414.0,
 def smoke_runs(tmp_path_factory):
     """The smoke suite, run twice in-process; artifact paths."""
     return [
-        run_suite(suite="smoke", out_dir=str(tmp_path_factory.mktemp(d)))[1]
+        run_suite(out_dir=str(tmp_path_factory.mktemp(d)))[1]
         for d in ("first", "second")
     ]
 
@@ -170,7 +170,7 @@ def weaver_scenario(source):
         )
 
     return {"weaver": Scenario(
-        scenario_id="weaver", title="planted", suites=("smoke",),
+        scenario_id="weaver", title="planted",
         metrics=("activations", "firings"), run=run, profiled=True,
     )}
 

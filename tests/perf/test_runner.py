@@ -23,7 +23,6 @@ def counting_scenario(counter, metrics=("m",), precondition=None):
     return Scenario(
         scenario_id="fake",
         title="fake",
-        suites=("smoke",),
         metrics=tuple(metrics),
         run=run,
         precondition=precondition,
@@ -72,16 +71,16 @@ class TestRunSuite:
         bad = Scenario(
             scenario_id="bad",
             title="bad",
-            suites=("smoke",),
             metrics=("declared",),
             run=lambda: Result(metrics={"produced": 1.0}),
         )
         with pytest.raises(ValueError, match="declares"):
             run_suite(out_dir=str(tmp_path), registry={"bad": bad})
 
-    def test_unknown_suite_propagates(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite(suite="nope", out_dir=str(tmp_path))
+    def test_unknown_scenario_propagates(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown scenarios"):
+            run_suite(scenario_ids=("nope",), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObsProfileIntegration:

@@ -1,20 +1,25 @@
 """Registry integrity and scenario selection."""
 
+import json
 import pathlib
 
 import pytest
 
 import repro.perf
-from repro.perf.scenarios import SCENARIOS, SUITES, select
+from repro.perf.scenarios import SCENARIOS, select
 
 
 class TestRegistryIntegrity:
     def test_ids_match_keys_and_suites_are_known(self):
         for sid, scenario in SCENARIOS.items():
             assert scenario.scenario_id == sid
-            assert scenario.suites and set(scenario.suites) <= set(SUITES)
             assert callable(scenario.run)
             assert scenario.metrics
+        # The one suite is the committed baseline's: every registered
+        # scenario is gated there, and the baseline holds no other.
+        committed = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+        doc = json.loads((committed / "BENCH_smoke.json").read_text())
+        assert doc["suite"] == "smoke" and set(doc["scenarios"]) == set(SCENARIOS)
 
     def test_metric_names_unique_per_scenario(self):
         for scenario in SCENARIOS.values():
@@ -22,14 +27,12 @@ class TestRegistryIntegrity:
             assert len(names) == len(set(names)), scenario.scenario_id
 
     def test_smoke_suite_members(self):
-        assert set(select("smoke")) == {
-            "match-weaver", "sim-weaver", "serve-loadgen",
-            "corgi-adversarial", "fabric-mp", "serve-meter", "policy-sweep",
-        }
-
-    def test_full_suite_superset_of_smoke(self):
-        assert set(select("smoke")) <= set(select("full"))
-        assert set(select("all")) == set(SCENARIOS)
+        """``select()`` with no ids is the whole registry -- the smoke
+        suite -- in registration order."""
+        assert list(select()) == list(SCENARIOS) == [
+            "match-weaver", "sim-weaver", "fabric-mp", "serve-loadgen",
+            "serve-meter", "corgi-adversarial", "policy-sweep",
+        ]
 
     def test_nothing_reads_a_clock(self):
         """The package times nothing: wall time is ``bench/``'s job."""
@@ -71,10 +74,6 @@ class TestSelect:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenarios"):
             select(scenario_ids=("match-weaver", "nope"))
-
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            select(suite="nightly")
 
 
 class TestPolicySweep:

@@ -124,6 +124,35 @@ class TestMeterVerb:
         )
 
 
+class TestClosedSessions:
+    def test_closed_session_accounts_are_bounded(self):
+        """A long-lived metered server used to keep one account per
+        session it ever hosted; closed ones beyond the retention
+        constant are dropped, and the tenant account keeps the total."""
+        cycles = 200
+
+        async def scenario(server, reader, writer):
+            for i in range(cycles):
+                sid = (await open_counter(reader, writer, tenant="acme"))["session"]
+                resp = await request(reader, writer, {
+                    "id": 2, "type": "transact", "session": sid,
+                    "ops": [{"op": "make", "class": "counter",
+                             "attrs": {"n": 0, "limit": 1}}],
+                    "max_cycles": 10,
+                })
+                assert resp["ok"], resp
+                resp = await request(
+                    reader, writer, {"id": 3, "type": "close", "session": sid})
+                assert resp["ok"], resp
+            return sid
+
+        last = with_metered_server(scenario)
+        snap = obs_meter.snapshot()
+        assert len(snap["sessions"]) <= obs_meter.CLOSED_SESSIONS
+        assert last in snap["sessions"]  # the most recently closed stay
+        assert snap["tenants"]["acme"]["counters"]["txns"] == cycles
+
+
 class TestTenantValidation:
     @pytest.mark.parametrize("tenant", ["", 7, None])
     def test_bad_tenant_rejected(self, tenant):

@@ -1,16 +1,10 @@
-"""Tests for the trace/simulation analysis helpers."""
+"""Tests for the speed-up ladder over a recorded trace."""
 
 import pytest
 
 from repro.ops5.interpreter import Interpreter
 from repro.rete.trace import TraceRecorder
-from repro.simulator.report import (
-    TimeBreakdown,
-    TraceProfile,
-    profile_trace,
-    speedup_curve,
-    time_breakdown,
-)
+from repro.simulator.report import speedup_curve
 from tests.conftest import FIND_COLORED_BLOCK
 
 
@@ -19,27 +13,6 @@ def trace():
     recorder = TraceRecorder()
     Interpreter(FIND_COLORED_BLOCK, recorder=recorder).run()
     return recorder.trace
-
-
-class TestProfile:
-    def test_counts(self, trace):
-        profile = profile_trace(trace)
-        assert profile.n_tasks == trace.n_tasks
-        assert profile.n_changes == trace.n_changes
-        assert profile.total_work > 0
-        assert profile.mean_task_cost > 0
-
-    def test_depth_positive(self, trace):
-        assert profile_trace(trace).max_chain_depth >= 1
-
-    def test_hot_lines_sorted(self, trace):
-        hot = profile_trace(trace).hot_lines
-        works = [w for _line, w in hot]
-        assert works == sorted(works, reverse=True)
-
-    def test_parallelism_bound(self, trace):
-        profile = profile_trace(trace)
-        assert profile.dag_parallelism_bound(4) <= 4
 
 
 class TestSpeedupCurve:
@@ -53,19 +26,3 @@ class TestSpeedupCurve:
     def test_lock_scheme_passthrough(self, trace):
         curve = speedup_curve(trace, processes=(1,), lock_scheme="mrsw")
         assert curve.lock_scheme == "mrsw"
-
-
-class TestTimeBreakdown:
-    def test_components_nonnegative_and_bounded(self, trace):
-        bd = time_breakdown(trace, n_match=3, n_queues=2)
-        assert bd.task_work > 0
-        assert bd.queue_overhead >= 0
-        assert bd.queue_waiting >= 0
-        assert bd.line_waiting >= 0
-        assert bd.idle >= 0
-        assert 0 < bd.utilization <= 1.0
-
-    def test_more_processes_lower_utilization(self, trace):
-        low = time_breakdown(trace, n_match=1)
-        high = time_breakdown(trace, n_match=8)
-        assert high.utilization <= low.utilization + 1e-9
