@@ -16,10 +16,12 @@ for threads and shard routing for line locks:
    count and broadcasts the batch down every worker's pipe;
 2. each worker alpha-dispatches the batch (replicated, read-only),
    keeps the root activations whose lines it owns, and drains them,
-   forwarding any child activation that lands on a peer's shard
-   (increment-before-send, decrement-after-drain);
-3. the control process waits for the shared TaskCount to reach zero —
-   the paper's termination detection, now cross-process;
+   forwarding the child activations that land on a peer's shard, one
+   message per peer per stretch (increment-before-send,
+   decrement-after-drain);
+3. the worker whose release brings the shared TaskCount to zero posts
+   ``("quiet", seq)`` — the paper's termination detection, now
+   cross-process — and the control process sleeps until it arrives;
 4. a ``flush`` round collects every worker's conflict-set deltas,
    match stats, and IPC counters, and the merged deltas feed the
    count-based conflict set exactly like the threaded engine's
@@ -37,7 +39,6 @@ import itertools
 import multiprocessing
 import pickle
 import select
-import time
 from typing import Dict, List, Optional
 
 from ...obs import context as _context
@@ -52,11 +53,6 @@ from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
 from .shard import ShardMap
 from .worker import run_worker
-
-#: Control-process poll interval while waiting for quiescence: long
-#: enough to leave the CPUs to the match processes, short enough to
-#: keep batch turnaround (and thus cycle latency) low.
-_WAIT_S = 0.0002
 
 #: Process-unique batch sequence numbers, shared by every ProcessMatcher
 #: in this control process.  The seq is the stitch key pairing dispatch
@@ -209,9 +205,13 @@ class ProcessMatcher(Matcher):
         return deltas
 
     def _wait_quiescent(self) -> None:
-        while self._taskcount.value != 0:
-            self._check_alive()
-            time.sleep(_WAIT_S)
+        """Sleep until the worker that brought TaskCount to zero says
+        so.  A ``quiet`` or flush reply left over from an interrupted
+        earlier batch carries an older seq and is dropped."""
+        while True:
+            msg = self._next_reply()
+            if msg[0] == "quiet" and msg[1] == self._seq:
+                return
 
     def _check_alive(self) -> None:
         for proc in self._procs:
@@ -221,12 +221,21 @@ class ProcessMatcher(Matcher):
     def _next_reply(self):
         """The next message on the results queue.  A worker that died
         owes a reply that will never come, so this sleeps on *a reply
-        or a death* rather than in ``get()`` — and, unlike the poll in
-        :meth:`_wait_quiescent`, adds no latency to a healthy flush."""
+        or a death* rather than in ``get()``.  A worker's ``error``
+        report is raised here, with its traceback and flight tail."""
         while True:
             for fd, _event in self._reply_or_death.poll():
                 if fd == self._reply_fd:
-                    return self._results.get()
+                    msg = self._results.get()
+                    if msg[0] == "error":
+                        _flight.record("mp", "worker_error", {"wid": msg[1]})
+                        _flight.dump_on_error("worker_error")
+                        self.close()
+                        raise RuntimeError(
+                            "match process failed\n"
+                            + self._format_error(msg[2], msg[3])
+                        )
+                    return msg
             # A sentinel fired — a moment before the exit status can be
             # collected; until then this loop comes back here.
             self._check_alive()
@@ -271,17 +280,10 @@ class ProcessMatcher(Matcher):
         seen = 0
         while seen < self.n_workers:
             msg = self._next_reply()
-            if msg[0] == "error":
-                _flight.record("mp", "worker_error", {"wid": msg[1]})
-                _flight.dump_on_error("worker_error")
-                self.close()
-                raise RuntimeError(
-                    f"match process failed\n{self._format_error(msg[2], msg[3])}"
-                )
-            _kind, wid, seq, payload, stats, counters, pending, ship = msg
-            if seq != self._seq:
+            if msg[0] != "deltas" or msg[2] != self._seq:
                 # A reply from an interrupted earlier batch; ignore.
                 continue
+            _kind, wid, _seq, payload, stats, counters, pending, ship = msg
             seen += 1
             pending_total += pending
             if self.timed:

@@ -11,7 +11,7 @@ exclusion holds by construction instead of by locking.
 Routing must be a pure function of ``(node_id, key)`` that every
 process computes identically — Python's salted ``hash`` would break
 that across processes, so the map is built on
-:func:`repro.rete.memories.stable_hash` (the same deterministic hash
+:func:`repro.rete.memories.line_hash` (the same deterministic hash
 the memory systems use for line assignment).  The Hypothesis property
 suite (``tests/parallel/test_shard_properties.py``) pins down the three
 contracts: every pair routes to exactly one worker, routing is stable
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ...rete.memories import stable_hash
+from ...rete.memories import line_hash
 from ..policy import make_policy
 
 
@@ -71,7 +71,7 @@ class ShardMap:
     def line_of(self, node_id: int, key: tuple) -> int:
         """The hash line ``(node_id, key)`` lives on — identical to
         :meth:`repro.rete.memories.MemorySystem.line_of`."""
-        return stable_hash((node_id, key)) % self.n_lines
+        return line_hash(node_id, key) % self.n_lines
 
     def owner_of_line(self, line: int) -> int:
         """The worker owning ``line`` (per the placement policy)."""
@@ -79,7 +79,7 @@ class ShardMap:
 
     def route(self, node_id: int, key: tuple) -> int:
         """The worker that must process activations for this line."""
-        return self._owners[stable_hash((node_id, key)) % self.n_lines]
+        return self._owners[line_hash(node_id, key) % self.n_lines]
 
     def lines_owned(self, wid: int) -> Tuple[int, ...]:
         """All lines owned by worker ``wid`` (for partition checks)."""

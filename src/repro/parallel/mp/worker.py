@@ -19,21 +19,25 @@ Message protocol (inbound, one queue per worker):
     their batch spans so stitched traces stay request-scoped across the
     process boundary.
 
-``("act", node_id, side, sign, token)``
-    A forwarded activation for a line this worker owns, produced by a
-    peer whose join emitted a child token landing on our shard.  Peer
-    and control process write the same inbox pipe, so an act may
-    overtake the ``("changes", ...)`` broadcast it belongs to; that is
-    legal — intra-batch order is commutative — and the overtaken
-    batch message is deferred, never dropped.
+``("acts", [(node_id, side, sign, token), ...])``
+    Forwarded activations for lines this worker owns, produced by a
+    peer whose joins emitted child tokens landing on our shard.  The
+    peer sends what it has for us after each stretch of its drain, at
+    the end of it, and at once when the waiting tokens hold
+    ``POLL_EVERY`` WMEs — the bound on a message's size.  Peer and
+    control process write the same inbox pipe, so acts may overtake the
+    ``("changes", ...)`` broadcast they belong to; that is legal —
+    intra-batch order is commutative — and the overtaken batch message
+    is deferred, never dropped.
 
 ``("flush", seq)``
-    Sent by the control process only at quiescence (TaskCount == 0, so
-    no task can still be in flight): reply on the results queue with
-    the accumulated conflict-set deltas, match stats, IPC counters, the
-    conjugate pending-delete count, and the observability *ship* — the
-    worker's local spans/node-profiles/flight-tail, snapshotted and
-    reset so each ship is a delta (:func:`repro.obs.fabric.build_ship`).
+    Sent by the control process only at quiescence (after the ``quiet``
+    below, so no task can still be in flight): reply on the results
+    queue with the accumulated conflict-set deltas, match stats, IPC
+    counters, the conjugate pending-delete count, and the observability
+    *ship* — the worker's local spans/node-profiles/flight-tail,
+    snapshotted and reset so each ship is a delta
+    (:func:`repro.obs.fabric.build_ship`).
 
 ``("obs", enabled, max_events)``
     Mirror the control process's observability state.  Sent only
@@ -48,6 +52,20 @@ is incremented *before* any task becomes visible (one per worker per
 broadcast batch, one per forwarded activation) and decremented only
 after the receiving worker has fully drained the task *and* all local
 descendants, so the counter reaching zero proves global quiescence.
+The worker whose decrement brings it to zero — tested under the same
+lock — says so: it posts ``("quiet", seq)`` on the results queue, which
+is what the control process waits on.
+
+Two rules keep the peer pipes from deadlocking, and the code must keep
+both: every worker empties its own inbox before each write to a peer,
+and a message must fit in an emptied pipe (64 KiB on Linux).  Two
+workers writing to each other at once then each find room.  A pickled
+``acts`` message costs about its WMEs (each pickled once per message),
+so capping it at ``POLL_EVERY`` WMEs plus one token keeps it under 8 KB
+on the bundled programs (``tests/parallel/test_mp_engine.py`` checks
+rubik, whose tokens are the longest).  With three or more workers the
+rules are not a proof: several peers can fill one pipe between two
+absorbs of its reader.
 """
 
 from __future__ import annotations
@@ -65,12 +83,10 @@ from ...rete.stats import MatchStats
 from ..conjugate import ConjugateMemory
 from .shard import ShardMap
 
-#: How many locally-queued activations are processed between inbox
-#: polls.  Periodic polling bounds forwarded-task latency; the actual
-#: deadlock freedom comes from :meth:`_WorkerState.route_child`
-#: absorbing the inbox before every forward, so a worker never blocks
-#: writing to a peer while its own pipe holds that peer's pending
-#: write.
+#: How many locally-queued activations run between inbox polls, and
+#: how many WMEs of waiting tokens make an ``acts`` message go at once —
+#: the bound that keeps a message inside an emptied pipe (module
+#: docstring).
 POLL_EVERY = 64
 
 
@@ -88,17 +104,23 @@ class _WorkerState:
         self.memory = ConjugateMemory(shard.n_lines)
         self.ctx = MatchContext(self.memory, MatchStats(), strict=False)
         self.local: List[Task] = []
+        #: Per peer, the child activations waiting to go down its pipe
+        #: as one ``acts`` message, and how many WMEs their tokens hold.
+        self.outgoing: List[list] = [[] for _ in range(shard.n_workers)]
+        self.outgoing_wmes: List[int] = [0] * shard.n_workers
         #: Forwarded tasks absorbed mid-drain; their TaskCount units are
         #: released together with the batch unit after the drain.
         self.borrowed = 0
         #: Non-act messages pulled off the pipe mid-drain, replayed by
         #: the main loop in arrival order once the drain completes.  A
-        #: peer's forwarded act for batch N can land in our pipe ahead
+        #: peer's forwarded acts for batch N can land in our pipe ahead
         #: of the control process's ("changes", N) broadcast — two
-        #: producers, one pipe — so a drain triggered by that act may
-        #: find the batch message behind it.
+        #: producers, one pipe — so a drain triggered by them may find
+        #: the batch message behind them.
         self.deferred: List[tuple] = []
         self.stopping = False
+        #: The batch being matched: the seq a ``quiet`` reports.
+        self.seq = 0
         #: Per-flush-window IPC counters (reset after every flush reply).
         self.counters: Dict[str, int] = {
             "tasks_local": 0, "tasks_forwarded": 0, "ipc_msgs": 0,
@@ -108,71 +130,70 @@ class _WorkerState:
         #: signal).
         self.tasks_done = None  # set by run_worker
 
-    # -- TaskCount ----------------------------------------------------------
-
-    def _count_add(self, n: int) -> None:
-        with self.taskcount.get_lock():
-            self.taskcount.value += n
-
     # -- task routing -------------------------------------------------------
-
-    def route_child(self, task: Task) -> None:
-        node, side, sign, token = task
-        if not node.uses_line():
-            # Terminals: no shared line, processed where produced.
-            self.local.append(task)
-            return
-        owner = self.shard.route(node.node_id, node.key_for(side, token))
-        if owner == self.wid:
-            self.local.append(task)
-        else:
-            # Drain our own pipe before the potentially-blocking write
-            # into the peer's.  Two workers forwarding heavily to each
-            # other can otherwise fill both pipes and block forever in
-            # `put` (the rubik hang: both processes in pipe_write,
-            # TaskCount frozen).  Emptying our inbox first completes
-            # the peer's pending write, so at most one side is ever
-            # durably blocked and the other always reaches its next
-            # absorb point.
-            self.absorb_inbox()
-            self._count_add(1)
-            self.counters["tasks_forwarded"] += 1
-            self.counters["ipc_msgs"] += 1
-            self._forward_queues[owner].put(("act", node.node_id, side, sign, token))
 
     def route_children(self, children: List[Task]) -> None:
         """The kernel's seam: each child stays on the local stack or
-        goes down its owning shard's pipe."""
-        for child in children:
-            self.route_child(child)
+        waits in its owning shard's outgoing list."""
+        route = self.shard.route
+        for task in children:
+            node, side, sign, token = task
+            if not node.uses_line():
+                # Terminals: no shared line, processed where produced.
+                self.local.append(task)
+                continue
+            owner = route(node.node_id, node.key_for(side, token))
+            if owner == self.wid:
+                self.local.append(task)
+            else:
+                self.outgoing[owner].append((node.node_id, side, sign, token))
+                self.outgoing_wmes[owner] += len(token[0])
+                if self.outgoing_wmes[owner] >= POLL_EVERY:
+                    self.send(owner)
 
     def keep_roots(self, roots: List[Task], mine: bool) -> None:
         """The kernel's seam for a broadcast change: every worker
         derives every root, so instead of forwarding, keep exactly the
         ones whose line this shard owns.  Non-line roots (single-CE
         terminals) belong to the change's designated worker."""
+        route = self.shard.route
         for task in roots:
             node, side, _sign, token = task
             if node.uses_line():
-                key = node.key_for(side, token)
-                if self.shard.route(node.node_id, key) == self.wid:
+                if route(node.node_id, node.key_for(side, token)) == self.wid:
                     self.local.append(task)
             elif mine:
                 self.local.append(task)
 
-    def rebuild(self, msg) -> Task:
-        _kind, node_id, side, sign, token = msg
-        return (self.nodes[node_id], side, sign, token)
+    def send(self, owner: int) -> None:
+        """Forward ``owner``'s waiting activations as one message."""
+        acts = self.outgoing[owner]
+        self.outgoing[owner] = []
+        self.outgoing_wmes[owner] = 0
+        # Empty our own pipe before the potentially-blocking write into
+        # the peer's.  Two workers forwarding to each other can
+        # otherwise fill both pipes and block forever in `put` (the
+        # rubik hang: both processes in pipe_write, TaskCount frozen).
+        self.absorb_inbox()
+        with self.taskcount.get_lock():
+            self.taskcount.value += len(acts)
+        self.counters["tasks_forwarded"] += len(acts)
+        self.counters["ipc_msgs"] += 1
+        self._forward_queues[owner].put(("acts", acts))
 
     # -- the drain loop -----------------------------------------------------
 
     def drain(self) -> None:
-        """Process the local stack to empty, absorbing forwarded tasks.
+        """Process the local stack to empty, absorbing forwarded tasks
+        and sending our own.
 
         The kernel runs the activations, ``POLL_EVERY`` at a stretch;
-        the inbox poll in between is this transport's business.  (The
-        obs flag the kernel reads per stretch is stable for the whole
-        drain: the "obs" control message only arrives between batches.)
+        after each stretch the inbox is polled and every waiting
+        outgoing list is sent.  A send absorbs the inbox first, which
+        may refill the local stack, so the loop ends only when a stretch
+        left both the stack and the outgoing lists empty.  (The obs flag
+        the kernel reads per stretch is stable for the whole drain: the
+        "obs" control message only arrives between batches.)
         """
         processed = 0
         while self.local:
@@ -182,6 +203,9 @@ class _WorkerState:
             processed += ran
             if ran == POLL_EVERY:
                 self.absorb_inbox()
+            for owner, acts in enumerate(self.outgoing):
+                if acts:
+                    self.send(owner)
         self.counters["tasks_local"] += processed
         if processed:
             with self.tasks_done.get_lock():
@@ -193,29 +217,43 @@ class _WorkerState:
         Activations are absorbed immediately — intra-batch activation
         order is commutative (count-folded CS deltas, conjugate token
         memory), so running one early is always safe.  Anything else
-        (a racing ``changes`` broadcast the act outran, an ``obs``
+        (a racing ``changes`` broadcast the acts outran, an ``obs``
         toggle) is deferred to the main loop: those must run between
         drains, not inside one.  A ``flush`` can never appear here —
         it is only sent at TaskCount == 0, and we hold at least one
         undecremented unit while draining."""
         while not self.inbox.empty():
             msg = self.inbox.get()
-            if msg[0] == "act":
-                self.local.append(self.rebuild(msg))
-                self.borrowed += 1
+            if msg[0] == "acts":
+                self.take(msg[1])
+                self.borrowed += len(msg[1])
             elif msg[0] == "stop":
                 self.stopping = True
             else:
                 self.deferred.append(msg)
 
+    def take(self, acts) -> None:
+        """Put forwarded activations on the local stack."""
+        nodes = self.nodes
+        self.local.extend(
+            (nodes[node_id], side, sign, token)
+            for node_id, side, sign, token in acts
+        )
+
     def finish_units(self, own: int) -> None:
-        """Release the batch's TaskCount units after a complete drain."""
-        self._count_add(-(own + self.borrowed))
+        """Release the batch's TaskCount units after a complete drain;
+        the release that reaches zero announces quiescence."""
+        with self.taskcount.get_lock():
+            self.taskcount.value -= own + self.borrowed
+            quiet = self.taskcount.value == 0
         self.borrowed = 0
+        if quiet:
+            self.outbox.put(("quiet", self.seq))
 
     # -- message handlers ---------------------------------------------------
 
     def on_changes(self, seq: int, payload, ctx_ids) -> None:
+        self.seq = seq
         obs_on = _obs.ENABLED
         if obs_on:
             t0 = _obs.now()
@@ -244,10 +282,10 @@ class _WorkerState:
                 args.update(ctx_ids)
             _obs.span("mp.worker", "batch", t0, _obs.now(), args=args)
 
-    def on_act(self, msg) -> None:
-        self.local.append(self.rebuild(msg))
+    def on_acts(self, acts) -> None:
+        self.take(acts)
         self.drain()
-        self.finish_units(1)
+        self.finish_units(len(acts))
 
     def on_flush(self, seq: int) -> None:
         deltas = [
@@ -309,8 +347,8 @@ def run_worker(wid, network, shard, inboxes, outbox, taskcount,
             kind = msg[0]
             if kind == "changes":
                 state.on_changes(msg[1], msg[2], msg[3])
-            elif kind == "act":
-                state.on_act(msg)
+            elif kind == "acts":
+                state.on_acts(msg[1])
             elif kind == "flush":
                 state.on_flush(msg[1])
             elif kind == "obs":

@@ -80,7 +80,7 @@ class Policy:
 
     Subclasses set ``name`` and override the two decision methods.
     ``needs_line`` tells the engine whether to compute a task's hash
-    line before pushing (a ``stable_hash`` per push — skipped for
+    line before pushing (a ``line_hash`` per push — skipped for
     line-blind policies).
     """
 

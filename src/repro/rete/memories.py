@@ -34,36 +34,43 @@ serves both.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
 LEFT = "L"
 RIGHT = "R"
 
 
-def stable_hash(value: Hashable) -> int:
-    """A deterministic (cross-process, cross-run) hash for key tuples.
+def line_hash(node_id: int, key: tuple) -> int:
+    """The deterministic (cross-process, cross-run) hash of the bucket
+    ``(node_id, key)``, in one frame.
 
     Python's built-in ``hash`` of strings is salted per process, which
     would make hash-line assignment — and therefore simulated lock
-    contention — irreproducible.
+    contention and mp shard ownership — irreproducible.  This is FNV-1
+    over ``node_id`` and the FNV-1 of the key's values: an int hashes to
+    itself, a str to its CRC-32, ``None`` to a constant.  A float equal
+    to an int hashes as that int (``1.0`` as ``1``, ``-0.0`` as ``0``):
+    the tables file ``(n, (1,))`` and ``(n, (1.0,))`` in one bucket, so
+    they must be on one line.  Any other value hashes its ``repr``.
     """
-    if isinstance(value, tuple):
-        h = 0x811C9DC5
-        for item in value:
-            h = (h * 0x01000193) ^ (stable_hash(item) & 0xFFFFFFFF)
-            h &= 0xFFFFFFFF
-        return h
-    if isinstance(value, str):
-        return zlib.crc32(value.encode("utf-8"))
-    if isinstance(value, bool):  # pragma: no cover - bools unused in OPS5
-        return int(value)
-    if isinstance(value, int):
-        return value & 0xFFFFFFFF
-    if isinstance(value, float):
-        return zlib.crc32(repr(value).encode("ascii"))
-    if value is None:
-        return 0x9E3779B9
-    return zlib.crc32(repr(value).encode("utf-8"))
+    h = 0x811C9DC5
+    for value in key:
+        if isinstance(value, str):
+            v = zlib.crc32(value.encode("utf-8"))
+        elif isinstance(value, int):
+            v = value & 0xFFFFFFFF
+        elif isinstance(value, float):
+            if value.is_integer():
+                v = int(value) & 0xFFFFFFFF
+            else:
+                v = zlib.crc32(repr(value).encode("ascii"))
+        elif value is None:
+            v = 0x9E3779B9
+        else:
+            v = zlib.crc32(repr(value).encode("utf-8"))
+        h = ((h * 0x01000193) ^ v) & 0xFFFFFFFF
+    node = ((0x811C9DC5 * 0x01000193) ^ node_id) & 0xFFFFFFFF
+    return ((node * 0x01000193) ^ h) & 0xFFFFFFFF
 
 
 Table = Dict[Tuple[int, tuple], List]
@@ -97,7 +104,7 @@ class MemorySystem:
     def line_of(self, node_id: int, key: tuple) -> int:
         if not self.keyed:
             return node_id
-        return stable_hash((node_id, key)) % self.n_lines
+        return line_hash(node_id, key) % self.n_lines
 
     def bucket_sizes(self, side: str) -> List[int]:
         """Chain lengths per bucket — used by the hash-size ablation."""

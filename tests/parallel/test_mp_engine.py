@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engines import ENGINE_NAMES, make_matcher
+from repro.obs import flight
 from repro.ops5.interpreter import Interpreter
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WME, WMEChange
@@ -21,6 +22,15 @@ from tests.conftest import FIND_COLORED_BLOCK
 pytestmark = pytest.mark.skipif(
     not mp_supported(), reason="mp engine needs the 'fork' start method"
 )
+
+
+@pytest.fixture(autouse=True)
+def clean_flight():
+    """Every flush files its workers' flight tails in this process's
+    recorder (up to ``REMOTE_TAILS`` of them); keep this module's runs
+    from leaking into later tests' ``dump`` replies."""
+    yield
+    flight.reset()
 
 
 def compiled_network(source: str):
@@ -90,7 +100,7 @@ class TestFailurePropagation:
         try:
             with matcher._taskcount.get_lock():
                 matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("act", -12345, "L", 1, ()))
+            matcher._inboxes[0].put(("acts", [(-12345, "L", 1, ())]))
             with pytest.raises(RuntimeError):
                 matcher._wait_quiescent()
         finally:
@@ -105,7 +115,7 @@ class TestFailurePropagation:
         try:
             with matcher._taskcount.get_lock():
                 matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("act", -12345, "L", 1, ()))
+            matcher._inboxes[0].put(("acts", [(-12345, "L", 1, ())]))
             with pytest.raises(RuntimeError) as excinfo:
                 matcher._wait_quiescent()
         finally:
@@ -198,7 +208,49 @@ class TestMeasurement:
             interp.close()
         counters = interp.matcher.ipc_counters
         assert counters["tasks_local"] > 0
-        assert counters["tasks_forwarded"] == counters["ipc_msgs"]
+        assert counters["ipc_msgs"] <= counters["tasks_forwarded"]
+
+    def test_weaver_counters_equal_the_unbatched_transport(self):
+        """Batching changes how many messages carry the forwards, never
+        which activations run where: on weaver 6x1 (the ``weaver-mp2``
+        input) dispatches, forwards and local tasks are the counts the
+        one-message-per-forward transport made."""
+        from repro.programs import weaver
+
+        interp = Interpreter(weaver.source(grid=6, n_nets=1), engine="mp",
+                             engine_opts={"n_workers": 2})
+        dispatches = []
+        inner = interp.matcher.process_changes
+        interp.matcher.process_changes = lambda changes: (
+            dispatches.append(1) or inner(changes))
+        try:
+            interp.run(max_cycles=10_000)
+        finally:
+            interp.close()
+        counters = interp.matcher.ipc_counters
+        assert len(dispatches) == 293
+        assert counters["tasks_forwarded"] == 2124
+        assert counters["tasks_local"] == 28176
+        assert counters["ipc_msgs"] < counters["tasks_forwarded"]
+
+    def test_quiescence_is_announced_not_polled(self, monkeypatch):
+        """The control process sleeps on the results pipe until a
+        worker posts ``quiet``; it never sleeps on a clock."""
+        import time
+
+        def no_sleep(_seconds):
+            raise AssertionError("process_changes called time.sleep")
+
+        program, network = compiled_network(FIND_COLORED_BLOCK)
+        matcher = ProcessMatcher(network, n_workers=2)
+        interp = Interpreter(program, matcher=matcher, network=network)
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        try:
+            result = interp.run(max_cycles=100)
+        finally:
+            interp.close()
+        assert result.firings
+
 
     def test_merged_stats_count_wme_changes_once(self):
         """Alpha work is replicated in every worker but must be counted
@@ -215,16 +267,47 @@ class TestMeasurement:
         assert mp.stats.constant_tests == seq.stats.constant_tests
 
 
+class TestEqualNumbers:
+    """``1`` and ``1.0`` key one bucket, so they must share a line; when
+    they did not, the two halves of a join lived on different mp
+    workers and 3 workers fired 6 of 20 instantiations."""
+
+    SOURCE = (
+        "(p j (a ^x <v>) (b ^x <v>) --> (write <v>))\n"
+        "(startup "
+        + " ".join(f"(make a ^x {i})" for i in range(20))
+        + " "
+        + " ".join(f"(make b ^x {i}.0)" for i in range(20))
+        + ")\n"
+    )
+
+    @staticmethod
+    def firings(interp):
+        try:
+            result = interp.run(max_cycles=1000)
+        finally:
+            interp.close()
+        return [(f.production, f.timetags) for f in result.firings]
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_mp_fires_what_sequential_fires(self, n_workers):
+        expected = self.firings(Interpreter(self.SOURCE))
+        assert len(expected) == 20
+        got = self.firings(Interpreter(self.SOURCE, engine="mp",
+                                       engine_opts={"n_workers": n_workers}))
+        assert got == expected
+
 class TestForwardDeadlockAvoidance:
     """Regression for the mutual pipe-full deadlock.
 
     Two workers forwarding heavily to each other could both block in
     ``put`` with both OS pipes full (observed intermittently as a
     rubik-mp hang: both processes in ``pipe_write``, TaskCount frozen,
-    the control process polling forever).  The guarantee that breaks
-    the cycle: ``route_child`` drains its own inbox *before* every
-    potentially-blocking forward, so a worker's pending write into us
-    always completes before we block writing to it.
+    the control process waiting forever).  What breaks the cycle:
+    ``send`` drains its own inbox *before* every potentially-blocking
+    write, so a peer's pending write into us always completes before we
+    block writing to it — and a message is small enough to fit in the
+    emptied pipe.
     """
 
     def _state(self, pending_msgs):
@@ -236,11 +319,19 @@ class TestForwardDeadlockAvoidance:
             node_id = 1
             kind = "join"
 
+            def __init__(self):
+                self.ran = []
+
             def uses_line(self):
                 return True
 
             def key_for(self, side, token):
                 return ("k",)
+
+            def activate(self, ctx, side, sign, token):
+                # The "root" token emits one child, for the peer.
+                self.ran.append(token)
+                return [(self, side, sign, "child")] if token == "root" else []
 
         class FakeNetwork:
             beta_nodes = [FakeNode()]
@@ -270,41 +361,54 @@ class TestForwardDeadlockAvoidance:
             def get(self):
                 return self.msgs.pop(0)
 
+        class FakeOutbox(list):
+            put = list.append
+
         state = _WorkerState(
             0, FakeNetwork(), FakeShard(), FakeInbox(pending_msgs),
-            outbox=None, taskcount=FakeCount(),
+            outbox=FakeOutbox(), taskcount=FakeCount(),
         )
+        state.tasks_done = FakeCount()
         return state, FakeNetwork.beta_nodes[0]
+
+    @staticmethod
+    def _peer(state, log):
+        class FakePeerQueue:
+            def put(_self, msg):
+                log.append((state.inbox.empty(), msg))
+
+        state._forward_queues = {1: FakePeerQueue()}
 
     def test_route_child_absorbs_inbox_before_forwarding(self):
         from repro.rete.token import of
 
         wme = WME.make("block", {"color": "red"}, 1)
-        pending = ("act", 1, "left", 1, (wme,))
+        token = of((wme,))
+        pending = ("acts", [(1, "left", 1, token)])
         state, node = self._state([pending])
+        puts = []
+        self._peer(state, puts)
 
-        inbox_empty_at_put = []
+        state.route_children([(node, "left", 1, token)] * 2)
+        assert puts == []  # the children wait for the end of the stretch
+        state.send(1)
 
-        class FakePeerQueue:
-            def put(_self, msg):
-                inbox_empty_at_put.append(state.inbox.empty())
-
-        state._forward_queues = {1: FakePeerQueue()}
-        act = (node, "left", 1, of((wme,)))
-        state.route_child(act)
-
-        # The forward happened, with our own pipe already drained.
-        assert inbox_empty_at_put == [True]
+        # One message for both forwards, written with our own pipe
+        # already drained.
+        assert puts == [(True, ("acts", [(1, "left", 1, token)] * 2))]
         # The pending peer message was absorbed into local work and its
-        # TaskCount unit is held as borrowed; ours was added for the
-        # forward.
+        # TaskCount unit is held as borrowed; ours were added for the
+        # forwards, one per task.
         assert state.borrowed == 1
         assert len(state.local) == 1
-        assert state.taskcount.value == 1
+        assert state.taskcount.value == 2
+        assert state.counters == {
+            "tasks_local": 0, "tasks_forwarded": 2, "ipc_msgs": 1,
+        }
 
     def test_racing_batch_broadcast_is_deferred_not_fatal(self):
-        """A forwarded act can overtake the ("changes", ...) broadcast
-        it belongs to (peer and control share the inbox pipe).  The
+        """Forwarded acts can overtake the ("changes", ...) broadcast
+        they belong to (peer and control share the inbox pipe).  The
         mid-drain absorb must park the batch message for the main loop
         instead of treating it as a protocol violation."""
         from repro.rete.token import of
@@ -312,17 +416,114 @@ class TestForwardDeadlockAvoidance:
         wme = WME.make("block", {"color": "red"}, 1)
         racing_batch = ("changes", 6, [(1, wme)], None)
         state, node = self._state([racing_batch])
+        puts = []
+        self._peer(state, puts)
 
-        forwarded = []
-
-        class FakePeerQueue:
-            def put(_self, msg):
-                forwarded.append(msg)
-
-        state._forward_queues = {1: FakePeerQueue()}
-        act = (node, "left", 1, of((wme,)))
-        state.route_child(act)
+        state.route_children([(node, "left", 1, of((wme,)))])
+        state.send(1)
 
         assert state.deferred == [racing_batch]
         assert state.borrowed == 0
-        assert len(forwarded) == 1
+        assert len(puts) == 1
+
+    def test_poll_every_wmes_go_at_once(self):
+        """A message is capped by the WMEs its tokens carry: when the
+        waiting tokens for a peer hold POLL_EVERY WMEs they are sent
+        without waiting for the stretch to end."""
+        from repro.parallel.mp.worker import POLL_EVERY
+        from repro.rete.token import of
+
+        wmes = tuple(WME.make("block", {}, i) for i in range(4))
+        state, node = self._state([])
+        puts = []
+        self._peer(state, puts)
+
+        state.route_children([(node, "left", 1, of(wmes))] * (POLL_EVERY // 4 + 1))
+        assert [len(msg[1]) for _empty, msg in puts] == [POLL_EVERY // 4]
+        assert len(state.outgoing[1]) == 1
+
+    def test_acts_absorbed_by_the_last_send_run_before_release(self):
+        """The end-of-drain send absorbs our inbox first.  Acts taken in
+        then must run before the drain returns: releasing their borrowed
+        TaskCount units with the tasks still queued would let the count
+        reach zero with work pending."""
+        state, node = self._state([("acts", [(1, "left", 1, "absorbed")])])
+        puts = []
+        self._peer(state, puts)
+        state.taskcount.value = 2  # our batch unit + the peer's forward
+        state.seq = 9
+        state.local.append((node, "left", 1, "root"))
+
+        state.drain()
+
+        assert node.ran == ["root", "absorbed"]
+        assert state.local == []
+        assert [msg for _empty, msg in puts] == [("acts", [(1, "left", 1, "child")])]
+        state.finish_units(1)
+        assert state.taskcount.value == 1  # the unit of the child we sent
+        assert state.outbox == []
+        # The release that reaches zero announces quiescence.
+        state.finish_units(1)
+        assert state.outbox == [("quiet", 9)]
+
+
+class TestMessageSize:
+    def test_rubik_acts_fit_in_a_pipe(self, monkeypatch, tmp_path):
+        """The pipe rule on the program with the longest tokens: every
+        ``acts`` message rubik forwards pickles to well under the 64 KiB
+        a Linux pipe holds."""
+        import pickle
+
+        from repro.parallel.mp import worker
+        from repro.programs import rubik
+
+        sizes = tmp_path / "sizes"
+        send = worker._WorkerState.send
+
+        def measured_send(state, owner):
+            message = ("acts", state.outgoing[owner])
+            with open(sizes, "a") as fh:
+                fh.write(f"{len(pickle.dumps(message))}\n")
+            send(state, owner)
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(worker._WorkerState, "send", measured_send)
+        interp = Interpreter(rubik.source(n_moves=2), engine="mp",
+                             engine_opts={"n_workers": 2})
+        try:
+            interp.run(max_cycles=10_000)
+        finally:
+            interp.close()
+        largest = max(int(line) for line in sizes.read_text().split())
+        assert largest < 65536 // 4
+
+
+class TestStress:
+    def test_more_workers_than_cores_fire_what_sequential_fires(self):
+        """Four match processes (more than a small host's cores) on the
+        program that forwards the most.  A lost TaskCount update or a
+        ``quiet`` posted with work still queued shows as a hang, a
+        different firing trace or a count left above zero."""
+        import threading
+
+        from repro.programs import rubik
+
+        source = rubik.source(n_moves=3)
+        seq = Interpreter(source).run(max_cycles=10_000)
+        interp = Interpreter(source, engine="mp", engine_opts={"n_workers": 4})
+        out = {}
+        runner = threading.Thread(
+            target=lambda: out.update(result=interp.run(max_cycles=10_000)),
+            daemon=True,
+        )
+        try:
+            runner.start()
+            runner.join(timeout=120)
+            assert not runner.is_alive(), "mp run did not finish in 120 s"
+            got = out["result"]
+            assert [(f.production, f.timetags) for f in got.firings] == [
+                (f.production, f.timetags) for f in seq.firings
+            ]
+            assert interp.matcher._taskcount.value == 0
+        finally:
+            interp.close()

@@ -8,7 +8,7 @@ correctness rests on three contracts, each pinned here as a property:
    one worker, and that worker is in range.
 2. **Cross-process stability**: routing is a pure function of the
    inputs — identical in a subprocess run under a *different*
-   ``PYTHONHASHSEED``, because the map is built on ``stable_hash``,
+   ``PYTHONHASHSEED``, because the map is built on ``line_hash``,
    never on Python's salted ``hash()``.
 3. **Repartitioning covers**: for any worker count, the per-worker
    ``lines_owned`` sets partition ``range(n_lines)`` — no line is
@@ -25,7 +25,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.mp.shard import ShardMap
-from repro.rete.memories import stable_hash
+from repro.rete.memories import line_hash
 
 #: Constants as they appear in real join keys: OPS5 attribute values.
 _scalar = st.one_of(
@@ -99,8 +99,8 @@ class TestRepartitioning:
         assert len(lines) == 1
 
 
-#: Pairs covering every stable_hash branch: ints, strs, floats, None,
-#: nesting.  Literals only — this source text is exec'd in a subprocess.
+#: Pairs covering every line_hash branch: ints, strs, floats, None,
+#: anything else (a nested tuple).  Literals only — this source text is exec'd in a subprocess.
 _CROSS_PROCESS_PAIRS = [
     (0, ()),
     (17, ("alpha", 3)),
@@ -145,7 +145,7 @@ class TestCrossProcessStability:
     @settings(max_examples=100, deadline=None)
     def test_stable_hash_is_route_input(self, node_id, key):
         """Routing never consults ``hash()``: it is fully determined by
-        ``stable_hash``, which is itself deterministic by construction."""
+        ``line_hash``, which is itself deterministic by construction."""
         shard = ShardMap(n_lines=64, n_workers=3)
-        expected = (stable_hash((node_id, key)) % 64) % 3
+        expected = (line_hash(node_id, key) % 64) % 3
         assert shard.route(node_id, key) == expected

@@ -4,7 +4,7 @@ driven through the node code that does their list work
 
 import pytest
 
-from repro.rete.memories import MemorySystem, stable_hash
+from repro.rete.memories import MemorySystem, line_hash
 from repro.ops5.wme import WME
 from repro.rete.token import Token, of
 from tests.rete.memdriver import NodeMemory
@@ -126,16 +126,32 @@ class TestHashBuckets:
 
 class TestStableHash:
     def test_deterministic_across_calls(self):
-        assert stable_hash(("red", 1, 2.5)) == stable_hash(("red", 1, 2.5))
+        assert line_hash(4, ("red", 1, 2.5)) == line_hash(4, ("red", 1, 2.5))
 
     def test_distinguishes_values(self):
-        assert stable_hash(("a",)) != stable_hash(("b",))
+        assert line_hash(4, ("a",)) != line_hash(4, ("b",))
 
     def test_handles_none(self):
-        assert isinstance(stable_hash((None,)), int)
+        assert isinstance(line_hash(4, (None,)), int)
 
     def test_nested_tuples(self):
-        assert stable_hash(((1, "x"), 2)) != stable_hash(((1, "y"), 2))
+        assert line_hash(4, ((1, "x"), 2)) != line_hash(4, ((1, "y"), 2))
+
+    def test_equal_numbers_share_a_line(self):
+        """The tables key a bucket by ``==``, so ``(n, (1,))`` and
+        ``(n, (1.0,))`` are one bucket and must be one line."""
+        assert line_hash(4, (1,)) == line_hash(4, (1.0,))
+        assert line_hash(4, (0.0,)) == line_hash(4, (-0.0,)) == line_hash(4, (0,))
+        assert line_hash(4, ("x", -3)) == line_hash(4, ("x", -3.0))
+        assert line_hash(4, (1.5,)) != line_hash(4, (1,))
+
+    def test_pinned_values(self):
+        """The hash every pinned line assignment was made with: FNV-1
+        over the node id and the FNV-1 of the key's values."""
+        assert line_hash(0, ()) == 0x906A0A08
+        assert line_hash(17, ("alpha", 3)) == 945051942
+        assert line_hash(123, (None, -7, "x")) == 3998336478
+        assert line_hash(50_000, (2.5, "goal", 0)) == 3660712243
 
 
 class TestNotEntry:
