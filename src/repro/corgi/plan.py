@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..ops5.astnodes import Production
+from ..ops5.collector import collector_paused
 from ..rete.network import ReteNetwork
 from ..rete.nodes import AlphaTerminal, JoinNode, NotNode
 
@@ -101,6 +102,7 @@ Routing = Dict[int, List[Tuple[RulePlan, SlotPlan]]]
 _COMPILED: "WeakKeyDictionary[ReteNetwork, tuple]" = WeakKeyDictionary()
 
 
+@collector_paused
 def compile_plans(network: ReteNetwork) -> Tuple[List[RulePlan], Routing]:
     """Lift per-production join plans out of a compiled network.
 

@@ -50,6 +50,11 @@ class TokenType(Enum):
     NUMBER = auto()         # 12, -4, 2.5
     SYMBOL = auto()         # any other atom
 
+    # Enum's own ``__hash__`` is a Python frame that hashes the name;
+    # the parser's memo keys hash a tuple of kinds per form.  Members
+    # are singletons compared by identity, so the identity hash is C's.
+    __hash__ = object.__hash__
+
 
 #: A lexical token: ``(type, value, line, column)``, ``type`` a
 #: :class:`TokenType`, line and column counted from 1.

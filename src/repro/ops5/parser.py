@@ -15,7 +15,7 @@ See :mod:`repro.ops5.astnodes` for the value-test grammar.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from .astnodes import (
     Action,
@@ -41,10 +41,13 @@ from .astnodes import (
     Var,
     WriteAction,
 )
+from .collector import collector_paused
 from .errors import ParseError
 from .lexer import Token, TokenType, tokenize
 
 _COMPUTE_OPS = ("+", "-", "*", "//", "\\")
+
+T = TypeVar("T")
 
 
 class _TokenStream:
@@ -55,21 +58,20 @@ class _TokenStream:
     ``next`` refuses to step over the sentinel.  A token is the tuple
     ``(type, value, line, column)``.
 
-    The stream also holds the condition-element memo of one
-    ``parse_program`` call (see :func:`_parse_condition_element`); it
-    dies with the stream.
+    The stream also holds the span memo of one ``parse_program`` call
+    (see :meth:`built_once`); it dies with the stream.
     """
 
-    __slots__ = ("_tokens", "_pos", "form_line", "_kinds", "_ces")
+    __slots__ = ("_tokens", "_pos", "form_line", "_kinds", "_built")
 
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens: List[Optional[Token]] = [*tokens, None]
         self._pos = 0
         #: Line of the ``(`` of the top-level form being parsed.
         self.form_line = 0
-        #: The type column, where ``index`` finds a CE's ``)`` in C.
+        #: The type column, where ``index`` finds a form's ``)`` in C.
         self._kinds = [tok[0] for tok in tokens]
-        self._ces: Dict[tuple, ConditionElement] = {}
+        self._built: Dict[tuple, object] = {}
 
     def peek(self) -> Optional[Token]:
         return self._tokens[self._pos]
@@ -96,6 +98,43 @@ class _TokenStream:
         tok = self._tokens[self._pos]
         return tok is not None and tok[0] is ttype
 
+    def built_once(self, parse: Callable[..., T], *args) -> T:
+        """``parse(self, *args)`` on the form at the cursor, once per spelling.
+
+        A condition element or an action is one parenthesised form, and
+        the same text recurs across productions.  The types of the
+        form's tokens and the ``repr`` of their values (which keeps
+        ``1``, ``1.0`` and ``-0.0`` apart, as ``==`` does not), with
+        ``parse`` and ``args``, key the memo; AST nodes are frozen, so a
+        repeat shares what the first spelling built.  Only a form that
+        parsed cleanly to exactly its own ``)`` is stored, so an error is
+        raised where and as it always was.
+        """
+        start = self._pos
+        kinds = self._kinds
+        end = start
+        closes = 0
+        try:
+            # Each step takes the next ')'; the form ends where the
+            # ')'s taken balance the '('s before them.
+            while True:
+                end = kinds.index(TokenType.RPAREN, end) + 1
+                closes += 1
+                if kinds[start:end].count(TokenType.LPAREN) <= closes:
+                    break
+        except ValueError:  # an unclosed form: parse it to its error
+            return parse(self, *args)
+        values = [tok[1] for tok in self._tokens[start:end]]
+        key = (parse, args, tuple(kinds[start:end]), repr(values))
+        built = self._built.get(key)
+        if built is None:
+            built = parse(self, *args)
+            if self._pos == end:
+                self._built[key] = built
+        else:
+            self._pos = end
+        return built  # type: ignore[return-value]
+
     def end_of_input(self, where: str = "") -> ParseError:
         """The error for running out of tokens inside a top-level form
         (the only place it can happen): positioned at the form's ``(``,
@@ -107,6 +146,7 @@ class _TokenStream:
         )
 
 
+@collector_paused
 def parse_program(source: str) -> Program:
     """Parse a complete OPS5 program from source text."""
     stream = _TokenStream(tokenize(source))
@@ -168,7 +208,7 @@ def _parse_production(stream: _TokenStream, line: int) -> Production:
         if stream.at(TokenType.MINUS):
             stream.next()
             negated = True
-        ces.append(_parse_condition_element(stream, negated))
+        ces.append(stream.built_once(_parse_condition_element, negated))
     stream.expect(TokenType.ARROW)
 
     actions = _parse_actions_until_rparen(stream)
@@ -179,34 +219,6 @@ def _parse_production(stream: _TokenStream, line: int) -> Production:
 
 
 def _parse_condition_element(stream: _TokenStream, negated: bool) -> ConditionElement:
-    """One CE, parsed once per distinct spelling in a ``parse_program``.
-
-    A CE holds no ``(`` or ``)``, so the tokens from its ``(`` to the
-    next ``)`` are all of it.  Their types and the ``repr`` of their
-    values (which keeps ``1``, ``1.0`` and ``-0.0`` apart, as ``==``
-    does not), with ``negated``, key the memo; AST nodes are frozen, so
-    a repeat shares the CE already built.  Only a span that parsed
-    cleanly to exactly that ``)`` is stored, so an error is raised
-    where and as it always was.
-    """
-    start = stream._pos
-    try:
-        end = stream._kinds.index(TokenType.RPAREN, start) + 1
-    except ValueError:  # an unclosed form: parse it to its error
-        return _parse_ce_tokens(stream, negated)
-    values = [tok[1] for tok in stream._tokens[start:end]]
-    key = (negated, tuple(stream._kinds[start:end]), repr(values))
-    ce = stream._ces.get(key)
-    if ce is None:
-        ce = _parse_ce_tokens(stream, negated)
-        if stream._pos == end:
-            stream._ces[key] = ce
-    else:
-        stream._pos = end
-    return ce
-
-
-def _parse_ce_tokens(stream: _TokenStream, negated: bool) -> ConditionElement:
     stream.expect(TokenType.LPAREN)
     klass_tok = stream.expect(TokenType.SYMBOL)
     tests: List[AttrTest] = []
@@ -283,12 +295,13 @@ def _operand_from(tok: Token):
 def _parse_actions_until_rparen(stream: _TokenStream) -> List[Action]:
     actions: List[Action] = []
     while not stream.at(TokenType.RPAREN):
-        actions.extend(_parse_action(stream))
+        actions.extend(stream.built_once(_parse_action))
     stream.expect(TokenType.RPAREN)
     return actions
 
 
-def _parse_action(stream: _TokenStream) -> List[Action]:
+def _parse_action(stream: _TokenStream) -> Tuple[Action, ...]:
+    """One action form; ``(remove 1 3)`` is two actions."""
     stream.expect(TokenType.LPAREN)
     head = stream.expect(TokenType.SYMBOL)
     kind = str(head[1])
@@ -296,33 +309,33 @@ def _parse_action(stream: _TokenStream) -> List[Action]:
         klass = str(stream.expect(TokenType.SYMBOL)[1])
         assigns = _parse_assigns(stream)
         stream.expect(TokenType.RPAREN)
-        return [MakeAction(klass=klass, assigns=assigns)]
+        return (MakeAction(klass=klass, assigns=assigns),)
     if kind == "modify":
         idx_tok = stream.expect(TokenType.NUMBER)
         assigns = _parse_assigns(stream)
         stream.expect(TokenType.RPAREN)
-        return [ModifyAction(ce_index=int(idx_tok[1]), assigns=assigns)]
+        return (ModifyAction(ce_index=int(idx_tok[1]), assigns=assigns),)
     if kind == "remove":
         # OPS5 allows several CE numbers per remove: (remove 1 3).
         indices = [int(stream.expect(TokenType.NUMBER)[1])]
         while not stream.at(TokenType.RPAREN):
             indices.append(int(stream.expect(TokenType.NUMBER)[1]))
         stream.expect(TokenType.RPAREN)
-        return [RemoveAction(ce_index=i) for i in indices]
+        return tuple(RemoveAction(ce_index=i) for i in indices)
     if kind == "write":
         values: List[RhsValue] = []
         while not stream.at(TokenType.RPAREN):
             values.append(_parse_rhs_value(stream))
         stream.expect(TokenType.RPAREN)
-        return [WriteAction(values=tuple(values))]
+        return (WriteAction(values=tuple(values)),)
     if kind == "bind":
         var_tok = stream.expect(TokenType.VARIABLE)
         value = _parse_rhs_value(stream)
         stream.expect(TokenType.RPAREN)
-        return [BindAction(var=str(var_tok[1]), value=value)]
+        return (BindAction(var=str(var_tok[1]), value=value),)
     if kind == "halt":
         stream.expect(TokenType.RPAREN)
-        return [HaltAction()]
+        return (HaltAction(),)
     raise ParseError(f"unknown action {kind!r}", head[2])
 
 

@@ -32,6 +32,7 @@ from .astnodes import (
     Var,
     WriteAction,
 )
+from .collector import collector_paused
 from .errors import RuntimeOps5Error
 from .wme import WME, WMEChange, WorkingMemory
 from ..rete.token import Token
@@ -89,6 +90,7 @@ def extract_bindings(production: Production, token: Token) -> Dict[str, Constant
 class CompiledRHS:
     """The threaded-code form of one production's RHS."""
 
+    @collector_paused
     def __init__(self, production: Production) -> None:
         self.production = production
         self._ce_token_pos = _ce_positions(production)

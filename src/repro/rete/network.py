@@ -32,6 +32,7 @@ from ..ops5.astnodes import (
     Test,
     Var,
 )
+from ..ops5.collector import collector_paused
 from ..ops5.errors import CompileError
 from ..ops5.wme import WME
 from .evaluators import make_evaluator
@@ -69,6 +70,12 @@ class ReteNetwork:
         self.key: Optional[str] = None
         self.evaluator = make_evaluator(mode)
         self._classes: Dict[str, _ClassEntry] = {}
+        #: (class, alpha descriptors) -> the terminal of their chain.
+        self._chains: Dict[Tuple[str, tuple], AlphaTerminal] = {}
+        #: join descriptors -> (eq descriptors, and the node's four
+        #: functions); a join descriptor holds no constant, so ``==`` on
+        #: it is exact.
+        self._join_fns: Dict[tuple, tuple] = {}
         self._next_node_id = 1
         self._next_alpha_id = 1
         self.beta_nodes: List[BetaNode] = []
@@ -85,6 +92,7 @@ class ReteNetwork:
     # -- construction ----------------------------------------------------
 
     @staticmethod
+    @collector_paused
     def compile(
         program: Program, mode: str = "compiled", key: Optional[str] = None
     ) -> "ReteNetwork":
@@ -164,11 +172,19 @@ class ReteNetwork:
 
     def _make_two_input(self, ce: ConditionElement, comp: _CECompilation) -> BetaNode:
         descs = tuple(comp.join_descs)
-        eq_descs = tuple(d for d in descs if d[1] == "=")
-        noneq_descs = tuple(d for d in descs if d[1] != "=")
-        tests_fn = self.evaluator.join_tests(noneq_descs)
-        all_tests_fn = self.evaluator.join_tests(descs)
-        left_key_fn, right_key_fn = self.evaluator.key_fns(eq_descs)
+        # Weaver's 1 484 two-input nodes have 12 distinct descriptor
+        # lists; the evaluator is asked once per list.
+        fns = self._join_fns.get(descs)
+        if fns is None:
+            eq_descs = tuple(d for d in descs if d[1] == "=")
+            noneq_descs = tuple(d for d in descs if d[1] != "=")
+            fns = self._join_fns[descs] = (
+                eq_descs,
+                self.evaluator.join_tests(noneq_descs),
+                self.evaluator.join_tests(descs),
+                *self.evaluator.key_fns(eq_descs),
+            )
+        eq_descs, tests_fn, all_tests_fn, left_key_fn, right_key_fn = fns
         cls = NotNode if ce.negated else JoinNode
         node = cls(
             self._new_node_id(),
@@ -192,25 +208,29 @@ class ReteNetwork:
         join_descs: List[tuple] = []
         local: Dict[str, str] = {}
 
-        def handle(attr: str, test) -> None:
+        # Depth first, in source order, with an explicit stack: a local
+        # function that calls itself is a cycle, garbage once this
+        # returns, and set-up makes none (see :mod:`repro.ops5.collector`).
+        pending = [(at.attr, at.test) for at in reversed(ce.tests)]
+        while pending:
+            attr, test = pending.pop()
             if isinstance(test, Disjunction):
                 alpha_descs.append(("disj", attr, frozenset(test.values)))
-                return
+                continue
             if isinstance(test, Conjunction):
-                for sub in test.tests:
-                    handle(attr, sub)
-                return
+                pending.extend((attr, sub) for sub in reversed(test.tests))
+                continue
             assert isinstance(test, Test)
             operand = test.operand
             if isinstance(operand, Lit):
                 alpha_descs.append(("const", attr, test.op, operand.value))
-                return
+                continue
             assert isinstance(operand, Var)
             var = operand.name
             if var in local:
                 # Second occurrence inside this CE: intra-element test.
                 alpha_descs.append(("intra", attr, test.op, local[var]))
-                return
+                continue
             if var in bindings:
                 pos, lattr = bindings[var]
                 join_descs.append((attr, test.op, pos, lattr))
@@ -218,17 +238,14 @@ class ReteNetwork:
                 # can be checked intra-element (cheaper than a join).
                 if test.op == "=":
                     local.setdefault(var, attr)
-                return
+                continue
             if test.op == "=":
                 local[var] = attr
-                return
+                continue
             raise CompileError(
                 f"production {prod.name}: predicate {test.op!r} applied to "
                 f"unbound variable <{var}> in CE of class {ce.klass}"
             )
-
-        for at in ce.tests:
-            handle(at.attr, at.test)
 
         exported = {} if ce.negated else dict(local)
         return _CECompilation(
@@ -236,7 +253,19 @@ class ReteNetwork:
         )
 
     def _alpha_chain(self, klass: str, descs: Sequence[tuple]) -> AlphaTerminal:
-        """Find-or-build the shared constant-test chain for one CE."""
+        """Find-or-build the shared constant-test chain for one CE.
+
+        Weaver's 2 121 CEs need 79 distinct chains, so the walk runs once
+        per distinct descriptor list.  The memo is keyed on ``==``, as
+        the walk's own node lookups are: equal descriptors are one test.
+        """
+        key = (klass, tuple(descs))
+        term = self._chains.get(key)
+        if term is None:
+            term = self._chains[key] = self._build_alpha_chain(klass, descs)
+        return term
+
+    def _build_alpha_chain(self, klass: str, descs: Sequence[tuple]) -> AlphaTerminal:
         entry = self._classes.setdefault(klass, _ClassEntry())
         # Canonical order maximizes sharing between CEs that list the
         # same tests in different orders.

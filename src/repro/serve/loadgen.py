@@ -29,7 +29,7 @@ from ..obs.export import write_chrome_trace
 from .limits import ServiceLimits
 from .metrics import nearest_rank
 from .netcache import NetworkCache
-from .protocol import decode_line, encode, ops_to_wire
+from .protocol import MAX_LINE_BYTES, decode_line, encode, ops_to_wire
 from .server import ReproServer
 from .session import SessionCore
 from .traffic import SCENARIOS, Traffic, build, build_from_source
@@ -149,7 +149,9 @@ class _Client:
 
     @staticmethod
     async def connect(host: str, port: int) -> "_Client":
-        reader, writer = await asyncio.open_connection(host, port)
+        # The server's own line limit: a reply (a ``dump`` carrying
+        # worker tails, a large ``transact``) may pass asyncio's 64 KiB.
+        reader, writer = await asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
         return _Client(reader, writer)
 
     async def request(self, msg: Dict[str, Any]) -> Dict[str, Any]:

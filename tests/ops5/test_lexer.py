@@ -1,5 +1,7 @@
 """Unit tests for the OPS5 tokenizer."""
 
+import sys
+
 import pytest
 
 from repro.ops5.lexer import TokenType, tokenize
@@ -136,3 +138,18 @@ class TestFullForms:
         src = "(p find-colored-block (goal ^type find-block ^color <c>) --> (modify 2))"
         toks = tokenize(src)
         assert toks[-1][0] == TokenType.RPAREN
+
+
+def test_a_token_kind_hashes_without_a_python_frame():
+    """The parser's memo keys hash a tuple of kinds per form; ``Enum``'s
+    own ``__hash__`` is a Python function, so each kind cost a frame."""
+    kinds = tuple(TokenType) * 3
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
+    try:
+        hash(kinds)
+        dict.fromkeys(kinds)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+

@@ -12,8 +12,14 @@ come from building something else.
 
 The front end shares the same way: one ``parse_program`` call scans each
 distinct source line once and builds each distinct condition element
-once.  The counts are taken by wrapping the lexer's line scanner, again
-with no counter in ``src/``.
+and each distinct action once.  The counts are taken by wrapping the
+lexer's line scanner and the parser's action parser, again with no
+counter in ``src/``.
+
+Set-up runs with the cyclic collector paused (``repro.ops5.collector``;
+``tests/rete/test_setup_garbage.py`` holds set-up to making no cyclic
+garbage), and hands the caller's ``gc`` state back unchanged, on return
+and on raise.
 
 They also guard the rule that made the saving measurable: no cache may
 outlive the call that filled it.  ``bench/`` samples set-up several
@@ -23,12 +29,17 @@ hits and measure a different program from a fresh ``repro run``.
 """
 
 import builtins
+import gc
 import hashlib
 
 import pytest
 
-from repro.ops5 import lexer
+from repro.corgi.plan import compile_plans
+from repro.ops5 import lexer, parser, rhs
+from repro.ops5.collector import collector_paused
+from repro.ops5.errors import CompileError, ParseError, RuntimeOps5Error
 from repro.ops5.parser import parse_program
+from repro.ops5.rhs import CompiledRHS
 from repro.programs import rubik, weaver
 from repro.rete.network import ReteNetwork
 
@@ -192,3 +203,134 @@ def test_two_parses_share_no_condition_element():
     first, second = (_ces(parse_program(source)) for _ in range(2))
     assert first == second
     assert not {id(ce) for ce in first} & {id(ce) for ce in second}
+
+
+def _actions(prog) -> list:
+    return [a for p in prog.productions for a in p.actions] + list(prog.startup)
+
+
+def test_one_parse_builds_each_distinct_action_once(monkeypatch):
+    built = []
+    real = parser._parse_action
+
+    def counting(stream):
+        built.append(None)
+        return real(stream)
+
+    monkeypatch.setattr(parser, "_parse_action", counting)
+    actions = _actions(parse_program(SOURCES["weaver-8x4"]()))
+    assert len(actions) == 1015  # 945 on right-hand sides, 70 at startup
+    assert len(built) == len({id(a) for a in actions}) == len({repr(a) for a in actions}) == 184
+
+
+def test_two_parses_share_no_action():
+    source = SOURCES["weaver-8x4"]()
+    first, second = (_actions(parse_program(source)) for _ in range(2))
+    assert first == second
+    assert not {id(a) for a in first} & {id(a) for a in second}
+
+
+def test_action_keys_keep_1_and_1_0_and_minus_0_0_apart():
+    """``1 == 1.0`` and ``0 == -0.0``; a spelling keyed on ``==`` would
+    make every one of these the first.  A repeated spelling is shared."""
+    values = ("1", "1.0", "-0.0", "0", "1")
+    prog = parse_program(" ".join(
+        f"(p r{i} (x) --> (make y ^v {v}) (write (compute {v} + 1)))"
+        for i, v in enumerate(values)
+    ))
+    makes = [p.actions[0] for p in prog.productions]
+    writes = [p.actions[1] for p in prog.productions]
+    assert [repr(m.assigns[0][1].value) for m in makes] == list(values)
+    assert [repr(w.values[0].operands[0].value) for w in writes] == list(values)
+    assert makes[0] is makes[4] and writes[0] is writes[4]
+    assert len({id(m) for m in makes}) == len({id(w) for w in writes}) == 4
+
+
+# -- the collector pause ------------------------------------------------------
+
+GOOD = "(p r (a ^x <v>) (b ^y <v>) --> (modify 1 ^x 2) (halt))"
+
+
+def _entry_points():
+    """(name, call that returns, call that raises) for every set-up
+    entry point that pauses the collector."""
+    prog = parse_program(GOOD)
+    net = ReteNetwork.compile(prog)
+    unbound = parse_program("(p r (a ^x > <v>) --> (halt))")
+    bad_rhs = parse_program("(p r (a) -(b) --> (remove 2))").productions[0]
+    return [
+        ("parse_program", lambda: parse_program(GOOD), lambda: parse_program("(p r (a")),
+        ("ReteNetwork.compile", lambda: ReteNetwork.compile(prog),
+         lambda: ReteNetwork.compile(unbound)),
+        ("CompiledRHS", lambda: CompiledRHS(prog.productions[0]),
+         lambda: CompiledRHS(bad_rhs)),
+        ("compile_plans", lambda: compile_plans(net), None),
+    ]
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_each_entry_point_hands_back_the_callers_gc_state(gc_state):
+    for name, returns, raises in _entry_points():
+        returns()
+        assert gc.isenabled() is gc_state, f"{name} returned"
+        if raises is not None:
+            with pytest.raises((ParseError, CompileError, RuntimeOps5Error)):
+                raises()
+            assert gc.isenabled() is gc_state, f"{name} raised"
+
+
+def test_the_collector_is_paused_inside_set_up(monkeypatch):
+    """Each entry point's work runs with ``gc`` off, even when the
+    caller left it on."""
+    seen = {}
+
+    def spy(module, attr, label):
+        real = getattr(module, attr)
+
+        def watched(*args, **kwargs):
+            seen[label] = gc.isenabled()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, watched)
+
+    spy(parser, "tokenize", "parse_program")
+    spy(ReteNetwork, "add_production", "ReteNetwork.compile")
+    spy(rhs, "binding_plan", "CompiledRHS")
+    from repro.corgi import plan
+    spy(plan, "_compiled", "compile_plans")
+    assert gc.isenabled()
+    for _name, returns, _raises in _entry_points():
+        returns()
+    assert seen == dict.fromkeys(
+        ["parse_program", "ReteNetwork.compile", "CompiledRHS", "compile_plans"], False
+    )
+    assert gc.isenabled()
+
+
+def test_a_nested_entry_point_does_not_re_enable_the_collector():
+    states = []
+
+    @collector_paused
+    def set_up():
+        prog = parse_program(GOOD)
+        states.append(gc.isenabled())
+        net = ReteNetwork.compile(prog)
+        states.append(gc.isenabled())
+        CompiledRHS(prog.productions[0])
+        compile_plans(net)
+        states.append(gc.isenabled())
+        raise CompileError("after the nested calls")
+
+    assert gc.isenabled()
+    with pytest.raises(CompileError):
+        set_up()
+    assert states == [False, False, False]
+    assert gc.isenabled()
+

@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.serve.netcache import NetworkCache
-from repro.serve.protocol import decode_line, encode
+from repro.serve.protocol import MAX_LINE_BYTES, decode_line, encode
 
 #: A bounded counter: ticks until n reaches limit, then halts.
 COUNTER = """
@@ -73,7 +73,7 @@ def with_server(coro_fn, limits=None):
     async def runner():
         server = ReproServer(limits=limits)
         host, port = await server.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
         try:
             return await coro_fn(server, reader, writer)
         finally:

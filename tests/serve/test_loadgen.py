@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.serve.loadgen import LoadReport, run_loadgen
+from repro.serve.loadgen import LoadReport, _Client, run_loadgen
+from repro.serve.protocol import decode_line, encode
 from repro.serve.traffic import SCENARIOS, build
 
 from .conftest import COUNTER
@@ -122,3 +123,30 @@ class TestLoadgen:
             )
         )
         assert report.ok
+
+
+def test_client_reads_a_reply_longer_than_asyncio_default_line_limit():
+    """asyncio's readline stops at 64 KiB; the server allows
+    ``MAX_LINE_BYTES``, and so must the client (a ``dump`` with worker
+    tails or a large ``transact`` reply passes 64 KiB)."""
+    pad = "x" * (256 * 1024)
+
+    async def reply_big(reader, writer):
+        req = decode_line(await reader.readline())
+        writer.write(encode({"id": req["id"], "ok": True, "pad": pad}))
+        await writer.drain()
+        writer.close()
+
+    async def main():
+        server = await asyncio.start_server(reply_big, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = await _Client.connect("127.0.0.1", port)
+        try:
+            return await client.request({"type": "stats"})
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+    resp = asyncio.run(main())
+    assert resp["ok"] and resp["pad"] == pad

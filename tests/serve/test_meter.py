@@ -10,6 +10,7 @@ import pytest
 from repro.obs import meter as obs_meter
 from repro.obs.export import validate_prometheus
 from repro.serve.limits import ServiceLimits
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.session import Busy
 
 from .conftest import COUNTER, request
@@ -28,7 +29,7 @@ def with_metered_server(coro_fn, limits=None, meter=True, slo=None):
     async def runner():
         server = ReproServer(limits=limits, meter=meter, slo=slo)
         host, port = await server.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
         try:
             return await coro_fn(server, reader, writer)
         finally:
