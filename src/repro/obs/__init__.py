@@ -3,7 +3,7 @@
 One observability layer shared by every engine in the repository: the
 sequential Rete matcher, the threaded parallel runtime, the mp
 backend's forked match processes (:mod:`repro.obs.fabric`: each ships
-what it recorded with its flush replies and is filed as one more writer
+what it recorded with its reports and is filed as one more writer
 of the control process's bus), the OPS5 recognize-act interpreter, and
 the service layer all report into the same structured event bus
 (:mod:`repro.obs.events`), which feeds

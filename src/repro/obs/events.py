@@ -15,8 +15,8 @@ Design constraints, in order:
    because the layer instruments spin locks themselves: a lock inside
    the event path would perturb exactly the contention it measures.
    A worker *process* (the mp engine) is one more such writer: it
-   records on its own copy of this module, ships the delta at each
-   flush, and the control thread that flushed files it
+   records on its own copy of this module, ships the delta with its
+   reports, and the control thread that reads them files it
    (:func:`file_remote`) in a buffer keyed by the worker's OS pid —
    same cap, same drop count, same epoch rules, one writer.
 
@@ -208,7 +208,7 @@ def file_remote(pid: int, name: str, spans: List[_SPAN], nodes: Dict[int, list],
     thread's).  ``dropped`` is what the worker already lost; spans
     beyond this buffer's cap are dropped and counted too.  Returns how
     many of ``spans`` were kept.  One thread files for a given pid —
-    the one flushing the engine that owns the process."""
+    the one driving the engine that owns the process."""
     buf = _remote.get(pid)
     if buf is None or buf.epoch != _epoch:
         buf = _WorkerBuffer(name, _epoch, _max_events, pid)

@@ -2,9 +2,9 @@
 
 The mp backend's match workers are forked processes, so what they
 record — on their own copies of :mod:`repro.obs.events` and
-:mod:`repro.obs.flight` — would die with them.  It rides the existing
-per-batch synchronization point instead, the flush reply (no new IPC
-round trips), as one dict whose format only this module knows:
+:mod:`repro.obs.flight` — would die with them.  It rides the worker's
+reports instead (no round trip of its own), as one dict whose format
+only this module knows:
 
 * :func:`build_ship` (worker side) snapshots the local bus — spans,
   per-node aggregates, counters, drop count — bounds the span payload
@@ -12,7 +12,7 @@ round trips), as one dict whose format only this module knows:
   attaches the flight-recorder tail, and resets the local bus so each
   ship is a delta.  With the bus off a ship is the tail and nothing
   else.
-* :func:`file_ship` (control side, called by the thread that flushed)
+* :func:`file_ship` (control side, called by the thread reading reports)
   hands the tail to :func:`repro.obs.flight.keep_remote_tail` — always
   — and, while the bus is on, files the delta into the worker's own
   buffer of the control process's bus
@@ -31,13 +31,13 @@ from typing import Any, Dict
 from . import events as _events
 from . import flight
 
-#: Span cap per flush reply (worker side).  A conformance-scale batch
+#: Span cap per ship (worker side).  A conformance-scale batch
 #: ships a handful of spans; a runaway batch ships the most recent
 #: SHIP_MAX_SPANS and counts the rest in ``ship_dropped``.
 SHIP_MAX_SPANS = 20_000
 
 #: Flight-recorder events attached to each ship (the worker's black
-#: box tail travels with every flush, so the control process always
+#: box tail travels with its reports, so the control process always
 #: holds a dead worker's last moments).
 SHIP_FLIGHT_TAIL = 20
 
@@ -47,7 +47,7 @@ def build_ship(
 ) -> Dict[str, Any]:
     """Snapshot-and-reset this process's bus into one ship payload.
 
-    Called in the *worker* process at flush time.  The local bus is
+    Called in the *worker* process as it posts a report.  The local bus is
     reset afterwards so consecutive ships are deltas; the worker's
     retired drop counts stay monotonic locally (see
     :func:`repro.obs.events.dropped_total`) and the per-window drop
@@ -72,7 +72,7 @@ def build_ship(
 
 
 def file_ship(name: str, ship: Dict[str, Any]) -> None:
-    """File one flush reply's ship from the worker displayed as ``name``."""
+    """File one report's ship from the worker displayed as ``name``."""
     pid = ship["pid"]
     flight.keep_remote_tail(pid, name, ship["flight"])
     if not _events.ENABLED:

@@ -10,7 +10,7 @@ unconditionally, because one ``perf_counter_ns`` call plus one
 enough to leave enabled in production.
 
 The ring is per *process* — forked mp workers inherit a copy and then
-diverge; the tail of theirs rides every flush reply (bus on or off) and
+diverge; the tail of theirs rides their reports (bus on or off) and
 the control process keeps the last one each worker sent
 (:func:`keep_remote_tail`), for the :data:`REMOTE_TAILS` workers heard
 from most recently.  That store belongs to this module, not to an

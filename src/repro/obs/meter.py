@@ -17,8 +17,8 @@ Counters per account (all monotonic within a meter epoch):
 ``firings``               productions fired
 ``wm_changes``            WM deltas pushed through the match network
 ``queue_wait_s``          engine task queue-wait + serve inbox wait
-``ipc_bytes``             pickled bytes shipped over mp pipes (dispatch
-                          payloads + flush replies), batch granularity
+``ipc_bytes``             pickled bytes shipped over mp pipes (each
+                          message to a worker, each report back)
 ``txns``                  transactions completed (any outcome)
 ``rejected_busy``         transactions bounced by the bounded inbox
 ``rejected_budget``       transactions refused for an exhausted budget

@@ -10,22 +10,32 @@ partitioned across workers by line ownership
 line locks.
 
 Control flow per WM-change batch, mirroring §3.1/§3.2 with processes
-for threads and shard routing for line locks:
+for threads and shard routing for line locks — one round trip:
 
-1. the control process increments the shared TaskCount by the worker
-   count and broadcasts the batch down every worker's pipe;
-2. each worker alpha-dispatches the batch (replicated, read-only),
-   keeps the root activations whose lines it owns, and drains them,
-   forwarding the child activations that land on a peer's shard, one
-   message per peer per stretch (increment-before-send,
-   decrement-after-drain);
-3. the worker whose release brings the shared TaskCount to zero posts
-   ``("quiet", seq)`` — the paper's termination detection, now
-   cross-process — and the control process sleeps until it arrives;
-4. a ``flush`` round collects every worker's conflict-set deltas,
-   match stats, and IPC counters, and the merged deltas feed the
-   count-based conflict set exactly like the threaded engine's
-   (``strict_cs = False``; deltas arrive unordered).
+1. the control process runs each change through the alpha network
+   once (counting it in its own :class:`MatchStats`) and routes each
+   root activation once: a line's roots to the line's owner, a
+   change's non-line roots to its designated worker (``i % n``);
+2. it adds one TaskCount unit per recipient and sends each worker that
+   has roots one ``changes`` message (a batch without roots sends
+   nothing);
+3. each worker drains its roots, forwarding the child activations that
+   land on a peer's shard, one message per peer per stretch
+   (increment-before-send, decrement-after-drain), and posts the
+   drain's conflict-set deltas *before* it releases its units;
+4. the worker whose release brings the shared TaskCount to zero posts
+   ``("quiet", seq, report)`` — the paper's termination detection, now
+   cross-process.  The control process merges reports as they arrive
+   and returns at ``quiet``; the merged deltas feed the count-based
+   conflict set exactly like the threaded engine's (``strict_cs =
+   False``; deltas arrive unordered).
+
+Match stats and IPC counters are not collected per batch: reading
+:attr:`ProcessMatcher.stats` or :attr:`~ProcessMatcher.ipc_counters`
+after a batch takes one ``("report", seq)`` round trip, and ``close``
+takes the last one.  While the obs bus is on, every batch ends with
+that round trip, so each worker ships its spans once per batch
+(worker protocol: :mod:`.worker`).
 
 Requires the ``fork`` start method (Linux/macOS): compiled networks
 hold closures that cannot cross a ``spawn`` boundary.  Call
@@ -47,7 +57,9 @@ from ...obs import fabric as _fabric
 from ...obs import flight as _flight
 from ...obs.watchdog import ProbeSample, StallWatchdog
 from ...ops5.wme import WMEChange
+from ...rete import kernel
 from ...rete.matcher import Matcher
+from ...rete.memories import key_hash
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
@@ -113,10 +125,17 @@ class ProcessMatcher(Matcher):
         self._taskcount = ctx.Value("q", 0)
         self._seq = 0
         self._shutdown = False
-        #: Last flush's per-worker stats snapshots (cumulative per
-        #: worker; replaced, not summed, on every flush).
+        #: The alpha work of every change, counted here — the one place
+        #: it runs.
+        self._alpha_stats = MatchStats()
+        #: Each worker's cumulative stats as of the last ``report``
+        #: round trip (replaced, not summed).
         self._worker_stats: Dict[int, MatchStats] = {}
         self._ipc_totals: Dict[str, int] = {}
+        #: Whether a batch has run since the last ``report`` round trip.
+        self._unreported = False
+        #: Each worker's latest conjugate pending-delete count.
+        self._pending = [0] * n_workers
         #: Whether the workers currently mirror the control process's
         #: obs flag (synced lazily at each batch boundary).
         self._workers_obs = False
@@ -153,7 +172,8 @@ class ProcessMatcher(Matcher):
     # -- control-process side -----------------------------------------------
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Broadcast the batch, wait for quiescence, merge the deltas."""
+        """Route the batch's roots, wait for quiescence, return the
+        deltas the workers' reports carried."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
         obs_on = _obs.ENABLED
@@ -161,57 +181,121 @@ class ProcessMatcher(Matcher):
             # Safe to interleave: workers are idle on inbox.get()
             # between batches, so the obs message cannot land mid-drain.
             cap = _obs.current_max_events()
-            for inbox in self._inboxes:
-                inbox.put(("obs", obs_on, cap))
+            for wid in range(self.n_workers):
+                self._post(wid, ("obs", obs_on, cap))
             self._workers_obs = obs_on
         ctx_ids = _context.current_ids() if obs_on else None
         if obs_on:
             t0 = _obs.now()
-        self._seq = next(_GLOBAL_SEQ)
-        _flight.record("mp", "dispatch",
-                       {"seq": self._seq, "changes": len(changes)})
-        payload = [(c.sign, c.wme) for c in changes]
+        seq = self._seq = next(_GLOBAL_SEQ)
+        _flight.record("mp", "dispatch", {"seq": seq, "changes": len(changes)})
+        shares = self._route(changes)
+        recipients = [wid for wid, share in enumerate(shares) if share]
+        if not recipients:
+            # Nothing to match, but a dead worker must not pass unseen.
+            self._check_alive()
+            return []
         with self._taskcount.get_lock():
-            self._taskcount.value += self.n_workers
+            self._taskcount.value += len(recipients)
         # The request's ids ride the batch message as a fourth element;
         # each worker stamps them into its batch span, which is what
         # gives stitched traces request-scoped worker lanes.
-        for inbox in self._inboxes:
-            inbox.put(("changes", self._seq, payload, ctx_ids))
-        if self.timed:
-            # Batch-granular IPC accounting: one pickle of the payload
-            # stands in for what the pipe actually carried, times the
-            # fan-out (the batch is broadcast to every worker).
-            self.ipc_bytes += len(pickle.dumps(payload)) * self.n_workers
+        for wid in recipients:
+            self._post(wid, ("changes", seq, shares[wid], ctx_ids))
         if obs_on:
             t1 = _obs.now()
             # "seq" is the stitch key pairing this span with the worker
             # batch spans it triggered (repro.obs.export.chrome_trace).
             _obs.span("mp", "dispatch", t0, t1,
-                      args=_context.tag(
-                          {"changes": len(changes), "seq": self._seq}))
+                      args=_context.tag({"changes": len(changes), "seq": seq}))
             _obs.count("mp.batches")
             _obs.count("mp.changes", len(changes))
-        self._wait_quiescent()
+        deltas = self._wait_quiescent()
+        self._unreported = True
         if obs_on:
             t2 = _obs.now()
-            _obs.span("mp", "quiesce_wait", t1, t2)
-        deltas = self._flush()
-        if obs_on:
+            _obs.span("mp", "quiesce_wait", t1, t2, args={"deltas": len(deltas)})
+            # A traced batch is filed whole before it returns: one ship
+            # per worker, so a snapshot taken now covers every process.
+            self._report()
             t3 = _obs.now()
-            _obs.span("mp", "merge", t2, t3, args={"deltas": len(deltas)})
+            _obs.span("mp", "report", t2, t3)
             _obs.span("mp", "parallel_batch", t0, t3,
                       args=_context.tag({"changes": len(changes)}))
         return deltas
 
-    def _wait_quiescent(self) -> None:
-        """Sleep until the worker that brought TaskCount to zero says
-        so.  A ``quiet`` or flush reply left over from an interrupted
-        earlier batch carries an older seq and is dropped."""
+    def _post(self, wid: int, msg: tuple) -> None:
+        """Put ``msg`` on worker ``wid``'s inbox, billing its bytes
+        while timed."""
+        self._inboxes[wid].put(msg)
+        if self.timed:
+            self.ipc_bytes += len(pickle.dumps(msg))
+
+    def _route(self, changes: List[WMEChange]) -> List[list]:
+        """Each worker's share of the batch: per change with roots for
+        it, ``(sign, wme, [(node_id, side), ...])``.  A root on a line
+        goes to the line's owner, any other root to the change's
+        designated worker.  A change's roots share a handful of keys,
+        so each distinct key is hashed once."""
+        n = self.n_workers
+        shares: List[list] = [[] for _ in range(n)]
+        route = self.shard.route_hashed
+        for i, change in enumerate(changes):
+            sign, wme = change.sign, change.wme
+            roots: List[tuple] = []
+            kernel.enter_change(self.network, self._alpha_stats, sign, wme, roots.extend)
+            if not roots:
+                continue
+            mine: List[list] = [[] for _ in range(n)]
+            hashes: Dict[tuple, int] = {}
+            for node, side, _sign, token in roots:
+                if node.uses_line():
+                    key = node.key_for(side, token)
+                    h = hashes.get(key)
+                    if h is None:
+                        h = hashes[key] = key_hash(key)
+                    owner = route(node.node_id, h)
+                else:
+                    owner = i % n
+                mine[owner].append((node.node_id, side))
+            for wid, share in enumerate(mine):
+                if share:
+                    shares[wid].append((sign, wme, share))
+        return shares
+
+    def _wait_quiescent(self) -> List[CSDelta]:
+        """Merge the batch's reports until the worker that brought
+        TaskCount to zero says so; returns their deltas.  A report or
+        ``quiet`` left over from an interrupted earlier batch carries an
+        older seq and is dropped."""
+        deltas: List[CSDelta] = []
         while True:
             msg = self._next_reply()
-            if msg[0] == "quiet" and msg[1] == self._seq:
-                return
+            kind = msg[0]
+            if kind == "deltas":
+                self._merge(msg, deltas)
+            elif kind == "quiet":
+                if msg[2] is not None:
+                    self._merge(msg[2], deltas)
+                if msg[1] == self._seq:
+                    break
+        pending = sum(self._pending)
+        if pending:
+            raise RuntimeError(f"{pending} conjugate deletes left parked")
+        return deltas
+
+    def _merge(self, msg, deltas: List[CSDelta]) -> None:
+        """File one worker's ``deltas`` report."""
+        _kind, wid, seq, payload, pending, ship = msg
+        if ship is not None:
+            _fabric.file_ship(self._procs[wid].name, ship)
+        if seq != self._seq:
+            return
+        self._pending[wid] = pending
+        terminals = self.network.terminals
+        deltas.extend(
+            (terminals[name].production, token, sign) for name, token, sign in payload
+        )
 
     def _check_alive(self) -> None:
         for proc in self._procs:
@@ -226,11 +310,16 @@ class ProcessMatcher(Matcher):
         while True:
             for fd, _event in self._reply_or_death.poll():
                 if fd == self._reply_fd:
-                    msg = self._results.get()
+                    # The one reader of the results pipe: read the bytes
+                    # themselves, so what they weigh is known for free.
+                    data = self._results._reader.recv_bytes()
+                    if self.timed:
+                        self.ipc_bytes += len(data)
+                    msg = pickle.loads(data)
                     if msg[0] == "error":
                         _flight.record("mp", "worker_error", {"wid": msg[1]})
                         _flight.dump_on_error("worker_error")
-                        self.close()
+                        self._stop()
                         raise RuntimeError(
                             "match process failed\n"
                             + self._format_error(msg[2], msg[3])
@@ -257,7 +346,7 @@ class ProcessMatcher(Matcher):
 
     def _raise_worker_failure(self, proc) -> None:
         # What the worker said on its way out, if it lived long enough
-        # to say it; else the last tail it shipped with a flush reply.
+        # to say it; else the last tail it shipped with a report.
         detail = self._format_error("", _flight.remote_tail(proc.pid))
         while not self._results.empty():
             msg = self._results.get()
@@ -266,43 +355,36 @@ class ProcessMatcher(Matcher):
         _flight.record("mp", "worker_death",
                        {"proc": proc.name, "exitcode": proc.exitcode})
         _flight.dump_on_error("worker_death")
-        self.close()
+        self._stop()
         raise RuntimeError(
             f"match process {proc.name} died (exit {proc.exitcode}){detail}"
         )
 
-    def _flush(self) -> List[CSDelta]:
-        for inbox in self._inboxes:
-            inbox.put(("flush", self._seq))
-        terminals = self.network.terminals
-        deltas: List[CSDelta] = []
-        pending_total = 0
+    def _report(self) -> None:
+        """One ``("report", seq)`` round trip, if a batch ran since the
+        last one and the workers are still there to ask: every worker's
+        cumulative stats, its IPC counters since the last one, and its
+        ship."""
+        if not self._unreported or self._shutdown:
+            return
+        seq = self._seq
+        for wid in range(self.n_workers):
+            self._post(wid, ("report", seq))
         seen = 0
         while seen < self.n_workers:
             msg = self._next_reply()
-            if msg[0] != "deltas" or msg[2] != self._seq:
+            if msg[0] != "report" or msg[2] != seq:
                 # A reply from an interrupted earlier batch; ignore.
                 continue
-            _kind, wid, _seq, payload, stats, counters, pending, ship = msg
+            _kind, wid, _seq, stats, counters, ship = msg
             seen += 1
-            pending_total += pending
-            if self.timed:
-                # Reply-direction IPC bytes (deltas + stats + ship),
-                # re-pickled once per worker per batch.
-                self.ipc_bytes += len(pickle.dumps((payload, stats, counters, ship)))
             _fabric.file_ship(self._procs[wid].name, ship)
             self._worker_stats[wid] = stats
             for name, n in counters.items():
                 self._ipc_totals[name] = self._ipc_totals.get(name, 0) + n
                 if _obs.ENABLED and n:
                     _obs.count(f"mp.{name}", n)
-            for prod_name, token, sign in payload:
-                deltas.append((terminals[prod_name].production, token, sign))
-        if pending_total:
-            raise RuntimeError(
-                f"{pending_total} conjugate deletes left parked"
-            )
-        return deltas
+        self._unreported = False
 
     def _watchdog_probe(self) -> ProbeSample:
         """Cross-process stall probe: the shared TaskCount is the
@@ -320,7 +402,20 @@ class ProcessMatcher(Matcher):
         )
 
     def close(self) -> None:
-        """Kill the match processes (the control process's duty)."""
+        """Take the last report, then stop the match processes (the
+        control process's duty); stats read afterwards stay exact.  A
+        worker that died since the last batch leaves them as of the
+        report before: its death is in the flight ring, and closing
+        never raises."""
+        try:
+            self._report()
+        except RuntimeError:
+            pass
+        finally:
+            self._stop()
+
+    def _stop(self) -> None:
+        """Kill the match processes without asking them anything."""
         if self._shutdown:
             return
         self._shutdown = True
@@ -342,7 +437,7 @@ class ProcessMatcher(Matcher):
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
-            self.close()
+            self._stop()
         except Exception:
             pass
 
@@ -350,13 +445,16 @@ class ProcessMatcher(Matcher):
 
     @property
     def stats(self) -> MatchStats:
-        """Merged match statistics across workers, as of the last flush."""
-        merged = MatchStats()
+        """Merged match statistics: the alpha work counted here plus
+        every worker's, as of the last batch."""
+        self._report()
+        merged = MatchStats().merge(self._alpha_stats)
         for stats in self._worker_stats.values():
             merged.merge(stats)
         return merged
 
     @property
     def ipc_counters(self) -> Dict[str, int]:
-        """Cumulative dispatch/forward/IPC counters across all batches."""
+        """Cumulative forward/IPC counters across all batches."""
+        self._report()
         return dict(self._ipc_totals)

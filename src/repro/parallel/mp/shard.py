@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ...rete.memories import line_hash
+from ...rete.memories import key_hash, line_hash, line_hash_from
 from ..policy import make_policy
 
 
@@ -79,7 +79,11 @@ class ShardMap:
 
     def route(self, node_id: int, key: tuple) -> int:
         """The worker that must process activations for this line."""
-        return self._owners[line_hash(node_id, key) % self.n_lines]
+        return self._owners[line_hash_from(node_id, key_hash(key)) % self.n_lines]
+
+    def route_hashed(self, node_id: int, h: int) -> int:
+        """:meth:`route` for a key whose :func:`key_hash` is ``h``."""
+        return self._owners[line_hash_from(node_id, h) % self.n_lines]
 
     def lines_owned(self, wid: int) -> Tuple[int, ...]:
         """All lines owned by worker ``wid`` (for partition checks)."""

@@ -8,36 +8,35 @@ process-private, so no locks exist anywhere on the match path.
 
 Message protocol (inbound, one queue per worker):
 
-``("changes", seq, [(sign, wme), ...], ctx_ids)``
-    One WM-change batch, broadcast to every worker.  Each worker runs
-    the alpha network over the whole batch (cheap, read-only) and keeps
-    exactly the root activations whose line it owns; non-line root
-    activations (single-CE terminals) belong to the batch's designated
-    worker so they are processed exactly once.  ``ctx_ids`` (None, or
+``("changes", seq, [(sign, wme, [(node_id, side), ...]), ...], ctx_ids)``
+    This worker's share of one WM-change batch.  The control process
+    ran the alpha network once and routed each root activation once:
+    a line's roots to the line's owner, a change's non-line roots
+    (single-CE terminals) to the change's designated worker.  A worker
+    with no roots in a batch gets no message.  ``ctx_ids`` (None, or
     ``{"req", "session", "tenant"}`` from :mod:`repro.obs.context`) is
     the serve request that caused the batch; workers stamp it into
     their batch spans so stitched traces stay request-scoped across the
     process boundary.
 
-``("acts", [(node_id, side, sign, token), ...])``
+``("acts", seq, [(node_id, side, sign, token), ...])``
     Forwarded activations for lines this worker owns, produced by a
     peer whose joins emitted child tokens landing on our shard.  The
     peer sends what it has for us after each stretch of its drain, at
     the end of it, and at once when the waiting tokens hold
-    ``POLL_EVERY`` WMEs — the bound on a message's size.  Peer and
-    control process write the same inbox pipe, so acts may overtake the
-    ``("changes", ...)`` broadcast they belong to; that is legal —
-    intra-batch order is commutative — and the overtaken batch message
-    is deferred, never dropped.
+    ``POLL_EVERY`` WMEs — the bound on a message's size.  A worker may
+    meet a batch only through acts, and since peer and control process
+    write the same inbox pipe, acts may overtake the ``("changes",
+    ...)`` message they belong to; both are legal — intra-batch order
+    is commutative — so the worker adopts the ``seq`` of the acts it
+    drains, and an overtaken batch message is deferred, never dropped.
 
-``("flush", seq)``
-    Sent by the control process only at quiescence (after the ``quiet``
-    below, so no task can still be in flight): reply on the results
-    queue with the accumulated conflict-set deltas, match stats, IPC
-    counters, the conjugate pending-delete count, and the observability
-    *ship* — the worker's local spans/node-profiles/flight-tail,
-    snapshotted and reset so each ship is a delta
-    (:func:`repro.obs.fabric.build_ship`).
+``("report", seq)``
+    Sent by the control process only between batches: after every batch
+    while the bus is on, and otherwise when someone reads its ``stats``
+    or ``ipc_counters`` (and once more at ``close``).  Reply with the
+    cumulative match stats, the IPC counters since the last reply, and
+    a ship.
 
 ``("obs", enabled, max_events)``
     Mirror the control process's observability state.  Sent only
@@ -47,14 +46,25 @@ Message protocol (inbound, one queue per worker):
 ``("stop",)``
     Exit the process loop.
 
+Outbound, on the one results queue, a drain's conflict-set deltas ride
+its release: before a worker gives back its TaskCount units it posts
+``("deltas", wid, seq, deltas, pending, ship)`` if the drain left new
+deltas or changed its conjugate pending-delete count.  The *ship*
+(:func:`repro.obs.fabric.build_ship`) is the worker's flight tail and,
+bus on, its spans and node profiles since the last one.  A ``deltas``
+report carries it while the bus is off (None otherwise); a traced run
+ships exactly once per worker per batch, in the ``report`` reply.
+
 Termination bookkeeping mirrors §3.2's TaskCount: the shared counter
-is incremented *before* any task becomes visible (one per worker per
-broadcast batch, one per forwarded activation) and decremented only
-after the receiving worker has fully drained the task *and* all local
+is incremented *before* any task becomes visible (one per recipient of
+a batch, one per forwarded activation) and decremented only after the
+receiving worker has fully drained the task *and* all local
 descendants, so the counter reaching zero proves global quiescence.
-The worker whose decrement brings it to zero — tested under the same
-lock — says so: it posts ``("quiet", seq)`` on the results queue, which
-is what the control process waits on.
+The worker whose release brings it to zero says so: it posts
+``("quiet", seq, report)`` on the results queue, its own report (or
+None) merged in.  Every other report was posted before its sender's
+release, so it is ahead of ``quiet`` in the pipe, and the control
+process has the batch's every delta when ``quiet`` arrives.
 
 Two rules keep the peer pipes from deadlocking, and the code must keep
 both: every worker empties its own inbox before each write to a peer,
@@ -63,8 +73,10 @@ workers writing to each other at once then each find room.  A pickled
 ``acts`` message costs about its WMEs (each pickled once per message),
 so capping it at ``POLL_EVERY`` WMEs plus one token keeps it under 8 KB
 on the bundled programs (``tests/parallel/test_mp_engine.py`` checks
-rubik, whose tokens are the longest).  With three or more workers the
-rules are not a proof: several peers can fill one pipe between two
+rubik, whose tokens are the longest).  A ``changes`` message need not
+fit (weaver 8x4's startup share is ~50 KB): the worker it goes to is
+idle or reads it whole at its next absorb.  With three or more workers
+the rules are not a proof: several peers can fill one pipe between two
 absorbs of its reader.
 """
 
@@ -109,19 +121,21 @@ class _WorkerState:
         self.outgoing: List[list] = [[] for _ in range(shard.n_workers)]
         self.outgoing_wmes: List[int] = [0] * shard.n_workers
         #: Forwarded tasks absorbed mid-drain; their TaskCount units are
-        #: released together with the batch unit after the drain.
+        #: released together with the drain's own units.
         self.borrowed = 0
         #: Non-act messages pulled off the pipe mid-drain, replayed by
         #: the main loop in arrival order once the drain completes.  A
         #: peer's forwarded acts for batch N can land in our pipe ahead
-        #: of the control process's ("changes", N) broadcast — two
+        #: of the control process's ("changes", N) message — two
         #: producers, one pipe — so a drain triggered by them may find
         #: the batch message behind them.
         self.deferred: List[tuple] = []
         self.stopping = False
-        #: The batch being matched: the seq a ``quiet`` reports.
+        #: The batch being matched: the seq a report and ``quiet`` carry.
         self.seq = 0
-        #: Per-flush-window IPC counters (reset after every flush reply).
+        #: The conjugate pending-delete count the last report carried.
+        self.reported_pending = 0
+        #: IPC counters since the last ``report`` reply.
         self.counters: Dict[str, int] = {
             "tasks_local": 0, "tasks_forwarded": 0, "ipc_msgs": 0,
         }
@@ -151,20 +165,6 @@ class _WorkerState:
                 if self.outgoing_wmes[owner] >= POLL_EVERY:
                     self.send(owner)
 
-    def keep_roots(self, roots: List[Task], mine: bool) -> None:
-        """The kernel's seam for a broadcast change: every worker
-        derives every root, so instead of forwarding, keep exactly the
-        ones whose line this shard owns.  Non-line roots (single-CE
-        terminals) belong to the change's designated worker."""
-        route = self.shard.route
-        for task in roots:
-            node, side, _sign, token = task
-            if node.uses_line():
-                if route(node.node_id, node.key_for(side, token)) == self.wid:
-                    self.local.append(task)
-            elif mine:
-                self.local.append(task)
-
     def send(self, owner: int) -> None:
         """Forward ``owner``'s waiting activations as one message."""
         acts = self.outgoing[owner]
@@ -179,7 +179,7 @@ class _WorkerState:
             self.taskcount.value += len(acts)
         self.counters["tasks_forwarded"] += len(acts)
         self.counters["ipc_msgs"] += 1
-        self._forward_queues[owner].put(("acts", acts))
+        self._forward_queues[owner].put(("acts", self.seq, acts))
 
     # -- the drain loop -----------------------------------------------------
 
@@ -217,38 +217,76 @@ class _WorkerState:
         Activations are absorbed immediately — intra-batch activation
         order is commutative (count-folded CS deltas, conjugate token
         memory), so running one early is always safe.  Anything else
-        (a racing ``changes`` broadcast the acts outran, an ``obs``
-        toggle) is deferred to the main loop: those must run between
-        drains, not inside one.  A ``flush`` can never appear here —
-        it is only sent at TaskCount == 0, and we hold at least one
-        undecremented unit while draining."""
+        (a ``changes`` message the acts outran, an ``obs`` toggle) is
+        deferred to the main loop: those must run between drains, not
+        inside one.  A ``report`` can never appear here — it is only
+        sent at TaskCount == 0, and we hold at least one unreleased unit
+        while draining."""
         while not self.inbox.empty():
             msg = self.inbox.get()
             if msg[0] == "acts":
-                self.take(msg[1])
-                self.borrowed += len(msg[1])
+                self.take(msg[1], msg[2])
+                self.borrowed += len(msg[2])
             elif msg[0] == "stop":
                 self.stopping = True
             else:
                 self.deferred.append(msg)
 
-    def take(self, acts) -> None:
-        """Put forwarded activations on the local stack."""
+    def take(self, seq: int, acts) -> None:
+        """Put forwarded activations on the local stack; their batch is
+        the one being matched."""
+        self.seq = seq
         nodes = self.nodes
         self.local.extend(
             (nodes[node_id], side, sign, token)
             for node_id, side, sign, token in acts
         )
 
-    def finish_units(self, own: int) -> None:
-        """Release the batch's TaskCount units after a complete drain;
-        the release that reaches zero announces quiescence."""
-        with self.taskcount.get_lock():
-            self.taskcount.value -= own + self.borrowed
-            quiet = self.taskcount.value == 0
+    def report(self):
+        """This drain's ``deltas`` message, or None when it left no new
+        conflict-set deltas and the same pending-delete count.
+
+        While the bus is off its ship is the flight tail.  With the bus
+        on the ship waits for the ``report`` round trip every traced
+        batch ends with, so one ship per worker per batch carries its
+        spans."""
+        ctx = self.ctx
+        pending = self.memory.pending_deletes
+        if not ctx.cs_deltas and pending == self.reported_pending:
+            return None
+        deltas = [
+            (production.name, token, sign)
+            for production, token, sign in ctx.cs_deltas
+        ]
+        ctx.cs_deltas = []
+        self.reported_pending = pending
+        ship = None if _obs.ENABLED else _fabric.build_ship()
+        return ("deltas", self.wid, self.seq, deltas, pending, ship)
+
+    def release(self, own: int) -> None:
+        """Post the drain's report, then give back its TaskCount units
+        (``own`` plus the borrowed ones); the release that reaches zero
+        announces quiescence, with the report merged in when there is
+        one.  A report that does not end the batch goes *before* the
+        release, so it is ahead of whichever ``quiet`` ends it."""
+        units = own + self.borrowed
         self.borrowed = 0
-        if quiet:
-            self.outbox.put(("quiet", self.seq))
+        report = self.report()
+        lock = self.taskcount.get_lock()
+        if report is not None:
+            with lock:
+                last = self.taskcount.value == units
+                if last:
+                    self.taskcount.value = 0
+            if last:
+                self.outbox.put(("quiet", self.seq, report))
+                return
+            self.outbox.put(report)
+        with lock:
+            self.taskcount.value -= units
+            last = self.taskcount.value == 0
+        if last:
+            self.outbox.put(("quiet", self.seq, None))
 
     # -- message handlers ---------------------------------------------------
 
@@ -261,19 +299,13 @@ class _WorkerState:
             "mp.worker", "batch",
             {"wid": self.wid, "seq": seq, "changes": len(payload)},
         )
-        stats = self.ctx.stats
-        n_workers = self.shard.n_workers
-        for i, (sign, wme) in enumerate(payload):
-            # Alpha work is replicated on every worker; only the
-            # change's designated worker counts it, so merged stats
-            # match the sequential matcher's.
-            mine = i % n_workers == self.wid
-            kernel.enter_change(
-                self.network, stats, sign, wme,
-                lambda roots: self.keep_roots(roots, mine), count=mine,
-            )
+        nodes = self.nodes
+        local = self.local
+        for sign, wme, roots in payload:
+            token = ((wme,), (wme.timetag,))
+            for node_id, side in roots:
+                local.append((nodes[node_id], side, sign, token))
         self.drain()
-        self.finish_units(1)
         if obs_on:
             # The "seq" arg is the stitch key: the control process's
             # dispatch span for this batch carries the same number.
@@ -281,28 +313,16 @@ class _WorkerState:
             if ctx_ids is not None:
                 args.update(ctx_ids)
             _obs.span("mp.worker", "batch", t0, _obs.now(), args=args)
+        self.release(1)
 
-    def on_acts(self, acts) -> None:
-        self.take(acts)
+    def on_acts(self, seq: int, acts) -> None:
+        self.take(seq, acts)
         self.drain()
-        self.finish_units(len(acts))
+        self.release(len(acts))
 
-    def on_flush(self, seq: int) -> None:
-        deltas = [
-            (production.name, token, sign)
-            for production, token, sign in self.ctx.cs_deltas
-        ]
-        self.ctx.cs_deltas = []
+    def on_report(self, seq: int) -> None:
         self.outbox.put((
-            "deltas",
-            self.wid,
-            seq,
-            deltas,
-            self.ctx.stats,
-            dict(self.counters),
-            self.memory.pending_deletes,
-            # The obs ship piggybacks on the flush reply — no extra IPC
-            # round trips.  Cheap when obs is off (empty registry).
+            "report", self.wid, seq, self.ctx.stats, dict(self.counters),
             _fabric.build_ship(),
         ))
         for key in self.counters:
@@ -348,9 +368,9 @@ def run_worker(wid, network, shard, inboxes, outbox, taskcount,
             if kind == "changes":
                 state.on_changes(msg[1], msg[2], msg[3])
             elif kind == "acts":
-                state.on_acts(msg[1])
-            elif kind == "flush":
-                state.on_flush(msg[1])
+                state.on_acts(msg[1], msg[2])
+            elif kind == "report":
+                state.on_report(msg[1])
             elif kind == "obs":
                 state.on_obs(msg)
             elif kind == "stop":

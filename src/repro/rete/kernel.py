@@ -42,31 +42,24 @@ Route = Callable[[List[Task]], None]
 
 
 def alpha_pass(
-    network: ReteNetwork, stats: MatchStats, wme: WME, count: bool = True
+    network: ReteNetwork, stats: MatchStats, wme: WME
 ) -> Tuple[List[AlphaTerminal], int]:
-    """Run ``wme`` through the constant-test network; returns ``(alpha
-    terminals passed, constant tests run)``.
-
-    Charges the change and its alpha work to ``stats`` unless ``count``
-    is false — mp workers replicate the alpha pass and only the change's
-    designated worker counts it, so merged stats match the sequential
-    matcher's.
-    """
+    """Run ``wme`` through the constant-test network and charge the
+    change and its alpha work to ``stats``; returns ``(alpha terminals
+    passed, constant tests run)``."""
     hits, n_tests = network.alpha_dispatch(wme)
-    if count:
-        stats.wme_changes += 1
-        stats.constant_tests += n_tests
-        stats.alpha_passes += len(hits)
+    stats.wme_changes += 1
+    stats.constant_tests += n_tests
+    stats.alpha_passes += len(hits)
     return hits, n_tests
 
 
 def enter_change(
     network: ReteNetwork, stats: MatchStats, sign: int, wme: WME, route: Route,
-    count: bool = True,
 ) -> Tuple[int, int]:
     """Turn one WM change into root tasks and hand them to ``route``.
     Returns ``(alpha hits, constant tests)``."""
-    hits, n_tests = alpha_pass(network, stats, wme, count)
+    hits, n_tests = alpha_pass(network, stats, wme)
     token = ((wme,), (wme.timetag,))
     roots: List[Task] = []
     for terminal in hits:

@@ -42,12 +42,27 @@ RIGHT = "R"
 
 def line_hash(node_id: int, key: tuple) -> int:
     """The deterministic (cross-process, cross-run) hash of the bucket
-    ``(node_id, key)``, in one frame.
+    ``(node_id, key)``.
 
     Python's built-in ``hash`` of strings is salted per process, which
     would make hash-line assignment — and therefore simulated lock
     contention and mp shard ownership — irreproducible.  This is FNV-1
-    over ``node_id`` and the FNV-1 of the key's values: an int hashes to
+    over ``node_id`` and :func:`key_hash`; a caller filing one key under
+    many nodes hashes the key once and folds each node in with
+    :func:`line_hash_from`.
+    """
+    return line_hash_from(node_id, key_hash(key))
+
+
+def line_hash_from(node_id: int, h: int) -> int:
+    """:func:`line_hash` of ``node_id`` and a key whose :func:`key_hash`
+    is ``h``."""
+    node = ((0x811C9DC5 * 0x01000193) ^ node_id) & 0xFFFFFFFF
+    return ((node * 0x01000193) ^ h) & 0xFFFFFFFF
+
+
+def key_hash(key: tuple) -> int:
+    """The FNV-1 of a key's values, in one frame: an int hashes to
     itself, a str to its CRC-32, ``None`` to a constant.  A float equal
     to an int hashes as that int (``1.0`` as ``1``, ``-0.0`` as ``0``):
     the tables file ``(n, (1,))`` and ``(n, (1.0,))`` in one bucket, so
@@ -69,8 +84,7 @@ def line_hash(node_id: int, key: tuple) -> int:
         else:
             v = zlib.crc32(repr(value).encode("utf-8"))
         h = ((h * 0x01000193) ^ v) & 0xFFFFFFFF
-    node = ((0x811C9DC5 * 0x01000193) ^ node_id) & 0xFFFFFFFF
-    return ((node * 0x01000193) ^ h) & 0xFFFFFFFF
+    return h
 
 
 Table = Dict[Tuple[int, tuple], List]
@@ -104,7 +118,7 @@ class MemorySystem:
     def line_of(self, node_id: int, key: tuple) -> int:
         if not self.keyed:
             return node_id
-        return line_hash(node_id, key) % self.n_lines
+        return line_hash_from(node_id, key_hash(key)) % self.n_lines
 
     def bucket_sizes(self, side: str) -> List[int]:
         """Chain lengths per bucket — used by the hash-size ablation."""

@@ -8,6 +8,8 @@ process, the fork-requirement guard, and the engine factory wiring.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.engines import ENGINE_NAMES, make_matcher
@@ -91,6 +93,24 @@ class TestFailurePropagation:
         finally:
             interp.close()
 
+    def test_close_after_a_worker_died_does_not_raise(self):
+        """``close`` asks the workers for their last report; one that
+        died since the last batch cannot answer, and closing still
+        ends cleanly."""
+        interp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
+                             engine_opts={"n_workers": 2})
+        interp.run(max_cycles=100)
+        matcher = interp.matcher
+        assert matcher._unreported  # close owes the workers' last report
+        for proc in matcher._procs:
+            proc.terminate()
+            proc.join(timeout=5.0)
+        interp.close()
+        # The alpha work was counted here, so that much stays exact.
+        seq = Interpreter(FIND_COLORED_BLOCK)
+        seq.run(max_cycles=100)
+        assert matcher.stats.wme_changes == seq.stats.wme_changes
+
     def test_worker_exception_reports_traceback(self):
         """An exception inside a worker (forced by corrupting the task
         protocol) reaches the control process as a RuntimeError that
@@ -100,7 +120,7 @@ class TestFailurePropagation:
         try:
             with matcher._taskcount.get_lock():
                 matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("acts", [(-12345, "L", 1, ())]))
+            matcher._inboxes[0].put(("acts", 0, [(-12345, "L", 1, ())]))
             with pytest.raises(RuntimeError):
                 matcher._wait_quiescent()
         finally:
@@ -115,7 +135,7 @@ class TestFailurePropagation:
         try:
             with matcher._taskcount.get_lock():
                 matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("acts", [(-12345, "L", 1, ())]))
+            matcher._inboxes[0].put(("acts", 0, [(-12345, "L", 1, ())]))
             with pytest.raises(RuntimeError) as excinfo:
                 matcher._wait_quiescent()
         finally:
@@ -297,6 +317,165 @@ class TestEqualNumbers:
                                        engine_opts={"n_workers": n_workers}))
         assert got == expected
 
+class FakeCount:
+    """A shared ``Value`` as one process sees it."""
+
+    def __init__(self, value=0):
+        self.value = value
+        self._lock = threading.Lock()
+
+    def get_lock(self):
+        return self._lock
+
+
+class FakeInbox:
+    def __init__(self, msgs):
+        self.msgs = list(msgs)
+
+    def empty(self):
+        return not self.msgs
+
+    def get(self):
+        return self.msgs.pop(0)
+
+
+class FakeOutbox(list):
+    put = list.append
+
+
+class TestOneRoundTrip:
+    """A batch is one round trip: the control process routes each root
+    once and writes only the inboxes of workers that have roots, and a
+    worker's deltas ride its release into the batch whose acts it
+    drained."""
+
+    #: One single-CE rule: a change's roots are all non-line, so they
+    #: all go to its designated worker (change ``i`` to worker ``i % n``).
+    SOURCE = "(literalize tick n)\n(p count (tick ^n <n>) --> (write <n>))\n"
+
+    @staticmethod
+    def tap(matcher):
+        """Record what the control process writes to each inbox and how
+        many bytes it reads back; returns ``(sent, reader)``."""
+
+        class Inbox:
+            def __init__(self, wid, queue):
+                self.wid, self.queue = wid, queue
+
+            def put(self, msg):
+                sent.append((self.wid, msg))
+                self.queue.put(msg)
+
+            def close(self):
+                self.queue.close()
+
+        class Reader:
+            def __init__(self, conn):
+                self.conn, self.bytes = conn, 0
+
+            def recv_bytes(self):
+                data = self.conn.recv_bytes()
+                self.bytes += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        sent = []
+        matcher._inboxes = [Inbox(wid, q) for wid, q in enumerate(matcher._inboxes)]
+        reader = matcher._results._reader = Reader(matcher._results._reader)
+        return sent, reader
+
+    @staticmethod
+    def tick(n, timetag):
+        return WME.make("tick", {"n": n}, timetag)
+
+    def test_roots_on_one_worker_write_one_inbox(self):
+        _program, network = compiled_network(self.SOURCE)
+        matcher = ProcessMatcher(network, n_workers=2)
+        sent, _reader = self.tap(matcher)
+        try:
+            deltas = matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1))])
+            assert [(wid, msg[0]) for wid, msg in sent] == [(0, "changes")]
+            assert [(p.name, sign) for p, _token, sign in deltas] == [("count", 1)]
+            assert matcher._taskcount.value == 0
+        finally:
+            matcher.close()
+
+    def test_a_batch_without_roots_makes_no_ipc(self):
+        _program, network = compiled_network(self.SOURCE)
+        matcher = ProcessMatcher(network, n_workers=2)
+        sent, reader = self.tap(matcher)
+        matcher.timed = True
+        try:
+            change = WMEChange(sign=1, wme=WME.make("block", {}, 1))
+            assert matcher.process_changes([change]) == []
+            # Its alpha work was counted here, so the stats need no trip.
+            assert matcher.stats.wme_changes == 1
+            assert sent == [] and reader.bytes == 0
+            assert matcher.ipc_bytes == 0
+        finally:
+            matcher.close()
+
+    def test_ipc_bytes_bill_what_went_down_each_pipe(self):
+        import pickle
+
+        _program, network = compiled_network(self.SOURCE)
+        matcher = ProcessMatcher(network, n_workers=2)
+        sent, reader = self.tap(matcher)
+        matcher.timed = True
+        try:
+            matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1)),
+                                     WMEChange(sign=1, wme=self.tick(2, 2))])
+            assert sorted(wid for wid, _msg in sent) == [0, 1]
+            assert reader.bytes > 0
+            assert matcher.ipc_bytes == reader.bytes + sum(
+                len(pickle.dumps(msg)) for _wid, msg in sent)
+        finally:
+            matcher.close()
+
+    def run_worker(self, msgs, units):
+        """Worker 1's loop over ``msgs`` (then ``stop``), in this
+        process; returns what it posted on the results queue."""
+        from repro.parallel.mp.shard import ShardMap
+        from repro.parallel.mp.worker import run_worker
+
+        _program, network = compiled_network(self.SOURCE)
+        outbox = FakeOutbox()
+        taskcount = FakeCount(units)
+        run_worker(1, network, ShardMap(64, 2), [None, FakeInbox([*msgs, ("stop",)])],
+                   outbox, taskcount, FakeCount())
+        assert taskcount.value == 0
+        return outbox
+
+    def test_acts_standing_in_for_their_batch_report_into_it(self):
+        """A worker with no roots meets batch 7 only through a peer's
+        forwarded acts: its report and its ``quiet`` say 7, not the seq
+        of the last batch message it saw."""
+        token = ((self.tick(1, 1),), (1,))
+        outbox = self.run_worker([("acts", 7, [(1, "L", 1, token)])], units=1)
+        [(kind, seq, report)] = outbox
+        assert (kind, seq) == ("quiet", 7)
+        assert report[:5] == ("deltas", 1, 7, [("count", token, 1)], 0)
+
+    def test_acts_overtaking_their_batch_message_report_into_it(self):
+        """Acts for batch 7 ahead of the ``changes`` message they belong
+        to: the acts' drain reports before releasing its unit, the batch
+        message's drain ends the batch with its report merged into
+        ``quiet``."""
+        first, second = self.tick(1, 1), self.tick(2, 2)
+        token = ((first,), (1,))
+        outbox = self.run_worker([
+            ("acts", 7, [(1, "L", 1, token)]),
+            ("changes", 7, [(1, second, [(1, "L")])], None),
+        ], units=2)
+        [report, (kind, seq, last_report)] = outbox
+        assert report[:5] == ("deltas", 1, 7, [("count", token, 1)], 0)
+        assert (kind, seq) == ("quiet", 7)
+        assert last_report[:5] == (
+            "deltas", 1, 7, [("count", ((second,), (2,)), 1)], 0)
+
+
 class TestForwardDeadlockAvoidance:
     """Regression for the mutual pipe-full deadlock.
 
@@ -311,8 +490,6 @@ class TestForwardDeadlockAvoidance:
     """
 
     def _state(self, pending_msgs):
-        import threading
-
         from repro.parallel.mp.worker import _WorkerState
 
         class FakeNode:
@@ -343,27 +520,6 @@ class TestForwardDeadlockAvoidance:
             def route(self, node_id, key):
                 return 1  # always the peer
 
-        class FakeCount:
-            def __init__(self):
-                self.value = 0
-                self._lock = threading.Lock()
-
-            def get_lock(self):
-                return self._lock
-
-        class FakeInbox:
-            def __init__(self, msgs):
-                self.msgs = list(msgs)
-
-            def empty(self):
-                return not self.msgs
-
-            def get(self):
-                return self.msgs.pop(0)
-
-        class FakeOutbox(list):
-            put = list.append
-
         state = _WorkerState(
             0, FakeNetwork(), FakeShard(), FakeInbox(pending_msgs),
             outbox=FakeOutbox(), taskcount=FakeCount(),
@@ -384,7 +540,7 @@ class TestForwardDeadlockAvoidance:
 
         wme = WME.make("block", {"color": "red"}, 1)
         token = of((wme,))
-        pending = ("acts", [(1, "left", 1, token)])
+        pending = ("acts", 0, [(1, "left", 1, token)])
         state, node = self._state([pending])
         puts = []
         self._peer(state, puts)
@@ -395,7 +551,7 @@ class TestForwardDeadlockAvoidance:
 
         # One message for both forwards, written with our own pipe
         # already drained.
-        assert puts == [(True, ("acts", [(1, "left", 1, token)] * 2))]
+        assert puts == [(True, ("acts", 0, [(1, "left", 1, token)] * 2))]
         # The pending peer message was absorbed into local work and its
         # TaskCount unit is held as borrowed; ours were added for the
         # forwards, one per task.
@@ -414,7 +570,7 @@ class TestForwardDeadlockAvoidance:
         from repro.rete.token import of
 
         wme = WME.make("block", {"color": "red"}, 1)
-        racing_batch = ("changes", 6, [(1, wme)], None)
+        racing_batch = ("changes", 6, [(1, wme, [(1, "left")])], None)
         state, node = self._state([racing_batch])
         puts = []
         self._peer(state, puts)
@@ -439,7 +595,7 @@ class TestForwardDeadlockAvoidance:
         self._peer(state, puts)
 
         state.route_children([(node, "left", 1, of(wmes))] * (POLL_EVERY // 4 + 1))
-        assert [len(msg[1]) for _empty, msg in puts] == [POLL_EVERY // 4]
+        assert [len(msg[2]) for _empty, msg in puts] == [POLL_EVERY // 4]
         assert len(state.outgoing[1]) == 1
 
     def test_acts_absorbed_by_the_last_send_run_before_release(self):
@@ -447,7 +603,7 @@ class TestForwardDeadlockAvoidance:
         then must run before the drain returns: releasing their borrowed
         TaskCount units with the tasks still queued would let the count
         reach zero with work pending."""
-        state, node = self._state([("acts", [(1, "left", 1, "absorbed")])])
+        state, node = self._state([("acts", 9, [(1, "left", 1, "absorbed")])])
         puts = []
         self._peer(state, puts)
         state.taskcount.value = 2  # our batch unit + the peer's forward
@@ -458,13 +614,13 @@ class TestForwardDeadlockAvoidance:
 
         assert node.ran == ["root", "absorbed"]
         assert state.local == []
-        assert [msg for _empty, msg in puts] == [("acts", [(1, "left", 1, "child")])]
-        state.finish_units(1)
+        assert [msg for _empty, msg in puts] == [("acts", 9, [(1, "left", 1, "child")])]
+        state.release(1)
         assert state.taskcount.value == 1  # the unit of the child we sent
         assert state.outbox == []
         # The release that reaches zero announces quiescence.
-        state.finish_units(1)
-        assert state.outbox == [("quiet", 9)]
+        state.release(1)
+        assert state.outbox == [("quiet", 9, None)]
 
 
 class TestMessageSize:
@@ -481,7 +637,7 @@ class TestMessageSize:
         send = worker._WorkerState.send
 
         def measured_send(state, owner):
-            message = ("acts", state.outgoing[owner])
+            message = ("acts", state.seq, state.outgoing[owner])
             with open(sizes, "a") as fh:
                 fh.write(f"{len(pickle.dumps(message))}\n")
             send(state, owner)

@@ -25,7 +25,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.mp.shard import ShardMap
-from repro.rete.memories import line_hash
+from repro.rete.memories import key_hash, line_hash
 
 #: Constants as they appear in real join keys: OPS5 attribute values.
 _scalar = st.one_of(
@@ -145,7 +145,10 @@ class TestCrossProcessStability:
     @settings(max_examples=100, deadline=None)
     def test_stable_hash_is_route_input(self, node_id, key):
         """Routing never consults ``hash()``: it is fully determined by
-        ``line_hash``, which is itself deterministic by construction."""
+        ``line_hash``, which is itself deterministic by construction —
+        and a root routed from its key's ``key_hash`` (the mp control
+        process) lands where its children routed from the key do."""
         shard = ShardMap(n_lines=64, n_workers=3)
         expected = (line_hash(node_id, key) % 64) % 3
         assert shard.route(node_id, key) == expected
+        assert shard.route_hashed(node_id, key_hash(key)) == expected
