@@ -5,8 +5,8 @@ Reports are printed (visible with ``-s``) and also written to
 run leaves the paper-vs-measured tables on disk.  (There is no
 ``--benchmark-only`` flag — that belongs to the pytest-benchmark
 plugin, which this repo does not use.)  The deterministic counters are
-gated exactly by ``repro bench run`` / ``compare`` and wall time is
-measured by ``bench/run.py`` — see docs/PERF.md.
+pinned exactly beside each package's tests and wall time is measured
+by ``bench/run.py`` — see docs/PERF.md.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ Every verb is a :class:`Verb` registered beside the code it drives;
 this module holds only that record, the one :func:`dispatch` function
 and the top-level table.  A registry maps a verb name to the module
 whose ``VERBS`` dict holds it (imported only when that verb is used —
-``repro serve`` start-up never pays for the proof harness or the perf
-observatory) plus the one-line summary ``--help`` lists.  An entry of
-``VERBS`` is either a :class:`Verb` or another registry — the groups
-``check``, ``obs`` and ``bench`` — which the same function dispatches.
+``repro serve`` start-up never pays for the proof harness) plus the
+one-line summary ``--help`` lists.  An entry of ``VERBS`` is either a
+:class:`Verb` or another registry — the groups ``check`` and ``obs`` —
+which the same function dispatches.
 
 There is no verb catalogue here: ``repro --help`` lists the verbs,
 ``repro VERB --help`` prints that verb's own description and flags.
@@ -55,7 +55,6 @@ VERBS: Registry = {
               "host OPS5 sessions over a line-JSON protocol"),
     "loadgen": ("repro.serve.loadgen",
                 "drive a server with concurrent session traffic"),
-    "bench": ("repro.perf", "deterministic counter gate (see docs/PERF.md)"),
 }
 
 

@@ -112,7 +112,7 @@ class CorgiMatcher(Matcher):
     ``stats`` instrumentation.  ``tokens_emitted`` counts *derived
     partial combinations* (the engine's unit of join work); its growth
     staying polynomial on cross-product programs is the whole point,
-    and what the perf scenario measures.
+    and what ``tests/corgi/test_blowup.py`` pins.
     """
 
     def __init__(self, network: ReteNetwork) -> None:

@@ -1,7 +1,7 @@
 """Engine registry: one place that knows how to build every matcher.
 
-The interpreter, the CLI, the service layer, the perf scenarios, and
-the conformance suite all pick match backends by name through this
+The interpreter, the CLI, the service layer, the benchmark and the
+conformance suite all pick match backends by name through this
 module, so adding a fourth engine means adding one entry here (and one
 fixture line in ``tests/conformance/``).
 

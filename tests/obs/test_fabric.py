@@ -227,6 +227,15 @@ needs_mp = pytest.mark.skipif(
     not mp_supported(), reason="mp engine needs the 'fork' start method"
 )
 
+#: The 5x1 weaver on 2 workers, bus on, an untrippable watchdog riding
+#: along: ship batches, shipped spans, stitch orphans, trace schema
+#: problems and watchdog trips -- functions of the run, not of the
+#: host's cores.  One batch has roots for one worker only; the other
+#: gets no message and so records no ``batch`` span (414 while every
+#: batch was broadcast to both workers).
+FABRIC_MP = {"ship_batches": 414, "shipped_spans": 413, "stitch_orphans": 0,
+             "trace_problems": 0, "watchdog_trips": 0}
+
 
 @needs_mp
 class TestMpIntegration:
@@ -270,6 +279,20 @@ class TestMpIntegration:
         assert sum(agg[1] for agg in merged.nodes.values()) == (
             mp_interp.matcher.stats.node_activations
         )
+
+    def test_weaver_fabric_counts_are_the_pinned_ones(self):
+        from repro.programs import weaver
+
+        interp, snap = self.run_traced(
+            weaver.source(grid=5, n_nets=1), "mp", n_workers=2, watchdog_s=600.0)
+        doc = chrome_trace(snap)
+        assert {
+            "ship_batches": snap.counters["fabric.ship_batches"],
+            "shipped_spans": snap.counters["fabric.ship_spans"],
+            "stitch_orphans": doc["otherData"]["stitch_orphans"],
+            "trace_problems": len(validate_chrome_trace(doc)),
+            "watchdog_trips": interp.matcher.watchdog.trips,
+        } == FABRIC_MP
 
     def test_stitched_trace_covers_all_processes(self):
         from tests.conftest import FIND_COLORED_BLOCK

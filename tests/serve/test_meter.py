@@ -124,6 +124,19 @@ class TestMeterVerb:
             scenario, slo=[obs_meter.SLObjective("fast", 5.0, 0.5)]
         )
 
+    def test_two_tenant_burst_bills_every_transaction(self):
+        """3 sessions x 6 blocks transactions split over two tenants on
+        a spawned server: all 18 land in a tenant account, and nothing
+        errs, neither a transaction nor the exposition."""
+        from repro.serve.loadgen import run_loadgen
+
+        report = asyncio.run(run_loadgen(
+            scenario="blocks", sessions=3, transactions=6, spawn=True,
+            tenants=2, meter=True))
+        tenants = report.meter["tenants"]
+        assert sum(a["counters"]["txns"] for a in tenants.values()) == 18
+        assert (report.errors, validate_prometheus(report.prometheus)) == (0, [])
+
 
 class TestClosedSessions:
     def test_closed_session_accounts_are_bounded(self):

@@ -1,14 +1,17 @@
 """Every ``SimResult`` field on every branch of the replay loop, pinned.
 
 The paper's Tables 4-5…4-9 are ``SimResult`` numbers.  The goldens under
-``benchmarks/reports`` and ``BENCH_smoke.json`` only ever see the default
+``benchmarks/reports`` and ``bench/golden`` only ever see the default
 machine at a handful of configurations; ``pinned_sim.json`` holds what
 the simulator produced (at ``066f382``, the closure-per-event loop) for
 three small traces over the whole option grid — process/queue counts x
 lock scheme x pipelining x hardware scheduler x ``overlap_cr`` x every
 dispatch policy — plus one row per program with the two handoff knobs
 off their defaults.  A change to the event loop, the lock models or the
-cost columns that moves any field of any cell fails here.
+cost columns that moves any field of any cell fails here.  Its
+``weaver-full`` entry replays the whole weaver trace at the 7-process
+configurations no golden holds (MRSW, the spin means, every dispatch
+policy).
 
 Regenerate (only when the machine model changes on purpose)::
 
@@ -27,7 +30,9 @@ from repro.ops5.interpreter import Interpreter
 from repro.parallel.policy import POLICY_NAMES
 from repro.programs import rubik, tourney, weaver
 from repro.rete.trace import CycleRecord, MatchTrace, TraceRecorder
-from repro.simulator.engine import EncoreSimulator, SimOptions
+from repro.simulator.engine import (
+    EncoreSimulator, SimOptions, simulate, uniprocessor_baseline,
+)
 from repro.simulator.machine import DEFAULT_CONFIG
 
 PINNED = Path(__file__).with_name("pinned_sim.json")
@@ -81,11 +86,16 @@ def window(trace: MatchTrace, cycles, max_changes) -> MatchTrace:
 
 
 @lru_cache(maxsize=None)
-def small_trace(program: str) -> MatchTrace:
-    source, cycles, max_changes = PROGRAMS[program]
+def full_trace(program: str) -> MatchTrace:
     recorder = TraceRecorder()
-    Interpreter(source(), recorder=recorder).run(max_cycles=5000)
-    return window(recorder.trace, cycles, max_changes)
+    Interpreter(PROGRAMS[program][0](), recorder=recorder).run(max_cycles=5000)
+    return recorder.trace
+
+
+@lru_cache(maxsize=None)
+def small_trace(program: str) -> MatchTrace:
+    _source, cycles, max_changes = PROGRAMS[program]
+    return window(full_trace(program), cycles, max_changes)
 
 
 def row(trace: MatchTrace, options: SimOptions, config=DEFAULT_CONFIG) -> list:
@@ -110,6 +120,31 @@ def observe(program: str, locks: str) -> dict:
     return out
 
 
+def observe_full_weaver() -> dict:
+    """The whole 5x1 weaver trace (20 168 tasks) at 7 match processes:
+    the MRSW speed-up, the queue-lock (1 queue) and line-lock (8 queues)
+    spin means, and each dispatch policy's steals and, but for the
+    default's (``bench/golden/sim-weaver.json``), speed-up."""
+    trace = full_trace("weaver")
+    simple = uniprocessor_baseline(trace).match_instr
+    mrsw = uniprocessor_baseline(trace, lock_scheme="mrsw").match_instr
+    out = {
+        "speedup_mrsw_1p7_8q": mrsw / simulate(trace, 7, 8, "mrsw").match_instr,
+        "queue_spins_1p7_1q": simulate(trace, 7, 1).queue_stats.mean_spins,
+    }
+    for policy in POLICY_NAMES:
+        run = simulate(trace, 7, 8, policy=policy)
+        key = policy.replace("-", "_")
+        out[f"{key}_steals"] = run.steals
+        if policy == "rebalance":
+            out["rebalance_spills"] = run.rebalances
+        if policy == SimOptions().policy:
+            out["line_spins_1p7_8q"] = run.line_left.mean_spins
+        else:
+            out[f"{key}_speedup_1p7_8q"] = simple / run.match_instr
+    return dict(sorted(out.items()))
+
+
 @pytest.mark.parametrize("locks", ("simple", "mrsw"))
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_every_result_field_is_the_pinned_one(program, locks):
@@ -117,6 +152,14 @@ def test_every_result_field_is_the_pinned_one(program, locks):
     observed = observe(program, locks)
     assert observed.keys() == pinned.keys()
     moved = {cell: (pinned[cell], got) for cell, got in observed.items() if got != pinned[cell]}
+    assert not moved
+
+
+def test_the_full_weaver_trace_is_the_pinned_one():
+    pinned = json.loads(PINNED.read_text())["weaver-full"]
+    observed = observe_full_weaver()
+    assert observed.keys() == pinned.keys()  # a policy added to the registry needs its pin
+    moved = {name: (pinned[name], got) for name, got in observed.items() if got != pinned[name]}
     assert not moved
 
 
@@ -141,6 +184,7 @@ if __name__ == "__main__":
     cells = {
         f"{p}-{s}": observe(p, s) for p in sorted(PROGRAMS) for s in ("simple", "mrsw")
     }
+    cells["weaver-full"] = observe_full_weaver()
     lines = [
         json.dumps(name) + ": {\n" + ",\n".join(
             f"  {json.dumps(cell)}: {json.dumps(values)}" for cell, values in rows.items()

@@ -570,83 +570,3 @@ class TestParser:
         assert exc.value.code == 2
         assert "VERB" in capsys.readouterr().err
 
-
-class TestBench:
-    @staticmethod
-    def bench_run(out_dir):
-        return main([
-            "bench", "run", "--scenario", "match-weaver",
-            "--out-dir", str(out_dir),
-        ])
-
-    def test_run_emits_artifact(self, tmp_path, capsys):
-        import json
-
-        from repro.perf.schema import validate_bench_doc
-
-        assert self.bench_run(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "bench run suite=custom" in out
-        assert "activations" in out
-        assert f"artifact: {tmp_path}" in out
-        doc = json.loads((tmp_path / "BENCH_custom.json").read_text())
-        assert validate_bench_doc(doc) == []
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_custom.json"]
-
-    def test_unchanged_tree_compares_clean(self, tmp_path, capsys):
-        """Acceptance: two runs of the same tree -> every metric same."""
-        assert self.bench_run(tmp_path / "r1") == 0
-        assert self.bench_run(tmp_path / "r2") == 0
-        capsys.readouterr()
-        assert main(["bench", "compare",
-                     "--baseline", str(tmp_path / "r1" / "BENCH_custom.json"),
-                     "--current", str(tmp_path / "r2" / "BENCH_custom.json"),
-                     ]) == 0
-        out = capsys.readouterr().out
-        assert "changed=0 added=0 removed=0 skipped=0 same=2" in out
-        assert "result: OK" in out
-
-    def test_compare_flags_injected_regression(self, tmp_path, capsys):
-        import json
-
-        assert self.bench_run(tmp_path) == 0
-        base = tmp_path / "BENCH_custom.json"
-        # Inflate the activation count and one node's profile row.
-        doc = json.loads(base.read_text())
-        entry = doc["scenarios"]["match-weaver"]
-        entry["metrics"]["activations"] += 100
-        entry["profile"][0][3] += 100
-        perturbed = entry["profile"][0][2]
-        cur = tmp_path / "perturbed.json"
-        cur.write_text(json.dumps(doc), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur)]) == 1
-        out = capsys.readouterr().out
-        assert "match-weaver.activations" in out
-        assert "changed=1" in out
-        assert "movers for 'match-weaver'" in out
-        assert perturbed in out  # attribution names the perturbed production
-        assert "(+100)" in out
-
-    def test_unknown_scenario_is_clean_exit(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "run", "--scenario", "no-such",
-                  "--out-dir", str(tmp_path)])
-        assert "unknown scenarios" in str(exc.value)
-
-    def test_compare_without_history_is_clean_exit(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "compare", "--out-dir", str(tmp_path),
-                  "--baseline", str(tmp_path / "absent.json")])
-        assert "cannot read" in str(exc.value)
-
-    def test_removed_verb_and_flags_are_gone(self, capsys):
-        for argv in (["bench", "report"],
-                     ["bench", "run", "--repeat", "3"],
-                     ["bench", "run", "--no-trajectory"],
-                     ["bench", "compare", "--stable-only"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2, argv
-        capsys.readouterr()

@@ -143,8 +143,8 @@ class TestArchitecture:
                 assert isinstance(entry, cli.Verb), path
                 assert entry.name == path[-1]
                 assert entry.help.strip(), path
-        assert {"run", "check schedck", "obs flight", "obs slo", "bench run",
-                "serve", "loadgen"} <= set(paths)
+        assert {"run", "check schedck", "obs flight", "obs slo", "serve",
+                "loadgen"} <= set(paths)
 
     @pytest.mark.parametrize(
         "path", [(), *(path for path, *_rest in walk(cli.VERBS))],
@@ -160,8 +160,7 @@ class TestArchitecture:
 # ---------------------------------------------------------------------------
 # (iii) serve start-up stays light
 
-HEAVY = ("repro.perf", "repro.check", "repro.schedck", "repro.simulator",
-         "repro.harness")
+HEAVY = ("repro.check", "repro.schedck", "repro.simulator", "repro.harness")
 
 
 def test_resolving_serve_imports_no_heavy_package():

@@ -3,9 +3,12 @@ carrying no traffic stay deleted.
 
 * a trace has one route -- ``repro trace --out`` writes the Chrome
   trace; there is no snapshot capture and no offline ``obs stitch``;
-* the counter gate has one suite -- ``repro bench run`` runs the whole
-  registry, so it takes no ``--suite``.
+* the paper's counts have one gate each -- the pins beside each
+  subsystem's tests and ``bench/``'s goldens; there is no ``repro bench``
+  group and no ``repro.perf`` package.
 """
+
+import importlib
 
 import pytest
 
@@ -31,7 +34,8 @@ def test_trace_has_no_capture_flag(capsys):
     assert "--fabric-out" not in text
 
 
-def test_bench_run_has_no_suite_flag(capsys):
-    text = help_text(capsys, "bench", "run")
-    assert "--scenario" in text
-    assert "--suite" not in text
+def test_no_bench_group_and_no_perf_package(capsys):
+    text = help_text(capsys)
+    assert "bench" not in text
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.perf")
