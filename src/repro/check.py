@@ -3,9 +3,9 @@
 The paper's correctness claim (§3.2) is one sentence: a parallel or
 lazy match engine may change *how* the conflict set is computed, never
 *what* it is.  This module is the only place that knows what proving
-that on one case means; a battery (``schedck``, ``corgick``,
-``policyck``) supplies a subject engine, a workload source and its own
-structural invariants, and is listed in :data:`BATTERIES`.
+that on one case means; a battery (``schedck`` or ``corgick``)
+supplies a subject engine, a workload source and its own structural
+invariants, and is listed in :data:`BATTERIES`.
 
 Two proof shapes:
 
@@ -82,9 +82,6 @@ class Report:
     #: The subject ran out of its step budget before quiescence — a
     #: liveness failure even when every invariant still holds.
     truncated: bool = False
-    #: Racy counters (steals, rebalances); never printed, so reports
-    #: stay byte-identical run to run.
-    telemetry: List[Tuple[str, object]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -289,7 +286,7 @@ def lockstep(
 #: generator at two scrambles ("cube" is a different program text and
 #: solution than "rubik"), and two adversarial fixtures (a cross-product
 #: stressor and a deep-chain negation program).  Sizes keep the whole
-#: engine × policy matrix inside tier-1 time.
+#: engine matrix inside tier-1 time.
 PROGRAMS: Dict[str, Callable[[], str]] = {
     "blocks": lambda: blocks.source(),
     "monkey": lambda: monkey.source(),
@@ -382,8 +379,6 @@ BATTERIES: Registry = {
                 "deterministic schedule exploration of the threaded engine"),
     "corgick": ("repro.corgi.diffcheck",
                 "differential fuzzing of the corgi engine"),
-    "policyck": ("repro.parallel.policyck",
-                 "every dispatch/placement policy x engine x program"),
 }
 
 VERBS = {"check": BATTERIES}

@@ -23,15 +23,13 @@ Engines:
     with per-line locks.  Demonstrates the paper's synchronization
     design under real interleavings but no speedup under the GIL.
     Options: ``n_workers``, ``n_queues``, ``lock_scheme``, ``n_lines``,
-    ``policy`` (task dispatch, :data:`repro.parallel.policy.POLICY_NAMES`),
     ``watchdog_s``/``watchdog_dump`` (stall watchdog).
 
 ``mp``
     :class:`~repro.parallel.mp.engine.ProcessMatcher` —
     process-per-worker with shard-routed lines; the backend that can
     actually use multiple CPUs.  Options: ``n_workers``, ``n_lines``,
-    ``policy`` (shard placement), ``watchdog_s``/``watchdog_dump``
-    (stall watchdog).
+    ``watchdog_s``/``watchdog_dump`` (stall watchdog).
     Requires the ``fork`` start method (see :func:`mp_supported`).
 
 ``corgi``
@@ -63,15 +61,14 @@ def mp_supported() -> bool:
     return _supported()
 
 
-#: The engines that run a worker pool — the only ones a dispatch /
-#: placement ``policy`` or a stall watchdog means anything to.
+#: The engines that run a worker pool — the only ones a stall watchdog
+#: means anything to.
 POOL_ENGINES: Tuple[str, ...] = ("threaded", "mp")
 
 
 def check_engine_opts(
     engine: str,
     *,
-    policy: Optional[str] = None,
     watchdog_s: Optional[float] = None,
     memory: Optional[str] = None,
     n_queues: Optional[int] = None,
@@ -91,19 +88,6 @@ def check_engine_opts(
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
         )
-    if policy is not None:
-        from .parallel.policy import POLICY_NAMES
-
-        if policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of "
-                f"{', '.join(POLICY_NAMES)}"
-            )
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"policy {policy!r} requires a parallel engine "
-                f"(threaded or mp), not {engine!r}"
-            )
     if watchdog_s and engine not in POOL_ENGINES:
         raise ValueError(
             "a stall watchdog requires a parallel engine "
@@ -137,7 +121,6 @@ def make_matcher(
     n_workers: int = 2,
     n_queues: Optional[int] = None,
     lock_scheme: Optional[str] = None,
-    policy: Optional[str] = None,
     recorder=None,
     watchdog_s: Optional[float] = None,
     watchdog_dump: Optional[str] = None,
@@ -149,7 +132,7 @@ def make_matcher(
     simply try and re-raise.
     """
     check_engine_opts(
-        engine, policy=policy, watchdog_s=watchdog_s,
+        engine, watchdog_s=watchdog_s,
         memory=memory, n_queues=n_queues, lock_scheme=lock_scheme,
     )
     if engine == "sequential":
@@ -167,7 +150,6 @@ def make_matcher(
             n_queues=n_queues if n_queues is not None else 1,
             lock_scheme=lock_scheme if lock_scheme is not None else "simple",
             n_lines=n_lines,
-            policy=policy if policy is not None else "round-robin",
             watchdog_s=watchdog_s,
             watchdog_dump=watchdog_dump,
         )
@@ -178,7 +160,6 @@ def make_matcher(
             network,
             n_workers=n_workers,
             n_lines=n_lines,
-            policy=policy if policy is not None else "round-robin",
             watchdog_s=watchdog_s,
             watchdog_dump=watchdog_dump,
         )
@@ -207,10 +188,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                    help="task queues for --engine threaded (default 1)")
     g.add_argument("--locks", choices=["simple", "mrsw"],
                    help="line-lock scheme for --engine threaded (default simple)")
-    g.add_argument("--policy",
-                   help="dispatch/placement policy for --engine threaded/mp: "
-                        "round-robin (default), affinity, least-loaded, "
-                        "work-stealing, rebalance")
     g.add_argument("--memory", choices=["hash", "linear"],
                    help="token memories of the sequential engine (default hash)")
     g.add_argument("--strategy", choices=["lex", "mea"], default="lex",
@@ -240,7 +217,7 @@ def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
         engine, workers = "threaded", ns.parallel
     engine = engine or "sequential"
     check_engine_opts(
-        engine, policy=ns.policy, watchdog_s=ns.watchdog,
+        engine, watchdog_s=ns.watchdog,
         memory=ns.memory, n_queues=ns.queues, lock_scheme=ns.locks,
     )
     given = {
@@ -248,7 +225,6 @@ def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
         "n_workers": workers,
         "n_queues": ns.queues,
         "lock_scheme": ns.locks,
-        "policy": ns.policy,
         "watchdog_s": ns.watchdog or None,
         "watchdog_dump": ns.watchdog_dump,
     }

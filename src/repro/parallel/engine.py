@@ -15,7 +15,10 @@ The control thread pushes one root task per WM change and then waits
 for ``TaskCount`` to reach zero, as in §3.2 — once per sign, a batch's
 retractions before its assertions; match threads loop pop → process →
 push, with every memory-touching activation bracketed by its line's
-lock.
+lock.  Dispatch is the paper's one rule, the one the simulator replays:
+the control thread deals root tasks over the queues in turn, a match
+thread pushes what it spawns (or requeues) onto its own home queue, and
+an idle one pops home-first, then scans its peers.
 
 **Honesty note on speed**: under CPython's GIL this engine demonstrates
 the *correctness* of the synchronization design (identical conflict
@@ -46,7 +49,6 @@ from ..rete.stats import MatchStats
 from .conjugate import ConjugateMemory
 from .hooks import thread_exit, yield_point
 from .locks import LockStats, make_line_locks, set_holder_tracking
-from .policy import make_policy
 from .taskqueue import TaskCount, TaskQueueSet
 
 _POISON = ("poison",)
@@ -57,9 +59,7 @@ class ParallelMatcher(Matcher):
 
     Parameters mirror the paper's experimental axes: ``n_workers`` (the
     "k" of "1+k"), ``n_queues`` (1–8), ``lock_scheme`` ('simple' or
-    'mrsw'), ``n_lines`` (hash-table size), plus ``policy`` — the task
-    dispatch policy from :mod:`repro.parallel.policy` deciding which
-    queue each push lands on.
+    'mrsw') and ``n_lines`` (hash-table size).
     """
 
     #: Conflict-set deltas arrive unordered; the interpreter must use a
@@ -73,7 +73,6 @@ class ParallelMatcher(Matcher):
         n_queues: int = 1,
         lock_scheme: str = "simple",
         n_lines: int = 256,
-        policy: str = "round-robin",
         watchdog_s: Optional[float] = None,
         watchdog_dump: Optional[str] = None,
     ) -> None:
@@ -84,8 +83,6 @@ class ParallelMatcher(Matcher):
         self.memory = ConjugateMemory(n_lines)
         self.line_locks = make_line_locks(lock_scheme, n_lines)
         self.queues = TaskQueueSet(n_queues)
-        self.policy = make_policy(policy)
-        self._last_rebalances = 0
         self.taskcount = TaskCount()
         self.n_workers = n_workers
         self._ctxs = [
@@ -95,7 +92,9 @@ class ParallelMatcher(Matcher):
             ctx.locks = self.line_locks
         self._shutdown = False
         self._failures: List[BaseException] = []
-        self._push_seq = 0
+        #: Root tasks dealt so far, across batches: the control
+        #: thread's next root goes to queue ``roots % n_queues``.
+        self._roots = 0
         #: Push-to-pop nanoseconds per worker (each slot has one
         #: writer), accumulated only while ``timed``.
         self._queue_wait_ns = [0] * n_workers
@@ -157,10 +156,8 @@ class ParallelMatcher(Matcher):
             meta = (ids, t_push) if ids is not None or t_push else None
             for change in wave:
                 self.taskcount.increment()
-                # Root WM changes have no hash line yet (alpha dispatch
-                # assigns one to each derived activation); the policy
-                # sees line=None, pusher=None (the control process).
-                self._dispatch(("change", change.sign, change.wme, meta), None, None)
+                self._roots += 1
+                self.queues.push(("change", change.sign, change.wme, meta), home=self._roots)
             # The control process becomes idle and waits for the match
             # processes to finish (TaskCount == 0).
             if obs_on:
@@ -196,11 +193,6 @@ class ParallelMatcher(Matcher):
             raise RuntimeError(
                 f"{self.memory.pending_deletes} conjugate deletes left parked"
             )
-        if obs_on:
-            rebalances = self.policy.rebalances
-            if rebalances > self._last_rebalances:
-                _obs.count("policy.rebalance", rebalances - self._last_rebalances)
-            self._last_rebalances = rebalances
         return deltas
 
     def close(self) -> None:
@@ -212,19 +204,10 @@ class ParallelMatcher(Matcher):
             self.watchdog.stop()
         if self._holder_tracking:
             set_holder_tracking(False)
-        for _ in self._threads:
-            self.queues.push(_POISON, home=self._next_home())
+        for wid in range(len(self._threads)):
+            self.queues.push(_POISON, home=wid)
         for t in self._threads:
             t.join(timeout=10.0)
-
-    def _next_home(self) -> int:
-        self._push_seq += 1
-        return self._push_seq
-
-    def _dispatch(self, task, line: Optional[int], pusher: Optional[int]) -> None:
-        """Push one task to the queue the dispatch policy selects."""
-        home = self.policy.home_for(line, pusher, self._next_home(), self.queues.views)
-        self.queues.push(task, home=home)
 
     def _watchdog_probe(self) -> ProbeSample:
         """Cheap point-in-time progress reading for the stall watchdog
@@ -250,9 +233,7 @@ class ParallelMatcher(Matcher):
                 "workers_alive": sum(t.is_alive() for t in self._threads),
                 "n_workers": self.n_workers,
                 "failures": len(self._failures),
-                "policy": self.policy.name,
                 "steals": self.queues.stolen,
-                "rebalances": self.policy.rebalances,
                 "max_queue_depth": self.queues.max_depth,
             },
         )
@@ -313,14 +294,10 @@ class ParallelMatcher(Matcher):
                         self.network, ctx.stats, task[1], task[2], route, ids
                     )
                 elif not kernel.execute(ctx, task[1], route, ids):
-                    # MRSW refused the line: put the task back on a
-                    # queue and move on.
+                    # MRSW refused the line: put the task back on the
+                    # home queue and move on.
                     self.taskcount.increment()
-                    self._dispatch(
-                        task,
-                        self._line_of(task[1]) if self.policy.needs_line else None,
-                        wid,
-                    )
+                    self.queues.push(task, home=wid)
                 self.taskcount.decrement()
                 self.tasks_done += 1
         except BaseException as exc:  # noqa: BLE001 - reported to control
@@ -328,23 +305,11 @@ class ParallelMatcher(Matcher):
         finally:
             thread_exit()
 
-    def _line_of(self, task: Task) -> Optional[int]:
-        """The hash line ``task`` will touch (None for terminals).  Line-
-        affinity routing pays this one extra key hash per push; the
-        kernel recomputes it under the line lock anyway."""
-        node, side, _sign, token = task
-        if not node.uses_line():
-            return None
-        return self.memory.line_of(node.node_id, node.key_for(side, token))
-
     def _push_children(self, wid: int, children: List[Task], meta) -> None:
         if meta is not None and meta[1]:
             # Re-stamp the push time so child queue-wait measures this
             # push, not the ancestor's (one tuple per sibling group).
             meta = (meta[0], _obs.now())
-        need_line = self.policy.needs_line
         for child in children:
             self.taskcount.increment()
-            self._dispatch(
-                ("act", child, meta), self._line_of(child) if need_line else None, wid
-            )
+            self.queues.push(("act", child, meta), home=wid)

@@ -86,11 +86,8 @@ class ProcessMatcher(Matcher):
     translation: ``n_workers`` is the "k" of "1+k"; ``n_lines`` sizes
     both the hash tables and the shard map (the lock-scheme and
     queue-count axes disappear — lines are lock-free by ownership and
-    each worker has exactly one inbound pipe).  ``policy`` selects the
-    shard *placement* — which worker owns each hash line
-    (:mod:`repro.parallel.policy`); only the static ``place_lines``
-    half applies here, since routing to a line's owner is what replaces
-    the locks.
+    each worker has exactly one inbound pipe).  Routing each line to
+    its :class:`ShardMap` owner is what replaces the locks.
     """
 
     #: Deltas arrive unordered; the interpreter must use a count-based
@@ -102,7 +99,6 @@ class ProcessMatcher(Matcher):
         network: ReteNetwork,
         n_workers: int = 2,
         n_lines: int = 1024,
-        policy: str = "round-robin",
         watchdog_s: Optional[float] = None,
         watchdog_dump: Optional[str] = None,
     ) -> None:
@@ -116,9 +112,8 @@ class ProcessMatcher(Matcher):
         self.network = network
         self.n_workers = n_workers
         _flight.note_engine("mp", n_workers)
-        # The placement policy is baked into the owners table here,
-        # before the fork, so every worker inherits the identical map.
-        self.shard = ShardMap(n_lines=n_lines, n_workers=n_workers, policy=policy)
+        # Built before the fork, so every worker inherits the identical map.
+        self.shard = ShardMap(n_lines=n_lines, n_workers=n_workers)
         ctx = multiprocessing.get_context("fork")
         self._inboxes = [ctx.SimpleQueue() for _ in range(n_workers)]
         self._results = ctx.SimpleQueue()

@@ -24,49 +24,29 @@ from __future__ import annotations
 from typing import Tuple
 
 from ...rete.memories import key_hash, line_hash, line_hash_from
-from ..policy import make_policy
 
 
 class ShardMap:
     """Deterministic ``(node_id, key) -> line -> owner worker`` map.
 
     ``n_lines`` mirrors the hash-table size of the memory systems;
-    ``n_workers`` is the number of match processes.  How lines are
-    dealt to workers is the placement half of a
-    :class:`~repro.parallel.policy.Policy`: round-robin interleaving
-    (the historical default — consecutive lines on distinct workers)
-    or contiguous blocks (the affinity/rebalance layout — neighbouring
-    lines share a worker).  Placement is resolved to a flat owners
-    tuple at construction, so forked workers inherit the finished map
-    and every process agrees by construction.
+    ``n_workers`` is the number of match processes.  Line ``l`` is
+    owned by worker ``l % n_workers``: the lines are already hashed, so
+    no other layout would give neighbouring lines anything in common.
+    The owners tuple is built at construction, so forked workers
+    inherit the finished map and every process agrees by construction.
     """
 
-    __slots__ = ("n_lines", "n_workers", "policy_name", "_owners")
+    __slots__ = ("n_lines", "n_workers", "_owners")
 
-    def __init__(
-        self, n_lines: int, n_workers: int, policy: str = "round-robin"
-    ) -> None:
+    def __init__(self, n_lines: int, n_workers: int) -> None:
         if n_lines < 1:
             raise ValueError("n_lines must be >= 1")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_lines = n_lines
         self.n_workers = n_workers
-        pol = make_policy(policy)
-        self.policy_name = pol.name
-        owners = tuple(pol.place_lines(n_lines, n_workers))
-        if len(owners) != n_lines:
-            raise ValueError(
-                f"policy {pol.name!r} placed {len(owners)} lines, "
-                f"expected {n_lines}"
-            )
-        bad = [o for o in owners if not 0 <= o < n_workers]
-        if bad:
-            raise ValueError(
-                f"policy {pol.name!r} placed lines on workers {sorted(set(bad))} "
-                f"outside 0..{n_workers - 1}"
-            )
-        self._owners = owners
+        self._owners = tuple(line % n_workers for line in range(n_lines))
 
     def line_of(self, node_id: int, key: tuple) -> int:
         """The hash line ``(node_id, key)`` lives on — identical to
@@ -74,7 +54,7 @@ class ShardMap:
         return line_hash(node_id, key) % self.n_lines
 
     def owner_of_line(self, line: int) -> int:
-        """The worker owning ``line`` (per the placement policy)."""
+        """The worker owning ``line``."""
         return self._owners[line]
 
     def route(self, node_id: int, key: tuple) -> int:

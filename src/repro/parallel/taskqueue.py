@@ -2,11 +2,12 @@
 
 Tasks — tokens tagged with the destination node and input side — wait
 on one or more central task queues, each guarded by a
-:class:`~repro.parallel.locks.SpinLock`.  With multiple queues a
-process pushes to the queues round-robin and pops from its *home*
-queue first, scanning the others when it is empty; this is the
-multiple-task-queue configuration that lifted Weaver from 3.9× to 8.2×
-in Table 4-6.
+:class:`~repro.parallel.locks.SpinLock`.  With multiple queues the
+control process deals its pushes over the queues in turn, a match
+process pushes what it spawns onto its *home* queue, and every process
+pops from its home queue first, scanning the others when it is empty;
+this is the multiple-task-queue configuration that lifted Weaver from
+3.9× to 8.2× in Table 4-6.
 
 ``TaskCount`` is the global counter holding (tasks queued) + (tasks in
 process); match is finished when it reaches zero.
@@ -76,13 +77,10 @@ class TaskQueueSet:
         self.n_queues = n_queues
         self._queues: List[List[Any]] = [[] for _ in range(n_queues)]
         self._locks = [SpinLock(label="queue") for _ in range(n_queues)]
-        #: Read-only view of the queue lists for dispatch policies —
-        #: only ``len(views[i])`` may be read without a lock.
-        self.views = self._queues
-        # Conservation counters for the policy layer, always on (plain
-        # int bumps under the GIL; racy lost updates are possible under
-        # free threading but they only feed heuristics and tests that
-        # drive the queues single-threaded).
+        # Conservation counters, always on (plain int bumps under the
+        # GIL; racy lost updates are possible under free threading but
+        # they only feed the watchdog and tests that drive the queues
+        # single-threaded).
         self.pushed = 0
         self.popped = 0
         #: Pops satisfied from a non-home queue — the steal counter.
@@ -104,8 +102,7 @@ class TaskQueueSet:
             _obs.count("queue.push")
             if depth * self.n_queues > 2 * len(self):
                 # This queue holds more than twice its fair share —
-                # the imbalance counter the rebalancing policy exists
-                # to keep near zero.
+                # the imbalance the peer scan in pop() has to absorb.
                 _obs.count("queue.push_imbalanced")
 
     def pop(self, home: int = 0) -> Optional[Any]:

@@ -6,7 +6,7 @@ what guards a hash line.  This module is that loop.  An engine is a
 scheduler and transport around it, and hands it one thing: the seam
 ``route(children)``, called with each non-empty list of child
 activations.  The sequential matcher passes ``stack.extend``, the
-threaded engine a push onto policy-chosen task queues, an mp worker
+threaded engine a push onto its home task queue, an mp worker
 local-stack-or-owner's-pipe (DESIGN.md, "Engines are transports over
 one kernel").
 

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import check
 from ..ops5.wme import WMEChange
 from ..parallel.engine import ParallelMatcher
-from ..parallel.policy import POLICY_NAMES
 from . import progen
 from .invariants import (
     check_amplification, check_census, check_quiescence, memory_census,
@@ -37,33 +36,20 @@ from .workloads import WORKLOADS
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One point on the paper's experimental axes.
-
-    ``dispatch`` is the task-dispatch policy
-    (:data:`repro.parallel.policy.POLICY_NAMES`) — *which queue a push
-    lands on* — and is deliberately a separate axis from the harness's
-    thread-schedule policy (``--policy``), which decides *which thread
-    runs next*.  The same seed under the same thread schedule can be
-    replayed against every dispatch policy
-    (``tests/schedck/test_conjugate_storm.py``).
-    """
+    """One point on the paper's experimental axes.  Which queue a push
+    lands on is fixed by the engine; which thread runs next is the
+    harness's thread-schedule policy (``--policy``)."""
 
     n_workers: int = 2
     n_queues: int = 1
     lock_scheme: str = "simple"
     n_lines: int = 64
-    dispatch: str = "round-robin"
 
     def describe(self) -> str:
-        base = (
+        return (
             f"1+{self.n_workers}/{self.n_queues}q/"
             f"{self.lock_scheme}/{self.n_lines}l"
         )
-        # The historical default stays spelled the historical way so
-        # pinned report strings (and CI log greps) keep matching.
-        if self.dispatch != "round-robin":
-            base += f"/{self.dispatch}"
-        return base
 
     def flags(self) -> Dict[str, object]:
         """This config as ``repro check schedck`` flag values."""
@@ -72,24 +58,18 @@ class EngineConfig:
             "queues": self.n_queues,
             "locks": self.lock_scheme,
             "lines": self.n_lines,
-            "dispatch": self.dispatch,
         }
 
 
-#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme
-#: under the default dispatch, plus every other dispatch policy at one
-#: queue per worker so the sweep exercises each dispatch path under
-#: schedule fuzz.
+#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme,
+#: plus one queue per worker at two workers (the alignment that once
+#: livelocked, ``tests/schedck/test_conjugate_storm.py``).
 DEFAULT_GRID: Tuple[EngineConfig, ...] = tuple(
     EngineConfig(n_workers=w, n_queues=q, lock_scheme=s)
     for w in (1, 2, 4)
     for q in (1, 4)
     for s in ("simple", "mrsw")
-) + tuple(
-    EngineConfig(n_workers=2, n_queues=2, dispatch=d)
-    for d in POLICY_NAMES
-    if d != "round-robin"
-)
+) + (EngineConfig(n_workers=2, n_queues=2),)
 
 
 def run_schedule(
@@ -127,7 +107,6 @@ def run_schedule(
             n_queues=config.n_queues,
             lock_scheme=config.lock_scheme,
             n_lines=config.n_lines,
-            policy=config.dispatch,
         )
 
         def invariants(bi, _batch, oracle):
@@ -172,12 +151,6 @@ def run_schedule(
             ("line_lock.requeues", matcher.line_lock_stats().requeues),
         ],
         truncated=scheduler.truncated,
-        # Steal attribution depends on pop/wakeup timing even under the
-        # cooperative scheduler, so it stays out of the printed stats.
-        telemetry=[
-            ("queue.steals", matcher.queues.stolen),
-            ("policy.rebalances", matcher.policy.rebalances),
-        ],
     )
 
 
@@ -216,11 +189,6 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queues", type=int, default=1)
     p.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
     p.add_argument("--lines", type=int, default=64)
-    p.add_argument("--dispatch", default="round-robin",
-                   help="task-dispatch policy (round-robin, affinity, "
-                        "least-loaded, work-stealing, rebalance) — "
-                        "distinct from --policy, which picks the "
-                        "thread schedule")
     p.add_argument("--workload", default=None, metavar="NAME",
                    help="replay a pinned workload (deep-chain, "
                         "conjugate-storm) instead of generating one "
@@ -238,7 +206,6 @@ def _run(args: argparse.Namespace):
         n_queues=args.queues,
         lock_scheme=args.locks,
         n_lines=args.lines,
-        dispatch=args.dispatch,
     )
     return run_schedule(
         args.seed, config=config, policy_spec=args.policy,

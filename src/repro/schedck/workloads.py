@@ -22,11 +22,11 @@ sequential.
     (``adversarial:delay-deletes``).
 
 ``conjugate-storm``
-    The *dispatch*-side sibling: a deeper chain with a width-2 cross
+    The *queue*-side sibling: a deeper chain with a width-2 cross
     product per level, modified in one conjugate-heavy batch — the
     rubik recognize-act cycle's match-phase shape distilled.  Once a
-    livelock under round-robin dispatch with one queue per worker
-    (``burst:50``, 2 workers, 2 queues).
+    livelock with one queue per worker (``burst:50``, 2 workers,
+    2 queues).
 """
 
 from __future__ import annotations

@@ -309,8 +309,8 @@ async def run_loadgen(
 
     ``tenants`` partitions sessions round-robin into that many tenant
     labels (``t0..tN-1``); ``open_opts`` are extra fields of every
-    session's ``open`` request (``engine``, ``workers``, ``policy``,
-    ``strategy`` — the match backend each session runs on).
+    session's ``open`` request (``engine``, ``workers``, ``strategy`` —
+    the match backend each session runs on).
     ``meter=True`` enables
     :mod:`repro.obs.meter` on a spawned server; the snapshot is
     scraped into ``report.meter`` (and ``meter_out``/``prom_out``
@@ -486,14 +486,13 @@ def _open_opts(args: argparse.Namespace) -> Dict[str, Any]:
     run`` does (``Interpreter(engine=, engine_opts=)``)."""
     engine, engine_opts = engine_from_args(args)
     open_opts = {"engine": engine, "strategy": args.strategy}
-    for key, field_name in (("n_workers", "workers"), ("policy", "policy")):
-        if key in engine_opts:
-            open_opts[field_name] = engine_opts.pop(key)
+    if "n_workers" in engine_opts:
+        open_opts["workers"] = engine_opts.pop("n_workers")
     if engine_opts:
         raise ValueError(
             f"engine options {', '.join(engine_opts)} do not travel over the "
-            "serve protocol (an open request carries engine, workers, policy "
-            "and strategy)"
+            "serve protocol (an open request carries engine, workers and "
+            "strategy)"
         )
     return open_opts
 
@@ -561,6 +560,6 @@ VERBS = {"loadgen": Verb(
     "concurrent sessions replaying deterministic scenario traffic; print a "
     "throughput/latency report and, with --verify, byte-compare each session's "
     "firings against a sequential replay.  Of the engine flags the serve "
-    "protocol carries --engine, --workers/--parallel, --policy and --strategy.",
+    "protocol carries --engine, --workers/--parallel and --strategy.",
     _add_arguments, _loadgen,
 )}

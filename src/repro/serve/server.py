@@ -325,9 +325,17 @@ class ReproServer:
         if strategy not in ("lex", "mea"):
             raise ProtocolError(E_BAD_REQUEST, f"unknown strategy {strategy!r}")
         engine = msg.get("engine", "sequential")
-        policy = msg.get("policy")
+        if "policy" in msg:
+            # Refused rather than ignored: a client that asks for a
+            # placement must learn it does not get one.
+            raise ProtocolError(
+                E_BAD_REQUEST,
+                "open takes no policy field: dispatch is fixed (roots dealt "
+                "over the queues in turn, spawned work pushed home, idle "
+                "workers steal)",
+            )
         try:
-            check_engine_opts(engine, policy=policy)
+            check_engine_opts(engine)
         except ValueError as exc:
             raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
         workers = msg.get("workers", 2)
@@ -341,9 +349,8 @@ class ReproServer:
             raise ProtocolError(
                 E_BAD_REQUEST, "tenant must be a non-empty string"
             )
-        # Unused by the single-threaded engines (check_engine_opts has
-        # already refused a policy there).
-        engine_opts = {"n_workers": workers, "policy": policy}
+        # Unused by the single-threaded engines.
+        engine_opts = {"n_workers": workers}
         if len(self.sessions) >= self.limits.max_sessions:
             self.metrics.rejected_busy += 1
             raise ProtocolError(

@@ -22,8 +22,9 @@ different activations; that second-order effect is outside this model.
 
 Determinism: event ordering uses (time, sequence) keys, lock grants are
 FIFO by request time, idle processors wake lowest-id first, and queue
-selection is round-robin — two runs of the same trace and options give
-identical results.
+selection is fixed — the control process deals its pushes over the
+queues in turn, a match process pushes onto its home queue — so two
+runs of the same trace and options give identical results.
 
 Shape: :meth:`EncoreSimulator.run` is one loop over plain tuples.  A
 heap entry is ``(time, seq, op, a, b)`` with five integer opcodes; a
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List
 
-from ..parallel.policy import POLICY_NAMES, make_policy
 from ..rete.trace import MatchTrace, TaskRecord
 from .locks import SimMRSWLine, SpinStats
 from .machine import DEFAULT_CONFIG, MachineConfig, alpha_tasks, task_columns
@@ -75,13 +75,6 @@ class SimOptions:
     pipelined: bool = True          # overlap match with RHS evaluation
     hardware_scheduler: bool = False
     overlap_cr: bool = False
-    #: Task-dispatch policy (:mod:`repro.parallel.policy`) — the same
-    #: registry the threaded engine consumes.  The default is
-    #: ``work-stealing`` because that *is* how this simulator always
-    #: dispatched (workers push spawned tasks to their home queue, the
-    #: control process deals round-robin, pops scan home-first): the
-    #: paper-table stable metrics are preserved bit for bit.
-    policy: str = "work-stealing"
 
     def __post_init__(self) -> None:
         if self.n_match < 1:
@@ -90,11 +83,6 @@ class SimOptions:
             raise ValueError("need at least one task queue")
         if self.lock_scheme not in ("simple", "mrsw"):
             raise ValueError(f"unknown lock scheme {self.lock_scheme!r}")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; "
-                f"expected one of {', '.join(POLICY_NAMES)}"
-            )
 
 
 @dataclass
@@ -111,10 +99,8 @@ class SimResult:
     line_left: SpinStats = field(default_factory=SpinStats)
     line_right: SpinStats = field(default_factory=SpinStats)
     requeues: int = 0
-    #: Pops satisfied from a non-home queue (dispatch-policy telemetry).
+    #: Pops satisfied from a non-home queue.
     steals: int = 0
-    #: Hot-queue spills made by the rebalancing policy.
-    rebalances: int = 0
 
     @property
     def match_seconds(self) -> float:
@@ -165,8 +151,6 @@ class EncoreSimulator:
         n_queues = opts.n_queues
         pipelined, hardware = opts.pipelined, opts.hardware_scheduler
         simple = opts.lock_scheme == "simple"
-        policy = make_policy(opts.policy)
-        home_for, needs_line = policy.home_for, policy.needs_line
         spin_period, poll_delay = cfg.spin_period, cfg.poll_delay
         queue_push, queue_pop = cfg.queue_push, cfg.queue_pop
         queue_handoff, line_handoff = cfg.queue_handoff, cfg.ttas_handoff
@@ -192,12 +176,9 @@ class EncoreSimulator:
             [(pid + offset) % n_queues for offset in range(n_queues)]
             for pid in range(opts.n_match)
         ]
-        # Two push-sequence streams: control pushes keep their own
-        # counter so the default (work-stealing) policy reproduces the
-        # pre-policy round-robin dealing exactly; worker pushes, whose
-        # queue the default policy picks by pusher id alone, advance a
-        # separate counter that only sequence-driven policies consume.
-        control_pushes = worker_pushes = 0
+        # The control process deals its pushes over the queues in turn;
+        # a match process pushes onto its home queue.
+        control_pushes = 0
         queue_acquisitions = queue_spins = requeues = steals = completed = 0
         line_acquisitions, line_spins, line_requeues = [0, 0], [0, 0], [0, 0]  # [right, left]
         clock = total_match = 0.0
@@ -336,20 +317,11 @@ class EncoreSimulator:
                         seq += 1
                         heappush(heap, (t, seq, _APPEND, 0, entry))
                         continue
-                    # The dispatch policy picks the queue from the
-                    # task's hash line, the pusher (None: the control
-                    # process), a push sequence number and the live
-                    # queue depths — the threaded engine's decision.
                     if pid is None:
                         control_pushes += 1
-                        n = control_pushes
+                        qi = control_pushes % n_queues
                     else:
-                        worker_pushes += 1
-                        n = worker_pushes
-                    ln = None
-                    if needs_line and entry.__class__ is int and line[entry] >= 0:
-                        ln = line[entry]
-                    qi = home_for(ln, pid, n, queues) % n_queues
+                        qi = pid % n_queues
                     grant = queue_free[qi]
                     if grant < t:
                         grant = t
@@ -444,7 +416,6 @@ class EncoreSimulator:
             line_right=SpinStats(line_acquisitions[0], line_spins[0], line_requeues[0]),
             requeues=requeues,
             steals=steals,
-            rebalances=policy.rebalances,
         )
 
 
@@ -454,7 +425,6 @@ def simulate(
     n_queues: int = 1,
     lock_scheme: str = "simple",
     pipelined: bool = True,
-    policy: str = "work-stealing",
     config: MachineConfig = DEFAULT_CONFIG,
 ) -> SimResult:
     """Convenience wrapper: build and run one simulation."""
@@ -463,7 +433,6 @@ def simulate(
         n_queues=n_queues,
         lock_scheme=lock_scheme,
         pipelined=pipelined,
-        policy=policy,
     )
     return EncoreSimulator(trace, options, config).run()
 

@@ -51,18 +51,3 @@ def test_every_engine_is_covered():
     from repro.engines import ENGINE_NAMES
 
     assert {name.split("@")[0] for name in ENGINES} == set(ENGINE_NAMES)
-
-
-def test_every_policy_is_covered():
-    """Registry-sync guard for the dispatch-policy matrix: every
-    registered policy must run the full conformance battery on the
-    threaded engine (a policy registered in ``repro.parallel.policy``
-    without a row here is untested and fails this)."""
-    from repro.parallel.policy import POLICY_NAMES
-
-    covered = {
-        spec["engine_opts"].get("policy", "round-robin")
-        for spec in ENGINES.values()
-        if spec["engine"] == "threaded"
-    }
-    assert covered == set(POLICY_NAMES)

@@ -3,6 +3,7 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.parallel.taskqueue import TaskCount, TaskQueueSet
 
@@ -117,3 +118,62 @@ class TestTaskQueueSet:
         q.push("a")
         q.pop()
         assert q.lock_stats().acquisitions >= 2
+
+
+class TestDispatchConservesWork:
+    """The engine's one dispatch rule -- the control process deals roots
+    over the queues in turn, a worker pushes onto its home queue, an
+    idle worker pops home-first and then steals -- moves tasks between
+    queues but never loses or duplicates one."""
+
+    @given(
+        n_queues=st.integers(min_value=1, max_value=5),
+        n_workers=st.integers(min_value=1, max_value=4),
+        pushers=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_task_dropped_or_duplicated(self, n_queues, n_workers, pushers):
+        """Drive a real TaskQueueSet through an arbitrary push sequence
+        (``None``: a control-process root) and a stealing drain: every
+        task must come back exactly once, and the counters must balance."""
+        queues = TaskQueueSet(n_queues=n_queues)
+        roots = 0
+        for seq, pusher in enumerate(pushers):
+            if pusher is None:
+                roots += 1
+                home = roots
+            else:
+                home = pusher % n_workers
+            queues.push(("task", seq), home=home)
+        popped = []
+        for i in range(len(pushers)):
+            task = queues.pop(home=i % n_workers)
+            assert task is not None, "a pushed task was dropped"
+            popped.append(task[1])
+        assert sorted(popped) == list(range(len(pushers)))
+        assert queues.pushed == queues.popped == len(pushers)
+        assert 0 <= queues.stolen <= queues.popped
+        assert len(queues) == 0
+
+    @given(
+        n_queues=st.integers(min_value=1, max_value=5),
+        n_tasks=st.integers(min_value=0, max_value=40),
+        pusher=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_steal_counter_counts_exactly_the_strays(self, n_queues, n_tasks, pusher):
+        """One worker pushes everything onto its home queue, the next
+        one drains: the stolen counter must equal the pops that came
+        from a non-home queue -- no more, no less."""
+        queues = TaskQueueSet(n_queues=n_queues)
+        for i in range(n_tasks):
+            queues.push(("task", i), home=pusher)
+        thief = pusher + 1
+        for _ in range(n_tasks):
+            assert queues.pop(home=thief)
+        expected = 0 if thief % n_queues == pusher % n_queues else n_tasks
+        assert queues.stolen == expected
+        assert queues.pushed == queues.popped == n_tasks

@@ -4,8 +4,8 @@
 under the cooperative scheduler the threaded engine is as deterministic,
 so the two amplification regressions (``repro.schedck.workloads``) get
 the same treatment: activations, tokens, the §3.2 extra-deletes traffic
-and the schedule length, for conjugate-storm under every dispatch
-policy and for deep-chain.  A change that lets a batch's adds race its
+and the schedule length, for conjugate-storm (one queue per worker) and
+for deep-chain.  A change that lets a batch's adds race its
 deletes again moves ``tokens_emitted.par`` here long before it is large
 enough to trip the schedck amplification bound.
 
@@ -15,12 +15,10 @@ Regenerate (only when the engine's schedule changes on purpose)::
 """
 
 import json
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.parallel.policy import POLICY_NAMES
 from tests.schedck import test_conjugate_storm, test_deep_chain
 
 PINNED = Path(__file__).with_name("pinned_threaded.json")
@@ -28,10 +26,9 @@ PINNED = Path(__file__).with_name("pinned_threaded.json")
 #: Case name -> the regression's own pinned run (2 workers / 2 queues
 #: under ``burst:50``; 3 workers / 1 queue under delay-deletes).
 CASES = {
-    f"conjugate-storm@{dispatch}": partial(test_conjugate_storm.run_pinned, dispatch)
-    for dispatch in POLICY_NAMES
+    "conjugate-storm": test_conjugate_storm.run_pinned,
+    "deep-chain": test_deep_chain.run_pinned,
 }
-CASES["deep-chain"] = test_deep_chain.run_pinned
 
 COUNTERS = (
     "node_activations.par", "tokens_emitted.par",

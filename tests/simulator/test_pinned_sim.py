@@ -5,13 +5,12 @@ The paper's Tables 4-5…4-9 are ``SimResult`` numbers.  The goldens under
 machine at a handful of configurations; ``pinned_sim.json`` holds what
 the simulator produced (at ``066f382``, the closure-per-event loop) for
 three small traces over the whole option grid — process/queue counts x
-lock scheme x pipelining x hardware scheduler x ``overlap_cr`` x every
-dispatch policy — plus one row per program with the two handoff knobs
-off their defaults.  A change to the event loop, the lock models or the
-cost columns that moves any field of any cell fails here.  Its
-``weaver-full`` entry replays the whole weaver trace at the 7-process
-configurations no golden holds (MRSW, the spin means, every dispatch
-policy).
+lock scheme x pipelining x hardware scheduler x ``overlap_cr`` — plus
+one row per program with the two handoff knobs off their defaults.  A
+change to the event loop, the lock models or the cost columns that
+moves any field of any cell fails here.  Its ``weaver-full`` entry
+replays the whole weaver trace at the 7-process configurations no
+golden holds (MRSW, the spin means, the steals).
 
 Regenerate (only when the machine model changes on purpose)::
 
@@ -27,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.ops5.interpreter import Interpreter
-from repro.parallel.policy import POLICY_NAMES
 from repro.programs import rubik, tourney, weaver
 from repro.rete.trace import CycleRecord, MatchTrace, TraceRecorder
 from repro.simulator.engine import (
@@ -104,18 +102,18 @@ def row(trace: MatchTrace, options: SimOptions, config=DEFAULT_CONFIG) -> list:
         r.match_instr, r.total_instr, r.cycles, r.tasks_completed,
         *(v for s in (r.queue_stats, r.line_left, r.line_right)
           for v in (s.acquisitions, s.spins, s.requeues)),
-        r.requeues, r.steals, r.rebalances,
+        r.requeues, r.steals,
     ]
 
 
 def observe(program: str, locks: str) -> dict:
     trace = small_trace(program)
     out = {}
-    for (k, q), piped, hw, ocr, policy in product(
-        SHAPES, (True, False), (False, True), (False, True), POLICY_NAMES
+    for (k, q), piped, hw, ocr in product(
+        SHAPES, (True, False), (False, True), (False, True)
     ):
-        options = SimOptions(k, q, locks, piped, hw, ocr, policy)
-        out[f"{k}-{q} piped={piped:d} hw={hw:d} ocr={ocr:d} {policy}"] = row(trace, options)
+        options = SimOptions(k, q, locks, piped, hw, ocr)
+        out[f"{k}-{q} piped={piped:d} hw={hw:d} ocr={ocr:d}"] = row(trace, options)
     out["5-4 handoffs"] = row(trace, SimOptions(5, 4, locks), HANDOFFS)
     return out
 
@@ -123,25 +121,17 @@ def observe(program: str, locks: str) -> dict:
 def observe_full_weaver() -> dict:
     """The whole 5x1 weaver trace (20 168 tasks) at 7 match processes:
     the MRSW speed-up, the queue-lock (1 queue) and line-lock (8 queues)
-    spin means, and each dispatch policy's steals and, but for the
-    default's (``bench/golden/sim-weaver.json``), speed-up."""
+    spin means, and the steals at 8 queues (the simple-lock speed-up is
+    ``bench/golden/sim-weaver.json``'s)."""
     trace = full_trace("weaver")
-    simple = uniprocessor_baseline(trace).match_instr
     mrsw = uniprocessor_baseline(trace, lock_scheme="mrsw").match_instr
+    run = simulate(trace, 7, 8)
     out = {
         "speedup_mrsw_1p7_8q": mrsw / simulate(trace, 7, 8, "mrsw").match_instr,
         "queue_spins_1p7_1q": simulate(trace, 7, 1).queue_stats.mean_spins,
+        "line_spins_1p7_8q": run.line_left.mean_spins,
+        "steals_1p7_8q": run.steals,
     }
-    for policy in POLICY_NAMES:
-        run = simulate(trace, 7, 8, policy=policy)
-        key = policy.replace("-", "_")
-        out[f"{key}_steals"] = run.steals
-        if policy == "rebalance":
-            out["rebalance_spills"] = run.rebalances
-        if policy == SimOptions().policy:
-            out["line_spins_1p7_8q"] = run.line_left.mean_spins
-        else:
-            out[f"{key}_speedup_1p7_8q"] = simple / run.match_instr
     return dict(sorted(out.items()))
 
 
@@ -158,7 +148,7 @@ def test_every_result_field_is_the_pinned_one(program, locks):
 def test_the_full_weaver_trace_is_the_pinned_one():
     pinned = json.loads(PINNED.read_text())["weaver-full"]
     observed = observe_full_weaver()
-    assert observed.keys() == pinned.keys()  # a policy added to the registry needs its pin
+    assert observed.keys() == pinned.keys()
     moved = {name: (pinned[name], got) for name, got in observed.items() if got != pinned[name]}
     assert not moved
 
@@ -171,13 +161,12 @@ def test_the_windows_are_not_vacuous():
         assert {t.sign for t in trace.tasks} == {1, -1}
         assert {t.kind for t in trace.tasks} == {"join", "not", "term"}
     # The branches the default configuration never takes did run:
-    # requeues under MRSW, steals, rebalances, handoff-stretched holds.
+    # requeues under MRSW, steals, handoff-stretched holds.
     cells = pinned["tourney-mrsw"]
-    assert cells["13-8 piped=1 hw=0 ocr=0 work-stealing"][13] > 0     # requeues
-    assert cells["13-8 piped=1 hw=0 ocr=0 work-stealing"][14] > 0     # steals
-    assert any(r[15] for r in pinned["weaver-simple"].values())      # rebalances
+    assert cells["13-8 piped=1 hw=0 ocr=0"][13] > 0     # requeues
+    assert cells["13-8 piped=1 hw=0 ocr=0"][14] > 0     # steals
     assert pinned["tourney-simple"]["5-4 handoffs"] != \
-        pinned["tourney-simple"]["5-4 piped=1 hw=0 ocr=0 work-stealing"]
+        pinned["tourney-simple"]["5-4 piped=1 hw=0 ocr=0"]
 
 
 if __name__ == "__main__":

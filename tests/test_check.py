@@ -211,10 +211,9 @@ class TestLockstep:
 # "replay:" is a complete command that reproduces that exact report.
 
 
-def assert_replays(result, capsys, rerun_prints=Report.format) -> int:
+def assert_replays(result, capsys) -> int:
     """Re-run every failing case of ``result`` from its printed replay
-    line, expecting ``rerun_prints(report)``; returns how many were
-    replayed."""
+    line, expecting that case's report; returns how many were replayed."""
     failing = result.failures if isinstance(result, Sweep) else [result]
     assert failing and not result.ok
     printed = result.format()
@@ -229,7 +228,7 @@ def assert_replays(result, capsys, rerun_prints=Report.format) -> int:
         assert prog == f"repro check {report.battery}"
         capsys.readouterr()
         assert cli.main(argv) == 1
-        assert capsys.readouterr().out == rerun_prints(report) + "\n"
+        assert capsys.readouterr().out == report.format() + "\n"
     return len(failing)
 
 
@@ -237,8 +236,7 @@ class TestReplayLines:
     def test_schedck_report_and_sweep(self, capsys):
         from repro.schedck.runner import EngineConfig, run_schedule, sweep
 
-        config = EngineConfig(n_workers=2, n_queues=3, lock_scheme="mrsw",
-                              dispatch="affinity")
+        config = EngineConfig(n_workers=2, n_queues=3, lock_scheme="mrsw")
         report = run_schedule(42, config=config, policy_spec="pct", max_steps=50)
         assert report.truncated
         assert assert_replays(report, capsys) == 1
@@ -265,28 +263,3 @@ class TestReplayLines:
         assert {r.findings[0].kind for r in result.reports} == {"conflict_set"}
         assert assert_replays(result, capsys) == 4
         assert assert_replays(diffcheck.run_seed(5), capsys) == 1
-
-    def test_policyck_planted_mismatch_keeps_overrides(self, capsys, monkeypatch):
-        from repro.parallel import policyck
-
-        real = check.run_program
-
-        def buggy(source, engine, engine_opts):
-            got = real(source, engine, engine_opts)
-            if engine != "sequential":
-                got["cycles"] += 1
-            return got
-
-        monkeypatch.setattr(check, "run_program", buggy)
-        result = policyck.run_battery(
-            programs=["blocks"], engines=["threaded"],
-            policies=["affinity", "rebalance"], n_workers=3, n_queues=2,
-        )
-        for report in result.reports:
-            assert "--workers 3 --queues 2" in report.replay()[0]
-
-        def one_case_battery(report):
-            return Sweep("policyck", "battery", "cases", [report],
-                         also=[(0, "skipped")]).format()
-
-        assert assert_replays(result, capsys, one_case_battery) == 2

@@ -56,8 +56,6 @@ class TestRunEngineOptionRules:
     ``SystemExit`` naming the verb (the rules live in repro.engines)."""
 
     @pytest.mark.parametrize("flags, needle", [
-        (["--engine", "threaded", "--policy", "bogus"], "unknown policy 'bogus'"),
-        (["--policy", "affinity"], "threaded or mp"),
         (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
     ])
     def test_rejected_with_verb_named(self, program_file, flags, needle):
@@ -232,15 +230,12 @@ class TestEngineFlags:
                      "--engine", "threaded", "--out", str(flight)]) == 0
         assert "run: engine=threaded " in capsys.readouterr().out
 
-    def test_traced_run_takes_a_dispatch_policy(self, tmp_path, capsys):
+    def test_traced_run_with_one_queue_per_worker(self, tmp_path, capsys):
         assert main(["trace", "blocks", "--parallel", "2", "--queues", "2",
-                     "--policy", "affinity",
                      "--out", str(tmp_path / "t.json")]) == 0
         assert "(equal)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, needle", [
-        (["--policy", "affinity"], "threaded or mp"),
-        (["--parallel", "2", "--policy", "bogus"], "unknown policy 'bogus'"),
         (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
     ])
     def test_traced_verbs_share_the_engine_option_rules(self, flags, needle):
@@ -301,7 +296,7 @@ class TestEngineFlags:
     def test_loadgen_forwards_what_the_protocol_carries(self, capsys):
         assert main(["loadgen", "--spawn", "--scenario", "monkey",
                      "--sessions", "2", "--transactions", "3", "--verify",
-                     "--parallel", "2", "--policy", "affinity"]) == 0
+                     "--parallel", "2"]) == 0
         assert "verify: 2/2" in capsys.readouterr().out
 
     def test_loadgen_rejects_flags_the_protocol_cannot_carry(self):

@@ -5,7 +5,11 @@ carrying no traffic stay deleted.
   trace; there is no snapshot capture and no offline ``obs stitch``;
 * the paper's counts have one gate each -- the pins beside each
   subsystem's tests and ``bench/``'s goldens; there is no ``repro bench``
-  group and no ``repro.perf`` package.
+  group and no ``repro.perf`` package;
+* dispatch has one rule -- the control process deals roots over the
+  queues in turn, a worker pushes home, an idle worker steals; there is
+  no policy registry, no ``--policy`` engine flag and no ``policyck``
+  battery.
 """
 
 import importlib
@@ -39,3 +43,15 @@ def test_no_bench_group_and_no_perf_package(capsys):
     assert "bench" not in text
     with pytest.raises(ImportError):
         importlib.import_module("repro.perf")
+
+
+def test_dispatch_has_one_rule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "blocks", "--engine", "threaded", "--policy", "affinity"])
+    assert exc.value.code == 2                  # a usage error
+    assert "unrecognized arguments: --policy" in capsys.readouterr().err
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.parallel.policy")
+    text = help_text(capsys, "check")
+    assert "one of: schedck, corgick\n" in text
+    assert set(cli.load(cli.VERBS, "check")) == {"schedck", "corgick"}
