@@ -236,6 +236,8 @@ class TestEngineFlags:
         assert "(equal)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, needle", [
+        (["--watchdog", "1"], "threaded or mp"),
+        (["--engine", "corgi", "--queues", "2"], "requires the threaded engine"),
         (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
     ])
     def test_traced_verbs_share_the_engine_option_rules(self, flags, needle):
