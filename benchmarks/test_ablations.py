@@ -81,7 +81,8 @@ def test_ablation_hash_lines(emit):
     for n_lines in (16, 64, 1024):
         recorder = TraceRecorder()
         interp = Interpreter(
-            program_source("rubik"), recorder=recorder, n_lines=n_lines
+            program_source("rubik"), recorder=recorder,
+            engine_opts={"n_lines": n_lines},
         )
         interp.run(max_cycles=50000)
         trace = recorder.trace

@@ -17,11 +17,11 @@ Two proof shapes:
     batch.  Workloads come from :func:`workload` — generated from the
     case seed, or pinned.
 
-*whole program* (:func:`run_program` + :func:`diff_runs`)
+*whole program* (:func:`run_program`)
     A bundled program (:data:`PROGRAMS`) runs to halt on the subject
     engine; its firing trace, final working memory, ``write`` output,
     halt flag and cycle count must equal the sequential run's.  The
-    cross-engine conformance suite asserts on the same tuples.
+    cross-engine conformance suite asserts on those fields.
 
 Either way the outcome is a :class:`Report`, many of them a
 :class:`Sweep`.  ``format()`` is byte-stable for a given case, and the
@@ -129,8 +129,6 @@ class Sweep:
     title: str                     # "sweep", "battery"
     noun: str                      # what one case is: "schedules", "seeds"
     reports: List[Report] = field(default_factory=list)
-    #: Cases that could not run here (unsupported platform), as reasons.
-    skipped: List[str] = field(default_factory=list)
     #: Extra ``(count, label)`` pairs for the summary line.
     also: Sequence[Tuple[int, str]] = ()
 
@@ -152,7 +150,6 @@ class Sweep:
             lines.extend("    " + line for line in report.replay())
         if len(failures) > MAX_LISTED:
             lines.append(f"  ... and {len(failures) - MAX_LISTED} more")
-        lines.extend(f"  SKIP {reason}" for reason in self.skipped)
         return "\n".join(lines)
 
 
@@ -300,10 +297,6 @@ PROGRAMS: Dict[str, Callable[[], str]] = {
 
 MAX_CYCLES = 5000
 
-#: The fields of a run that must match the sequential reference.
-RUN_FIELDS = ("trace", "wm", "output", "halted", "cycles")
-
-
 def render_trace(result) -> str:
     """One canonical text rendering of a complete firing trace."""
     return "\n".join(
@@ -322,8 +315,9 @@ def wm_snapshot(interp) -> tuple:
 
 
 def run_program(source: str, engine: str, engine_opts: dict) -> dict:
-    """Run ``source`` to halt on one engine; returns the comparison
-    tuple (:data:`RUN_FIELDS`)."""
+    """Run ``source`` to halt on one engine; returns the fields a run
+    must share with the sequential reference: ``trace``, ``wm``,
+    ``output``, ``halted`` and ``cycles``."""
     from .ops5.interpreter import Interpreter
 
     interp = Interpreter(parse_program(source), engine=engine, engine_opts=engine_opts)
@@ -338,15 +332,6 @@ def run_program(source: str, engine: str, engine_opts: dict) -> dict:
         }
     finally:
         interp.close()
-
-
-def diff_runs(got: dict, reference: dict) -> List[Finding]:
-    """Field-by-field comparison of two :func:`run_program` results."""
-    return [
-        Finding(name, None, "differs from sequential reference")
-        for name in RUN_FIELDS
-        if got[name] != reference[name]
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ and the top-level table.  A registry maps a verb name to the module
 whose ``VERBS`` dict holds it (imported only when that verb is used —
 ``repro serve`` start-up never pays for the proof harness) plus the
 one-line summary ``--help`` lists.  An entry of ``VERBS`` is either a
-:class:`Verb` or another registry — the groups ``check`` and ``obs`` —
-which the same function dispatches.
+:class:`Verb` or another registry — the group ``check`` — which the
+same function dispatches.
 
 There is no verb catalogue here: ``repro --help`` lists the verbs,
 ``repro VERB --help`` prints that verb's own description and flags.
@@ -47,10 +47,8 @@ VERBS: Registry = {
     "tables": ("repro.harness.experiments", "regenerate the paper's tables"),
     "check": ("repro.check",
               "differential proof batteries vs the sequential oracle"),
-    "trace": ("repro.obs.verbs",
-              "run a program under the obs event bus; export a Chrome trace"),
-    "top": ("repro.obs.verbs", "run a program and print one hot-spot table"),
-    "obs": ("repro.obs.verbs", "flight recorder and SLO tools"),
+    "trace": ("repro.obs.verbs", "run a program under the obs event bus; "
+              "print its hot-spot tables, export a Chrome trace"),
     "serve": ("repro.serve.server",
               "host OPS5 sessions over a line-JSON protocol"),
     "loadgen": ("repro.serve.loadgen",

@@ -182,8 +182,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         "traces), corgi is the lazy bounded-cost matcher")
     g.add_argument("--workers", type=int,
                    help="match workers for --engine threaded/mp (default 2)")
-    g.add_argument("--parallel", type=int, default=0, metavar="K",
-                   help="shorthand for --engine threaded --workers K")
     g.add_argument("--queues", type=int,
                    help="task queues for --engine threaded (default 1)")
     g.add_argument("--locks", choices=["simple", "mrsw"],
@@ -201,28 +199,15 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
     """The ``(engine, engine_opts)`` the engine flags ask for; a bad
-    combination is a ``ValueError`` (:func:`check_engine_opts`).
-
-    ``--parallel K`` is resolved here — it *is* ``--engine threaded
-    --workers K``, so any other explicit value contradicts it.
-    """
-    engine, workers = ns.engine, ns.workers
-    if ns.parallel:
-        if engine not in (None, "threaded") or workers not in (None, ns.parallel):
-            raise ValueError(
-                f"--parallel {ns.parallel} means --engine threaded --workers "
-                f"{ns.parallel}; it cannot be combined with a different "
-                "--engine or --workers"
-            )
-        engine, workers = "threaded", ns.parallel
-    engine = engine or "sequential"
+    combination is a ``ValueError`` (:func:`check_engine_opts`)."""
+    engine = ns.engine or "sequential"
     check_engine_opts(
         engine, watchdog_s=ns.watchdog,
         memory=ns.memory, n_queues=ns.queues, lock_scheme=ns.locks,
     )
     given = {
         "memory": ns.memory,
-        "n_workers": workers,
+        "n_workers": ns.workers,
         "n_queues": ns.queues,
         "lock_scheme": ns.locks,
         "watchdog_s": ns.watchdog or None,
@@ -244,7 +229,7 @@ def add_program_arguments(parser: argparse.ArgumentParser) -> None:
 
 def interpreter_from_args(ns: argparse.Namespace, **kwargs):
     """The interpreter a program-running command line asks for — the one
-    construction ``run``, ``trace``, ``top`` and ``obs flight`` share."""
+    construction ``run`` and ``trace`` share."""
     from . import programs
     from .ops5.interpreter import Interpreter
 
@@ -262,19 +247,28 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    help="print cycle and match counters to stderr")
     p.add_argument("--trace", action="store_true", help="list the firings on stderr")
     p.add_argument("--flight-dump", metavar="FILE",
-                   help="write a flight-recorder snapshot here on unhandled "
-                        "engine error")
+                   help="write the flight-recorder snapshot (with --engine mp, "
+                        "the workers' tails too) here when the run ends, or on "
+                        "unhandled engine error")
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.flight_dump:
-        from .obs import flight
+    from .obs import flight
 
+    if args.flight_dump:
         flight.set_dump_path(args.flight_dump)
     with interpreter_from_args(args, mode=args.mode) as interp:
         interp.timed = args.stats
         result = interp.run(max_cycles=args.max_cycles)
         watchdog = interp.matcher.watchdog
+    if args.flight_dump:
+        doc = flight.write_snapshot(args.flight_dump, "cli")
+        print(
+            f"flight: {len(doc['events'])} events (ring {doc['ring_capacity']}, "
+            f"{doc['recorded_total']} recorded, {len(doc.get('workers') or {})} "
+            f"worker tails) -> {args.flight_dump}",
+            file=sys.stderr,
+        )
     if watchdog is not None and watchdog.tripped:
         print(
             f"repro run: watchdog tripped {watchdog.trips}x "

@@ -21,10 +21,11 @@ a dead worker's last moments survive it.
 Snapshots are schema-versioned JSON (:data:`FLIGHT_SCHEMA`) and are
 produced three ways:
 
-* on demand — ``repro obs flight`` and the serve ``dump`` verb;
+* at the end of a run — ``repro run --flight-dump FILE`` — and on
+  demand from a live server — the serve ``dump`` verb;
 * on unhandled engine error — when a dump path is configured
-  (:func:`set_dump_path` or ``REPRO_FLIGHT_DUMP``), the interpreter
-  writes the snapshot before re-raising;
+  (:func:`set_dump_path`, which ``--flight-dump`` calls), the
+  interpreter writes the snapshot before re-raising;
 * on watchdog trip — the stall bundle embeds the ring tail
   (:mod:`repro.obs.watchdog`).
 """
@@ -53,10 +54,6 @@ DEFAULT_RING_SIZE = 256
 #: heard from win): what closed mp sessions leave behind is bounded by
 #: this constant, not by how many a long-lived server has hosted.
 REMOTE_TAILS = 32
-
-#: Environment variable naming where to dump a snapshot on unhandled
-#: engine error (see :func:`dump_on_error`).
-DUMP_ENV = "REPRO_FLIGHT_DUMP"
 
 _EVENT = Tuple[int, str, str, Optional[dict]]
 
@@ -101,10 +98,6 @@ def note_engine(name: str, workers: int = 1) -> None:
     metadata.  Called once per matcher construction — last worker
     count per engine name wins."""
     _engines[name] = int(workers)
-
-
-def engines() -> Dict[str, int]:
-    return dict(_engines)
 
 
 def record(engine: str, event: str, detail: Optional[dict] = None) -> None:
@@ -192,15 +185,9 @@ def write_snapshot(path: str, reason: str) -> Dict[str, Any]:
 
 
 def set_dump_path(path: Optional[str]) -> None:
-    """Configure (or clear, with None) the on-error dump destination.
-    The ``REPRO_FLIGHT_DUMP`` environment variable is the fallback when
-    no explicit path is set."""
+    """Configure (or clear, with None) the on-error dump destination."""
     global _dump_path
     _dump_path = path
-
-
-def dump_path() -> Optional[str]:
-    return _dump_path or os.environ.get(DUMP_ENV) or None
 
 
 def dump_on_error(reason: str) -> Optional[str]:
@@ -210,7 +197,7 @@ def dump_on_error(reason: str) -> Optional[str]:
     Never raises: this runs on the unhandled-error path, where a
     secondary failure must not mask the original exception.
     """
-    path = dump_path()
+    path = _dump_path
     if not path:
         return None
     try:

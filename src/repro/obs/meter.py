@@ -142,18 +142,10 @@ class SampleRing:
         return [nearest_rank(ordered, p) for p in ps]
 
 
-def count_under(buckets_ms: Sequence[float], counts: Sequence[int],
-                target_ms: float) -> int:
-    """How many histogram observations were <= ``target_ms``, resolved
-    at bucket granularity (the tightest bucket bound <= target counts).
-    ``counts`` are per-bucket; a trailing +Inf count is ignored."""
-    return sum(c for le, c in zip(buckets_ms, counts) if le <= target_ms)
-
-
 def slo_verdict(objective: SLObjective, total: int, good: int) -> Dict[str, Any]:
     """One objective's report — achieved fraction and burn rate — from
     ``good`` of ``total`` transactions under its target.  The one SLO
-    arithmetic: live accounts and ``repro obs slo`` both call it."""
+    arithmetic every account's snapshot reports."""
     achieved = (good / total) if total else 1.0
     violation = 1.0 - achieved
     budget = 1.0 - objective.goal
@@ -208,7 +200,9 @@ class Histogram:
         return out
 
     def under_ms(self, target_ms: float) -> int:
-        return count_under(BUCKETS_MS, self.counts, target_ms)
+        """How many observations were <= ``target_ms``, resolved at
+        bucket granularity (the tightest bucket bound <= target counts)."""
+        return sum(c for le, c in zip(BUCKETS_MS, self.counts) if le <= target_ms)
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -84,9 +84,9 @@ class Profile:
 
     @property
     def total_activations(self) -> int:
-        """Every node belongs to exactly one production row, so either
-        table sums to the total — `repro top` keeps only one of them."""
-        return sum(row.activations for row in self.nodes or self.productions)
+        """Every activation is one node's; the productions table sums to
+        the same total, one row per owner."""
+        return sum(row.activations for row in self.nodes)
 
 
 def build(snap: ObsSnapshot, network=None) -> Profile:

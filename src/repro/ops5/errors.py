@@ -11,16 +11,6 @@ class Ops5Error(Exception):
     """Base class for every error raised by :mod:`repro.ops5`."""
 
 
-class LexError(Ops5Error):
-    """An invalid character sequence.  Kept for API compatibility:
-    nothing raises it, the scanner has a token for every character."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
-
-
 class ParseError(Ops5Error):
     """Raised when the parser encounters a malformed program."""
 

@@ -120,7 +120,7 @@ class Interpreter:
         Any object with ``process_changes`` (the engines add the
         :class:`~repro.rete.matcher.Matcher` contract); defaults to a
         :class:`~repro.rete.matcher.SequentialMatcher` built with the
-        given ``memory``/``mode``/``n_lines``.
+        given ``memory``/``mode``.
     engine:
         Alternative to ``matcher``: a backend name from
         :data:`repro.engines.ENGINE_NAMES` (``'sequential'``,
@@ -152,7 +152,6 @@ class Interpreter:
         strategy: str = "lex",
         memory: str = "hash",
         mode: str = "compiled",
-        n_lines: int = 1024,
         recorder: Optional[TraceRecorder] = None,
         input_values: Optional[Sequence[Constant]] = None,
         network: Optional[ReteNetwork] = None,
@@ -169,7 +168,7 @@ class Interpreter:
         if matcher is None:
             from ..engines import make_matcher
 
-            opts = {"memory": memory, "n_lines": n_lines, "recorder": recorder}
+            opts = {"memory": memory, "recorder": recorder}
             opts.update(engine_opts or {})
             matcher = make_matcher(engine or "sequential", self.network, **opts)
         elif engine is not None:

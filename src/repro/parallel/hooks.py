@@ -62,10 +62,6 @@ def uninstall() -> None:
     _hook = None
 
 
-def installed() -> bool:
-    return _hook is not None
-
-
 def yield_point(label: str, detail: object = None) -> None:
     """Production no-op; under a harness, cede the turn at ``label``."""
     hook = _hook

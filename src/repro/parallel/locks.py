@@ -91,7 +91,7 @@ class SpinLock:
     "line", ...) for the observability layer, which — only while
     :mod:`repro.obs.events` is enabled — times each acquisition's wait
     (spin duration) and hold (acquire→release) and aggregates them per
-    label into the timed contention profiles of ``repro top``.
+    label into the timed contention table of ``repro trace``.
     """
 
     __slots__ = ("_lock", "_busy", "stats", "label", "_t_acq", "_wait_ns",

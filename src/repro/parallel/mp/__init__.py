@@ -3,8 +3,4 @@
 from .engine import ProcessMatcher, mp_supported
 from .shard import ShardMap
 
-#: Alias used by ISSUE/ROADMAP language; the class is a matcher in the
-#: interpreter's sense but an "engine" in the CLI/serve sense.
-ProcessEngine = ProcessMatcher
-
-__all__ = ["ProcessMatcher", "ProcessEngine", "ShardMap", "mp_supported"]
+__all__ = ["ProcessMatcher", "ShardMap", "mp_supported"]

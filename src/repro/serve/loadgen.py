@@ -37,6 +37,12 @@ from .traffic import SCENARIOS, Traffic, build, build_from_source
 #: Give up on one transaction after this many busy retries.
 MAX_BUSY_RETRIES = 100
 
+#: Absolute slack between a tenant's meter p99 and its client p99; a
+#: relative slack of half the client p99 applies when that is larger.
+#: The client's latency adds the wire round trip and JSON on top of the
+#: meter's submit→done.
+RECONCILE_SLACK_MS = 25.0
+
 
 @dataclass
 class SessionRun:
@@ -78,9 +84,34 @@ class LoadReport:
     meter: Dict[str, Any] = field(default_factory=dict)
     prometheus: str = ""
 
+    def reconciled(self) -> List[Tuple[bool, str]]:
+        """One ``(agrees, line)`` per metered tenant this run drove: whether
+        the meter's p99 lies within the reconcile slack of the client p99
+        loadgen measured for that tenant, with each objective's burn rate.
+        Other clients' tenants on a shared server are not this run's."""
+        out = []
+        for tenant, acct in sorted((self.meter.get("tenants") or {}).items()):
+            if tenant not in self.tenants:
+                continue
+            meter_p99 = acct.get("p99_ms", 0.0)
+            client_p99 = self.tenants[tenant]["p99_ms"]
+            allowed = max(RECONCILE_SLACK_MS, 0.5 * client_p99)
+            agrees = abs(meter_p99 - client_p99) <= allowed
+            burns = "".join(
+                f" {r['objective']['name']} burn={r['burn_rate']:.2f}x"
+                f" ({r['good']}/{r['total']})" for r in acct.get("slo", [])
+            )
+            out.append((agrees, (
+                f"{tenant}: meter p99={meter_p99:.2f}ms client "
+                f"p99={client_p99:.2f}ms (slack {allowed:.2f}ms) — "
+                f"{'OK' if agrees else 'FAIL'};{burns}"
+            )))
+        return out
+
     @property
     def ok(self) -> bool:
-        return self.errors == 0 and self.verified is not False
+        return (self.errors == 0 and self.verified is not False
+                and all(agrees for agrees, _line in self.reconciled()))
 
     def format(self) -> str:
         lines = [
@@ -125,6 +156,10 @@ class LoadReport:
                     f"share={t['share']:.2f} p50={t['p50_ms']:.2f}ms "
                     f"p95={t['p95_ms']:.2f}ms p99={t['p99_ms']:.2f}ms"
                 )
+        reconciled = self.reconciled()
+        if reconciled:
+            lines.append("  meter (server p99 vs client p99, SLO burn):")
+            lines.extend(f"    {line}" for _agrees, line in reconciled)
         if self.verified is not None:
             if self.verified:
                 lines.append(
@@ -470,11 +505,12 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
                    help="partition sessions round-robin into N tenant labels "
                         "t0..tN-1 (default 1 = all 'default')")
     p.add_argument("--meter", action="store_true",
-                   help="enable metering on the spawned server and scrape the "
-                        "snapshot into the report")
+                   help="enable metering on the spawned server, scrape the "
+                        "snapshot into the report and reconcile its per-tenant "
+                        "p99 with the client's")
     p.add_argument("--meter-out", metavar="FILE",
                    help="write the meter snapshot + client latency summary as "
-                        "JSON (feed to `repro obs slo`)")
+                        "JSON")
     p.add_argument("--prom-out", metavar="FILE",
                    help="write the server's Prometheus exposition here")
     add_engine_arguments(p)
@@ -559,7 +595,11 @@ VERBS = {"loadgen": Verb(
     "Drive a server (--connect HOST:PORT, or in-process via --spawn) with N "
     "concurrent sessions replaying deterministic scenario traffic; print a "
     "throughput/latency report and, with --verify, byte-compare each session's "
-    "firings against a sequential replay.  Of the engine flags the serve "
-    "protocol carries --engine, --workers/--parallel and --strategy.",
+    "firings against a sequential replay.  With --meter, each tenant's "
+    "server-side p99 must reconcile with the client-observed p99 (within "
+    "max(25 ms, half the client p99)); the report prints both with each "
+    "SLO objective's burn rate.  Exit 1 on an error, a failed --verify or a "
+    "failed reconcile.  Of the engine flags the serve protocol carries "
+    "--engine, --workers and --strategy.",
     _add_arguments, _loadgen,
 )}

@@ -391,6 +391,12 @@ class ReproServer:
         sid = msg.get("session")
         if sid is not None:
             session = self._session_for(msg)
+            if fmt == "prometheus":  # refused rather than ignored
+                raise ProtocolError(
+                    E_BAD_REQUEST,
+                    "the prometheus exposition is server-wide; "
+                    "ask for it without 'session'",
+                )
             return ok_response(req_id, session=sid, stats=session.snapshot())
         if fmt == "prometheus":
             text = prometheus_text(

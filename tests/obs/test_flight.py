@@ -129,13 +129,6 @@ class TestErrorDump:
     def test_dump_on_error_noop_without_path(self):
         assert flight.dump_on_error("nowhere") is None
 
-    def test_dump_on_error_env_fallback(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.json"
-        monkeypatch.setenv(flight.DUMP_ENV, str(path))
-        flight.record("seq", "batch")
-        assert flight.dump_on_error("env crash") == str(path)
-        assert path.exists()
-
     def test_dump_on_error_never_raises(self, tmp_path):
         flight.set_dump_path(str(tmp_path / "no" / "such" / "dir" / "f.json"))
         assert flight.dump_on_error("bad path") is None

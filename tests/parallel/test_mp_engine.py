@@ -17,7 +17,7 @@ from repro.obs import flight
 from repro.ops5.interpreter import Interpreter
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WME, WMEChange
-from repro.parallel.mp import ProcessEngine, ProcessMatcher, mp_supported
+from repro.parallel.mp import ProcessMatcher, mp_supported
 from repro.rete.network import ReteNetwork
 from tests.conftest import FIND_COLORED_BLOCK
 
@@ -67,9 +67,6 @@ class TestLifecycle:
         _program, network = compiled_network(FIND_COLORED_BLOCK)
         with pytest.raises(ValueError):
             ProcessMatcher(network, n_workers=0)
-
-    def test_process_engine_alias(self):
-        assert ProcessEngine is ProcessMatcher
 
 
 class TestFailurePropagation:

@@ -83,6 +83,29 @@ class TestLoadgen:
         assert not LoadReport("s", 1, 1, verified=False).ok
         assert LoadReport("s", 1, 1, verified=True).ok
 
+    @pytest.mark.parametrize("meter_p99, ok", [(60.0, True), (140.0, False)])
+    def test_metered_report_reconciles_meter_p99_with_client_p99(
+        self, meter_p99, ok
+    ):
+        """On a metered run each tenant's server-side p99 must lie within
+        max(25 ms, half the client p99) of the client's: t1's client p99
+        is 40 ms, so 20 ms off is inside the slack and 100 ms is not."""
+        slo = {"objective": {"name": "txn_p99", "target_ms": 250.0, "goal": 0.99},
+               "total": 8, "good": 8, "achieved": 1.0, "burn_rate": 0.0}
+        report = LoadReport(
+            "s", 2, 4,
+            tenants={t: {"txns": 4.0, "share": 0.5, "p50_ms": p99, "p95_ms": p99,
+                         "p99_ms": p99} for t, p99 in (("t0", 10.0), ("t1", 40.0))},
+            meter={"tenants": {"t0": {"p99_ms": 12.0, "slo": [slo]},
+                               "t1": {"p99_ms": meter_p99, "slo": [slo]}}},
+        )
+        assert report.ok is ok
+        text = report.format()
+        assert "t0: meter p99=12.00ms client p99=10.00ms (slack 25.00ms) — OK;" \
+            " txn_p99 burn=0.00x (8/8)" in text
+        assert f"t1: meter p99={meter_p99:.2f}ms client p99=40.00ms " \
+            f"(slack 25.00ms) — {'OK' if ok else 'FAIL'}" in text
+
     def test_zero_transactions_reports_no_samples(self):
         """Zero completed transactions must yield an explicit "no
         samples" marker, not fabricated percentiles."""

@@ -132,6 +132,24 @@ class TestLifecycle:
 
         with_server(scenario)
 
+    def test_per_session_prometheus_is_refused_not_answered_in_json(self):
+        """The exposition is server-wide; a session's stats asked for in
+        it used to come back as that session's JSON."""
+        async def scenario(server, reader, writer):
+            sid = (await open_counter(reader, writer))["session"]
+            resp = await request(reader, writer, {
+                "id": 2, "type": "stats", "session": sid, "format": "prometheus",
+            })
+            assert not resp["ok"]
+            assert resp["error"]["code"] == "bad-request"
+            assert "server-wide" in resp["error"]["message"]
+            resp = await request(
+                reader, writer, {"id": 3, "type": "stats", "session": sid}
+            )
+            assert resp["ok"] and resp["session"] == sid
+
+        with_server(scenario)
+
     def test_profile_verb_per_session_and_server_wide(self):
         async def scenario(server, reader, writer):
             sid = (await open_counter(reader, writer))["session"]

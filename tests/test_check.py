@@ -120,20 +120,18 @@ class TestFormats:
         assert report.format().endswith("findings: 0\nreplay: python -m repro check demock"
                                         " --seed 7 --mode x --max-steps 9")
 
-    def test_sweep_lists_failures_then_skips(self):
+    def test_sweep_lists_failures_after_its_counts(self):
         bad = Finding("conflict_set", 0, "1 missing")
         sweep = Sweep(
             "demock", "sweep", "seeds",
             [self.report(1), self.report(2, [bad])],
-            skipped=["engine=mp (needs fork)"],
-            also=[(1, "skipped")],
+            also=[(1, "truncated")],
         )
         assert not sweep.ok
         assert sweep.format() == (
-            "demock sweep: 2 seeds, 1 failing, 1 skipped\n"
+            "demock sweep: 2 seeds, 1 failing, 1 truncated\n"
             "  FAIL seed=2 mode=x — [conflict_set] batch 0: 1 missing\n"
-            "    replay: python -m repro check demock --seed 2 --mode x --max-steps 9\n"
-            "  SKIP engine=mp (needs fork)"
+            "    replay: python -m repro check demock --seed 2 --mode x --max-steps 9"
         )
 
     def test_sweep_caps_the_failure_listing(self):

@@ -176,7 +176,8 @@ class TestReadProgramErrors:
 
     PROGRAM_TAKING = [
         ["run"], ["network"], ["simulate"], ["trace", "--out", "/dev/null"],
-        ["top"], ["obs", "flight", "--out", "/dev/null"],
+        ["trace", "--engine", "corgi", "--out", "/dev/null"],
+        ["run", "--engine", "corgi"],
         ["loadgen", "--spawn", "--program"],
     ]
 
@@ -213,26 +214,9 @@ class TestEngineFlags:
     """The engine flags are declared once (repro.engines) and resolved
     once (``engine_from_args``) for every verb that runs a program."""
 
-    @pytest.mark.parametrize("verb", [["run"], ["trace"], ["top"],
-                                      ["obs", "flight"]], ids=" ".join)
-    def test_parallel_contradicting_engine_is_rejected(self, verb):
-        with pytest.raises(SystemExit) as exc:
-            main([*verb, "blocks", "--parallel", "2", "--engine", "mp"])
-        assert str(exc.value).startswith(f"repro {' '.join(verb)}: --parallel 2")
-
-    def test_parallel_contradicting_workers_is_rejected(self):
-        with pytest.raises(SystemExit, match="--parallel 2 means"):
-            main(["top", "blocks", "--parallel", "2", "--workers", "3"])
-
-    def test_parallel_is_shorthand_for_threaded_workers(self, tmp_path, capsys):
-        flight = tmp_path / "f.json"
-        assert main(["obs", "flight", "blocks", "--parallel", "2",
-                     "--engine", "threaded", "--out", str(flight)]) == 0
-        assert "run: engine=threaded " in capsys.readouterr().out
-
     def test_traced_run_with_one_queue_per_worker(self, tmp_path, capsys):
-        assert main(["trace", "blocks", "--parallel", "2", "--queues", "2",
-                     "--out", str(tmp_path / "t.json")]) == 0
+        assert main(["trace", "blocks", "--engine", "threaded", "--workers", "2",
+                     "--queues", "2", "--out", str(tmp_path / "t.json")]) == 0
         assert "(equal)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, needle", [
@@ -241,7 +225,7 @@ class TestEngineFlags:
         (["--engine", "corgi", "--watchdog", "1"], "threaded or mp"),
     ])
     def test_traced_verbs_share_the_engine_option_rules(self, flags, needle):
-        for verb in (["trace"], ["top"], ["obs", "flight"]):
+        for verb in (["run"], ["trace"]):
             with pytest.raises(SystemExit) as exc:
                 main([*verb, "blocks", *flags])
             assert str(exc.value).startswith(f"repro {' '.join(verb)}: ")
@@ -275,16 +259,16 @@ class TestEngineFlags:
                      "--queues", "2", "--locks", "mrsw"]) == 0
         assert "grabs the bananas" in capsys.readouterr().out
 
-    def test_top_takes_strategy_and_memory(self, capsys):
-        assert main(["top", "blocks", "--strategy", "mea",
-                     "--memory", "linear"]) == 0
+    def test_trace_takes_strategy_and_memory(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--strategy", "mea", "--memory", "linear",
+                     "--out", str(tmp_path / "t.json")]) == 0
         assert "hot productions" in capsys.readouterr().out
 
     def test_run_takes_builtin_names_and_the_shared_flags(self, capsys):
         """docs/OBSERVABILITY.md "Using it": `repro run rubik --engine
-        threaded --parallel 3 --queues 2 --watchdog 5 ...` (on blocks,
+        threaded --workers 3 --queues 2 --watchdog 5 ...` (on blocks,
         which halts in five cycles)."""
-        assert main(["run", "blocks", "--engine", "threaded", "--parallel",
+        assert main(["run", "blocks", "--engine", "threaded", "--workers",
                      "3", "--queues", "2", "--watchdog", "60"]) == 0
         assert "all goals satisfied" in capsys.readouterr().out
 
@@ -298,7 +282,7 @@ class TestEngineFlags:
     def test_loadgen_forwards_what_the_protocol_carries(self, capsys):
         assert main(["loadgen", "--spawn", "--scenario", "monkey",
                      "--sessions", "2", "--transactions", "3", "--verify",
-                     "--parallel", "2"]) == 0
+                     "--engine", "threaded", "--workers", "2"]) == 0
         assert "verify: 2/2" in capsys.readouterr().out
 
     def test_loadgen_rejects_flags_the_protocol_cannot_carry(self):
@@ -386,7 +370,9 @@ class TestTrace:
         out = tmp_path / "blocks-trace.json"
         assert main(["trace", "blocks", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "move-block" in text  # per-production profile
+        assert "hot productions" in text and "move-block" in text
+        assert "hot nodes" in text
+        assert "phases (recognize-act cycle):" in text and "match" in text
         assert "(equal)" in text  # profile == MatchStats.node_activations
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
@@ -396,8 +382,10 @@ class TestTrace:
 
         out = tmp_path / "par-trace.json"
         assert main(["trace", "blocks", "--out", str(out),
-                     "--parallel", "2"]) == 0
-        assert "(equal)" in capsys.readouterr().out
+                     "--engine", "threaded", "--workers", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "(equal)" in text
+        assert "lock contention:" in text and "taskcount" in text
         doc = json.loads(out.read_text())
         threads = {
             e["args"]["name"]
@@ -423,44 +411,23 @@ class TestTrace:
         assert "neither a file nor a builtin" in str(exc.value)
 
 
-class TestTop:
-    def test_top_by_production(self, capsys):
-        assert main(["top", "blocks"]) == 0
-        out = capsys.readouterr().out
-        assert "hot productions" in out
-        assert "move-block" in out
-        assert "hot nodes" not in out  # pruned to the requested table
-
-    def test_top_total_is_the_match_stats_total(self, capsys):
-        """The default table is pruned to productions; its total line
-        still counts every activation (it printed 0)."""
+    def test_trace_total_is_the_match_stats_total(self, tmp_path, capsys):
+        """The productions table's total line counts every activation."""
         from repro.ops5.interpreter import Interpreter
         from repro.programs import load
 
-        assert main(["top", "monkey"]) == 0
+        assert main(["trace", "monkey", "--out", str(tmp_path / "t.json")]) == 0
         interp = Interpreter(load("monkey"))
         interp.run()
         total = interp.stats.node_activations
         assert total > 0
-        assert f"total activations: {total}\n" in capsys.readouterr().out + "\n"
+        assert f"total activations: {total}\n" in capsys.readouterr().out
 
-    def test_top_by_phase(self, capsys):
-        assert main(["top", "blocks", "--by", "phase"]) == 0
+    def test_trace_limit(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--limit", "2",
+                     "--out", str(tmp_path / "t.json")]) == 0
         out = capsys.readouterr().out
-        assert "phases (recognize-act cycle):" in out
-        assert "match" in out
-
-    def test_top_by_lock_parallel(self, capsys):
-        assert main(["top", "blocks", "--by", "lock",
-                     "--parallel", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "lock contention:" in out
-        assert "taskcount" in out
-
-    def test_top_limit(self, capsys):
-        assert main(["top", "blocks", "--by", "node", "--limit", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "hot nodes (top 2):" in out
+        assert "hot productions (top 2):" in out and "hot nodes (top 2):" in out
 
 
 class TestObsVerbs:
@@ -491,7 +458,7 @@ class TestObsVerbs:
         assert doc["otherData"]["stitch_orphans"] == 0
         assert [p.name for p in tmp_path.iterdir()] == ["stitched.json"]
 
-    @pytest.mark.parametrize("verb", ["trace", "top"])
+    @pytest.mark.parametrize("verb", ["trace"])
     def test_negative_max_events_is_refused_at_the_front_door(self, verb, tmp_path):
         """It used to be accepted and drop every span silently."""
         with pytest.raises(SystemExit, match=f"repro {verb}: --max-events must be >= 0"):
@@ -520,31 +487,34 @@ class TestObsVerbs:
         assert max(rows.values()) <= 5
         assert doc["otherData"]["dropped_spans"] > 0
 
-    def test_obs_flight_snapshot(self, tmp_path, capsys):
+    def test_run_flight_dump_is_written_when_the_run_ends(self, tmp_path):
+        """A clean run leaves the flight snapshot behind too (a failing
+        one: tests/obs/test_flight.py), with every mp worker's tail.  In
+        a fresh process, so the engines map names this run's only."""
         import json
-
-        from repro.obs.flight import validate_flight
-
-        out = tmp_path / "flight.json"
-        assert main(["obs", "flight", "blocks", "--out", str(out),
-                     "--ring", "64"]) == 0
-        assert "flight:" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        assert validate_flight(doc) == []
-        assert doc["ring_capacity"] == 64
-        assert doc["events"]
-
-    def test_obs_flight_mp_collects_worker_tails(self, tmp_path):
-        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
         from repro.obs.flight import validate_flight
 
         self.needs_mp()
         out = tmp_path / "flight.json"
-        assert main(["obs", "flight", "blocks", "--engine", "mp",
-                     "--workers", "2", "--out", str(out)]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "blocks", "--engine", "mp",
+             "--workers", "2", "--flight-dump", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "all goals satisfied" in proc.stdout
+        assert f"2 worker tails) -> {out}" in proc.stderr
         doc = json.loads(out.read_text())
         assert validate_flight(doc) == []
+        assert doc["reason"] == "cli" and doc["events"]
+        assert doc["engines"] == {"mp": 2}
         assert sorted(name.split(" (pid ")[0] for name in doc["workers"]) == [
             "match-0", "match-1"]
 

@@ -143,7 +143,7 @@ class TestArchitecture:
                 assert isinstance(entry, cli.Verb), path
                 assert entry.name == path[-1]
                 assert entry.help.strip(), path
-        assert {"run", "check schedck", "obs flight", "obs slo", "serve",
+        assert {"run", "trace", "check schedck", "check corgick", "serve",
                 "loadgen"} <= set(paths)
 
     @pytest.mark.parametrize(

@@ -3,6 +3,11 @@ carrying no traffic stay deleted.
 
 * a trace has one route -- ``repro trace --out`` writes the Chrome
   trace; there is no snapshot capture and no offline ``obs stitch``;
+* each job has one verb -- ``trace`` prints every hot-spot table (no
+  ``top``), ``run --flight-dump`` writes the flight ring and ``loadgen
+  --meter`` reconciles the SLO meter (no ``obs`` group), and
+  ``--engine threaded --workers K`` is the one spelling (no
+  ``--parallel K``);
 * the paper's counts have one gate each -- the pins beside each
   subsystem's tests and ``bench/``'s goldens; there is no ``repro bench``
   group and no ``repro.perf`` package;
@@ -26,10 +31,17 @@ def help_text(capsys, *path):
     return capsys.readouterr().out
 
 
-def test_obs_offers_exactly_flight_and_slo(capsys):
-    text = help_text(capsys, "obs")
-    assert "one of: flight, slo\n" in text
-    assert set(cli.load(cli.VERBS, "obs")) == {"flight", "slo"}
+@pytest.mark.parametrize("argv", [
+    ["top", "blocks"],
+    ["obs", "flight", "blocks"],
+    ["run", "blocks", "--parallel", "2"],
+], ids=" ".join)
+def test_each_job_has_one_verb(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2                  # a usage error
+    capsys.readouterr()
+    assert "obs" not in cli.VERBS and "top" not in cli.VERBS
 
 
 def test_trace_has_no_capture_flag(capsys):
