@@ -370,9 +370,7 @@ class TestTrace:
         out = tmp_path / "blocks-trace.json"
         assert main(["trace", "blocks", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "hot productions" in text and "move-block" in text
-        assert "hot nodes" in text
-        assert "phases (recognize-act cycle):" in text and "match" in text
+        assert "move-block" in text  # per-production profile
         assert "(equal)" in text  # profile == MatchStats.node_activations
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
@@ -383,9 +381,7 @@ class TestTrace:
         out = tmp_path / "par-trace.json"
         assert main(["trace", "blocks", "--out", str(out),
                      "--engine", "threaded", "--workers", "2"]) == 0
-        text = capsys.readouterr().out
-        assert "(equal)" in text
-        assert "lock contention:" in text and "taskcount" in text
+        assert "(equal)" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         threads = {
             e["args"]["name"]
@@ -410,6 +406,25 @@ class TestTrace:
             main(["trace", "no-such-program", "--out", "/dev/null"])
         assert "neither a file nor a builtin" in str(exc.value)
 
+    def test_trace_prints_the_productions_table(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--out", str(tmp_path / "t.json")]) == 0
+        out = capsys.readouterr().out
+        assert "hot productions" in out
+        assert "move-block" in out
+        assert "hot nodes" in out
+
+    def test_trace_prints_the_phase_table(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--out", str(tmp_path / "t.json")]) == 0
+        out = capsys.readouterr().out
+        assert "phases (recognize-act cycle):" in out
+        assert "match" in out
+
+    def test_trace_parallel_prints_the_lock_table(self, tmp_path, capsys):
+        assert main(["trace", "blocks", "--engine", "threaded", "--workers", "2",
+                     "--out", str(tmp_path / "t.json")]) == 0
+        out = capsys.readouterr().out
+        assert "lock contention:" in out
+        assert "taskcount" in out
 
     def test_trace_total_is_the_match_stats_total(self, tmp_path, capsys):
         """The productions table's total line counts every activation."""
@@ -486,6 +501,25 @@ class TestObsVerbs:
         assert {pid for pid, _tid in rows} == {1, 100, 101}
         assert max(rows.values()) <= 5
         assert doc["otherData"]["dropped_spans"] > 0
+
+    def test_run_flight_dump_snapshot(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import flight
+        from repro.obs.flight import validate_flight
+
+        out = tmp_path / "flight.json"
+        try:
+            assert main(["run", "blocks", "--engine", "threaded", "--workers",
+                         "2", "--flight-dump", str(out)]) == 0
+        finally:
+            flight.set_dump_path(None)
+        err = capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert validate_flight(doc) == []
+        assert doc["events"]
+        assert f"(ring {doc['ring_capacity']}, " in err
+        assert f"{len(doc.get('workers') or {})} worker tails) -> {out}" in err
 
     def test_run_flight_dump_is_written_when_the_run_ends(self, tmp_path):
         """A clean run leaves the flight snapshot behind too (a failing
