@@ -8,7 +8,7 @@ import pytest
 
 from repro.ops5.interpreter import WMOp
 from repro.serve.limits import ServiceLimits
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.protocol import MAX_LINE_BYTES, ProtocolError, decode_line, encode
 from repro.serve.session import Busy
 
 from .conftest import COUNTER, SPINNER, request, with_server
@@ -427,6 +427,74 @@ class TestBackpressure:
             assert all(r.outcome == "quiescent" for r in results)
 
         with_server(scenario, limits=ServiceLimits(inbox_depth=2))
+
+    def test_a_full_inbox_answers_busy_over_the_socket(self):
+        """The wire half: with the session's worker held, transactions
+        pipelined past ``inbox_depth`` come back ``busy`` with the
+        server's ``retry_after_ms`` and count in ``rejected_busy``; the
+        held one completes once the worker runs again."""
+        limits = ServiceLimits(inbox_depth=1)
+        n = 4
+
+        async def scenario(server, reader, writer):
+            sid = (await open_counter(reader, writer))["session"]
+            session = server.sessions[sid]
+            session._worker.cancel()  # held: nothing drains the inbox
+            writer.write(b"".join(
+                encode({"id": 10 + i, "type": "transact", "session": sid,
+                        "ops": [], "max_cycles": 0})
+                for i in range(n)))
+            await writer.drain()
+            bounced = [decode_line(await reader.readline()) for _ in range(n - 1)]
+            assert sorted(r["id"] for r in bounced) == [11, 12, 13]
+            assert {r["error"]["code"] for r in bounced} == {"busy"}
+            assert {r["error"]["retry_after_ms"] for r in bounced} == {
+                limits.retry_after_ms}
+            session.start()  # release the worker
+            held = decode_line(await reader.readline())
+            assert (held["id"], held["ok"], held["outcome"]) == (10, True, "quiescent")
+            stats = await request(reader, writer, {"id": 20, "type": "stats"})
+            assert stats["server"]["rejected_busy"] == n - 1
+            assert stats["sessions"][sid]["rejected_busy"] == n - 1
+            assert stats["sessions"][sid]["transactions"] == 1
+
+        with_server(scenario, limits=limits)
+
+    def test_loadgen_retries_a_busy_to_success(self):
+        """loadgen's busy loop: the session's first transaction meets a
+        full inbox (its worker held, one transaction parked); the busy
+        reply releases the worker, and loadgen backs off and succeeds."""
+        from repro.serve.loadgen import SessionRun, _run_session
+        from repro.serve.traffic import build
+
+        async def scenario(server, reader, writer):
+            open_session, stage = server._handle_open, server._stage_transact
+
+            def open_held(msg):
+                resp = open_session(msg)
+                session = server.sessions[resp["session"]]
+                session._worker.cancel()
+                session.submit([], max_cycles=0)  # the inbox is full
+                return resp
+
+            def stage_or_release(msg):
+                try:
+                    return stage(msg)
+                except ProtocolError:
+                    server.sessions[msg["session"]].start()
+                    raise
+
+            server._handle_open = open_held
+            server._stage_transact = stage_or_release
+            run = SessionRun(index=0, traffic=build("blocks", 0, 3, 0))
+            await _run_session(server.host, server.port, run, {})
+            return run
+
+        run = with_server(
+            scenario, limits=ServiceLimits(inbox_depth=1, retry_after_ms=1.0))
+        assert run.errors == []
+        assert run.busy_retries == 1
+        assert sum(run.outcomes.values()) == 3
 
 
 class TestShutdownDrain:
