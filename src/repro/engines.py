@@ -23,13 +23,13 @@ Engines:
     with per-line locks.  Demonstrates the paper's synchronization
     design under real interleavings but no speedup under the GIL.
     Options: ``n_workers``, ``n_queues``, ``lock_scheme``, ``n_lines``,
-    ``watchdog_s``/``watchdog_dump`` (stall watchdog).
+    ``watchdog_s`` (stall watchdog).
 
 ``mp``
     :class:`~repro.parallel.mp.engine.ProcessMatcher` —
     process-per-worker with shard-routed lines; the backend that can
     actually use multiple CPUs.  Options: ``n_workers``, ``n_lines``,
-    ``watchdog_s``/``watchdog_dump`` (stall watchdog).
+    ``watchdog_s`` (stall watchdog).
     Requires the ``fork`` start method (see :func:`mp_supported`).
 
 ``corgi``
@@ -123,7 +123,6 @@ def make_matcher(
     lock_scheme: Optional[str] = None,
     recorder=None,
     watchdog_s: Optional[float] = None,
-    watchdog_dump: Optional[str] = None,
 ):
     """Build the named match backend over a compiled ``network``.
 
@@ -151,7 +150,6 @@ def make_matcher(
             lock_scheme=lock_scheme if lock_scheme is not None else "simple",
             n_lines=n_lines,
             watchdog_s=watchdog_s,
-            watchdog_dump=watchdog_dump,
         )
     if engine == "mp":
         from .parallel.mp import ProcessMatcher
@@ -161,7 +159,6 @@ def make_matcher(
             n_workers=n_workers,
             n_lines=n_lines,
             watchdog_s=watchdog_s,
-            watchdog_dump=watchdog_dump,
         )
     from .corgi.engine import CorgiMatcher
 
@@ -192,9 +189,8 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                    help="conflict-resolution strategy")
     g.add_argument("--watchdog", type=float, metavar="S",
                    help="stall watchdog for threaded/mp: trip after S seconds "
-                        "of pending work with no progress")
-    g.add_argument("--watchdog-dump", metavar="FILE",
-                   help="write the watchdog diagnostic bundle here on trip")
+                        "of pending work with no progress (run --flight-dump "
+                        "FILE writes the stall there)")
 
 
 def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
@@ -211,7 +207,6 @@ def engine_from_args(ns: argparse.Namespace) -> Tuple[str, Dict[str, object]]:
         "n_queues": ns.queues,
         "lock_scheme": ns.locks,
         "watchdog_s": ns.watchdog or None,
-        "watchdog_dump": ns.watchdog_dump,
     }
     return engine, {k: v for k, v in given.items() if v is not None}
 
@@ -248,7 +243,8 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="store_true", help="list the firings on stderr")
     p.add_argument("--flight-dump", metavar="FILE",
                    help="write the flight-recorder snapshot (with --engine mp, "
-                        "the workers' tails too) here when the run ends, or on "
+                        "the workers' tails too; after a --watchdog trip, the "
+                        "stall) here when the run ends, on a stall, or on "
                         "unhandled engine error")
 
 
@@ -272,7 +268,7 @@ def _run(args: argparse.Namespace) -> int:
     if watchdog is not None and watchdog.tripped:
         print(
             f"repro run: watchdog tripped {watchdog.trips}x "
-            f"(stuck queue: {watchdog.bundles[-1].get('stuck_queue')})",
+            f"(stuck queue: {watchdog.stalls[-1]['stuck_queue']})",
             file=sys.stderr,
         )
     for line in result.output:

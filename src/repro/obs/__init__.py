@@ -22,8 +22,8 @@ Around the opt-in bus sit two always-available diagnostics:
   the most recent worker processes, dumped as a schema-versioned
   snapshot on demand, on unhandled engine error, or on watchdog trip;
 * the stall watchdog (:mod:`repro.obs.watchdog`) — no-progress
-  detection for the parallel engines, emitting a self-describing
-  diagnostic bundle (queue depths, lock holders, flight tails).
+  detection for the parallel engines, filing a self-describing stall
+  (queue depths, lock holders) that every later snapshot carries.
 
 The paper's contribution is *measured* — nine tables of timings and
 contention counts — and this package is the runtime evidence chain for

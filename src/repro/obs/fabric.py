@@ -59,7 +59,7 @@ def build_ship(
     ship_dropped = 0
     if len(spans) > max_spans:
         ship_dropped = len(spans) - max_spans
-        spans = spans[-max_spans:]
+        spans = spans[ship_dropped:]  # [-0:] would keep them all
     return {
         "pid": os.getpid(),
         "spans": spans,

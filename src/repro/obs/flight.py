@@ -26,8 +26,9 @@ produced three ways:
 * on unhandled engine error — when a dump path is configured
   (:func:`set_dump_path`, which ``--flight-dump`` calls), the
   interpreter writes the snapshot before re-raising;
-* on watchdog trip — the stall bundle embeds the ring tail
-  (:mod:`repro.obs.watchdog`).
+* on watchdog trip — the watchdog files its stall here
+  (:func:`file_stall`); with a dump path set the snapshot is written at
+  once, and every later snapshot carries the stall under ``stall``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ _dump_path: Optional[str] = None
 _engines: Dict[str, int] = {}
 # OS pid -> (display name, last shipped tail), least recently heard first.
 _remote_tails: "OrderedDict[int, Tuple[str, List[dict]]]" = OrderedDict()
+# The watchdog's most recent stall (repro.obs.watchdog), if any.
+_stall: Optional[Dict[str, Any]] = None
 # Serializes snapshot/configure against concurrent recorders; record()
 # itself stays lock-free (deque.append is atomic under the GIL).
 _snap_lock = threading.Lock()
@@ -74,23 +77,23 @@ _snap_lock = threading.Lock()
 
 def configure(capacity: int = DEFAULT_RING_SIZE) -> None:
     """Resize the ring (drops current contents)."""
-    global _ring, _recorded_total
+    global _ring
     if capacity < 1:
         raise ValueError("flight ring capacity must be >= 1")
     with _snap_lock:
         _ring = deque(maxlen=capacity)
-        _recorded_total = 0
-        _remote_tails.clear()
+    reset()
 
 
 def reset() -> None:
-    """Empty the ring (and the worker tails) without changing its
-    capacity."""
-    global _recorded_total
+    """Empty the ring (and the worker tails and the stall) without
+    changing its capacity."""
+    global _recorded_total, _stall
     with _snap_lock:
         _ring.clear()
         _recorded_total = 0
         _remote_tails.clear()
+        _stall = None
 
 
 def note_engine(name: str, workers: int = 1) -> None:
@@ -115,7 +118,7 @@ def tail(n: Optional[int] = None) -> List[Dict[str, Any]]:
     with _snap_lock:
         events = list(_ring)
     if n is not None and n >= 0:
-        events = events[-n:]
+        events = events[max(len(events) - n, 0):]  # [-0:] would be all
     return [
         {"t_ns": t, "engine": engine, "event": event, "detail": detail}
         for t, engine, event, detail in events
@@ -150,9 +153,18 @@ def remote_tails() -> Dict[str, List[dict]]:
         }
 
 
+def file_stall(stall: Dict[str, Any]) -> None:
+    """Keep the watchdog's latest stall for every later snapshot, and
+    write one at once to the dump path, if one is set."""
+    global _stall
+    _stall = stall
+    dump_on_error("stall")
+
+
 def snapshot(reason: str) -> Dict[str, Any]:
     """The ring as a schema-versioned JSON document, with the kept
-    worker tails (if any) under ``workers``."""
+    worker tails (if any) under ``workers`` and the watchdog's latest
+    stall (if any) under ``stall``."""
     doc: Dict[str, Any] = {
         "schema": FLIGHT_SCHEMA,
         "reason": reason,
@@ -167,6 +179,8 @@ def snapshot(reason: str) -> Dict[str, Any]:
     workers = remote_tails()
     if workers:
         doc["workers"] = workers
+    if _stall is not None:
+        doc["stall"] = _stall
     return doc
 
 
@@ -260,4 +274,40 @@ def validate_flight(doc: Any) -> List[str]:
         else:
             for name, events in workers.items():
                 _check_events(events, f"workers[{name}]", problems)
+    if "stall" in doc:
+        _check_stall(doc["stall"], problems)
     return problems
+
+
+def _check_stall(stall: Any, problems: List[str]) -> None:
+    if not isinstance(stall, dict):
+        problems.append("stall is not an object")
+        return
+    for key, types in (
+        ("engine", (str,)),
+        ("tripped_unix", (int, float)),
+        ("stalled_for_s", (int, float)),
+        ("stall_after_s", (int, float)),
+        ("tasks_done", (int,)),
+        ("lock_holders", (dict,)),
+        ("extra", (dict,)),
+        ("history", (list,)),
+    ):
+        if not isinstance(stall.get(key), types):
+            problems.append(f"missing or bad 'stall.{key}'")
+    queues = stall.get("queues")
+    if not isinstance(queues, list):
+        problems.append("stall.queues is not an array")
+        return
+    for i, q in enumerate(queues):
+        if (
+            not isinstance(q, dict)
+            or not isinstance(q.get("name"), str)
+            or not isinstance(q.get("depth"), int)
+        ):
+            problems.append(f"stall.queues[{i}]: needs string name and int depth")
+    if any(
+        isinstance(q, dict) and isinstance(q.get("depth"), int) and q["depth"] != 0
+        for q in queues
+    ) and not isinstance(stall.get("stuck_queue"), str):
+        problems.append("stall.stuck_queue must name a queue when work is pending")

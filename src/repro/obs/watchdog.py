@@ -8,15 +8,16 @@ cousin) into a reproducible, self-describing dump.
 
 Mechanics: a daemon thread samples a *probe* — a cheap callable the
 engine supplies returning :class:`ProbeSample` (cumulative tasks done,
-per-queue depths, currently-held locks) — every ``interval_s``.  A
-**stall** is "work is pending but the done-counter has not advanced
-for ``stall_after_s``"; an idle-but-quiescent engine (no pending work)
-never trips.  On a stall the watchdog emits one schema-versioned
-diagnostic **bundle** (:data:`WATCHDOG_SCHEMA`): the probe history,
-per-queue depths naming the stuck queue, the lock-holder table, and
-the flight-recorder tail (local ring plus the kept worker tails),
-then re-arms only after progress resumes, so one stall episode is one
-bundle.
+per-queue depths, currently-held locks) — four times per
+``stall_after_s``.  A **stall** is "work is pending but the
+done-counter has not advanced for ``stall_after_s``"; an
+idle-but-quiescent engine (no pending work) never trips.  On a stall
+the watchdog files one **stall** record with the flight recorder
+(:func:`repro.obs.flight.file_stall`): the probe history, per-queue
+depths naming the stuck queue and the lock-holder table.  It rides
+every later flight snapshot under ``stall``, beside the ring and the
+worker tails it would otherwise repeat.  The watchdog re-arms only
+after progress resumes, so one stall episode is one record.
 
 The trip-evaluation core (:meth:`StallWatchdog.evaluate`) is callable
 synchronously, so unit tests drive it with a fabricated clock instead
@@ -25,8 +26,6 @@ of sleeping.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,10 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import events as _obs
 from . import flight
 
-#: Schema identifier stamped into every diagnostic bundle.
-WATCHDOG_SCHEMA = "repro.watchdog/1"
-
-#: Probe samples kept for the bundle's history section.
+#: Probe samples kept for the stall's history section.
 HISTORY = 8
 
 
@@ -83,17 +79,9 @@ class StallWatchdog:
         Zero-argument callable returning a :class:`ProbeSample`.  Must
         be cheap and safe to call from a foreign thread at any time.
     engine:
-        Display name stamped into bundles ("threaded", "mp", ...).
+        Display name stamped into stalls ("threaded", "mp", ...).
     stall_after_s:
         How long pending work may sit with no progress before tripping.
-    interval_s:
-        Sampling period; defaults to ``stall_after_s / 4`` (clamped to
-        at least 10 ms) so a stall is seen within ~1.25x its threshold.
-    on_trip:
-        Optional callback receiving the bundle dict.
-    dump_path:
-        When set, each bundle is also written there as JSON (the
-        last trip wins — by then you are reading a broken run anyway).
     """
 
     def __init__(
@@ -101,21 +89,13 @@ class StallWatchdog:
         probe: Callable[[], ProbeSample],
         engine: str = "engine",
         stall_after_s: float = 1.0,
-        interval_s: Optional[float] = None,
-        on_trip: Optional[Callable[[Dict[str, Any]], None]] = None,
-        dump_path: Optional[str] = None,
     ) -> None:
         if stall_after_s <= 0:
             raise ValueError("stall_after_s must be positive")
         self.probe = probe
         self.engine = engine
         self.stall_after_s = stall_after_s
-        self.interval_s = (
-            interval_s if interval_s is not None else max(stall_after_s / 4.0, 0.01)
-        )
-        self.on_trip = on_trip
-        self.dump_path = dump_path
-        self.bundles: List[Dict[str, Any]] = []
+        self.stalls: List[Dict[str, Any]] = []
         self.trips = 0
         self._history: deque = deque(maxlen=HISTORY)
         self._last_done: Optional[int] = None
@@ -141,7 +121,9 @@ class StallWatchdog:
             self._thread = None
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        # A stall is seen within ~1.25x its threshold.
+        interval_s = max(self.stall_after_s / 4.0, 0.01)
+        while not self._stop.wait(interval_s):
             try:
                 sample = self.probe()
             except Exception:  # engine mid-teardown; skip this tick
@@ -155,7 +137,7 @@ class StallWatchdog:
         return self.trips > 0
 
     def evaluate(self, now_s: float, sample: ProbeSample) -> Optional[Dict[str, Any]]:
-        """Feed one probe sample at clock ``now_s``; returns the bundle
+        """Feed one probe sample at clock ``now_s``; returns the stall
         if this sample tripped the watchdog, else None."""
         self._history.append((now_s, sample))
         progressed = (
@@ -173,31 +155,21 @@ class StallWatchdog:
         stalled_for = now_s - self._progress_t
         if stalled_for < self.stall_after_s or not self._armed:
             return None
-        self._armed = False  # one bundle per stall episode
-        bundle = self._make_bundle(sample, stalled_for)
+        self._armed = False  # one stall per episode
+        stall = self._make_stall(sample, stalled_for)
         self.trips += 1
-        self.bundles.append(bundle)
+        self.stalls.append(stall)
         flight.record(
             self.engine,
             "watchdog.trip",
-            {"stuck_queue": bundle["stuck_queue"], "stalled_for_s": round(stalled_for, 3)},
+            {"stuck_queue": stall["stuck_queue"], "stalled_for_s": round(stalled_for, 3)},
         )
         if _obs.ENABLED:
             _obs.count("watchdog.trips")
-        if self.dump_path:
-            try:
-                tmp = f"{self.dump_path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(bundle, fh, indent=1, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp, self.dump_path)
-            except OSError:  # pragma: no cover - disk full / bad path
-                pass
-        if self.on_trip is not None:
-            self.on_trip(bundle)
-        return bundle
+        flight.file_stall(stall)
+        return stall
 
-    def _make_bundle(self, sample: ProbeSample, stalled_for: float) -> Dict[str, Any]:
+    def _make_stall(self, sample: ProbeSample, stalled_for: float) -> Dict[str, Any]:
         stuck = None
         deepest = 0
         for name, depth in sample.queues:
@@ -206,9 +178,7 @@ class StallWatchdog:
                 deepest = weight
                 stuck = name
         return {
-            "schema": WATCHDOG_SCHEMA,
             "engine": self.engine,
-            "reason": "stall",
             "tripped_unix": time(),
             "stalled_for_s": stalled_for,
             "stall_after_s": self.stall_after_s,
@@ -220,52 +190,4 @@ class StallWatchdog:
             "history": [
                 {"t_s": t, **s.to_json()} for t, s in list(self._history)
             ],
-            "flight": flight.tail(),
-            "worker_flight": flight.remote_tails(),
         }
-
-
-def validate_bundle(doc: Any) -> List[str]:
-    """Schema-check a watchdog bundle; returns problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != WATCHDOG_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {WATCHDOG_SCHEMA!r}"
-        )
-    for key, types in (
-        ("engine", (str,)),
-        ("reason", (str,)),
-        ("tripped_unix", (int, float)),
-        ("stalled_for_s", (int, float)),
-        ("stall_after_s", (int, float)),
-        ("tasks_done", (int,)),
-        ("lock_holders", (dict,)),
-        ("extra", (dict,)),
-        ("worker_flight", (dict,)),
-    ):
-        if not isinstance(doc.get(key), types):
-            problems.append(f"missing or bad {key!r}")
-    queues = doc.get("queues")
-    if not isinstance(queues, list):
-        problems.append("queues is not an array")
-    else:
-        for i, q in enumerate(queues):
-            if (
-                not isinstance(q, dict)
-                or not isinstance(q.get("name"), str)
-                or not isinstance(q.get("depth"), int)
-            ):
-                problems.append(f"queues[{i}]: needs string name and int depth")
-        if any(
-            isinstance(q, dict) and isinstance(q.get("depth"), int) and q["depth"] != 0
-            for q in queues
-        ) and not isinstance(doc.get("stuck_queue"), str):
-            problems.append("stuck_queue must name a queue when work is pending")
-    history = doc.get("history")
-    if not isinstance(history, list):
-        problems.append("history is not an array")
-    if not isinstance(doc.get("flight"), list):
-        problems.append("flight is not an array")
-    return problems

@@ -74,7 +74,6 @@ class ParallelMatcher(Matcher):
         lock_scheme: str = "simple",
         n_lines: int = 256,
         watchdog_s: Optional[float] = None,
-        watchdog_dump: Optional[str] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one match process")
@@ -111,7 +110,7 @@ class ParallelMatcher(Matcher):
             t.start()
         self._holder_tracking = False
         if watchdog_s:
-            # Holder names in the stall bundle cost one current_thread()
+            # Holder names in the stall record cost one current_thread()
             # per acquire; pay it only when someone is watching.
             set_holder_tracking(True)
             self._holder_tracking = True
@@ -119,7 +118,6 @@ class ParallelMatcher(Matcher):
                 self._watchdog_probe,
                 engine="threaded",
                 stall_after_s=watchdog_s,
-                dump_path=watchdog_dump,
             ).start()
 
     # -- control-process side -------------------------------------------------

@@ -37,7 +37,7 @@ _SIDE_STATE = {"L": LEFT_IN_USE, "R": RIGHT_IN_USE}
 
 #: When a stall watchdog is attached (see
 #: :class:`repro.obs.watchdog.StallWatchdog`), spin locks record the
-#: holding thread's name so the diagnostic bundle can print a
+#: holding thread's name so the stall record can print a
 #: lock-holder table.  Off by default: ``current_thread()`` on every
 #: acquire is measurable on the hottest path in the tree.
 HOLDER_TRACKING = False

@@ -100,7 +100,6 @@ class ProcessMatcher(Matcher):
         n_workers: int = 2,
         n_lines: int = 1024,
         watchdog_s: Optional[float] = None,
-        watchdog_dump: Optional[str] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one match process")
@@ -161,7 +160,6 @@ class ProcessMatcher(Matcher):
                 self._watchdog_probe,
                 engine="mp",
                 stall_after_s=watchdog_s,
-                dump_path=watchdog_dump,
             ).start()
 
     # -- control-process side -----------------------------------------------

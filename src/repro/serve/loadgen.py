@@ -347,9 +347,11 @@ async def run_loadgen(
     session's ``open`` request (``engine``, ``workers``, ``strategy`` —
     the match backend each session runs on).
     ``meter=True`` enables
-    :mod:`repro.obs.meter` on a spawned server; the snapshot is
-    scraped into ``report.meter`` (and ``meter_out``/``prom_out``
-    write the JSON snapshot / Prometheus exposition to files).
+    :mod:`repro.obs.meter` on a spawned server; the snapshot (the
+    ``meter`` of a ``stats`` reply) is scraped into ``report.meter``
+    (and ``meter_out``/``prom_out`` write the JSON snapshot, with the
+    client's summary under ``loadgen``, / the Prometheus exposition to
+    files).
     """
     runs: List[SessionRun] = []
     for i in range(sessions):
@@ -386,9 +388,7 @@ async def run_loadgen(
             if resp.get("ok"):
                 stats = resp
             if want_meter:
-                resp = await client.request({"type": "meter"})
-                if resp.get("ok"):
-                    meter_snap = resp.get("meter", {})
+                meter_snap = stats.get("meter", {})
                 resp = await client.request(
                     {"type": "stats", "format": "prometheus"}
                 )
@@ -437,16 +437,13 @@ async def run_loadgen(
     report.prometheus = prom_body
     if meter_out is not None:
         with open(meter_out, "w", encoding="utf-8") as fh:
+            # The meter snapshot itself, with what the client measured.
             json.dump(
-                {
-                    "schema": "repro.meter/1",
-                    "meter": meter_snap,
-                    "loadgen": {
-                        "latency": report.latency,
-                        "tenants": report.tenants,
-                        "wall_seconds": report.wall_seconds,
-                    },
-                },
+                dict(meter_snap, loadgen={
+                    "latency": report.latency,
+                    "tenants": report.tenants,
+                    "wall_seconds": report.wall_seconds,
+                }),
                 fh,
                 indent=2,
             )
@@ -509,8 +506,8 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
                         "snapshot into the report and reconcile its per-tenant "
                         "p99 with the client's")
     p.add_argument("--meter-out", metavar="FILE",
-                   help="write the meter snapshot + client latency summary as "
-                        "JSON")
+                   help="write the meter snapshot as JSON, with the client "
+                        "latency summary under `loadgen`")
     p.add_argument("--prom-out", metavar="FILE",
                    help="write the server's Prometheus exposition here")
     add_engine_arguments(p)

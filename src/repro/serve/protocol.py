@@ -34,29 +34,25 @@ Requests
          "output": [..], "created": [timetags..], "wm_size": n}``
 
 ``{"id": .., "type": "stats", "session"?: .., "format"?: "json"|"prometheus"}``
-    Server-wide counters, netcache stats, and per-session detail.
+    A session's entry is its request counters, queue depth, WM size,
+    program key, ``halted`` and ``cycle``, plus its match-engine
+    statistics: ``match`` (tokens examined, the Table 4-1/4-2
+    counters) and ``activations_by_kind``.  With ``session`` →
+    ``{"ok": true, "session": .., "stats": {<entry>}}``.  Server-wide →
+    ``{"ok": true, "server": {..}, "netcache": {..}, "sessions": {sid:
+    <entry>}, "obs_enabled": bool, "obs"?: {..}, "meter": {..}}``:
+    ``obs``, present while the :mod:`repro.obs` event bus is on in the
+    server process, is the global hot-spot profile (hot
+    nodes/productions/locks/phases); ``meter`` is the metering
+    snapshot (``repro.meter/1``: per-session and per-tenant counters,
+    latency histograms with exemplars, percentiles, SLO burn rates),
+    on an unmetered server ``enabled: false`` with empty accounts.
     With ``"format": "prometheus"`` (server-wide only) the response is
     ``{"ok": true, "format": "prometheus", "body": "<exposition text>"}``
-    — the same counters rendered for a scraper; on a metered server
+    — the counters rendered for a scraper; on a metered server
     the body additionally carries the ``repro_meter_*`` families
     (per-scope counters and per-tenant latency histograms with trace
     exemplars).
-
-``{"id": .., "type": "meter"}``
-    The metering snapshot (``repro.meter/1``): per-session and
-    per-tenant counters (match/select/act seconds, firings, WM
-    changes, queue wait, IPC bytes, rejections, dropped events),
-    latency histograms with exemplars, percentiles, and SLO burn
-    rates.  → ``{"ok": true, "enabled": bool, "meter": {..}}``; an
-    unmetered server answers ``enabled: false`` with empty accounts.
-
-``{"id": .., "type": "profile", "session"?: ..}``
-    Live engine profiles.  Per session: match-engine statistics
-    (activations by node kind, tokens examined, the Table 4-1/4-2
-    counters) plus the session's request counters.  Server-wide: every
-    session's profile, netcache stats, and — when the
-    :mod:`repro.obs` event bus is enabled in the server process — the
-    global hot-spot profile (hot nodes/productions/locks/phases).
 
 ``{"id": .., "type": "dump"}``
     Flight-recorder snapshot of the server process — the always-on

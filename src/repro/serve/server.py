@@ -259,12 +259,8 @@ class ReproServer:
             return self._handle_open(msg)
         if rtype == "stats":
             return self._handle_stats(msg)
-        if rtype == "profile":
-            return self._handle_profile(msg)
         if rtype == "dump":
             return self._handle_dump(msg)
-        if rtype == "meter":
-            return self._handle_meter(msg)
         if rtype == "close":
             return await self._handle_close(msg)
         if rtype == "ping":
@@ -412,12 +408,24 @@ class ReproServer:
                 meter=obs_meter.snapshot() if obs_meter.ENABLED else None,
             )
             return ok_response(req_id, format="prometheus", body=text)
-        return ok_response(
-            req_id,
-            server=self.metrics.snapshot(),
-            netcache=self.netcache.stats(),
-            sessions={s.session_id: s.snapshot() for s in self.sessions.values()},
-        )
+        payload: Dict[str, Any] = {
+            "server": self.metrics.snapshot(),
+            "netcache": self.netcache.stats(),
+            "sessions": {
+                s.session_id: s.snapshot() for s in self.sessions.values()
+            },
+            "obs_enabled": obs_events.enabled(),
+            # Answered even when metering is off (its own ``enabled:
+            # false``, empty accounts): scrapers need no capability probe.
+            "meter": obs_meter.snapshot(),
+        }
+        if payload["obs_enabled"]:
+            # The hot-spot profile of everything the bus holds, the
+            # match processes of mp sessions included.
+            payload["obs"] = obs_profile.to_json(
+                obs_profile.build(obs_events.snapshot())
+            )
+        return ok_response(req_id, **payload)
 
     def _handle_dump(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """Flight-recorder snapshot of this server process: the
@@ -434,40 +442,6 @@ class ReproServer:
             dropped_events=obs_events.dropped_total(),
         )
 
-    def _handle_meter(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """The metering snapshot: per-session and per-tenant counters,
-        latency histograms with exemplars, and SLO burn rates
-        (:func:`repro.obs.meter.snapshot`).  Answered even when
-        metering is off — ``enabled: false`` with empty account maps —
-        so scrapers need no capability probe."""
-        return ok_response(
-            msg.get("id"),
-            enabled=obs_meter.ENABLED,
-            meter=obs_meter.snapshot(),
-        )
-
-    def _handle_profile(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """Live engine profiles: per-session match statistics, and —
-        when :mod:`repro.obs` is enabled in this process — the global
-        hot-spot profile built from the current event-bus snapshot."""
-        req_id = msg.get("id")
-        sid = msg.get("session")
-        if sid is not None:
-            session = self._session_for(msg)
-            return ok_response(req_id, session=sid, profile=session.profile())
-        payload: Dict[str, Any] = {
-            "sessions": {
-                s.session_id: s.profile() for s in self.sessions.values()
-            },
-            "netcache": self.netcache.stats(),
-            "obs_enabled": obs_events.enabled(),
-        }
-        if obs_events.enabled():
-            payload["obs"] = obs_profile.to_json(
-                obs_profile.build(obs_events.snapshot())
-            )
-        return ok_response(req_id, **payload)
-
 
 def _add_serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
@@ -479,7 +453,7 @@ def _add_serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inbox-depth", type=int, default=16)
     p.add_argument("--meter", action="store_true",
                    help="enable per-session/per-tenant resource metering "
-                        "(the `meter` verb)")
+                        "(the `meter` of a `stats` reply)")
     p.add_argument("--slo", action="append", default=[], metavar="NAME:TARGET_MS:GOAL",
                    help="SLO objective, e.g. txn_p99:250:0.99 (repeatable; "
                         "implies --meter)")

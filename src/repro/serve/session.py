@@ -171,21 +171,6 @@ class SessionCore:
             "dropped_events": _events.dropped_total(),
         }
 
-    def profile(self) -> dict:
-        """Live engine profile: the match statistics the paper tables
-        are built from, plus per-kind activation counts and the session
-        counters.  This is the payload of the server's ``profile`` verb."""
-        stats = self.interp.matcher.stats
-        return {
-            "session": self.session_id,
-            "cycle": self.interp.cycle,
-            "wm_size": self.wm_size,
-            "halted": self.interp.halted,
-            "match": stats.summary(),
-            "activations_by_kind": dict(stats.activations_by_kind),
-            "counters": self.counters.snapshot(),
-        }
-
     def close(self) -> None:
         self.interp.close()
         _meter.retire_session(self.session_id)
@@ -301,15 +286,17 @@ class Session:
         return pending
 
     def snapshot(self) -> dict:
-        snap = self.core.counters.snapshot()
+        """The session's ``stats`` entry: its request counters, and the
+        match statistics the paper tables are built from."""
+        core = self.core
+        interp = core.interp
+        stats = interp.matcher.stats
+        snap = core.counters.snapshot()
         snap["queue_depth"] = self.queue_depth
-        snap["wm_size"] = self.core.wm_size
-        snap["program"] = self.core.entry.key[:12]
-        snap["halted"] = self.core.interp.halted
+        snap["wm_size"] = core.wm_size
+        snap["program"] = core.entry.key[:12]
+        snap["halted"] = interp.halted
+        snap["cycle"] = interp.cycle
+        snap["match"] = stats.summary()
+        snap["activations_by_kind"] = dict(stats.activations_by_kind)
         return snap
-
-    def profile(self) -> dict:
-        prof = self.core.profile()
-        prof["queue_depth"] = self.queue_depth
-        prof["program"] = self.core.entry.key[:12]
-        return prof

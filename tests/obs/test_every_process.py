@@ -176,7 +176,7 @@ class TestServeVerbsSeeTheWorkers:
         own stats said 757."""
         async def scenario(server, reader, writer):
             sid = await self.run_counter(reader, writer)
-            resp = await request(reader, writer, {"id": 3, "type": "profile"})
+            resp = await request(reader, writer, {"id": 3, "type": "stats"})
             counted = resp["sessions"][sid]["match"]["node_activations"]
             assert counted > 0
             assert resp["obs"]["total_activations"] == counted

@@ -70,6 +70,20 @@ class TestBuildShip:
         # The most recent spans survive, not the oldest.
         assert payload["spans"][-1][0] == 9
 
+    @pytest.mark.parametrize("max_spans, shipped", [(0, 0), (2, 2), (3, 3), (5, 3)])
+    def test_a_cap_of_n_ships_at_most_n_and_counts_the_rest_once(
+        self, obs, max_spans, shipped
+    ):
+        for i in range(3):
+            events.span("task", "join", i, i + 1)
+        payload = build_ship(max_spans=max_spans)
+        assert len(payload["spans"]) == shipped
+        assert payload["ship_dropped"] == 3 - shipped
+        file_ship("match-0", payload)
+        counters = events.snapshot().counters
+        assert counters.get("fabric.ship_spans", 0) == shipped
+        assert counters.get("fabric.ship_dropped", 0) == 3 - shipped
+
     def test_carries_flight_tail(self, obs):
         flight.record("mp.worker", "start", {"wid": 0})
         payload = build_ship(tail_n=5)

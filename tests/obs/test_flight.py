@@ -44,6 +44,15 @@ class TestRing:
             flight.record("e", "tick", {"i": i})
         assert [e["detail"]["i"] for e in flight.tail(2)] == [3, 4]
 
+    @pytest.mark.parametrize("n, kept", [
+        (0, []), (1, [4]), (5, [0, 1, 2, 3, 4]), (9, [0, 1, 2, 3, 4]),
+        (None, [0, 1, 2, 3, 4]),
+    ])
+    def test_tail_n_keeps_at_most_n(self, n, kept):
+        for i in range(5):
+            flight.record("e", "tick", {"i": i})
+        assert [e["detail"]["i"] for e in flight.tail(n)] == kept
+
     def test_recorded_total_outlives_overwrites(self):
         flight.configure(2)
         for _ in range(7):
@@ -99,6 +108,24 @@ class TestSnapshot:
         assert flight.remote_tail(12)[0]["t_ns"] == -1
         flight.reset()
         assert flight.remote_tails() == {}
+
+    def test_stall_rides_every_snapshot_until_reset(self):
+        assert "stall" not in flight.snapshot("no stall yet")
+        stall = {"engine": "unit", "tripped_unix": 1.0, "stalled_for_s": 2.0,
+                 "stall_after_s": 1.0, "tasks_done": 5,
+                 "queues": [{"name": "taskcount", "depth": 1}],
+                 "stuck_queue": "taskcount", "lock_holders": {},
+                 "extra": {}, "history": []}
+        flight.file_stall(stall)
+        for reason in ("first", "second"):
+            doc = flight.snapshot(reason)
+            assert doc["stall"] == stall
+            assert flight.validate_flight(doc) == []
+        flight.reset()
+        assert "stall" not in flight.snapshot("reset")
+        flight.file_stall(stall)
+        flight.configure(8)
+        assert "stall" not in flight.snapshot("configured")
 
     def test_write_snapshot_round_trip(self, tmp_path):
         flight.record("seq", "batch", {"changes": 2})

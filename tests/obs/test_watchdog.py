@@ -1,4 +1,4 @@
-"""The stall watchdog: trip decision, bundle schema, engine wiring.
+"""The stall watchdog: trip decision, the stall it files, engine wiring.
 
 The trip-evaluation core is synchronous (``evaluate(now_s, sample)``),
 so most tests drive it with a fabricated clock — no sleeping, no
@@ -12,12 +12,17 @@ import time
 import pytest
 
 from repro.obs import flight
-from repro.obs.watchdog import (
-    ProbeSample,
-    StallWatchdog,
-    WATCHDOG_SCHEMA,
-    validate_bundle,
-)
+from repro.obs.watchdog import ProbeSample, StallWatchdog
+
+
+@pytest.fixture(autouse=True)
+def fresh_flight():
+    """Trips file their stall with the module-global flight recorder."""
+    flight.configure(flight.DEFAULT_RING_SIZE)
+    flight.set_dump_path(None)
+    yield
+    flight.configure(flight.DEFAULT_RING_SIZE)
+    flight.set_dump_path(None)
 
 
 def stuck_sample(done=5, depth=7):
@@ -45,8 +50,8 @@ class TestTripDecision:
         dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
         assert dog.evaluate(0.0, stuck_sample()) is None  # first sample
         assert dog.evaluate(0.5, stuck_sample()) is None  # under threshold
-        bundle = dog.evaluate(1.5, stuck_sample())        # over: trip
-        assert bundle is not None
+        stall = dog.evaluate(1.5, stuck_sample())         # over: trip
+        assert stall is not None
         assert dog.trips == 1 and dog.tripped
         # Same episode: no re-trip no matter how long it drags on.
         assert dog.evaluate(2.5, stuck_sample()) is None
@@ -54,17 +59,21 @@ class TestTripDecision:
         assert dog.trips == 1
 
     def test_bundle_is_schema_valid_and_names_stuck_queue(self):
+        """The stall rides the flight snapshot, which validates with
+        it."""
         dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
         dog.evaluate(0.0, stuck_sample())
-        bundle = dog.evaluate(2.0, stuck_sample())
-        assert validate_bundle(bundle) == []
-        assert bundle["schema"] == WATCHDOG_SCHEMA
-        assert bundle["engine"] == "unit"
-        assert bundle["stuck_queue"] == "queue[1]"
-        assert bundle["lock_holders"] == {"queue[1]": "match-1"}
-        assert bundle["stalled_for_s"] >= 1.0
-        assert len(bundle["history"]) == 2
-        json.dumps(bundle)  # must be JSON-serializable as-is
+        stall = dog.evaluate(2.0, stuck_sample())
+        doc = flight.snapshot("test")
+        assert doc["stall"] == stall == dog.stalls[-1]
+        assert flight.validate_flight(doc) == []
+        assert doc["schema"] == flight.FLIGHT_SCHEMA
+        assert stall["engine"] == "unit"
+        assert stall["stuck_queue"] == "queue[1]"
+        assert stall["lock_holders"] == {"queue[1]": "match-1"}
+        assert stall["stalled_for_s"] >= 1.0
+        assert len(stall["history"]) == 2
+        json.dumps(stall)  # must be JSON-serializable as-is
 
     def test_no_false_positive_when_idle_but_quiescent(self):
         """tasks_done frozen forever is fine as long as nothing is
@@ -91,84 +100,83 @@ class TestTripDecision:
         assert dog.evaluate(5.0, stuck_sample(done=2)) is not None
         assert dog.trips == 2
 
-    def test_on_trip_callback_and_dump_path(self, tmp_path):
+    def test_trip_writes_the_snapshot_to_the_dump_path(self, tmp_path):
         path = tmp_path / "stall.json"
-        seen = []
-        dog = StallWatchdog(
-            lambda: None, engine="unit", stall_after_s=1.0,
-            on_trip=seen.append, dump_path=str(path),
-        )
+        flight.set_dump_path(str(path))
+        dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
         dog.evaluate(0.0, stuck_sample())
         dog.evaluate(2.0, stuck_sample())
-        assert len(seen) == 1
         doc = json.loads(path.read_text())
-        assert validate_bundle(doc) == []
-        assert doc["stuck_queue"] == "queue[1]"
+        assert flight.validate_flight(doc) == []
+        assert doc["reason"] == "stall"
+        assert doc["stall"]["stuck_queue"] == "queue[1]"
+        # The ring it was written with already holds the trip.
+        assert doc["events"][-1]["event"] == "watchdog.trip"
 
     def test_bundle_embeds_worker_flight_tails(self):
+        """The worker tails ride the snapshot as its own ``workers``,
+        beside the ``stall``."""
         tail = [{"t_ns": 1, "engine": "mp.worker",
                  "event": "start", "detail": None}]
-        flight.reset()
         flight.keep_remote_tail(4242, "match-0", tail)
-        try:
-            dog = StallWatchdog(lambda: None, engine="mp", stall_after_s=1.0)
-            dog.evaluate(0.0, stuck_sample())
-            bundle = dog.evaluate(2.0, stuck_sample())
-        finally:
-            flight.reset()
-        assert bundle["worker_flight"] == {"match-0 (pid 4242)": tail}
-        assert validate_bundle(bundle) == []
+        dog = StallWatchdog(lambda: None, engine="mp", stall_after_s=1.0)
+        dog.evaluate(0.0, stuck_sample())
+        dog.evaluate(2.0, stuck_sample())
+        doc = flight.snapshot("test")
+        assert doc["workers"] == {"match-0 (pid 4242)": tail}
+        assert doc["stall"]["engine"] == "mp"
+        assert flight.validate_flight(doc) == []
 
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError):
             StallWatchdog(lambda: None, stall_after_s=0.0)
 
 
-class TestValidateBundle:
+class TestValidateStall:
     def test_catches_problems(self):
-        assert validate_bundle([]) == ["document is not a JSON object"]
-        assert any("schema" in p for p in validate_bundle({}))
         dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
         dog.evaluate(0.0, stuck_sample())
-        bundle = dog.evaluate(2.0, stuck_sample())
-        broken = dict(bundle, stuck_queue=None)
-        assert any("stuck_queue" in p for p in validate_bundle(broken))
+        stall = dog.evaluate(2.0, stuck_sample())
+        doc = flight.snapshot("test")
+
+        def problems(**bad):
+            return flight.validate_flight(dict(doc, stall=dict(stall, **bad)))
+
+        assert flight.validate_flight(dict(doc, stall=[])) == [
+            "stall is not an object"]
+        assert any("stuck_queue" in p for p in problems(stuck_queue=None))
+        assert any("tasks_done" in p for p in problems(tasks_done="5"))
+        assert any("queues[0]" in p for p in problems(queues=[{"name": 1}]))
+        assert any("history" in p for p in problems(history=None))
 
 
 class TestForcedStall:
     def test_daemon_thread_trips_on_stuck_probe(self):
         """The acceptance fixture: a probe that forever reports pending
         work and a frozen done-counter must trip the real watchdog
-        thread within ~stall_after_s, emitting one schema-valid bundle
+        thread within ~stall_after_s, emitting one schema-valid stall
         naming the stuck queue."""
-        trips = []
         dog = StallWatchdog(
-            lambda: stuck_sample(),
-            engine="forced",
-            stall_after_s=0.05,
-            on_trip=trips.append,
+            lambda: stuck_sample(), engine="forced", stall_after_s=0.05,
         ).start()
         try:
             deadline = time.monotonic() + 5.0
-            while not trips and time.monotonic() < deadline:
+            while not dog.tripped and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             dog.stop()
-        assert len(trips) == 1
-        assert validate_bundle(trips[0]) == []
-        assert trips[0]["stuck_queue"] == "queue[1]"
+        assert len(dog.stalls) == 1
+        doc = flight.snapshot("test")
+        assert flight.validate_flight(doc) == []
+        assert doc["stall"]["stuck_queue"] == "queue[1]"
 
     def test_trip_lands_in_the_flight_ring(self):
-        flight.configure(flight.DEFAULT_RING_SIZE)
-        try:
-            dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
-            dog.evaluate(0.0, stuck_sample())
-            dog.evaluate(2.0, stuck_sample())
-            events = [e for e in flight.tail() if e["event"] == "watchdog.trip"]
-            assert events
-            assert events[-1]["detail"]["stuck_queue"] == "queue[1]"
-        finally:
-            flight.configure(flight.DEFAULT_RING_SIZE)
+        dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
+        dog.evaluate(0.0, stuck_sample())
+        dog.evaluate(2.0, stuck_sample())
+        events = [e for e in flight.tail() if e["event"] == "watchdog.trip"]
+        assert events
+        assert events[-1]["detail"]["stuck_queue"] == "queue[1]"
 
     def test_probe_exception_is_survivable(self):
         """A probe racing engine teardown may raise; the sampling loop

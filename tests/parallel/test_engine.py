@@ -218,33 +218,40 @@ class TestWatchdog:
     def test_forced_stall_trips_with_schema_valid_bundle(self, tmp_path):
         """The acceptance fixture on the real engine: park a phantom
         task on TaskCount (pending work no worker can ever drain) and
-        the watchdog must trip within ~stall_after_s, writing a bundle
-        that validates and names the stuck counter."""
+        the watchdog must trip within ~stall_after_s, writing a flight
+        snapshot that validates and whose stall names the stuck counter
+        -- and a snapshot written after the run still carries it."""
         import json
         import time as _time
 
-        from repro.obs.watchdog import validate_bundle
+        from repro.obs import flight
 
         path = tmp_path / "stall.json"
-        matcher = self.build(
-            n_workers=2, watchdog_s=0.1, watchdog_dump=str(path)
-        )
+        flight.reset()
+        flight.set_dump_path(str(path))
+        matcher = self.build(n_workers=2, watchdog_s=0.1)
         try:
             matcher.taskcount.increment()  # never decremented: a stall
             deadline = _time.monotonic() + 10.0
             while not matcher.watchdog.tripped and _time.monotonic() < deadline:
                 _time.sleep(0.02)
             assert matcher.watchdog.tripped
-            assert matcher.watchdog.trips == 1  # one bundle per episode
-            bundle = matcher.watchdog.bundles[0]
-            assert validate_bundle(bundle) == []
-            assert bundle["engine"] == "threaded"
-            assert bundle["stuck_queue"] == "taskcount"
+            assert matcher.watchdog.trips == 1  # one stall per episode
             doc = json.loads(path.read_text())
-            assert validate_bundle(doc) == []
+            assert flight.validate_flight(doc) == []
+            assert doc["stall"] == matcher.watchdog.stalls[0]
+            assert doc["stall"]["engine"] == "threaded"
+            assert doc["stall"]["stuck_queue"] == "taskcount"
         finally:
             matcher.taskcount.decrement()
             matcher.close()
+            flight.set_dump_path(None)
+        try:
+            after = flight.write_snapshot(str(path), "cli")
+            assert flight.validate_flight(after) == []
+            assert after["stall"]["stuck_queue"] == "taskcount"
+        finally:
+            flight.reset()
 
     def test_healthy_run_never_trips(self):
         program = parse_program(FIND_COLORED_BLOCK)

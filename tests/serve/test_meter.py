@@ -1,6 +1,6 @@
-"""Serve-layer metering: the ``meter`` verb, tenant labels on open,
-and backpressure accounting landing in both the meter counters and the
-Prometheus exposition (the bounced client saw ``retry_after_ms``; the
+"""Serve-layer metering: the ``meter`` of a ``stats`` reply, tenant
+labels on open, and backpressure accounting landing in both the meter
+counters and the Prometheus exposition (the bounced client saw ``retry_after_ms``; the
 operator must see the same rejection server-side)."""
 
 import asyncio
@@ -63,10 +63,10 @@ class TestMeterVerb:
                 "max_cycles": 50,
             })
             assert resp["ok"], resp
-            resp = await request(reader, writer, {"id": 3, "type": "meter"})
+            resp = await request(reader, writer, {"id": 3, "type": "stats"})
             assert resp["ok"]
-            assert resp["enabled"] is True
             snap = resp["meter"]
+            assert snap["enabled"] is True
             assert snap["schema"] == obs_meter.METER_SCHEMA
             session = snap["sessions"][sid]
             tenant = snap["tenants"]["acme"]
@@ -106,16 +106,16 @@ class TestMeterVerb:
 
     def test_unmetered_server_answers_disabled(self):
         async def scenario(server, reader, writer):
-            resp = await request(reader, writer, {"id": 1, "type": "meter"})
+            resp = await request(reader, writer, {"id": 1, "type": "stats"})
             assert resp["ok"]
-            assert resp["enabled"] is False
+            assert resp["meter"]["enabled"] is False
             assert resp["meter"]["sessions"] == {}
 
         with_metered_server(scenario, meter=False)
 
     def test_custom_slo_objectives_in_snapshot(self):
         async def scenario(server, reader, writer):
-            resp = await request(reader, writer, {"id": 1, "type": "meter"})
+            resp = await request(reader, writer, {"id": 1, "type": "stats"})
             assert resp["meter"]["objectives"] == [
                 {"name": "fast", "target_ms": 5.0, "goal": 0.5}
             ]
@@ -136,6 +136,23 @@ class TestMeterVerb:
         tenants = report.meter["tenants"]
         assert sum(a["counters"]["txns"] for a in tenants.values()) == 18
         assert (report.errors, validate_prometheus(report.prometheus)) == (0, [])
+
+    def test_meter_out_is_the_meter_snapshot_plus_loadgen(self, tmp_path):
+        """One layout under ``repro.meter/1``: the file is the snapshot
+        itself, with the client's own summary under ``loadgen``."""
+        import json
+
+        from repro.serve.loadgen import run_loadgen
+
+        path = tmp_path / "meter.json"
+        asyncio.run(run_loadgen(
+            scenario="blocks", sessions=2, transactions=3, spawn=True,
+            tenants=2, meter=True, meter_out=str(path)))
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == obs_meter.METER_SCHEMA
+        assert sorted(doc["tenants"]) == ["t0", "t1"]
+        assert sorted(doc["loadgen"]) == ["latency", "tenants", "wall_seconds"]
+        assert sorted(doc["loadgen"]["tenants"]) == ["t0", "t1"]
 
 
 class TestClosedSessions:

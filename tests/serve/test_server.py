@@ -150,7 +150,7 @@ class TestLifecycle:
 
         with_server(scenario)
 
-    def test_profile_verb_per_session_and_server_wide(self):
+    def test_stats_carries_the_match_profile(self):
         async def scenario(server, reader, writer):
             sid = (await open_counter(reader, writer))["session"]
             await request(
@@ -166,26 +166,28 @@ class TestLifecycle:
                 },
             )
             per = await request(
-                reader, writer, {"id": 3, "type": "profile", "session": sid}
+                reader, writer, {"id": 3, "type": "stats", "session": sid}
             )
-            prof = per["profile"]
-            assert prof["session"] == sid
+            assert per["session"] == sid
+            prof = per["stats"]
+            assert prof["cycle"] == 4
             assert prof["match"]["node_activations"] > 0
             assert sum(prof["activations_by_kind"].values()) == (
                 prof["match"]["node_activations"]
             )
-            assert prof["counters"]["transactions"] == 1
+            assert prof["transactions"] == 1
 
-            wide = await request(reader, writer, {"id": 4, "type": "profile"})
-            assert sid in wide["sessions"]
+            wide = await request(reader, writer, {"id": 4, "type": "stats"})
+            assert wide["sessions"][sid]["match"] == prof["match"]
             assert wide["netcache"]["entries"] == 1
             # The event bus is off in tests; the global obs profile is
             # present only when it is enabled.
             assert wide["obs_enabled"] is False
             assert "obs" not in wide
+            assert wide["meter"]["enabled"] is False
 
             missing = await request(
-                reader, writer, {"id": 5, "type": "profile", "session": "s99"}
+                reader, writer, {"id": 5, "type": "stats", "session": "s99"}
             )
             assert not missing["ok"]
             assert missing["error"]["code"] == "unknown-session"

@@ -40,6 +40,7 @@ def walk(registry, prefix=()):
 DOCUMENTS = [
     REPO / "README.md",
     REPO / "EXPERIMENTS.md",
+    REPO / "DESIGN.md",
     *sorted((REPO / "docs").glob("*.md")),
     REPO / ".github" / "workflows" / "ci.yml",
 ]

@@ -1,13 +1,17 @@
 """Nothing is lost when one diagnostic document folds into another.
 
-These are the keys the serve ``profile`` and ``meter`` replies and the
-stall watchdog's bundle carry, recorded from the live documents.
+The key sets below are what the serve ``profile`` and ``meter``
+replies and the stall watchdog's ``repro.watchdog/1`` bundle carried,
+recorded from the live documents before they folded into ``stats`` and
+the flight snapshot's ``stall``.  Every key is still there, or is one
+of the snapshot's own fields.
 """
 
 import asyncio
 
 from repro.obs import events, flight
 from repro.obs.watchdog import ProbeSample, StallWatchdog
+from repro.serve.metrics import SessionCounters
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import ReproServer
 
@@ -27,8 +31,8 @@ STALL_BUNDLE_KEYS = {
 
 
 def replies():
-    """The per-session and server-wide ``profile`` and the ``meter``
-    reply of a server with one transacted session, the bus on."""
+    """The per-session and server-wide ``stats`` reply of a server with
+    one transacted session, the bus on."""
 
     async def scenario():
         server = ReproServer()
@@ -42,10 +46,9 @@ def replies():
                 "ops": [{"op": "make", "class": "counter",
                          "attrs": {"n": 0, "limit": 3}}]})
             per = await request(
-                reader, writer, {"id": 3, "type": "profile", "session": sid})
-            wide = await request(reader, writer, {"id": 4, "type": "profile"})
-            meter = await request(reader, writer, {"id": 5, "type": "meter"})
-            return per, wide, meter
+                reader, writer, {"id": 3, "type": "stats", "session": sid})
+            wide = await request(reader, writer, {"id": 4, "type": "stats"})
+            return per, wide
         finally:
             writer.close()
             await server.shutdown()
@@ -63,20 +66,34 @@ def body(reply):
     return set(reply) - {"id", "ok"}
 
 
-def test_every_profile_and_meter_key_is_recorded():
-    per, wide, meter = replies()
-    assert set(per["profile"]) == PROFILE_SESSION_KEYS
-    assert body(wide) == PROFILE_SERVER_KEYS
-    assert body(meter) == METER_KEYS
+def test_every_profile_and_meter_key_lives_in_stats():
+    per, wide = replies()
+    entry = per["stats"]
+    # The profile's ``session`` is the reply's, its ``counters`` are the
+    # entry's own flat counters.
+    assert PROFILE_SESSION_KEYS - {"session", "counters"} <= set(entry)
+    assert per["session"] in wide["sessions"]
+    assert set(SessionCounters().snapshot()) <= set(entry)
+    assert PROFILE_SERVER_KEYS <= body(wide)
+    # ``enabled`` rides inside the meter snapshot.
+    assert METER_KEYS - {"enabled"} <= body(wide)
+    assert wide["meter"]["enabled"] is False
 
 
-def test_every_stall_bundle_key_is_recorded():
+def test_every_stall_bundle_key_lives_in_the_snapshot_stall():
     stuck = ProbeSample(tasks_done=5, queues=[("queue[0]", 3)])
     dog = StallWatchdog(lambda: stuck, engine="unit", stall_after_s=1.0)
     flight.reset()
     try:
+        flight.keep_remote_tail(4242, "match-0", [
+            {"t_ns": 1, "engine": "mp.worker", "event": "start", "detail": None}])
         dog.evaluate(0.0, stuck)
-        bundle = dog.evaluate(2.0, stuck)
+        dog.evaluate(2.0, stuck)
+        doc = flight.snapshot("stall")
     finally:
         flight.reset()
-    assert set(bundle) == STALL_BUNDLE_KEYS
+    own = {"schema": "schema", "reason": "reason", "flight": "events",
+           "worker_flight": "workers"}
+    assert STALL_BUNDLE_KEYS - set(own) <= set(doc["stall"])
+    assert set(own.values()) <= set(doc)
+    assert flight.validate_flight(doc) == []

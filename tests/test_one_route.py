@@ -14,9 +14,14 @@ carrying no traffic stay deleted.
 * dispatch has one rule -- the control process deals roots over the
   queues in turn, a worker pushes home, an idle worker steals; there is
   no policy registry, no ``--policy`` engine flag and no ``policyck``
-  battery.
+  battery;
+* each diagnostic question has one document -- a watchdog stall rides
+  the flight snapshot (``run --flight-dump``; no ``--watchdog-dump``),
+  and serve ``stats`` carries the match profile and the meter (no
+  ``profile`` or ``meter`` request).
 """
 
+import asyncio
 import importlib
 
 import pytest
@@ -67,3 +72,32 @@ def test_dispatch_has_one_rule(capsys):
     text = help_text(capsys, "check")
     assert "one of: schedck, corgick\n" in text
     assert set(cli.load(cli.VERBS, "check")) == {"schedck", "corgick"}
+
+
+def test_each_question_has_one_document(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "blocks", "--engine", "threaded", "--watchdog", "5",
+                  "--watchdog-dump", "x"])
+    assert exc.value.code == 2                  # a usage error
+    assert "unrecognized arguments: --watchdog-dump" in capsys.readouterr().err
+    with pytest.raises(ImportError):
+        from repro.obs.watchdog import validate_bundle  # noqa: F401
+
+    from repro.serve.protocol import MAX_LINE_BYTES
+    from repro.serve.server import ReproServer
+
+    from .serve.conftest import request
+
+    async def ask(*types):
+        server = ReproServer()
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
+        try:
+            return [await request(reader, writer, {"id": 1, "type": t}) for t in types]
+        finally:
+            writer.close()
+            await server.shutdown()
+
+    for reply in asyncio.run(ask("profile", "meter")):
+        assert reply["error"]["code"] == "bad-request"
+        assert "unknown request type" in reply["error"]["message"]
