@@ -28,6 +28,8 @@ field write.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Callable, List, Optional, Tuple
 
 from ..obs import context as _context
@@ -89,6 +91,8 @@ def drain(
     activations run."""
     obs_on = _obs.ENABLED
     tracing = ctx.tracing = obs_on or recorder is not None
+    if recorder is not None:
+        add_task, lines, line_of = recorder.add_task, recorder.lines, recorder.line_of
     done = 0
     while stack:
         task = stack.pop()
@@ -101,24 +105,26 @@ def drain(
             else:
                 node, side, sign, token, parent = task
             ctx.last_opp_examined = ctx.last_same_examined = 0
-            t0 = _obs.now() if obs_on else 0
-            children = node.activate(ctx, side, sign, token)
+            ctx.last_slot = None
             if obs_on:
+                t0 = _obs.now()
+                children = node.activate(ctx, side, sign, token)
                 _node_hit(ctx, node, _obs.now() - t0, len(children))
+            else:
+                children = node.activate(ctx, side, sign, token)
             if recorder is not None:
-                tid = recorder.add_task(
-                    parent=parent,
-                    kind=node.kind,
-                    node_id=node.node_id,
-                    side=side,
-                    sign=sign,
-                    line=ctx.last_line if node.uses_line() else -1,
-                    opp_examined=ctx.last_opp_examined,
-                    same_examined=ctx.last_same_examined,
-                    n_children=len(children),
-                )
-                for i, (n, s, g, t) in enumerate(children):
-                    children[i] = (n, s, g, t, tid)
+                # A task that filed no bucket touched no line.
+                slot = ctx.last_slot
+                if slot is None:
+                    line = -1
+                else:
+                    line = lines.get(slot)
+                    if line is None:
+                        line = line_of(ctx.memory, slot)
+                tid = add_task(parent, node.kind, node.node_id, side, sign, line,
+                               ctx.last_opp_examined, ctx.last_same_examined, len(children))
+                if children:
+                    children[:] = map(add, children, repeat((tid,)))
         if children:
             route(children)
         done += 1
@@ -139,8 +145,8 @@ def match_change(
     stack: List[Task] = []
     n_hits, n_tests = enter_change(network, ctx.stats, sign, wme, stack.extend)
     if recorder is not None:
-        recorder.begin_change(n_const_tests=n_tests, n_alpha_hits=n_hits)
-        stack = [root + (-1,) for root in stack]
+        recorder.begin_change(n_tests, n_hits)
+        stack[:] = map(add, stack, repeat((-1,)))
     drain(ctx, stack, stack.extend, recorder)
     if obs_on:
         _obs.span("match", "wm_change", t0, _obs.now(),

@@ -68,6 +68,7 @@ class MatchContext:
         "tracing",
         "locks",
         "last_line",
+        "last_slot",
         "last_opp_examined",
         "last_same_examined",
     )
@@ -81,11 +82,12 @@ class MatchContext:
         self.locks = None
         self.cs_deltas: List[CSDelta] = []
         # Per-activation probes, maintained only under `tracing`: the
-        # kernel zeroes the examined counts before each activation, the
-        # node fills them (and its line) in, the kernel reads them.
-        # Under `locks` the line flows the other way: the kernel leaves
-        # the one it entered here for the node to bracket.
+        # kernel clears them before each activation, the node fills in
+        # the examined counts and the bucket it filed under, the kernel
+        # reads them.  `last_line` is the line the kernel entered under
+        # `locks`, left here for the node to bracket.
         self.last_line = -1
+        self.last_slot = None
         self.last_opp_examined = 0
         self.last_same_examined = 0
 
@@ -245,7 +247,7 @@ class TwoInputNode(BetaNode):
             line = ctx.last_line
             locks.enter_modify(line)
         elif ctx.tracing:
-            ctx.last_line = memory.line_of(node_id, key)
+            ctx.last_slot = slot
         try:
             if sign == ADD:
                 item = token

@@ -17,7 +17,10 @@ first studied by trace-driven simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from .memories import MemorySystem, key_hash, line_hash_from
 
 # Task kinds
 ROOT = "root"      # a WM change entering the network (constant-test work)
@@ -26,10 +29,10 @@ NOT = "not"
 TERM = "term"
 
 
-@dataclass(slots=True)
-class TaskRecord:
-    """One node activation = one schedulable task.  Slotted: a trace
-    holds one per activation for as long as the simulator replays it."""
+class TaskRecord(NamedTuple):
+    """One node activation = one schedulable task.  A tuple: a trace
+    holds one per activation for as long as the simulator replays it,
+    and the recorder builds each with one C-level ``tuple.__new__``."""
 
     tid: int
     parent: int              # -1 for first-level tasks (children of a change)
@@ -42,6 +45,9 @@ class TaskRecord:
     same_examined: int       # tokens scanned locating a delete target
     n_children: int
     change_seq: int          # index of the owning WM change within its cycle
+
+
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -67,10 +73,14 @@ class CycleRecord:
 
 @dataclass
 class MatchTrace:
-    """The full task DAG of one program run."""
+    """The full task DAG of one program run.  Append-only: a task once
+    recorded is never replaced, so :meth:`columns` can tell a stale
+    derivation by its task list and that list's length."""
 
     cycles: List[CycleRecord] = field(default_factory=list)
     tasks: List[TaskRecord] = field(default_factory=list)
+    _columns: Optional["TaskColumns"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_tasks(self) -> int:
@@ -81,12 +91,17 @@ class MatchTrace:
         return sum(len(c.changes) for c in self.cycles)
 
     def children_index(self) -> List[List[int]]:
-        """tid -> list of child tids (built on demand for the simulator)."""
-        children: List[List[int]] = [[] for _ in self.tasks]
-        for task in self.tasks:
-            if task.parent >= 0:
-                children[task.parent].append(task.tid)
-        return children
+        """tid -> list of child tids."""
+        return [list(kids) for kids in self.columns().children]
+
+    def columns(self) -> "TaskColumns":
+        """The replay's config-independent view of :attr:`tasks`,
+        derived once and kept until the trace grows (or is handed a
+        new task list)."""
+        cols = self._columns
+        if cols is None or cols.tasks is not self.tasks or cols.n != len(self.tasks):
+            cols = self._columns = TaskColumns(self.tasks)
+        return cols
 
     def summary(self) -> dict:
         per_kind: dict = {}
@@ -100,6 +115,47 @@ class MatchTrace:
         }
 
 
+class TaskColumns:
+    """A trace's tasks as tid-indexed columns, what every replay reads
+    whatever its configuration: ``children`` (one shared ``()`` per
+    leaf), ``subtree`` sizes, ``line``, ``is_left`` (a bool: it indexes
+    a [right, left] pair) and the raw figures the cost model prices.
+    ``costs`` is :func:`repro.simulator.machine.task_columns`'s one
+    entry: the last configuration priced, never more.
+    """
+
+    __slots__ = ("tasks", "n", "children", "subtree", "line", "is_left", "kind",
+                 "opp", "same", "n_children", "costs")
+
+    def __init__(self, tasks: List[TaskRecord]) -> None:
+        self.tasks = tasks
+        self.n = n = len(tasks)
+        self.costs: Optional[tuple] = None
+        # A task's tid is its index, and it is recorded after its parent.
+        parents, self.kind, sides, self.line, self.opp, self.same, self.n_children = [
+            list(map(attrgetter(name), tasks)) for name in (
+                "parent", "kind", "side", "line", "opp_examined", "same_examined", "n_children")
+        ]
+        self.is_left = [side == "L" for side in sides]
+        children: List[tuple] = [()] * n
+        for tid, parent in enumerate(parents):
+            if parent >= 0:
+                kids = children[parent]
+                if kids:
+                    kids.append(tid)
+                else:
+                    children[parent] = [tid]
+        # From the last task back, a subtree is complete before it is
+        # added to its parent's.
+        subtree = [1] * n
+        for tid in range(n - 1, -1, -1):
+            parent = parents[tid]
+            if parent >= 0:
+                subtree[parent] += subtree[tid]
+        self.children = children
+        self.subtree = subtree
+
+
 class TraceRecorder:
     """Collects a :class:`MatchTrace`; wired into the sequential matcher."""
 
@@ -107,6 +163,10 @@ class TraceRecorder:
         self.trace = MatchTrace()
         self._cycle: Optional[CycleRecord] = None
         self._change: Optional[ChangeRecord] = None
+        #: bucket ``(node_id, key)`` -> its line: the kernel hashes a
+        #: distinct bucket once per recording (:meth:`line_of`).
+        self.lines: Dict[Tuple[int, tuple], int] = {}
+        self._key_hashes: Dict[tuple, int] = {}
 
     # -- cycle / change boundaries (called by the interpreter/matcher) ----
 
@@ -141,35 +201,31 @@ class TraceRecorder:
 
     # -- task recording (called by the matcher's scheduling loop) ---------
 
-    def add_task(
-        self,
-        parent: int,
-        kind: str,
-        node_id: int,
-        side: str,
-        sign: int,
-        line: int,
-        opp_examined: int,
-        same_examined: int,
-        n_children: int,
-    ) -> int:
-        tid = len(self.trace.tasks)
-        assert self._change is not None, "task recorded outside a change"
-        self.trace.tasks.append(
-            TaskRecord(
-                tid=tid,
-                parent=parent,
-                kind=kind,
-                node_id=node_id,
-                side=side,
-                sign=sign,
-                line=line,
-                opp_examined=opp_examined,
-                same_examined=same_examined,
-                n_children=n_children,
-                change_seq=self._change.seq,
-            )
-        )
+    def line_of(self, memory: MemorySystem, slot: Tuple[int, tuple]) -> int:
+        """``memory.line_of(*slot)``, entered once per bucket the kernel
+        did not find in :attr:`lines`, and memoised there."""
+        node_id, key = slot
+        if memory.keyed:
+            h = self._key_hashes.get(key)
+            if h is None:
+                h = self._key_hashes[key] = key_hash(key)
+            line = line_hash_from(node_id, h) % memory.n_lines
+        else:
+            line = node_id
+        self.lines[slot] = line
+        return line
+
+    def add_task(self, parent: int, kind: str, node_id: int, side: str, sign: int, line: int,
+                 opp_examined: int, same_examined: int, n_children: int) -> int:
+        """Record one task; returns its tid.  The kernel calls this
+        positionally, once per activation."""
+        tasks = self.trace.tasks
+        tid = len(tasks)
+        change = self._change       # None outside a change: an error
+        tasks.append(_new_record(TaskRecord, (
+            tid, parent, kind, node_id, side, sign, line,
+            opp_examined, same_examined, n_children, change.seq,
+        )))
         if parent < 0:
-            self._change.first_level.append(tid)
+            change.first_level.append(tid)
         return tid

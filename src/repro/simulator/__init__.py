@@ -1,8 +1,8 @@
 """Discrete-event simulator of PSM-E on the Encore Multimax: machine
-cost model, lock models, and the trace-driven simulation engine."""
+cost model, lock model, and the trace-driven simulation engine."""
 
 from .engine import EncoreSimulator, SimOptions, SimResult, simulate, uniprocessor_baseline
-from .locks import SimLock, SimMRSWLine, SpinStats
+from .locks import SpinStats
 from .machine import DEFAULT_CONFIG, MachineConfig, task_cost
 from .report import SpeedupCurve, speedup_curve
 
@@ -12,8 +12,6 @@ __all__ = [
     "speedup_curve",
     "EncoreSimulator",
     "MachineConfig",
-    "SimLock",
-    "SimMRSWLine",
     "SimOptions",
     "SimResult",
     "SpinStats",

@@ -28,11 +28,12 @@ runs of the same trace and options give identical results.
 
 Shape: :meth:`EncoreSimulator.run` is one loop over plain tuples.  A
 heap entry is ``(time, seq, op, a, b)`` with five integer opcodes; a
-queued traced task is its bare tid, a constant-test group task a
-``(cost, kids)`` pair; a queue lock and a simple line lock are a
-free-at time plus the grants still waiting, held in the loop's locals;
-per-task costs are columns filled once per run
-(:func:`~repro.simulator.machine.task_columns`).  The schedule-order
+poll or a task's first push is held out of the heap until
+``heappushpop`` takes the next event.  A queued traced task is its bare
+tid, a constant-test group task a ``(cost, kids)`` pair; every lock is
+numbers in the loop's locals (:mod:`.locks` has the model); per-task
+costs are the trace's columns (:meth:`~repro.rete.trace.MatchTrace.columns`)
+as priced by :func:`~repro.simulator.machine.task_columns`.  The schedule-order
 invariant every table is pinned to (``tests/simulator/pinned_sim.json``,
 generated by the closure-per-event loop this replaced): what that loop
 *scheduled* — an append, a parked process's wake-up, a pop's end, a
@@ -45,12 +46,13 @@ itself and polling — is a fall-through within one iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Dict, List
 
-from ..rete.trace import MatchTrace, TaskRecord
-from .locks import SimMRSWLine, SpinStats
+from ..rete.trace import MatchTrace
+from .locks import SpinStats
 from .machine import DEFAULT_CONFIG, MachineConfig, alpha_tasks, task_columns
 
 
@@ -119,16 +121,6 @@ _EXECUTE = 3    # a = pid, b = entry: the hardware scheduler hands over a task
 _CONTROL = 4    # a = change index: the control process releases one WM change
 
 
-def _subtree_sizes(tasks: List[TaskRecord]) -> List[int]:
-    """tid -> tasks in the subtree rooted there, in one reverse pass (a
-    task is recorded after its parent, so its tid is the larger)."""
-    sizes = [1] * len(tasks)
-    for task in reversed(tasks):
-        if task.parent >= 0:
-            sizes[task.parent] += sizes[task.tid]
-    return sizes
-
-
 class EncoreSimulator:
     """Deterministic DES replaying one match trace under one option set."""
 
@@ -144,9 +136,10 @@ class EncoreSimulator:
 
     def run(self) -> SimResult:
         trace, opts, cfg = self.trace, self.options, self.config
-        children = trace.children_index()
-        subtree = _subtree_sizes(trace.tasks)
-        line, is_left, first, scan, build = task_columns(trace.tasks, cfg, opts.lock_scheme)
+        columns = trace.columns()
+        children, subtree = columns.children, columns.subtree
+        line, is_left = columns.line, columns.is_left
+        first, scan, build = task_columns(columns, cfg, opts.lock_scheme)
 
         n_queues = opts.n_queues
         pipelined, hardware = opts.pipelined, opts.hardware_scheduler
@@ -157,20 +150,28 @@ class EncoreSimulator:
         guard_hold, mrsw_overhead = cfg.mrsw_guard_hold, cfg.mrsw_overhead
         requeue_cost, rhs_change_cost = cfg.requeue_cost, cfg.rhs_change_cost
 
+        # The next event is the least of the heap and ``held``: a cycle's
+        # start, a poll or a task's first push waits there to go in by
+        # ``heappushpop``; any entry may go straight onto the heap.
         heap: List[tuple] = []
+        held = None
         seq = 0
         # Task queues and their spin locks persist across cycles.  A
         # queue entry is a traced task's bare tid, or ``(cost, kids)``
         # for a constant-test group task.  A spin lock is the time it
         # falls free plus, when its handoff penalty is non-zero, the
-        # grant times of requests still waiting (SimLock.request,
-        # inline; grants never decrease, so the last is the latest).
+        # grant times of requests still waiting (locks.py has the
+        # model).  Grants never decrease, so that list is sorted and
+        # the requests a time ``t`` still waits behind are a suffix.
         queues: List[list] = [[] for _ in range(n_queues)]
         queue_free = [0.0] * n_queues
         queue_waiting: List[list] = [[] for _ in range(n_queues)]
         line_free: Dict[int, float] = {}
         line_waiting: Dict[int, list] = {}
-        mrsw_lines: Dict[int, SimMRSWLine] = {}
+        # An MRSW line: [guard free-at, guard grants waiting, mod
+        # free-at, mod grants waiting, flag (0 unused, 1 left, 2 right),
+        # the latest exit of a user admitted].
+        mrsw_lines: Dict[int, list] = {}
         # Home queue first, then the peers in ring order.
         scan_order = [
             [(pid + offset) % n_queues for offset in range(n_queues)]
@@ -215,15 +216,21 @@ class EncoreSimulator:
             # far into the future and starve the workers at cycle start.
             match_start = clock + rhs_change_cost if pipelined else rhs_end
             seq += 1
-            heappush(heap, (match_start, seq, _CONTROL, 0, None))
+            held = (match_start, seq, _CONTROL, 0, None)
 
-            while heap:
-                t, _, op, a, b = heappop(heap)
+            while True:
+                if held is not None:
+                    t, _, op, a, b = heappushpop(heap, held)
+                    held = None
+                elif heap:
+                    t, _, op, a, b = heappop(heap)
+                else:
+                    break
                 if op == _APPEND:
                     queues[a].append(b)
                     if idle:
                         seq += 1
-                        heappush(heap, (t + poll_delay, seq, _POLL, idle.pop(0), None))
+                        held = (t + poll_delay, seq, _POLL, idle.pop(0), None)
                     continue
 
                 # What this event pushes, one entry after another from
@@ -263,11 +270,8 @@ class EncoreSimulator:
                                     waiting = line_waiting.get(ln)
                                     if waiting is None:
                                         waiting = line_waiting[ln] = []
-                                    elif waiting:
-                                        if waiting[-1] <= t:
-                                            waiting.clear()
-                                        else:
-                                            waiting[:] = [g for g in waiting if g > t]
+                                    else:
+                                        del waiting[:bisect_right(waiting, t)]
                                     line_free[ln] = grant + hold + line_handoff * len(waiting)
                                     waiting.append(grant)
                                 else:
@@ -283,31 +287,51 @@ class EncoreSimulator:
                                 side = is_left[entry]
                                 mrsw = mrsw_lines.get(line[entry])
                                 if mrsw is None:
-                                    mrsw = mrsw_lines[line[entry]] = SimMRSWLine(
-                                        spin_period, SpinStats(), SpinStats(), handoff=line_handoff
-                                    )
-                                guard = mrsw.guard.stats
-                                guard_before = guard.spins
-                                after, admitted = mrsw.try_enter(t, "L" if side else "R", guard_hold)
-                                if admitted:
-                                    grant, mod_spins = mrsw.mod.request(after, hold)
-                                    t = grant + hold + scan[entry]
-                                    mrsw.register_exit(t, guard_hold)
-                                    t += build[entry] + mrsw_overhead
-                                    # Two lock passes (guard, then mod) have a
-                                    # floor of two free spins; normalize to the
-                                    # simple scheme's floor of one so the schemes
-                                    # are comparable (the paper's metric is spins
-                                    # before access to the *bucket*).
-                                    spins = guard.spins - guard_before + mod_spins - 1
-                                    line_acquisitions[side] += 1
-                                    line_spins[side] += spins if spins > 1 else 1
-                                else:
+                                    mrsw = mrsw_lines[line[entry]] = [0.0, [], 0.0, [], 0, 0.0]
+                                # The guard pass: take the guard, read the flag.
+                                waiting = mrsw[1]
+                                grant = mrsw[0]
+                                if grant < t:
+                                    grant = t
+                                del waiting[:bisect_right(waiting, t)]
+                                mrsw[0] = grant + (guard_hold + line_handoff * len(waiting))
+                                if line_handoff:
+                                    waiting.append(grant)
+                                spins = 1 + int((grant - t) // spin_period) if grant > t else 1
+                                after = grant + guard_hold
+                                # The flag, unless every user admitted has left by now.
+                                flag = mrsw[4] if mrsw[5] > grant else 0
+                                want = 1 if side else 2
+                                if flag and flag != want:
+                                    # Busy with the other side: give the line
+                                    # up and put the task back on a queue.
                                     requeues += 1
                                     line_requeues[side] += 1
                                     t = after + requeue_cost
                                     pushes = (entry,)
                                     finished = False
+                                else:
+                                    mrsw[4] = want
+                                    # The modification lock, taken after the guard.
+                                    waiting = mrsw[3]
+                                    grant = mrsw[2]
+                                    if grant < after:
+                                        grant = after
+                                    del waiting[:bisect_right(waiting, after)]
+                                    mrsw[2] = grant + (hold + line_handoff * len(waiting))
+                                    if line_handoff:
+                                        waiting.append(grant)
+                                    # The two passes count one free spin between
+                                    # them, the simple scheme's floor: the paper's
+                                    # metric is spins before access to the *bucket*.
+                                    if grant > after:
+                                        spins += int((grant - after) // spin_period)
+                                    t = grant + hold + scan[entry]
+                                    if t + guard_hold > mrsw[5]:
+                                        mrsw[5] = t + guard_hold
+                                    t += build[entry] + mrsw_overhead
+                                    line_acquisitions[side] += 1
+                                    line_spins[side] += spins
 
                 for entry in pushes:
                     if hardware:
@@ -327,11 +351,7 @@ class EncoreSimulator:
                         grant = t
                     if queue_handoff:
                         waiting = queue_waiting[qi]
-                        if waiting:
-                            if waiting[-1] <= t:
-                                waiting.clear()
-                            else:
-                                waiting[:] = [g for g in waiting if g > t]
+                        del waiting[:bisect_right(waiting, t)]
                         queue_free[qi] = grant + queue_push + queue_handoff * len(waiting)
                         waiting.append(grant)
                     else:
@@ -340,7 +360,11 @@ class EncoreSimulator:
                     queue_spins += 1 + int((grant - t) // spin_period) if grant > t else 1
                     t = grant + queue_push
                     seq += 1
-                    heappush(heap, (t, seq, _APPEND, qi, entry))
+                    event = (t, seq, _APPEND, qi, entry)
+                    if held is None:
+                        held = event
+                    else:
+                        heappush(heap, event)
 
                 if op == _CONTROL:
                     if a + 1 < len(work):
@@ -377,11 +401,7 @@ class EncoreSimulator:
                             grant = t
                         if queue_handoff:
                             waiting = queue_waiting[qi]
-                            if waiting:
-                                if waiting[-1] <= t:
-                                    waiting.clear()
-                                else:
-                                    waiting[:] = [g for g in waiting if g > t]
+                            del waiting[:bisect_right(waiting, t)]
                             queue_free[qi] = grant + queue_pop + queue_handoff * len(waiting)
                             waiting.append(grant)
                         else:
@@ -389,7 +409,11 @@ class EncoreSimulator:
                         queue_acquisitions += 1
                         queue_spins += 1 + int((grant - t) // spin_period) if grant > t else 1
                         seq += 1
-                        heappush(heap, (grant + queue_pop, seq, _POPPED, pid, qi))
+                        event = (grant + queue_pop, seq, _POPPED, pid, qi)
+                        if held is None:
+                            held = event
+                        else:
+                            heappush(heap, event)
                         continue
                 if pid not in idle:
                     idle.append(pid)

@@ -23,9 +23,9 @@ The per-task cost is assembled from the trace's size features::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
-from ..rete.trace import TaskRecord
+from ..rete.trace import TaskColumns, TaskRecord
 
 
 @dataclass(frozen=True)
@@ -133,41 +133,50 @@ def task_cost_parts(task: TaskRecord, config: MachineConfig) -> Tuple[int, int, 
     return update, scan, build
 
 
-def task_columns(tasks: Sequence[TaskRecord], config: MachineConfig, lock_scheme: str):
-    """The same costs as columns indexed by tid, filled once per replay:
-    ``(line, is_left, first, scan, build)``.
+def task_columns(columns: TaskColumns, config: MachineConfig, lock_scheme: str):
+    """The same costs as columns indexed by tid: ``(first, scan, build)``.
 
     ``first`` is what a task holds its hash line for before anything
     else: the whole simple-lock hold (update + scan + flag set/clear),
     or under ``"mrsw"`` the update alone (the modification lock).  A
     task that takes no line lock — a terminal, or a node without a
     hashed memory — has ``None`` there and its whole :func:`task_cost`
-    in ``build``.  ``is_left`` is 0/1, so it indexes a [right, left]
-    pair.  Held to :func:`task_cost` / :func:`task_cost_parts` task by
-    task in ``tests/simulator/test_event_budget.py``.
+    in ``build``.  Kept on ``columns`` for the last ``(config,
+    lock_scheme)`` only; a new scheme alone reprices ``first`` and
+    shares the rest.  Held to :func:`task_cost` / :func:`task_cost_parts`
+    task by task in ``tests/simulator/test_event_budget.py``.
     """
-    update_base, per_same, not_extra = (
-        config.update_base, config.per_same_examined, config.not_extra)
-    scan_base, per_opp = config.join_base - config.update_base, config.per_opp_examined
-    per_build, flag_cost = config.per_child_build, config.line_lock_hold_overhead
-    line = [t.line for t in tasks]
-    is_left = [t.side == "L" for t in tasks]
-    update = [
-        update_base + per_same * t.same_examined + (not_extra if t.kind == "not" else 0)
-        for t in tasks
-    ]
-    scan = [scan_base + per_opp * t.opp_examined for t in tasks]
-    build = [per_build * t.n_children for t in tasks]
-    if lock_scheme == "mrsw":
-        first = update[:]
+    last = columns.costs
+    if last is not None and last[0] == config:
+        if last[1] == lock_scheme:
+            return last[2:]
+        scan, build = last[3], last[4]
     else:
-        first = [u + s + flag_cost for u, s in zip(update, scan)]
-    for tid, t in enumerate(tasks):
-        if t.kind == "term":
-            first[tid], build[tid] = None, config.term_cost
-        elif t.line < 0:
-            first[tid], build[tid] = None, update[tid] + scan[tid] + build[tid]
-    return line, is_left, first, scan, build
+        scan = build = None
+    kinds, lines = columns.kind, columns.line
+    update_base, per_same = config.update_base, config.per_same_examined
+    not_extra = config.not_extra
+    update = [
+        update_base + per_same * same + (not_extra if kind == "not" else 0)
+        for same, kind in zip(columns.same, kinds)
+    ]
+    if scan is None:
+        scan_base, per_opp = config.join_base - update_base, config.per_opp_examined
+        per_build, term_cost = config.per_child_build, config.term_cost
+        scan = [scan_base + per_opp * opp for opp in columns.opp]
+        build = [
+            term_cost if kind == "term"
+            else per_build * n if line >= 0
+            else u + s + per_build * n
+            for kind, line, n, u, s in zip(kinds, lines, columns.n_children, update, scan)
+        ]
+    mrsw, flag_cost = lock_scheme == "mrsw", config.line_lock_hold_overhead
+    first = [
+        None if kind == "term" or line < 0 else u if mrsw else u + s + flag_cost
+        for kind, line, u, s in zip(kinds, lines, update, scan)
+    ]
+    columns.costs = (config, lock_scheme, first, scan, build)
+    return first, scan, build
 
 
 def alpha_tasks(n_const_tests: int, n_children: int, config: MachineConfig):

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -56,11 +57,19 @@ def speedup_curve(
     )
 
 
+def count(text: str) -> int:
+    """A process or queue count, refused below 1 before a run is recorded."""
+    value = int(text)
+    if value < 1:
+        raise ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_simulate_arguments(p) -> None:
     p.add_argument("file", metavar="PROGRAM", help="program file or builtin name")
-    p.add_argument("--processes", type=int, nargs="+", default=[1, 3, 7, 13],
+    p.add_argument("--processes", type=count, nargs="+", default=[1, 3, 7, 13],
                    help="match-process counts to simulate")
-    p.add_argument("--queues", type=int, nargs="+", default=[1, 8],
+    p.add_argument("--queues", type=count, nargs="+", default=[1, 8],
                    help="task-queue counts to simulate")
     p.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
     p.add_argument("--max-cycles", type=int, default=100000)

@@ -23,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 import repro
+from repro.obs import events
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WME
 from repro.rete import kernel
@@ -86,13 +87,13 @@ def propose_changes():
     return out + [(ADD, make("d", {"lo": 0, "hi": 2})), (ADD, make("a", {"x": 2}))]
 
 
-def profile_match(source, batch_fn=changes):
+def profile_match(source, batch_fn=changes, recorder=None):
     """``(frames by qualname, key calls, test calls, stats, network)``
     of the package (and of its generated closures) while the batch is
-    matched — not of whatever a plugin's gc callback happens to run in
-    between."""
+    matched — under ``recorder``, if one is given — not of whatever a
+    plugin's gc callback happens to run in between."""
     network = ReteNetwork.compile(parse_program(source))
-    matcher = SequentialMatcher(network)
+    matcher = SequentialMatcher(network, recorder=recorder)
     batch = batch_fn()
     frames = Counter()
 
@@ -107,7 +108,7 @@ def profile_match(source, batch_fn=changes):
     sys.setprofile(on_event)
     try:
         for sign, wme in batch:
-            kernel.match_change(network, matcher.ctx, sign, wme)
+            kernel.match_change(network, matcher.ctx, sign, wme, recorder)
     finally:
         sys.setprofile(None)
 
@@ -197,3 +198,47 @@ def test_ordering_join_and_not_node_cost_no_frame_per_token():
         or name.endswith("__init__")
     ]
     assert helpers == []
+
+
+def test_recorded_activation_stays_within_its_frame_budget():
+    """Under a ``TraceRecorder`` a task adds one frame, ``add_task``
+    (called positionally, building its record with no ``__init__``).
+    A bucket's line is hashed once per distinct bucket of the
+    recording, and a key once per distinct key — never once per task,
+    and ``uses_line`` not at all."""
+    recorder = TraceRecorder()
+    by_name, key_calls, _test_calls, stats, _network = profile_match(KEYED, recorder=recorder)
+    tasks = recorder.trace.tasks
+    kinds = stats.activations_by_kind
+    two_input = kinds["join"] + kinds.get("not", 0)
+    assert by_name[ACTIVATE] == two_input and by_name[TERMINAL] == kinds["term"]
+    assert by_name["TraceRecorder.add_task"] == len(tasks) == stats.node_activations
+    assert key_calls == kinds["join"]
+    # Everything else is per WM change or cycle (its alpha pass, its
+    # root tasks, its ChangeRecord / CycleRecord), or per bucket.
+    per_task = {ACTIVATE, TERMINAL, "TraceRecorder.add_task"}
+    per_bucket = {"TraceRecorder.line_of", "line_hash_from", "key_hash"}
+    per_change = stats.wme_changes + len(recorder.trace.cycles)
+    rest = {name: n for name, n in by_name.items() if name not in per_task | per_bucket}
+    assert all(n <= per_change for n in rest.values()), rest
+    assert "TwoInputNode.uses_line" not in by_name and "MemorySystem.line_of" not in by_name
+    buckets = recorder.lines
+    assert 0 < len(buckets) < two_input                     # not vacuous
+    assert by_name["TraceRecorder.line_of"] == by_name["line_hash_from"] == len(buckets)
+    assert by_name["key_hash"] == len({key for _node, key in buckets})
+    assert [t.line for t in tasks if t.kind == "term"] == [-1] * kinds["term"]
+
+
+def test_bus_on_match_hashes_no_line():
+    """With the obs bus on and no recorder the kernel still runs its
+    tracing arm, but nothing there reads a line: a bus-on sequential
+    match enters ``MemorySystem.line_of`` zero times."""
+    events.reset()
+    events.enable()
+    try:
+        by_name, _key_calls, _test_calls, stats, _network = profile_match(KEYED)
+    finally:
+        events.disable()
+        events.reset()
+    assert by_name["_node_hit"] == stats.node_activations > 0    # the bus was on
+    assert not {"MemorySystem.line_of", "key_hash", "line_hash_from"} & set(by_name)

@@ -193,6 +193,7 @@ class TestTracingProbes:
         ctx = MatchContext(memory, MatchStats(), strict=True, tracing=True)
         join = next(n for n in net.beta_nodes if isinstance(n, JoinNode))
         join.activate(ctx, "R", ADD, of((w("b", 1, y=5),)))
-        assert ctx.last_line >= 0
+        # The bucket it filed under; the recorder hashes its line.
+        assert ctx.last_slot == (join.node_id, (5,)) and ctx.last_line == -1
         join.activate(ctx, "L", ADD, of((w("a", 2, x=5),)))
         assert ctx.last_opp_examined == 1

@@ -4,14 +4,18 @@ The simulator's model of a task is ~10 arithmetic operations; what a
 replay costs on the host is how many Python frames it wraps around
 them.  The event loop is one frame (``EncoreSimulator.run``): an event
 is a tuple on its heap, a queue or simple line lock is two numbers in
-its locals, a task's costs are five list reads, and picking a push's
-queue is arithmetic on the pusher.  What remains per task is, under
-MRSW, the guard/mod ``SimLock`` pair behind ``SimMRSWLine`` (0.03 /
-0.03 / 5.75 frames per task on the three configurations below).  A
-closure per event, a ``push`` method, a dispatch call or a per-lock
-stats object re-introduced into the loop shows up here as frames per
-task (the closure loop this replaced measured 17.7 / 18.9 / 25.3), and
-fails a unit test instead of a benchmark.
+its locals and an MRSW line a six-slot list there, a task's costs are
+list reads, and picking a push's queue is arithmetic on the pusher.
+What is left is per replay or per WM change: deriving the trace's
+columns (once per trace, :meth:`MatchTrace.columns`), pricing them
+(once per configuration, :func:`task_columns`), and a change's
+constant-test groups.  On the three configurations below that is
+0.03 / 0.03 / 0.03 frames per task.  A closure per event, a ``push``
+method, a dispatch call, a lock object or a per-lock stats object
+re-introduced into the loop shows up here as frames per task (the
+closure loop this replaced measured 17.7 / 18.9 / 25.3, the
+``SimLock`` / ``SimMRSWLine`` pair behind MRSW 5.75), and fails a unit
+test instead of a benchmark.
 """
 
 import sys
@@ -58,24 +62,69 @@ def frames_per_task(trace, options):
 @pytest.mark.parametrize("options, budget", [
     (SimOptions(1, 1, pipelined=False), 0.1),
     (SimOptions(7, 8), 0.1),
-    (SimOptions(13, 8, "mrsw"), 6),
+    (SimOptions(13, 8, "mrsw"), 0.1),
 ], ids=["1-1-simple-serial", "7-8-simple", "13-8-mrsw"])
 def test_a_replayed_task_stays_within_its_frame_budget(trace, options, budget):
     per_task, frames = frames_per_task(trace, options)
     assert per_task <= budget, frames.most_common(8)
-    # The loop itself is entered once, and a push enters no frame: only
-    # the MRSW line model is entered anywhere near once per task.
+    # The loop itself is entered once, and a push or a lock enters no
+    # frame: nothing is entered anywhere near once per task.
     assert frames["EncoreSimulator.run"] == 1
-    per_task_frames = [
-        name for name, n in frames.items()
-        if n >= trace.n_tasks and not name.startswith(("SimLock", "SimMRSWLine"))
-    ]
-    assert not per_task_frames
+    assert not [name for name, n in frames.items() if n >= trace.n_tasks / 10]
 
 
 def test_simple_locks_build_no_lock_object(trace):
+    """What a replay enters at all: the loop, the derivations, and a
+    change's constant-test groups — no lock model."""
     _per_task, frames = frames_per_task(trace, SimOptions(13, 8))
-    assert not [name for name in frames if name.startswith(("SimLock", "SimMRSWLine"))]
+    assert {name.split(".<locals>")[0] for name in frames} <= {
+        "EncoreSimulator.run", "MatchTrace.columns", "TaskColumns.__init__",
+        "task_columns", "alpha_tasks", "SimResult.__init__", "SpinStats.__init__",
+    }, sorted(frames)
+
+
+def test_a_trace_is_derived_once_and_priced_once_per_configuration():
+    """Replays share the trace's columns; the cost columns are kept for
+    the last configuration only, sharing scan/build across schemes; a
+    grown trace is derived afresh, and the results never move."""
+    recorder = TraceRecorder()
+    Interpreter(weaver.source(grid=4, n_nets=1), recorder=recorder).run(max_cycles=20)
+    trace = recorder.trace
+
+    def replay(options, config=DEFAULT_CONFIG):
+        frames = Counter()
+
+        def on_event(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+                frames[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(on_event)
+        try:
+            result = EncoreSimulator(trace, options, config).run()
+        finally:
+            sys.setprofile(None)
+        return result, frames
+
+    first, frames = replay(SimOptions(3, 1))
+    columns = trace.columns()
+    assert frames["TaskColumns.__init__"] == 1 and frames["task_columns"] == 1
+    _, frames = replay(SimOptions(7, 8))
+    assert frames["TaskColumns.__init__"] == 0 and trace.columns() is columns
+    assert columns.costs[1] == "simple"
+    _, scan, build = columns.costs[2:]
+    replay(SimOptions(7, 8, "mrsw"))
+    assert columns.costs[1] == "mrsw" and columns.costs[3] is scan and columns.costs[4] is build
+    cheaper = DEFAULT_CONFIG.with_overrides(join_base=30)
+    replay(SimOptions(7, 8), cheaper)
+    assert columns.costs[0] is cheaper and columns.costs[3] is not scan
+    # Back on the default configuration: priced afresh, the same result.
+    assert replay(SimOptions(3, 1))[0] == first and columns.costs[0] is DEFAULT_CONFIG
+
+    recorder.begin_change(1, 1)
+    recorder.add_task(-1, "join", 1, "L", 1, 0, 0, 0, 0)
+    assert trace.columns() is not columns and trace.columns().n == columns.n + 1
+    trace.tasks = trace.tasks[:-1]
+    assert trace.columns().tasks is trace.tasks and trace.columns().n == columns.n
 
 
 @pytest.mark.parametrize("scheme", ["simple", "mrsw"])
@@ -83,11 +132,14 @@ def test_columns_are_the_per_task_formulas(trace, scheme):
     """One cost formula in two shapes: ``task_columns`` against
     ``task_cost`` / ``task_cost_parts`` on every task of the trace."""
     cfg = DEFAULT_CONFIG.with_overrides(update_base=17, not_extra=11, term_cost=29)
-    line, is_left, first, scan, build = task_columns(trace.tasks, cfg, scheme)
+    columns = trace.columns()
+    first, scan, build = task_columns(columns, cfg, scheme)
+    children = trace.children_index()
     locked = 0
     for task in trace.tasks:
         tid = task.tid
-        assert line[tid] == task.line and is_left[tid] == (task.side == "L")
+        assert columns.line[tid] == task.line and columns.is_left[tid] == (task.side == "L")
+        assert list(columns.children[tid]) == children[tid]
         if task.kind == "term" or task.line < 0:
             assert first[tid] is None and build[tid] == task_cost(task, cfg)
             continue

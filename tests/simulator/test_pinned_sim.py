@@ -66,7 +66,7 @@ def window(trace: MatchTrace, cycles, max_changes) -> MatchTrace:
     new = {old: i for i, old in enumerate(sorted(tids))}
     out = MatchTrace()
     out.tasks = [
-        replace(trace.tasks[old], tid=i, parent=new.get(trace.tasks[old].parent, -1))
+        trace.tasks[old]._replace(tid=i, parent=new.get(trace.tasks[old].parent, -1))
         for old, i in new.items()
     ]
     out.cycles = [

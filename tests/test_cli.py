@@ -90,6 +90,22 @@ class TestSimulate:
         assert "speed-up" in out
         assert "1+2/1q" in out
 
+    @pytest.mark.parametrize("flag", ["--processes", "--queues"])
+    def test_a_count_below_one_is_a_usage_error_before_any_run(self, flag, monkeypatch, capsys):
+        """Exit 2 naming the flag, from the parser: the program is
+        never run (a 60-team Tourney used to be recorded first)."""
+        from repro.ops5.interpreter import Interpreter
+
+        def run(*_args, **_kw):
+            raise AssertionError("the program ran")
+
+        monkeypatch.setattr(Interpreter, "run", run)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "monkey", flag, "2", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1, got 0" in err
+
     def test_speedups_divide_by_the_same_lock_schemes_baseline(self, capsys):
         """Table 4-8's methodology: the uniprocessor column runs the MRSW
         code too (it once ran simple locks whatever ``--locks`` said).
