@@ -10,12 +10,12 @@
 
 from repro.harness.tables import render_table
 from repro.harness.workloads import traced_run
-from repro.simulator.engine import EncoreSimulator, SimOptions, simulate
+from repro.simulator.engine import simulate, uniprocessor_baseline
 
 
 def _speedup(trace, **opts):
-    base = simulate(trace, n_match=1, pipelined=False)
-    run = EncoreSimulator(trace, SimOptions(n_match=13, **opts)).run()
+    base = uniprocessor_baseline(trace)
+    run = simulate(trace, n_match=13, **opts)
     return base.match_instr / run.match_instr
 
 
@@ -53,10 +53,8 @@ def test_overlapped_conflict_resolution(emit):
     rows = []
     for prog in ("rubik", "tourney"):
         trace = traced_run(prog).trace
-        serial = EncoreSimulator(trace, SimOptions(n_match=5, n_queues=4)).run()
-        overlap = EncoreSimulator(
-            trace, SimOptions(n_match=5, n_queues=4, overlap_cr=True)
-        ).run()
+        serial = simulate(trace, n_match=5, n_queues=4)
+        overlap = simulate(trace, n_match=5, n_queues=4, overlap_cr=True)
         rows.append([prog, serial.total_instr, overlap.total_instr])
     emit(
         "extension_overlap_cr",

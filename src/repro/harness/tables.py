@@ -26,10 +26,3 @@ def _fmt(value) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def paired_row(label: str, paper: Sequence, measured: Sequence) -> List[List[str]]:
-    """Two rows per program: the paper's numbers and ours."""
-    return [
-        [f"{label} (paper)"] + [_fmt(v) for v in paper],
-        [f"{label} (ours)"] + [_fmt(v) for v in measured],
-    ]

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from ..ops5.interpreter import Interpreter
 from ..rete.trace import MatchTrace, TraceRecorder
-from ..simulator.engine import SimResult, simulate
+from ..simulator.engine import UNIPROCESSOR, SimResult, simulate
 from ..simulator.machine import DEFAULT_CONFIG, MachineConfig
 from ..programs import rubik, tourney, weaver
 
@@ -144,9 +144,9 @@ def sim(
 
 
 def baseline(name: str, lock_scheme: str = "simple", config: Optional[MachineConfig] = None) -> SimResult:
-    """The paper's uniprocessor column: one match process, no
-    pipelining, all the parallel machinery's overheads."""
-    return sim(name, n_match=1, n_queues=1, lock_scheme=lock_scheme, pipelined=False, config=config)
+    """The paper's uniprocessor column (:data:`UNIPROCESSOR`), from
+    :func:`sim`'s memo."""
+    return sim(name, lock_scheme=lock_scheme, config=config, **UNIPROCESSOR)
 
 
 def speedup(

@@ -1,6 +1,6 @@
 """The simulator's lock model, and its contention counters.
 
-Every lock is plain numbers in :meth:`EncoreSimulator.run`'s locals;
+Every lock is plain numbers in :func:`~.engine.simulate`'s locals;
 this is the model they implement (``tests/simulator/test_locks.py``
 pins it).  A spin lock — a task queue's, a simple hash line's, an MRSW
 line's guard or modification lock — is test-and-test-and-set with
@@ -36,8 +36,3 @@ class SpinStats:
     @property
     def mean_spins(self) -> float:
         return self.spins / self.acquisitions if self.acquisitions else 0.0
-
-    def merge(self, other: "SpinStats") -> None:
-        self.acquisitions += other.acquisitions
-        self.spins += other.spins
-        self.requeues += other.requeues

@@ -1,60 +1,13 @@
-"""The paper's speed-up ladder over a recorded trace, and the
-``simulate`` verb that prints it."""
+"""The ``simulate`` verb: the paper's speed-up ladder over a recorded
+trace, each cell set against the uniprocessor run of its lock scheme."""
 
 from __future__ import annotations
 
 from argparse import ArgumentTypeError
-from dataclasses import dataclass
-from typing import Tuple
 
 from ..cli import Verb
-from ..rete.trace import MatchTrace, TraceRecorder
-from .engine import SimResult, simulate, uniprocessor_baseline
-from .machine import DEFAULT_CONFIG, MachineConfig
-
-
-@dataclass
-class SpeedupCurve:
-    """A process-count sweep of one queue count and lock scheme, each
-    run set against the uniprocessor run of the same lock scheme."""
-
-    baseline: SimResult
-    runs: Tuple[SimResult, ...]
-
-    @property
-    def lock_scheme(self) -> str:
-        return self.baseline.options.lock_scheme
-
-    @property
-    def speedups(self) -> Tuple[float, ...]:
-        return tuple(self.baseline.match_instr / run.match_instr for run in self.runs)
-
-    @property
-    def baseline_seconds(self) -> float:
-        return self.baseline.match_seconds
-
-    @property
-    def saturation(self) -> float:
-        """The best speed-up observed along the curve."""
-        return max(self.speedups)
-
-
-def speedup_curve(
-    trace: MatchTrace,
-    processes: Tuple[int, ...] = (1, 3, 5, 7, 11, 13),
-    n_queues: int = 1,
-    lock_scheme: str = "simple",
-    config: MachineConfig = DEFAULT_CONFIG,
-) -> SpeedupCurve:
-    """Simulate the sweep the paper's speed-up tables report."""
-    return SpeedupCurve(
-        baseline=uniprocessor_baseline(trace, lock_scheme=lock_scheme, config=config),
-        runs=tuple(
-            simulate(trace, n_match=k, n_queues=n_queues, lock_scheme=lock_scheme,
-                     config=config)
-            for k in processes
-        ),
-    )
+from ..rete.trace import TraceRecorder
+from .engine import simulate, uniprocessor_baseline
 
 
 def count(text: str) -> int:
@@ -85,20 +38,16 @@ def _simulate(args) -> int:
         interp = Interpreter(program, recorder=recorder)
     result = interp.run(max_cycles=args.max_cycles)
     print(f"run: {result.cycles} cycles, {recorder.trace.n_tasks} match tasks")
-    curves = [
-        speedup_curve(recorder.trace, tuple(args.processes), n_queues=q,
-                      lock_scheme=args.locks)
-        for q in args.queues
-    ]
-    print(f"uniprocessor match (simulated Encore Multimax): "
-          f"{curves[0].baseline_seconds:.3f}s")
+    base = uniprocessor_baseline(recorder.trace, lock_scheme=args.locks)
+    print(f"uniprocessor match (simulated Encore Multimax): {base.match_seconds:.3f}s")
     print(f"{'config':>12} {'speed-up':>9} {'queue spins':>12}")
-    for i, k in enumerate(args.processes):
-        for q, curve in zip(args.queues, curves):
+    for k in args.processes:
+        for q in args.queues:
+            run = simulate(recorder.trace, k, q, lock_scheme=args.locks)
             print(
                 f"{f'1+{k}/{q}q':>12} "
-                f"{curve.speedups[i]:>9.2f} "
-                f"{curve.runs[i].queue_stats.mean_spins:>12.2f}"
+                f"{base.match_instr / run.match_instr:>9.2f} "
+                f"{run.queue_stats.mean_spins:>12.2f}"
             )
     return 0
 

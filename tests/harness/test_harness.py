@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import paperdata
-from repro.harness.tables import paired_row, render_table
+from repro.harness.tables import render_table
 from repro.harness.workloads import (
     BENCH_SIZES,
     clear_caches,
@@ -58,11 +58,6 @@ class TestRendering:
     def test_float_formatting(self):
         out = render_table("T", ["x"], [[1.23456]])
         assert "1.23" in out and "1.2345" not in out
-
-    def test_paired_row(self):
-        rows = paired_row("prog", [1.0], [2.0])
-        assert rows[0][0] == "prog (paper)"
-        assert rows[1][0] == "prog (ours)"
 
 
 class TestWorkloads:

@@ -212,9 +212,11 @@ class TestTenantValidation:
 
 class TestBackpressureAccounting:
     def test_busy_rejections_counted_in_meter_and_prometheus(self):
-        """A session hitting the bounded inbox gets ``retry_after_ms``
-        on the wire — and the rejection must be visible server-side in
-        the meter counters and the ``stats format=prometheus`` body."""
+        """Six in-process ``session.submit`` calls against an inbox of
+        two raise ``Busy`` four times, and each rejection must be
+        visible server-side in the meter counters and the ``stats
+        format=prometheus`` body.  The ``busy`` reply over the wire is
+        ``tests/serve/test_server.py::TestBackpressure``'s."""
 
         async def scenario(server, reader, writer):
             resp = await open_counter(reader, writer, tenant="acme")

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.ops5.interpreter import Interpreter
-from repro.rete.trace import TraceRecorder
-from repro.simulator.engine import (
-    EncoreSimulator,
-    SimOptions,
-    simulate,
-    uniprocessor_baseline,
-)
+from repro.rete.trace import MatchTrace, TraceRecorder
+from repro.simulator.engine import SimOptions, simulate, uniprocessor_baseline
 from repro.simulator.machine import DEFAULT_CONFIG
 from tests.conftest import FIND_COLORED_BLOCK
 
@@ -44,6 +39,9 @@ class TestSimOptions:
             SimOptions(n_queues=0)
         with pytest.raises(ValueError):
             SimOptions(lock_scheme="rcu")
+        # The replay checks its arguments the same way before it starts.
+        with pytest.raises(ValueError, match="at least one task queue"):
+            simulate(MatchTrace(), n_match=2, n_queues=0)
 
 
 class TestBasicRuns:
@@ -113,8 +111,6 @@ class TestAccountingInvariants:
         assert len(counts) == 1
 
     def test_empty_trace(self):
-        from repro.rete.trace import MatchTrace
-
         result = simulate(MatchTrace(), n_match=4)
         assert result.match_instr == 0
         assert result.tasks_completed == 0

@@ -2,7 +2,7 @@
 
 The simulator's model of a task is ~10 arithmetic operations; what a
 replay costs on the host is how many Python frames it wraps around
-them.  The event loop is one frame (``EncoreSimulator.run``): an event
+them.  The event loop is one frame (``simulate``): an event
 is a tuple on its heap, a queue or simple line lock is two numbers in
 its locals and an MRSW line a six-slot list there, a task's costs are
 list reads, and picking a push's queue is arithmetic on the pusher.
@@ -28,7 +28,7 @@ import repro
 from repro.ops5.interpreter import Interpreter
 from repro.programs import weaver
 from repro.rete.trace import TraceRecorder
-from repro.simulator.engine import EncoreSimulator, SimOptions
+from repro.simulator.engine import simulate
 from repro.simulator.machine import DEFAULT_CONFIG, task_columns, task_cost, task_cost_parts
 
 PACKAGE = str(Path(repro.__file__).parent)
@@ -42,17 +42,17 @@ def trace():
 
 
 def frames_per_task(trace, options):
-    """``(package frames entered / tasks completed, frames by qualname)``."""
+    """``(package frames entered / tasks completed, frames by qualname)``
+    of one replay, ``options`` being ``simulate``'s keyword arguments."""
     frames = Counter()
 
     def on_event(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             frames[frame.f_code.co_qualname] += 1
 
-    simulator = EncoreSimulator(trace, options)
     sys.setprofile(on_event)
     try:
-        result = simulator.run()
+        result = simulate(trace, **options)
     finally:
         sys.setprofile(None)
     assert result.tasks_completed > trace.n_tasks > 5000      # not vacuous
@@ -60,25 +60,25 @@ def frames_per_task(trace, options):
 
 
 @pytest.mark.parametrize("options, budget", [
-    (SimOptions(1, 1, pipelined=False), 0.1),
-    (SimOptions(7, 8), 0.1),
-    (SimOptions(13, 8, "mrsw"), 0.1),
+    (dict(n_match=1, n_queues=1, pipelined=False), 0.1),
+    (dict(n_match=7, n_queues=8), 0.1),
+    (dict(n_match=13, n_queues=8, lock_scheme="mrsw"), 0.1),
 ], ids=["1-1-simple-serial", "7-8-simple", "13-8-mrsw"])
 def test_a_replayed_task_stays_within_its_frame_budget(trace, options, budget):
     per_task, frames = frames_per_task(trace, options)
     assert per_task <= budget, frames.most_common(8)
     # The loop itself is entered once, and a push or a lock enters no
     # frame: nothing is entered anywhere near once per task.
-    assert frames["EncoreSimulator.run"] == 1
+    assert frames["simulate"] == 1
     assert not [name for name, n in frames.items() if n >= trace.n_tasks / 10]
 
 
 def test_simple_locks_build_no_lock_object(trace):
     """What a replay enters at all: the loop, the derivations, and a
     change's constant-test groups — no lock model."""
-    _per_task, frames = frames_per_task(trace, SimOptions(13, 8))
+    _per_task, frames = frames_per_task(trace, dict(n_match=13, n_queues=8))
     assert {name.split(".<locals>")[0] for name in frames} <= {
-        "EncoreSimulator.run", "MatchTrace.columns", "TaskColumns.__init__",
+        "simulate", "SimOptions.__post_init__", "MatchTrace.columns", "TaskColumns.__init__",
         "task_columns", "alpha_tasks", "SimResult.__init__", "SpinStats.__init__",
     }, sorted(frames)
 
@@ -91,7 +91,7 @@ def test_a_trace_is_derived_once_and_priced_once_per_configuration():
     Interpreter(weaver.source(grid=4, n_nets=1), recorder=recorder).run(max_cycles=20)
     trace = recorder.trace
 
-    def replay(options, config=DEFAULT_CONFIG):
+    def replay(*args, config=DEFAULT_CONFIG):
         frames = Counter()
 
         def on_event(frame, event, _arg):
@@ -100,25 +100,25 @@ def test_a_trace_is_derived_once_and_priced_once_per_configuration():
 
         sys.setprofile(on_event)
         try:
-            result = EncoreSimulator(trace, options, config).run()
+            result = simulate(trace, *args, config=config)
         finally:
             sys.setprofile(None)
         return result, frames
 
-    first, frames = replay(SimOptions(3, 1))
+    first, frames = replay(3, 1)
     columns = trace.columns()
     assert frames["TaskColumns.__init__"] == 1 and frames["task_columns"] == 1
-    _, frames = replay(SimOptions(7, 8))
+    _, frames = replay(7, 8)
     assert frames["TaskColumns.__init__"] == 0 and trace.columns() is columns
     assert columns.costs[1] == "simple"
     _, scan, build = columns.costs[2:]
-    replay(SimOptions(7, 8, "mrsw"))
+    replay(7, 8, "mrsw")
     assert columns.costs[1] == "mrsw" and columns.costs[3] is scan and columns.costs[4] is build
     cheaper = DEFAULT_CONFIG.with_overrides(join_base=30)
-    replay(SimOptions(7, 8), cheaper)
+    replay(7, 8, config=cheaper)
     assert columns.costs[0] is cheaper and columns.costs[3] is not scan
     # Back on the default configuration: priced afresh, the same result.
-    assert replay(SimOptions(3, 1))[0] == first and columns.costs[0] is DEFAULT_CONFIG
+    assert replay(3, 1)[0] == first and columns.costs[0] is DEFAULT_CONFIG
 
     recorder.begin_change(1, 1)
     recorder.add_task(-1, "join", 1, "L", 1, 0, 0, 0, 0)

@@ -1,6 +1,6 @@
 """The DES lock model, pinned through replays of hand-built traces.
 
-``EncoreSimulator.run`` carries the spin locks in its own locals: a
+``simulate`` carries the spin locks in its own locals: a
 queue lock or simple line lock is a free-at time plus the grants still
 waiting, an MRSW line a guard pair, a mod pair, a flag and its users'
 latest exit (``repro.simulator.locks`` describes the model).  Each test
@@ -12,7 +12,7 @@ together, the highest tid first.
 """
 
 from repro.rete.trace import ChangeRecord, CycleRecord, MatchTrace, TaskRecord
-from repro.simulator.engine import EncoreSimulator, SimOptions
+from repro.simulator.engine import simulate
 from repro.simulator.locks import SpinStats
 from repro.simulator.machine import DEFAULT_CONFIG
 
@@ -45,8 +45,8 @@ def trace_of(*tasks):
 
 
 def replay(trace, scheme="simple", n_match=None, **overrides):
-    options = SimOptions(n_match or len(trace.tasks), 1, scheme)
-    return EncoreSimulator(trace, options, BARE.with_overrides(**overrides)).run()
+    config = BARE.with_overrides(**overrides)
+    return simulate(trace, n_match or len(trace.tasks), 1, scheme, config=config)
 
 
 def contenders(n, side="L"):

@@ -28,9 +28,7 @@ import pytest
 from repro.ops5.interpreter import Interpreter
 from repro.programs import rubik, tourney, weaver
 from repro.rete.trace import CycleRecord, MatchTrace, TraceRecorder
-from repro.simulator.engine import (
-    EncoreSimulator, SimOptions, simulate, uniprocessor_baseline,
-)
+from repro.simulator.engine import simulate, uniprocessor_baseline
 from repro.simulator.machine import DEFAULT_CONFIG
 
 PINNED = Path(__file__).with_name("pinned_sim.json")
@@ -96,8 +94,8 @@ def small_trace(program: str) -> MatchTrace:
     return window(full_trace(program), cycles, max_changes)
 
 
-def row(trace: MatchTrace, options: SimOptions, config=DEFAULT_CONFIG) -> list:
-    r = EncoreSimulator(trace, options, config).run()
+def row(trace: MatchTrace, *args, **kwargs) -> list:
+    r = simulate(trace, *args, **kwargs)
     return [
         r.match_instr, r.total_instr, r.cycles, r.tasks_completed,
         *(v for s in (r.queue_stats, r.line_left, r.line_right)
@@ -112,9 +110,9 @@ def observe(program: str, locks: str) -> dict:
     for (k, q), piped, hw, ocr in product(
         SHAPES, (True, False), (False, True), (False, True)
     ):
-        options = SimOptions(k, q, locks, piped, hw, ocr)
-        out[f"{k}-{q} piped={piped:d} hw={hw:d} ocr={ocr:d}"] = row(trace, options)
-    out["5-4 handoffs"] = row(trace, SimOptions(5, 4, locks), HANDOFFS)
+        out[f"{k}-{q} piped={piped:d} hw={hw:d} ocr={ocr:d}"] = row(
+            trace, k, q, locks, piped, hardware_scheduler=hw, overlap_cr=ocr)
+    out["5-4 handoffs"] = row(trace, 5, 4, locks, config=HANDOFFS)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.rete.trace import ChangeRecord, CycleRecord, MatchTrace, TaskRecord
-from repro.simulator.engine import EncoreSimulator, SimOptions, simulate
+from repro.simulator.engine import simulate
 from repro.simulator.machine import DEFAULT_CONFIG
 
 
@@ -66,20 +66,19 @@ def synthetic_trace(draw) -> MatchTrace:
     return trace
 
 
-option_grid = st.builds(
-    SimOptions,
+option_grid = st.fixed_dictionaries(dict(
     n_match=st.integers(1, 6),
     n_queues=st.integers(1, 4),
     lock_scheme=st.sampled_from(["simple", "mrsw"]),
     pipelined=st.booleans(),
     hardware_scheduler=st.booleans(),
-)
+))
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace=synthetic_trace(), options=option_grid)
 def test_simulation_completes_every_task(trace, options):
-    result = EncoreSimulator(trace, options).run()
+    result = simulate(trace, **options)
     alpha_count = sum(
         len(__import__("repro.simulator.machine", fromlist=["alpha_tasks"]).alpha_tasks(
             ch.n_const_tests, len(ch.first_level), DEFAULT_CONFIG))
@@ -93,8 +92,8 @@ def test_simulation_completes_every_task(trace, options):
 @settings(max_examples=25, deadline=None)
 @given(trace=synthetic_trace(), options=option_grid)
 def test_simulation_deterministic(trace, options):
-    a = EncoreSimulator(trace, options).run()
-    b = EncoreSimulator(trace, options).run()
+    a = simulate(trace, **options)
+    b = simulate(trace, **options)
     assert a.match_instr == b.match_instr
     assert a.total_instr == b.total_instr
     assert a.queue_stats.spins == b.queue_stats.spins
@@ -117,9 +116,7 @@ def test_hardware_scheduler_properties(trace, k):
     contention*; elapsed time is usually but not always better (its
     single LIFO dispatch order can land same-line tasks together, so a
     small scheduling-order slack is allowed)."""
-    software = EncoreSimulator(trace, SimOptions(n_match=k, n_queues=1)).run()
-    hardware = EncoreSimulator(
-        trace, SimOptions(n_match=k, n_queues=1, hardware_scheduler=True)
-    ).run()
+    software = simulate(trace, n_match=k, n_queues=1)
+    hardware = simulate(trace, n_match=k, n_queues=1, hardware_scheduler=True)
     assert hardware.queue_stats.acquisitions == 0
     assert hardware.match_instr <= software.match_instr * 1.25

@@ -10,6 +10,27 @@ PROGRAM = """
 """
 
 
+#: ``repro simulate blocks --processes 3 7 --queues 1 8 [--locks mrsw]``.
+BLOCKS_LADDER_SIMPLE = """\
+run: 5 cycles, 142 match tasks
+uniprocessor match (simulated Encore Multimax): 0.013s
+      config  speed-up  queue spins
+      1+3/1q      2.33         1.52
+      1+3/8q      2.26         1.31
+      1+7/1q      2.80         2.64
+      1+7/8q      3.09         2.28
+"""
+BLOCKS_LADDER_MRSW = """\
+run: 5 cycles, 142 match tasks
+uniprocessor match (simulated Encore Multimax): 0.015s
+      config  speed-up  queue spins
+      1+3/1q      2.40         1.57
+      1+3/8q      2.48         1.29
+      1+7/1q      3.11         2.87
+      1+7/8q      3.22         2.40
+"""
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "hello.ops5"
@@ -109,35 +130,75 @@ class TestSimulate:
     def test_speedups_divide_by_the_same_lock_schemes_baseline(self, capsys):
         """Table 4-8's methodology: the uniprocessor column runs the MRSW
         code too (it once ran simple locks whatever ``--locks`` said).
-        The verb prints ``speedup_curve``'s ladder, cell by cell."""
+        The verb prints each cell against ``uniprocessor_baseline``."""
         from repro import programs
         from repro.ops5.interpreter import Interpreter
         from repro.rete.trace import TraceRecorder
-        from repro.simulator.report import speedup_curve
+        from repro.simulator.engine import simulate, uniprocessor_baseline
 
         assert main(["simulate", "blocks", "--processes", "3", "7",
                      "--queues", "1", "8", "--locks", "mrsw"]) == 0
         out = capsys.readouterr().out
         recorder = TraceRecorder()
         Interpreter(programs.load("blocks"), recorder=recorder).run()
-        curves = {q: speedup_curve(recorder.trace, processes=(3, 7), n_queues=q,
-                                   lock_scheme="mrsw")
-                  for q in (1, 8)}
-        assert f"uniprocessor match (simulated Encore Multimax): {curves[1].baseline_seconds:.3f}s" in out
+        base = uniprocessor_baseline(recorder.trace, lock_scheme="mrsw")
+        runs = {(k, q): simulate(recorder.trace, k, q, lock_scheme="mrsw")
+                for k in (3, 7) for q in (1, 8)}
+        assert f"uniprocessor match (simulated Encore Multimax): {base.match_seconds:.3f}s" in out
         rows = [line.split() for line in out.splitlines() if line.strip().startswith("1+")]
         assert rows == [
-            [f"1+{k}/{q}q", f"{curves[q].speedups[i]:.2f}",
-             f"{curves[q].runs[i].queue_stats.mean_spins:.2f}"]
-            for i, k in enumerate((3, 7)) for q in (1, 8)
+            [f"1+{k}/{q}q", f"{base.match_instr / runs[k, q].match_instr:.2f}",
+             f"{runs[k, q].queue_stats.mean_spins:.2f}"]
+            for k in (3, 7) for q in (1, 8)
         ]
-        simple = speedup_curve(recorder.trace, processes=(3,))
-        assert f"{simple.baseline_seconds:.3f}" != f"{curves[1].baseline_seconds:.3f}"
+        simple = uniprocessor_baseline(recorder.trace)
+        assert f"{simple.match_seconds:.3f}" != f"{base.match_seconds:.3f}"
+
+    @pytest.mark.parametrize("locks, expected", [
+        ("simple", BLOCKS_LADDER_SIMPLE), ("mrsw", BLOCKS_LADDER_MRSW),
+    ], ids=["simple", "mrsw"])
+    def test_each_cell_and_the_baseline_replay_once(self, locks, expected, monkeypatch, capsys):
+        """One replay per (match processes, queues, lock scheme,
+        pipelined) cell, the uniprocessor baseline included, whatever
+        the number of queue counts; the printed ladder does not move."""
+        from collections import Counter
+
+        from repro.simulator import engine, report
+
+        replays = Counter()
+        replay = engine.simulate
+
+        def counted(*args, **kwargs):
+            result = replay(*args, **kwargs)
+            o = result.options
+            replays[o.n_match, o.n_queues, o.lock_scheme, o.pipelined] += 1
+            return result
+
+        monkeypatch.setattr(engine, "simulate", counted)
+        monkeypatch.setattr(report, "simulate", counted)
+        assert main(["simulate", "blocks", "--processes", "3", "7", "--queues", "1", "8",
+                     "--locks", locks]) == 0
+        assert capsys.readouterr().out == expected
+        assert replays == {
+            (k, q, locks, pipelined): 1
+            for k, q, pipelined in ((1, 1, False), (3, 1, True), (3, 8, True),
+                                    (7, 1, True), (7, 8, True))
+        }
 
 
 class TestTables:
     def test_unknown_table_id(self, capsys):
         assert main(["tables", "9-9"]) == 2
         assert "unknown tables" in capsys.readouterr().err
+
+    def test_a_table_prints_its_committed_report(self, capsys):
+        """The verb's path through ``harness.experiments``: the report
+        ``pytest benchmarks`` writes, then one blank line."""
+        from pathlib import Path
+
+        report = Path(__file__).parents[1] / "benchmarks" / "reports" / "task_durations.txt"
+        assert main(["tables", "task-durations"]) == 0
+        assert capsys.readouterr().out == report.read_text(encoding="utf-8") + "\n"
 
 
 class TestSchedck:
