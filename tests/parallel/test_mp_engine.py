@@ -487,14 +487,9 @@ class TestForwardDeadlockAvoidance:
     """
 
     def _state(self, pending_msgs):
-        from repro.parallel.mp.worker import _WorkerState
-
         class FakeNode:
             node_id = 1
             kind = "join"
-
-            def __init__(self):
-                self.ran = []
 
             def uses_line(self):
                 return True
@@ -502,13 +497,15 @@ class TestForwardDeadlockAvoidance:
             def key_for(self, side, token):
                 return ("k",)
 
-            def activate(self, ctx, side, sign, token):
-                # The "root" token emits one child, for the peer.
-                self.ran.append(token)
-                return [(self, side, sign, "child")] if token == "root" else []
-
         class FakeNetwork:
             beta_nodes = [FakeNode()]
+
+        return self._worker(FakeNetwork(), pending_msgs), FakeNetwork.beta_nodes[0]
+
+    @staticmethod
+    def _worker(network, pending_msgs):
+        """Worker 0 over ``network``, every line owned by its peer."""
+        from repro.parallel.mp.worker import _WorkerState
 
         class FakeShard:
             n_lines = 8
@@ -518,11 +515,11 @@ class TestForwardDeadlockAvoidance:
                 return 1  # always the peer
 
         state = _WorkerState(
-            0, FakeNetwork(), FakeShard(), FakeInbox(pending_msgs),
+            0, network, FakeShard(), FakeInbox(pending_msgs),
             outbox=FakeOutbox(), taskcount=FakeCount(),
         )
         state.tasks_done = FakeCount()
-        return state, FakeNetwork.beta_nodes[0]
+        return state
 
     @staticmethod
     def _peer(state, log):
@@ -599,19 +596,32 @@ class TestForwardDeadlockAvoidance:
         """The end-of-drain send absorbs our inbox first.  Acts taken in
         then must run before the drain returns: releasing their borrowed
         TaskCount units with the tasks still queued would let the count
-        reach zero with work pending."""
-        state, node = self._state([("acts", 9, [(1, "left", 1, "absorbed")])])
+        reach zero with work pending.  The root is a left token meeting
+        a stored right one at the first join, so it emits one child for
+        the peer; the absorbed act is a left token at the second join,
+        whose right memory is empty."""
+        from repro.rete import kernel
+        from repro.rete.token import of
+
+        _program, network = compiled_network("(p r (a) (b) (c) --> (halt))")
+        first, second = network.two_input_nodes()
+        a, b, other = (WME.make(k, {}, t) for k, t in (("a", 1), ("b", 2), ("a", 3)))
+        absorbed = of((other, b))
+        state = self._worker(network, [("acts", 9, [(second.node_id, "L", 1, absorbed)])])
+        assert kernel.drain(state.ctx, [(first, "R", 1, of((b,)))], state.route_children) == 1
         puts = []
         self._peer(state, puts)
         state.taskcount.value = 2  # our batch unit + the peer's forward
         state.seq = 9
-        state.local.append((node, "left", 1, "root"))
+        state.local.append((first, "L", 1, of((a,))))
 
         state.drain()
 
-        assert node.ran == ["root", "absorbed"]
         assert state.local == []
-        assert [msg for _empty, msg in puts] == [("acts", 9, [(1, "left", 1, "child")])]
+        assert state.ctx.stats.node_activations == 3
+        assert state.memory.left[(second.node_id, ())] == [absorbed]
+        assert [msg for _empty, msg in puts] == [
+            ("acts", 9, [(second.node_id, "L", 1, of((a, b)))])]
         state.release(1)
         assert state.taskcount.value == 1  # the unit of the child we sent
         assert state.outbox == []

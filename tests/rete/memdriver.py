@@ -1,17 +1,18 @@
-"""Drive a memory the way a two-input node does.
+"""Drive a memory the way a two-input node activation does.
 
-Memories hand out buckets and the nodes do the list work, so "insert",
-"remove" and "probe the opposite side" are no longer methods of a
-memory: they are what :meth:`TwoInputNode.activate` does with an
-arriving ``+`` or ``-`` token.  :class:`NodeMemory` runs exactly that
-frame against bare nodes (no tests, no children, a key function that
-answers whatever key the caller names), so the memory unit tests
-exercise the real store/delete path (strict error, conjugate hooks,
-examined counts) without compiling a network.
+Memories hand out buckets and the kernel does the list work, so
+"insert", "remove" and "probe the opposite side" are no longer methods
+of a memory: they are what an activation in :func:`repro.rete.kernel.drain`
+does with an arriving ``+`` or ``-`` token.  :class:`NodeMemory` runs
+exactly that loop against bare nodes (no tests, no children, a key
+function that answers whatever key the caller names), so the memory
+unit tests exercise the real store/delete path (strict error, conjugate
+hooks, examined counts) without compiling a network.
 """
 
 from repro.ops5.wme import WME
 from repro.parallel.conjugate import ConjugateMemory
+from repro.rete import kernel
 from repro.rete.memories import LEFT
 from repro.rete.nodes import JoinNode, MatchContext, NotNode
 from repro.rete.stats import MatchStats
@@ -23,7 +24,7 @@ class NodeMemory:
         self.memory = memory
         # Early deletes park on a conjugate memory and raise elsewhere.
         strict = not isinstance(memory, ConjugateMemory)
-        self.ctx = MatchContext(memory, MatchStats(), strict=strict, tracing=True)
+        self.ctx = MatchContext(memory, MatchStats(), strict=strict)
         self._nodes = {}
         self._key = ()
 
@@ -37,10 +38,13 @@ class NodeMemory:
                 node_id, (), (), None, None, lambda _wmes: self._key, lambda _w: self._key
             )
         self._key = key
-        assert self._nodes[node_id].activate(self.ctx, side, sign, token) == []
+        children = []
+        assert kernel.drain(self.ctx, [(self._nodes[node_id], side, sign, token)],
+                            children.extend) == 1
+        assert children == []
 
     def _bucket(self, node_id, side, key):
-        # What a node's ``activate`` does: unkeyed memories file
+        # What an activation does: unkeyed memories file
         # everything under ``()``.
         table = self.memory.left if side == LEFT else self.memory.right
         return table.get((node_id, key if self.memory.keyed else ()), ())
@@ -60,11 +64,13 @@ class NodeMemory:
         """``(stored item | None, tokens examined)``."""
         before = list(self._bucket(node_id, side, key))
         found = next((s for s in before if s[1] == token_key), None)
-        self.ctx.last_same_examined = 0
+        stats = self.ctx.stats
+        examined = stats.same_del_examined_left + stats.same_del_examined_right
         twin = of(tuple(WME.make("memdriver", {}, tag) for tag in token_key))
         self._activate(node_id, side, key, DELETE, twin)
+        examined = stats.same_del_examined_left + stats.same_del_examined_right - examined
         assert len(self._bucket(node_id, side, key)) == len(before) - (found is not None)
-        return found, self.ctx.last_same_examined
+        return found, examined
 
     def lookup_opposite(self, node_id, side, key):
         """``(opposite bucket, tokens a probe examines)``."""

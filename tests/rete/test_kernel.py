@@ -25,7 +25,14 @@ import repro
 from repro.engines import mp_supported
 from repro.obs import events
 from repro.ops5.interpreter import Interpreter
+from repro.ops5.parser import parse_program
+from repro.ops5.wme import WME
 from repro.programs import blocks, tourney
+from repro.rete import kernel
+from repro.rete.matcher import SequentialMatcher
+from repro.rete.network import ReteNetwork
+from repro.rete.token import ADD
+from repro.rete.trace import TraceRecorder
 
 SRC = Path(repro.__file__).parent
 
@@ -169,3 +176,71 @@ class TestInstrumentedOnce:
         for node_id, agg in nodes.items():
             assert agg[0] == seq_nodes[node_id][0]
             assert agg[1] >= seq_nodes[node_id][1]
+
+
+#: Joins keyed on ``<v>``, one with a residual test, a not node and two
+#: productions: enough fan-out that one change runs a few dozen
+#: activations.
+LIMIT_SOURCE = (
+    "(p r (a ^x <v> ^n <n>) (b ^y <v>) (c ^z <v> ^m <> <n>) --> (halt))\n"
+    "(p s (a ^x <v>) - (c ^z <v> ^m 0) --> (halt))"
+)
+
+
+def limit_batch():
+    """Tokens waiting at both joins; the last change, a ``b``, meets
+    all of them."""
+    out = []
+    for v in range(3):
+        for klass, attrs in (("a", {"x": 1, "n": v}), ("b", {"y": 1}), ("c", {"z": 1, "m": v + 3}),
+                             ("c", {"z": 1, "m": 0}), ("a", {"x": 2, "n": v})):
+            out.append((ADD, WME.make(klass, attrs, len(out) + 1)))
+    return out + [(ADD, WME.make("b", {"y": 1}, len(out) + 1))]
+
+
+class TestDrainLimit:
+    """``drain(..., limit=n)`` is the mp worker's inbox-poll interval:
+    it must run exactly ``n`` activations, in the order an unlimited
+    drain runs them, and leave the rest on the stack for the next call."""
+
+    def _twins(self):
+        network = ReteNetwork.compile(parse_program(LIMIT_SOURCE))
+        recorder = TraceRecorder()
+        whole = SequentialMatcher(network, recorder=recorder)
+        limited = SequentialMatcher(network)
+        batch = limit_batch()
+        for sign, wme in batch[:-1]:
+            kernel.match_change(network, whole.ctx, sign, wme, recorder)
+            kernel.match_change(network, limited.ctx, sign, wme)
+        first = len(recorder.trace.tasks)
+        sign, wme = batch[-1]
+        kernel.match_change(network, whole.ctx, sign, wme, recorder)
+        order = [(t.node_id, t.side, t.sign) for t in recorder.trace.tasks[first:]]
+        stack = []
+        kernel.enter_change(network, limited.stats, sign, wme, stack.extend)
+        return network, whole, limited, stack, order
+
+    def test_limit_runs_exactly_n_and_leaves_the_rest_in_order(self):
+        _network, whole, limited, stack, order = self._twins()
+        assert len(order) >= 15                                   # not vacuous
+        ran = []
+        while stack:
+            node, side, sign, _token = stack[-1]
+            before = limited.stats.node_activations
+            assert kernel.drain(limited.ctx, stack, stack.extend, limit=1) == 1
+            assert limited.stats.node_activations == before + 1
+            ran.append((node.node_id, side, sign))
+        assert ran == order
+        assert limited.stats == whole.stats
+        assert limited.ctx.cs_deltas == whole.ctx.cs_deltas
+
+    def test_a_stretch_stops_at_its_limit(self):
+        _network, whole, limited, stack, order = self._twins()
+        stretches = []
+        while stack:
+            before = limited.stats.node_activations
+            ran = kernel.drain(limited.ctx, stack, stack.extend, limit=7)
+            assert limited.stats.node_activations == before + ran
+            stretches.append(ran)
+        assert stretches == [7] * (len(order) // 7) + [len(order) % 7] * bool(len(order) % 7)
+        assert limited.stats == whole.stats
