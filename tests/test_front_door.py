@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,26 @@ DOCUMENTS = [
     REPO / ".github" / "workflows" / "ci.yml",
 ]
 SYNOPSIS = ("[", "<", "...", "…")
-SHELL_OPERATORS = {">", ">>", "|", "&", "&&", "2>&1", ";"}
+SHELL_OPERATORS = {">", ">>", "|", "&", "&&", "2>&1", ";", "<"}
+
+
+def command_argv(command):
+    """The argv of one ``python -m repro ...`` command: its words up to
+    the first shell operator (a redirect ``< file`` and a process
+    substitution ``<(...)`` included), or None for a synopsis — a word
+    of the argv holding a SYNOPSIS mark, such as ``<battery>``.  Words
+    are read one at a time, so what follows the operator is never
+    parsed."""
+    words = shlex.shlex(command, posix=True)
+    words.whitespace_split = True
+    argv = []
+    for token in islice(words, 3, None):
+        if token in SHELL_OPERATORS or token.startswith("<("):
+            break
+        if any(mark in token for mark in SYNOPSIS):
+            return None
+        argv.append(token.rstrip(")").rstrip(","))
+    return argv
 
 
 def documented_commands():
@@ -57,20 +77,28 @@ def documented_commands():
             lineno += 1
             continued, line = line.count("\x00"), line.replace("\x00", "")
             for chunk in re.split(r"(?=python -m repro)", line)[1:]:
-                command = chunk.split("`")[0]
-                if any(mark in command for mark in SYNOPSIS):
-                    continue
-                argv = []
-                for token in shlex.split(command, comments=True)[3:]:
-                    if token in SHELL_OPERATORS:
-                        break
-                    argv.append(token.rstrip(")").rstrip(","))
-                yield pytest.param(argv, id=f"{doc.name}:{lineno}:{' '.join(argv)}")
+                argv = command_argv(chunk.split("`")[0])
+                if argv is not None:
+                    yield pytest.param(argv, id=f"{doc.name}:{lineno}:{' '.join(argv)}")
             lineno += continued
 
 
 def test_the_documents_hold_commands():
     assert len(list(documented_commands())) >= 40
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("python -m repro tables task-durations | diff <(cat x; echo) -", ["tables", "task-durations"]),
+    ("python -m repro run blocks < in.txt", ["run", "blocks"]),
+    ("python -m repro run blocks <(printf '(make a') x", ["run", "blocks"]),
+    ("python -m repro check <battery> --seed 1", None),
+    ("python -m repro run blocks --seed N ...", None),
+])
+def test_argv_stops_at_shell_operators_and_synopses_are_skipped(line, argv):
+    """A synopsis mark counts only inside the argv: a real command piped
+    into ``diff <(...)`` or fed by ``< file`` gets an argv, and so a
+    test; ``check <battery>`` is still a synopsis."""
+    assert command_argv(line) == argv
 
 
 @pytest.mark.parametrize("argv", documented_commands())
