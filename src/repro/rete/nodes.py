@@ -15,10 +15,11 @@ in separate memory-node objects:
   condition element (keeps match counts on its left tokens);
 * :class:`TerminalNode` — one per production; emits conflict-set deltas.
 
-``activate`` methods contain the pure match logic.  They read and write
-memories through the context object and *return* the resulting child
-tasks instead of recursing; :mod:`repro.rete.kernel` is their only
-caller and hands the children to whichever engine is scheduling.
+The nodes are data: ids, tests, key functions, children.  What one
+activation does with them — key, store-or-delete, opposite search,
+output, or a conflict-set change — is one iteration of the kernel's
+loop (:func:`repro.rete.kernel.drain`), not a method here, so an
+activation builds no Python frame of its own.
 
 A *task* — the paper's schedulable unit of match work, a token arriving
 at a node — is the plain tuple ``(node, side, sign, token)``: ``side``
@@ -37,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..ops5.astnodes import Production
 from ..ops5.wme import WME
 from .memories import LEFT
-from .token import ADD, Token, fmt
+from .token import Token
 
 Task = Tuple["BetaNode", str, int, Token]
 #: A conflict-set change, as a terminal node appends it.
@@ -45,51 +46,31 @@ CSDelta = Tuple[Production, Token, int]
 
 
 class MatchContext:
-    """Everything node activation logic needs: memories, stats, CS sink.
+    """Everything an activation needs besides its task: memories, stats,
+    the conflict-set sink.
 
-    ``strict`` controls what a two-input node does when a ``-`` token
-    finds no stored ``+`` twin: in the sequential matcher (in-order
-    processing) that is a bug and raises; the parallel engines run with
-    ``strict=False`` over a
+    ``strict`` controls what a two-input activation does when a ``-``
+    token finds no stored ``+`` twin: in the sequential matcher
+    (in-order processing) that is a bug and raises; the parallel engines
+    run with ``strict=False`` over a
     :class:`~repro.parallel.conjugate.ConjugateMemory`, whose
-    extra-deletes lists (§3.2) the node then consults before every
+    extra-deletes lists (§3.2) the kernel then consults before every
     store and parks the early delete on.  ``keyed`` is the memory's
-    hash-vs-linear choice, read once here instead of per activation.
-    ``locks`` is None except under the threaded engine, which hangs its
-    line locks here for the node's §3.2 modification bracket.
+    hash-vs-linear choice.  ``locks`` is None except under the threaded
+    engine, which hangs its line locks here for the §3.2 line and
+    modification brackets.  The kernel reads all of them once per
+    drain.
     """
 
-    __slots__ = (
-        "memory",
-        "stats",
-        "cs_deltas",
-        "strict",
-        "keyed",
-        "tracing",
-        "locks",
-        "last_line",
-        "last_slot",
-        "last_opp_examined",
-        "last_same_examined",
-    )
+    __slots__ = ("memory", "stats", "cs_deltas", "strict", "keyed", "locks")
 
-    def __init__(self, memory, stats, strict: bool = True, tracing: bool = False) -> None:
+    def __init__(self, memory, stats, strict: bool = True) -> None:
         self.memory = memory
         self.stats = stats
         self.strict = strict
         self.keyed = memory.keyed
-        self.tracing = tracing
         self.locks = None
         self.cs_deltas: List[CSDelta] = []
-        # Per-activation probes, maintained only under `tracing`: the
-        # kernel clears them before each activation, the node fills in
-        # the examined counts and the bucket it filed under, the kernel
-        # reads them.  `last_line` is the line the kernel entered under
-        # `locks`, left here for the node to bracket.
-        self.last_line = -1
-        self.last_slot = None
-        self.last_opp_examined = 0
-        self.last_same_examined = 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +117,13 @@ class BetaNode:
     """Common base for two-input and terminal nodes."""
 
     kind = "beta"
+    #: A terminal's production; None on a two-input node, which is how
+    #: the kernel tells the two apart.
+    production: Optional[Production] = None
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.children: List[BetaNode] = []
-
-    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
-        raise NotImplementedError
 
     def uses_line(self) -> bool:
         """Whether activations of this node touch a hash-table line."""
@@ -150,9 +131,8 @@ class BetaNode:
 
 
 class TwoInputNode(BetaNode):
-    """Coalesced memory + two-input node: one token at one node is one
-    procedure call (§3.1), and :meth:`activate` is that call for join
-    and not nodes alike.
+    """Coalesced memory + two-input node (§3.1), join and not alike: the
+    kernel runs one token at one of them as one iteration of its loop.
 
     ``tests`` holds the full descriptor list; ``eq_descs`` the subset of
     plain equality tests that form the hash key.  ``tests_fn`` evaluates
@@ -189,175 +169,14 @@ class TwoInputNode(BetaNode):
         return True
 
     def key_for(self, side: str, token: Token) -> tuple:
-        """The hash key ``token`` is filed under on ``side`` — the
-        engines' line-routing helper (which line lock, which shard).
-        ``activate`` computes the same key inline."""
+        """The hash key ``token`` is filed under on ``side`` — the mp
+        engine's routing helper (which shard owns the line).  The
+        kernel computes the same key inline."""
         if side == LEFT:
             key_fn, arg = self.left_key_fn, token[0]
         else:
             key_fn, arg = self.right_key_fn, token[0][-1]
         return () if key_fn is None else key_fn(arg)
-
-    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
-        """Key, store-or-delete, opposite search, output — in this one
-        frame.  A join node stores the token itself and outputs it
-        joined with every consistent opposite token; a not node stores
-        each left token as the list ``[token, key, count]``, ``count``
-        the number of consistent right WMEs, and a left token is live
-        downstream iff its count is zero.  Index 1 is the key in a token
-        and in an entry alike, so one delete scan serves both memories.
-        Output tokens are built inline, as tuples: no frame per token.
-
-        Under the threaded engine (``ctx.locks``, on the line the kernel
-        entered and left in ``ctx.last_line``) the memory update runs
-        inside the §3.2 modification lock and the search outside it; a
-        not node mutates left-entry counts while it searches, so it
-        holds the lock throughout.  No copy of the opposite bucket is
-        taken: whatever guards the line keeps the other side's tokens
-        out while this side searches.
-        """
-        memory = ctx.memory
-        stats = ctx.stats
-        node_id = self.node_id
-        negated = self.negated
-        wmes, token_key = token
-        # `arg` is what the key function reads: the left token's WMEs,
-        # or the right token's one WME; `counted` is a not node's left
-        # token, the one stored with a count.
-        if side == LEFT:
-            key_fn, arg, counted = self.left_key_fn, wmes, negated
-            same, opposite = memory.left, memory.right
-        else:
-            key_fn, arg, counted = self.right_key_fn, wmes[-1], False
-            same, opposite = memory.right, memory.left
-        # Hash buckets already guarantee the equality tests via the
-        # key; the unkeyed (linear) layout must re-check everything.
-        if not ctx.keyed:
-            passes = self.all_tests_fn
-            key = ()
-        else:
-            passes = self.tests_fn
-            key = () if key_fn is None else key_fn(arg)
-        slot = (node_id, key)
-        stats.node_activations += 1
-        if negated:
-            stats.not_activations += 1
-        locks = ctx.locks
-        if locks is not None:
-            line = ctx.last_line
-            locks.enter_modify(line)
-        elif ctx.tracing:
-            ctx.last_slot = slot
-        try:
-            if sign == ADD:
-                item = token
-                if counted:
-                    count = 0
-                    rights = opposite.get(slot)
-                    if rights:
-                        stats.opp_examined_left += len(rights)
-                        stats.opp_count_left += 1
-                        if ctx.tracing:
-                            ctx.last_opp_examined = len(rights)
-                        for right in rights:
-                            if passes is None or passes(wmes, right[0][0]):
-                                count += 1
-                    item = [token, token_key, count]
-                if not ctx.strict and memory.before_insert(node_id, side, key, token_key):
-                    # A parked early delete annihilated this add (§3.2).
-                    return []
-                bucket = same.get(slot)
-                if bucket is None:
-                    same[slot] = [item]
-                else:
-                    bucket.append(item)
-            else:
-                if not ctx.strict:
-                    memory.before_remove(node_id, side, key)
-                bucket = same.get(slot, ())
-                item = None
-                examined = 0
-                for stored in bucket:
-                    examined += 1
-                    if stored[1] == token_key:
-                        item = stored
-                        del bucket[examined - 1]
-                        if not bucket:
-                            del same[slot]
-                        break
-                if examined:
-                    if side == LEFT:
-                        stats.same_del_examined_left += examined
-                        stats.same_del_count_left += 1
-                    else:
-                        stats.same_del_examined_right += examined
-                        stats.same_del_count_right += 1
-                    if ctx.tracing:
-                        ctx.last_same_examined = examined
-                if item is None:
-                    if ctx.strict:
-                        raise RuntimeError(
-                            f"delete of unknown token {fmt(token)} at {self.kind} node {node_id}"
-                        )
-                    memory.park(node_id, side, key, token_key)
-                    return []
-            if locks is not None and not negated:
-                locks.exit_modify(line)
-                locks = None
-
-            children = self.children
-            out = []
-            if counted:
-                if item[2]:
-                    return out
-                for child in children:
-                    out.append((child, LEFT, sign, token))
-            else:
-                candidates = opposite.get(slot)
-                if not candidates:
-                    # The paper's convention: an empty opposite memory
-                    # is left out of the Table 4-2 average.
-                    return out
-                if ctx.tracing:
-                    ctx.last_opp_examined = len(candidates)
-                if side == LEFT:
-                    stats.opp_examined_left += len(candidates)
-                    stats.opp_count_left += 1
-                    for right in candidates:
-                        w = right[0][0]
-                        if passes is None or passes(wmes, w):
-                            joined = (wmes + (w,), token_key + (w.timetag,))
-                            for child in children:
-                                out.append((child, LEFT, sign, joined))
-                else:
-                    stats.opp_examined_right += len(candidates)
-                    stats.opp_count_right += 1
-                    w = arg
-                    if negated:
-                        # A blocker arriving takes a count 0 -> 1 and
-                        # retracts the left token; one leaving, 1 -> 0,
-                        # re-asserts it.
-                        edge = 1 if sign == ADD else 0
-                        for entry in candidates:
-                            left = entry[0]
-                            if passes is None or passes(left[0], w):
-                                entry[2] += sign
-                                if entry[2] == edge:
-                                    for child in children:
-                                        out.append((child, LEFT, -sign, left))
-                    else:
-                        tail = (w,)
-                        tag = (w.timetag,)
-                        for left_wmes, left_key in candidates:
-                            if passes is None or passes(left_wmes, w):
-                                joined = (left_wmes + tail, left_key + tag)
-                                for child in children:
-                                    out.append((child, LEFT, sign, joined))
-            stats.tokens_emitted += len(out)
-            return out
-        finally:
-            if locks is not None:
-                locks.exit_modify(line)
 
 
 class JoinNode(TwoInputNode):
@@ -374,20 +193,11 @@ class NotNode(TwoInputNode):
 
 
 class TerminalNode(BetaNode):
-    """One per production: converts arriving tokens into conflict-set
-    changes, each the tuple ``(production, token, sign)``."""
+    """One per production: the kernel turns each token arriving here
+    into a conflict-set change, the tuple ``(production, token, sign)``."""
 
     kind = "term"
 
     def __init__(self, node_id: int, production: Production) -> None:
         super().__init__(node_id)
         self.production = production
-
-    def activate(self, ctx: MatchContext, side: str, sign: int, token: Token) -> List[Task]:
-        stats = ctx.stats
-        stats.node_activations += 1
-        stats.term_activations += 1
-        stats.cs_changes += 1
-        ctx.cs_deltas.append((self.production, token, sign))
-        return []
-

@@ -32,7 +32,7 @@ TERM = "term"
 class TaskRecord(NamedTuple):
     """One node activation = one schedulable task.  A tuple: a trace
     holds one per activation for as long as the simulator replays it,
-    and the recorder builds each with one C-level ``tuple.__new__``."""
+    and the kernel builds each with one C-level ``tuple.__new__``."""
 
     tid: int
     parent: int              # -1 for first-level tasks (children of a change)
@@ -46,8 +46,6 @@ class TaskRecord(NamedTuple):
     n_children: int
     change_seq: int          # index of the owning WM change within its cycle
 
-
-_new_record = tuple.__new__
 
 
 @dataclass
@@ -162,7 +160,8 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.trace = MatchTrace()
         self._cycle: Optional[CycleRecord] = None
-        self._change: Optional[ChangeRecord] = None
+        #: The change being recorded: the kernel files its tasks under it.
+        self.change: Optional[ChangeRecord] = None
         #: bucket ``(node_id, key)`` -> its line: the kernel hashes a
         #: distinct bucket once per recording (:meth:`line_of`).
         self.lines: Dict[Tuple[int, tuple], int] = {}
@@ -182,7 +181,7 @@ class TraceRecorder:
         if self._cycle is not None:
             self._cycle.cs_deltas = cs_deltas
         self._cycle = None
-        self._change = None
+        self.change = None
 
     def begin_change(self, n_const_tests: int, n_alpha_hits: int) -> ChangeRecord:
         if self._cycle is None:
@@ -196,10 +195,10 @@ class TraceRecorder:
             n_alpha_hits=n_alpha_hits,
         )
         self._cycle.changes.append(change)
-        self._change = change
+        self.change = change
         return change
 
-    # -- task recording (called by the matcher's scheduling loop) ---------
+    # -- task recording (the kernel's loop appends the records) -----------
 
     def line_of(self, memory: MemorySystem, slot: Tuple[int, tuple]) -> int:
         """``memory.line_of(*slot)``, entered once per bucket the kernel
@@ -214,18 +213,3 @@ class TraceRecorder:
             line = node_id
         self.lines[slot] = line
         return line
-
-    def add_task(self, parent: int, kind: str, node_id: int, side: str, sign: int, line: int,
-                 opp_examined: int, same_examined: int, n_children: int) -> int:
-        """Record one task; returns its tid.  The kernel calls this
-        positionally, once per activation."""
-        tasks = self.trace.tasks
-        tid = len(tasks)
-        change = self._change       # None outside a change: an error
-        tasks.append(_new_record(TaskRecord, (
-            tid, parent, kind, node_id, side, sign, line,
-            opp_examined, same_examined, n_children, change.seq,
-        )))
-        if parent < 0:
-            change.first_level.append(tid)
-        return tid

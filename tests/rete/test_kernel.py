@@ -1,19 +1,24 @@
 """The activation kernel is the only match loop — checked, not asserted.
 
-Two guards:
+Three guards:
 
-* **Structure.**  An ``ast`` scan of ``src/repro`` proves that node
-  activations, the alpha dispatch and the ``node_hit`` probe are called
-  from :mod:`repro.rete.kernel` alone (corgi's separate engine is the
-  named exception), and that the phase split a two-input activation
-  used to be — ``class Activation``, ``update_memory``,
-  ``search_opposite`` — is defined nowhere.  A fourth hand-rolled loop
-  in some engine, or a second copy of the activation frame, fails here.
+* **Structure.**  An ``ast`` scan of ``src/repro`` proves that the
+  alpha dispatch and the ``node_hit`` probe are called from
+  :mod:`repro.rete.kernel` alone (corgi's separate engine is the named
+  exception), that no class defines a node activation
+  ``activate(ctx, side, sign, token)`` — an activation is one
+  iteration of the kernel's loop — and that the phase split a
+  two-input activation used to be — ``class Activation``,
+  ``update_memory``, ``search_opposite`` — is defined nowhere.  A
+  fourth hand-rolled loop in some engine, or a second copy of the
+  activation, fails here.
 * **Instrumented once.**  With the bus on, the threaded and mp
   engines' per-node profiles equal their own ``MatchStats`` in total
   and per kind, and cover the node set the sequential matcher
   activates — the probe sits in the kernel, so no engine can under- or
   double-report.
+* **Stretches.**  ``drain(..., limit=n)`` runs exactly ``n``
+  activations, in the unlimited order.
 """
 
 import ast
@@ -41,7 +46,6 @@ KERNEL = "rete/kernel.py"
 #: method name -> files (relative to src/repro; a trailing "/" means a
 #: package) allowed to call it.
 ALLOWED = {
-    "activate": {KERNEL},
     "alpha_dispatch": {KERNEL, "corgi/"},
     "node_hit": {KERNEL, "corgi/"},
 }
@@ -54,15 +58,7 @@ def _calls(tree):
 
 
 def _is_guarded(call: ast.Call) -> bool:
-    name = call.func.attr
-    if name not in ALLOWED:
-        return False
-    if name == "activate":
-        # `node.activate(ctx, side, sign, token)` — not the unrelated
-        # zero/one-arg activate() methods of the obs context and the
-        # schedck harness.
-        return len(call.args) == 4
-    return True
+    return call.func.attr in ALLOWED
 
 
 def _permitted(rel: str, name: str) -> bool:
@@ -90,9 +86,8 @@ class TestOneKernel:
         assert {(KERNEL, name) for name in ALLOWED} <= seen
 
     def test_the_phase_split_is_defined_nowhere(self):
-        """One frame, one copy of the text: the task class and the two
-        phases were deleted, not kept beside ``TwoInputNode.activate``,
-        and no node kind overrides that one frame."""
+        """One copy of the text: the task class and the two phases were
+        deleted, not kept beside the kernel's loop."""
         gone = {"Activation", "update_memory", "search_opposite"}
         defined = set()
         for path in sorted(SRC.rglob("*.py")):
@@ -100,9 +95,23 @@ class TestOneKernel:
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone:
                     defined.add(f"{path.relative_to(SRC).as_posix()}:{node.name}")
         assert defined == set()
-        from repro.rete.nodes import JoinNode, NotNode, TwoInputNode
 
-        assert JoinNode.activate is NotNode.activate is TwoInputNode.activate
+    def test_no_class_defines_a_node_activation(self):
+        """An activation is one iteration of ``kernel.drain``: no class
+        has an ``activate(ctx, side, sign, token)`` method beside it
+        (the unrelated zero/one-argument ``activate`` of the obs
+        context and the schedck harness are not activations)."""
+        methods = []
+        for path in sorted(SRC.rglob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "activate":
+                        methods.append((path.relative_to(SRC).as_posix(), cls.name,
+                                        len(fn.args.args)))
+        assert [m for m in methods if m[2] >= 5] == []
+        assert methods                              # not vacuous: the harness's
 
 
 PROGRAMS = {

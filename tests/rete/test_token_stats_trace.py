@@ -190,35 +190,38 @@ class TestMatchStats:
         assert {"wme_changes", "node_activations", "mean_opp_left"} <= set(summary)
 
 
+def recorded_pair(production="r1"):
+    """A recorder that saw one cycle of two changes at one join: ``c 1``
+    enters on the left (task 0), ``c 2`` on the right (task 1) and
+    joins it, and the token reaches the terminal (task 2)."""
+    from repro.ops5.parser import parse_program
+    from repro.ops5.wme import WMEChange
+    from repro.rete.matcher import SequentialMatcher
+    from repro.rete.network import ReteNetwork
+
+    rec = TraceRecorder()
+    network = ReteNetwork.compile(parse_program("(p r (c ^i 1) (c ^i 2) --> (halt))"))
+    matcher = SequentialMatcher(network, recorder=rec)
+    rec.begin_cycle(production, n_rhs_actions=3)
+    matcher.process_changes([WMEChange(ADD, w(1)), WMEChange(ADD, w(2))])
+    rec.end_cycle(cs_deltas=1)
+    return rec
+
+
 class TestTraceRecorder:
     def test_cycle_and_change_structure(self):
-        rec = TraceRecorder()
-        rec.begin_cycle("r1", n_rhs_actions=3)
-        rec.begin_change(n_const_tests=5, n_alpha_hits=2)
-        tid = rec.add_task(-1, "join", 7, "L", 1, line=3,
-                           opp_examined=2, same_examined=0, n_children=1)
-        rec.add_task(tid, "term", 8, "L", 1, line=-1,
-                     opp_examined=0, same_examined=0, n_children=0)
-        rec.end_cycle(cs_deltas=1)
-
-        trace = rec.trace
-        assert trace.n_tasks == 2
-        assert trace.n_changes == 1
+        trace = recorded_pair().trace
+        assert trace.n_tasks == 3
+        assert trace.n_changes == 2
         cyc = trace.cycles[0]
         assert cyc.production == "r1"
         assert cyc.cs_deltas == 1
-        assert cyc.changes[0].first_level == [0]
+        assert [c.first_level for c in cyc.changes] == [[0], [1]]
+        assert [t.parent for t in trace.tasks] == [-1, -1, 1]
 
     def test_children_index(self):
-        rec = TraceRecorder()
-        rec.begin_cycle("r", 1)
-        rec.begin_change(1, 1)
-        a = rec.add_task(-1, "join", 1, "L", 1, 0, 0, 0, 2)
-        b = rec.add_task(a, "join", 2, "L", 1, 0, 0, 0, 0)
-        c = rec.add_task(a, "term", 3, "L", 1, -1, 0, 0, 0)
-        children = rec.trace.children_index()
-        assert children[a] == [b, c]
-        assert children[b] == []
+        children = recorded_pair().trace.children_index()
+        assert children == [[], [2], []]
 
     def test_startup_changes_get_synthetic_cycle(self):
         rec = TraceRecorder()
@@ -226,10 +229,6 @@ class TestTraceRecorder:
         assert rec.trace.cycles[0].production == "<startup>"
 
     def test_summary(self):
-        rec = TraceRecorder()
-        rec.begin_cycle("r", 1)
-        rec.begin_change(1, 1)
-        rec.add_task(-1, "join", 1, "L", 1, 0, 0, 0, 0)
-        s = rec.trace.summary()
-        assert s["tasks"] == 1
-        assert s["by_kind"] == {"join": 1}
+        s = recorded_pair().trace.summary()
+        assert s["tasks"] == 3
+        assert s["by_kind"] == {"join": 2, "term": 1}

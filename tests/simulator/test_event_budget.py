@@ -27,7 +27,7 @@ import pytest
 import repro
 from repro.ops5.interpreter import Interpreter
 from repro.programs import weaver
-from repro.rete.trace import TraceRecorder
+from repro.rete.trace import TaskRecord, TraceRecorder
 from repro.simulator.engine import simulate
 from repro.simulator.machine import DEFAULT_CONFIG, task_columns, task_cost, task_cost_parts
 
@@ -120,8 +120,7 @@ def test_a_trace_is_derived_once_and_priced_once_per_configuration():
     # Back on the default configuration: priced afresh, the same result.
     assert replay(3, 1)[0] == first and columns.costs[0] is DEFAULT_CONFIG
 
-    recorder.begin_change(1, 1)
-    recorder.add_task(-1, "join", 1, "L", 1, 0, 0, 0, 0)
+    trace.tasks.append(TaskRecord(trace.n_tasks, -1, "join", 1, "L", 1, 0, 0, 0, 0, 0))
     assert trace.columns() is not columns and trace.columns().n == columns.n + 1
     trace.tasks = trace.tasks[:-1]
     assert trace.columns().tasks is trace.tasks and trace.columns().n == columns.n

@@ -90,12 +90,22 @@ class TestConjugateAccounting:
         assert memory.pending_deletes == 1
 
 
+def break_keys(network):
+    """Make the first join's key functions raise inside a worker."""
+
+    def broken(_arg):
+        raise ValueError("injected key failure")
+
+    node = network.two_input_nodes()[0]
+    node.left_key_fn = node.right_key_fn = broken
+
+
 class TestWorkerFaultPropagation:
     def test_exception_in_worker_reaches_control(self):
         program = parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
         network = ReteNetwork.compile(program)
         matcher = ParallelMatcher(network, n_workers=2)
-        network.two_input_nodes()[0].key_for = None  # type: ignore[assignment]
+        break_keys(network)
         wm = WorkingMemory()
         with pytest.raises(RuntimeError, match="match process failed"):
             matcher.process_changes([WMEChange(1, wm.add("a", {"x": 1}))])
@@ -110,7 +120,7 @@ class TestWorkerFaultPropagation:
         wm = WorkingMemory()
         a = wm.add("a", {"x": 1})
         matcher.process_changes([WMEChange(1, a)])
-        network.two_input_nodes()[0].key_for = None  # type: ignore[assignment]
+        break_keys(network)
         pushed = []
         push = matcher.queues.push
         matcher.queues.push = lambda task, home=0: (pushed.append(task), push(task, home))
@@ -125,7 +135,7 @@ class TestWorkerFaultPropagation:
         program = parse_program("(p r (a ^x <v>) (b ^y <v>) --> (halt))")
         network = ReteNetwork.compile(program)
         matcher = ParallelMatcher(network, n_workers=1)
-        network.two_input_nodes()[0].key_for = None  # type: ignore[assignment]
+        break_keys(network)
         wm = WorkingMemory()
         with pytest.raises(RuntimeError):
             matcher.process_changes([WMEChange(1, wm.add("a", {"x": 1}))])
