@@ -10,7 +10,9 @@ batch cannot reach a firing; the multiset per batch can), and the final
 history, not of the implementation.  ``tokens_emitted`` and
 ``gate_prunes`` are ceilings: a change may derive less, never more.
 ``lazy_skips`` and ``node_activations`` are deliberately not pinned
-(docs/PERF.md says what they count).
+(docs/PERF.md says what they count).  ``EXACT`` pins those two counts
+and the link transitions exactly, at the benchmark's sizes, so a
+rewrite of the enumeration that derived or pruned less fails too.
 
 Regenerate (only when the delta stream changes on purpose)::
 
@@ -93,6 +95,35 @@ def observe(case: str) -> dict:
             "tokens_emitted_max": matcher.stats.tokens_emitted,
             "gate_prunes_max": matcher.counters["gate_prunes"],
         }
+    finally:
+        interp.close()
+
+
+#: ``(tokens_emitted, gate_prunes, unlinks, relinks)`` of a whole run
+#: at the sizes of ``bench/workloads.py``, observed at ``6d70790`` (the
+#: depth-first enumerator, one frame per partial instantiation).
+EXACT = {
+    "rubik": (lambda: rubik.source(n_moves=16, seed=1988), (87877, 5338, 3760, 3824)),
+    "tourney": (lambda: tourney.source(n_teams=26, n_rounds=40),
+                (323349, 28665, 922, 927)),
+    "weaver": (lambda: weaver.source(grid=8, n_nets=4), (8331, 7721, 2698, 2698)),
+}
+
+
+@pytest.mark.parametrize("program", sorted(EXACT))
+def test_derivation_counts_are_exactly_the_pinned_ones(program):
+    source, pinned = EXACT[program]
+    interp = Interpreter(source(), engine="corgi")
+    try:
+        interp.run()
+        matcher = interp.matcher
+        counters = matcher.counters
+        assert (
+            matcher.stats.tokens_emitted,
+            counters["gate_prunes"],
+            counters["unlinks"],
+            counters["relinks"],
+        ) == pinned
     finally:
         interp.close()
 
