@@ -26,7 +26,7 @@ demand (a complete candidate) exists.
 **Lazy join evaluation.**  Adds seed enumeration *from the changed
 WME*: only combinations containing the new WME are derived, walking
 positive slots in CE order through the same hash keys and residual
-tests the Rete two-input nodes use, one Python frame per level.  When
+tests the Rete two-input nodes use, one loop per level.  When
 one WME matches several slots of one production, each combination is
 generated exactly once — at the *first* slot it occupies (earlier slots
 exclude it, later ones include it).  Instantiations are indexed by
@@ -160,11 +160,11 @@ class CorgiMatcher(Matcher):
         touched = [mem for terminal in hits for mem in mems_of[terminal.alpha_id]]
         deltas: List[CSDelta] = []
         if change.sign == ADD:
-            self._apply_add(change.wme, touched, deltas, obs_on)
+            visits = self._apply_add(change.wme, touched, deltas, obs_on)
         else:
-            self._apply_delete(change.wme, touched, deltas, obs_on)
+            visits = self._apply_delete(change.wme, touched, deltas, obs_on)
 
-        stats.node_activations += len(deltas)
+        stats.node_activations += visits + len(deltas)
         stats.term_activations += len(deltas)
         stats.cs_changes += len(deltas)
         if obs_on:
@@ -262,9 +262,7 @@ class CorgiMatcher(Matcher):
 
     # -- add path --------------------------------------------------------
 
-    def _apply_add(self, wme, touched, deltas, obs_on) -> None:
-        stats = self.stats
-        counters = self.counters
+    def _apply_add(self, wme, touched, deltas, obs_on) -> int:
         states = self._states
         tt = wme.timetag
         # Phase 1: the WME enters every memory it passes into first, so
@@ -285,30 +283,32 @@ class CorgiMatcher(Matcher):
                         if not rs.n_empty:
                             self._link(rs, obs_on)
 
+        visits = nots = skips = 0
         for mem in touched:
             skipped = len(mem.readers) - len(mem.linked)
             if skipped:
-                counters["lazy_skips"] += skipped
+                skips += skipped
                 if obs_on:
                     _obs.count("corgi.lazy_skip", skipped)
             for slot, rs in mem.linked.items():
                 plan = rs.plan
-                stats.node_activations += 1
-                self._examined = 0
+                visits += 1
                 if obs_on:
+                    self._examined = 0
                     t0 = _obs.now()
-                before = len(deltas)
+                    before = len(deltas)
                 if slot.positive:
                     for token in self._enumerate(rs, slot, wme):
                         self._keep(rs, token)
                         deltas.append((plan.production, token, ADD))
                 else:
                     # A negated add can only kill existing instantiations.
-                    stats.not_activations += 1
+                    nots += 1
                     if rs.cs:
                         left_key, tests = slot.left_key, slot.tests
                         key = slot.right_key(wme) if left_key is not None else None
-                        self._examined += len(rs.cs)
+                        if obs_on:
+                            self._examined += len(rs.cs)
                         dead = [
                             k
                             for k, tok in rs.cs.items()
@@ -320,11 +320,13 @@ class CorgiMatcher(Matcher):
                 if obs_on:
                     self._hit(slot, plan, _obs.now() - t0, self._examined,
                               len(deltas) - before)
+        self.counters["lazy_skips"] += skips
+        self.stats.not_activations += nots
+        return visits
 
     # -- delete path -----------------------------------------------------
 
-    def _apply_delete(self, wme, touched, deltas, obs_on) -> None:
-        stats = self.stats
+    def _apply_delete(self, wme, touched, deltas, obs_on) -> int:
         states = self._states
         tt = wme.timetag
         found = []
@@ -350,24 +352,26 @@ class CorgiMatcher(Matcher):
                         if rs.n_empty == 1:
                             self._unlink(rs, slot, deltas, obs_on)
 
+        visits = nots = 0
         for mem in touched:
             for slot, rs in mem.linked.items():
                 plan = rs.plan
-                stats.node_activations += 1
-                self._examined = 0
+                visits += 1
                 if obs_on:
+                    self._examined = 0
                     t0 = _obs.now()
-                before = len(deltas)
+                    before = len(deltas)
                 if slot.positive:
                     # Exactly the instantiations the WME sits in, at
                     # whatever slot (timetags are unique).
                     dead = rs.by_tt.get(tt)
                     if dead:
-                        self._examined += len(dead)
+                        if obs_on:
+                            self._examined += len(dead)
                         for k in list(dead):
                             deltas.append((plan.production, self._drop(rs, k), DELETE))
                 else:
-                    stats.not_activations += 1
+                    nots += 1
                     # Removing a negated-slot WME can only *unblock*: a
                     # fresh full derivation holds what it was blocking.
                     # (Should the WME sit in a positive slot of this
@@ -379,94 +383,90 @@ class CorgiMatcher(Matcher):
                 if obs_on:
                     self._hit(slot, plan, _obs.now() - t0, self._examined,
                               len(deltas) - before)
+        self.stats.not_activations += nots
+        return visits
 
     # -- demand-driven enumeration ---------------------------------------
 
-    def _enumerate(
-        self,
-        rs: _RuleState,
-        seed_slot: Optional[SlotPlan],
-        seed: Optional[WME],
-    ) -> List[Token]:
+    def _enumerate(self, rs: _RuleState, seed_slot: Optional[SlotPlan],
+                   seed: Optional[WME]) -> List[Token]:
         """Derive instantiations by walking positive slots in CE order,
-        one frame per level.
+        one loop per level over a list of partials ``(wmes, tags)``.
 
         With a seed, only combinations using ``seed`` at ``seed_slot``
         are produced (slots before the seed exclude it, slots after
         include it — each combination appears exactly once, at the
         first slot the seed occupies).  Without a seed, the complete
-        instantiation set is derived (negated-delete re-sync).
+        instantiation set is derived (negated-delete re-sync).  A level
+        extends its partials in order, so output order and counts are
+        those of a depth-first walk.
         """
         plan = rs.plan
         mems = self._mems
-        counters = self.counters
         gates_at = plan.gates_at
         for gate in gates_at[0]:
             # needed == 0: no join test at all, so any WME blocks.
             if mems[gate.mem].size:
                 self._examined += 1
-                counters["gate_prunes"] += 1
+                self.counters["gate_prunes"] += 1
                 return []
-        pos_slots = plan.pos_slots
-        n_pos = len(pos_slots)
         seed_d = seed_slot.pos_index if seed_slot is not None else -1
-        stats = self.stats
-        out: List[Token] = []
-
-        def descend(d: int, prefix: Tuple[WME, ...], tags: Tuple[int, ...]) -> None:
-            slot = pos_slots[d]
+        emitted = examined = prunes = 0
+        partials: List[Token] = [((), ())]
+        for d, slot in enumerate(plan.pos_slots):
             left_key = slot.left_key
             tests = slot.tests
-            if d == seed_d:
-                if left_key is not None and left_key(prefix) != slot.right_key(seed):
-                    return
-                if tests is not None and not tests(prefix, seed):
-                    return
-                cands = (seed,)
-                tests = None
-            else:
-                bucket = mems[slot.mem].buckets.get(
-                    left_key(prefix) if left_key is not None else None
-                )
-                if not bucket:
-                    return
-                self._examined += len(bucket)
-                cands = bucket.values()
-            nxt = d + 1
-            gates = gates_at[nxt]
-            for cand in cands:
-                if d < seed_d and cand is seed:
-                    continue
-                if tests is not None and not tests(prefix, cand):
-                    continue
-                stats.tokens_emitted += 1
-                wmes = prefix + (cand,)
-                key = tags + (cand.timetag,)
-                blocked = False
-                for gate in gates:
-                    gate_key = gate.left_key
-                    blockers = mems[gate.mem].buckets.get(
-                        gate_key(wmes) if gate_key is not None else None
-                    )
-                    if blockers:
+            at_seed = d == seed_d
+            seed_key = slot.right_key(seed) if at_seed and left_key else None
+            skip = seed if d < seed_d else None  # earlier slots exclude the seed
+            cand_tests = None if at_seed else tests
+            buckets = mems[slot.mem].buckets
+            gates = gates_at[d + 1]
+            extended: List[Token] = []
+            for prefix, tags in partials:
+                if at_seed:
+                    if left_key is not None and left_key(prefix) != seed_key:
+                        continue
+                    if tests is not None and not tests(prefix, seed):
+                        continue
+                    cands = (seed,)
+                else:
+                    bucket = buckets.get(left_key and left_key(prefix))
+                    if not bucket:
+                        continue
+                    examined += len(bucket)
+                    cands = bucket.values()
+                for cand in cands:
+                    if cand is skip:
+                        continue
+                    if cand_tests is not None and not cand_tests(prefix, cand):
+                        continue
+                    wmes = prefix + (cand,)
+                    for gate in gates:
+                        key = gate.left_key
+                        blockers = mems[gate.mem].buckets.get(key and key(wmes))
+                        if not blockers:
+                            continue
                         gate_tests = gate.tests
                         if gate_tests is None:
-                            self._examined += 1
-                            blocked = True
+                            examined += 1
                             break
-                        self._examined += len(blockers)
+                        examined += len(blockers)
                         for blocker in blockers.values():
                             if gate_tests(wmes, blocker):
-                                blocked = True
                                 break
-                        if blocked:
-                            break
-                if blocked:
-                    counters["gate_prunes"] += 1
-                elif nxt == n_pos:
-                    out.append((wmes, key))
-                else:
-                    descend(nxt, wmes, key)
-
-        descend(0, (), ())
-        return out
+                        else:
+                            continue  # nothing in the bucket blocks
+                        break
+                    else:
+                        extended.append((wmes, tags + (cand.timetag,)))
+                        continue
+                    prunes += 1  # a gate broke off: the branch is cut
+            emitted += len(extended)  # passed its tests, and not pruned
+            partials = extended
+            if not partials:
+                break
+        self.stats.tokens_emitted += emitted + prunes
+        self.counters["gate_prunes"] += prunes
+        self._examined += examined
+        return partials

@@ -8,10 +8,13 @@ Here the unit is the Python frame under ``repro/corgi/`` (the
 ``sys.setprofile`` style of ``tests/rete/test_frame_budget.py``): a
 change stored in a shared alpha memory costs the same frames whether 5
 or 200 unlinked rules read that memory, one linked reader among 200
-unlinked ones costs the frames of the one, and a delete examines only
-the instantiations the WME sits in.  A per-change loop over a memory's
-unlinked readers that calls anything, or a scan of a rule's whole
-instantiation set on delete, fails here instead of in a benchmark.
+unlinked ones costs the frames of the one, a delete examines only the
+instantiations the WME sits in, and an add that derives a cross product
+costs the same frames at 5 and at 20 entries (enumeration is one loop
+per level, not one frame per partial instantiation).  A per-change loop
+over a memory's unlinked readers that calls anything, a scan of a
+rule's whole instantiation set on delete, or a call per partial or per
+gate check fails here instead of in a benchmark.
 """
 
 import sys
@@ -24,6 +27,7 @@ from repro.obs import events as obs_events
 from repro.ops5.parser import parse_program
 from repro.ops5.wme import WMEChange, WorkingMemory
 from repro.rete.network import ReteNetwork
+from tests.rete.test_frame_budget import PROPOSE
 
 CORGI = str(Path(repro.__file__).parent / "corgi")
 
@@ -47,27 +51,29 @@ def frames_per_change(source: str):
     wm = WorkingMemory()
     first = wm.add("a", {"k": 0})
     matcher.process_changes([WMEChange(1, first), WMEChange(1, wm.add("a", {"k": 1}))])
+    skips = matcher.counters["lazy_skips"]
+    add = sum(corgi_frames(matcher, WMEChange(1, wm.add("a", {"k": 2}))).values())
+    skips = matcher.counters["lazy_skips"] - skips
+    wm.remove(first)
+    delete = sum(corgi_frames(matcher, WMEChange(-1, first)).values())
+    return add, delete, skips, matcher
+
+
+def corgi_frames(matcher, change) -> Counter:
+    """Frames entered under ``repro/corgi/`` while ``matcher`` takes
+    ``change``, by qualified name."""
     frames = Counter()
 
     def on_event(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename.startswith(CORGI):
             frames[frame.f_code.co_qualname] += 1
 
-    def profiled(change) -> int:
-        frames.clear()
-        sys.setprofile(on_event)
-        try:
-            matcher.process_changes([change])
-        finally:
-            sys.setprofile(None)
-        return sum(frames.values())
-
-    skips = matcher.counters["lazy_skips"]
-    add = profiled(WMEChange(1, wm.add("a", {"k": 2})))
-    skips = matcher.counters["lazy_skips"] - skips
-    wm.remove(first)
-    delete = profiled(WMEChange(-1, first))
-    return add, delete, skips, matcher
+    sys.setprofile(on_event)
+    try:
+        matcher.process_changes([change])
+    finally:
+        sys.setprofile(None)
+    return frames
 
 
 def test_unlinked_readers_cost_a_change_nothing():
@@ -129,3 +135,38 @@ def delete_one_of(n: int):
 
 def test_delete_examines_only_the_instantiations_the_wme_sits_in():
     assert delete_one_of(5) == delete_one_of(500) == (1, 1)
+
+
+def propose_add(n: int):
+    """Frames under ``repro/corgi/`` of the add that completes
+    ``PROPOSE`` (tourney's ``propose-match``: a cross product of ``n``
+    teams, an ordering test, a keyed negated CE) when every pair has
+    played but one, and the ``(tokens_emitted, gate_prunes,
+    instantiations)`` after it."""
+    matcher = CorgiMatcher(ReteNetwork.compile(parse_program(PROPOSE)))
+    wm = WorkingMemory()
+    teams = [wm.add("b", {"y": i}) for i in range(n)]
+    played = [
+        wm.add("d", {"lo": lo, "hi": hi})
+        for lo in range(n) for hi in range(lo + 1, n) if (lo, hi) != (0, 1)
+    ]
+    matcher.process_changes([WMEChange(1, w) for w in teams + played])
+    assert matcher.stats.tokens_emitted == 0  # unlinked until the control
+    frames = corgi_frames(matcher, WMEChange(1, wm.add("a", {"x": 1})))
+    counts = (
+        matcher.stats.tokens_emitted,
+        matcher.counters["gate_prunes"],
+        len(matcher._rules["r"].cs),
+    )
+    return frames, counts
+
+
+def test_a_cross_product_costs_frames_per_level_not_per_partial():
+    (small, small_counts), (large, large_counts) = propose_add(5), propose_add(20)
+    assert small == large
+    # Not vacuous: both adds derive the whole cross product (the control,
+    # n teams, n (n - 1) / 2 ordered pairs) and the gate prunes every
+    # pair but the one not played.
+    for n, counts in ((5, small_counts), (20, large_counts)):
+        pairs = n * (n - 1) // 2
+        assert counts == (1 + n + pairs, pairs - 1, 1)
