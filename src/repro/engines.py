@@ -27,9 +27,9 @@ Engines:
 
 ``mp``
     :class:`~repro.parallel.mp.engine.ProcessMatcher` —
-    process-per-worker with shard-routed lines; the backend that can
-    actually use multiple CPUs.  Options: ``n_workers``, ``n_lines``,
-    ``watchdog_s`` (stall watchdog).
+    process-per-worker, each worker owning whole productions; the
+    backend that can actually use multiple CPUs.  Options:
+    ``n_workers``, ``watchdog_s`` (stall watchdog).
     Requires the ``fork`` start method (see :func:`mp_supported`).
 
 ``corgi``
@@ -157,7 +157,6 @@ def make_matcher(
         return ProcessMatcher(
             network,
             n_workers=n_workers,
-            n_lines=n_lines,
             watchdog_s=watchdog_s,
         )
     from .corgi.engine import CorgiMatcher

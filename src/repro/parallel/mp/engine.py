@@ -4,33 +4,32 @@
 :class:`~repro.parallel.engine.ParallelMatcher` honestly could not be
 under CPython's GIL: ``k`` *match processes* forked from the control
 process, sharing the compiled Rete network read-only through fork
-(copy-on-write pages, nothing pickled), with the token hash memories
-partitioned across workers by line ownership
-(:class:`~repro.parallel.mp.shard.ShardMap`) instead of guarded by
-line locks.
+(copy-on-write pages, nothing pickled), each owning whole productions:
+production ``i`` belongs to worker ``i % k``.  Beta nodes are never
+shared between productions (paper footnote 6), so a production's
+activations all run in its owner, in the sequential engine's order;
+no line needs a lock and no task crosses between workers.
 
-Control flow per WM-change batch, mirroring §3.1/§3.2 with processes
-for threads and shard routing for line locks — one round trip:
+Control flow per WM-change batch — one round trip:
 
 1. the control process runs each change through the alpha network
-   once (counting it in its own :class:`MatchStats`) and routes each
-   root activation once: a line's roots to the line's owner, a
-   change's non-line roots to its designated worker (``i % n``);
-2. it adds one TaskCount unit per recipient and sends each worker that
-   has roots one ``changes`` message (a batch without roots sends
-   nothing);
-3. each worker drains its roots, forwarding the child activations that
-   land on a peer's shard, one message per peer per stretch
-   (increment-before-send, decrement-after-drain), and posts the
-   drain's conflict-set deltas *before* it releases its units;
-4. the worker whose release brings the shared TaskCount to zero posts
-   ``("quiet", seq, report)`` — the paper's termination detection, now
-   cross-process.  The control process merges reports as they arrive
-   and returns at ``quiet``; the merged deltas feed the count-based
-   conflict set exactly like the threaded engine's (``strict_cs =
-   False``; deltas arrive unordered).
+   once (counting it in its own :class:`MatchStats`) and sends each
+   root activation to the worker owning the root's production, one
+   ``changes`` message per worker that has roots (a batch without
+   roots sends nothing);
+2. each worker drains each change's roots to quiescence in turn, on
+   its own stack, and posts one ``deltas`` reply;
+3. the control process waits for one reply from each worker it wrote
+   to and returns their deltas.  Each production's deltas arrive in
+   sequential order, so the interpreter keeps its strict conflict set
+   (``strict_cs = True``), and the merged :class:`MatchStats` equal the
+   sequential engine's field for field.
 
-Match stats and IPC counters are not collected per batch: reading
+The split is by production, so a program whose work sits in one
+production runs it on one worker: there is no parallelism inside a
+production.
+
+Match stats and counters are not collected per batch: reading
 :attr:`ProcessMatcher.stats` or :attr:`~ProcessMatcher.ipc_counters`
 after a batch takes one ``("report", seq)`` round trip, and ``close``
 takes the last one.  While the obs bus is on, every batch ends with
@@ -59,11 +58,9 @@ from ...obs.watchdog import ProbeSample, StallWatchdog
 from ...ops5.wme import WMEChange
 from ...rete import kernel
 from ...rete.matcher import Matcher
-from ...rete.memories import key_hash
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
-from .shard import ShardMap
 from .worker import run_worker
 
 #: Process-unique batch sequence numbers, shared by every ProcessMatcher
@@ -82,23 +79,18 @@ def mp_supported() -> bool:
 class ProcessMatcher(Matcher):
     """Drop-in multiprocess matcher for the interpreter (`engine=mp`).
 
-    Parameters mirror the paper's axes where they survive the
-    translation: ``n_workers`` is the "k" of "1+k"; ``n_lines`` sizes
-    both the hash tables and the shard map (the lock-scheme and
-    queue-count axes disappear — lines are lock-free by ownership and
-    each worker has exactly one inbound pipe).  Routing each line to
-    its :class:`ShardMap` owner is what replaces the locks.
+    ``n_workers`` is the paper's "k" of "1+k"; the lock-scheme,
+    queue-count and line-count axes disappear — a worker's memories are
+    its own, and each worker has exactly one inbound pipe.
     """
 
-    #: Deltas arrive unordered; the interpreter must use a count-based
-    #: conflict set and validate after each batch (same as threaded).
-    strict_cs = False
+    #: Each production's deltas arrive in sequential order.
+    strict_cs = True
 
     def __init__(
         self,
         network: ReteNetwork,
         n_workers: int = 2,
-        n_lines: int = 1024,
         watchdog_s: Optional[float] = None,
     ) -> None:
         if n_workers < 1:
@@ -111,13 +103,20 @@ class ProcessMatcher(Matcher):
         self.network = network
         self.n_workers = n_workers
         _flight.note_engine("mp", n_workers)
-        # Built before the fork, so every worker inherits the identical map.
-        self.shard = ShardMap(n_lines=n_lines, n_workers=n_workers)
+        #: Beta node id -> the worker owning its production: production
+        #: ``i`` belongs to worker ``i % n_workers``.
+        worker_of = {
+            prod.name: i % n_workers for i, prod in enumerate(network.productions)
+        }
+        self._owner = {
+            node_id: worker_of[name] for node_id, name in network.node_owner.items()
+        }
         ctx = multiprocessing.get_context("fork")
         self._inboxes = [ctx.SimpleQueue() for _ in range(n_workers)]
         self._results = ctx.SimpleQueue()
-        self._taskcount = ctx.Value("q", 0)
         self._seq = 0
+        #: Replies the current batch still owes (the watchdog's gauge).
+        self._owed = 0
         self._shutdown = False
         #: The alpha work of every change, counted here — the one place
         #: it runs.
@@ -125,11 +124,8 @@ class ProcessMatcher(Matcher):
         #: Each worker's cumulative stats as of the last ``report``
         #: round trip (replaced, not summed).
         self._worker_stats: Dict[int, MatchStats] = {}
-        self._ipc_totals: Dict[str, int] = {}
         #: Whether a batch has run since the last ``report`` round trip.
         self._unreported = False
-        #: Each worker's latest conjugate pending-delete count.
-        self._pending = [0] * n_workers
         #: Whether the workers currently mirror the control process's
         #: obs flag (synced lazily at each batch boundary).
         self._workers_obs = False
@@ -139,8 +135,8 @@ class ProcessMatcher(Matcher):
         self._procs = [
             ctx.Process(
                 target=run_worker,
-                args=(wid, network, self.shard, self._inboxes,
-                      self._results, self._taskcount, self._tasks_done),
+                args=(wid, network, self._inboxes[wid], self._results,
+                      self._tasks_done),
                 daemon=True,
                 name=f"match-{wid}",
             )
@@ -165,8 +161,8 @@ class ProcessMatcher(Matcher):
     # -- control-process side -----------------------------------------------
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Route the batch's roots, wait for quiescence, return the
-        deltas the workers' reports carried."""
+        """Send the batch's roots to their productions' owners, wait
+        for each one's reply, return the deltas the replies carried."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
         obs_on = _obs.ENABLED
@@ -188,11 +184,10 @@ class ProcessMatcher(Matcher):
             # Nothing to match, but a dead worker must not pass unseen.
             self._check_alive()
             return []
-        with self._taskcount.get_lock():
-            self._taskcount.value += len(recipients)
         # The request's ids ride the batch message as a fourth element;
         # each worker stamps them into its batch span, which is what
         # gives stitched traces request-scoped worker lanes.
+        self._owed = len(recipients)
         for wid in recipients:
             self._post(wid, ("changes", seq, shares[wid], ctx_ids))
         if obs_on:
@@ -203,7 +198,7 @@ class ProcessMatcher(Matcher):
                       args=_context.tag({"changes": len(changes), "seq": seq}))
             _obs.count("mp.batches")
             _obs.count("mp.changes", len(changes))
-        deltas = self._wait_quiescent()
+        deltas = self._collect()
         self._unreported = True
         if obs_on:
             t2 = _obs.now()
@@ -226,69 +221,46 @@ class ProcessMatcher(Matcher):
 
     def _route(self, changes: List[WMEChange]) -> List[list]:
         """Each worker's share of the batch: per change with roots for
-        it, ``(sign, wme, [(node_id, side), ...])``.  A root on a line
-        goes to the line's owner, any other root to the change's
-        designated worker.  A change's roots share a handful of keys,
-        so each distinct key is hashed once."""
+        it, ``(sign, wme, [(node_id, side), ...])``, each root going to
+        the worker that owns its production."""
         n = self.n_workers
+        owner = self._owner
         shares: List[list] = [[] for _ in range(n)]
-        route = self.shard.route_hashed
-        for i, change in enumerate(changes):
+        for change in changes:
             sign, wme = change.sign, change.wme
             roots: List[tuple] = []
             kernel.enter_change(self.network, self._alpha_stats, sign, wme, roots.extend)
             if not roots:
                 continue
             mine: List[list] = [[] for _ in range(n)]
-            hashes: Dict[tuple, int] = {}
-            for node, side, _sign, token in roots:
-                if node.uses_line():
-                    key = node.key_for(side, token)
-                    h = hashes.get(key)
-                    if h is None:
-                        h = hashes[key] = key_hash(key)
-                    owner = route(node.node_id, h)
-                else:
-                    owner = i % n
-                mine[owner].append((node.node_id, side))
+            for node, side, _sign, _token in roots:
+                node_id = node.node_id
+                mine[owner[node_id]].append((node_id, side))
             for wid, share in enumerate(mine):
                 if share:
                     shares[wid].append((sign, wme, share))
         return shares
 
-    def _wait_quiescent(self) -> List[CSDelta]:
-        """Merge the batch's reports until the worker that brought
-        TaskCount to zero says so; returns their deltas.  A report or
-        ``quiet`` left over from an interrupted earlier batch carries an
-        older seq and is dropped."""
+    def _collect(self) -> List[CSDelta]:
+        """Merge one ``deltas`` reply from each worker the batch was
+        sent to; returns their deltas.  A reply left over from an
+        interrupted earlier batch carries an older seq and is dropped."""
         deltas: List[CSDelta] = []
-        while True:
-            msg = self._next_reply()
-            kind = msg[0]
-            if kind == "deltas":
-                self._merge(msg, deltas)
-            elif kind == "quiet":
-                if msg[2] is not None:
-                    self._merge(msg[2], deltas)
-                if msg[1] == self._seq:
-                    break
-        pending = sum(self._pending)
-        if pending:
-            raise RuntimeError(f"{pending} conjugate deletes left parked")
-        return deltas
-
-    def _merge(self, msg, deltas: List[CSDelta]) -> None:
-        """File one worker's ``deltas`` report."""
-        _kind, wid, seq, payload, pending, ship = msg
-        if ship is not None:
-            _fabric.file_ship(self._procs[wid].name, ship)
-        if seq != self._seq:
-            return
-        self._pending[wid] = pending
         terminals = self.network.terminals
-        deltas.extend(
-            (terminals[name].production, token, sign) for name, token, sign in payload
-        )
+        while self._owed:
+            msg = self._next_reply()
+            if msg[0] != "deltas":
+                continue
+            _kind, wid, seq, payload, ship = msg
+            if ship is not None:
+                _fabric.file_ship(self._procs[wid].name, ship)
+            if seq != self._seq:
+                continue
+            self._owed -= 1
+            deltas.extend(
+                (terminals[name].production, token, sign) for name, token, sign in payload
+            )
+        return deltas
 
     def _check_alive(self) -> None:
         for proc in self._procs:
@@ -356,8 +328,7 @@ class ProcessMatcher(Matcher):
     def _report(self) -> None:
         """One ``("report", seq)`` round trip, if a batch ran since the
         last one and the workers are still there to ask: every worker's
-        cumulative stats, its IPC counters since the last one, and its
-        ship."""
+        cumulative stats and its ship."""
         if not self._unreported or self._shutdown:
             return
         seq = self._seq
@@ -369,27 +340,23 @@ class ProcessMatcher(Matcher):
             if msg[0] != "report" or msg[2] != seq:
                 # A reply from an interrupted earlier batch; ignore.
                 continue
-            _kind, wid, _seq, stats, counters, ship = msg
+            _kind, wid, _seq, stats, ship = msg
             seen += 1
             _fabric.file_ship(self._procs[wid].name, ship)
             self._worker_stats[wid] = stats
-            for name, n in counters.items():
-                self._ipc_totals[name] = self._ipc_totals.get(name, 0) + n
-                if _obs.ENABLED and n:
-                    _obs.count(f"mp.{name}", n)
         self._unreported = False
 
     def _watchdog_probe(self) -> ProbeSample:
-        """Cross-process stall probe: the shared TaskCount is the
-        pending-work gauge (OS pipes expose no depth), the shared
-        drained-task counter the progress signal."""
+        """Cross-process stall probe: the replies the batch still owes
+        are the pending-work gauge (OS pipes expose no depth), the
+        shared drained-task counter the progress signal."""
         alive = {
             proc.name: "alive" if proc.exitcode is None else f"exit {proc.exitcode}"
             for proc in self._procs
         }
         return ProbeSample(
             tasks_done=self._tasks_done.value,
-            queues=[("taskcount", self._taskcount.value)],
+            queues=[("replies_owed", self._owed)],
             lock_holders={},
             extra={"workers": alive, "seq": self._seq},
         )
@@ -448,6 +415,8 @@ class ProcessMatcher(Matcher):
 
     @property
     def ipc_counters(self) -> Dict[str, int]:
-        """Cumulative forward/IPC counters across all batches."""
+        """What the workers ran across all batches: ``tasks_local``, the
+        activations, as of the last batch."""
         self._report()
-        return dict(self._ipc_totals)
+        return {"tasks_local": sum(
+            stats.node_activations for stats in self._worker_stats.values())}

@@ -6,10 +6,10 @@ what guards a hash line.  This module is that loop, and its body is the
 activation: a node is data (:mod:`repro.rete.nodes`), and one token at
 one node is one iteration of :func:`drain`, not a call.  An engine is a
 scheduler and transport around it.  The sequential matcher lets the
-children land straight on the drain's own LIFO stack; an engine that
-routes hands in ``route(children)`` and gets each activation's children
-as one list — the threaded engine a push onto its home task queue, an
-mp worker local-stack-or-owner's-pipe (DESIGN.md, "Engines are
+children land straight on the drain's own LIFO stack, and so does an
+mp worker, which owns every node below its roots; the threaded engine
+hands in ``route(children)`` and gets each activation's children as one
+list, a push onto its home task queue (DESIGN.md, "Engines are
 transports over one kernel").
 
 Only this module turns a WM change into alpha statistics and root
@@ -82,11 +82,10 @@ def enter_change(
 
 def drain(
     ctx: MatchContext, stack: List[Task], route: Optional[Route] = None,
-    recorder: Optional[TraceRecorder] = None, limit: int = -1,
+    recorder: Optional[TraceRecorder] = None,
 ) -> int:
-    """Run tasks off the LIFO ``stack`` until it is empty, or until
-    ``limit`` of them have run (the mp worker's inbox-poll interval).
-    Each iteration is one whole activation: a terminal turns
+    """Run tasks off the LIFO ``stack`` until it is empty.  Each
+    iteration is one whole activation: a terminal turns
     its token into a conflict-set change; a join or not node keys the
     token, stores or deletes it, searches the opposite memory and
     outputs.  Children go straight onto ``stack``, or, given a
@@ -115,7 +114,7 @@ def drain(
     done = n_not = n_term = emitted = 0
     opp_l = opp_l_n = opp_r = opp_r_n = del_l = del_l_n = del_r = del_r_n = 0
     try:
-        while stack and done != limit:
+        while stack:
             task = pop()
             done += 1
             if plain:

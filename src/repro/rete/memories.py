@@ -46,7 +46,7 @@ def line_hash(node_id: int, key: tuple) -> int:
 
     Python's built-in ``hash`` of strings is salted per process, which
     would make hash-line assignment — and therefore simulated lock
-    contention and mp shard ownership — irreproducible.  This is FNV-1
+    contention — irreproducible.  This is FNV-1
     over ``node_id`` and :func:`key_hash`; a caller filing one key under
     many nodes hashes the key once and folds each node in with
     :func:`line_hash_from`.

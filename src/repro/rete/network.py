@@ -36,7 +36,9 @@ from ..ops5.collector import collector_paused
 from ..ops5.errors import CompileError
 from ..ops5.wme import WME
 from .evaluators import make_evaluator
-from .nodes import AlphaTerminal, BetaNode, ConstantTestNode, JoinNode, NotNode, TerminalNode
+from .nodes import (
+    AlphaTerminal, BetaNode, ConstantTestNode, JoinNode, NotNode, TerminalNode, TwoInputNode,
+)
 
 
 @dataclass
@@ -342,4 +344,4 @@ class ReteNetwork:
         }
 
     def two_input_nodes(self) -> List[BetaNode]:
-        return [n for n in self.beta_nodes if n.uses_line()]
+        return [n for n in self.beta_nodes if isinstance(n, TwoInputNode)]

@@ -37,7 +37,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..ops5.astnodes import Production
 from ..ops5.wme import WME
-from .memories import LEFT
 from .token import Token
 
 Task = Tuple["BetaNode", str, int, Token]
@@ -51,8 +50,8 @@ class MatchContext:
 
     ``strict`` controls what a two-input activation does when a ``-``
     token finds no stored ``+`` twin: in the sequential matcher
-    (in-order processing) that is a bug and raises; the parallel engines
-    run with ``strict=False`` over a
+    (in-order processing) that is a bug and raises; the threaded engine
+    runs with ``strict=False`` over a
     :class:`~repro.parallel.conjugate.ConjugateMemory`, whose
     extra-deletes lists (§3.2) the kernel then consults before every
     store and parks the early delete on.  ``keyed`` is the memory's
@@ -125,10 +124,6 @@ class BetaNode:
         self.node_id = node_id
         self.children: List[BetaNode] = []
 
-    def uses_line(self) -> bool:
-        """Whether activations of this node touch a hash-table line."""
-        return False
-
 
 class TwoInputNode(BetaNode):
     """Coalesced memory + two-input node (§3.1), join and not alike: the
@@ -164,19 +159,6 @@ class TwoInputNode(BetaNode):
         self.all_tests_fn = all_tests_fn
         self.left_key_fn = left_key_fn
         self.right_key_fn = right_key_fn
-
-    def uses_line(self) -> bool:
-        return True
-
-    def key_for(self, side: str, token: Token) -> tuple:
-        """The hash key ``token`` is filed under on ``side`` — the mp
-        engine's routing helper (which shard owns the line).  The
-        kernel computes the same key inline."""
-        if side == LEFT:
-            key_fn, arg = self.left_key_fn, token[0]
-        else:
-            key_fn, arg = self.right_key_fn, token[0][-1]
-        return () if key_fn is None else key_fn(arg)
 
 
 class JoinNode(TwoInputNode):

@@ -8,10 +8,13 @@ process, the fork-requirement guard, and the engine factory wiring.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import threading
 
 import pytest
 
+from repro import programs
 from repro.engines import ENGINE_NAMES, make_matcher
 from repro.obs import flight
 from repro.ops5.interpreter import Interpreter
@@ -108,18 +111,24 @@ class TestFailurePropagation:
         seq.run(max_cycles=100)
         assert matcher.stats.wme_changes == seq.stats.wme_changes
 
+    @staticmethod
+    def post_bad_node(matcher):
+        """A ``changes`` message naming a node id no network has: the
+        worker's lookup raises, and the batch owes one reply."""
+        wme = WME.make("block", {"color": "red"}, 1)
+        matcher._owed = 1
+        matcher._inboxes[0].put(("changes", 0, [(1, wme, [(-12345, "L")])], None))
+
     def test_worker_exception_reports_traceback(self):
-        """An exception inside a worker (forced by corrupting the task
+        """An exception inside a worker (forced by corrupting the batch
         protocol) reaches the control process as a RuntimeError that
         carries the worker's traceback text."""
         _program, network = compiled_network(FIND_COLORED_BLOCK)
         matcher = ProcessMatcher(network, n_workers=1)
         try:
-            with matcher._taskcount.get_lock():
-                matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("acts", 0, [(-12345, "L", 1, ())]))
-            with pytest.raises(RuntimeError):
-                matcher._wait_quiescent()
+            self.post_bad_node(matcher)
+            with pytest.raises(RuntimeError, match="KeyError: -12345"):
+                matcher._collect()
         finally:
             matcher.close()
 
@@ -130,11 +139,9 @@ class TestFailurePropagation:
         _program, network = compiled_network(FIND_COLORED_BLOCK)
         matcher = ProcessMatcher(network, n_workers=1)
         try:
-            with matcher._taskcount.get_lock():
-                matcher._taskcount.value += 1
-            matcher._inboxes[0].put(("acts", 0, [(-12345, "L", 1, ())]))
+            self.post_bad_node(matcher)
             with pytest.raises(RuntimeError) as excinfo:
-                matcher._wait_quiescent()
+                matcher._collect()
         finally:
             matcher.close()
         text = str(excinfo.value)
@@ -187,7 +194,7 @@ class TestWatchdogWiring:
             assert matcher.watchdog.engine == "mp"
             sample = matcher._watchdog_probe()
             assert sample.tasks_done == 0
-            assert sample.queues == [("taskcount", 0)]
+            assert sample.queues == [("replies_owed", 0)]
             assert set(sample.extra["workers"]) == {
                 proc.name for proc in matcher._procs
             }
@@ -224,14 +231,14 @@ class TestMeasurement:
         finally:
             interp.close()
         counters = interp.matcher.ipc_counters
-        assert counters["tasks_local"] > 0
-        assert counters["ipc_msgs"] <= counters["tasks_forwarded"]
+        assert list(counters) == ["tasks_local"]
+        assert counters["tasks_local"] == interp.matcher.stats.node_activations > 0
 
     def test_weaver_counters_equal_the_unbatched_transport(self):
-        """Batching changes how many messages carry the forwards, never
-        which activations run where: on weaver 6x1 (the ``weaver-mp2``
-        input) dispatches, forwards and local tasks are the counts the
-        one-message-per-forward transport made."""
+        """On weaver 6x1 (the ``weaver-mp2`` input) the workers run
+        exactly the sequential engine's 28 110 activations, in 293
+        dispatches: ownership by production runs each activation once,
+        where its production lives."""
         from repro.programs import weaver
 
         interp = Interpreter(weaver.source(grid=6, n_nets=1), engine="mp",
@@ -246,13 +253,11 @@ class TestMeasurement:
             interp.close()
         counters = interp.matcher.ipc_counters
         assert len(dispatches) == 293
-        assert counters["tasks_forwarded"] == 2124
-        assert counters["tasks_local"] == 28176
-        assert counters["ipc_msgs"] < counters["tasks_forwarded"]
+        assert counters == {"tasks_local": 28110}
 
     def test_quiescence_is_announced_not_polled(self, monkeypatch):
-        """The control process sleeps on the results pipe until a
-        worker posts ``quiet``; it never sleeps on a clock."""
+        """The control process sleeps on the results pipe until every
+        worker it wrote to has replied; it never sleeps on a clock."""
         import time
 
         def no_sleep(_seconds):
@@ -270,8 +275,8 @@ class TestMeasurement:
 
 
     def test_merged_stats_count_wme_changes_once(self):
-        """Alpha work is replicated in every worker but must be counted
-        by exactly one, so merged stats equal the sequential run's."""
+        """Alpha work runs once, in the control process, so merged
+        stats count each change once, as the sequential run does."""
         seq = Interpreter(FIND_COLORED_BLOCK)
         seq.run(max_cycles=100)
         mp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
@@ -285,9 +290,9 @@ class TestMeasurement:
 
 
 class TestEqualNumbers:
-    """``1`` and ``1.0`` key one bucket, so they must share a line; when
-    they did not, the two halves of a join lived on different mp
-    workers and 3 workers fired 6 of 20 instantiations."""
+    """``1`` and ``1.0`` key one bucket, so a join of the two fires on
+    mp what it fires sequentially (3 line-owning workers once fired 6
+    of 20 instantiations)."""
 
     SOURCE = (
         "(p j (a ^x <v>) (b ^x <v>) --> (write <v>))\n"
@@ -329,9 +334,6 @@ class FakeInbox:
     def __init__(self, msgs):
         self.msgs = list(msgs)
 
-    def empty(self):
-        return not self.msgs
-
     def get(self):
         return self.msgs.pop(0)
 
@@ -341,14 +343,15 @@ class FakeOutbox(list):
 
 
 class TestOneRoundTrip:
-    """A batch is one round trip: the control process routes each root
-    once and writes only the inboxes of workers that have roots, and a
-    worker's deltas ride its release into the batch whose acts it
-    drained."""
+    """A batch is one round trip: the control process sends each root
+    once, to the worker owning the root's production, and writes only
+    the inboxes of workers that have roots; each of them replies once."""
 
-    #: One single-CE rule: a change's roots are all non-line, so they
-    #: all go to its designated worker (change ``i`` to worker ``i % n``).
+    #: One single-CE rule: production 0, so every root goes to worker 0.
     SOURCE = "(literalize tick n)\n(p count (tick ^n <n>) --> (write <n>))\n"
+    #: The same rule twice: production 1 belongs to worker 1, so each
+    #: change has roots for both workers.
+    TWO = SOURCE + "(p echo (tick ^n <n>) --> (write <n>))\n"
 
     @staticmethod
     def tap(matcher):
@@ -395,7 +398,7 @@ class TestOneRoundTrip:
             deltas = matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1))])
             assert [(wid, msg[0]) for wid, msg in sent] == [(0, "changes")]
             assert [(p.name, sign) for p, _token, sign in deltas] == [("count", 1)]
-            assert matcher._taskcount.value == 0
+            assert matcher._owed == 0
         finally:
             matcher.close()
 
@@ -417,7 +420,7 @@ class TestOneRoundTrip:
     def test_ipc_bytes_bill_what_went_down_each_pipe(self):
         import pickle
 
-        _program, network = compiled_network(self.SOURCE)
+        _program, network = compiled_network(self.TWO)
         matcher = ProcessMatcher(network, n_workers=2)
         sent, reader = self.tap(matcher)
         matcher.timed = True
@@ -431,242 +434,60 @@ class TestOneRoundTrip:
         finally:
             matcher.close()
 
-    def run_worker(self, msgs, units):
-        """Worker 1's loop over ``msgs`` (then ``stop``), in this
-        process; returns what it posted on the results queue."""
-        from repro.parallel.mp.shard import ShardMap
+    def test_a_worker_drains_each_change_and_replies_once(self):
+        """Worker 1's loop, in this process, over a batch of two changes
+        for production 1: one ``deltas`` reply carrying both changes'
+        conflict-set deltas, in change order."""
         from repro.parallel.mp.worker import run_worker
 
-        _program, network = compiled_network(self.SOURCE)
-        outbox = FakeOutbox()
-        taskcount = FakeCount(units)
-        run_worker(1, network, ShardMap(64, 2), [None, FakeInbox([*msgs, ("stop",)])],
-                   outbox, taskcount, FakeCount())
-        assert taskcount.value == 0
-        return outbox
-
-    def test_acts_standing_in_for_their_batch_report_into_it(self):
-        """A worker with no roots meets batch 7 only through a peer's
-        forwarded acts: its report and its ``quiet`` say 7, not the seq
-        of the last batch message it saw."""
-        token = ((self.tick(1, 1),), (1,))
-        outbox = self.run_worker([("acts", 7, [(1, "L", 1, token)])], units=1)
-        [(kind, seq, report)] = outbox
-        assert (kind, seq) == ("quiet", 7)
-        assert report[:5] == ("deltas", 1, 7, [("count", token, 1)], 0)
-
-    def test_acts_overtaking_their_batch_message_report_into_it(self):
-        """Acts for batch 7 ahead of the ``changes`` message they belong
-        to: the acts' drain reports before releasing its unit, the batch
-        message's drain ends the batch with its report merged into
-        ``quiet``."""
+        _program, network = compiled_network(self.TWO)
+        echo = network.terminals["echo"].node_id
         first, second = self.tick(1, 1), self.tick(2, 2)
-        token = ((first,), (1,))
-        outbox = self.run_worker([
-            ("acts", 7, [(1, "L", 1, token)]),
-            ("changes", 7, [(1, second, [(1, "L")])], None),
-        ], units=2)
-        [report, (kind, seq, last_report)] = outbox
-        assert report[:5] == ("deltas", 1, 7, [("count", token, 1)], 0)
-        assert (kind, seq) == ("quiet", 7)
-        assert last_report[:5] == (
-            "deltas", 1, 7, [("count", ((second,), (2,)), 1)], 0)
+        batch = [(1, first, [(echo, "L")]), (1, second, [(echo, "L")])]
+        outbox, tasks_done = FakeOutbox(), FakeCount()
+        run_worker(1, network, FakeInbox([("changes", 7, batch, None), ("stop",)]),
+                   outbox, tasks_done)
+        [(kind, wid, seq, deltas, _ship)] = outbox
+        assert (kind, wid, seq) == ("deltas", 1, 7)
+        assert deltas == [("echo", ((first,), (1,)), 1), ("echo", ((second,), (2,)), 1)]
+        assert tasks_done.value == 2
 
 
-class TestForwardDeadlockAvoidance:
-    """Regression for the mutual pipe-full deadlock.
-
-    Two workers forwarding heavily to each other could both block in
-    ``put`` with both OS pipes full (observed intermittently as a
-    rubik-mp hang: both processes in ``pipe_write``, TaskCount frozen,
-    the control process waiting forever).  What breaks the cycle:
-    ``send`` drains its own inbox *before* every potentially-blocking
-    write, so a peer's pending write into us always completes before we
-    block writing to it — and a message is small enough to fit in the
-    emptied pipe.
-    """
-
-    def _state(self, pending_msgs):
-        class FakeNode:
-            node_id = 1
-            kind = "join"
-
-            def uses_line(self):
-                return True
-
-            def key_for(self, side, token):
-                return ("k",)
-
-        class FakeNetwork:
-            beta_nodes = [FakeNode()]
-
-        return self._worker(FakeNetwork(), pending_msgs), FakeNetwork.beta_nodes[0]
-
-    @staticmethod
-    def _worker(network, pending_msgs):
-        """Worker 0 over ``network``, every line owned by its peer."""
-        from repro.parallel.mp.worker import _WorkerState
-
-        class FakeShard:
-            n_lines = 8
-            n_workers = 2
-
-            def route(self, node_id, key):
-                return 1  # always the peer
-
-        state = _WorkerState(
-            0, network, FakeShard(), FakeInbox(pending_msgs),
-            outbox=FakeOutbox(), taskcount=FakeCount(),
-        )
-        state.tasks_done = FakeCount()
-        return state
-
-    @staticmethod
-    def _peer(state, log):
-        class FakePeerQueue:
-            def put(_self, msg):
-                log.append((state.inbox.empty(), msg))
-
-        state._forward_queues = {1: FakePeerQueue()}
-
-    def test_route_child_absorbs_inbox_before_forwarding(self):
-        from repro.rete.token import of
-
-        wme = WME.make("block", {"color": "red"}, 1)
-        token = of((wme,))
-        pending = ("acts", 0, [(1, "left", 1, token)])
-        state, node = self._state([pending])
-        puts = []
-        self._peer(state, puts)
-
-        state.route_children([(node, "left", 1, token)] * 2)
-        assert puts == []  # the children wait for the end of the stretch
-        state.send(1)
-
-        # One message for both forwards, written with our own pipe
-        # already drained.
-        assert puts == [(True, ("acts", 0, [(1, "left", 1, token)] * 2))]
-        # The pending peer message was absorbed into local work and its
-        # TaskCount unit is held as borrowed; ours were added for the
-        # forwards, one per task.
-        assert state.borrowed == 1
-        assert len(state.local) == 1
-        assert state.taskcount.value == 2
-        assert state.counters == {
-            "tasks_local": 0, "tasks_forwarded": 2, "ipc_msgs": 1,
-        }
-
-    def test_racing_batch_broadcast_is_deferred_not_fatal(self):
-        """Forwarded acts can overtake the ("changes", ...) broadcast
-        they belong to (peer and control share the inbox pipe).  The
-        mid-drain absorb must park the batch message for the main loop
-        instead of treating it as a protocol violation."""
-        from repro.rete.token import of
-
-        wme = WME.make("block", {"color": "red"}, 1)
-        racing_batch = ("changes", 6, [(1, wme, [(1, "left")])], None)
-        state, node = self._state([racing_batch])
-        puts = []
-        self._peer(state, puts)
-
-        state.route_children([(node, "left", 1, of((wme,)))])
-        state.send(1)
-
-        assert state.deferred == [racing_batch]
-        assert state.borrowed == 0
-        assert len(puts) == 1
-
-    def test_poll_every_wmes_go_at_once(self):
-        """A message is capped by the WMEs its tokens carry: when the
-        waiting tokens for a peer hold POLL_EVERY WMEs they are sent
-        without waiting for the stretch to end."""
-        from repro.parallel.mp.worker import POLL_EVERY
-        from repro.rete.token import of
-
-        wmes = tuple(WME.make("block", {}, i) for i in range(4))
-        state, node = self._state([])
-        puts = []
-        self._peer(state, puts)
-
-        state.route_children([(node, "left", 1, of(wmes))] * (POLL_EVERY // 4 + 1))
-        assert [len(msg[2]) for _empty, msg in puts] == [POLL_EVERY // 4]
-        assert len(state.outgoing[1]) == 1
-
-    def test_acts_absorbed_by_the_last_send_run_before_release(self):
-        """The end-of-drain send absorbs our inbox first.  Acts taken in
-        then must run before the drain returns: releasing their borrowed
-        TaskCount units with the tasks still queued would let the count
-        reach zero with work pending.  The root is a left token meeting
-        a stored right one at the first join, so it emits one child for
-        the peer; the absorbed act is a left token at the second join,
-        whose right memory is empty."""
-        from repro.rete import kernel
-        from repro.rete.token import of
-
-        _program, network = compiled_network("(p r (a) (b) (c) --> (halt))")
-        first, second = network.two_input_nodes()
-        a, b, other = (WME.make(k, {}, t) for k, t in (("a", 1), ("b", 2), ("a", 3)))
-        absorbed = of((other, b))
-        state = self._worker(network, [("acts", 9, [(second.node_id, "L", 1, absorbed)])])
-        assert kernel.drain(state.ctx, [(first, "R", 1, of((b,)))], state.route_children) == 1
-        puts = []
-        self._peer(state, puts)
-        state.taskcount.value = 2  # our batch unit + the peer's forward
-        state.seq = 9
-        state.local.append((first, "L", 1, of((a,))))
-
-        state.drain()
-
-        assert state.local == []
-        assert state.ctx.stats.node_activations == 3
-        assert state.memory.left[(second.node_id, ())] == [absorbed]
-        assert [msg for _empty, msg in puts] == [
-            ("acts", 9, [(second.node_id, "L", 1, of((a, b)))])]
-        state.release(1)
-        assert state.taskcount.value == 1  # the unit of the child we sent
-        assert state.outbox == []
-        # The release that reaches zero announces quiescence.
-        state.release(1)
-        assert state.outbox == [("quiet", 9, None)]
+@functools.lru_cache(maxsize=None)
+def sequential_run(name):
+    """A builtin's sequential firing list and ``MatchStats`` fields."""
+    interp = Interpreter(programs.read(name))
+    result = interp.run(max_cycles=10_000)
+    return firing_list(result), dataclasses.asdict(interp.stats)
 
 
-class TestMessageSize:
-    def test_rubik_acts_fit_in_a_pipe(self, monkeypatch, tmp_path):
-        """The pipe rule on the program with the longest tokens: every
-        ``acts`` message rubik forwards pickles to well under the 64 KiB
-        a Linux pipe holds."""
-        import pickle
+def firing_list(result):
+    return [(f.production, f.timetags) for f in result.firings]
 
-        from repro.parallel.mp import worker
-        from repro.programs import rubik
 
-        sizes = tmp_path / "sizes"
-        send = worker._WorkerState.send
-
-        def measured_send(state, owner):
-            message = ("acts", state.seq, state.outgoing[owner])
-            with open(sizes, "a") as fh:
-                fh.write(f"{len(pickle.dumps(message))}\n")
-            send(state, owner)
-
-        # Forked workers inherit the patched class.
-        monkeypatch.setattr(worker._WorkerState, "send", measured_send)
-        interp = Interpreter(rubik.source(n_moves=2), engine="mp",
-                             engine_opts={"n_workers": 2})
-        try:
-            interp.run(max_cycles=10_000)
-        finally:
-            interp.close()
-        largest = max(int(line) for line in sizes.read_text().split())
-        assert largest < 65536 // 4
+@pytest.mark.parametrize("n_workers", [2, 3])
+@pytest.mark.parametrize("name", programs.__all__)
+def test_merged_stats_and_firings_equal_sequential(name, n_workers):
+    """Each production's activations run in its owner in the sequential
+    engine's order, so mp's firing list and every field of its merged
+    ``MatchStats`` are the sequential engine's, on every builtin."""
+    interp = Interpreter(programs.read(name), engine="mp",
+                         engine_opts={"n_workers": n_workers})
+    try:
+        got = interp.run(max_cycles=10_000)
+        stats = interp.stats
+    finally:
+        interp.close()
+    assert interp.conflict_set._strict
+    assert (firing_list(got), dataclasses.asdict(stats)) == sequential_run(name)
 
 
 class TestStress:
     def test_more_workers_than_cores_fire_what_sequential_fires(self):
-        """Four match processes (more than a small host's cores) on the
-        program that forwards the most.  A lost TaskCount update or a
-        ``quiet`` posted with work still queued shows as a hang, a
-        different firing trace or a count left above zero."""
+        """Four match processes (more than a small host's cores) on
+        rubik, whose 70 rules spread over all four.  A lost reply or
+        one counted twice shows as a hang, a different firing trace or
+        a reply still owed."""
         import threading
 
         from repro.programs import rubik
@@ -687,6 +508,6 @@ class TestStress:
             assert [(f.production, f.timetags) for f in got.firings] == [
                 (f.production, f.timetags) for f in seq.firings
             ]
-            assert interp.matcher._taskcount.value == 0
+            assert interp.matcher._owed == 0
         finally:
             interp.close()

@@ -14,7 +14,7 @@ itself.  Tasks, tokens,
 task records and conflict-set changes are tuples and a not node's left
 entry is a list, so scheduling a task, emitting a token, recording it
 and storing an entry build no frame.  A helper re-introduced into that
-path (a node method, ``key_for``, a memory method, a stats recorder,
+path (a node method, a memory method, a stats recorder,
 a recorder method, a token or entry class, a comparison helper, a
 dataclass, a comprehension, a stand-in for an absent test) shows up as
 a frame this test does not know, and fails a unit test instead of a
@@ -196,8 +196,7 @@ def test_recorded_activation_stays_within_its_frame_budget():
     """Under a ``TraceRecorder`` a task costs no frame either: the
     kernel appends its record (a tuple, built with no ``__init__``)
     inline.  A bucket's line is hashed once per distinct bucket of the
-    recording, and a key once per distinct key — never once per task,
-    and ``uses_line`` not at all."""
+    recording, and a key once per distinct key — never once per task."""
     recorder = TraceRecorder()
     by_name, key_calls, _test_calls, stats, _network = profile_match(KEYED, recorder=recorder)
     tasks = recorder.trace.tasks
@@ -211,7 +210,7 @@ def test_recorded_activation_stays_within_its_frame_budget():
     per_change = stats.wme_changes + len(recorder.trace.cycles)
     rest = {name: n for name, n in by_name.items() if name not in per_bucket}
     assert all(n <= per_change for n in rest.values()), rest
-    assert "TwoInputNode.uses_line" not in by_name and "MemorySystem.line_of" not in by_name
+    assert "MemorySystem.line_of" not in by_name
     buckets = recorder.lines
     assert 0 < len(buckets) < two_input                     # not vacuous
     assert by_name["TraceRecorder.line_of"] == by_name["line_hash_from"] == len(buckets)

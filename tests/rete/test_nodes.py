@@ -71,12 +71,22 @@ def bracketed(src, cls):
     return node, ctx, log
 
 
+def line_of(ctx, node, side, token):
+    """The hash line ``token`` enters at ``node`` on ``side``, keyed by
+    the node's own key functions."""
+    if side == "L":
+        key_fn, arg = node.left_key_fn, token[0]
+    else:
+        key_fn, arg = node.right_key_fn, token[0][-1]
+    return ctx.memory.line_of(node.node_id, () if key_fn is None else key_fn(arg))
+
+
 def execute(ctx, node, side, sign, token):
     """One activation run as a queue task, on its entered line:
     ``(children, line)``."""
     children = []
     assert kernel.execute(ctx, (node, side, sign, token), children.extend, None)
-    return children, ctx.memory.line_of(node.node_id, node.key_for(side, token))
+    return children, line_of(ctx, node, side, token)
 
 
 class TestJoinPhases:
@@ -123,7 +133,7 @@ class TestJoinPhases:
         token = of((w("a", 3, x=1),))
         with pytest.raises(RuntimeError, match="delete of unknown token"):
             execute(ctx, node, "L", DELETE, token)
-        line = ctx.memory.line_of(node.node_id, node.key_for("L", token))
+        line = line_of(ctx, node, "L", token)
         assert log.events == [("enter", line, "L"), ("enter_modify", line),
                               ("exit_modify", line), ("exit", line, "L")]
 

@@ -62,7 +62,7 @@ class TestMemoryCensus:
         expected = memory_census(matcher.memory)
         node = network.two_input_nodes()[0]
         item = right_item(matcher, node)
-        matcher.memory.right[(node.node_id, node.key_for("R", item))].append(item)
+        matcher.memory.right[(node.node_id, node.right_key_fn(item[0][-1]))].append(item)
         violations = check_census(0, memory_census(matcher.memory), expected)
         assert any("duplicated" in v.detail for v in violations)
 
@@ -71,7 +71,7 @@ class TestMemoryCensus:
         expected = memory_census(matcher.memory)
         node = network.two_input_nodes()[0]
         item = right_item(matcher, node)
-        matcher.memory.right[(node.node_id, node.key_for("R", item))].remove(item)
+        matcher.memory.right[(node.node_id, node.right_key_fn(item[0][-1]))].remove(item)
         violations = check_census(0, memory_census(matcher.memory), expected)
         assert violations
         assert "missing" in violations[0].detail

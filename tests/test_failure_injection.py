@@ -201,8 +201,8 @@ class TestWorkerFaultPropagation:
 class TestWorkerProcessDeath:
     """The process-level half of the fault matrix: a match *process*
     that dies owes the control process a reply that will never come.
-    Wherever it dies — posting its report, or SIGKILLed in the middle
-    of a batch — the run ends inside a bounded time in the typed error
+    However it dies in its batch handler — exiting, or SIGKILLed — the
+    run ends inside a bounded time in the typed error
     naming it, with the last flight tail it shipped in the message and
     in the crash dump, and no watchdog trip."""
 
@@ -229,8 +229,8 @@ class TestWorkerProcessDeath:
         return wrapper
 
     @pytest.mark.parametrize("where, exitcode", [
-        ("release", 9),       # dies posting its report: no quiet ever comes
-        ("on_changes", -9),   # SIGKILL mid-batch: TaskCount never drains
+        ("on_changes", 9),    # exits in its batch: no reply ever comes
+        ("on_changes", -9),   # SIGKILL in its batch: no reply ever comes
     ])
     def test_death_is_a_typed_error_with_the_workers_last_tail(
         self, where, exitcode, tmp_path, monkeypatch
@@ -246,7 +246,7 @@ class TestWorkerProcessDeath:
 
         if not mp_supported():
             pytest.skip("mp engine needs the 'fork' start method")
-        die = ((lambda: os._exit(9)) if where == "release"
+        die = ((lambda: os._exit(9)) if exitcode == 9
                else (lambda: os.kill(os.getpid(), signal.SIGKILL)))
         # Patched before the fork, so the workers inherit it.
         monkeypatch.setattr(
