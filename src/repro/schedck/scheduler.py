@@ -20,10 +20,13 @@ Liveness rests on an engine property: every wait loop in
 quiescence poll) contains a yield point, so a thread that is blocked
 still cedes the turn on every iteration and a cooperative run cannot
 hard-deadlock.  Two backstops guard the harness itself: ``max_steps``
-bounds the number of decisions (the run is marked truncated and
-scheduling is switched off), and a wall-clock deadline raises
-:class:`ScheduleExhausted` if the run wedges in a way the step bound
-cannot see (e.g. mis-declared ``expected_threads``).
+bounds the number of decisions (the run is marked truncated), and a
+wall-clock deadline catches a run that wedges in a way the step bound
+cannot see (e.g. mis-declared ``expected_threads``).  Either one ends
+the run: every engine thread raises :class:`ScheduleExhausted` at its
+next yield point, so a schedule that can never quiesce (a task stranded
+on a queue nobody pops) comes back as a failing report instead of
+polling TaskCount forever.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from ..parallel import hooks
 
 
 class ScheduleExhausted(RuntimeError):
-    """The cooperative run hit the harness's liveness deadline."""
+    """The cooperative run spent its decision budget or hit the
+    harness's liveness deadline."""
 
 
 class CooperativeScheduler:
@@ -51,8 +55,8 @@ class CooperativeScheduler:
         Number of distinct threads that must park before the first
         decision (workers + control thread).
     max_steps:
-        Decision budget; exceeding it deactivates scheduling and marks
-        the run ``truncated`` (the engine then free-runs to completion).
+        Decision budget; exceeding it marks the run ``truncated`` and
+        ends it (:class:`ScheduleExhausted` in every thread).
     liveness_timeout:
         Wall-clock backstop in seconds; only pathological setups hit it.
     trace_limit:
@@ -82,6 +86,9 @@ class CooperativeScheduler:
         self._active = False
         self._started = False
         self._deadline = 0.0
+        #: Why the run was ended, once it has been; every thread that
+        #: yields from then on raises :class:`ScheduleExhausted` with it.
+        self._exhausted: Optional[str] = None
 
     # -- harness control (call from the control thread) ---------------------
 
@@ -89,16 +96,18 @@ class CooperativeScheduler:
         with self._cond:
             self._active = True
             self._started = False
+            self._exhausted = None
             self._deadline = time.monotonic() + self.liveness_timeout
 
     def deactivate(self) -> None:
         with self._cond:
-            self._deactivate_locked()
-
-    def _deactivate_locked(self) -> None:
-        self._active = False
-        self._current = None
-        self._cond.notify_all()
+            # An ended run's parked threads each leave by raising: wait
+            # for them, so that none runs on unscheduled past the end.
+            while self._exhausted and self._parked:
+                self._cond.wait(0.05)
+            self._active = False
+            self._current = None
+            self._cond.notify_all()
 
     # -- hook protocol (called from engine threads) --------------------------
 
@@ -117,15 +126,18 @@ class CooperativeScheduler:
                     self._dispatch()
             elif self._current is None:
                 self._dispatch()
-            while self._active and self._current != me:
+            while self._active and self._current != me and not self._exhausted:
                 if time.monotonic() > self._deadline:
-                    self._deactivate_locked()
-                    raise ScheduleExhausted(
+                    self._exhaust(
                         f"no progress within {self.liveness_timeout}s "
                         f"(step {self.steps}, parked {sorted(self._parked)})"
                     )
-                cond.wait(0.05)
+                else:
+                    cond.wait(0.05)
             self._parked.pop(me, None)
+            if self._active and self._exhausted:
+                cond.notify_all()
+                raise ScheduleExhausted(self._exhausted)
 
     def thread_exit(self) -> None:
         """A match process died (poison or failure): retire it."""
@@ -139,12 +151,17 @@ class CooperativeScheduler:
 
     # -- internals ------------------------------------------------------------
 
+    def _exhaust(self, why: str) -> None:
+        self._exhausted = why
+        self._current = None
+        self._cond.notify_all()
+
     def _dispatch(self) -> None:
-        if not self._parked:
+        if not self._parked or self._exhausted:
             return
         if self.steps >= self.max_steps:
             self.truncated = True
-            self._deactivate_locked()
+            self._exhaust(f"decision budget of {self.max_steps} spent")
             return
         runnable = sorted(self._parked.items())
         choice = self.policy.choose(runnable, self.steps)

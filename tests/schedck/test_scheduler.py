@@ -6,7 +6,9 @@ import pytest
 
 from repro.parallel import hooks
 from repro.schedck.policies import SeededRandomPolicy
-from repro.schedck.scheduler import CooperativeScheduler, HarnessSession
+from repro.schedck.scheduler import (
+    CooperativeScheduler, HarnessSession, ScheduleExhausted,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +32,8 @@ def run_cooperative(n_threads, body, policy=None, **kw):
     def wrapped(i):
         try:
             body(i)
+        except ScheduleExhausted:
+            pass  # the run was ended; the scheduler says why
         finally:
             finished.append(i)
             hooks.thread_exit()
@@ -41,8 +45,11 @@ def run_cooperative(n_threads, body, policy=None, **kw):
     with HarnessSession(scheduler):
         for t in threads:
             t.start()
-        while len(finished) < n_threads and not scheduler.truncated:
-            hooks.yield_point("quiesce_wait", None)
+        try:
+            while len(finished) < n_threads:
+                hooks.yield_point("quiesce_wait", None)
+        except ScheduleExhausted:
+            pass
         scheduler.deactivate()
     for t in threads:
         t.join(10)
@@ -123,6 +130,49 @@ class TestLiveness:
         sched = run_cooperative(2, body, max_steps=20)
         assert sched.truncated
         assert sched.steps == 20
+
+    def test_the_budget_ends_threads_that_wait_forever(self):
+        # Every thread waits on progress nobody will make (a task
+        # stranded on a queue no worker pops): the budget must end the
+        # run, each thread raising at its next yield point.
+        ended = []
+
+        def body(i):
+            try:
+                while True:
+                    hooks.yield_point("worker_idle", None)
+            except ScheduleExhausted as exc:
+                ended.append(str(exc))
+                raise
+
+        sched = run_cooperative(2, body, max_steps=50)
+        assert sched.truncated and sched.steps == 50
+        assert ended == ["decision budget of 50 spent"] * 2
+
+    def test_the_deadline_ends_every_parked_thread(self):
+        # A mis-declared thread count keeps the start gate shut, so no
+        # decision is ever made: the wall-clock deadline must end both
+        # parked threads, not just the one that notices it.
+        sched = CooperativeScheduler(
+            SeededRandomPolicy(0), expected_threads=3, liveness_timeout=0.3
+        )
+        ended = []
+
+        def body():
+            try:
+                hooks.yield_point("queue_pop", None)
+            except ScheduleExhausted as exc:
+                ended.append(str(exc))
+
+        with HarnessSession(sched):
+            t = threading.Thread(target=body, name="gate-0", daemon=True)
+            t.start()
+            with pytest.raises(ScheduleExhausted, match="no progress within 0.3s"):
+                hooks.yield_point("quiesce_wait", None)
+        t.join(10)
+        assert not t.is_alive()
+        assert len(ended) == 1 and ended[0].startswith("no progress within 0.3s")
+        assert sched.steps == 0 and not sched.truncated
 
     def test_thread_exit_hands_turn_over(self):
         # A thread that dies right after being scheduled must not strand
