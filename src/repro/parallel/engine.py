@@ -26,7 +26,8 @@ sets to the sequential matcher under real interleavings) and yields
 real contention measurements, but no wall-clock speed-up.  For measured
 multi-core speedup use the multiprocess backend
 (:mod:`repro.parallel.mp`, ``engine='mp'``), which replaces the line
-locks with shard ownership; for modelled Encore-Multimax speedups use
+locks with production ownership (production ``i`` runs on worker
+``i % k``); for modelled Encore-Multimax speedups use
 the trace-driven simulator (:mod:`repro.simulator`).
 """
 

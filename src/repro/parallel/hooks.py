@@ -27,7 +27,7 @@ Labels are grouped by prefix:
 ``mem_insert`` / ``mem_remove``
     :class:`~repro.parallel.conjugate.ConjugateMemory` token traffic
     (``mem_insert`` is the ``+`` twin of a conjugate pair, ``mem_remove``
-    the ``-`` twin — adversarial policies key on exactly these).
+    the ``-`` twin).
 ``worker_idle`` / ``quiesce_wait``
     the match-process empty-queue loop and the control process's
     TaskCount-zero wait (§3.2 termination detection).

@@ -10,8 +10,8 @@ this package takes ownership of the interleaving instead:
   every engine thread at the yield points instrumented in
   :mod:`repro.parallel.hooks` and hands exactly one thread the turn at
   a time, so a run is a pure function of the schedule seed;
-* :mod:`~repro.schedck.policies` — seeded-random, PCT-style
-  random-priority, and targeted adversarial schedule policies;
+* :mod:`~repro.schedck.policies` — seeded-random and PCT-style
+  random-priority schedule policies;
 * :mod:`~repro.schedck.invariants` — the engine-side quiescence-point
   invariants (TaskCount, extra-deletes lists, token memory census,
   bounded amplification) on top of the conflict-set equality :mod:`repro.check` gives every

@@ -6,7 +6,7 @@ policies are deterministic functions of their seed and the decision
 sequence, which (thanks to the scheduler's start gate) is itself
 deterministic — so a seed fully pins a schedule.
 
-Three families, per the harness design:
+Two samplers:
 
 * :class:`SeededRandomPolicy` — uniform random over runnable threads;
   the workhorse for broad differential fuzzing.
@@ -16,16 +16,10 @@ Three families, per the harness design:
   leader at ``depth - 1`` pre-sampled change points.  Finds
   ordering bugs that need a specific small number of preemptions with
   much higher probability than uniform random.
-* :class:`AdversarialPolicy` — targeted schedules keyed on yield
-  labels: delay the ``+`` twin of every conjugate pair
-  (``delay-plus``), delay every delete (``delay-deletes``, the
-  deep-chain blow-up trigger), starve quiescence detection
-  (``starve-quiescence``), or starve one match process
-  (``starve-worker``).
-* :class:`BurstPolicy` — timeslice emulation (``burst:<quantum>``):
-  each thread runs a long run of consecutive decisions, the shape a
-  preemptive interpreter actually produces, and the one that sustains
-  the multi-queue conjugate amplification.
+
+Between them they catch each hazard the §3.2 design guards against;
+``tests/schedck/test_plants.py`` plants one defect per hazard and pins
+the case that catches it.
 
 Every policy carries the same livelock guard: a thread parked at a
 *waiting* label (spin, idle, quiescence poll — see
@@ -37,7 +31,7 @@ since a waiting thread cannot make progress until somebody else does.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..parallel.hooks import WAIT_LABELS
 
@@ -122,112 +116,18 @@ class PCTPolicy(_GuardMixin):
         return self._guard(runnable, leader)[0]
 
 
-class BurstPolicy(_GuardMixin):
-    """Timeslice emulation: one thread runs ``quantum`` consecutive
-    decisions before the slice rotates to the next thread (name order).
-
-    The uniform-random policy switches threads at every yield point —
-    maximal interleaving — which lets conjugate ``+``/``-`` twins
-    annihilate almost as soon as they meet.  A preemptive interpreter
-    does the opposite: each thread owns the core for a long slice and
-    drains its own LIFO queue alone.  That burst shape is the one that
-    lets a split pair's halves stream furthest apart, so this family
-    drives the pinned conjugate-storm regression
-    (``tests/schedck/test_conjugate_storm.py``).
-    """
-
-    def __init__(self, seed: int, quantum: int = 100) -> None:
-        super().__init__()
-        self.name = f"burst:{quantum}"
-        self.quantum = quantum
-        self.rng = random.Random(seed)
-        self._current: Optional[str] = None
-        self._left = 0
-
-    def choose(self, runnable: Runnable, step: int) -> str:
-        if len(runnable) == 1:
-            return runnable[0][0]
-        names = [r[0] for r in runnable]
-        if self._current not in names or self._left <= 0:
-            # Slice expired (or owner left): next runnable thread in
-            # name order after the old owner, wrapping — deterministic.
-            later = [n for n in names if self._current is not None and n > self._current]
-            owner = later[0] if later else names[0]
-            self._current = owner
-            self._left = self.quantum
-        choice = runnable[names.index(self._current)]
-        self._left -= 1
-        # The guard may override a slice owner stuck at a waiting
-        # label (an involuntary context switch); the owner keeps the
-        # remainder of its slice, as under a real interpreter.
-        return self._guard(runnable, choice)[0]
-
-
-class AdversarialPolicy(_GuardMixin):
-    """Targeted schedules that delay a label- or name-selected victim.
-
-    The victim set is scheduled only when no non-victim is runnable, or
-    on every ``relief``-th decision (so the run still terminates);
-    choices within a set are seeded-random.
-    """
-
-    KINDS = ("delay-plus", "delay-deletes", "starve-quiescence", "starve-worker")
-
-    def __init__(self, kind: str, seed: int, relief: int = 64) -> None:
-        super().__init__()
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown adversarial kind {kind!r}; expected one of {self.KINDS}"
-            )
-        self.name = f"adversarial:{kind}"
-        self.kind = kind
-        self.rng = random.Random(seed)
-        self.relief = relief
-
-    def _is_victim(self, name: str, label: str) -> bool:
-        if self.kind == "delay-plus":
-            return label == "mem_insert"
-        if self.kind == "delay-deletes":
-            return label == "mem_remove"
-        if self.kind == "starve-quiescence":
-            return label == "quiesce_wait"
-        return name == "match-0"  # starve-worker
-
-    def choose(self, runnable: Runnable, step: int) -> str:
-        if len(runnable) == 1:
-            return runnable[0][0]
-        preferred = [r for r in runnable if not self._is_victim(*r)]
-        pool = runnable if (not preferred or step % self.relief == 0) else preferred
-        return self._guard(runnable, self.rng.choice(pool))[0]
-
-
 def make_policy(spec: str, seed: int):
-    """Build a policy from its CLI spec string.
-
-    ``random`` | ``pct`` | ``pct:<depth>`` | ``adversarial:<kind>``
-    with kinds ``delay-plus``, ``delay-deletes``, ``starve-quiescence``,
-    ``starve-worker``.
-    """
+    """Build a policy from its CLI spec string: ``random`` | ``pct`` |
+    ``pct:<depth>`` with an integer depth of at least 1."""
     if spec == "random":
         return SeededRandomPolicy(seed)
     if spec == "pct":
         return PCTPolicy(seed)
-    if spec.startswith("pct:"):
-        return PCTPolicy(seed, depth=int(spec.split(":", 1)[1]))
-    if spec == "burst":
-        return BurstPolicy(seed)
-    if spec.startswith("burst:"):
-        return BurstPolicy(seed, quantum=int(spec.split(":", 1)[1]))
-    if spec.startswith("adversarial:"):
-        return AdversarialPolicy(spec.split(":", 1)[1], seed)
+    name, _, depth = spec.partition(":")
+    if name == "pct" and depth.isdecimal() and int(depth) >= 1:
+        return PCTPolicy(seed, depth=int(depth))
     raise ValueError(f"unknown schedule policy {spec!r}")
 
 
-#: The default sweep rotation: broad random, preemption-targeted PCT,
-#: and the two conjugate-order adversaries.
-DEFAULT_POLICIES = (
-    "random",
-    "pct",
-    "adversarial:delay-plus",
-    "adversarial:starve-quiescence",
-)
+#: The sweep rotation: broad random, and preemption-targeted PCT.
+DEFAULT_POLICIES = ("random", "pct")

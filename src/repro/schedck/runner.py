@@ -125,6 +125,12 @@ def run_schedule(
         finally:
             scheduler.deactivate()
             matcher.close()
+    if scheduler.truncated:
+        # A run cut at its budget never quiesced; whether its match
+        # work had already outrun the bound says why.
+        findings += check_amplification(
+            findings[0].batch, matcher.stats, oracle.stats
+        )
 
     args = {
         "seed": seed, "policy": policy.name, **config.flags(),
@@ -183,8 +189,7 @@ def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="schedule seed (sweep: first seed of the range)")
     p.add_argument("--policy", default="random",
-                   help="random | pct[:depth] | adversarial:{delay-plus,"
-                        "delay-deletes,starve-quiescence,starve-worker}")
+                   help="random | pct[:depth], depth >= 1")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--queues", type=int, default=1)
     p.add_argument("--locks", choices=["simple", "mrsw"], default="simple")

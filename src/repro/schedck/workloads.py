@@ -18,15 +18,15 @@ sequential.
 ``deep-chain``
     A 4-level chain, every level above the base modified in one batch
     — once a transient token blow-up under a *thread schedule* that
-    delays the delete halves behind the add halves
-    (``adversarial:delay-deletes``).
+    ran the delete halves after the add halves (pinned: ``random``,
+    seed 1, 3 workers).
 
 ``conjugate-storm``
     The *queue*-side sibling: a deeper chain with a width-2 cross
     product per level, modified in one conjugate-heavy batch — the
     rubik recognize-act cycle's match-phase shape distilled.  Once a
-    livelock with one queue per worker (``burst:50``, 2 workers,
-    2 queues).
+    livelock with one queue per worker (pinned: ``pct:3``, seed 0,
+    2 workers, 2 queues).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from tests.schedck import test_conjugate_storm, test_deep_chain
 PINNED = Path(__file__).with_name("pinned_threaded.json")
 
 #: Case name -> the regression's own pinned run (2 workers / 2 queues
-#: under ``burst:50``; 3 workers / 1 queue under delay-deletes).
+#: under ``pct:3``; 3 workers / 1 queue under ``random``).
 CASES = {
     "conjugate-storm": test_conjugate_storm.run_pinned,
     "deep-chain": test_deep_chain.run_pinned,

@@ -1,13 +1,8 @@
-"""Schedule policies: determinism, guards, targeted preferences."""
+"""Schedule policies: determinism, guards, the spec grammar."""
 
 import pytest
 
-from repro.schedck.policies import (
-    AdversarialPolicy,
-    PCTPolicy,
-    SeededRandomPolicy,
-    make_policy,
-)
+from repro.schedck.policies import PCTPolicy, SeededRandomPolicy, make_policy
 
 WORKERS = [("match-0", "queue_pop"), ("match-1", "mem_insert"), ("MainThread", "quiesce_wait")]
 
@@ -49,36 +44,6 @@ class TestPCT:
         assert set(drive(policy, waiting, 60)) == {"match-0", "match-1", "MainThread"}
 
 
-class TestAdversarial:
-    def test_delay_plus_avoids_inserts(self):
-        policy = AdversarialPolicy("delay-plus", seed=0)
-        runnable = [("match-0", "mem_insert"), ("match-1", "mem_remove")]
-        choices = drive(policy, runnable, 64)
-        # The insert twin is only scheduled on relief steps (step 0 here).
-        assert choices.count("match-0") <= 2
-        assert "match-1" in choices
-
-    def test_delay_deletes_avoids_removes(self):
-        policy = AdversarialPolicy("delay-deletes", seed=0)
-        runnable = [("match-0", "mem_insert"), ("match-1", "mem_remove")]
-        choices = drive(policy, runnable, 64)
-        assert choices.count("match-1") <= 2
-
-    def test_starve_quiescence_rarely_runs_control(self):
-        policy = AdversarialPolicy("starve-quiescence", seed=0)
-        runnable = [("MainThread", "quiesce_wait"), ("match-0", "mem_insert")]
-        choices = drive(policy, runnable, 64)
-        assert choices.count("MainThread") <= 2
-
-    def test_victim_runs_when_alone(self):
-        policy = AdversarialPolicy("starve-worker", seed=0)
-        assert policy.choose([("match-0", "queue_pop")], 1) == "match-0"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AdversarialPolicy("fork-bomb", seed=0)
-
-
 class TestFactory:
     @pytest.mark.parametrize(
         "spec, expected_name",
@@ -86,13 +51,21 @@ class TestFactory:
             ("random", "random"),
             ("pct", "pct:3"),
             ("pct:5", "pct:5"),
-            ("adversarial:delay-plus", "adversarial:delay-plus"),
-            ("adversarial:starve-worker", "adversarial:starve-worker"),
+            ("pct:1", "pct:1"),
         ],
     )
     def test_specs(self, spec, expected_name):
         assert make_policy(spec, 0).name == expected_name
 
     def test_unknown_spec(self):
-        with pytest.raises(ValueError):
-            make_policy("roundrobin", 0)
+        """Refused by name: malformed or non-positive PCT depths and
+        the targeted policies schedck no longer has."""
+        for spec in [
+            "roundrobin", "pct:x", "pct:", "pct:-2", "pct:0", "random:1",
+            "adversarial:delay-plus", "adversarial:delay-deletes",
+            "adversarial:starve-quiescence", "adversarial:starve-worker",
+            "burst", "burst:50",
+        ]:
+            with pytest.raises(ValueError) as exc:
+                make_policy(spec, 0)
+            assert str(exc.value) == f"unknown schedule policy {spec!r}"

@@ -217,10 +217,10 @@ class TestSchedck:
     def test_config_flags_reach_report(self, capsys):
         assert main(
             ["check", "schedck", "--seed", "3", "--workers", "4", "--queues", "4",
-             "--locks", "mrsw", "--policy", "adversarial:delay-plus"]
+             "--locks", "mrsw", "--policy", "pct:5"]
         ) == 0
         out = capsys.readouterr().out
-        assert "policy=adversarial:delay-plus config=1+4/4q/mrsw/64l" in out
+        assert "policy=pct:5 config=1+4/4q/mrsw/64l" in out
 
     def test_sweep_smoke(self, capsys):
         assert main(["check", "schedck", "--sweep", "4", "--seed", "100"]) == 0
@@ -232,9 +232,10 @@ class TestSchedck:
         assert "(truncated)" in capsys.readouterr().out
 
     def test_unknown_policy_is_clean_exit(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "schedck", "--policy", "bogus"])
-        assert "unknown schedule policy" in str(exc.value)
+        for policy in ["bogus", "adversarial:delay-plus", "burst:50", "pct:x"]:
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "schedck", "--policy", policy])
+            assert f"unknown schedule policy {policy!r}" in str(exc.value)
 
     def test_zero_workers_is_clean_exit(self):
         with pytest.raises(SystemExit) as exc:
