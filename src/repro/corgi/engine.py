@@ -118,7 +118,7 @@ class CorgiMatcher(Matcher):
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
         _flight.note_engine("corgi", 1)
-        self.plans, _routing = compile_plans(network)
+        self.plans = compile_plans(network)
         self._states = [_RuleState(p) for p in self.plans]
         self._rules: Dict[str, _RuleState] = {
             rs.plan.name: rs for rs in self._states

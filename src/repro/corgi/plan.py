@@ -96,29 +96,24 @@ class RulePlan:
         return len(self.pos_slots)
 
 
-Routing = Dict[int, List[Tuple[RulePlan, SlotPlan]]]
-
-#: network -> (plans, routing, memory layout).
+#: network -> (plans, memory layout).
 _COMPILED: "WeakKeyDictionary[ReteNetwork, tuple]" = WeakKeyDictionary()
 
 
 @collector_paused
-def compile_plans(network: ReteNetwork) -> Tuple[List[RulePlan], Routing]:
-    """Lift per-production join plans out of a compiled network.
-
-    Returns ``(plans, routing)`` where ``routing`` maps an alpha
-    terminal id to every ``(plan, slot)`` pair it feeds — the corgi
-    analogue of ``AlphaTerminal.successors``.  Compiled once per
-    network: a second call returns the same objects.
+def compile_plans(network: ReteNetwork) -> List[RulePlan]:
+    """Lift per-production join plans out of a compiled network, one
+    per production in network order.  Compiled once per network: a
+    second call returns the same objects.
     """
-    return _compiled(network)[:2]
+    return _compiled(network)[0]
 
 
 def memory_layout(network: ReteNetwork) -> List[MemPlan]:
     """The shared alpha memories of ``network``'s plans, one per
     distinct (alpha terminal, equality-key attributes) pair, in first-
     reader order; ``slot.mem`` indexes this list."""
-    return _compiled(network)[2]
+    return _compiled(network)[1]
 
 
 def _compiled(network: ReteNetwork) -> tuple:
@@ -129,7 +124,7 @@ def _compiled(network: ReteNetwork) -> tuple:
     return entry
 
 
-def _compile(network: ReteNetwork) -> Tuple[List[RulePlan], Routing, List[MemPlan]]:
+def _compile(network: ReteNetwork) -> Tuple[List[RulePlan], List[MemPlan]]:
     # Reverse alpha edges once: (node_id, side) -> alpha terminal.
     alpha_of: Dict[Tuple[int, str], AlphaTerminal] = {}
     for at in network.alpha_terminals:
@@ -144,7 +139,6 @@ def _compile(network: ReteNetwork) -> Tuple[List[RulePlan], Routing, List[MemPla
             chains[network.node_owner[node.node_id]].append(node)
 
     plans: List[RulePlan] = []
-    routing: Routing = {}
     layout: List[MemPlan] = []
     # Grouped by attribute names, not by key-function identity: the
     # interpreted evaluator builds one closure per node.
@@ -207,7 +201,6 @@ def _compile(network: ReteNetwork) -> Tuple[List[RulePlan], Routing, List[MemPla
         for s in slots:
             if not s.positive:
                 plan.gates_at[s.needed].append(s)
-            routing.setdefault(s.alpha.alpha_id, []).append((plan, s))
             shared = mem_of.get((s.alpha.alpha_id, s.key_attrs))
             if shared is None:
                 shared = mem_of[(s.alpha.alpha_id, s.key_attrs)] = MemPlan(
@@ -217,4 +210,4 @@ def _compile(network: ReteNetwork) -> Tuple[List[RulePlan], Routing, List[MemPla
             shared.readers.append(s)
             s.mem = shared.index
         plans.append(plan)
-    return plans, routing, layout
+    return plans, layout

@@ -73,6 +73,7 @@ def check_engine_opts(
     memory: Optional[str] = None,
     n_queues: Optional[int] = None,
     lock_scheme: Optional[str] = None,
+    recorder=None,
 ) -> None:
     """Every rule about which options an engine accepts, in one place.
 
@@ -105,6 +106,11 @@ def check_engine_opts(
             raise ValueError(
                 f"{name} ({flag}) requires the threaded engine, not {engine!r}"
             )
+    if recorder is not None and engine != "sequential":
+        raise ValueError(
+            "a trace recorder (recorder) requires the sequential engine, "
+            f"not {engine!r}, which would record no tasks"
+        )
     if engine == "mp" and not mp_supported():
         raise ValueError(
             "engine 'mp' needs the 'fork' start method, which this "
@@ -133,6 +139,7 @@ def make_matcher(
     check_engine_opts(
         engine, watchdog_s=watchdog_s,
         memory=memory, n_queues=n_queues, lock_scheme=lock_scheme,
+        recorder=recorder,
     )
     if engine == "sequential":
         from .rete.matcher import SequentialMatcher

@@ -52,12 +52,12 @@ def _trace(args: argparse.Namespace) -> int:
         print(f"warning: {orphans} stitch orphans", file=sys.stderr)
     print(profile.render_text(prof, limit=args.limit))
     agreement = (
-        "equal" if prof.total_activations == stats.node_activations else "MISMATCH"
+        "equal" if prof["total_activations"] == stats.node_activations else "MISMATCH"
     )
     print()
     print(f"run: cycles={result.cycles} halted={result.halted}")
     print(
-        f"profile activations={prof.total_activations} "
+        f"profile activations={prof['total_activations']} "
         f"match node_activations={stats.node_activations} ({agreement})"
     )
     print(f"trace: {len(doc['traceEvents'])} events -> {args.out}")

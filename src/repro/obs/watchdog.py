@@ -1,17 +1,18 @@
 """The stall watchdog: no-progress detection for the parallel engines.
 
-The failure mode it exists for: tasks queued, TaskCount stuck above
-zero, every worker spinning or blocked — the shape of the mp engine's
-old pipe-full forward deadlock — which offline tools can only *find*,
-never diagnose in a live run.  The watchdog turns that (and any future
-cousin) into a reproducible, self-describing dump.
+The failure mode it exists for: work queued or owed, nothing finishing,
+every worker spinning or blocked — a shape offline tools can only
+*find*, never diagnose in a live run.  The watchdog turns it into a
+reproducible, self-describing dump.
 
 Mechanics: a daemon thread samples a *probe* — a cheap callable the
-engine supplies returning :class:`ProbeSample` (cumulative tasks done,
-per-queue depths, currently-held locks) — four times per
-``stall_after_s``.  A **stall** is "work is pending but the
+engine supplies — four times per ``stall_after_s``.  The probe returns
+the stall's history entry itself: ``{"tasks_done": cumulative tasks
+done, "queues": [{"name", "depth"}, ...], "lock_holders": {lock label:
+holder}, "extra": engine-specific detail}``, depths never negative.  A
+**stall** is "work is pending (some depth is nonzero) but the
 done-counter has not advanced for ``stall_after_s``"; an
-idle-but-quiescent engine (no pending work) never trips.  On a stall
+idle-but-quiescent engine (every depth 0) never trips.  On a stall
 the watchdog files one **stall** record with the flight recorder
 (:func:`repro.obs.flight.file_stall`): the probe history, per-queue
 depths naming the stuck queue and the lock-holder table.  It rides
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from time import monotonic, time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from . import events as _obs
 from . import flight
@@ -39,45 +39,15 @@ from . import flight
 HISTORY = 8
 
 
-@dataclass
-class ProbeSample:
-    """One reading of an engine's progress counters.
-
-    ``tasks_done`` is cumulative (monotonic while the engine makes
-    progress); ``queues`` is ``[(name, depth), ...]`` where a negative
-    depth means "unknown but non-empty" (the mp backend's OS pipes
-    expose no length); ``lock_holders`` maps a lock label to whoever
-    holds it right now; ``extra`` carries engine-specific detail
-    (worker liveness, TaskCount, ...).
-    """
-
-    tasks_done: int
-    queues: List[Tuple[str, int]] = field(default_factory=list)
-    lock_holders: Dict[str, str] = field(default_factory=dict)
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def pending(self) -> int:
-        """Total queued work; unknown-but-non-empty depths count as 1."""
-        return sum(d if d > 0 else (1 if d < 0 else 0) for _n, d in self.queues)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "tasks_done": self.tasks_done,
-            "queues": [{"name": n, "depth": d} for n, d in self.queues],
-            "lock_holders": dict(self.lock_holders),
-            "extra": dict(self.extra),
-        }
-
-
 class StallWatchdog:
     """Watches one engine instance for no-progress intervals.
 
     Parameters
     ----------
     probe:
-        Zero-argument callable returning a :class:`ProbeSample`.  Must
-        be cheap and safe to call from a foreign thread at any time.
+        Zero-argument callable returning one history entry (the
+        module docstring gives its keys).  Must be cheap and safe to
+        call from a foreign thread at any time.
     engine:
         Display name stamped into stalls ("threaded", "mp", ...).
     stall_after_s:
@@ -86,7 +56,7 @@ class StallWatchdog:
 
     def __init__(
         self,
-        probe: Callable[[], ProbeSample],
+        probe: Callable[[], Dict[str, Any]],
         engine: str = "engine",
         stall_after_s: float = 1.0,
     ) -> None:
@@ -136,15 +106,14 @@ class StallWatchdog:
     def tripped(self) -> bool:
         return self.trips > 0
 
-    def evaluate(self, now_s: float, sample: ProbeSample) -> Optional[Dict[str, Any]]:
+    def evaluate(self, now_s: float, sample: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Feed one probe sample at clock ``now_s``; returns the stall
         if this sample tripped the watchdog, else None."""
-        self._history.append((now_s, sample))
-        progressed = (
-            self._last_done is None or sample.tasks_done != self._last_done
-        )
-        self._last_done = sample.tasks_done
-        if progressed or sample.pending == 0:
+        self._history.append({"t_s": now_s, **sample})
+        done = sample["tasks_done"]
+        progressed = self._last_done is None or done != self._last_done
+        self._last_done = done
+        if progressed or not any(q["depth"] for q in sample["queues"]):
             # Fresh progress, or idle-but-quiescent: never a stall.
             self._progress_t = now_s
             self._armed = True
@@ -169,25 +138,19 @@ class StallWatchdog:
         flight.file_stall(stall)
         return stall
 
-    def _make_stall(self, sample: ProbeSample, stalled_for: float) -> Dict[str, Any]:
-        stuck = None
-        deepest = 0
-        for name, depth in sample.queues:
-            weight = depth if depth > 0 else (1 if depth < 0 else 0)
-            if weight > deepest:
-                deepest = weight
-                stuck = name
+    def _make_stall(self, sample: Dict[str, Any], stalled_for: float) -> Dict[str, Any]:
+        # A trip needs pending work, so the deepest queue is nonempty;
+        # of equally deep queues the first is named.
+        stuck = max(sample["queues"], key=lambda q: q["depth"])
         return {
             "engine": self.engine,
             "tripped_unix": time(),
             "stalled_for_s": stalled_for,
             "stall_after_s": self.stall_after_s,
-            "tasks_done": sample.tasks_done,
-            "queues": [{"name": n, "depth": d} for n, d in sample.queues],
-            "stuck_queue": stuck,
-            "lock_holders": dict(sample.lock_holders),
-            "extra": dict(sample.extra),
-            "history": [
-                {"t_s": t, **s.to_json()} for t, s in list(self._history)
-            ],
+            "tasks_done": sample["tasks_done"],
+            "queues": sample["queues"],
+            "stuck_queue": stuck["name"],
+            "lock_holders": sample["lock_holders"],
+            "extra": sample["extra"],
+            "history": list(self._history),
         }

@@ -76,13 +76,11 @@ class WorkingMemory:
     """The mutable store of WMEs plus the timetag counter.
 
     The store indexes elements by timetag (for removal by conflict-set
-    instantiations) and by class (so naive matchers and tooling can scan
-    per class without touching everything).
+    instantiations).
     """
 
     def __init__(self) -> None:
         self._by_timetag: Dict[int, WME] = {}
-        self._by_class: Dict[str, Dict[int, WME]] = {}
         self._next_timetag = 1
 
     def __len__(self) -> int:
@@ -109,14 +107,11 @@ class WorkingMemory:
         if wme.timetag in self._by_timetag:
             raise RuntimeOps5Error(f"duplicate timetag {wme.timetag}")
         self._by_timetag[wme.timetag] = wme
-        self._by_class.setdefault(wme.klass, {})[wme.timetag] = wme
 
     def remove(self, wme: WME) -> None:
         """Delete ``wme``; raises if it is not (or no longer) present."""
-        stored = self._by_timetag.pop(wme.timetag, None)
-        if stored is None:
+        if self._by_timetag.pop(wme.timetag, None) is None:
             raise RuntimeOps5Error(f"removing absent WME (timetag {wme.timetag})")
-        del self._by_class[stored.klass][wme.timetag]
 
     def modify(self, wme: WME, updates: Mapping[str, Constant]) -> Tuple[WME, WME]:
         """Remove ``wme`` and add its updated copy; returns (old, new)."""
@@ -127,12 +122,6 @@ class WorkingMemory:
 
     def by_timetag(self, timetag: int) -> Optional[WME]:
         return self._by_timetag.get(timetag)
-
-    def of_class(self, klass: str) -> List[WME]:
-        return list(self._by_class.get(klass, {}).values())
-
-    def classes(self) -> List[str]:
-        return [k for k, v in self._by_class.items() if v]
 
     def snapshot(self) -> List[WME]:
         """All WMEs ordered by timetag — a stable, copyable view."""

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..obs import context as _context
 from ..obs import events as _obs
 from ..obs import flight as _flight
-from ..obs.watchdog import ProbeSample, StallWatchdog
+from ..obs.watchdog import StallWatchdog
 from ..ops5.wme import WMEChange
 from ..rete import kernel
 from ..rete.matcher import Matcher
@@ -208,34 +208,34 @@ class ParallelMatcher(Matcher):
         for t in self._threads:
             t.join(timeout=10.0)
 
-    def _watchdog_probe(self) -> ProbeSample:
+    def _watchdog_probe(self) -> Dict[str, Any]:
         """Cheap point-in-time progress reading for the stall watchdog
         (racy reads throughout — precision is not the point)."""
         queues = [
-            (f"queue[{i}]", depth)
+            {"name": f"queue[{i}]", "depth": depth}
             for i, depth in enumerate(self.queues.depths())
         ]
         # TaskCount is queued + in-flight work: it keeps `pending`
         # nonzero during a livelock whose tasks are mid-requeue (the
         # queues themselves can look momentarily empty).
-        queues.append(("taskcount", self.taskcount.value))
+        queues.append({"name": "taskcount", "depth": self.taskcount.value})
         holders = dict(self.queues.holders())
         tc_holder = self.taskcount.holder
         if tc_holder is not None:
             holders["taskcount"] = tc_holder
         holders.update(self.line_locks.holders())
-        return ProbeSample(
-            tasks_done=self.tasks_done,
-            queues=queues,
-            lock_holders=holders,
-            extra={
+        return {
+            "tasks_done": self.tasks_done,
+            "queues": queues,
+            "lock_holders": holders,
+            "extra": {
                 "workers_alive": sum(t.is_alive() for t in self._threads),
                 "n_workers": self.n_workers,
                 "failures": len(self._failures),
                 "steals": self.queues.stolen,
                 "max_queue_depth": self.queues.max_depth,
             },
-        )
+        }
 
     # -- aggregated measurements ----------------------------------------------
 

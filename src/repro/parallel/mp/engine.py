@@ -48,13 +48,13 @@ import itertools
 import multiprocessing
 import pickle
 import select
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ...obs import context as _context
 from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
-from ...obs.watchdog import ProbeSample, StallWatchdog
+from ...obs.watchdog import StallWatchdog
 from ...ops5.wme import WMEChange
 from ...rete import kernel
 from ...rete.matcher import Matcher
@@ -346,7 +346,7 @@ class ProcessMatcher(Matcher):
             self._worker_stats[wid] = stats
         self._unreported = False
 
-    def _watchdog_probe(self) -> ProbeSample:
+    def _watchdog_probe(self) -> Dict[str, Any]:
         """Cross-process stall probe: the replies the batch still owes
         are the pending-work gauge (OS pipes expose no depth), the
         shared drained-task counter the progress signal."""
@@ -354,12 +354,12 @@ class ProcessMatcher(Matcher):
             proc.name: "alive" if proc.exitcode is None else f"exit {proc.exitcode}"
             for proc in self._procs
         }
-        return ProbeSample(
-            tasks_done=self._tasks_done.value,
-            queues=[("replies_owed", self._owed)],
-            lock_holders={},
-            extra={"workers": alive, "seq": self._seq},
-        )
+        return {
+            "tasks_done": self._tasks_done.value,
+            "queues": [{"name": "replies_owed", "depth": self._owed}],
+            "lock_holders": {},
+            "extra": {"workers": alive, "seq": self._seq},
+        }
 
     def close(self) -> None:
         """Take the last report, then stop the match processes (the

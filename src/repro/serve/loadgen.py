@@ -26,10 +26,9 @@ from ..cli import Verb
 from ..engines import add_engine_arguments, engine_from_args
 from ..obs import events as obs_events
 from ..obs.export import write_chrome_trace
-from .limits import ServiceLimits
 from .metrics import nearest_rank
 from .netcache import NetworkCache
-from .protocol import MAX_LINE_BYTES, decode_line, encode, ops_to_wire
+from .protocol import MAX_LINE_BYTES, decode_line, encode, firings_to_wire, ops_to_wire
 from .server import ReproServer
 from .session import SessionCore
 from .traffic import SCENARIOS, Traffic, build, build_from_source
@@ -285,9 +284,7 @@ def _replay_sequential(run: SessionRun, cache: NetworkCache) -> List[list]:
     try:
         for txn in traffic.txns:
             result = core.transact(list(txn.ops), max_cycles=txn.max_cycles)
-            fired.extend(
-                [f.cycle, f.production, list(f.timetags)] for f in result.firings
-            )
+            fired.extend(firings_to_wire(result.firings))
     finally:
         core.close()
     return fired
@@ -320,7 +317,6 @@ async def run_loadgen(
     verify: bool = False,
     seed: int = 0,
     program_source: Optional[str] = None,
-    limits: Optional[ServiceLimits] = None,
     shutdown_after: bool = False,
     trace_path: Optional[str] = None,
     tenants: int = 1,
@@ -364,7 +360,7 @@ async def run_loadgen(
 
     server: Optional[ReproServer] = None
     if spawn:
-        server = ReproServer(limits=limits, meter=meter)
+        server = ReproServer(meter=meter)
         host, port = await server.start()
     assert host is not None and port is not None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..ops5.astnodes import Program
 from ..ops5.parser import parse_program
@@ -82,12 +82,6 @@ class NetworkCache:
                 self.hits += 1
             entry.sessions_served += 1
         return entry, entry is not fresh
-
-    def peek(self, source: str) -> Optional[CacheEntry]:
-        """The entry for ``source`` if already compiled, else None."""
-        key = ReteNetwork.compile_key(source, self.mode)
-        with self._lock:
-            return self._entries.get(key)
 
     def stats(self) -> Dict:
         with self._lock:

@@ -422,9 +422,7 @@ class ReproServer:
         if payload["obs_enabled"]:
             # The hot-spot profile of everything the bus holds, the
             # match processes of mp sessions included.
-            payload["obs"] = obs_profile.to_json(
-                obs_profile.build(obs_events.snapshot())
-            )
+            payload["obs"] = obs_profile.build(obs_events.snapshot())
         return ok_response(req_id, **payload)
 
     def _handle_dump(self, msg: Dict[str, Any]) -> Dict[str, Any]:

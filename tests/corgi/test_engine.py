@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corgi.engine import CorgiMatcher
-from repro.corgi.plan import compile_plans
+from repro.corgi.plan import compile_plans, memory_layout
 from repro.engines import make_matcher
 from repro.obs import events as obs_events
 from repro.ops5.interpreter import Interpreter
@@ -50,19 +50,19 @@ def drive(matcher, wm, klass, attrs):
 class TestPlanCompilation:
     def test_slots_follow_ce_order(self):
         network = ReteNetwork.compile(parse_program(NEEDLE))
-        plans, routing = compile_plans(network)
-        (plan,) = plans
+        (plan,) = compile_plans(network)
         assert [s.positive for s in plan.slots] == [True] * 4
         assert [s.pos_index for s in plan.slots] == [0, 1, 2, 3]
         assert plan.n_pos == 4
-        # Every slot is routed from exactly one alpha terminal; the two
-        # item CEs share one terminal (same constant tests).
-        routed = [pair for pairs in routing.values() for pair in pairs]
-        assert len(routed) == 4
+        # Every slot reads exactly one alpha terminal's memory; the two
+        # item CEs share one (same constant tests, no equality key).
+        layout = memory_layout(network)
+        assert [[s.index for s in mem.readers] for mem in layout] == [[0], [1, 2], [3]]
+        assert all(mem.alpha is s.alpha for mem in layout for s in mem.readers)
 
     def test_constant_blocker_gates_at_depth_zero(self):
         network = ReteNetwork.compile(parse_program(BLOCKED_CHAIN))
-        plans, _ = compile_plans(network)
+        plans = compile_plans(network)
         (plan,) = plans
         gate = next(s for s in plan.slots if not s.positive)
         assert gate.needed == 0
@@ -72,7 +72,7 @@ class TestPlanCompilation:
         source = """
         (p g (c0 ^a <x>) (c1 ^a <x>) - (blocker ^a <x>) (c2 ^a <x>) --> (halt))
         """
-        plans, _ = compile_plans(ReteNetwork.compile(parse_program(source)))
+        plans = compile_plans(ReteNetwork.compile(parse_program(source)))
         (plan,) = plans
         gate = next(s for s in plan.slots if not s.positive)
         # <x> binds at position 0, so the gate needs one bound positive

@@ -42,7 +42,7 @@ def test_one_memory_per_terminal_and_key_attributes(mode):
     # grouped by attribute names, so the interpreted evaluator's
     # one-closure-per-node key functions share too.
     assert shape == [(1, ()), (1, ("id",)), (2, ()), (2, ("id",))]
-    plans, _routing = compile_plans(network)
+    plans = compile_plans(network)
     for mem in layout:
         assert all(plans[s.rule].slots[s.index] is s for s in mem.readers)
         assert all(layout[s.mem] is mem for s in mem.readers)
@@ -57,7 +57,7 @@ def test_one_memory_per_terminal_and_key_attributes(mode):
 def test_plans_are_compiled_once_per_network_and_state_is_per_matcher():
     network = ReteNetwork.compile(parse_program(SOURCE))
     one, two = CorgiMatcher(network), CorgiMatcher(network)
-    assert one.plans is two.plans is compile_plans(network)[0]
+    assert one.plans is two.plans is compile_plans(network)
     fill(one)
     assert one.resident_tokens() > 0 and two.resident_tokens() == 0
     assert not any(two.linked(p.name) for p in two.plans)
@@ -70,10 +70,10 @@ def test_plans_are_compiled_once_per_network_and_state_is_per_matcher():
     # another network over the same program compiles its own plans, and
     # a network that grew a production since is compiled again
     other = ReteNetwork.compile(parse_program(SOURCE))
-    assert compile_plans(other)[0] is not one.plans
+    assert compile_plans(other) is not one.plans
     (extra,) = parse_program("(p extra (want ^id 9) --> (halt))").productions
     other.add_production(extra)
-    assert [p.name for p in compile_plans(other)[0]][-1] == "extra"
+    assert [p.name for p in compile_plans(other)][-1] == "extra"
 
 
 def test_unknown_delete_raises_before_any_memory_is_touched():

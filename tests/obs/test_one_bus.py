@@ -54,7 +54,7 @@ def render_stitched():
         events.disable()
         events.reset()
         flight.reset()  # file_ship kept the ships' tails
-    return chrome_trace(snap), profile.to_json(profile.build(snap))
+    return chrome_trace(snap), profile.build(snap)
 
 
 # -- inputs ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.obs import flight, profile
 from repro.obs.events import ObsSnapshot
-from repro.obs.watchdog import ProbeSample, StallWatchdog
+from repro.obs.watchdog import StallWatchdog
 
 from tests.obs.test_profile import FakeNetwork, synthetic_snapshot
 
@@ -56,23 +56,13 @@ PROBES = [
 ]
 
 
-def sample(reading):
-    """The probe's return value for one reading."""
-    return ProbeSample(
-        tasks_done=reading["tasks_done"],
-        queues=[(q["name"], q["depth"]) for q in reading["queues"]],
-        lock_holders=dict(reading["lock_holders"]),
-        extra=dict(reading["extra"]),
-    )
-
-
 def documents():
     prof = profile.build(synthetic_snapshot(), network=FakeNetwork())
     dropped = profile.build(ObsSnapshot(dropped=3))
     dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
     flight.reset()
     try:
-        filed = [dog.evaluate(t, sample(reading)) for t, reading in PROBES]
+        filed = [dog.evaluate(t, reading) for t, reading in PROBES]
     finally:
         flight.reset()
     *quiet, stall = filed
@@ -81,9 +71,9 @@ def documents():
     return {
         "text": profile.render_text(prof),
         "text_limit_1": profile.render_text(prof, limit=1),
-        "json": profile.to_json(prof),
+        "json": prof,
         "dropped_text": profile.render_text(dropped),
-        "dropped_json": profile.to_json(dropped),
+        "dropped_json": dropped,
         "stall": stall,
     }
 

@@ -34,31 +34,31 @@ class FakeNetwork:
 class TestBuild:
     def test_node_rows_sorted_hottest_first(self):
         prof = profile.build(synthetic_snapshot())
-        assert [r.node_id for r in prof.nodes] == [1, 2, 3]
-        assert prof.nodes[0].self_ms == 4.0
-        assert prof.nodes[0].production == "?"  # no network supplied
+        assert [r["node_id"] for r in prof["nodes"]] == [1, 2, 3]
+        assert prof["nodes"][0]["self_ms"] == 4.0
+        assert prof["nodes"][0]["production"] == "?"  # no network supplied
 
     def test_production_attribution_and_rollup(self):
         prof = profile.build(synthetic_snapshot(), network=FakeNetwork())
-        by_name = {r.production: r for r in prof.productions}
-        assert by_name["move-block"].activations == 6  # nodes 1 + 2
-        assert by_name["move-block"].examined == 17
-        assert by_name["all-done"].activations == 1
-        assert prof.total_activations == 7
+        by_name = {r["production"]: r for r in prof["productions"]}
+        assert by_name["move-block"]["activations"] == 6  # nodes 1 + 2
+        assert by_name["move-block"]["examined"] == 17
+        assert by_name["all-done"]["activations"] == 1
+        assert prof["total_activations"] == 7
 
     def test_lock_rows(self):
         prof = profile.build(synthetic_snapshot())
-        (row,) = prof.locks
-        assert row.label == "queue"
-        assert row.acquires == 10 and row.contended == 2
-        assert row.contention_ratio == 0.2
-        assert row.wait_ms == 2.0 and row.hold_ms == 3.0
+        (row,) = prof["locks"]
+        assert row["label"] == "queue"
+        assert row["acquires"] == 10 and row["contended"] == 2
+        assert row["contention_ratio"] == 0.2
+        assert row["wait_ms"] == 2.0 and row["hold_ms"] == 3.0
 
     def test_phases_aggregated(self):
         prof = profile.build(synthetic_snapshot())
-        match = next(r for r in prof.phases if r.phase == "match")
-        assert match.count == 2 and match.total_ms == 9.0
-        assert prof.phases[0].phase == "match"  # hottest first
+        match = next(r for r in prof["phases"] if r["phase"] == "match")
+        assert match["count"] == 2 and match["total_ms"] == 9.0
+        assert prof["phases"][0]["phase"] == "match"  # hottest first
 
 
 class TestRenderers:
@@ -78,9 +78,7 @@ class TestRenderers:
     def test_to_json_is_serializable_and_complete(self):
         import json
 
-        doc = profile.to_json(
-            profile.build(synthetic_snapshot(), network=FakeNetwork())
-        )
+        doc = profile.build(synthetic_snapshot(), network=FakeNetwork())
         json.dumps(doc)  # must not raise
         assert doc["total_activations"] == 7
         assert {r["production"] for r in doc["productions"]} == {
@@ -96,8 +94,8 @@ class TestEndToEnd:
         interp = Interpreter(blocks.source())
         interp.run(max_cycles=1000)
         prof = profile.build(events.snapshot(), network=interp.network)
-        assert prof.total_activations == interp.stats.node_activations
-        assert prof.total_activations > 0
-        named = {r.production for r in prof.productions}
+        assert prof["total_activations"] == interp.stats.node_activations
+        assert prof["total_activations"] > 0
+        named = {r["production"] for r in prof["productions"]}
         assert "move-block" in named
         assert "?" not in named  # every beta node attributed

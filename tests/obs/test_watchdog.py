@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.obs import flight
-from repro.obs.watchdog import ProbeSample, StallWatchdog
+from repro.obs.watchdog import StallWatchdog
 
 
 @pytest.fixture(autouse=True)
@@ -25,24 +25,30 @@ def fresh_flight():
     flight.set_dump_path(None)
 
 
+def sample(done, *depths, holders=None):
+    """A probe reading: ``depths`` are ``(queue name, depth)`` pairs."""
+    return {
+        "tasks_done": done,
+        "queues": [{"name": name, "depth": depth} for name, depth in depths],
+        "lock_holders": holders or {},
+        "extra": {"workers_alive": 2},
+    }
+
+
 def stuck_sample(done=5, depth=7):
-    return ProbeSample(
-        tasks_done=done,
-        queues=[("queue[0]", 0), ("queue[1]", depth)],
-        lock_holders={"queue[1]": "match-1"},
-        extra={"workers_alive": 2},
-    )
+    return sample(done, ("queue[0]", 0), ("queue[1]", depth),
+                  holders={"queue[1]": "match-1"})
 
 
 class TestProbeSample:
     def test_pending_sums_depths(self):
-        assert stuck_sample(depth=7).pending == 7
-
-    def test_negative_depth_counts_as_one_pending(self):
-        # The mp backend's OS pipes expose no length; -1 means
-        # "unknown but non-empty" and must still count as pending work.
-        sample = ProbeSample(tasks_done=0, queues=[("pipe", -1)])
-        assert sample.pending == 1
+        """Pending work is any nonzero depth, in any queue: all zeros
+        never trips, one task anywhere does."""
+        for depths, trips in (((0, 0), False), ((0, 1), True), ((3, 0), True)):
+            dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=1.0)
+            reading = sample(5, *zip(("queue[0]", "queue[1]"), depths))
+            dog.evaluate(0.0, reading)
+            assert (dog.evaluate(2.0, reading) is not None) is trips, depths
 
 
 class TestTripDecision:
@@ -79,7 +85,7 @@ class TestTripDecision:
         """tasks_done frozen forever is fine as long as nothing is
         pending — an idle engine is not a stalled engine."""
         dog = StallWatchdog(lambda: None, engine="unit", stall_after_s=0.5)
-        idle = ProbeSample(tasks_done=42, queues=[("queue[0]", 0)])
+        idle = sample(42, ("queue[0]", 0))
         for t in range(100):
             assert dog.evaluate(float(t), idle) is None
         assert not dog.tripped

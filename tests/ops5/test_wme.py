@@ -96,9 +96,9 @@ class TestWorkingMemory:
         wm.add("a", {})
         wm.add("b", {})
         wm.add("a", {})
-        assert len(wm.of_class("a")) == 2
-        assert len(wm.of_class("b")) == 1
-        assert wm.of_class("zzz") == []
+        assert len([w for w in wm if w.klass == "a"]) == 2
+        assert len([w for w in wm if w.klass == "b"]) == 1
+        assert [w for w in wm if w.klass == "zzz"] == []
 
     def test_by_timetag(self):
         wm = WorkingMemory()
@@ -111,7 +111,7 @@ class TestWorkingMemory:
         w = wm.add("a", {})
         wm.add("b", {})
         wm.remove(w)
-        assert wm.classes() == ["b"]
+        assert [w.klass for w in wm] == ["b"]
 
     def test_snapshot_ordered_by_timetag(self):
         wm = WorkingMemory()

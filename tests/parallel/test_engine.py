@@ -208,10 +208,10 @@ class TestWatchdog:
         matcher = self.build(n_workers=2, n_queues=3, watchdog_s=600.0)
         try:
             sample = matcher._watchdog_probe()
-            names = [name for name, _depth in sample.queues]
+            names = [q["name"] for q in sample["queues"]]
             assert names == ["queue[0]", "queue[1]", "queue[2]", "taskcount"]
-            assert sample.extra["workers_alive"] == 2
-            assert sample.extra["failures"] == 0
+            assert sample["extra"]["workers_alive"] == 2
+            assert sample["extra"]["failures"] == 0
         finally:
             matcher.close()
 

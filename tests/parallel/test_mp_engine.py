@@ -193,9 +193,9 @@ class TestWatchdogWiring:
             assert matcher.watchdog is not None
             assert matcher.watchdog.engine == "mp"
             sample = matcher._watchdog_probe()
-            assert sample.tasks_done == 0
-            assert sample.queues == [("replies_owed", 0)]
-            assert set(sample.extra["workers"]) == {
+            assert sample["tasks_done"] == 0
+            assert sample["queues"] == [{"name": "replies_owed", "depth": 0}]
+            assert set(sample["extra"]["workers"]) == {
                 proc.name for proc in matcher._procs
             }
         finally:
@@ -208,7 +208,7 @@ class TestWatchdogWiring:
         interp = Interpreter(program, matcher=matcher, network=network)
         try:
             interp.run(max_cycles=100)
-            assert matcher._watchdog_probe().tasks_done > 0
+            assert matcher._watchdog_probe()["tasks_done"] > 0
             assert not matcher.watchdog.tripped
         finally:
             interp.close()

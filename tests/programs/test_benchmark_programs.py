@@ -62,7 +62,7 @@ class TestTourney:
         interp = Interpreter(tourney.source(n_teams=8, n_rounds=10))
         interp.run(max_cycles=5000)
         seen = {}
-        for match in interp.wm.of_class("match"):
+        for match in (w for w in interp.wm if w.klass == "match"):
             rnd = match.get("round")
             for team in (match.get("t1"), match.get("t2")):
                 assert (rnd, team) not in seen, (rnd, team)
@@ -112,7 +112,7 @@ class TestWeaver:
         # is enforced by acceptance rules — working memory must hold no
         # frontier/visited/cand leftovers.
         for klass in ("frontier", "visited", "cand"):
-            assert interp.wm.of_class(klass) == [], klass
+            assert not any(w.klass == klass for w in interp.wm), klass
 
 
 class TestClassics:

@@ -63,12 +63,6 @@ class TestCache:
         assert len(cache) == 0
         assert cache.misses == 0
 
-    def test_peek_does_not_compile(self):
-        cache = NetworkCache()
-        assert cache.peek(COUNTER) is None
-        cache.get(COUNTER)
-        assert cache.peek(COUNTER) is not None
-
     def test_stats_shape(self):
         cache = NetworkCache()
         entry, _ = cache.get(COUNTER)

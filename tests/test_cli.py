@@ -332,6 +332,22 @@ class TestEngineFlags:
         with pytest.raises(ValueError, match=flag):
             make_matcher(engine, None, **{option: value})
 
+    @pytest.mark.parametrize("engine", ["corgi", "threaded", "mp"])
+    def test_a_recorder_off_the_sequential_engine_is_refused(self, engine):
+        """Only the sequential matcher records tasks; another engine
+        would hand the simulator an empty trace (0 tasks where
+        sequential records 142 on blocks)."""
+        from repro import programs
+        from repro.ops5.interpreter import Interpreter
+        from repro.rete.trace import TraceRecorder
+
+        recorder = TraceRecorder()
+        Interpreter(programs.load("blocks"), recorder=recorder).run(max_cycles=5)
+        assert len(recorder.trace.tasks) == 142
+        with pytest.raises(ValueError, match="recorder"):
+            Interpreter(programs.load("blocks"), engine=engine,
+                        recorder=TraceRecorder())
+
     def test_flags_naming_what_the_engine_runs_anyway_are_fine(self, capsys):
         assert main(["run", "monkey", "--engine", "threaded", "--memory", "hash",
                      "--queues", "2", "--locks", "mrsw"]) == 0

@@ -10,7 +10,7 @@ of the snapshot's own fields.
 import asyncio
 
 from repro.obs import events, flight
-from repro.obs.watchdog import ProbeSample, StallWatchdog
+from repro.obs.watchdog import StallWatchdog
 from repro.serve.metrics import SessionCounters
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import ReproServer
@@ -81,7 +81,8 @@ def test_every_profile_and_meter_key_lives_in_stats():
 
 
 def test_every_stall_bundle_key_lives_in_the_snapshot_stall():
-    stuck = ProbeSample(tasks_done=5, queues=[("queue[0]", 3)])
+    stuck = {"tasks_done": 5, "queues": [{"name": "queue[0]", "depth": 3}],
+             "lock_holders": {}, "extra": {}}
     dog = StallWatchdog(lambda: stuck, engine="unit", stall_after_s=1.0)
     flight.reset()
     try:
