@@ -453,6 +453,50 @@ class TestOneRoundTrip:
         assert tasks_done.value == 2
 
 
+class TestKeptTails:
+    """What the control process keeps of a worker's flight ring: after
+    k batches, the worker's last ``SHIP_FLIGHT_TAIL`` events in order —
+    one tail, whichever replies carried them, bus on or off, and a
+    ``report`` round trip leaves it as it was."""
+
+    @pytest.mark.parametrize("bus", [False, True])
+    @pytest.mark.parametrize("k", [3, 25])
+    def test_the_kept_tail_is_the_workers_last_events(self, k, bus):
+        from repro.obs import events
+        from repro.obs.fabric import SHIP_FLIGHT_TAIL
+
+        _program, network = compiled_network(TestOneRoundTrip.SOURCE)
+        flight.reset()
+        if bus:
+            events.reset()
+            events.enable()
+        matcher = ProcessMatcher(network, n_workers=1)
+        pid = matcher._procs[0].pid
+        try:
+            seqs = []
+            for timetag in range(1, k + 1):
+                change = WMEChange(sign=1, wme=TestOneRoundTrip.tick(timetag, timetag))
+                assert len(matcher.process_changes([change])) == 1
+                seqs.append(matcher._seq)
+            kept = flight.remote_tail(pid)
+            expected = [("start", {"wid": 0, "pid": pid})] + [
+                ("batch", {"wid": 0, "seq": seq, "changes": 1}) for seq in seqs]
+            expected = expected[-SHIP_FLIGHT_TAIL:]
+            assert [(e["event"], e["detail"]) for e in kept] == expected
+            assert {e["engine"] for e in kept} == {"mp.worker"}
+            stamps = [e["t_ns"] for e in kept]
+            assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
+            matcher.stats  # a report round trip
+            assert flight.remote_tail(pid) == kept
+            matcher.close()
+            assert flight.remote_tail(pid) == kept
+        finally:
+            matcher.close()
+            if bus:
+                events.disable()
+                events.reset()
+
+
 @functools.lru_cache(maxsize=None)
 def sequential_run(name):
     """A builtin's sequential firing list and ``MatchStats`` fields."""
