@@ -3,20 +3,23 @@
 The mp backend's match workers are forked processes, so what they
 record — on their own copies of :mod:`repro.obs.events` and
 :mod:`repro.obs.flight` — would die with them.  It rides the worker's
-reports instead (no round trip of its own), as one dict whose format
-only this module knows:
+replies instead (no round trip of its own), in two parts whose format
+only this module and the mp engine know:
 
-* :func:`build_ship` (worker side) snapshots the local bus — spans,
-  per-node aggregates, counters, drop count — bounds the span payload
-  (:data:`SHIP_MAX_SPANS`; overflow is *counted*, never silently cut),
-  attaches the flight-recorder tail, and resets the local bus so each
-  ship is a delta.  With the bus off a ship is the tail and nothing
-  else.
-* :func:`file_ship` (control side, called by the thread reading reports)
-  hands the tail to :func:`repro.obs.flight.keep_remote_tail` — always
-  — and, while the bus is on, files the delta into the worker's own
-  buffer of the control process's bus
-  (:func:`repro.obs.events.file_remote`), counting
+* the flight events a worker recorded since its last reply
+  (:func:`repro.obs.flight.unshipped`, usually one) ride every reply,
+  bus on or off; :func:`file_tail` (control side) appends them to the
+  tail :mod:`repro.obs.flight` keeps for that worker, capped at
+  :data:`SHIP_FLIGHT_TAIL`, so a dead worker's last moments are known
+  without a round trip;
+* :func:`build_ship` (worker side, in each ``report`` reply) snapshots
+  the local bus — spans, per-node aggregates, counters, drop count —
+  bounds the span payload (:data:`SHIP_MAX_SPANS`; overflow is
+  *counted*, never silently cut), adds the unshipped flight events, and
+  resets the local bus so each ship is a delta.  :func:`file_ship`
+  (control side) files the events by :func:`file_tail` and, while the
+  bus is on, the delta into the worker's own buffer of the control
+  process's bus (:func:`repro.obs.events.file_remote`), counting
   ``fabric.ship_batches`` / ``fabric.ship_spans`` /
   ``fabric.ship_dropped`` there.  From then on the worker is one more
   row of :func:`repro.obs.events.snapshot`, which profiles and the
@@ -26,7 +29,7 @@ only this module knows:
 from __future__ import annotations
 
 import os
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from . import events as _events
 from . import flight
@@ -36,9 +39,9 @@ from . import flight
 #: SHIP_MAX_SPANS and counts the rest in ``ship_dropped``.
 SHIP_MAX_SPANS = 20_000
 
-#: Flight-recorder events attached to each ship (the worker's black
-#: box tail travels with its reports, so the control process always
-#: holds a dead worker's last moments).
+#: Flight-recorder events kept per worker (its black box tail, pieced
+#: together from its replies, so the control process always holds a
+#: dead worker's last moments), and the most one reply carries.
 SHIP_FLIGHT_TAIL = 20
 
 
@@ -67,14 +70,23 @@ def build_ship(
         "counters": snap.counters,
         "dropped": snap.dropped,
         "ship_dropped": ship_dropped,
-        "flight": flight.tail(tail_n),
+        "flight": flight.unshipped(tail_n),
     }
+
+
+def file_tail(pid: int, name: str, events: List[Dict[str, Any]]) -> None:
+    """Append the flight events worker ``pid`` (displayed as ``name``)
+    shipped to the tail kept for it, keeping the last
+    :data:`SHIP_FLIGHT_TAIL`."""
+    if events:
+        kept = flight.remote_tail(pid) + events
+        flight.keep_remote_tail(pid, name, kept[-SHIP_FLIGHT_TAIL:])
 
 
 def file_ship(name: str, ship: Dict[str, Any]) -> None:
     """File one report's ship from the worker displayed as ``name``."""
     pid = ship["pid"]
-    flight.keep_remote_tail(pid, name, ship["flight"])
+    file_tail(pid, name, ship["flight"])
     if not _events.ENABLED:
         return
     spans = ship["spans"]

@@ -10,11 +10,12 @@ unconditionally, because one ``perf_counter_ns`` call plus one
 enough to leave enabled in production.
 
 The ring is per *process* — forked mp workers inherit a copy and then
-diverge; the tail of theirs rides their reports (bus on or off) and
-the control process keeps the last one each worker sent
-(:func:`keep_remote_tail`), for the :data:`REMOTE_TAILS` workers heard
-from most recently.  That store belongs to this module, not to an
-engine or a session, so every snapshot carries it under ``workers`` —
+diverge; each of a worker's replies carries the events it recorded
+since the last one (:func:`unshipped`, bus on or off), and the control
+process keeps each worker's latest tail (:func:`keep_remote_tail`), for
+the :data:`REMOTE_TAILS` workers heard from most recently.  That store
+belongs to this module, not to an engine or a session, so every
+snapshot carries it under ``workers`` —
 one written after the failed matcher has already closed included — and
 a dead worker's last moments survive it.
 
@@ -60,6 +61,8 @@ _EVENT = Tuple[int, str, str, Optional[dict]]
 
 _ring: Deque[_EVENT] = deque(maxlen=DEFAULT_RING_SIZE)
 _recorded_total = 0
+# _recorded_total as of the last unshipped() call.
+_shipped_total = 0
 _dump_path: Optional[str] = None
 # Engines that have run in this process (name -> last-seen worker
 # count; sequential engines register 1).  Process identity, not run
@@ -88,10 +91,10 @@ def configure(capacity: int = DEFAULT_RING_SIZE) -> None:
 def reset() -> None:
     """Empty the ring (and the worker tails and the stall) without
     changing its capacity."""
-    global _recorded_total, _stall
+    global _recorded_total, _shipped_total, _stall
     with _snap_lock:
         _ring.clear()
-        _recorded_total = 0
+        _recorded_total = _shipped_total = 0
         _remote_tails.clear()
         _stall = None
 
@@ -123,6 +126,15 @@ def tail(n: Optional[int] = None) -> List[Dict[str, Any]]:
         {"t_ns": t, "engine": engine, "event": event, "detail": detail}
         for t, engine, event, detail in events
     ]
+
+
+def unshipped(n: int) -> List[Dict[str, Any]]:
+    """The events recorded since the last call (at most the latest
+    ``n``), oldest first: what a worker's next reply ships."""
+    global _shipped_total
+    new = _recorded_total - _shipped_total
+    _shipped_total = _recorded_total
+    return tail(min(new, n)) if new else []
 
 
 def keep_remote_tail(pid: int, name: str, tail: List[dict]) -> None:

@@ -133,7 +133,8 @@ class Interpreter:
         ``'lex'`` (default) or ``'mea'``.
     recorder:
         Optional :class:`~repro.rete.trace.TraceRecorder` capturing the
-        task DAG for the Encore simulator (sequential matcher only).
+        task DAG for the Encore simulator (sequential matcher only; a
+        ``matcher`` passed in must have been built with it).
     network:
         A prebuilt :class:`~repro.rete.network.ReteNetwork` for this
         program, e.g. from :class:`~repro.serve.netcache.NetworkCache`.
@@ -173,6 +174,11 @@ class Interpreter:
             matcher = make_matcher(engine or "sequential", self.network, **opts)
         elif engine is not None:
             raise ValueError("pass either matcher= or engine=, not both")
+        elif recorder is not None and getattr(matcher, "recorder", None) is not recorder:
+            raise ValueError(
+                "a trace recorder (recorder) needs a sequential matcher built "
+                "with it; this matcher would record no tasks"
+            )
         self.matcher = matcher
         self.recorder = recorder
         self.strategy = make_strategy(strategy)

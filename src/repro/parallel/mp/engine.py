@@ -16,14 +16,15 @@ Control flow per WM-change batch — one round trip:
    once (counting it in its own :class:`MatchStats`) and sends each
    root activation to the worker owning the root's production, one
    ``changes`` message per worker that has roots (a batch without
-   roots sends nothing);
+   roots sends nothing): an add carries its WME, which the worker
+   keeps, a delete only its timetag;
 2. each worker drains each change's roots to quiescence in turn, on
-   its own stack, and posts one ``deltas`` reply;
+   its own stack, and posts one ``deltas`` reply of timetags;
 3. the control process waits for one reply from each worker it wrote
-   to and returns their deltas.  Each production's deltas arrive in
-   sequential order, so the interpreter keeps its strict conflict set
-   (``strict_cs = True``), and the merged :class:`MatchStats` equal the
-   sequential engine's field for field.
+   to and rebuilds their tokens from the WMEs it routed.  Each
+   production's deltas arrive in sequential order, so the interpreter
+   keeps its strict conflict set (``strict_cs = True``), and the merged
+   :class:`MatchStats` equal the sequential engine's field for field.
 
 The split is by production, so a program whose work sits in one
 production runs it on one worker: there is no parallelism inside a
@@ -48,14 +49,14 @@ import itertools
 import multiprocessing
 import pickle
 import select
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...obs import context as _context
 from ...obs import events as _obs
 from ...obs import fabric as _fabric
 from ...obs import flight as _flight
 from ...obs.watchdog import StallWatchdog
-from ...ops5.wme import WMEChange
+from ...ops5.wme import WME, WMEChange
 from ...rete import kernel
 from ...rete.matcher import Matcher
 from ...rete.network import ReteNetwork
@@ -81,7 +82,8 @@ class ProcessMatcher(Matcher):
 
     ``n_workers`` is the paper's "k" of "1+k"; the lock-scheme,
     queue-count and line-count axes disappear — a worker's memories are
-    its own, and each worker has exactly one inbound pipe.
+    its own, and each worker has one duplex pipe, down which every
+    message is one pickle (``send_bytes``).
     """
 
     #: Each production's deltas arrive in sequential order.
@@ -112,8 +114,6 @@ class ProcessMatcher(Matcher):
             node_id: worker_of[name] for node_id, name in network.node_owner.items()
         }
         ctx = multiprocessing.get_context("fork")
-        self._inboxes = [ctx.SimpleQueue() for _ in range(n_workers)]
-        self._results = ctx.SimpleQueue()
         self._seq = 0
         #: Replies the current batch still owes (the watchdog's gauge).
         self._owed = 0
@@ -129,27 +129,25 @@ class ProcessMatcher(Matcher):
         #: Whether the workers currently mirror the control process's
         #: obs flag (synced lazily at each batch boundary).
         self._workers_obs = False
-        #: Shared cumulative drained-task counter — the watchdog's
-        #: cross-process progress signal.
-        self._tasks_done = ctx.Value("q", 0)
-        self._procs = [
-            ctx.Process(
-                target=run_worker,
-                args=(wid, network, self._inboxes[wid], self._results,
-                      self._tasks_done),
-                daemon=True,
-                name=f"match-{wid}",
-            )
-            for wid in range(n_workers)
-        ]
-        for proc in self._procs:
+        #: Timetag -> WME of every routed WME still in working memory.
+        self._wmes: Dict[int, WME] = {}
+        #: Drained tasks, one slot per worker (the watchdog's progress).
+        self._tasks_done = ctx.RawArray("q", n_workers)
+        self._conns, self._procs = [], []
+        for wid in range(n_workers):
+            # Only the worker keeps its end: its death is an EOF or a
+            # broken pipe here.
+            conn, theirs = ctx.Pipe()
+            proc = ctx.Process(target=run_worker, name=f"match-{wid}", daemon=True,
+                               args=(wid, network, theirs, self._tasks_done))
             proc.start()
-        # What _next_reply sleeps on: a reply or a death.  SimpleQueue
-        # offers nothing public to wait on (``_reader`` is the read end
-        # of its pipe), and its ``empty()`` builds a selector per call.
-        self._reply_fd = self._results._reader.fileno()
+            theirs.close()
+            self._conns.append(conn)
+            self._procs.append(proc)
+        # What _next_reply sleeps on: a reply or a death.
+        self._wid_of_fd = {conn.fileno(): wid for wid, conn in enumerate(self._conns)}
         self._reply_or_death = select.poll()
-        for fd in (self._reply_fd, *(proc.sentinel for proc in self._procs)):
+        for fd in (*self._wid_of_fd, *(proc.sentinel for proc in self._procs)):
             self._reply_or_death.register(fd, select.POLLIN)
         if watchdog_s:
             self.watchdog = StallWatchdog(
@@ -167,8 +165,8 @@ class ProcessMatcher(Matcher):
             raise RuntimeError("matcher already closed")
         obs_on = _obs.ENABLED
         if obs_on != self._workers_obs:
-            # Safe to interleave: workers are idle on inbox.get()
-            # between batches, so the obs message cannot land mid-drain.
+            # Safe to interleave: workers are idle on recv between
+            # batches, so the obs message cannot land mid-drain.
             cap = _obs.current_max_events()
             for wid in range(self.n_workers):
                 self._post(wid, ("obs", obs_on, cap))
@@ -178,7 +176,7 @@ class ProcessMatcher(Matcher):
             t0 = _obs.now()
         seq = self._seq = next(_GLOBAL_SEQ)
         _flight.record("mp", "dispatch", {"seq": seq, "changes": len(changes)})
-        shares = self._route(changes)
+        shares, removed = self._route(changes)
         recipients = [wid for wid, share in enumerate(shares) if share]
         if not recipients:
             # Nothing to match, but a dead worker must not pass unseen.
@@ -199,6 +197,8 @@ class ProcessMatcher(Matcher):
             _obs.count("mp.batches")
             _obs.count("mp.changes", len(changes))
         deltas = self._collect()
+        for timetag in removed:
+            del self._wmes[timetag]
         self._unreported = True
         if obs_on:
             t2 = _obs.now()
@@ -213,52 +213,64 @@ class ProcessMatcher(Matcher):
         return deltas
 
     def _post(self, wid: int, msg: tuple) -> None:
-        """Put ``msg`` on worker ``wid``'s inbox, billing its bytes
-        while timed."""
-        self._inboxes[wid].put(msg)
+        """Send ``msg`` down worker ``wid``'s pipe, billing its bytes
+        while timed; a dead worker's pipe raises the typed error."""
+        data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        try:
+            self._conns[wid].send_bytes(data)
+        except OSError:
+            self._raise_worker_failure(self._procs[wid])
         if self.timed:
-            self.ipc_bytes += len(pickle.dumps(msg))
+            self.ipc_bytes += len(data)
 
-    def _route(self, changes: List[WMEChange]) -> List[list]:
-        """Each worker's share of the batch: per change with roots for
-        it, ``(sign, wme, [(node_id, side), ...])``, each root going to
-        the worker that owns its production."""
+    def _route(self, changes: List[WMEChange]) -> Tuple[List[list], List[int]]:
+        """Each worker's share of the batch — per change with roots for
+        it, ``(sign, wme or timetag, [(node_id, side), ...])``, each
+        root going to the worker that owns its production — and the
+        timetags of the routed WMEs the batch removes."""
         n = self.n_workers
-        owner = self._owner
+        owner, wmes = self._owner, self._wmes
         shares: List[list] = [[] for _ in range(n)]
+        removed: List[int] = []
         for change in changes:
             sign, wme = change.sign, change.wme
             roots: List[tuple] = []
             kernel.enter_change(self.network, self._alpha_stats, sign, wme, roots.extend)
             if not roots:
                 continue
+            if sign > 0:
+                wmes[wme.timetag] = item = wme
+            else:
+                item = wme.timetag
+                removed.append(item)
             mine: List[list] = [[] for _ in range(n)]
             for node, side, _sign, _token in roots:
                 node_id = node.node_id
                 mine[owner[node_id]].append((node_id, side))
             for wid, share in enumerate(mine):
                 if share:
-                    shares[wid].append((sign, wme, share))
-        return shares
+                    shares[wid].append((sign, item, share))
+        return shares, removed
 
     def _collect(self) -> List[CSDelta]:
         """Merge one ``deltas`` reply from each worker the batch was
         sent to; returns their deltas.  A reply left over from an
         interrupted earlier batch carries an older seq and is dropped."""
         deltas: List[CSDelta] = []
-        terminals = self.network.terminals
+        terminals, wmes = self.network.terminals, self._wmes
         while self._owed:
-            msg = self._next_reply()
+            wid, msg = self._next_reply()
             if msg[0] != "deltas":
                 continue
-            _kind, wid, seq, payload, ship = msg
-            if ship is not None:
-                _fabric.file_ship(self._procs[wid].name, ship)
+            _kind, seq, payload, events = msg
+            proc = self._procs[wid]
+            _fabric.file_tail(proc.pid, proc.name, events)
             if seq != self._seq:
                 continue
             self._owed -= 1
             deltas.extend(
-                (terminals[name].production, token, sign) for name, token, sign in payload
+                (terminals[name].production, (tuple([wmes[t] for t in key]), key), sign)
+                for name, key, sign in payload
             )
         return deltas
 
@@ -267,29 +279,31 @@ class ProcessMatcher(Matcher):
             if proc.exitcode is not None:
                 self._raise_worker_failure(proc)
 
-    def _next_reply(self):
-        """The next message on the results queue.  A worker that died
-        owes a reply that will never come, so this sleeps on *a reply
-        or a death* rather than in ``get()``.  A worker's ``error``
-        report is raised here, with its traceback and flight tail."""
+    def _next_reply(self) -> Tuple[int, tuple]:
+        """The next ``(wid, reply)``.  A worker that died owes a reply
+        that will never come, so this sleeps on *a reply or a death*.
+        A worker's ``error`` report is raised here, with its traceback
+        and flight tail."""
         while True:
             for fd, _event in self._reply_or_death.poll():
-                if fd == self._reply_fd:
-                    # The one reader of the results pipe: read the bytes
-                    # themselves, so what they weigh is known for free.
-                    data = self._results._reader.recv_bytes()
-                    if self.timed:
-                        self.ipc_bytes += len(data)
-                    msg = pickle.loads(data)
-                    if msg[0] == "error":
-                        _flight.record("mp", "worker_error", {"wid": msg[1]})
-                        _flight.dump_on_error("worker_error")
-                        self._stop()
-                        raise RuntimeError(
-                            "match process failed\n"
-                            + self._format_error(msg[2], msg[3])
-                        )
-                    return msg
+                wid = self._wid_of_fd.get(fd)
+                if wid is None:
+                    continue  # a sentinel: see below
+                try:
+                    data = self._conns[wid].recv_bytes()
+                except (EOFError, OSError):
+                    self._raise_worker_failure(self._procs[wid])
+                if self.timed:
+                    self.ipc_bytes += len(data)
+                msg = pickle.loads(data)
+                if msg[0] == "error":
+                    _flight.record("mp", "worker_error", {"wid": wid})
+                    _flight.dump_on_error("worker_error")
+                    self._stop()
+                    raise RuntimeError(
+                        "match process failed\n" + self._format_error(msg[1], msg[2])
+                    )
+                return wid, msg
             # A sentinel fired — a moment before the exit status can be
             # collected; until then this loop comes back here.
             self._check_alive()
@@ -310,13 +324,18 @@ class ProcessMatcher(Matcher):
         return detail
 
     def _raise_worker_failure(self, proc) -> None:
+        proc.join(timeout=5.0)  # its pipe closes before it is reaped
         # What the worker said on its way out, if it lived long enough
-        # to say it; else the last tail it shipped with a report.
+        # to say it; else the last tail it shipped.
         detail = self._format_error("", _flight.remote_tail(proc.pid))
-        while not self._results.empty():
-            msg = self._results.get()
-            if msg[0] == "error":
-                detail = f"\n{self._format_error(msg[2], msg[3])}"
+        conn = self._conns[self._procs.index(proc)]
+        try:
+            while conn.poll():
+                msg = pickle.loads(conn.recv_bytes())
+                if msg[0] == "error":
+                    detail = f"\n{self._format_error(msg[1], msg[2])}"
+        except (EOFError, OSError):
+            pass
         _flight.record("mp", "worker_death",
                        {"proc": proc.name, "exitcode": proc.exitcode})
         _flight.dump_on_error("worker_death")
@@ -336,11 +355,11 @@ class ProcessMatcher(Matcher):
             self._post(wid, ("report", seq))
         seen = 0
         while seen < self.n_workers:
-            msg = self._next_reply()
-            if msg[0] != "report" or msg[2] != seq:
+            wid, msg = self._next_reply()
+            if msg[0] != "report" or msg[1] != seq:
                 # A reply from an interrupted earlier batch; ignore.
                 continue
-            _kind, wid, _seq, stats, ship = msg
+            _kind, _seq, stats, ship = msg
             seen += 1
             _fabric.file_ship(self._procs[wid].name, ship)
             self._worker_stats[wid] = stats
@@ -348,14 +367,14 @@ class ProcessMatcher(Matcher):
 
     def _watchdog_probe(self) -> Dict[str, Any]:
         """Cross-process stall probe: the replies the batch still owes
-        are the pending-work gauge (OS pipes expose no depth), the
-        shared drained-task counter the progress signal."""
+        are the pending-work gauge (OS pipes expose no depth), the sum
+        of the workers' drained-task slots the progress signal."""
         alive = {
             proc.name: "alive" if proc.exitcode is None else f"exit {proc.exitcode}"
             for proc in self._procs
         }
         return {
-            "tasks_done": self._tasks_done.value,
+            "tasks_done": sum(self._tasks_done),
             "queues": [{"name": "replies_owed", "depth": self._owed}],
             "lock_holders": {},
             "extra": {"workers": alive, "seq": self._seq},
@@ -381,19 +400,19 @@ class ProcessMatcher(Matcher):
         self._shutdown = True
         if self.watchdog is not None:
             self.watchdog.stop()
-        for inbox, proc in zip(self._inboxes, self._procs):
+        for conn, proc in zip(self._conns, self._procs):
             if proc.exitcode is None:
                 try:
-                    inbox.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover
+                    conn.send_bytes(pickle.dumps(("stop",)))
+                except OSError:
                     pass
         for proc in self._procs:
             proc.join(timeout=5.0)
             if proc.exitcode is None:  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        for q in (*self._inboxes, self._results):
-            q.close()
+        for conn in self._conns:
+            conn.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -10,46 +10,46 @@ anywhere, and its token memories are a plain strict
 touches.  The compiled Rete network arrives by fork inheritance —
 shared read-only pages, never pickled.
 
-Message protocol (inbound, one queue per worker, written only by the
-control process):
+Message protocol: one duplex pipe per worker, whose other end only the
+control process holds; every message is one ``send_bytes`` of one
+pickle.  Inbound:
 
-``("changes", seq, [(sign, wme, [(node_id, side), ...]), ...], ctx_ids)``
+``("changes", seq, [(sign, wme or timetag, [(node_id, side), ...]), ...], ctx_ids)``
     This worker's share of one WM-change batch: per change with roots
     for it, the roots of its productions, in the order the alpha pass
     produced them.  A worker with no roots in a batch gets no message.
-    The worker drains each change's roots to quiescence in turn — the
-    sequential engine's order, restricted to its productions — and
-    replies ``("deltas", wid, seq, deltas, ship)`` with the batch's
-    conflict-set changes as ``(production name, token, sign)``.
-    ``ctx_ids`` (None, or ``{"req", "session", "tenant"}`` from
-    :mod:`repro.obs.context`) is the serve request that caused the
-    batch; workers stamp it into their batch spans so stitched traces
-    stay request-scoped across the process boundary.
+    A ``+`` change carries its WME, which the worker keeps by timetag;
+    a ``-`` change only the timetag (a delete has its add's roots, so
+    it reaches each worker that kept the WME).  The worker drains each
+    change's roots to quiescence in turn — the sequential engine's
+    order, restricted to its productions — and replies
+    ``("deltas", seq, deltas, flight)``: the batch's conflict-set
+    changes as ``(production name, timetags, sign)``, and the flight
+    events recorded since its last reply.  ``ctx_ids`` (None, or
+    ``{"req", "session", "tenant"}`` from :mod:`repro.obs.context`) is
+    the serve request that caused the batch; workers stamp it into
+    their batch spans so stitched traces stay request-scoped across
+    the process boundary.
 
 ``("report", seq)``
     Sent by the control process only between batches: after every batch
     while the bus is on, and otherwise when someone reads its ``stats``
     or ``ipc_counters`` (and once more at ``close``).  Reply with the
-    cumulative match stats and a ship.
+    cumulative match stats and a ship (:func:`repro.obs.fabric.build_ship`).
 
 ``("obs", enabled, max_events)``
     Mirror the control process's observability state.  Sent only
-    between batches (workers are idle on ``inbox.get()`` then), so it
-    can never interleave with a drain.
+    between batches (workers are idle on ``recv`` then), so it can
+    never interleave with a drain.
 
 ``("stop",)``
     Exit the process loop.
-
-The *ship* (:func:`repro.obs.fabric.build_ship`) is the worker's flight
-tail and, bus on, its spans and node profiles since the last one.  A
-``deltas`` reply carries it while the bus is off (None otherwise); a
-traced run ships exactly once per worker per batch, in the ``report``
-reply.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import traceback
 
 from ...obs import events as _obs
@@ -62,17 +62,22 @@ from ...rete.stats import MatchStats
 
 
 class _WorkerState:
-    """Everything one match process owns: its productions' memories
-    and its stats."""
+    """Everything one match process owns: its productions' memories,
+    the WMEs they hold, and its stats."""
 
-    def __init__(self, wid, network, outbox, tasks_done):
+    def __init__(self, wid, network, conn, tasks_done):
         self.wid = wid
-        self.outbox = outbox
-        #: Shared cumulative drained-task counter (watchdog progress
-        #: signal).
+        self.conn = conn
+        #: One drained-task slot per worker, this one written only here
+        #: (the watchdog's progress signal).
         self.tasks_done = tasks_done
         self.nodes = {node.node_id: node for node in network.beta_nodes}
         self.ctx = MatchContext(MemorySystem("hash"), MatchStats())
+        #: Timetag -> WME, for every WME added here and not yet removed.
+        self.wmes = {}
+
+    def reply(self, msg: tuple) -> None:
+        self.conn.send_bytes(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
 
     def on_changes(self, seq: int, payload, ctx_ids) -> None:
         obs_on = _obs.ENABLED
@@ -82,15 +87,18 @@ class _WorkerState:
             "mp.worker", "batch",
             {"wid": self.wid, "seq": seq, "changes": len(payload)},
         )
-        ctx, nodes = self.ctx, self.nodes
+        ctx, nodes, wmes = self.ctx, self.nodes, self.wmes
         done = 0
         for sign, wme, roots in payload:
+            if sign > 0:
+                wmes[wme.timetag] = wme
+            else:
+                wme = wmes.pop(wme)
             token = ((wme,), (wme.timetag,))
             done += kernel.drain(
                 ctx, [(nodes[node_id], side, sign, token) for node_id, side in roots]
             )
-        with self.tasks_done.get_lock():
-            self.tasks_done.value += done
+        self.tasks_done[self.wid] += done
         if obs_on:
             # The "seq" arg is the stitch key: the control process's
             # dispatch span for this batch carries the same number.
@@ -98,17 +106,13 @@ class _WorkerState:
             if ctx_ids is not None:
                 args.update(ctx_ids)
             _obs.span("mp.worker", "batch", t0, _obs.now(), args=args)
-        deltas = [
-            (production.name, token, sign)
-            for production, token, sign in ctx.cs_deltas
-        ]
+        deltas = [(production.name, token[1], sign)
+                  for production, token, sign in ctx.cs_deltas]
         ctx.cs_deltas = []
-        ship = None if obs_on else _fabric.build_ship()
-        self.outbox.put(("deltas", self.wid, seq, deltas, ship))
+        self.reply(("deltas", seq, deltas, _flight.unshipped(_fabric.SHIP_FLIGHT_TAIL)))
 
     def on_report(self, seq: int) -> None:
-        self.outbox.put(
-            ("report", self.wid, seq, self.ctx.stats, _fabric.build_ship()))
+        self.reply(("report", seq, self.ctx.stats, _fabric.build_ship()))
 
     def on_obs(self, msg) -> None:
         """Mirror the control process's obs state (between batches)."""
@@ -121,11 +125,11 @@ class _WorkerState:
             _obs.reset()
 
 
-def run_worker(wid, network, inbox, outbox, tasks_done) -> None:
+def run_worker(wid, network, conn, tasks_done) -> None:
     """Process entry point: loop until ``("stop",)`` or failure.
 
-    Failures are reported on the results queue as
-    ``("error", wid, traceback_text, flight_tail)`` before the process
+    A failure is reported down the pipe as
+    ``("error", traceback_text, flight_tail)`` before the process
     exits, so the control process can surface the real exception — and
     the worker's last recorded moments — instead of a hang.
     """
@@ -136,10 +140,10 @@ def run_worker(wid, network, inbox, outbox, tasks_done) -> None:
     _obs.reset()
     _flight.reset()
     _flight.record("mp.worker", "start", {"wid": wid, "pid": os.getpid()})
-    state = _WorkerState(wid, network, outbox, tasks_done)
+    state = _WorkerState(wid, network, conn, tasks_done)
     try:
         while True:
-            msg = inbox.get()
+            msg = pickle.loads(conn.recv_bytes())
             kind = msg[0]
             if kind == "changes":
                 state.on_changes(msg[1], msg[2], msg[3])
@@ -153,14 +157,9 @@ def run_worker(wid, network, inbox, outbox, tasks_done) -> None:
             else:  # pragma: no cover - protocol violation
                 raise RuntimeError(f"unknown message {kind!r}")
     except BaseException as exc:
-        _flight.record(
-            "mp.worker", "error",
-            {"wid": wid, "error": repr(exc)},
-        )
+        _flight.record("mp.worker", "error", {"wid": wid, "error": repr(exc)})
         try:
-            outbox.put(
-                ("error", wid, traceback.format_exc(),
-                 _flight.tail(_fabric.SHIP_FLIGHT_TAIL))
-            )
+            state.reply(("error", traceback.format_exc(),
+                         _flight.tail(_fabric.SHIP_FLIGHT_TAIL)))
         finally:
             raise

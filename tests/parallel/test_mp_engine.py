@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
+import pickle
 
 import pytest
 
@@ -111,13 +111,40 @@ class TestFailurePropagation:
         seq.run(max_cycles=100)
         assert matcher.stats.wme_changes == seq.stats.wme_changes
 
+    def test_a_worker_killed_between_batches_fails_the_next_post(self):
+        """Worker 0 is SIGKILLed while idle: the next batch's write to
+        its pipe is the typed error naming it, with its last shipped
+        tail, and the watchdog never trips."""
+        import os
+        import signal
+        import time
+
+        _program, network = compiled_network(TestOneRoundTrip.SOURCE)
+        matcher = ProcessMatcher(network, n_workers=2, watchdog_s=2.0)
+        tick = TestOneRoundTrip.tick
+        try:
+            assert matcher.process_changes([WMEChange(1, tick(1, 1))])
+            victim = matcher._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError) as exc:
+                matcher.process_changes([WMEChange(1, tick(2, 2))])
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            matcher.close()
+        text = str(exc.value)
+        assert "match process match-0 died (exit -9)" in text
+        assert "mp.worker.batch" in text
+        assert matcher.watchdog.trips == 0
+
     @staticmethod
     def post_bad_node(matcher):
         """A ``changes`` message naming a node id no network has: the
         worker's lookup raises, and the batch owes one reply."""
         wme = WME.make("block", {"color": "red"}, 1)
         matcher._owed = 1
-        matcher._inboxes[0].put(("changes", 0, [(1, wme, [(-12345, "L")])], None))
+        matcher._post(0, ("changes", 0, [(1, wme, [(-12345, "L")])], None))
 
     def test_worker_exception_reports_traceback(self):
         """An exception inside a worker (forced by corrupting the batch
@@ -319,33 +346,25 @@ class TestEqualNumbers:
                                        engine_opts={"n_workers": n_workers}))
         assert got == expected
 
-class FakeCount:
-    """A shared ``Value`` as one process sees it."""
+class FakeConn:
+    """A worker's end of its pipe as the worker sees it: ``msgs`` to
+    receive, and what it sent, unpickled."""
 
-    def __init__(self, value=0):
-        self.value = value
-        self._lock = threading.Lock()
-
-    def get_lock(self):
-        return self._lock
-
-
-class FakeInbox:
     def __init__(self, msgs):
-        self.msgs = list(msgs)
+        self.msgs = [pickle.dumps(msg) for msg in msgs]
+        self.sent = []
 
-    def get(self):
+    def recv_bytes(self):
         return self.msgs.pop(0)
 
-
-class FakeOutbox(list):
-    put = list.append
+    def send_bytes(self, data):
+        self.sent.append(pickle.loads(data))
 
 
 class TestOneRoundTrip:
     """A batch is one round trip: the control process sends each root
     once, to the worker owning the root's production, and writes only
-    the inboxes of workers that have roots; each of them replies once."""
+    the pipes of workers that have roots; each of them replies once."""
 
     #: One single-CE rule: production 0, so every root goes to worker 0.
     SOURCE = "(literalize tick n)\n(p count (tick ^n <n>) --> (write <n>))\n"
@@ -355,36 +374,29 @@ class TestOneRoundTrip:
 
     @staticmethod
     def tap(matcher):
-        """Record what the control process writes to each inbox and how
-        many bytes it reads back; returns ``(sent, reader)``."""
+        """Record what the control process writes down each pipe, as
+        ``(wid, message, bytes)``, and what it reads back, as
+        ``(wid, bytes)``; returns ``(sent, received)``."""
 
-        class Inbox:
-            def __init__(self, wid, queue):
-                self.wid, self.queue = wid, queue
+        class Conn:
+            def __init__(self, wid, conn):
+                self.wid, self.conn = wid, conn
 
-            def put(self, msg):
-                sent.append((self.wid, msg))
-                self.queue.put(msg)
-
-            def close(self):
-                self.queue.close()
-
-        class Reader:
-            def __init__(self, conn):
-                self.conn, self.bytes = conn, 0
+            def send_bytes(self, data):
+                sent.append((self.wid, pickle.loads(data), data))
+                self.conn.send_bytes(data)
 
             def recv_bytes(self):
                 data = self.conn.recv_bytes()
-                self.bytes += len(data)
+                received.append((self.wid, data))
                 return data
 
             def __getattr__(self, name):
                 return getattr(self.conn, name)
 
-        sent = []
-        matcher._inboxes = [Inbox(wid, q) for wid, q in enumerate(matcher._inboxes)]
-        reader = matcher._results._reader = Reader(matcher._results._reader)
-        return sent, reader
+        sent, received = [], []
+        matcher._conns = [Conn(wid, conn) for wid, conn in enumerate(matcher._conns)]
+        return sent, received
 
     @staticmethod
     def tick(n, timetag):
@@ -393,10 +405,10 @@ class TestOneRoundTrip:
     def test_roots_on_one_worker_write_one_inbox(self):
         _program, network = compiled_network(self.SOURCE)
         matcher = ProcessMatcher(network, n_workers=2)
-        sent, _reader = self.tap(matcher)
+        sent, _received = self.tap(matcher)
         try:
             deltas = matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1))])
-            assert [(wid, msg[0]) for wid, msg in sent] == [(0, "changes")]
+            assert [(wid, msg[0]) for wid, msg, _data in sent] == [(0, "changes")]
             assert [(p.name, sign) for p, _token, sign in deltas] == [("count", 1)]
             assert matcher._owed == 0
         finally:
@@ -405,52 +417,100 @@ class TestOneRoundTrip:
     def test_a_batch_without_roots_makes_no_ipc(self):
         _program, network = compiled_network(self.SOURCE)
         matcher = ProcessMatcher(network, n_workers=2)
-        sent, reader = self.tap(matcher)
+        sent, received = self.tap(matcher)
         matcher.timed = True
         try:
             change = WMEChange(sign=1, wme=WME.make("block", {}, 1))
             assert matcher.process_changes([change]) == []
             # Its alpha work was counted here, so the stats need no trip.
             assert matcher.stats.wme_changes == 1
-            assert sent == [] and reader.bytes == 0
+            assert sent == [] and received == []
             assert matcher.ipc_bytes == 0
         finally:
             matcher.close()
 
     def test_ipc_bytes_bill_what_went_down_each_pipe(self):
-        import pickle
-
         _program, network = compiled_network(self.TWO)
         matcher = ProcessMatcher(network, n_workers=2)
-        sent, reader = self.tap(matcher)
+        sent, received = self.tap(matcher)
         matcher.timed = True
         try:
             matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1)),
                                      WMEChange(sign=1, wme=self.tick(2, 2))])
-            assert sorted(wid for wid, _msg in sent) == [0, 1]
-            assert reader.bytes > 0
-            assert matcher.ipc_bytes == reader.bytes + sum(
-                len(pickle.dumps(msg)) for _wid, msg in sent)
+            assert sorted(wid for wid, _msg, _data in sent) == [0, 1]
+            assert sorted(wid for wid, _data in received) == [0, 1]
+            assert matcher.ipc_bytes == sum(
+                len(data) for *_rest, data in sent + received)
         finally:
             matcher.close()
 
     def test_a_worker_drains_each_change_and_replies_once(self):
         """Worker 1's loop, in this process, over a batch of two changes
         for production 1: one ``deltas`` reply carrying both changes'
-        conflict-set deltas, in change order."""
+        conflict-set deltas as timetags, in change order."""
         from repro.parallel.mp.worker import run_worker
 
         _program, network = compiled_network(self.TWO)
         echo = network.terminals["echo"].node_id
         first, second = self.tick(1, 1), self.tick(2, 2)
         batch = [(1, first, [(echo, "L")]), (1, second, [(echo, "L")])]
-        outbox, tasks_done = FakeOutbox(), FakeCount()
-        run_worker(1, network, FakeInbox([("changes", 7, batch, None), ("stop",)]),
-                   outbox, tasks_done)
-        [(kind, wid, seq, deltas, _ship)] = outbox
-        assert (kind, wid, seq) == ("deltas", 1, 7)
-        assert deltas == [("echo", ((first,), (1,)), 1), ("echo", ((second,), (2,)), 1)]
-        assert tasks_done.value == 2
+        conn, tasks_done = FakeConn([("changes", 7, batch, None), ("stop",)]), [0, 0]
+        run_worker(1, network, conn, tasks_done)
+        [(kind, seq, deltas, _flight)] = conn.sent
+        assert (kind, seq) == ("deltas", 7)
+        assert deltas == [("echo", (1,), 1), ("echo", (2,), 1)]
+        assert tasks_done == [0, 2]
+
+
+class TestWire:
+    """What crosses a pipe: a WME goes down once per worker that has
+    roots for it, on its add; a delete, and every reply, is timetags."""
+
+    #: A two-CE rule on one class: every tick has two roots on worker 0.
+    PAIRS = TestOneRoundTrip.TWO + "(p pair (tick ^n <a>) (tick ^n <b>) --> (write <a>))\n"
+
+    @staticmethod
+    def wmes_in(obj):
+        if isinstance(obj, WME):
+            return 1
+        if isinstance(obj, (tuple, list)):
+            return sum(TestWire.wmes_in(item) for item in obj)
+        return 0
+
+    def test_a_wme_goes_down_once_per_worker_and_never_comes_back(self):
+        _program, network = compiled_network(self.PAIRS)
+        matcher = ProcessMatcher(network, n_workers=2)
+        sent, received = TestOneRoundTrip.tap(matcher)
+        tick = TestOneRoundTrip.tick
+        try:
+            deltas = matcher.process_changes([WMEChange(1, tick(1, 1))])
+            # count and pair on worker 0 (pair's two CEs: two roots),
+            # echo on worker 1: one WME for each.
+            assert sorted(wid for wid, _msg, _data in sent) == [0, 1]
+            for _wid, msg, data in sent:
+                [(sign, wme, roots)] = msg[2]
+                assert sign == 1 and wme == tick(1, 1)
+                assert self.wmes_in(msg) == 1 and data.count(b"WME") == 1
+            [(_wid, msg, _data)] = [entry for entry in sent if entry[0] == 0]
+            assert len(msg[2][0][2]) >= 2
+            assert sorted(p.name for p, _token, _sign in deltas) == [
+                "count", "echo", "pair"]
+            del sent[:]
+            added = matcher.process_changes([WMEChange(1, tick(1, 2))])
+            gone = matcher.process_changes([WMEChange(-1, tick(1, 1))])
+            assert len(sent) == 4
+            for _wid, msg, data in sent[2:]:
+                assert [item[:2] for item in msg[2]] == [(-1, 1)]
+                assert b"WME" not in data
+            assert received and all(b"WME" not in data for _wid, data in received)
+            # Tokens are rebuilt from the working memory's own WMEs.
+            for production, token, _sign in added + gone:
+                assert token[1] == tuple(w.timetag for w in token[0])
+            assert ("pair", (1, 2), -1) in {
+                (p.name, token[1], sign) for p, token, sign in gone}
+            assert sorted(matcher._wmes) == [2]
+        finally:
+            matcher.close()
 
 
 class TestKeptTails:

@@ -348,6 +348,37 @@ class TestEngineFlags:
             Interpreter(programs.load("blocks"), engine=engine,
                         recorder=TraceRecorder())
 
+    @pytest.mark.parametrize("engine", ["corgi", "threaded", "mp"])
+    def test_a_recorder_beside_a_matcher_not_built_with_it_is_refused(self, engine):
+        """``matcher=`` plus ``recorder=`` recorded nothing when the
+        matcher was not built with that recorder (corgi on blocks: 0
+        tasks); a sequential matcher built with it is the one door."""
+        from repro import programs
+        from repro.engines import make_matcher
+        from repro.ops5.interpreter import Interpreter
+        from repro.rete.network import ReteNetwork
+        from repro.rete.trace import TraceRecorder
+
+        program = programs.load("blocks")
+        network = ReteNetwork.compile(program)
+        recorder = TraceRecorder()
+        matcher = make_matcher(engine, network, n_workers=1)
+        try:
+            with pytest.raises(ValueError, match="recorder"):
+                Interpreter(program, matcher=matcher, network=network,
+                            recorder=recorder)
+        finally:
+            matcher.close()
+        with pytest.raises(ValueError, match="recorder"):
+            Interpreter(program, matcher=make_matcher(
+                "sequential", network, recorder=TraceRecorder()),
+                network=network, recorder=recorder)
+        interp = Interpreter(program, matcher=make_matcher(
+            "sequential", network, recorder=recorder),
+            network=network, recorder=recorder)
+        interp.run(max_cycles=5)
+        assert len(recorder.trace.tasks) == 142
+
     def test_flags_naming_what_the_engine_runs_anyway_are_fine(self, capsys):
         assert main(["run", "monkey", "--engine", "threaded", "--memory", "hash",
                      "--queues", "2", "--locks", "mrsw"]) == 0
