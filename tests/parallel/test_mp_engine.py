@@ -466,7 +466,8 @@ class TestWire:
     """What crosses a pipe: a WME goes down once per worker that has
     roots for it, on its add; a delete, and every reply, is timetags."""
 
-    #: A two-CE rule on one class: every tick has two roots on worker 0.
+    #: A two-CE rule on one class (production 2, on worker 0): each tick
+    #: has two roots there besides the one for ``count``.
     PAIRS = TestOneRoundTrip.TWO + "(p pair (tick ^n <a>) (tick ^n <b>) --> (write <a>))\n"
 
     @staticmethod
