@@ -99,6 +99,18 @@ def _buffer() -> _WorkerBuffer:
     return buf
 
 
+def _lane(name: str) -> _WorkerBuffer:
+    """The calling thread's buffer for its lane ``name``: a row of its
+    own in this process, registered on first use like a thread's."""
+    lanes = _tls.__dict__.setdefault("lanes", {})
+    buf = lanes.get(name)
+    if buf is None or buf.epoch != _epoch:
+        buf = lanes[name] = _WorkerBuffer(name, _epoch, _max_events)
+        with _reg_lock:
+            _registry.append(buf)
+    return buf
+
+
 # -- control -----------------------------------------------------------------
 
 
@@ -158,9 +170,12 @@ def reset() -> None:
 # -- recording (callers must have checked ENABLED) ---------------------------
 
 
-def span(cat: str, name: str, t0: int, t1: int, args: Optional[dict] = None) -> None:
-    """One completed duration event ``[t0, t1]`` (nanoseconds)."""
-    buf = _buffer()
+def span(cat: str, name: str, t0: int, t1: int, args: Optional[dict] = None,
+         lane: Optional[str] = None) -> None:
+    """One completed duration event ``[t0, t1]`` (nanoseconds), on the
+    calling thread's row or, given a ``lane``, on that row of its own
+    (the mp control process's matcher 0 is lane ``match-0``)."""
+    buf = _buffer() if lane is None else _lane(lane)
     if len(buf.spans) >= buf.max_events:
         buf.dropped += 1
         return

@@ -2,40 +2,46 @@
 
 :class:`ProcessMatcher` is the drop-in matcher the threaded
 :class:`~repro.parallel.engine.ParallelMatcher` honestly could not be
-under CPython's GIL: ``k`` *match processes* forked from the control
-process, sharing the compiled Rete network read-only through fork
-(copy-on-write pages, nothing pickled), each owning whole productions:
-production ``i`` belongs to worker ``i % k``.  Beta nodes are never
-shared between productions (paper footnote 6), so a production's
-activations all run in its owner, in the sequential engine's order;
-no line needs a lock and no task crosses between workers.
+under CPython's GIL: ``k`` *matchers*, each owning whole productions
+(production ``i`` belongs to matcher ``i % k``).  Matcher 0 is the
+control process itself; matchers ``1 … k-1`` are *match processes*
+forked from it, named ``match-1 …``, sharing the compiled Rete network
+read-only through fork (copy-on-write pages, nothing pickled).  Beta
+nodes are never shared between productions (paper footnote 6), so a
+production's activations all run in its owner, in the sequential
+engine's order; no line needs a lock and no task crosses between
+matchers.
 
-Control flow per WM-change batch — one round trip:
+Control flow per WM-change batch — at most one round trip:
 
 1. the control process runs each change through the alpha network
-   once (counting it in its own :class:`MatchStats`) and sends each
-   root activation to the worker owning the root's production, one
-   ``changes`` message per worker that has roots (a batch without
-   roots sends nothing): an add carries its WME, which the worker
-   keeps, a delete only its timetag;
-2. each worker drains each change's roots to quiescence in turn, on
+   once (counting it in its own :class:`MatchStats`) and splits the
+   root activations by the matcher owning each root's production;
+2. it posts one ``changes`` message to each forked worker that has
+   roots (a batch without roots sends nothing): an add carries its
+   WME, which the worker keeps, a delete only its timetag;
+3. it drains matcher 0's share itself, through the same
+   :meth:`.worker.Share.drain` a worker runs, while the workers drain
+   theirs — that share never sees pickle, pipe or reply;
+4. each worker drains each change's roots to quiescence in turn, on
    its own stack, and posts one ``deltas`` reply of timetags;
-3. the control process waits for one reply from each worker it wrote
+5. the control process waits for one reply from each worker it wrote
    to and rebuilds their tokens from the WMEs it routed.  Each
    production's deltas arrive in sequential order, so the interpreter
    keeps its strict conflict set (``strict_cs = True``), and the merged
    :class:`MatchStats` equal the sequential engine's field for field.
 
 The split is by production, so a program whose work sits in one
-production runs it on one worker: there is no parallelism inside a
-production.
+production runs it on one matcher: there is no parallelism inside a
+production.  ``n_workers = 1`` forks nothing.
 
 Match stats and counters are not collected per batch: reading
 :attr:`ProcessMatcher.stats` or :attr:`~ProcessMatcher.ipc_counters`
 after a batch takes one ``("report", seq)`` round trip, and ``close``
-takes the last one.  While the obs bus is on, every batch ends with
-that round trip, so each worker ships its spans once per batch
-(worker protocol: :mod:`.worker`).
+takes the last one.  While the obs bus is on, every batch that wrote to
+a worker ends with that round trip, so each worker ships its spans once
+per batch (worker protocol: :mod:`.worker`); matcher 0 records straight
+onto this process's bus, its batch spans on lane ``match-0``.
 
 Requires the ``fork`` start method (Linux/macOS): compiled networks
 hold closures that cannot cross a ``spawn`` boundary.  Call
@@ -62,7 +68,7 @@ from ...rete.matcher import Matcher
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
-from .worker import run_worker
+from .worker import Share, run_worker
 
 #: Process-unique batch sequence numbers, shared by every ProcessMatcher
 #: in this control process.  The seq is the stitch key pairing dispatch
@@ -70,6 +76,12 @@ from .worker import run_worker
 #: has all their workers on one bus, so per-matcher counters would
 #: collide (two sessions' "seq 1" cross-linking each other's batches).
 _GLOBAL_SEQ = itertools.count(1)
+
+#: The control end of every live worker pipe in this process, of every
+#: ProcessMatcher.  A worker closes its inherited copies right after the
+#: fork (:func:`.worker.run_worker`): a copy kept open in any child
+#: would hide the control process's death from the worker it leads to.
+_CONTROL_ENDS: List[Any] = []
 
 
 def mp_supported() -> bool:
@@ -80,10 +92,11 @@ def mp_supported() -> bool:
 class ProcessMatcher(Matcher):
     """Drop-in multiprocess matcher for the interpreter (`engine=mp`).
 
-    ``n_workers`` is the paper's "k" of "1+k"; the lock-scheme,
-    queue-count and line-count axes disappear — a worker's memories are
-    its own, and each worker has one duplex pipe, down which every
-    message is one pickle (``send_bytes``).
+    ``n_workers`` is the number of matchers, the control process
+    included: ``k - 1`` processes are forked.  The lock-scheme,
+    queue-count and line-count axes disappear — a matcher's memories
+    are its own, and each forked worker has one duplex pipe, down which
+    every message is one pickle (``send_bytes``).
     """
 
     #: Each production's deltas arrive in sequential order.
@@ -105,8 +118,8 @@ class ProcessMatcher(Matcher):
         self.network = network
         self.n_workers = n_workers
         _flight.note_engine("mp", n_workers)
-        #: Beta node id -> the worker owning its production: production
-        #: ``i`` belongs to worker ``i % n_workers``.
+        #: Beta node id -> the matcher owning its production: production
+        #: ``i`` belongs to matcher ``i % n_workers``.
         worker_of = {
             prod.name: i % n_workers for i, prod in enumerate(network.productions)
         }
@@ -121,31 +134,39 @@ class ProcessMatcher(Matcher):
         #: The alpha work of every change, counted here — the one place
         #: it runs.
         self._alpha_stats = MatchStats()
-        #: Each worker's cumulative stats as of the last ``report``
-        #: round trip (replaced, not summed).
+        #: Each forked worker's cumulative stats as of the last
+        #: ``report`` round trip (replaced, not summed).
         self._worker_stats: Dict[int, MatchStats] = {}
-        #: Whether a batch has run since the last ``report`` round trip.
+        #: Whether a forked worker has run a batch since the last
+        #: ``report`` round trip.
         self._unreported = False
         #: Whether the workers currently mirror the control process's
         #: obs flag (synced lazily at each batch boundary).
         self._workers_obs = False
         #: Timetag -> WME of every routed WME still in working memory.
         self._wmes: Dict[int, WME] = {}
-        #: Drained tasks, one slot per worker (the watchdog's progress).
+        #: Drained tasks, one slot per matcher (the watchdog's progress);
+        #: this process writes slot 0.
         self._tasks_done = ctx.RawArray("q", n_workers)
+        #: Matcher 0's share, drained here.
+        self._share = Share(0, network, self._tasks_done)
+        #: Matchers 1..k-1, forked: matcher ``wid`` is ``_procs[wid - 1]``
+        #: and its pipe ``_conns[wid - 1]``.
         self._conns, self._procs = [], []
-        for wid in range(n_workers):
+        for wid in range(1, n_workers):
             # Only the worker keeps its end: its death is an EOF or a
-            # broken pipe here.
+            # broken pipe here, and this process's death one there.
             conn, theirs = ctx.Pipe()
+            _CONTROL_ENDS.append(conn)
             proc = ctx.Process(target=run_worker, name=f"match-{wid}", daemon=True,
-                               args=(wid, network, theirs, self._tasks_done))
+                               args=(wid, network, theirs, self._tasks_done,
+                                     tuple(_CONTROL_ENDS)))
             proc.start()
             theirs.close()
             self._conns.append(conn)
             self._procs.append(proc)
         # What _next_reply sleeps on: a reply or a death.
-        self._wid_of_fd = {conn.fileno(): wid for wid, conn in enumerate(self._conns)}
+        self._wid_of_fd = {conn.fileno(): wid for wid, conn in enumerate(self._conns, 1)}
         self._reply_or_death = select.poll()
         for fd in (*self._wid_of_fd, *(proc.sentinel for proc in self._procs)):
             self._reply_or_death.register(fd, select.POLLIN)
@@ -159,8 +180,9 @@ class ProcessMatcher(Matcher):
     # -- control-process side -----------------------------------------------
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Send the batch's roots to their productions' owners, wait
-        for each one's reply, return the deltas the replies carried."""
+        """Send the batch's roots to their productions' owners, drain
+        matcher 0's here, wait for each worker's reply, and return the
+        deltas of all of them."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
         obs_on = _obs.ENABLED
@@ -168,7 +190,7 @@ class ProcessMatcher(Matcher):
             # Safe to interleave: workers are idle on recv between
             # batches, so the obs message cannot land mid-drain.
             cap = _obs.current_max_events()
-            for wid in range(self.n_workers):
+            for wid in range(1, self.n_workers):
                 self._post(wid, ("obs", obs_on, cap))
             self._workers_obs = obs_on
         ctx_ids = _context.current_ids() if obs_on else None
@@ -177,11 +199,13 @@ class ProcessMatcher(Matcher):
         seq = self._seq = next(_GLOBAL_SEQ)
         _flight.record("mp", "dispatch", {"seq": seq, "changes": len(changes)})
         shares, removed = self._route(changes)
-        recipients = [wid for wid, share in enumerate(shares) if share]
+        mine = shares[0]
+        recipients = [wid for wid in range(1, self.n_workers) if shares[wid]]
         if not recipients:
-            # Nothing to match, but a dead worker must not pass unseen.
+            # A dead worker must not pass unseen.
             self._check_alive()
-            return []
+            if not mine:
+                return []
         # The request's ids ride the batch message as a fourth element;
         # each worker stamps them into its batch span, which is what
         # gives stitched traces request-scoped worker lanes.
@@ -196,10 +220,19 @@ class ProcessMatcher(Matcher):
                       args=_context.tag({"changes": len(changes), "seq": seq}))
             _obs.count("mp.batches")
             _obs.count("mp.changes", len(changes))
-        deltas = self._collect()
+        deltas = []
+        if mine:
+            # Matcher 0's share, while the workers drain theirs.
+            try:
+                deltas = self._share.drain(seq, mine, ctx_ids)
+            except BaseException:
+                self._stop()
+                raise
+        deltas += self._collect()
         for timetag in removed:
             del self._wmes[timetag]
-        self._unreported = True
+        if recipients:
+            self._unreported = True
         if obs_on:
             t2 = _obs.now()
             _obs.span("mp", "quiesce_wait", t1, t2, args={"deltas": len(deltas)})
@@ -217,16 +250,16 @@ class ProcessMatcher(Matcher):
         while timed; a dead worker's pipe raises the typed error."""
         data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
         try:
-            self._conns[wid].send_bytes(data)
+            self._conns[wid - 1].send_bytes(data)
         except OSError:
-            self._raise_worker_failure(self._procs[wid])
+            self._raise_worker_failure(self._procs[wid - 1])
         if self.timed:
             self.ipc_bytes += len(data)
 
     def _route(self, changes: List[WMEChange]) -> Tuple[List[list], List[int]]:
-        """Each worker's share of the batch — per change with roots for
+        """Each matcher's share of the batch — per change with roots for
         it, ``(sign, wme or timetag, [(node_id, side), ...])``, each
-        root going to the worker that owns its production — and the
+        root going to the matcher that owns its production — and the
         timetags of the routed WMEs the batch removes."""
         n = self.n_workers
         owner, wmes = self._owner, self._wmes
@@ -263,7 +296,7 @@ class ProcessMatcher(Matcher):
             if msg[0] != "deltas":
                 continue
             _kind, seq, payload, events = msg
-            proc = self._procs[wid]
+            proc = self._procs[wid - 1]
             _fabric.file_tail(proc.pid, proc.name, events)
             if seq != self._seq:
                 continue
@@ -290,9 +323,9 @@ class ProcessMatcher(Matcher):
                 if wid is None:
                     continue  # a sentinel: see below
                 try:
-                    data = self._conns[wid].recv_bytes()
+                    data = self._conns[wid - 1].recv_bytes()
                 except (EOFError, OSError):
-                    self._raise_worker_failure(self._procs[wid])
+                    self._raise_worker_failure(self._procs[wid - 1])
                 if self.timed:
                     self.ipc_bytes += len(data)
                 msg = pickle.loads(data)
@@ -351,24 +384,24 @@ class ProcessMatcher(Matcher):
         if not self._unreported or self._shutdown:
             return
         seq = self._seq
-        for wid in range(self.n_workers):
+        for wid in range(1, self.n_workers):
             self._post(wid, ("report", seq))
         seen = 0
-        while seen < self.n_workers:
+        while seen < len(self._procs):
             wid, msg = self._next_reply()
             if msg[0] != "report" or msg[1] != seq:
                 # A reply from an interrupted earlier batch; ignore.
                 continue
             _kind, _seq, stats, ship = msg
             seen += 1
-            _fabric.file_ship(self._procs[wid].name, ship)
+            _fabric.file_ship(self._procs[wid - 1].name, ship)
             self._worker_stats[wid] = stats
         self._unreported = False
 
     def _watchdog_probe(self) -> Dict[str, Any]:
         """Cross-process stall probe: the replies the batch still owes
         are the pending-work gauge (OS pipes expose no depth), the sum
-        of the workers' drained-task slots the progress signal."""
+        of the matchers' drained-task slots the progress signal."""
         alive = {
             proc.name: "alive" if proc.exitcode is None else f"exit {proc.exitcode}"
             for proc in self._procs
@@ -381,8 +414,8 @@ class ProcessMatcher(Matcher):
         }
 
     def close(self) -> None:
-        """Take the last report, then stop the match processes (the
-        control process's duty); stats read afterwards stay exact.  A
+        """Take the last report, then stop the forked match processes
+        (the control process's duty); stats read afterwards stay exact.  A
         worker that died since the last batch leaves them as of the
         report before: its death is in the flight ring, and closing
         never raises."""
@@ -413,6 +446,7 @@ class ProcessMatcher(Matcher):
                 proc.join(timeout=5.0)
         for conn in self._conns:
             conn.close()
+        _CONTROL_ENDS[:] = [end for end in _CONTROL_ENDS if not end.closed]
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -424,18 +458,18 @@ class ProcessMatcher(Matcher):
 
     @property
     def stats(self) -> MatchStats:
-        """Merged match statistics: the alpha work counted here plus
-        every worker's, as of the last batch."""
+        """Merged match statistics: the alpha work and matcher 0's share
+        counted here plus every forked worker's, as of the last batch."""
         self._report()
-        merged = MatchStats().merge(self._alpha_stats)
+        merged = MatchStats().merge(self._alpha_stats).merge(self._share.ctx.stats)
         for stats in self._worker_stats.values():
             merged.merge(stats)
         return merged
 
     @property
     def ipc_counters(self) -> Dict[str, int]:
-        """What the workers ran across all batches: ``tasks_local``, the
-        activations, as of the last batch."""
+        """What the matchers ran across all batches: ``tasks_local``, the
+        activations of all ``k`` shares, as of the last batch."""
         self._report()
-        return {"tasks_local": sum(
+        return {"tasks_local": self._share.ctx.stats.node_activations + sum(
             stats.node_activations for stats in self._worker_stats.values())}

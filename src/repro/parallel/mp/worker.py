@@ -1,14 +1,25 @@
-"""The match-process body of the multiprocess engine.
+"""A matcher's share, and the match-process body of the multiprocess engine.
 
-Each worker is a forked child that owns whole productions: production
-``i`` of the network belongs to worker ``i % n_workers``.  Beta nodes
-are never shared between productions (paper footnote 6), so every
-child of an activation belongs to the same production as its parent
-and stays on the worker's own stack: a worker never sends a task
-anywhere, and its token memories are a plain strict
-:class:`~repro.rete.memories.MemorySystem` that no other process
-touches.  The compiled Rete network arrives by fork inheritance —
-shared read-only pages, never pickled.
+Matcher ``w`` owns whole productions: production ``i`` of the network
+belongs to matcher ``i % n_workers``.  Beta nodes are never shared
+between productions (paper footnote 6), so every child of an
+activation belongs to the same production as its parent and stays on
+the matcher's own stack: a matcher never sends a task anywhere, and its
+token memories are a plain strict
+:class:`~repro.rete.memories.MemorySystem` that no other matcher
+touches.  :class:`Share` holds them and :meth:`Share.drain` is the one
+drain loop.  Matcher 0's share lives in the control process; each
+other matcher is a forked worker (:func:`run_worker`), which the
+compiled Rete network reaches by fork inheritance — shared read-only
+pages, never pickled.
+
+Per batch, a forked worker:
+
+1. receives its share of the batch as one ``changes`` message;
+2. drains it (:meth:`Share.drain`), each change's roots to quiescence
+   in turn — the sequential engine's order, restricted to its
+   productions — while the control process drains matcher 0's;
+3. replies once, with the batch's conflict-set changes as timetags.
 
 Message protocol: one duplex pipe per worker, whose other end only the
 control process holds; every message is one ``send_bytes`` of one
@@ -20,10 +31,8 @@ pickle.  Inbound:
     produced them.  A worker with no roots in a batch gets no message.
     A ``+`` change carries its WME, which the worker keeps by timetag;
     a ``-`` change only the timetag (a delete has its add's roots, so
-    it reaches each worker that kept the WME).  The worker drains each
-    change's roots to quiescence in turn — the sequential engine's
-    order, restricted to its productions — and replies
-    ``("deltas", seq, deltas, flight)``: the batch's conflict-set
+    it reaches each worker that kept the WME).  The worker drains it
+    and replies ``("deltas", seq, deltas, flight)``: the batch's conflict-set
     changes as ``(production name, timetags, sign)``, and the flight
     events recorded since its last reply.  ``ctx_ids`` (None, or
     ``{"req", "session", "tenant"}`` from :mod:`repro.obs.context`) is
@@ -43,7 +52,7 @@ pickle.  Inbound:
     never interleave with a drain.
 
 ``("stop",)``
-    Exit the process loop.
+    Exit the process loop.  So does EOF: the control process died.
 """
 
 from __future__ import annotations
@@ -61,25 +70,29 @@ from ...rete.nodes import MatchContext
 from ...rete.stats import MatchStats
 
 
-class _WorkerState:
-    """Everything one match process owns: its productions' memories,
-    the WMEs they hold, and its stats."""
+class Share:
+    """One matcher's productions: their memories, the WMEs they hold and
+    its stats.  A forked worker drains its share; the control process
+    drains matcher 0's, between posting the others and collecting
+    their replies."""
 
-    def __init__(self, wid, network, conn, tasks_done):
+    def __init__(self, wid, network, tasks_done):
         self.wid = wid
-        self.conn = conn
-        #: One drained-task slot per worker, this one written only here
+        #: One drained-task slot per matcher, this one written only here
         #: (the watchdog's progress signal).
         self.tasks_done = tasks_done
+        #: The bus lane of this share's batch spans, the matcher's name
+        #: (a forked worker's spans are filed under the same name).
+        self.lane = f"match-{wid}"
         self.nodes = {node.node_id: node for node in network.beta_nodes}
         self.ctx = MatchContext(MemorySystem("hash"), MatchStats())
         #: Timetag -> WME, for every WME added here and not yet removed.
         self.wmes = {}
 
-    def reply(self, msg: tuple) -> None:
-        self.conn.send_bytes(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
-
-    def on_changes(self, seq: int, payload, ctx_ids) -> None:
+    def drain(self, seq: int, payload, ctx_ids) -> list:
+        """Drain each change's roots to quiescence in turn — the
+        sequential engine's order, restricted to this share's
+        productions — and return the batch's conflict-set changes."""
         obs_on = _obs.ENABLED
         if obs_on:
             t0 = _obs.now()
@@ -105,10 +118,24 @@ class _WorkerState:
             args = {"seq": seq, "wid": self.wid, "changes": len(payload)}
             if ctx_ids is not None:
                 args.update(ctx_ids)
-            _obs.span("mp.worker", "batch", t0, _obs.now(), args=args)
+            _obs.span("mp.worker", "batch", t0, _obs.now(), args=args, lane=self.lane)
+        deltas, ctx.cs_deltas = ctx.cs_deltas, []
+        return deltas
+
+
+class _WorkerState(Share):
+    """A forked worker: its share, and the pipe it answers on."""
+
+    def __init__(self, wid, network, conn, tasks_done):
+        super().__init__(wid, network, tasks_done)
+        self.conn = conn
+
+    def reply(self, msg: tuple) -> None:
+        self.conn.send_bytes(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+
+    def on_changes(self, seq: int, payload, ctx_ids) -> None:
         deltas = [(production.name, token[1], sign)
-                  for production, token, sign in ctx.cs_deltas]
-        ctx.cs_deltas = []
+                  for production, token, sign in self.drain(seq, payload, ctx_ids)]
         self.reply(("deltas", seq, deltas, _flight.unshipped(_fabric.SHIP_FLIGHT_TAIL)))
 
     def on_report(self, seq: int) -> None:
@@ -125,14 +152,23 @@ class _WorkerState:
             _obs.reset()
 
 
-def run_worker(wid, network, conn, tasks_done) -> None:
-    """Process entry point: loop until ``("stop",)`` or failure.
+def run_worker(wid, network, conn, tasks_done, inherited=()) -> None:
+    """Process entry point: loop until ``("stop",)``, the control
+    process's end of the pipe closing, or failure.
+
+    ``inherited`` are the control ends of every mp pipe that was open in
+    the control process at the fork, this worker's own included; the
+    worker closes its copies first, so that when the control process
+    dies nothing holds the other end of this worker's pipe and
+    ``recv_bytes`` sees EOF.
 
     A failure is reported down the pipe as
     ``("error", traceback_text, flight_tail)`` before the process
     exits, so the control process can surface the real exception — and
     the worker's last recorded moments — instead of a hang.
     """
+    for end in inherited:
+        end.close()
     # Obs module state arrived by fork inheritance from the control
     # process; start clean and let the explicit ("obs", ...) protocol
     # drive it, so worker captures never alias the parent's buffers.
@@ -143,7 +179,11 @@ def run_worker(wid, network, conn, tasks_done) -> None:
     state = _WorkerState(wid, network, conn, tasks_done)
     try:
         while True:
-            msg = pickle.loads(conn.recv_bytes())
+            try:
+                msg = pickle.loads(conn.recv_bytes())
+            except EOFError:
+                _flight.record("mp.worker", "orphaned", {"wid": wid})
+                break
             kind = msg[0]
             if kind == "changes":
                 state.on_changes(msg[1], msg[2], msg[3])

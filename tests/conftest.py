@@ -33,6 +33,12 @@ FIND_COLORED_BLOCK = """
   (make block ^id b3 ^color red ^selected no))
 """
 
+#: FIND_COLORED_BLOCK plus a rule that never fires (no two blocks share
+#: an id): production 1, so on mp every block change has roots on
+#: matcher 1, a forked worker, besides matcher 0's.
+SPREAD = FIND_COLORED_BLOCK + (
+    "(p twin (block ^id <i> ^color <c>) (block ^id <i> ^color <> <c>) --> (halt))\n")
+
 #: The paper's Figure 2-2 productions p1 and p2 (network-structure demo).
 FIGURE_2_2 = """
 (p p1

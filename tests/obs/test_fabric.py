@@ -236,18 +236,27 @@ class TestStitchTrace:
 
 
 from repro.parallel.mp import ProcessMatcher, mp_supported  # noqa: E402
+from tests.conftest import SPREAD  # noqa: E402
 
 needs_mp = pytest.mark.skipif(
     not mp_supported(), reason="mp engine needs the 'fork' start method"
 )
 
-#: The 5x1 weaver on 2 workers, bus on, an untrippable watchdog riding
+def batch_lanes(doc):
+    """The rows of ``doc`` that hold an ``mp.worker`` batch span."""
+    names = {(e["pid"], e["tid"]): e["args"]["name"] for e in doc["traceEvents"]
+             if e["ph"] == "M" and e["name"] == "thread_name"}
+    return {names[e["pid"], e["tid"]] for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["cat"] == "mp.worker" and e["name"] == "batch"}
+
+#: The 5x1 weaver on 2 matchers, bus on, an untrippable watchdog riding
 #: along: ship batches, shipped spans, stitch orphans, trace schema
 #: problems and watchdog trips -- functions of the run, not of the
-#: host's cores.  One batch has roots for one worker only; the other
-#: gets no message and so records no ``batch`` span (414 while every
-#: batch was broadcast to both workers).
-FABRIC_MP = {"ship_batches": 414, "shipped_spans": 413, "stitch_orphans": 0,
+#: host's cores.  Matcher 0 drains in the control process and ships
+#: nothing; the one forked worker has roots in 206 of the 207 batches
+#: with roots, and ships once after each (414 / 413 while two forked
+#: workers shipped).
+FABRIC_MP = {"ship_batches": 206, "shipped_spans": 206, "stitch_orphans": 0,
              "trace_problems": 0, "watchdog_trips": 0}
 
 
@@ -283,7 +292,7 @@ class TestMpIntegration:
         source = tourney.source(n_teams=4, n_rounds=3)
         seq_interp, seq_snap = self.run_traced(source, "sequential")
         mp_interp, merged = self.run_traced(source, "mp", n_workers=2)
-        assert len(merged.remote) == 2
+        assert len(merged.remote) == 1
         assert set(merged.nodes) == set(seq_snap.nodes)
         for node_id, agg in merged.nodes.items():
             assert agg[0] == seq_snap.nodes[node_id][0]  # same kind
@@ -309,12 +318,14 @@ class TestMpIntegration:
     def test_stitched_trace_covers_all_processes(self):
         from tests.conftest import FIND_COLORED_BLOCK
 
-        _interp, snap = self.run_traced(FIND_COLORED_BLOCK, "mp", n_workers=2)
+        _interp, snap = self.run_traced(SPREAD, "mp", n_workers=2)
         doc = chrome_trace(snap)
         assert doc["otherData"]["stitch_orphans"] == 0
         assert validate_chrome_trace(doc) == []
         pids = {e["pid"] for e in doc["traceEvents"]}
-        assert pids == {1, WORKER_PID_BASE, WORKER_PID_BASE + 1}
+        # The control process (its share on lane match-0) and match-1.
+        assert pids == {1, WORKER_PID_BASE}
+        assert batch_lanes(doc) == {"match-0", "match-1"}
         assert any(e["ph"] == "s" for e in doc["traceEvents"])
 
     def test_worker_tails_flow_with_bus_off(self):
@@ -322,11 +333,9 @@ class TestMpIntegration:
         that is what keeps dead-worker forensics and watchdog bundles
         available in an untraced run."""
         from repro.ops5.interpreter import Interpreter
-        from tests.conftest import FIND_COLORED_BLOCK
 
         assert not events.ENABLED
-        interp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
-                             engine_opts={"n_workers": 2})
+        interp = Interpreter(SPREAD, engine="mp", engine_opts={"n_workers": 2})
         try:
             interp.run(max_cycles=100)
         finally:
@@ -334,9 +343,11 @@ class TestMpIntegration:
         # Read after close(): the tails belong to obs.flight, not to
         # the matcher that received them.
         tails = flight.remote_tails()
-        assert sorted(name.split(" (pid ")[0] for name in tails) == [
-            "match-0", "match-1"]
+        assert [name.split(" (pid ")[0] for name in tails] == ["match-1"]
         for tail in tails.values():
             assert any(e["engine"] == "mp.worker" for e in tail)
+        # Matcher 0's batches are in this process's own ring.
+        assert any(e["engine"] == "mp.worker" and e["detail"]["wid"] == 0
+                   for e in flight.tail())
         # But nothing was filed on the bus: it was off in the workers.
         assert events.snapshot().workers == {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 import pickle
 
 import pytest
@@ -22,7 +23,7 @@ from repro.ops5.parser import parse_program
 from repro.ops5.wme import WME, WMEChange
 from repro.parallel.mp import ProcessMatcher, mp_supported
 from repro.rete.network import ReteNetwork
-from tests.conftest import FIND_COLORED_BLOCK
+from tests.conftest import FIND_COLORED_BLOCK, SPREAD
 
 pytestmark = pytest.mark.skipif(
     not mp_supported(), reason="mp engine needs the 'fork' start method"
@@ -97,29 +98,28 @@ class TestFailurePropagation:
         """``close`` asks the workers for their last report; one that
         died since the last batch cannot answer, and closing still
         ends cleanly."""
-        interp = Interpreter(FIND_COLORED_BLOCK, engine="mp",
-                             engine_opts={"n_workers": 2})
+        interp = Interpreter(SPREAD, engine="mp", engine_opts={"n_workers": 2})
         interp.run(max_cycles=100)
         matcher = interp.matcher
-        assert matcher._unreported  # close owes the workers' last report
+        assert matcher._unreported  # close owes match-1's last report
         for proc in matcher._procs:
             proc.terminate()
             proc.join(timeout=5.0)
         interp.close()
         # The alpha work was counted here, so that much stays exact.
-        seq = Interpreter(FIND_COLORED_BLOCK)
+        seq = Interpreter(SPREAD)
         seq.run(max_cycles=100)
         assert matcher.stats.wme_changes == seq.stats.wme_changes
 
     def test_a_worker_killed_between_batches_fails_the_next_post(self):
-        """Worker 0 is SIGKILLed while idle: the next batch's write to
-        its pipe is the typed error naming it, with its last shipped
-        tail, and the watchdog never trips."""
+        """Forked worker match-1 is SIGKILLed while idle: the next
+        batch's write to its pipe is the typed error naming it, with its
+        last shipped tail, and the watchdog never trips."""
         import os
         import signal
         import time
 
-        _program, network = compiled_network(TestOneRoundTrip.SOURCE)
+        _program, network = compiled_network(TestOneRoundTrip.TWO)
         matcher = ProcessMatcher(network, n_workers=2, watchdog_s=2.0)
         tick = TestOneRoundTrip.tick
         try:
@@ -134,24 +134,24 @@ class TestFailurePropagation:
         finally:
             matcher.close()
         text = str(exc.value)
-        assert "match process match-0 died (exit -9)" in text
+        assert "match process match-1 died (exit -9)" in text
         assert "mp.worker.batch" in text
         assert matcher.watchdog.trips == 0
 
     @staticmethod
     def post_bad_node(matcher):
-        """A ``changes`` message naming a node id no network has: the
-        worker's lookup raises, and the batch owes one reply."""
+        """A ``changes`` message to match-1 naming a node id no network
+        has: the worker's lookup raises, and the batch owes one reply."""
         wme = WME.make("block", {"color": "red"}, 1)
         matcher._owed = 1
-        matcher._post(0, ("changes", 0, [(1, wme, [(-12345, "L")])], None))
+        matcher._post(1, ("changes", 0, [(1, wme, [(-12345, "L")])], None))
 
     def test_worker_exception_reports_traceback(self):
         """An exception inside a worker (forced by corrupting the batch
         protocol) reaches the control process as a RuntimeError that
         carries the worker's traceback text."""
         _program, network = compiled_network(FIND_COLORED_BLOCK)
-        matcher = ProcessMatcher(network, n_workers=1)
+        matcher = ProcessMatcher(network, n_workers=2)
         try:
             self.post_bad_node(matcher)
             with pytest.raises(RuntimeError, match="KeyError: -12345"):
@@ -164,7 +164,7 @@ class TestFailurePropagation:
         message, so the propagated traceback ends with the worker's
         last recorded moments (its start event at minimum)."""
         _program, network = compiled_network(FIND_COLORED_BLOCK)
-        matcher = ProcessMatcher(network, n_workers=1)
+        matcher = ProcessMatcher(network, n_workers=2)
         try:
             self.post_bad_node(matcher)
             with pytest.raises(RuntimeError) as excinfo:
@@ -174,6 +174,56 @@ class TestFailurePropagation:
         text = str(excinfo.value)
         assert "worker flight recorder (last" in text
         assert "mp.worker.start" in text
+
+
+class TestMatcherAccounting:
+    """``n_workers`` counts matchers.  Matcher 0 is the control process,
+    which drains its own share; the other ``k - 1`` are forked, named
+    ``match-1 ...``.  The watchdog's ``tasks_done`` has one slot per
+    matcher, and the stats sum all ``k`` shares."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_n_workers_counts_matchers(self, k):
+        source = programs.read("blocks")
+        seq = Interpreter(source)
+        seq.run(max_cycles=10_000)
+        program, network = compiled_network(source)
+        matcher = ProcessMatcher(network, n_workers=k, watchdog_s=600.0)
+        interp = Interpreter(program, matcher=matcher, network=network)
+        try:
+            assert [p.name for p in matcher._procs] == [
+                f"match-{wid}" for wid in range(1, k)]
+            assert all(p.is_alive() and p.pid != os.getpid() for p in matcher._procs)
+            interp.run(max_cycles=10_000)
+            slots = list(matcher._tasks_done)
+            assert len(slots) == k and all(slots)
+            # Slot 0 is written here: the control process's own share.
+            assert slots[0] == matcher._share.ctx.stats.node_activations
+            assert matcher._watchdog_probe()["tasks_done"] == sum(slots)
+            assert dataclasses.asdict(matcher.stats) == dataclasses.asdict(seq.stats)
+            assert matcher.ipc_counters["tasks_local"] == (
+                seq.stats.node_activations) == sum(slots)
+        finally:
+            interp.close()
+
+    def test_a_raise_in_the_control_drain_leaves_no_worker_running(self):
+        """Matcher 0's drain fails while the forked workers drain the
+        same batch: the error reaches the caller as it is, and after
+        ``close`` no worker is left running."""
+        _program, network = compiled_network(TestOneRoundTrip.THREE)
+        matcher = ProcessMatcher(network, n_workers=3)
+        procs = list(matcher._procs)
+        matcher._share.nodes = {}  # every node lookup in its drain raises
+        change = WMEChange(sign=1, wme=TestOneRoundTrip.tick(1, 1))
+        try:
+            with pytest.raises(KeyError):
+                matcher.process_changes([change])
+        finally:
+            matcher.close()
+        assert len(procs) == 2
+        assert all(p.exitcode is not None for p in procs)
+        with pytest.raises(RuntimeError, match="closed"):
+            matcher.process_changes([change])
 
 
 class TestEngineFactory:
@@ -364,13 +414,16 @@ class FakeConn:
 class TestOneRoundTrip:
     """A batch is one round trip: the control process sends each root
     once, to the worker owning the root's production, and writes only
-    the pipes of workers that have roots; each of them replies once."""
+    the pipes of forked workers that have roots; each of them replies
+    once.  Matcher 0's roots never leave the control process."""
 
-    #: One single-CE rule: production 0, so every root goes to worker 0.
+    #: One single-CE rule: production 0, so every root is matcher 0's.
     SOURCE = "(literalize tick n)\n(p count (tick ^n <n>) --> (write <n>))\n"
-    #: The same rule twice: production 1 belongs to worker 1, so each
-    #: change has roots for both workers.
+    #: The same rule twice: production 1 belongs to matcher 1, so each
+    #: change has roots for matcher 0 and for forked worker 1.
     TWO = SOURCE + "(p echo (tick ^n <n>) --> (write <n>))\n"
+    #: Three times: at three matchers, roots for each of them.
+    THREE = TWO + "(p again (tick ^n <n>) --> (write <n>))\n"
 
     @staticmethod
     def tap(matcher):
@@ -395,7 +448,7 @@ class TestOneRoundTrip:
                 return getattr(self.conn, name)
 
         sent, received = [], []
-        matcher._conns = [Conn(wid, conn) for wid, conn in enumerate(matcher._conns)]
+        matcher._conns = [Conn(wid, conn) for wid, conn in enumerate(matcher._conns, 1)]
         return sent, received
 
     @staticmethod
@@ -403,13 +456,14 @@ class TestOneRoundTrip:
         return WME.make("tick", {"n": n}, timetag)
 
     def test_roots_on_one_worker_write_one_inbox(self):
-        _program, network = compiled_network(self.SOURCE)
-        matcher = ProcessMatcher(network, n_workers=2)
+        _program, network = compiled_network(self.TWO)
+        matcher = ProcessMatcher(network, n_workers=3)
         sent, _received = self.tap(matcher)
         try:
             deltas = matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1))])
-            assert [(wid, msg[0]) for wid, msg, _data in sent] == [(0, "changes")]
-            assert [(p.name, sign) for p, _token, sign in deltas] == [("count", 1)]
+            assert [(wid, msg[0]) for wid, msg, _data in sent] == [(1, "changes")]
+            assert sorted((p.name, sign) for p, _token, sign in deltas) == [
+                ("count", 1), ("echo", 1)]
             assert matcher._owed == 0
         finally:
             matcher.close()
@@ -430,15 +484,15 @@ class TestOneRoundTrip:
             matcher.close()
 
     def test_ipc_bytes_bill_what_went_down_each_pipe(self):
-        _program, network = compiled_network(self.TWO)
-        matcher = ProcessMatcher(network, n_workers=2)
+        _program, network = compiled_network(self.THREE)
+        matcher = ProcessMatcher(network, n_workers=3)
         sent, received = self.tap(matcher)
         matcher.timed = True
         try:
             matcher.process_changes([WMEChange(sign=1, wme=self.tick(1, 1)),
                                      WMEChange(sign=1, wme=self.tick(2, 2))])
-            assert sorted(wid for wid, _msg, _data in sent) == [0, 1]
-            assert sorted(wid for wid, _data in received) == [0, 1]
+            assert sorted(wid for wid, _msg, _data in sent) == [1, 2]
+            assert sorted(wid for wid, _data in received) == [1, 2]
             assert matcher.ipc_bytes == sum(
                 len(data) for *_rest, data in sent + received)
         finally:
@@ -466,8 +520,8 @@ class TestWire:
     """What crosses a pipe: a WME goes down once per worker that has
     roots for it, on its add; a delete, and every reply, is timetags."""
 
-    #: A two-CE rule on one class (production 2, on worker 0): each tick
-    #: has two roots there besides the one for ``count``.
+    #: A two-CE rule on one class (production 2, on forked worker 2 of
+    #: three matchers): each tick has two roots there.
     PAIRS = TestOneRoundTrip.TWO + "(p pair (tick ^n <a>) (tick ^n <b>) --> (write <a>))\n"
 
     @staticmethod
@@ -480,19 +534,19 @@ class TestWire:
 
     def test_a_wme_goes_down_once_per_worker_and_never_comes_back(self):
         _program, network = compiled_network(self.PAIRS)
-        matcher = ProcessMatcher(network, n_workers=2)
+        matcher = ProcessMatcher(network, n_workers=3)
         sent, received = TestOneRoundTrip.tap(matcher)
         tick = TestOneRoundTrip.tick
         try:
             deltas = matcher.process_changes([WMEChange(1, tick(1, 1))])
-            # count and pair on worker 0 (pair's two CEs: two roots),
-            # echo on worker 1: one WME for each.
-            assert sorted(wid for wid, _msg, _data in sent) == [0, 1]
+            # count on matcher 0 (no pipe), echo on worker 1, pair on
+            # worker 2 (pair's two CEs: two roots): one WME for each.
+            assert sorted(wid for wid, _msg, _data in sent) == [1, 2]
             for _wid, msg, data in sent:
                 [(sign, wme, roots)] = msg[2]
                 assert sign == 1 and wme == tick(1, 1)
                 assert self.wmes_in(msg) == 1 and data.count(b"WME") == 1
-            [(_wid, msg, _data)] = [entry for entry in sent if entry[0] == 0]
+            [(_wid, msg, _data)] = [entry for entry in sent if entry[0] == 2]
             assert len(msg[2][0][2]) >= 2
             assert sorted(p.name for p, _token, _sign in deltas) == [
                 "count", "echo", "pair"]
@@ -526,33 +580,36 @@ class TestKeptTails:
         from repro.obs import events
         from repro.obs.fabric import SHIP_FLIGHT_TAIL
 
-        _program, network = compiled_network(TestOneRoundTrip.SOURCE)
+        _program, network = compiled_network(TestOneRoundTrip.TWO)
         flight.reset()
         if bus:
             events.reset()
             events.enable()
-        matcher = ProcessMatcher(network, n_workers=1)
-        pid = matcher._procs[0].pid
         try:
-            seqs = []
-            for timetag in range(1, k + 1):
-                change = WMEChange(sign=1, wme=TestOneRoundTrip.tick(timetag, timetag))
-                assert len(matcher.process_changes([change])) == 1
-                seqs.append(matcher._seq)
-            kept = flight.remote_tail(pid)
-            expected = [("start", {"wid": 0, "pid": pid})] + [
-                ("batch", {"wid": 0, "seq": seq, "changes": 1}) for seq in seqs]
-            expected = expected[-SHIP_FLIGHT_TAIL:]
-            assert [(e["event"], e["detail"]) for e in kept] == expected
-            assert {e["engine"] for e in kept} == {"mp.worker"}
-            stamps = [e["t_ns"] for e in kept]
-            assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
-            matcher.stats  # a report round trip
-            assert flight.remote_tail(pid) == kept
-            matcher.close()
-            assert flight.remote_tail(pid) == kept
+            matcher = ProcessMatcher(network, n_workers=2)
+            try:
+                pid = matcher._procs[0].pid
+                seqs = []
+                for timetag in range(1, k + 1):
+                    change = WMEChange(
+                        sign=1, wme=TestOneRoundTrip.tick(timetag, timetag))
+                    assert len(matcher.process_changes([change])) == 2
+                    seqs.append(matcher._seq)
+                kept = flight.remote_tail(pid)
+                expected = [("start", {"wid": 1, "pid": pid})] + [
+                    ("batch", {"wid": 1, "seq": seq, "changes": 1}) for seq in seqs]
+                expected = expected[-SHIP_FLIGHT_TAIL:]
+                assert [(e["event"], e["detail"]) for e in kept] == expected
+                assert {e["engine"] for e in kept} == {"mp.worker"}
+                stamps = [e["t_ns"] for e in kept]
+                assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
+                matcher.stats  # a report round trip
+                assert flight.remote_tail(pid) == kept
+                matcher.close()
+                assert flight.remote_tail(pid) == kept
+            finally:
+                matcher.close()
         finally:
-            matcher.close()
             if bus:
                 events.disable()
                 events.reset()

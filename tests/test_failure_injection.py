@@ -1,6 +1,9 @@
 """Failure-injection tests: the system detects corruption rather than
 silently producing wrong matches."""
 
+import os
+import textwrap
+
 import pytest
 
 from repro.ops5.conflict import ConflictSet
@@ -206,15 +209,18 @@ class TestWorkerProcessDeath:
     naming it, with the last flight tail it shipped in the message and
     in the crash dump, and no watchdog trip."""
 
+    #: ``watch`` (production 1, forked worker match-1's) never fires:
+    #: one tick exists at a time.  Every tick change has roots there.
     PROGRAM = """
     (literalize tick n)
     (p count (tick ^n {<n> < 50}) --> (modify 1 ^n (compute <n> + 1)))
+    (p watch (tick ^n <n>) (tick ^n > <n>) --> (halt))
     (startup (make tick ^n 0))
     """
 
     @staticmethod
     def dying(method, fatal_call, die):
-        """``_WorkerState.<method>`` as worker 0 runs it: its
+        """``_WorkerState.<method>`` as forked worker 1 runs it: its
         ``fatal_call``-th call dies instead (earlier ones, and every
         other worker's, are the real thing — so the worker has shipped
         a tail by then)."""
@@ -222,7 +228,7 @@ class TestWorkerProcessDeath:
 
         def wrapper(self, *args):
             calls.append(args)
-            if self.wid == 0 and len(calls) == fatal_call:
+            if self.wid == 1 and len(calls) == fatal_call:
                 die()
             return method(self, *args)
 
@@ -267,7 +273,7 @@ class TestWorkerProcessDeath:
             interp.close()
             flight.set_dump_path(None)
         text = str(exc.value)
-        assert f"match process match-0 died (exit {exitcode})" in text
+        assert f"match process match-1 died (exit {exitcode})" in text
         # No ("error", ...) message from a process that never got to
         # send one: the tail is the one it last shipped.
         assert "worker flight recorder (last" in text
@@ -280,7 +286,7 @@ class TestWorkerProcessDeath:
         doc = json.loads(dump.read_text())
         assert flight.validate_flight(doc) == []
         assert doc["reason"] == "match_error"
-        dead = f"match-0 (pid {matcher._procs[0].pid})"
+        dead = f"match-1 (pid {matcher._procs[0].pid})"
         assert any(e["event"] == "batch" for e in doc["workers"][dead])
 
         # Nothing of the failure outlives it: the same network, a fresh
@@ -290,3 +296,113 @@ class TestWorkerProcessDeath:
         with Interpreter(program, engine="mp", network=network,
                          engine_opts={"n_workers": 2}) as fresh:
             assert fresh.run(max_cycles=100).cycles == 50
+
+
+def children_of(pid):
+    """The OS pids whose parent is ``pid`` (from ``/proc``)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = proc_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def proc_stat(pid):
+    """``/proc/<pid>/stat``'s fields after the command name (state,
+    ppid, ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None
+
+
+def running(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestOrphans:
+    """A match process ends with its control process: SIGKILL the
+    process holding mp workers, and every worker is gone within 2 s.
+    A forked worker closes each control end of a pipe it inherited, so
+    the control process's death is an EOF on its own pipe."""
+
+    HOLD = textwrap.dedent("""
+        import sys, time
+        from repro.ops5.parser import parse_program
+        from repro.parallel.mp import ProcessMatcher
+        from repro.rete.network import ReteNetwork
+        source = "(literalize tick n)\\n" + "".join(
+            f"(p r{i} (tick ^n <n>) --> (write <n>))\\n" for i in range(3))
+        matcher = ProcessMatcher(ReteNetwork.compile(parse_program(source)),
+                                 n_workers=3)
+        print("ready", flush=True)
+        time.sleep(60)
+    """)
+
+    @staticmethod
+    def spawn(argv):
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, ["src", os.environ.get("PYTHONPATH")])))
+        return subprocess.Popen([sys.executable, *argv], env=env,
+                                stdout=subprocess.PIPE, text=True)
+
+    @staticmethod
+    def kill_and_wait_for(holder, workers):
+        """SIGKILL ``holder``; the workers still running 2 s later (each
+        of them SIGKILLed then, so a failing test leaks nothing)."""
+        import signal
+        import time
+
+        assert workers
+        holder.kill()
+        holder.wait()
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and any(map(running, workers)):
+            time.sleep(0.02)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        return left
+
+    def test_workers_end_with_a_killed_matcher_holder(self):
+        holder = self.spawn(["-c", self.HOLD])
+        try:
+            assert holder.stdout.readline().strip() == "ready"
+            workers = children_of(holder.pid)
+        finally:
+            left = self.kill_and_wait_for(holder, workers)
+        assert left == []
+        assert len(workers) == 2
+
+    def test_workers_end_with_a_killed_server(self):
+        import json
+        import socket
+
+        from tests.serve.conftest import COUNTER
+
+        server = self.spawn(["-m", "repro", "serve", "--port", "0"])
+        workers = []
+        try:
+            line = server.stdout.readline()
+            host, port = line.rsplit(" ", 1)[1].strip().rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                stream = sock.makefile("rw")
+                for sid in (1, 2):  # two mp sessions, one server
+                    stream.write(json.dumps({
+                        "id": sid, "type": "open", "program": COUNTER,
+                        "engine": "mp", "workers": 2}) + "\n")
+                    stream.flush()
+                    assert json.loads(stream.readline())["ok"]
+                workers = children_of(server.pid)
+        finally:
+            left = self.kill_and_wait_for(server, workers)
+        assert left == []
+        assert len(workers) == 2
