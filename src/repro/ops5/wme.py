@@ -9,6 +9,7 @@ fresh timetag).
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -58,6 +59,17 @@ class WME:
     def __str__(self) -> str:
         parts = " ".join(f"^{a} {v}" for a, v in self.attrs)
         return f"({self.klass} {parts})" if parts else f"({self.klass})"
+
+    def __reduce__(self):
+        # Pickle the element, not its ``vals`` cache: ``__post_init__``
+        # rebuilds it on load.
+        return WME, (self.klass, self.attrs, self.timetag)
+
+
+#: A pickle names the class by this code (2 bytes), not by its module
+#: and name (24): WMEs cross the mp pipes.  The code is from the range
+#: :mod:`copyreg` leaves to applications.
+copyreg.add_extension(__name__, "WME", 0xF0)
 
 
 @dataclass(frozen=True)

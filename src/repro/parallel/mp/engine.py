@@ -15,16 +15,17 @@ matchers.
 Control flow per WM-change batch — at most one round trip:
 
 1. the control process runs each change through the alpha network
-   once (counting it in its own :class:`MatchStats`) and splits the
-   root activations by the matcher owning each root's production;
+   once (counting it in its own :class:`MatchStats`) and gives each
+   matcher the ids of the alpha terminals passed that have roots on it;
 2. it posts one ``changes`` message to each forked worker that has
-   roots (a batch without roots sends nothing): an add carries its
+   hits (a batch without them sends nothing): an add carries its
    WME, which the worker keeps, a delete only its timetag;
 3. it drains matcher 0's share itself, through the same
    :meth:`.worker.Share.drain` a worker runs, while the workers drain
    theirs — that share never sees pickle, pipe or reply;
-4. each worker drains each change's roots to quiescence in turn, on
-   its own stack, and posts one ``deltas`` reply of timetags;
+4. each worker expands each change's hits into its roots and drains
+   them to quiescence, change by change, on its own stack, and posts
+   one ``deltas`` reply of timetags;
 5. the control process waits for one reply from each worker it wrote
    to and rebuilds their tokens from the WMEs it routed.  Each
    production's deltas arrive in sequential order, so the interpreter
@@ -68,7 +69,7 @@ from ...rete.matcher import Matcher
 from ...rete.network import ReteNetwork
 from ...rete.nodes import CSDelta
 from ...rete.stats import MatchStats
-from .worker import Share, run_worker
+from .worker import Share, root_tables, run_worker
 
 #: Process-unique batch sequence numbers, shared by every ProcessMatcher
 #: in this control process.  The seq is the stitch key pairing dispatch
@@ -118,13 +119,12 @@ class ProcessMatcher(Matcher):
         self.network = network
         self.n_workers = n_workers
         _flight.note_engine("mp", n_workers)
-        #: Beta node id -> the matcher owning its production: production
-        #: ``i`` belongs to matcher ``i % n_workers``.
-        worker_of = {
-            prod.name: i % n_workers for i, prod in enumerate(network.productions)
-        }
-        self._owner = {
-            node_id: worker_of[name] for node_id, name in network.node_owner.items()
+        tables = root_tables(network, n_workers)
+        #: Alpha id -> the matchers that terminal has roots on, in order.
+        self._reach = {
+            terminal.alpha_id: [wid for wid, roots in enumerate(tables)
+                                if terminal.alpha_id in roots]
+            for terminal in network.alpha_terminals
         }
         ctx = multiprocessing.get_context("fork")
         self._seq = 0
@@ -149,7 +149,7 @@ class ProcessMatcher(Matcher):
         #: this process writes slot 0.
         self._tasks_done = ctx.RawArray("q", n_workers)
         #: Matcher 0's share, drained here.
-        self._share = Share(0, network, self._tasks_done)
+        self._share = Share(0, tables[0], self._tasks_done)
         #: Matchers 1..k-1, forked: matcher ``wid`` is ``_procs[wid - 1]``
         #: and its pipe ``_conns[wid - 1]``.
         self._conns, self._procs = [], []
@@ -159,7 +159,7 @@ class ProcessMatcher(Matcher):
             conn, theirs = ctx.Pipe()
             _CONTROL_ENDS.append(conn)
             proc = ctx.Process(target=run_worker, name=f"match-{wid}", daemon=True,
-                               args=(wid, network, theirs, self._tasks_done,
+                               args=(wid, tables[wid], theirs, self._tasks_done,
                                      tuple(_CONTROL_ENDS)))
             proc.start()
             theirs.close()
@@ -180,9 +180,9 @@ class ProcessMatcher(Matcher):
     # -- control-process side -----------------------------------------------
 
     def process_changes(self, changes: List[WMEChange]) -> List[CSDelta]:
-        """Send the batch's roots to their productions' owners, drain
-        matcher 0's here, wait for each worker's reply, and return the
-        deltas of all of them."""
+        """Send the batch's alpha hits to the matchers they have roots
+        on, drain matcher 0's here, wait for each worker's reply, and
+        return the deltas of all of them."""
         if self._shutdown:
             raise RuntimeError("matcher already closed")
         obs_on = _obs.ENABLED
@@ -257,19 +257,19 @@ class ProcessMatcher(Matcher):
             self.ipc_bytes += len(data)
 
     def _route(self, changes: List[WMEChange]) -> Tuple[List[list], List[int]]:
-        """Each matcher's share of the batch — per change with roots for
-        it, ``(sign, wme or timetag, [(node_id, side), ...])``, each
-        root going to the matcher that owns its production — and the
-        timetags of the routed WMEs the batch removes."""
+        """Each matcher's share of the batch — per change that reaches
+        it, ``(sign, wme or timetag, [alpha_id, ...])``, the alpha
+        terminals the change passed that have roots on the matcher —
+        and the timetags of the routed WMEs the batch removes."""
         n = self.n_workers
-        owner, wmes = self._owner, self._wmes
+        network, stats = self.network, self._alpha_stats
+        reach, wmes = self._reach, self._wmes
         shares: List[list] = [[] for _ in range(n)]
         removed: List[int] = []
         for change in changes:
             sign, wme = change.sign, change.wme
-            roots: List[tuple] = []
-            kernel.enter_change(self.network, self._alpha_stats, sign, wme, roots.extend)
-            if not roots:
+            hits, _n_tests = kernel.alpha_pass(network, stats, wme)
+            if not hits:
                 continue
             if sign > 0:
                 wmes[wme.timetag] = item = wme
@@ -277,9 +277,10 @@ class ProcessMatcher(Matcher):
                 item = wme.timetag
                 removed.append(item)
             mine: List[list] = [[] for _ in range(n)]
-            for node, side, _sign, _token in roots:
-                node_id = node.node_id
-                mine[owner[node_id]].append((node_id, side))
+            for terminal in hits:
+                alpha_id = terminal.alpha_id
+                for wid in reach[alpha_id]:
+                    mine[wid].append(alpha_id)
             for wid, share in enumerate(mine):
                 if share:
                     shares[wid].append((sign, item, share))

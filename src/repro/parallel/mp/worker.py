@@ -16,8 +16,9 @@ pages, never pickled.
 Per batch, a forked worker:
 
 1. receives its share of the batch as one ``changes`` message;
-2. drains it (:meth:`Share.drain`), each change's roots to quiescence
-   in turn — the sequential engine's order, restricted to its
+2. drains it (:meth:`Share.drain`): each change's alpha hits become
+   its roots (:func:`root_tables`), drained to quiescence change by
+   change — the sequential engine's order, restricted to its
    productions — while the control process drains matcher 0's;
 3. replies once, with the batch's conflict-set changes as timetags.
 
@@ -25,13 +26,14 @@ Message protocol: one duplex pipe per worker, whose other end only the
 control process holds; every message is one ``send_bytes`` of one
 pickle.  Inbound:
 
-``("changes", seq, [(sign, wme or timetag, [(node_id, side), ...]), ...], ctx_ids)``
+``("changes", seq, [(sign, wme or timetag, [alpha_id, ...]), ...], ctx_ids)``
     This worker's share of one WM-change batch: per change with roots
-    for it, the roots of its productions, in the order the alpha pass
-    produced them.  A worker with no roots in a batch gets no message.
-    A ``+`` change carries its WME, which the worker keeps by timetag;
-    a ``-`` change only the timetag (a delete has its add's roots, so
-    it reaches each worker that kept the WME).  The worker drains it
+    for it, the alpha terminals the change passed that reach its
+    productions, in the order the alpha pass produced them.  A worker
+    with no roots in a batch gets no message.  A ``+`` change carries
+    its WME, which the worker keeps by timetag; a ``-`` change only the
+    timetag (a delete has its add's hits, so it reaches each worker
+    that kept the WME).  The worker drains it
     and replies ``("deltas", seq, deltas, flight)``: the batch's conflict-set
     changes as ``(production name, timetags, sign)``, and the flight
     events recorded since its last reply.  ``ctx_ids`` (None, or
@@ -70,29 +72,44 @@ from ...rete.nodes import MatchContext
 from ...rete.stats import MatchStats
 
 
+def root_tables(network, n_matchers: int) -> list:
+    """Per matcher, alpha id -> that terminal's successors whose
+    production the matcher owns (production ``i`` belongs to matcher
+    ``i % n_matchers``), in the terminal's order."""
+    index = {prod.name: i for i, prod in enumerate(network.productions)}
+    tables = [{} for _ in range(n_matchers)]
+    for terminal in network.alpha_terminals:
+        for node, side in terminal.successors:
+            wid = index[network.node_owner[node.node_id]] % n_matchers
+            tables[wid].setdefault(terminal.alpha_id, []).append((node, side))
+    return tables
+
+
 class Share:
     """One matcher's productions: their memories, the WMEs they hold and
     its stats.  A forked worker drains its share; the control process
     drains matcher 0's, between posting the others and collecting
     their replies."""
 
-    def __init__(self, wid, network, tasks_done):
+    def __init__(self, wid, roots, tasks_done):
         self.wid = wid
+        #: Alpha id -> this matcher's roots there (:func:`root_tables`).
+        self.roots = roots
         #: One drained-task slot per matcher, this one written only here
         #: (the watchdog's progress signal).
         self.tasks_done = tasks_done
         #: The bus lane of this share's batch spans, the matcher's name
         #: (a forked worker's spans are filed under the same name).
         self.lane = f"match-{wid}"
-        self.nodes = {node.node_id: node for node in network.beta_nodes}
         self.ctx = MatchContext(MemorySystem("hash"), MatchStats())
         #: Timetag -> WME, for every WME added here and not yet removed.
         self.wmes = {}
 
     def drain(self, seq: int, payload, ctx_ids) -> list:
-        """Drain each change's roots to quiescence in turn — the
-        sequential engine's order, restricted to this share's
-        productions — and return the batch's conflict-set changes."""
+        """Expand each change's alpha hits into this share's roots and
+        drain them to quiescence, change by change — the sequential
+        engine's order, restricted to this share's productions — and
+        return the batch's conflict-set changes."""
         obs_on = _obs.ENABLED
         if obs_on:
             t0 = _obs.now()
@@ -100,16 +117,17 @@ class Share:
             "mp.worker", "batch",
             {"wid": self.wid, "seq": seq, "changes": len(payload)},
         )
-        ctx, nodes, wmes = self.ctx, self.nodes, self.wmes
+        ctx, roots, wmes = self.ctx, self.roots, self.wmes
         done = 0
-        for sign, wme, roots in payload:
+        for sign, wme, hits in payload:
             if sign > 0:
                 wmes[wme.timetag] = wme
             else:
                 wme = wmes.pop(wme)
             token = ((wme,), (wme.timetag,))
             done += kernel.drain(
-                ctx, [(nodes[node_id], side, sign, token) for node_id, side in roots]
+                ctx, [(node, side, sign, token)
+                      for alpha_id in hits for node, side in roots[alpha_id]]
             )
         self.tasks_done[self.wid] += done
         if obs_on:
@@ -126,8 +144,8 @@ class Share:
 class _WorkerState(Share):
     """A forked worker: its share, and the pipe it answers on."""
 
-    def __init__(self, wid, network, conn, tasks_done):
-        super().__init__(wid, network, tasks_done)
+    def __init__(self, wid, roots, conn, tasks_done):
+        super().__init__(wid, roots, tasks_done)
         self.conn = conn
 
     def reply(self, msg: tuple) -> None:
@@ -152,9 +170,10 @@ class _WorkerState(Share):
             _obs.reset()
 
 
-def run_worker(wid, network, conn, tasks_done, inherited=()) -> None:
+def run_worker(wid, roots, conn, tasks_done, inherited=()) -> None:
     """Process entry point: loop until ``("stop",)``, the control
-    process's end of the pipe closing, or failure.
+    process's end of the pipe closing, or failure.  ``roots`` is this
+    matcher's entry of :func:`root_tables`.
 
     ``inherited`` are the control ends of every mp pipe that was open in
     the control process at the fork, this worker's own included; the
@@ -176,7 +195,7 @@ def run_worker(wid, network, conn, tasks_done, inherited=()) -> None:
     _obs.reset()
     _flight.reset()
     _flight.record("mp.worker", "start", {"wid": wid, "pid": os.getpid()})
-    state = _WorkerState(wid, network, conn, tasks_done)
+    state = _WorkerState(wid, roots, conn, tasks_done)
     try:
         while True:
             try:

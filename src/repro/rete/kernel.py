@@ -12,8 +12,10 @@ hands in ``route(children)`` and gets each activation's children as one
 list, a push onto its home task queue (DESIGN.md, "Engines are
 transports over one kernel").
 
-Only this module turns a WM change into alpha statistics and root
-tasks, runs activations (in :func:`drain`; :func:`execute` is a drain
+Only this module turns a WM change into alpha statistics, and into
+root tasks for the sequential and threaded engines (an mp matcher
+expands the alpha hits it is sent from its own table,
+:func:`repro.parallel.mp.worker.root_tables`), runs activations (in :func:`drain`; :func:`execute` is a drain
 of one queue task, entering its hash line), and attaches the
 per-activation instrumentation: the ``node_hit`` hot-spot, the
 ``task``/``wm_change`` spans and the

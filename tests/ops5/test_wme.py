@@ -1,5 +1,7 @@
 """Unit tests for working memory."""
 
+import pickle
+
 import pytest
 
 from repro.ops5.errors import RuntimeOps5Error
@@ -46,6 +48,30 @@ class TestWME:
         w = WME.make("c", {"x": 1, "y": "s"}, 1)
         assert w.vals == {"x": 1, "y": "s"}
         assert w.as_dict == w.vals
+
+
+class TestPickle:
+    """A WME crosses an mp pipe as a pickle: the copy must be the same
+    element, and the pickle small (it rides every ``+`` change a batch
+    ships to a forked matcher)."""
+
+    #: Four attributes, as a weaver cell carries them.
+    CELL = WME.make("cell", {"x": 3, "y": 4, "net": 1, "state": "free"}, 1234)
+
+    @pytest.mark.parametrize("w", [
+        CELL, WME.make("goal", {}, 1), WME.make("c", {"a": 1.5, "b": "s"}, 9)])
+    def test_a_round_trip_keeps_the_element(self, w):
+        copy = pickle.loads(pickle.dumps(w, pickle.HIGHEST_PROTOCOL))
+        assert copy == w and hash(copy) == hash(w)
+        assert (copy.klass, copy.attrs, copy.timetag) == (w.klass, w.attrs, w.timetag)
+        assert str(copy) == str(w) and repr(copy) == repr(w)
+        assert copy.vals == w.vals == dict(w.attrs)
+        assert copy.with_updates({"a": 2}, 99) == w.with_updates({"a": 2}, 99)
+
+    def test_a_pickle_carries_no_vals_cache(self):
+        """``vals`` is rebuilt on load, so a 4-attribute WME pickles as
+        its class, attributes and timetag."""
+        assert len(pickle.dumps(self.CELL, pickle.HIGHEST_PROTOCOL)) <= 80
 
 
 class TestWMEChange:

@@ -140,11 +140,11 @@ class TestFailurePropagation:
 
     @staticmethod
     def post_bad_node(matcher):
-        """A ``changes`` message to match-1 naming a node id no network
+        """A ``changes`` message to match-1 naming an alpha id no network
         has: the worker's lookup raises, and the batch owes one reply."""
         wme = WME.make("block", {"color": "red"}, 1)
         matcher._owed = 1
-        matcher._post(1, ("changes", 0, [(1, wme, [(-12345, "L")])], None))
+        matcher._post(1, ("changes", 0, [(1, wme, [-12345])], None))
 
     def test_worker_exception_reports_traceback(self):
         """An exception inside a worker (forced by corrupting the batch
@@ -213,7 +213,7 @@ class TestMatcherAccounting:
         _program, network = compiled_network(TestOneRoundTrip.THREE)
         matcher = ProcessMatcher(network, n_workers=3)
         procs = list(matcher._procs)
-        matcher._share.nodes = {}  # every node lookup in its drain raises
+        matcher._share.roots = {}  # every alpha id lookup in its drain raises
         change = WMEChange(sign=1, wme=TestOneRoundTrip.tick(1, 1))
         try:
             with pytest.raises(KeyError):
@@ -502,14 +502,14 @@ class TestOneRoundTrip:
         """Worker 1's loop, in this process, over a batch of two changes
         for production 1: one ``deltas`` reply carrying both changes'
         conflict-set deltas as timetags, in change order."""
-        from repro.parallel.mp.worker import run_worker
+        from repro.parallel.mp.worker import root_tables, run_worker
 
         _program, network = compiled_network(self.TWO)
-        echo = network.terminals["echo"].node_id
+        [tick] = network.alpha_terminals
         first, second = self.tick(1, 1), self.tick(2, 2)
-        batch = [(1, first, [(echo, "L")]), (1, second, [(echo, "L")])]
+        batch = [(1, first, [tick.alpha_id]), (1, second, [tick.alpha_id])]
         conn, tasks_done = FakeConn([("changes", 7, batch, None), ("stop",)]), [0, 0]
-        run_worker(1, network, conn, tasks_done)
+        run_worker(1, root_tables(network, 2)[1], conn, tasks_done)
         [(kind, seq, deltas, _flight)] = conn.sent
         assert (kind, seq) == ("deltas", 7)
         assert deltas == [("echo", (1,), 1), ("echo", (2,), 1)]
@@ -518,16 +518,20 @@ class TestOneRoundTrip:
 
 class TestWire:
     """What crosses a pipe: a WME goes down once per worker that has
-    roots for it, on its add; a delete, and every reply, is timetags."""
+    roots for it, on its add, with the alpha terminals it passed; a
+    delete, and every reply, is timetags."""
 
     #: A two-CE rule on one class (production 2, on forked worker 2 of
-    #: three matchers): each tick has two roots there.
+    #: three matchers): each tick has two roots there, under the one
+    #: alpha terminal every rule here shares.
     PAIRS = TestOneRoundTrip.TWO + "(p pair (tick ^n <a>) (tick ^n <b>) --> (write <a>))\n"
 
     @staticmethod
     def wmes_in(obj):
         if isinstance(obj, WME):
             return 1
+        if isinstance(obj, dict):
+            obj = list(obj.values())
         if isinstance(obj, (tuple, list)):
             return sum(TestWire.wmes_in(item) for item in obj)
         return 0
@@ -537,27 +541,32 @@ class TestWire:
         matcher = ProcessMatcher(network, n_workers=3)
         sent, received = TestOneRoundTrip.tap(matcher)
         tick = TestOneRoundTrip.tick
+        [terminal] = network.alpha_terminals
         try:
             deltas = matcher.process_changes([WMEChange(1, tick(1, 1))])
             # count on matcher 0 (no pipe), echo on worker 1, pair on
-            # worker 2 (pair's two CEs: two roots): one WME for each.
+            # worker 2: one WME and one alpha id for each.
             assert sorted(wid for wid, _msg, _data in sent) == [1, 2]
-            for _wid, msg, data in sent:
-                [(sign, wme, roots)] = msg[2]
+            for _wid, msg, _data in sent:
+                [(sign, wme, hits)] = msg[2]
                 assert sign == 1 and wme == tick(1, 1)
-                assert self.wmes_in(msg) == 1 and data.count(b"WME") == 1
-            [(_wid, msg, _data)] = [entry for entry in sent if entry[0] == 2]
-            assert len(msg[2][0][2]) >= 2
+                assert hits == [terminal.alpha_id]
+                assert self.wmes_in(msg) == 1
+            # Worker 2 expands the one hit into pair's two roots (its
+            # two CEs) and drains both: two join activations and the
+            # terminal's.
+            assert matcher._tasks_done[2] == 3
             assert sorted(p.name for p, _token, _sign in deltas) == [
                 "count", "echo", "pair"]
             del sent[:]
             added = matcher.process_changes([WMEChange(1, tick(1, 2))])
             gone = matcher.process_changes([WMEChange(-1, tick(1, 1))])
             assert len(sent) == 4
-            for _wid, msg, data in sent[2:]:
+            for _wid, msg, _data in sent[2:]:
                 assert [item[:2] for item in msg[2]] == [(-1, 1)]
-                assert b"WME" not in data
-            assert received and all(b"WME" not in data for _wid, data in received)
+                assert self.wmes_in(msg) == 0
+            assert received and all(
+                self.wmes_in(pickle.loads(data)) == 0 for _wid, data in received)
             # Tokens are rebuilt from the working memory's own WMEs.
             for production, token, _sign in added + gone:
                 assert token[1] == tuple(w.timetag for w in token[0])
@@ -566,6 +575,62 @@ class TestWire:
             assert sorted(matcher._wmes) == [2]
         finally:
             matcher.close()
+
+
+class TestRootTables:
+    """A change ships its alpha hits; each matcher expands them from its
+    own table, alpha id -> that terminal's successors on the matcher."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", programs.__all__)
+    def test_the_tables_split_each_terminal_in_order(self, name, k):
+        from repro.parallel.mp.worker import root_tables
+
+        _program, network = compiled_network(programs.read(name))
+        index = {prod.name: i for i, prod in enumerate(network.productions)}
+        tables = root_tables(network, k)
+        matcher = ProcessMatcher(network, n_workers=k)
+        try:
+            assert matcher._share.roots == tables[0]
+            for terminal in network.alpha_terminals:
+                split = [roots.get(terminal.alpha_id, []) for roots in tables]
+                for wid, mine in enumerate(split):
+                    assert mine == [
+                        (node, side) for node, side in terminal.successors
+                        if index[network.node_owner[node.node_id]] % k == wid]
+                assert matcher._reach[terminal.alpha_id] == [
+                    wid for wid, mine in enumerate(split) if mine]
+        finally:
+            matcher.close()
+
+    def test_a_changes_message_holds_alpha_ids_only(self):
+        """On weaver 5x1 at 2 matchers every change a ``changes``
+        message carries names alpha terminals with roots on its worker,
+        and the messages average at most 150 pickled bytes."""
+        from repro.programs import weaver
+
+        interp = Interpreter(weaver.source(grid=5, n_nets=1), engine="mp",
+                             engine_opts={"n_workers": 2})
+        matcher = interp.matcher
+        posts, inner = [], matcher._post
+
+        def post(wid, msg):
+            if msg[0] == "changes":
+                posts.append((wid, msg, len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))))
+            return inner(wid, msg)
+
+        matcher._post = post
+        try:
+            interp.run(max_cycles=10_000)
+        finally:
+            interp.close()
+        assert posts
+        for wid, msg, _size in posts:
+            for _sign, _item, hits in msg[2]:
+                assert hits and all(
+                    type(alpha_id) is int and wid in matcher._reach[alpha_id]
+                    for alpha_id in hits)
+        assert sum(size for *_rest, size in posts) / len(posts) <= 150
 
 
 class TestKeptTails:
