@@ -6,10 +6,18 @@ interpretation overhead of the Lisp OPS5.  The Python analogue:
 
 * :class:`InterpretedEvaluator` keeps the tests as *descriptor tuples*
   and walks them at match time with a generic dispatch function — one
-  indirection and one operator dispatch per test, like an interpreter.
-* :class:`CompiledEvaluator` generates Python source for every node's
-  test set and compiles it once with :func:`compile`/``exec`` — the
-  match inner loop then runs straight-line code with no dispatch.
+  indirection and one operator dispatch per test, like an interpreter;
+  a WME class's constant-test tree is walked node by node.
+* :class:`CompiledEvaluator` generates Python source and compiles it
+  once with :func:`compile`/``exec`` — the match inner loop then runs
+  straight-line code with no dispatch: one function per WME class for
+  its whole constant-test tree (the alpha discrimination automaton,
+  :meth:`CompiledEvaluator.class_dispatch`), and one per distinct join
+  test set or key.
+
+Both build the same four things for the network: a class's alpha
+dispatch (``class_dispatch``), a two-input node's tests
+(``join_tests``) and its pair of key functions (``key_fns``).
 
 Descriptor formats
 ------------------
@@ -33,14 +41,19 @@ node then joins, or files under ``()``, without a call.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ops5.wme import WME
+from .nodes import AlphaTerminal, ConstantTestNode
 
 _NUMERIC = (int, float)
 
 AlphaDesc = Tuple
 JoinDesc = Tuple[str, str, int, str]
+#: One class's alpha dispatch: WME -> (alpha terminals passed, in
+#: order; constant tests run, the class test included).
+Dispatch = Callable[[WME], Tuple[List[AlphaTerminal], int]]
 
 
 def compare(a, op: str, b) -> bool:
@@ -106,11 +119,27 @@ class InterpretedEvaluator:
 
     name = "interpreted"
 
-    def alpha_test(self, desc: AlphaDesc) -> Callable[[WME], bool]:
-        def test(w: WME, _desc=desc) -> bool:
-            return _eval_alpha(_desc, w)
+    def class_dispatch(
+        self, terminal: Optional[AlphaTerminal], roots: Sequence[ConstantTestNode]
+    ) -> Dispatch:
+        """One class's alpha dispatch: the node-by-node walk of its
+        constant-test tree, each test one :func:`_eval_alpha` call."""
+        first = [] if terminal is None else [terminal]
+        roots = tuple(roots)
 
-        return test
+        def walk(w: WME, _first=first, _roots=roots) -> Tuple[List[AlphaTerminal], int]:
+            hits = list(_first)
+            tests = 1  # the class test
+            stack = list(_roots)
+            while stack:
+                node = stack.pop()
+                tests += 1
+                if _eval_alpha(node.desc, w):
+                    hits.extend(node.terminals)
+                    stack.extend(node.children)
+            return hits, tests
+
+        return walk
 
     def join_tests(self, descs: Sequence[JoinDesc]) -> Optional[Callable]:
         descs = tuple(descs)
@@ -173,19 +202,65 @@ def _inline(lhs: str, op: str, rhs: str, i: int, rhs_numeric: Optional[bool] = N
     return f"({guard} and {a} {op} {b})"
 
 
-def _alpha_expr(desc: AlphaDesc) -> str:
+def _alpha_expr(desc: AlphaDesc, read: Dict[str, str]) -> str:
+    """One alpha test as an expression over the locals ``read[attr]``,
+    each holding that attribute's value (``None`` if absent)."""
     kind = desc[0]
     if kind == "const":
         _, attr, op, value = desc
         numeric = None if value is None else isinstance(value, _NUMERIC)
-        return _inline(f"w.vals.get({attr!r})", op, repr(value), 0, numeric)
+        return _inline(read[attr], op, repr(value), 0, numeric)
     if kind == "intra":
         _, attr, op, attr2 = desc
-        return _inline(f"w.vals.get({attr!r})", op, f"w.vals.get({attr2!r})", 0)
+        return _inline(read[attr], op, read[attr2], 0)
     if kind == "disj":
         _, attr, values = desc
-        return f"(w.vals.get({attr!r}) in {set(values)!r})"
+        return f"({read[attr]} in {set(values)!r})"
     raise ValueError(f"unknown alpha descriptor {desc!r}")
+
+
+def _alpha_attrs(desc: AlphaDesc) -> Tuple[str, ...]:
+    return (desc[1], desc[3]) if desc[0] == "intra" else (desc[1],)
+
+
+def _membership(desc: AlphaDesc) -> Optional[Tuple[str, Sequence]]:
+    """``(attr, values)`` when ``desc`` passes exactly the WMEs whose
+    ``attr`` is ``==`` one of ``values``: an ``=`` constant test or a
+    disjunction."""
+    if desc[0] == "disj":
+        return desc[1], desc[2]
+    if desc[0] == "const" and desc[2] == "=":
+        return desc[1], (desc[3],)
+    return None
+
+
+def _runs(order: Sequence[ConstantTestNode]) -> List[Tuple[str, Sequence[ConstantTestNode]]]:
+    """Split one sibling list, in visit order, into what the class
+    function does with each part: ``'test'`` a single inline test;
+    ``'table'`` two or more adjacent childless membership tests on one
+    attribute, whose hits, in order, one dict lookup yields;
+    ``'switch'`` two or more adjacent ``=`` tests on one attribute,
+    some with children — at most one passes (the tree holds no two
+    siblings with ``==`` descriptors), so one dict lookup picks it."""
+    runs: List[Tuple[str, Sequence[ConstantTestNode]]] = []
+    attrs = [m and m[0] for m in (_membership(node.desc) for node in order)]
+    i = 0
+    while i < len(order):
+        attr = attrs[i]
+        table = switch = i
+        if attr is not None:
+            while table < len(order) and attrs[table] == attr and not order[table].children:
+                table += 1
+            while switch < len(order) and order[switch].desc[:3] == ("const", attr, "="):
+                switch += 1
+        end = max(table, switch)
+        if end - i < 2:
+            runs.append(("test", order[i:i + 1]))
+            end = i + 1
+        else:
+            runs.append(("table" if table >= switch else "switch", order[i:end]))
+        i = end
+    return runs
 
 
 def _join_expr(desc: JoinDesc, i: int) -> str:
@@ -194,37 +269,122 @@ def _join_expr(desc: JoinDesc, i: int) -> str:
 
 
 class CompiledEvaluator:
-    """Generates and compiles straight-line Python per distinct test (the
-    'machine code' analogue).
+    """Generates and compiles straight-line Python (the 'machine code'
+    analogue): one function per WME class for its alpha tree, one per
+    distinct join test set or key.
 
-    The generated functions are pure (``w`` / ``wmes`` in, bool or tuple
-    out, one global: ``_N``, the numeric classes) and call no Python
-    function: every predicate, ordering included, is an inline
-    expression (:func:`_inline`), so a test costs its own frame and no
-    other.  Nodes whose descriptors render to the same text share one
-    function object — Figure 2-2's node sharing applied to the code —
-    and :func:`compile` runs once per distinct text.  The memo lives and
-    dies with the evaluator, one per
-    :class:`~repro.rete.network.ReteNetwork`.
+    The generated functions hold no mutable state (``w`` / ``wmes`` in,
+    bool, tuple or ``(hits, count)`` out; globals: ``_N``, the numeric
+    classes, and a class function's terminals and lookup tables) and
+    call no Python function: every predicate, ordering included, is an
+    inline expression (:func:`_inline`), so a test costs no frame of its
+    own and a class's whole alpha tree one.  Two-input nodes whose
+    descriptors render to the same text share one function object —
+    Figure 2-2's node sharing applied to the code — and :func:`compile`
+    runs once per distinct text.  The memo lives and dies with the
+    evaluator, one per :class:`~repro.rete.network.ReteNetwork`.
     """
 
     name = "compiled"
 
     def __init__(self) -> None:
         self._compiled: Dict[str, Callable] = {}
+        self._generated = 0
 
-    def _exec(self, src: str, fn_name: str):
+    def _define(self, src: str, namespace: dict, name: str) -> Callable:
+        """Compile and run ``src``, which defines ``name``, in
+        ``namespace``; returns that function.  It is taken out of the
+        namespace, so the function and its globals form no cycle."""
+        self._generated += 1
+        exec(compile(src, f"<rete-codegen-{self._generated}>", "exec"), namespace)
+        return namespace.pop(name)
+
+    def _exec(self, src: str, fn_name: str) -> Callable:
         fn = self._compiled.get(src)
         if fn is None:
-            namespace = {"_N": _NUMERIC}
-            code = compile(src, f"<rete-codegen-{len(self._compiled) + 1}>", "exec")
-            exec(code, namespace)
-            fn = self._compiled[src] = namespace[fn_name]
+            fn = self._compiled[src] = self._define(src, {"_N": _NUMERIC}, fn_name)
         return fn
 
-    def alpha_test(self, desc: AlphaDesc) -> Callable[[WME], bool]:
-        src = f"def _t(w):\n    return {_alpha_expr(desc)}\n"
-        return self._exec(src, "_t")
+    def class_dispatch(
+        self, terminal: Optional[AlphaTerminal], roots: Sequence[ConstantTestNode]
+    ) -> Dispatch:
+        """One class's constant-test tree as one generated function: the
+        automaton of the whole tree, with what the node walk would do
+        spelled out as nested ``if`` blocks in its visit order (each
+        sibling list from last to first, a passing node's terminals
+        before its subtree).  Each attribute the tree tests is read
+        once, into a local; a sibling list adds its length to the test
+        count when it is entered; a run of membership tests on one
+        attribute is one dict lookup (:func:`_runs`).  Never shared:
+        the text names terminals and tables by id, and a later
+        ``add_production`` can change a table behind the same text."""
+        # ``inf``: how ``repr`` spells a constant such as ``1e999``.
+        namespace: dict = {"_N": _NUMERIC, "inf": math.inf}
+        first = "" if terminal is None else self._name(terminal, namespace)
+        read: Dict[str, str] = {}  # attribute -> the local holding its value
+        body: List[str] = []
+        # Items run last-in first-out: a line of text, or a sibling list
+        # and its indent.
+        pending: list = [(tuple(roots), 1)]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                body.append(item)
+                continue
+            siblings, depth = item
+            pad = "    " * depth
+            out: list = []
+            for node in siblings:
+                for attr in _alpha_attrs(node.desc):
+                    read.setdefault(attr, f"_v{len(read)}")
+            for kind, nodes in _runs(siblings[::-1]):
+                if kind == "test":
+                    out.append(f"{pad}if {_alpha_expr(nodes[0].desc, read)}:")
+                    out += self._body(nodes[0], depth + 1, namespace)
+                    continue
+                table_name = f"_D{nodes[0].node_id}"
+                value = read[nodes[0].desc[1]]
+                if kind == "table":
+                    table: dict = {}
+                    for node in nodes:
+                        for constant in _membership(node.desc)[1]:
+                            table.setdefault(constant, []).extend(node.terminals)
+                    namespace[table_name] = {k: tuple(ts) for k, ts in table.items()}
+                    out += [f"{pad}_h = {table_name}.get({value})",
+                            f"{pad}if _h is not None:",
+                            f"{pad}    hits += _h"]
+                    continue
+                namespace[table_name] = {node.desc[3]: i for i, node in enumerate(nodes)}
+                out += [f"{pad}_k = {table_name}.get({value})",
+                        f"{pad}if _k is not None:"]
+                for i, node in enumerate(nodes):
+                    out.append(f"{pad}    {'elif' if i else 'if'} _k == {i}:")
+                    out += self._body(node, depth + 2, namespace)
+            pending.extend(reversed(out))
+        lines = ["def _alpha(w):"]
+        if read:
+            lines.append("    _g = w.vals.get")
+            lines += [f"    {local} = _g({attr!r})" for attr, local in read.items()]
+        lines += [f"    hits = [{first}]", f"    n = {1 + len(roots)}", *body,
+                  "    return hits, n"]
+        return self._define("\n".join(lines) + "\n", namespace, "_alpha")
+
+    @staticmethod
+    def _name(terminal: AlphaTerminal, namespace: dict) -> str:
+        name = f"_t{terminal.alpha_id}"
+        namespace[name] = terminal
+        return name
+
+    @classmethod
+    def _body(cls, node: ConstantTestNode, depth: int, namespace: dict) -> list:
+        """What a passing ``node`` does: record its terminals, count and
+        enter its children (a pending sibling list)."""
+        pad = "    " * depth
+        out: list = [f"{pad}hits.append({cls._name(t, namespace)})" for t in node.terminals]
+        if node.children:
+            out.append(f"{pad}n += {len(node.children)}")
+            out.append((tuple(node.children), depth))
+        return out
 
     def join_tests(self, descs: Sequence[JoinDesc]) -> Optional[Callable]:
         descs = tuple(descs)

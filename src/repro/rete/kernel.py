@@ -58,7 +58,10 @@ def alpha_pass(
 ) -> Tuple[List[AlphaTerminal], int]:
     """Run ``wme`` through the constant-test network and charge the
     change and its alpha work to ``stats``; returns ``(alpha terminals
-    passed, constant tests run)``."""
+    passed, constant tests run)``.  The dispatch is one call of the
+    WME class's function (:meth:`ReteNetwork.alpha_dispatch`), so in
+    every engine — sequential, threaded, mp's ``_route`` and corgi — a
+    change's alpha tests cost one frame however many run."""
     hits, n_tests = network.alpha_dispatch(wme)
     stats.wme_changes += 1
     stats.constant_tests += n_tests

@@ -3,7 +3,10 @@
 Mirrors the paper's compiler (§2.2/§3.1):
 
 * constant tests go into a shared tree of one-input nodes under a
-  per-class dispatch (node sharing happens here, as in Figure 2-2);
+  per-class dispatch (node sharing happens here, as in Figure 2-2); the
+  evaluator turns each class's tree into one dispatch function at
+  set-up — generated code when compiled, the node walk when
+  interpreted — and :meth:`ReteNetwork.alpha_dispatch` calls it;
 * each positive condition element beyond the first becomes a coalesced
   memory/two-input :class:`~repro.rete.nodes.JoinNode`;
 * negated condition elements become :class:`~repro.rete.nodes.NotNode`;
@@ -35,7 +38,7 @@ from ..ops5.astnodes import (
 from ..ops5.collector import collector_paused
 from ..ops5.errors import CompileError
 from ..ops5.wme import WME
-from .evaluators import make_evaluator
+from .evaluators import Dispatch, make_evaluator
 from .nodes import (
     AlphaTerminal, BetaNode, ConstantTestNode, JoinNode, NotNode, TerminalNode, TwoInputNode,
 )
@@ -72,6 +75,8 @@ class ReteNetwork:
         self.key: Optional[str] = None
         self.evaluator = make_evaluator(mode)
         self._classes: Dict[str, _ClassEntry] = {}
+        #: class -> its alpha dispatch (:meth:`alpha_dispatch`).
+        self._dispatch: Dict[str, Dispatch] = {}
         #: (class, alpha descriptors) -> the terminal of their chain.
         self._chains: Dict[Tuple[str, tuple], AlphaTerminal] = {}
         #: join descriptors -> (eq descriptors, and the node's four
@@ -101,7 +106,8 @@ class ReteNetwork:
         net = ReteNetwork(mode=mode)
         net.key = key
         for prod in program.productions:
-            net.add_production(prod)
+            net.add_production(prod, dispatch=False)
+        net._generate(net._classes)
         return net
 
     @staticmethod
@@ -120,10 +126,31 @@ class ReteNetwork:
         digest.update(source.replace("\r\n", "\n").encode("utf-8"))
         return digest.hexdigest()
 
-    def add_production(self, prod: Production) -> TerminalNode:
-        """Compile one production into the network."""
+    def add_production(self, prod: Production, dispatch: bool = True) -> TerminalNode:
+        """Compile one production into the network, and regenerate the
+        alpha dispatch of each class it names.  :meth:`compile` passes
+        ``dispatch=False`` and generates every class once at its end."""
         if prod.name in self.terminals:
             raise CompileError(f"production {prod.name!r} already compiled")
+        try:
+            return self._add_production(prod)
+        finally:
+            if dispatch:
+                # Even on a raise: the chains of the CEs before the bad
+                # one stay in the tree, so dispatch must see them.
+                self._generate({ce.klass for ce in prod.ces})
+
+    def _generate(self, klasses) -> None:
+        """Build the dispatch function of each class in ``klasses`` that
+        has an alpha tree (:meth:`alpha_dispatch`)."""
+        for klass in klasses:
+            entry = self._classes.get(klass)
+            if entry is not None:
+                self._dispatch[klass] = self.evaluator.class_dispatch(
+                    entry.terminal, list(entry.children.values())
+                )
+
+    def _add_production(self, prod: Production) -> TerminalNode:
         bindings: Dict[str, Tuple[int, str]] = {}
         beta_source: Optional[BetaNode] = None
         first_alpha: Optional[AlphaTerminal] = None
@@ -279,9 +306,7 @@ class ReteNetwork:
             else:
                 child = next((c for c in node.children if c.desc == desc), None)
             if child is None:
-                child = ConstantTestNode(
-                    self._new_node_id(), desc, self.evaluator.alpha_test(desc)
-                )
+                child = ConstantTestNode(self._new_node_id(), desc)
                 self.constant_nodes.append(child)
                 if node is None:
                     entry.children[desc] = child
@@ -310,25 +335,20 @@ class ReteNetwork:
     def alpha_dispatch(self, wme: WME) -> Tuple[List[AlphaTerminal], int]:
         """Run ``wme`` through the constant-test network.
 
-        Returns the alpha terminals whose chains the WME satisfies and
-        the number of constant tests evaluated (including the class
-        dispatch, which the paper counts as a constant-test node).
+        Returns the alpha terminals whose chains the WME satisfies —
+        depth first: the class terminal, then each sibling list from
+        its last node to its first, a passing node's terminals before
+        its subtree — and the number of constant tests that walk runs
+        (the class dispatch included, which the paper counts as a
+        constant-test node).  One call of the class's dispatch
+        function, which the evaluator built at set-up: generated code
+        for the whole tree when compiled, the node-by-node walk when
+        interpreted.
         """
-        entry = self._classes.get(wme.klass)
-        tests = 1  # the class test
-        if entry is None:
-            return [], tests
-        hits: List[AlphaTerminal] = []
-        if entry.terminal is not None:
-            hits.append(entry.terminal)
-        stack = list(entry.children.values())
-        while stack:
-            node = stack.pop()
-            tests += 1
-            if node.test(wme):
-                hits.extend(node.terminals)
-                stack.extend(node.children)
-        return hits, tests
+        fn = self._dispatch.get(wme.klass)
+        if fn is None:
+            return [], 1  # the class test
+        return fn(wme)
 
     # -- introspection ----------------------------------------------------
 

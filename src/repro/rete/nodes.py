@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..ops5.astnodes import Production
-from ..ops5.wme import WME
 from .token import Token
 
 Task = Tuple["BetaNode", str, int, Token]
@@ -78,14 +77,16 @@ class MatchContext:
 
 
 class ConstantTestNode:
-    """A one-input node applying one constant/intra-element test."""
+    """A one-input node applying one constant/intra-element test, the
+    descriptor ``desc``.  It holds no test function: the evaluator
+    turns a class's whole tree into one dispatch function
+    (:meth:`repro.rete.network.ReteNetwork.alpha_dispatch`)."""
 
-    __slots__ = ("node_id", "desc", "test", "children", "terminals")
+    __slots__ = ("node_id", "desc", "children", "terminals")
 
-    def __init__(self, node_id: int, desc: tuple, test: Callable[[WME], bool]) -> None:
+    def __init__(self, node_id: int, desc: tuple) -> None:
         self.node_id = node_id
         self.desc = desc
-        self.test = test
         self.children: List[ConstantTestNode] = []
         self.terminals: List[AlphaTerminal] = []
 

@@ -5,7 +5,9 @@ and emits each piece of match code once (§2.2, Figure 2-2).  Ours shared
 the nodes but called builtin ``compile()`` once per generated closure:
 4 307 calls for a weaver network whose sources are 72 distinct texts.
 Since PR 19 ``CompiledEvaluator`` compiles each distinct text once per
-network.  These tests hold it there by wrapping ``builtins.compile`` —
+network, and a WME class's whole constant-test tree is one generated
+function, compiled once per class (28 join/key texts and 7 classes on
+weaver 8×4).  These tests hold it there by wrapping ``builtins.compile`` —
 no counter in ``src/`` — and hold the *network* to the parent's
 (``c693114``) node ids, wiring and ownership, so the saving cannot have
 come from building something else.
@@ -31,6 +33,7 @@ hits and measure a different program from a fresh ``repro run``.
 import builtins
 import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -109,22 +112,32 @@ def shape(net: ReteNetwork) -> str:
 
 
 def node_functions(net: ReteNetwork) -> list:
-    fns = [n.test for n in net.constant_nodes]
+    fns = []
     for n in net.two_input_nodes():
         fns += [n.tests_fn, n.all_tests_fn, n.left_key_fn, n.right_key_fn]
     return fns
 
 
+def classes(prog) -> set:
+    return {ce.klass for p in prog.productions for ce in p.ces}
+
+
 def test_each_distinct_test_is_compiled_once(program, compile_calls):
+    """One ``compile()`` per distinct join or key text, and one per WME
+    class: a class's whole constant-test tree is one function."""
     _, prog = program
     net = ReteNetwork.compile(prog)
     assert len(compile_calls) == len(set(compile_calls)) <= 100
-    # ... and the nodes hold exactly those functions (plus ``None`` for
-    # "no tests" / "no key"), however many nodes.
+    # ... and the two-input nodes hold exactly the join and key
+    # functions (plus ``None`` for "no tests" / "no key"), however many
+    # nodes; the rest are the class dispatch functions.
     fns = node_functions(net)
-    assert len(fns) > 10 * len(compile_calls)
     distinct = {id(fn) for fn in fns if fn is not None}
-    assert len(distinct) == len(compile_calls)
+    assert len(fns) > 10 * len(distinct)
+    dispatch = list(net._dispatch.values())
+    assert sorted(net._dispatch) == sorted(classes(prog))
+    assert len({id(fn) for fn in dispatch}) == len(dispatch) > 1
+    assert len(distinct) + len(dispatch) == len(compile_calls)
 
 
 def test_the_network_is_the_parents(program):
@@ -149,20 +162,22 @@ def test_equal_descriptors_share_one_function():
     for attr in ("tests_fn", "all_tests_fn", "left_key_fn", "right_key_fn"):
         assert getattr(one, attr) is getattr(two, attr)
     assert one.all_tests_fn is not odd.all_tests_fn
-    # ^kind k under class a and under class c: two nodes, one test.
+    # ^kind k under class a and under class c: two nodes, each tested
+    # by its own class's dispatch function.
     kinds = [n for n in net.constant_nodes if n.desc == ("const", "kind", "=", "k")]
-    assert len(kinds) == 2 and kinds[0].test is kinds[1].test
+    assert len(kinds) == 2
 
 
-def test_rendered_text_keeps_1_and_1_0_apart():
+def test_rendered_text_keeps_1_and_1_0_apart(compile_calls):
     """``1 == 1.0 == True`` and they hash alike, so a memo keyed on the
-    descriptor would hand ``^x 1.0`` the function compiled for ``^x 1``;
-    the rendered text is the key, and it differs."""
-    net = ReteNetwork.compile(parse_program(
+    descriptor would hand ``^x 1.0`` the text rendered for ``^x 1``;
+    each class function renders its own constant."""
+    ReteNetwork.compile(parse_program(
         "(p i (a ^x 1) --> (halt)) (p f (b ^x 1.0) --> (halt))"
     ))
-    by_int, by_float = (n.test for n in net.constant_nodes)
-    assert by_int is not by_float
+    by_int, by_float = compile_calls
+    assert "== 1)" in by_int and "1.0" not in by_int
+    assert "== 1.0)" in by_float
 
 
 def test_no_cache_outlives_the_call_that_filled_it(program, compile_calls):
@@ -171,7 +186,13 @@ def test_no_cache_outlives_the_call_that_filled_it(program, compile_calls):
     n_first = len(compile_calls)
     second = ReteNetwork.compile(prog)
     assert len(compile_calls) == 2 * n_first > 0
-    assert all(a.test is not b.test for a, b in zip(first.constant_nodes, second.constant_nodes))
+    assert first._dispatch.keys() == second._dispatch.keys()
+    assert all(first._dispatch[k] is not second._dispatch[k] for k in first._dispatch)
+    # A generated function and its globals form no cycle: the last
+    # reference to the network frees them, with no collection.
+    gone = [weakref.ref(fn) for fn in second._dispatch.values()]
+    del second
+    assert [ref() for ref in gone] == [None] * len(gone)
     source = SOURCES[name]()
     again = parse_program(source)
     assert again is not prog and again is not parse_program(source)

@@ -11,10 +11,24 @@ from repro.rete.evaluators import (
     compare,
     make_evaluator,
 )
+from repro.rete.nodes import AlphaTerminal, ConstantTestNode
 
 
 def w(**attrs) -> WME:
     return WME.make("c", attrs, 1)
+
+
+def alpha_test(evaluator, *descs):
+    """The class dispatch of sibling nodes testing ``descs``, as a
+    predicate: does a WME pass the first of them?  (Alpha tests exist
+    only inside a class's dispatch function.)"""
+    nodes = []
+    for i, desc in enumerate(descs):
+        node = ConstantTestNode(i + 1, desc)
+        node.terminals.append(AlphaTerminal(i + 1))
+        nodes.append(node)
+    dispatch = evaluator.class_dispatch(None, nodes)
+    return lambda wme: 1 in [t.alpha_id for t in dispatch(wme)[0]]
 
 
 class TestCompare:
@@ -60,24 +74,24 @@ def evaluator(request):
 
 class TestAlphaTests:
     def test_const_eq(self, evaluator):
-        test = evaluator.alpha_test(("const", "color", "=", "red"))
+        test = alpha_test(evaluator, ("const", "color", "=", "red"))
         assert test(w(color="red"))
         assert not test(w(color="blue"))
         assert not test(w())
 
     def test_const_ordering(self, evaluator):
-        test = evaluator.alpha_test(("const", "n", ">", 5))
+        test = alpha_test(evaluator, ("const", "n", ">", 5))
         assert test(w(n=6))
         assert not test(w(n=5))
         assert not test(w(n="six"))
 
     def test_intra(self, evaluator):
-        test = evaluator.alpha_test(("intra", "x", "=", "y"))
+        test = alpha_test(evaluator, ("intra", "x", "=", "y"))
         assert test(w(x=1, y=1))
         assert not test(w(x=1, y=2))
 
     def test_disjunction(self, evaluator):
-        test = evaluator.alpha_test(("disj", "c", frozenset({"red", "green"})))
+        test = alpha_test(evaluator, ("disj", "c", frozenset({"red", "green"})))
         assert test(w(c="red"))
         assert not test(w(c="blue"))
 
@@ -124,8 +138,8 @@ class TestModeEquivalence:
 
     @pytest.mark.parametrize("desc", CASES)
     def test_alpha_agree(self, desc):
-        interp = InterpretedEvaluator().alpha_test(desc)
-        comp = CompiledEvaluator().alpha_test(desc)
+        interp = alpha_test(InterpretedEvaluator(), desc)
+        comp = alpha_test(CompiledEvaluator(), desc)
         for wme in (w(a=5, b=6), w(a=4, b=2), w(a="x", b="y"), w()):
             assert interp(wme) == comp(wme), (desc, wme)
 
@@ -191,16 +205,28 @@ class TestPredicateTable:
         # A constant is a literal of the source, never None.
         for b in PRED_VALUES[1:]:
             self.agree(
-                lambda ev: ev.alpha_test(("const", "a", op, b)),
+                lambda ev: alpha_test(ev, ("const", "a", op, b)),
                 [((wv(a=a),), compare(a, op, b)) for a in PRED_VALUES],
             )
 
     @pytest.mark.parametrize("op", PRED_OPS)
     def test_alpha_intra(self, op):
         self.agree(
-            lambda ev: ev.alpha_test(("intra", "a", op, "b")),
+            lambda ev: alpha_test(ev, ("intra", "a", op, "b")),
             [((wv(a=a, b=b),), compare(a, op, b)) for a, b in PAIRS],
         )
+
+    def test_alpha_membership_runs(self):
+        """Adjacent ``=`` / disjunction tests on one attribute are one
+        dict lookup in the compiled class function; a lookup finds
+        exactly what ``==`` does, 1 against 1.0 included."""
+        other = ("const", "a", "=", "zz")
+        for b in PRED_VALUES[1:]:
+            for desc in (("const", "a", "=", b), ("disj", "a", frozenset({b, "q"}))):
+                self.agree(
+                    lambda ev: alpha_test(ev, desc, other),
+                    [((wv(a=a),), compare(a, "=", b)) for a in PRED_VALUES],
+                )
 
     def test_generated_text_calls_no_helper(self, monkeypatch):
         """An ordering test is spelled inline: no generated text names
@@ -216,9 +242,9 @@ class TestPredicateTable:
         ev = CompiledEvaluator()
         for op in PRED_OPS:
             ev.join_tests((("y", op, 0, "x"), ("z", op, 1, "u")))
-            ev.alpha_test(("intra", "a", op, "b"))
+            alpha_test(ev, ("intra", "a", op, "b"))
             for b in PRED_VALUES[1:]:
-                ev.alpha_test(("const", "a", op, b))
+                alpha_test(ev, ("const", "a", op, b))
         assert len(sources) >= len(PRED_OPS) * 3
         for name in ("_cmp", "_ord", "compare"):
             assert not [src for src in sources if name in src], name

@@ -52,8 +52,10 @@ PROPOSE = ("(p r (a ^x <v>) (b ^y <t1>) (b ^y { <t2> > <t1> }) "
            "- (d ^lo <t1> ^hi <t2>) --> (halt))")
 
 #: Frames of one WM change: none of them is per-activation work.
+#: ``_alpha`` is the WME class's generated dispatch function: its
+#: whole constant-test tree, one frame.
 PER_CHANGE = {"match_change", "enter_change", "alpha_pass", "drain",
-              "ReteNetwork.alpha_dispatch"}
+              "ReteNetwork.alpha_dispatch", "_alpha"}
 
 
 def changes():
@@ -116,7 +118,6 @@ def profile_match(source, batch_fn=changes, recorder=None):
     nodes = network.two_input_nodes()
     key_fns = {f.__code__ for n in nodes for f in (n.left_key_fn, n.right_key_fn) if f}
     test_fns = {n.tests_fn.__code__ for n in nodes if n.tests_fn}
-    alpha_tests = {n.test.__code__ for n in network.constant_nodes}
     by_name = Counter()
     key_calls = test_calls = 0
     for code, n in frames.items():
@@ -124,7 +125,7 @@ def profile_match(source, batch_fn=changes, recorder=None):
             key_calls += n
         elif code in test_fns:
             test_calls += n
-        elif code not in alpha_tests:
+        else:
             by_name[code.co_qualname] += n
     return by_name, key_calls, test_calls, matcher.stats, network
 

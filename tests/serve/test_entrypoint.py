@@ -39,7 +39,8 @@ def test_python_dash_m_repro_help():
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: repro")

@@ -205,7 +205,8 @@ def test_resolving_serve_imports_no_heavy_package():
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: repro serve" in proc.stdout
