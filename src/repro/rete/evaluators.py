@@ -223,42 +223,31 @@ def _alpha_attrs(desc: AlphaDesc) -> Tuple[str, ...]:
     return (desc[1], desc[3]) if desc[0] == "intra" else (desc[1],)
 
 
-def _membership(desc: AlphaDesc) -> Optional[Tuple[str, Sequence]]:
-    """``(attr, values)`` when ``desc`` passes exactly the WMEs whose
-    ``attr`` is ``==`` one of ``values``: an ``=`` constant test or a
-    disjunction."""
-    if desc[0] == "disj":
-        return desc[1], desc[2]
-    if desc[0] == "const" and desc[2] == "=":
-        return desc[1], (desc[3],)
-    return None
+#: Deepest indent a class function's text reaches: a sibling list
+#: entered below it is generated as a function of its own (CPython's
+#: tokenizer stops at 100 levels).
+_MAX_DEPTH = 32
+#: Most siblings one switch picks among: its ``elif`` chain nests in
+#: CPython's parser and compiler, which give out near 3 000.
+_MAX_SWITCH = 64
 
 
-def _runs(order: Sequence[ConstantTestNode]) -> List[Tuple[str, Sequence[ConstantTestNode]]]:
-    """Split one sibling list, in visit order, into what the class
-    function does with each part: ``'test'`` a single inline test;
-    ``'table'`` two or more adjacent childless membership tests on one
-    attribute, whose hits, in order, one dict lookup yields;
-    ``'switch'`` two or more adjacent ``=`` tests on one attribute,
-    some with children — at most one passes (the tree holds no two
-    siblings with ``==`` descriptors), so one dict lookup picks it."""
-    runs: List[Tuple[str, Sequence[ConstantTestNode]]] = []
-    attrs = [m and m[0] for m in (_membership(node.desc) for node in order)]
+def _runs(order: Sequence[ConstantTestNode]) -> List[Sequence[ConstantTestNode]]:
+    """Split one sibling list, in visit order, into runs: a single test,
+    or a switch -- two or more adjacent ``=`` tests on one attribute, at
+    most :data:`_MAX_SWITCH`.  At most one of a switch's tests passes
+    (the tree holds no two siblings with ``==`` descriptors), so one
+    dict lookup, value -> sibling index, picks it, and the index picks
+    its terminals and its subtree's branch."""
+    runs: List[Sequence[ConstantTestNode]] = []
     i = 0
     while i < len(order):
-        attr = attrs[i]
-        table = switch = i
-        if attr is not None:
-            while table < len(order) and attrs[table] == attr and not order[table].children:
-                table += 1
-            while switch < len(order) and order[switch].desc[:3] == ("const", attr, "="):
-                switch += 1
-        end = max(table, switch)
-        if end - i < 2:
-            runs.append(("test", order[i:i + 1]))
-            end = i + 1
-        else:
-            runs.append(("table" if table >= switch else "switch", order[i:end]))
+        head = order[i].desc[:3]
+        end = i + 1
+        if head[0] == "const" and head[2] == "=":
+            while end < len(order) and end - i < _MAX_SWITCH and order[end].desc[:3] == head:
+                end += 1
+        runs.append(order[i:end])
         i = end
     return runs
 
@@ -275,10 +264,12 @@ class CompiledEvaluator:
 
     The generated functions hold no mutable state (``w`` / ``wmes`` in,
     bool, tuple or ``(hits, count)`` out; globals: ``_N``, the numeric
-    classes, and a class function's terminals and lookup tables) and
-    call no Python function: every predicate, ordering included, is an
+    classes, and a class function's terminals, lookup tables and the
+    functions of its subtrees below :data:`_MAX_DEPTH`) and call no
+    other Python function: every predicate, ordering included, is an
     inline expression (:func:`_inline`), so a test costs no frame of its
-    own and a class's whole alpha tree one.  Two-input nodes whose
+    own and a class's whole alpha tree one (plus one per such subtree
+    entered).  Two-input nodes whose
     descriptors render to the same text share one function object —
     Figure 2-2's node sharing applied to the code — and :func:`compile`
     runs once per distinct text.  The memo lives and dies with the
@@ -314,18 +305,42 @@ class CompiledEvaluator:
         sibling list from last to first, a passing node's terminals
         before its subtree).  Each attribute the tree tests is read
         once, into a local; a sibling list adds its length to the test
-        count when it is entered; a run of membership tests on one
-        attribute is one dict lookup (:func:`_runs`).  Never shared:
-        the text names terminals and tables by id, and a later
-        ``add_production`` can change a table behind the same text."""
-        # ``inf``: how ``repr`` spells a constant such as ``1e999``.
-        namespace: dict = {"_N": _NUMERIC, "inf": math.inf}
+        count when it is entered; a run of ``=`` tests on one attribute
+        is one dict lookup (:func:`_runs`).  Never shared: the text
+        names terminals and tables by id, and a later ``add_production``
+        can change a table behind the same text."""
+        namespace = self._namespace()
         first = "" if terminal is None else self._name(terminal, namespace)
+        roots = tuple(roots)
+        reads, body = self._forest(roots, namespace)
+        lines = ["def _alpha(w):", *reads, f"    hits = [{first}]",
+                 f"    n = {1 + len(roots)}", *body, "    return hits, n"]
+        return self._define("\n".join(lines) + "\n", namespace, "_alpha")
+
+    def _subtree(self, siblings: Tuple[ConstantTestNode, ...]) -> Callable:
+        """A sibling list and its subtrees below :data:`_MAX_DEPTH` as a
+        function of their own: ``(w, hits)`` in, appends to ``hits``,
+        returns the tests it counted."""
+        namespace = self._namespace()
+        reads, body = self._forest(siblings, namespace)
+        lines = ["def _alpha(w, hits):", *reads, "    n = 0", *body, "    return n"]
+        return self._define("\n".join(lines) + "\n", namespace, "_alpha")
+
+    @staticmethod
+    def _namespace() -> dict:
+        # ``inf``: how ``repr`` spells a constant such as ``1e999``.
+        return {"_N": _NUMERIC, "inf": math.inf}
+
+    def _forest(self, roots: Tuple[ConstantTestNode, ...], namespace: dict):
+        """The lines, indented once, that visit the sibling list
+        ``roots`` and its subtrees: ``(reads, body)``, the attribute
+        loads and then the tests.  The tests' names (terminals, tables,
+        deeper subtrees) go into ``namespace``."""
         read: Dict[str, str] = {}  # attribute -> the local holding its value
         body: List[str] = []
         # Items run last-in first-out: a line of text, or a sibling list
         # and its indent.
-        pending: list = [(tuple(roots), 1)]
+        pending: list = [(roots, 1)]
         while pending:
             item = pending.pop()
             if isinstance(item, str):
@@ -333,41 +348,38 @@ class CompiledEvaluator:
                 continue
             siblings, depth = item
             pad = "    " * depth
+            if depth > _MAX_DEPTH:
+                name = f"_f{siblings[0].node_id}"
+                namespace[name] = self._subtree(siblings)
+                body.append(f"{pad}n += {name}(w, hits)")
+                continue
             out: list = []
             for node in siblings:
                 for attr in _alpha_attrs(node.desc):
                     read.setdefault(attr, f"_v{len(read)}")
-            for kind, nodes in _runs(siblings[::-1]):
-                if kind == "test":
+            for nodes in _runs(siblings[::-1]):
+                if len(nodes) == 1:
                     out.append(f"{pad}if {_alpha_expr(nodes[0].desc, read)}:")
                     out += self._body(nodes[0], depth + 1, namespace)
                     continue
-                table_name = f"_D{nodes[0].node_id}"
-                value = read[nodes[0].desc[1]]
-                if kind == "table":
-                    table: dict = {}
-                    for node in nodes:
-                        for constant in _membership(node.desc)[1]:
-                            table.setdefault(constant, []).extend(node.terminals)
-                    namespace[table_name] = {k: tuple(ts) for k, ts in table.items()}
-                    out += [f"{pad}_h = {table_name}.get({value})",
-                            f"{pad}if _h is not None:",
-                            f"{pad}    hits += _h"]
-                    continue
-                namespace[table_name] = {node.desc[3]: i for i, node in enumerate(nodes)}
-                out += [f"{pad}_k = {table_name}.get({value})",
+                # The passing sibling's terminals are one index into a
+                # tuple; only a sibling with a subtree needs a branch.
+                tag = nodes[0].node_id
+                namespace[f"_D{tag}"] = {node.desc[3]: i for i, node in enumerate(nodes)}
+                out += [f"{pad}_k = _D{tag}.get({read[nodes[0].desc[1]]})",
                         f"{pad}if _k is not None:"]
-                for i, node in enumerate(nodes):
-                    out.append(f"{pad}    {'elif' if i else 'if'} _k == {i}:")
-                    out += self._body(node, depth + 2, namespace)
+                if any(node.terminals for node in nodes):
+                    namespace[f"_H{tag}"] = tuple(tuple(node.terminals) for node in nodes)
+                    out.append(f"{pad}    hits += _H{tag}[_k]")
+                branches = [(i, node) for i, node in enumerate(nodes) if node.children]
+                for j, (i, node) in enumerate(branches):
+                    out += [f"{pad}    {'elif' if j else 'if'} _k == {i}:",
+                            f"{pad}        n += {len(node.children)}",
+                            (tuple(node.children), depth + 2)]
             pending.extend(reversed(out))
-        lines = ["def _alpha(w):"]
-        if read:
-            lines.append("    _g = w.vals.get")
-            lines += [f"    {local} = _g({attr!r})" for attr, local in read.items()]
-        lines += [f"    hits = [{first}]", f"    n = {1 + len(roots)}", *body,
-                  "    return hits, n"]
-        return self._define("\n".join(lines) + "\n", namespace, "_alpha")
+        reads = ["    _g = w.vals.get"] if read else []
+        reads += [f"    {local} = _g({attr!r})" for attr, local in read.items()]
+        return reads, body
 
     @staticmethod
     def _name(terminal: AlphaTerminal, namespace: dict) -> str:

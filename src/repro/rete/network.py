@@ -106,7 +106,7 @@ class ReteNetwork:
         net = ReteNetwork(mode=mode)
         net.key = key
         for prod in program.productions:
-            net.add_production(prod, dispatch=False)
+            net._add_production(prod)
         net._generate(net._classes)
         return net
 
@@ -126,19 +126,15 @@ class ReteNetwork:
         digest.update(source.replace("\r\n", "\n").encode("utf-8"))
         return digest.hexdigest()
 
-    def add_production(self, prod: Production, dispatch: bool = True) -> TerminalNode:
+    def add_production(self, prod: Production) -> TerminalNode:
         """Compile one production into the network, and regenerate the
-        alpha dispatch of each class it names.  :meth:`compile` passes
-        ``dispatch=False`` and generates every class once at its end."""
-        if prod.name in self.terminals:
-            raise CompileError(f"production {prod.name!r} already compiled")
+        alpha dispatch of each class it names."""
         try:
             return self._add_production(prod)
         finally:
-            if dispatch:
-                # Even on a raise: the chains of the CEs before the bad
-                # one stay in the tree, so dispatch must see them.
-                self._generate({ce.klass for ce in prod.ces})
+            # Even on a raise: the chains of the CEs before the bad one
+            # stay in the tree, so dispatch must see them.
+            self._generate({ce.klass for ce in prod.ces})
 
     def _generate(self, klasses) -> None:
         """Build the dispatch function of each class in ``klasses`` that
@@ -151,6 +147,11 @@ class ReteNetwork:
                 )
 
     def _add_production(self, prod: Production) -> TerminalNode:
+        """Compile one production into the network, leaving the alpha
+        dispatch functions as they were (:meth:`compile` generates every
+        class once, at its end)."""
+        if prod.name in self.terminals:
+            raise CompileError(f"production {prod.name!r} already compiled")
         bindings: Dict[str, Tuple[int, str]] = {}
         beta_source: Optional[BetaNode] = None
         first_alpha: Optional[AlphaTerminal] = None

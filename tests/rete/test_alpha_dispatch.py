@@ -203,3 +203,55 @@ def test_random_alpha_networks():
         wmes = wmes_over(("k0", "k1", "k2"), ("a", "b", "c"), VALUES, rng, 60)
         reached += assert_agree(program, wmes)
     assert reached > 1000
+
+
+def test_a_chain_deeper_than_the_indent_limit():
+    """A CE of 120 tests is a chain 120 nodes deep, past the 100
+    indentation levels CPython's tokenizer allows: the class function
+    generates the part below a fixed depth as functions of its own."""
+    bounds = " ".join(f"> {i}" for i in range(120))
+    attrs = " ".join(f"^a{i:03} {i}" for i in range(120))
+    program = parse_program(
+        f"(p conj (k ^a {{ {bounds} }}) --> (halt))\n(p attrs (j {attrs}) --> (halt))"
+    )
+    wmes = [WME.make("k", {"a": v}, v + 500) for v in range(-2, 124)]
+    for miss in range(121):
+        kv = {f"a{i:03}": i + (i == miss) for i in range(120)}
+        wmes.append(WME.make("j", kv, miss + 1))
+    assert assert_agree(program, wmes) == len(wmes)
+    hits, n_tests = dispatch(ReteNetwork.compile(program), wmes[-1])
+    assert len(hits) == 1 and n_tests == 1 + 120
+
+
+def test_a_switch_at_every_level():
+    """Sixty levels of two ``=`` siblings on one attribute, each level
+    one dict lookup and two nested blocks."""
+    depth = 60
+    rules = [f"(p all (k {' '.join(f'^a{i:02} 1' for i in range(depth))}) --> (halt))"]
+    for k in range(depth):
+        tests = " ".join([f"^a{i:02} 1" for i in range(k)] + [f"^a{k:02} 2"])
+        rules.append(f"(p r{k} (k {tests}) --> (halt))")
+    program = parse_program("\n".join(rules))
+    wmes = []
+    for stop in range(depth + 1):
+        for last in (1, 2, 3):
+            kv = {f"a{i:02}": 1 for i in range(stop)}
+            if stop < depth:
+                kv[f"a{stop:02}"] = last
+            wmes.append(WME.make("k", kv, len(wmes) + 1))
+    assert assert_agree(program, wmes) == len(wmes)
+    everything = dispatch(ReteNetwork.compile(program), wmes[-1])
+    assert len(everything[0]) == 1 and everything[1] == 1 + 2 * depth
+
+
+def test_a_sibling_list_wider_than_an_elif_chain():
+    """3 000 ``=`` siblings on one attribute: one ``elif`` chain that
+    long exhausts CPython's compiler, so switches are cut into runs."""
+    program = parse_program(
+        "\n".join(f"(p r{i} (k ^a {i}) --> (halt))" for i in range(3000))
+        + "\n(p mid (k ^a 1500 ^b 1) --> (halt))"
+    )
+    wmes = [WME.make("k", {"a": v, "b": 1}, v + 2) for v in range(-1, 3001, 7)]
+    for v in (0, 63, 64, 1500, 2999, 1500.0, "x"):
+        wmes.append(WME.make("k", {"a": v}, len(wmes) + 9000))
+    assert assert_agree(program, wmes) == len(wmes)

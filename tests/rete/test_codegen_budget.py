@@ -322,7 +322,7 @@ def test_the_collector_is_paused_inside_set_up(monkeypatch):
         monkeypatch.setattr(module, attr, watched)
 
     spy(parser, "tokenize", "parse_program")
-    spy(ReteNetwork, "add_production", "ReteNetwork.compile")
+    spy(ReteNetwork, "_add_production", "ReteNetwork.compile")
     spy(rhs, "binding_plan", "CompiledRHS")
     from repro.corgi import plan
     spy(plan, "_compiled", "compile_plans")

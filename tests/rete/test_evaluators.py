@@ -217,9 +217,10 @@ class TestPredicateTable:
         )
 
     def test_alpha_membership_runs(self):
-        """Adjacent ``=`` / disjunction tests on one attribute are one
-        dict lookup in the compiled class function; a lookup finds
-        exactly what ``==`` does, 1 against 1.0 included."""
+        """Adjacent ``=`` tests on one attribute are one dict lookup in
+        the compiled class function, and a disjunction beside one is
+        inlined; a lookup finds exactly what ``==`` does, 1 against 1.0
+        included."""
         other = ("const", "a", "=", "zz")
         for b in PRED_VALUES[1:]:
             for desc in (("const", "a", "=", b), ("disj", "a", frozenset({b, "q"}))):
