@@ -51,7 +51,7 @@ class TokenType(Enum):
     SYMBOL = auto()         # any other atom
 
     # Enum's own ``__hash__`` is a Python frame that hashes the name;
-    # the parser's memo keys hash a tuple of kinds per form.  Members
+    # the parser looks every scanned token's kind up in a dict.  Members
     # are singletons compared by identity, so the identity hash is C's.
     __hash__ = object.__hash__
 
@@ -60,9 +60,12 @@ class TokenType(Enum):
 #: :class:`TokenType`, line and column counted from 1.
 Token = Tuple[TokenType, Union[str, int, float], int, int]
 
+#: A token as one line's scan gives it: ``(type, value, column)``.
+Triple = Tuple[TokenType, Union[str, int, float], int]
+
 
 # The whole token grammar of one line (no token spans a line, so
-# :func:`tokenize` scans each line on its own).  Every character is a
+# :func:`scan` scans each line on its own).  Every character is a
 # blank, a delimiter or part of a symbol, so the alternation matches at
 # every position and ``finditer`` skips nothing.  A group named after a
 # TokenType yields that token.  A token takes the blanks behind it along
@@ -98,7 +101,7 @@ for _name, _index in _SCANNER.groupindex.items():
 del _name, _index
 
 
-def _scan_line(text: str) -> List[Tuple[TokenType, Union[str, int, float], int]]:
+def _scan_line(text: str) -> List[Triple]:
     """The ``(type, value, column)`` of every token on one line."""
     out = []
     append = out.append
@@ -116,24 +119,29 @@ def _scan_line(text: str) -> List[Tuple[TokenType, Union[str, int, float], int]]
     return out
 
 
+def scan(source: str) -> Tuple[List[str], List[List[Triple]]]:
+    """The lines of ``source`` and, line by line, their ``(type, value,
+    column)`` triples.
+
+    A line that occurs more than once is scanned once per call, and
+    every occurrence shares its list: the memo is a local, so nothing
+    outlives the call that filled it.  This is the one scan behind
+    :func:`tokenize` and the parser.
+    """
+    lines = source.split("\n")
+    scanned = {text: _scan_line(text) for text in dict.fromkeys(lines)}
+    return lines, list(map(scanned.__getitem__, lines))
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` into a list of :data:`Token` tuples.
 
     Never raises: text that is not a variable, operator or number is a
     symbol (see the module docstring for ``<abc`` and ``2>>``).
-    Comments run from ``;`` to end of line.  A line that occurs more
-    than once is scanned once per call: the memo is a local, so nothing
-    outlives the call that filled it.
+    Comments run from ``;`` to end of line.
     """
-    tokens: List[Token] = []
-    append = tokens.append
-    scanned = {}
-    line = 0
-    for text in source.split("\n"):
-        line += 1
-        triples = scanned.get(text)
-        if triples is None:
-            triples = scanned[text] = _scan_line(text)
-        for kind, value, column in triples:
-            append((kind, value, line, column))
-    return tokens
+    return [
+        (kind, value, line, column)
+        for line, triples in enumerate(scan(source)[1], 1)
+        for kind, value, column in triples
+    ]

@@ -15,6 +15,8 @@ See :mod:`repro.ops5.astnodes` for the value-test grammar.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from .astnodes import (
@@ -43,54 +45,76 @@ from .astnodes import (
 )
 from .collector import collector_paused
 from .errors import ParseError
-from .lexer import Token, TokenType, tokenize
+from .lexer import Triple, TokenType, scan
 
 _COMPUTE_OPS = ("+", "-", "*", "//", "\\")
 
 T = TypeVar("T")
 
 
+#: A token's character in the cursor's shape string: a form ends where
+#: its parens balance.
+_SHAPE = {kind: "." for kind in TokenType}
+_SHAPE.update({TokenType.LPAREN: "(", TokenType.RPAREN: ")"})
+
+
 class _TokenStream:
     """A cursor over the token list with one-token lookahead.
 
-    The list ends in a ``None`` sentinel, so looking at the current
-    token is one index and the cursor never asks how long the list is;
-    ``next`` refuses to step over the sentinel.  A token is the tuple
-    ``(type, value, line, column)``.
+    A token is the triple ``(type, value, column)`` that the lexer's
+    :func:`~repro.ops5.lexer.scan` gives each distinct line; the lists
+    of every line, extended into one, end in a ``None`` sentinel, so
+    looking at the current token is one index and the cursor never asks
+    how long the list is; ``next`` refuses to step over the sentinel.
+    No token carries its line: ``_ends[i]`` counts the tokens up to the
+    end of line ``i + 1``, and :meth:`line` bisects it.
 
-    The stream also holds the span memo of one ``parse_program`` call
+    The stream also holds the form memo of one ``parse_program`` call
     (see :meth:`built_once`); it dies with the stream.
     """
 
-    __slots__ = ("_tokens", "_pos", "form_line", "_kinds", "_built")
+    __slots__ = ("_lines", "_tokens", "_ends", "_shape", "_pos", "form_line", "_built")
 
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens: List[Optional[Token]] = [*tokens, None]
+    def __init__(self, source: str) -> None:
+        lines, per_line = scan(source)
+        self._lines = lines
+        self._tokens: List[Optional[Triple]] = list(chain.from_iterable(per_line))
+        self._tokens.append(None)
+        self._ends = list(accumulate(map(len, per_line)))
+        # One character per token, each distinct line's made once.
+        shapes = {
+            text: "".join([_SHAPE[triple[0]] for triple in triples])
+            for text, triples in dict(zip(lines, per_line)).items()
+        }
+        self._shape = "".join(map(shapes.__getitem__, lines))
         self._pos = 0
         #: Line of the ``(`` of the top-level form being parsed.
         self.form_line = 0
-        #: The type column, where ``index`` finds a form's ``)`` in C.
-        self._kinds = [tok[0] for tok in tokens]
         self._built: Dict[tuple, object] = {}
 
-    def peek(self) -> Optional[Token]:
+    def line(self, back: int = 1) -> int:
+        """The line of the token ``back`` places behind the cursor (by
+        default the last one read)."""
+        return bisect_right(self._ends, self._pos - back) + 1
+
+    def peek(self) -> Optional[Triple]:
         return self._tokens[self._pos]
 
-    def next(self) -> Token:
+    def next(self) -> Triple:
         tok = self._tokens[self._pos]
         if tok is None:
             raise self.end_of_input()
         self._pos += 1
         return tok
 
-    def expect(self, ttype: TokenType) -> Token:
+    def expect(self, ttype: TokenType) -> Triple:
         tok = self._tokens[self._pos]
         if tok is None:
             raise self.end_of_input()
         self._pos += 1
         if tok[0] is not ttype:
             raise ParseError(
-                f"expected {ttype.name}, found {tok[0].name} {tok[1]!r}", tok[2]
+                f"expected {ttype.name}, found {tok[0].name} {tok[1]!r}", self.line()
             )
         return tok
 
@@ -102,30 +126,32 @@ class _TokenStream:
         """``parse(self, *args)`` on the form at the cursor, once per spelling.
 
         A condition element or an action is one parenthesised form, and
-        the same text recurs across productions.  The types of the
-        form's tokens and the ``repr`` of their values (which keeps
-        ``1``, ``1.0`` and ``-0.0`` apart, as ``==`` does not), with
-        ``parse`` and ``args``, key the memo; AST nodes are frozen, so a
-        repeat shares what the first spelling built.  Only a form that
-        parsed cleanly to exactly its own ``)`` is stored, so an error is
-        raised where and as it always was.
+        the same text recurs across productions.  The form's source
+        text, from its ``(`` to its ``)``, with ``parse`` and ``args``,
+        keys the memo: the same text lexes to the same tokens (``1``,
+        ``1.0`` and ``-0.0`` are different texts, though ``==`` would
+        not keep them apart), so it parses to the same AST, and AST
+        nodes are frozen, so a repeat shares what the first spelling
+        built.  Only a form that parsed cleanly to exactly its own
+        ``)`` is stored, so an error is raised where and as it always
+        was.
         """
         start = self._pos
-        kinds = self._kinds
+        shape = self._shape
         end = start
-        closes = 0
+        depth = 0
         try:
-            # Each step takes the next ')'; the form ends where the
-            # ')'s taken balance the '('s before them.
+            # Each step counts the '('s up to the next ')', never
+            # looking at a token twice; the form ends where they balance.
             while True:
-                end = kinds.index(TokenType.RPAREN, end) + 1
-                closes += 1
-                if kinds[start:end].count(TokenType.LPAREN) <= closes:
+                close = shape.index(")", end)
+                depth += shape.count("(", end, close) - 1
+                end = close + 1
+                if depth <= 0:
                     break
         except ValueError:  # an unclosed form: parse it to its error
             return parse(self, *args)
-        values = [tok[1] for tok in self._tokens[start:end]]
-        key = (parse, args, tuple(kinds[start:end]), repr(values))
+        key = (parse, args, self._text(start, close))
         built = self._built.get(key)
         if built is None:
             built = parse(self, *args)
@@ -135,13 +161,26 @@ class _TokenStream:
             self._pos = end
         return built  # type: ignore[return-value]
 
+    def _text(self, first: int, last: int) -> str:
+        """The source text from token ``first`` to the one-character
+        token ``last``, both included."""
+        ends = self._ends
+        lines = self._lines
+        tokens = self._tokens
+        head = bisect_right(ends, first)
+        begin = tokens[first][2] - 1  # type: ignore[index]
+        stop = tokens[last][2]  # type: ignore[index]
+        if last < ends[head]:
+            return lines[head][begin:stop]
+        tail = bisect_right(ends, last, head)
+        return "\n".join([lines[head][begin:], *lines[head + 1:tail], lines[tail][:stop]])
+
     def end_of_input(self, where: str = "") -> ParseError:
         """The error for running out of tokens inside a top-level form
         (the only place it can happen): positioned at the form's ``(``,
         naming the line of the last token read."""
-        last = self._tokens[self._pos - 1]
         return ParseError(
-            f"unexpected end of input{where} at line {last[2]}: unclosed form",
+            f"unexpected end of input{where} at line {self.line()}: unclosed form",
             self.form_line,
         )
 
@@ -149,29 +188,29 @@ class _TokenStream:
 @collector_paused
 def parse_program(source: str) -> Program:
     """Parse a complete OPS5 program from source text."""
-    stream = _TokenStream(tokenize(source))
+    stream = _TokenStream(source)
     literalizes: List[Literalize] = []
     productions: List[Production] = []
     startup: List[Action] = []
     names = set()
     while stream.peek() is not None:
-        tok = stream.expect(TokenType.LPAREN)
-        stream.form_line = tok[2]
+        stream.expect(TokenType.LPAREN)
+        line = stream.form_line = stream.line()
         head = stream.next()
         if head[0] is not TokenType.SYMBOL:
-            raise ParseError(f"expected form head, found {head[1]!r}", head[2])
+            raise ParseError(f"expected form head, found {head[1]!r}", stream.line())
         if head[1] == "literalize":
             literalizes.append(_parse_literalize(stream))
         elif head[1] == "p":
-            prod = _parse_production(stream, tok[2])
+            prod = _parse_production(stream, line)
             if prod.name in names:
-                raise ParseError(f"duplicate production name {prod.name!r}", tok[2])
+                raise ParseError(f"duplicate production name {prod.name!r}", line)
             names.add(prod.name)
             productions.append(prod)
         elif head[1] == "startup":
             startup.extend(_parse_actions_until_rparen(stream))
         else:
-            raise ParseError(f"unknown top-level form {head[1]!r}", head[2])
+            raise ParseError(f"unknown top-level form {head[1]!r}", stream.line())
     return Program(
         literalizes=tuple(literalizes),
         productions=tuple(productions),
@@ -199,7 +238,7 @@ def _parse_literalize(stream: _TokenStream) -> Literalize:
 def _parse_production(stream: _TokenStream, line: int) -> Production:
     name_tok = stream.next()
     if name_tok[0] not in (TokenType.SYMBOL, TokenType.NUMBER):
-        raise ParseError(f"bad production name {name_tok[1]!r}", name_tok[2])
+        raise ParseError(f"bad production name {name_tok[1]!r}", stream.line())
     name = str(name_tok[1])
 
     ces: List[ConditionElement] = []
@@ -226,7 +265,7 @@ def _parse_condition_element(stream: _TokenStream, negated: bool) -> ConditionEl
         stream.expect(TokenType.HAT)
         attr_tok = stream.next()
         if attr_tok[0] not in (TokenType.SYMBOL, TokenType.NUMBER):
-            raise ParseError(f"bad attribute name {attr_tok[1]!r}", attr_tok[2])
+            raise ParseError(f"bad attribute name {attr_tok[1]!r}", stream.line())
         value_test = _parse_value_test(stream)
         tests.append(AttrTest(attr=str(attr_tok[1]), test=value_test))
     stream.expect(TokenType.RPAREN)
@@ -245,7 +284,7 @@ def _parse_value_test(stream: _TokenStream):
             subtests.append(sub)
         stream.expect(TokenType.RBRACE)
         if not subtests:
-            raise ParseError("empty conjunction {}", tok[2])
+            raise ParseError("empty conjunction {}", stream.line(2))
         return Conjunction(tests=tuple(subtests))
     return _parse_simple_test(stream)
 
@@ -260,15 +299,15 @@ def _parse_simple_test(stream: _TokenStream) -> Union[Test, Disjunction]:
                 values.append(v[1])
             else:
                 raise ParseError(
-                    f"disjunctions may contain only constants, found {v[1]!r}", v[2]
+                    f"disjunctions may contain only constants, found {v[1]!r}", stream.line()
                 )
         stream.expect(TokenType.RDOUBLE)
         if not values:
-            raise ParseError("empty disjunction << >>", tok[2])
+            raise ParseError("empty disjunction << >>", stream.line(2))
         return Disjunction(values=tuple(values))
     if tok[0] is TokenType.PREDICATE:
         operand_tok = stream.next()
-        operand = _operand_from(operand_tok)
+        operand = _operand_from(stream, operand_tok)
         return Test(op=str(tok[1]), operand=operand)
     if tok[0] is TokenType.VARIABLE:
         return Test(op="=", operand=Var(str(tok[1])))
@@ -276,15 +315,15 @@ def _parse_simple_test(stream: _TokenStream) -> Union[Test, Disjunction]:
         return Test(op="=", operand=Lit(tok[1]))
     # A '-' token here is a negative number's sign that the lexer kept
     # separate only for the negated-CE case; treat as error.
-    raise ParseError(f"bad value test starting with {tok[1]!r}", tok[2])
+    raise ParseError(f"bad value test starting with {tok[1]!r}", stream.line())
 
 
-def _operand_from(tok: Token):
+def _operand_from(stream: _TokenStream, tok: Triple):
     if tok[0] is TokenType.VARIABLE:
         return Var(str(tok[1]))
     if tok[0] in (TokenType.SYMBOL, TokenType.NUMBER):
         return Lit(tok[1])
-    raise ParseError(f"bad predicate operand {tok[1]!r}", tok[2])
+    raise ParseError(f"bad predicate operand {tok[1]!r}", stream.line())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +375,7 @@ def _parse_action(stream: _TokenStream) -> Tuple[Action, ...]:
     if kind == "halt":
         stream.expect(TokenType.RPAREN)
         return (HaltAction(),)
-    raise ParseError(f"unknown action {kind!r}", head[2])
+    raise ParseError(f"unknown action {kind!r}", stream.line())
 
 
 def _parse_assigns(stream: _TokenStream) -> Tuple[Tuple[str, RhsValue], ...]:
@@ -345,7 +384,7 @@ def _parse_assigns(stream: _TokenStream) -> Tuple[Tuple[str, RhsValue], ...]:
         stream.next()
         attr_tok = stream.next()
         if attr_tok[0] not in (TokenType.SYMBOL, TokenType.NUMBER):
-            raise ParseError(f"bad attribute name {attr_tok[1]!r}", attr_tok[2])
+            raise ParseError(f"bad attribute name {attr_tok[1]!r}", stream.line())
         value = _parse_rhs_value(stream)
         assigns.append((str(attr_tok[1]), value))
     return tuple(assigns)
@@ -360,12 +399,12 @@ def _parse_rhs_value(stream: _TokenStream) -> RhsValue:
     if tok[0] is TokenType.LPAREN:
         head = stream.next()
         if head[0] is TokenType.SYMBOL and head[1] == "compute":
-            return _parse_compute(stream, head[2])
+            return _parse_compute(stream, stream.line())
         if head[0] is TokenType.SYMBOL and head[1] == "accept":
             stream.expect(TokenType.RPAREN)
             return RhsAccept()
-        raise ParseError(f"unknown RHS function {head[1]!r}", head[2])
-    raise ParseError(f"bad RHS value {tok[1]!r}", tok[2])
+        raise ParseError(f"unknown RHS function {head[1]!r}", stream.line())
+    raise ParseError(f"bad RHS value {tok[1]!r}", stream.line())
 
 
 def _parse_compute(stream: _TokenStream, line: int) -> RhsCompute:
@@ -378,7 +417,7 @@ def _parse_compute(stream: _TokenStream, line: int) -> RhsCompute:
         if op_tok[0] is TokenType.MINUS:
             op = "-"
         if op not in _COMPUTE_OPS:
-            raise ParseError(f"unknown compute operator {op!r}", op_tok[2])
+            raise ParseError(f"unknown compute operator {op!r}", stream.line())
         ops.append(op)
         operands.append(_parse_compute_operand(stream))
     stream.expect(TokenType.RPAREN)
@@ -396,4 +435,4 @@ def _parse_compute_operand(stream: _TokenStream) -> RhsValue:
         return RhsVar(str(tok[1]))
     if tok[0] in (TokenType.SYMBOL, TokenType.NUMBER):
         return RhsConst(tok[1])
-    raise ParseError(f"bad compute operand {tok[1]!r}", tok[2])
+    raise ParseError(f"bad compute operand {tok[1]!r}", stream.line())

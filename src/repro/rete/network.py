@@ -57,8 +57,21 @@ class _CECompilation:
     """Per-condition-element compilation products."""
 
     alpha_descs: List[tuple]
-    join_descs: List[tuple]
+    join_descs: Tuple[tuple, ...]
     exported: Dict[str, str]  # var -> attr (bindings this CE can export)
+
+
+def _variables(ce: ConditionElement) -> Tuple[str, ...]:
+    """The variables ``ce`` names, each once: the bindings it reads."""
+    names: Dict[str, None] = {}
+    pending = [at.test for at in ce.tests]
+    while pending:
+        test = pending.pop()
+        if isinstance(test, Conjunction):
+            pending.extend(test.tests)
+        elif isinstance(test, Test) and isinstance(test.operand, Var):
+            names[test.operand.name] = None
+    return tuple(names)
 
 
 class ReteNetwork:
@@ -77,8 +90,6 @@ class ReteNetwork:
         self._classes: Dict[str, _ClassEntry] = {}
         #: class -> its alpha dispatch (:meth:`alpha_dispatch`).
         self._dispatch: Dict[str, Dispatch] = {}
-        #: (class, alpha descriptors) -> the terminal of their chain.
-        self._chains: Dict[Tuple[str, tuple], AlphaTerminal] = {}
         #: join descriptors -> (eq descriptors, and the node's four
         #: functions); a join descriptor holds no constant, so ``==`` on
         #: it is exact.
@@ -105,8 +116,9 @@ class ReteNetwork:
     ) -> "ReteNetwork":
         net = ReteNetwork(mode=mode)
         net.key = key
+        compiled: Dict[int, tuple] = {}
         for prod in program.productions:
-            net._add_production(prod)
+            net._add_production(prod, compiled)
         net._generate(net._classes)
         return net
 
@@ -130,7 +142,7 @@ class ReteNetwork:
         """Compile one production into the network, and regenerate the
         alpha dispatch of each class it names."""
         try:
-            return self._add_production(prod)
+            return self._add_production(prod, {})
         finally:
             # Even on a raise: the chains of the CEs before the bad one
             # stay in the tree, so dispatch must see them.
@@ -146,10 +158,20 @@ class ReteNetwork:
                     entry.terminal, list(entry.children.values())
                 )
 
-    def _add_production(self, prod: Production) -> TerminalNode:
+    def _add_production(self, prod: Production, compiled: Dict[int, tuple]) -> TerminalNode:
         """Compile one production into the network, leaving the alpha
         dispatch functions as they were (:meth:`compile` generates every
-        class once, at its end)."""
+        class once, at its end).
+
+        ``compiled`` is the CE memo of one :meth:`compile` call: what a
+        condition element compiles to depends on the CE and on the
+        bindings of the variables it names, nothing else, so
+        ``_compile_ce`` runs once per distinct pair.  The parser hands
+        every repeat of a spelling the same frozen CE, and the program
+        holds each CE for the whole call, so ``id(ce)`` keys it — a
+        frozen dataclass's ``__hash__`` would walk every field of the
+        CE on every occurrence.  Weaver's 2 121 CEs compile 101 times.
+        """
         if prod.name in self.terminals:
             raise CompileError(f"production {prod.name!r} already compiled")
         bindings: Dict[str, Tuple[int, str]] = {}
@@ -158,8 +180,16 @@ class ReteNetwork:
         positive_seen = 0
 
         for ce in prod.ces:
-            comp = self._compile_ce(ce, bindings, prod)
-            alpha = self._alpha_chain(ce.klass, comp.alpha_descs)
+            memo = compiled.get(id(ce))
+            if memo is None:
+                memo = compiled[id(ce)] = (_variables(ce), {})
+            names, by_reads = memo
+            reads = tuple(map(bindings.get, names))
+            built = by_reads.get(reads)
+            if built is None:
+                comp = self._compile_ce(ce, bindings, prod)
+                built = by_reads[reads] = (comp, self._alpha_chain(ce.klass, comp.alpha_descs))
+            comp, alpha = built
             if not ce.negated and positive_seen == 0:
                 first_alpha = alpha
                 positive_seen = 1
@@ -201,7 +231,7 @@ class ReteNetwork:
         return nid
 
     def _make_two_input(self, ce: ConditionElement, comp: _CECompilation) -> BetaNode:
-        descs = tuple(comp.join_descs)
+        descs = comp.join_descs
         # Weaver's 1 484 two-input nodes have 12 distinct descriptor
         # lists; the evaluator is asked once per list.
         fns = self._join_fns.get(descs)
@@ -279,23 +309,13 @@ class ReteNetwork:
 
         exported = {} if ce.negated else dict(local)
         return _CECompilation(
-            alpha_descs=alpha_descs, join_descs=join_descs, exported=exported
+            alpha_descs=alpha_descs, join_descs=tuple(join_descs), exported=exported
         )
 
     def _alpha_chain(self, klass: str, descs: Sequence[tuple]) -> AlphaTerminal:
-        """Find-or-build the shared constant-test chain for one CE.
-
-        Weaver's 2 121 CEs need 79 distinct chains, so the walk runs once
-        per distinct descriptor list.  The memo is keyed on ``==``, as
-        the walk's own node lookups are: equal descriptors are one test.
-        """
-        key = (klass, tuple(descs))
-        term = self._chains.get(key)
-        if term is None:
-            term = self._chains[key] = self._build_alpha_chain(klass, descs)
-        return term
-
-    def _build_alpha_chain(self, klass: str, descs: Sequence[tuple]) -> AlphaTerminal:
+        """Find-or-build the shared constant-test chain for one CE (the
+        walk runs once per distinct compiled CE, see
+        :meth:`_add_production`)."""
         entry = self._classes.setdefault(klass, _ClassEntry())
         # Canonical order maximizes sharing between CEs that list the
         # same tests in different orders.

@@ -226,6 +226,44 @@ def test_two_parses_share_no_condition_element():
     assert not {id(ce) for ce in first} & {id(ce) for ce in second}
 
 
+def test_one_compile_compiles_each_distinct_ce_once(monkeypatch):
+    """What a condition element compiles to depends on the CE and on the
+    bindings of the variables it names: one ``ReteNetwork.compile``
+    runs ``_compile_ce`` once per distinct pair (101 on weaver 8x4, for
+    99 CE objects), not once per occurrence, and a second ``compile``
+    runs it again."""
+    compiled = []
+    real = ReteNetwork._compile_ce
+
+    def counting(self, ce, bindings, prod):
+        compiled.append(id(ce))
+        return real(self, ce, bindings, prod)
+
+    monkeypatch.setattr(ReteNetwork, "_compile_ce", counting)
+    prog = parse_program(SOURCES["weaver-8x4"]())
+    ces = _ces(prog)
+    ReteNetwork.compile(prog)
+    assert len(ces) == 2121
+    assert len(compiled) == 101
+    assert set(compiled) == {id(ce) for ce in ces}
+    ReteNetwork.compile(prog)
+    assert len(compiled) == 2 * 101
+
+
+def test_a_shared_ce_compiles_apart_under_other_bindings():
+    """One CE object, two productions: ``<v>`` is bound by the first
+    CE in one and unbound in the other, so it is a join test in one and
+    a fresh binding in the other."""
+    prog = parse_program(
+        "(p a (x ^v <v>) (y ^w <v>) --> (halt))"
+        "(p b (z ^v 1) (y ^w <v>) --> (halt))"
+    )
+    assert prog.productions[0].ces[1] is prog.productions[1].ces[1]
+    a, b = ReteNetwork.compile(prog).two_input_nodes()
+    assert a.tests == (("w", "=", 0, "v"),)
+    assert b.tests == ()
+
+
 def _actions(prog) -> list:
     return [a for p in prog.productions for a in p.actions] + list(prog.startup)
 
@@ -265,6 +303,19 @@ def test_action_keys_keep_1_and_1_0_and_minus_0_0_apart():
     assert [repr(w.values[0].operands[0].value) for w in writes] == list(values)
     assert makes[0] is makes[4] and writes[0] is writes[4]
     assert len({id(m) for m in makes}) == len({id(w) for w in writes}) == 4
+
+
+def test_a_form_over_several_lines_is_keyed_by_all_of_its_text():
+    """Forms that agree on their first line and differ below it are
+    different spellings; a repeat of the whole text is shared."""
+    prog = parse_program("".join(
+        f"(p r{i} (goal ^x 1\n   ^y {y})\n -->\n (make b ^v 1\n   ^w {y}))\n"
+        for i, y in enumerate((2, 3, 2))
+    ))
+    (ce2,), (ce3,), (again,) = (p.ces for p in prog.productions)
+    (make2,), (make3,), (make_again,) = (p.actions for p in prog.productions)
+    assert ce2 != ce3 and make2 != make3
+    assert again is ce2 and make_again is make2
 
 
 # -- the collector pause ------------------------------------------------------
@@ -321,7 +372,7 @@ def test_the_collector_is_paused_inside_set_up(monkeypatch):
 
         monkeypatch.setattr(module, attr, watched)
 
-    spy(parser, "tokenize", "parse_program")
+    spy(parser, "scan", "parse_program")
     spy(ReteNetwork, "_add_production", "ReteNetwork.compile")
     spy(rhs, "binding_plan", "CompiledRHS")
     from repro.corgi import plan

@@ -6,7 +6,8 @@
   style of ``tests/rete/test_kernel.py``), the engine flags stay
   declared once, and every registry entry resolves to a ``Verb``;
 * resolving ``serve`` imports none of the heavy packages (``bench/``
-  starts a server process per ``serve-churn`` repetition).
+  starts a server process per ``serve-churn`` repetition), and running
+  one builtin program imports no other program's module.
 """
 
 import ast
@@ -211,3 +212,27 @@ def test_resolving_serve_imports_no_heavy_package():
     assert proc.returncode == 0, proc.stderr
     assert "usage: repro serve" in proc.stdout
     assert "HEAVY []" in proc.stderr
+
+
+def test_running_one_builtin_imports_no_other_program():
+    """``repro run blocks`` compiles ``repro.programs.blocks`` and none
+    of rubik, cube, weaver ... from source (``PYTHONDONTWRITEBYTECODE``:
+    no cached bytecode hides what an import costs)."""
+    probe = (
+        "import sys\n"
+        "from repro import cli\n"
+        "try:\n"
+        "    cli.main(['run', 'blocks'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "found = sorted(m for m in sys.modules if m.startswith('repro.programs.'))\n"
+        "print('PROGRAMS', found, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all goals satisfied" in proc.stdout
+    assert "PROGRAMS ['repro.programs.blocks']" in proc.stderr
